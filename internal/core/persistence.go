@@ -101,7 +101,9 @@ func OpenAtEpoch(name, dir string, epoch uint64, opts ...Option) (*Engine, error
 	return e, nil
 }
 
-// applyRecord replays one WAL record against the in-memory engine. Replay
+// applyRecord replays one WAL record against the in-memory engine: an init or
+// commit record's delta goes straight back into the CVD (cvd.ReplayInit /
+// ReplayCommit), which refuses one that does not continue its state. Replay
 // runs before the journal is attached, so nothing here re-logs.
 func (e *Engine) applyRecord(rec *durable.Record) error {
 	switch rec.Op {
@@ -109,7 +111,7 @@ func (e *Engine) applyRecord(rec *durable.Record) error {
 		if _, dup := e.cvds[rec.CVD]; dup {
 			return fmt.Errorf("core: WAL replays init of existing CVD %q", rec.CVD)
 		}
-		c, err := cvd.Init(e.db, rec.CVD, rec.Schema, rec.Rows, cvd.Options{
+		c, err := cvd.ReplayInit(e.db, rec.CVD, rec.Versions, rec.Delta, rec.Schema, cvd.Options{
 			Model:   rec.Kind,
 			Author:  rec.Author,
 			Message: rec.Message,
@@ -126,7 +128,7 @@ func (e *Engine) applyRecord(rec *durable.Record) error {
 		if !ok {
 			return fmt.Errorf("core: WAL replays commit to unknown CVD %q (a CVD adopted but never checkpointed?)", rec.CVD)
 		}
-		if _, err := c.CommitAt(rec.Parents, rec.Rows, rec.Schema, rec.Message, rec.Author, rec.At); err != nil {
+		if err := c.ReplayCommit(rec.Versions, rec.Delta, rec.Schema, rec.Message, rec.Author, rec.At); err != nil {
 			return fmt.Errorf("core: replaying commit to %q: %w", rec.CVD, err)
 		}
 		return nil

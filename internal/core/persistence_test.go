@@ -478,7 +478,7 @@ func (failingJournal) LogCommit(string, []vgraph.VersionID, []relstore.Row, rels
 	return fmt.Errorf("injected journal failure")
 }
 
-// TestCommitTableJournalFailure pins CommitAt's partial-success contract at
+// TestCommitTableJournalFailure pins Commit's partial-success contract at
 // the CommitTable level: when the commit applies in memory but the WAL
 // append fails, the staging table must be consumed — not restored — so a
 // retry cannot create a duplicate version.

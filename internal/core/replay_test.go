@@ -1,0 +1,383 @@
+package core
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/cvd"
+	"repro/internal/durable"
+	"repro/internal/relstore"
+	"repro/internal/vgraph"
+)
+
+// replayHistory drives one CVD of a durable engine through a seeded history
+// that covers every shape a journalled delta can take: row churn staged in
+// shuffled order, schema evolution (a new column, a generalized type), a
+// two-parent merge, a commit identical to its parent (empty delta), a full
+// replacement, and — without a primary key — duplicate-content rows.
+type replayHistory struct {
+	t      *testing.T
+	rng    *rand.Rand
+	e      *Engine
+	c      *cvd.CVD
+	name   string
+	model  cvd.ModelKind
+	withPK bool
+	key    int64
+}
+
+func (h *replayHistory) schemaOf(cols []relstore.Column) relstore.Schema {
+	if h.withPK {
+		return relstore.MustSchema(cols, "k")
+	}
+	return relstore.MustSchema(cols)
+}
+
+func (h *replayHistory) newRows(s relstore.Schema, n int) []relstore.Row {
+	rows := make([]relstore.Row, n)
+	for i := range rows {
+		h.key++
+		row := relstore.Row{relstore.Int(h.key)}
+		for _, col := range s.Columns[1:] {
+			row = append(row, randomValue(h.rng, col.Type))
+		}
+		rows[i] = row
+	}
+	return rows
+}
+
+// rowsOf returns a version's rows without the rid, padded to width.
+func (h *replayHistory) rowsOf(v vgraph.VersionID, width int) []relstore.Row {
+	rows := checkoutRows(h.t, h.e, h.name, v, "hist")
+	for i, r := range rows {
+		r = r[1:]
+		for len(r) < width {
+			r = append(r, relstore.Null())
+		}
+		rows[i] = r
+	}
+	return rows
+}
+
+func (h *replayHistory) commit(kind string, parents []vgraph.VersionID, rows []relstore.Row, s relstore.Schema) {
+	h.t.Helper()
+	h.rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	if _, err := h.c.Commit(parents, rows, s, kind, "prop"); err != nil {
+		h.t.Fatalf("%s commit on %v: %v", kind, parents, err)
+	}
+}
+
+func (h *replayHistory) step(kind string) {
+	versions := h.c.Versions()
+	h.rng.Shuffle(len(versions), func(i, j int) { versions[i], versions[j] = versions[j], versions[i] })
+	parent := versions[0]
+	if kind == "merge" && len(versions) == 1 {
+		kind = "churn"
+	}
+	s := h.c.Schema()
+	width := len(s.Columns)
+	switch kind {
+	case "churn":
+		rows := h.rowsOf(parent, width)
+		keep := rows[:0]
+		for _, r := range rows {
+			switch h.rng.Intn(4) {
+			case 0: // dropped
+			case 1: // updated in place: same key, new content
+				r = r.Clone()
+				r[1] = randomValue(h.rng, s.Columns[1].Type)
+				keep = append(keep, r)
+			default:
+				keep = append(keep, r)
+			}
+		}
+		h.commit(kind, []vgraph.VersionID{parent}, append(keep, h.newRows(s, 1+h.rng.Intn(6))...), s)
+	case "add-column":
+		cols := append(append([]relstore.Column(nil), s.Columns...), relstore.Column{
+			Name: fmt.Sprintf("e%d", len(versions)), Type: colTypes[h.rng.Intn(len(colTypes))]})
+		evolved := h.schemaOf(cols)
+		rows := h.rowsOf(parent, len(cols))
+		h.commit(kind, []vgraph.VersionID{parent}, append(rows, h.newRows(evolved, 3)...), evolved)
+	case "generalize":
+		cols := append([]relstore.Column(nil), s.Columns...)
+		cols[1+h.rng.Intn(len(cols)-1)].Type = relstore.TypeString
+		evolved := h.schemaOf(cols)
+		h.commit(kind, []vgraph.VersionID{parent}, append(h.rowsOf(parent, width), h.newRows(evolved, 3)...), evolved)
+	case "merge":
+		other := versions[1]
+		rows := h.rowsOf(parent, width)
+		seen := make(map[string]bool, len(rows))
+		for _, r := range rows {
+			seen[r[0].AsString()] = true
+		}
+		for _, r := range h.rowsOf(other, width) {
+			if !seen[r[0].AsString()] {
+				seen[r[0].AsString()] = true
+				rows = append(rows, r)
+			}
+		}
+		h.commit(kind, []vgraph.VersionID{parent, other}, append(rows, h.newRows(s, 2)...), s)
+	case "identical":
+		h.commit(kind, []vgraph.VersionID{parent}, h.rowsOf(parent, width), s)
+	case "replace":
+		h.commit(kind, []vgraph.VersionID{parent}, h.newRows(s, 4+h.rng.Intn(8)), s)
+	case "duplicates":
+		rows := h.rowsOf(parent, width)
+		fresh := h.newRows(s, 2)
+		rows = append(rows, rows[0].Clone(), fresh[0], fresh[0].Clone(), fresh[1])
+		h.commit(kind, []vgraph.VersionID{parent}, rows, s)
+	}
+}
+
+func (h *replayHistory) run() {
+	cols := []relstore.Column{{Name: "k", Type: relstore.TypeInt}}
+	for i := 1; i < 3+h.rng.Intn(3); i++ {
+		cols = append(cols, relstore.Column{Name: fmt.Sprintf("c%d", i), Type: colTypes[h.rng.Intn(len(colTypes))]})
+	}
+	schema := h.schemaOf(cols)
+	c, err := h.e.Init(h.name, schema, h.newRows(schema, 5+h.rng.Intn(20)), cvd.Options{Model: h.model, Author: "prop", Message: "v1"})
+	if err != nil {
+		h.t.Fatalf("init: %v", err)
+	}
+	h.c = c
+	kinds := []string{"churn", "add-column", "generalize", "merge", "identical", "replace", "churn", "merge"}
+	if !h.withPK {
+		kinds = append(kinds, "duplicates")
+	}
+	h.rng.Shuffle(len(kinds), func(i, j int) { kinds[i], kinds[j] = kinds[j], kinds[i] })
+	for _, kind := range kinds {
+		h.step(kind)
+	}
+}
+
+// TestLiveEqualsReplayed is the property behind the delta WAL record: an
+// engine rebuilt only by replaying the journalled deltas (no checkpoint ever
+// ran) is bit-identical to the live one — every version of every data model,
+// record order inside a version included — and stays in lockstep with it
+// afterwards (same rids for the next commit).
+func TestLiveEqualsReplayed(t *testing.T) {
+	models := []cvd.ModelKind{cvd.SplitByRlist, cvd.SplitByVlist, cvd.CombinedTable, cvd.TablePerVersion, cvd.DeltaBased}
+	for _, model := range models {
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", model, seed), func(t *testing.T) {
+				dir := t.TempDir()
+				live, err := OpenDurable("live", dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := &replayHistory{t: t, rng: rand.New(rand.NewSource(seed)), e: live, name: "d", model: model, withPK: seed%2 == 1}
+				h.run()
+				if epochs, _ := live.RetainedEpochs(); len(epochs) != 0 {
+					t.Fatalf("a checkpoint ran (%v): the reopen below would not be replay alone", epochs)
+				}
+				if err := live.Close(); err != nil {
+					t.Fatal(err)
+				}
+				replayed, err := OpenDurable("replayed", dir)
+				if err != nil {
+					t.Fatalf("replaying the WAL: %v", err)
+				}
+				defer replayed.Close()
+				enginesEquivalent(t, "replayed", live, replayed)
+
+				// Lockstep: the same commit on both sides must diff against the
+				// same record catalog and hand out the same rids.
+				rc, err := replayed.CVD("d")
+				if err != nil {
+					t.Fatal(err)
+				}
+				latest, _ := h.c.LatestVersion()
+				s := h.c.Schema()
+				rows := append(h.rowsOf(latest, len(s.Columns)), h.newRows(s, 3)...)
+				var next [2]vgraph.VersionID
+				for i, c := range []*cvd.CVD{h.c, rc} {
+					if next[i], err = c.Commit([]vgraph.VersionID{latest}, rows, s, "lockstep", "prop"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if next[0] != next[1] {
+					t.Fatalf("lockstep commit is version %d live, %d replayed", next[0], next[1])
+				}
+				if err := RowsBitIdentical("lockstep", checkoutRows(t, live, "d", next[0], "l"), checkoutRows(t, replayed, "d", next[1], "r")); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// TestRejectedCommitKeepsLogReplayable: a commit refused halfway through its
+// rows (two well-formed, then one too short) must not take record ids with it.
+// The commit acknowledged after it is journalled, and the directory — never
+// checkpointed, so the reopen is replay alone — must open to the live state
+// and pass the scrub.
+func TestRejectedCommitKeepsLogReplayable(t *testing.T) {
+	schema := relstore.MustSchema([]relstore.Column{
+		{Name: "id", Type: relstore.TypeInt},
+		{Name: "payload", Type: relstore.TypeString},
+	}, "id")
+	dir := t.TempDir()
+	live, err := OpenDurable("live", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := live.Init("d", schema, []relstore.Row{{relstore.Int(1), relstore.Str("a")}}, cvd.Options{Author: "t", Message: "v1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []relstore.Row{{relstore.Int(1), relstore.Str("a")}, {relstore.Int(2), relstore.Str("b")}, {relstore.Int(3)}}
+	if _, err := c.Commit([]vgraph.VersionID{1}, bad, schema, "rejected", "t"); err == nil {
+		t.Fatal("a commit with a short row was accepted")
+	}
+	good := []relstore.Row{{relstore.Int(1), relstore.Str("a")}, {relstore.Int(4), relstore.Str("d")}}
+	if _, err := c.Commit([]vgraph.VersionID{1}, good, schema, "v2", "t"); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := durable.Scrub(dir, durable.ScrubOptions{}); err != nil || !rep.Healthy() {
+		t.Fatalf("scrub of a legitimate log: %v, %+v", err, rep)
+	}
+	replayed, err := OpenDurable("replayed", dir)
+	if err != nil {
+		t.Fatalf("replaying the WAL: %v", err)
+	}
+	defer replayed.Close()
+	enginesEquivalent(t, "replayed", live, replayed)
+}
+
+// walFrames splits a WAL segment into its header and its record frames.
+func walFrames(t *testing.T, raw []byte) (header []byte, frames [][]byte) {
+	t.Helper()
+	const headerSize = 20
+	header, raw = raw[:headerSize], raw[headerSize:]
+	for len(raw) > 0 {
+		n := 8 + int(binary.LittleEndian.Uint32(raw[:4]))
+		frames = append(frames, raw[:n])
+		raw = raw[n:]
+	}
+	return header, frames
+}
+
+// TestReplayRefusesDiscontinuousLog: a WAL that does not continue the state
+// it is replayed onto — a commit record missing from the middle, a record
+// naming a parent that does not exist, a record whose added rids do not start
+// at the next rid — must fail the open with an error naming the segment and
+// the record, never open as a renumbered history; and the offline scrub
+// behind `orpheus fsck` must report the same record as corrupt-wal-record.
+func TestReplayRefusesDiscontinuousLog(t *testing.T) {
+	schema := relstore.MustSchema([]relstore.Column{
+		{Name: "id", Type: relstore.TypeInt},
+		{Name: "payload", Type: relstore.TypeString},
+	}, "id")
+	deltaSchema := relstore.MustSchema(append([]relstore.Column{{Name: "rid", Type: relstore.TypeInt}}, schema.Columns...), "id")
+	// build writes init + three single-parent commits (versions 1..4, records
+	// 1..5) and returns the directory, closed, never checkpointed.
+	build := func(t *testing.T) string {
+		dir := t.TempDir()
+		e, err := OpenDurable("teeth", dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := []relstore.Row{{relstore.Int(1), relstore.Str("a")}, {relstore.Int(2), relstore.Str("b")}}
+		c, err := e.Init("d", schema, rows, cvd.Options{Author: "teeth", Message: "v1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 3; i++ {
+			rows = append(rows, relstore.Row{relstore.Int(int64(10 + i)), relstore.Str(fmt.Sprintf("p%d", i))})
+			if _, err := c.Commit([]vgraph.VersionID{vgraph.VersionID(i)}, rows, schema, fmt.Sprintf("v%d", i+1), "teeth"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	// forge appends one CRC-valid commit record straight through the store.
+	forge := func(t *testing.T, dir string, versions []vgraph.VersionID, delta []relstore.Row) {
+		s, _, err := durable.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.LogCommit("d", versions, delta, deltaSchema, "forged", "teeth", time.Unix(0, 7)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name    string
+		damage  func(t *testing.T, dir string)
+		record  int    // index of the record that must be refused
+		mention string // what the error must say about it
+	}{
+		{"missing-middle-record", func(t *testing.T, dir string) {
+			path := filepath.Join(dir, durable.WALSegmentFileName(0))
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			header, frames := walFrames(t, raw)
+			if len(frames) != 4 {
+				t.Fatalf("fixture has %d records, want 4", len(frames))
+			}
+			out := append([]byte(nil), header...)
+			for i, f := range frames {
+				if i != 2 { // drop the commit of version 3
+					out = append(out, f...)
+				}
+			}
+			if err := os.WriteFile(path, out, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, 2, "version 4 does not continue the history (next version is 3)"},
+		{"unknown-parent", func(t *testing.T, dir string) {
+			forge(t, dir, []vgraph.VersionID{5, 99}, []relstore.Row{{relstore.Int(6), relstore.Int(50), relstore.Str("x")}})
+		}, 4, "unknown parent version 99"},
+		{"rid-gap", func(t *testing.T, dir string) {
+			forge(t, dir, []vgraph.VersionID{5, 4}, []relstore.Row{{relstore.Int(9), relstore.Int(50), relstore.Str("x")}})
+		}, 4, "adds record 9 where the next record id is 6"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := build(t)
+			tc.damage(t, dir)
+			where := fmt.Sprintf("record %d", tc.record)
+
+			rep, err := durable.Scrub(dir, durable.ScrubOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			found := false
+			for _, is := range rep.Issues {
+				if is.Kind == durable.IssueCorruptWALRecord && strings.Contains(is.Detail, where) && strings.Contains(is.Detail, tc.mention) {
+					found = true
+				}
+			}
+			if !found {
+				t.Fatalf("scrub did not report %s as %s (%q): %+v", where, durable.IssueCorruptWALRecord, tc.mention, rep.Issues)
+			}
+
+			e, err := OpenDurable("teeth", dir)
+			if err == nil {
+				c, _ := e.CVD("d")
+				t.Fatalf("a discontinuous log opened, with versions %v", c.Versions())
+			}
+			for _, want := range []string{durable.WALSegmentFileName(0), where, tc.mention} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("open error does not mention %q: %v", want, err)
+				}
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package cvd
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -103,6 +104,34 @@ type Options struct {
 // Init creates a new CVD named name inside db with the given data schema and
 // initial rows, which become version 1.
 func Init(db *relstore.Database, name string, schema relstore.Schema, rows []relstore.Row, opts Options) (*CVD, error) {
+	c, err := newCVD(db, name, schema, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.checkPrimaryKey(rows, schema); err != nil {
+		c.meta.drop()
+		return nil, err
+	}
+	req, err := c.buildCommit(nil, rows, schema)
+	if err != nil {
+		c.meta.drop()
+		return nil, err
+	}
+	at := opts.At
+	if at.IsZero() {
+		at = c.clock()
+	}
+	if err := c.applyCommit(req, opts.Message, opts.Author, at); err != nil {
+		c.meta.drop()
+		return nil, err
+	}
+	return c, nil
+}
+
+// newCVD builds a CVD with no versions yet: the metadata store and the
+// physical model exist, the model's tables do not (its Init creates them with
+// the first version).
+func newCVD(db *relstore.Database, name string, schema relstore.Schema, opts Options) (*CVD, error) {
 	if name == "" {
 		return nil, fmt.Errorf("cvd: empty CVD name")
 	}
@@ -152,27 +181,6 @@ func Init(db *relstore.Database, name string, schema relstore.Schema, rows []rel
 		rm.SetWorkers(opts.Workers)
 	}
 	c.model = model
-
-	if err := c.checkPrimaryKey(rows, schema); err != nil {
-		meta.drop()
-		return nil, err
-	}
-	req, err := c.buildCommit(nil, rows, schema)
-	if err != nil {
-		meta.drop()
-		return nil, err
-	}
-	if err := model.Init(req); err != nil {
-		meta.drop()
-		return nil, err
-	}
-	at := opts.At
-	if at.IsZero() {
-		at = clock()
-	}
-	if err := c.recordVersion(req, opts.Message, opts.Author, at); err != nil {
-		return nil, err
-	}
 	return c, nil
 }
 
@@ -403,6 +411,11 @@ func (c *CVD) recordsOfLocked(v vgraph.VersionID) []vgraph.RecordID {
 func (c *CVD) Drop() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.dropLocked()
+}
+
+// dropLocked is Drop for a caller holding c.mu exclusively.
+func (c *CVD) dropLocked() {
 	c.model.Drop()
 	c.meta.drop()
 	c.ckMu.Lock()
@@ -456,11 +469,30 @@ func (c *CVD) checkPrimaryKey(rows []relstore.Row, schema relstore.Schema) error
 
 // buildCommit diffs the staged rows against the parent versions following
 // the no cross-version diff rule: a staged row reuses the rid of a parent
-// record with identical content; all other rows get fresh rids.
+// record with identical content; all other rows get fresh rids. Everything
+// that can refuse the rows is checked before the schema evolves, and the fresh
+// rids are only numbered here — recordVersion is what takes them from the
+// catalog — so a commit that fails allocates nothing, and the next journalled
+// delta still continues the log (see replay).
 func (c *CVD) buildCommit(parents []vgraph.VersionID, rows []relstore.Row, schema relstore.Schema) (CommitRequest, error) {
-	// Single-pool schema evolution first, so content keys use the final width.
-	if err := c.evolveSchema(schema); err != nil {
+	merged, changed, err := c.mergedSchema(schema)
+	if err != nil {
 		return CommitRequest{}, err
+	}
+	place, err := c.columnPlaces(schema, merged)
+	if err != nil {
+		return CommitRequest{}, err
+	}
+	for _, r := range rows {
+		if len(r) != len(schema.Columns) {
+			return CommitRequest{}, fmt.Errorf("cvd: %s: row has %d values but schema has %d columns", c.name, len(r), len(schema.Columns))
+		}
+	}
+	// Single-pool schema evolution next, so content keys use the final width.
+	if changed {
+		if err := c.adoptSchema(merged); err != nil {
+			return CommitRequest{}, err
+		}
 	}
 	req := CommitRequest{
 		Version:    c.nextVID,
@@ -480,10 +512,14 @@ func (c *CVD) buildCommit(parents []vgraph.VersionID, rows []relstore.Row, schem
 		}
 	}
 	seenRID := make(map[vgraph.RecordID]struct{}, len(rows))
+	kept := make([]vgraph.RecordID, 0, len(rows))
 	for _, r := range rows {
-		aligned, err := c.alignRow(r, schema)
-		if err != nil {
-			return CommitRequest{}, err
+		aligned := make(relstore.Row, len(merged.Columns))
+		for i := range aligned {
+			aligned[i] = relstore.Null()
+		}
+		for j, i := range place {
+			aligned[i] = r[j]
 		}
 		key := c.contentKey(aligned)
 		if rid, ok := parentByKey[key]; ok {
@@ -491,43 +527,42 @@ func (c *CVD) buildCommit(parents []vgraph.VersionID, rows []relstore.Row, schem
 				continue // identical duplicate row within the staged table
 			}
 			seenRID[rid] = struct{}{}
-			req.RIDs = append(req.RIDs, rid)
+			kept = append(kept, rid)
 			continue
 		}
-		rid := c.nextRID
-		c.nextRID++
-		c.records[rid] = aligned
-		seenRID[rid] = struct{}{}
-		req.RIDs = append(req.RIDs, rid)
+		rid := c.nextRID + vgraph.RecordID(len(req.NewRecords))
 		req.NewRecords = append(req.NewRecords, CommitRecord{RID: rid, Row: aligned})
+	}
+	// Canonical record order: ascending rid, whatever order the rows were
+	// staged in — the one order a replayed journal delta can reproduce (see
+	// replay). Fresh rids are numbered in ascending order above every existing
+	// one, so only the kept records need sorting.
+	slices.Sort(kept)
+	req.RIDs = kept
+	for _, rec := range req.NewRecords {
+		req.RIDs = append(req.RIDs, rec.RID)
 	}
 	return req, nil
 }
 
-// alignRow reorders/pads a row expressed in rowSchema's column order into the
-// CVD's current schema order.
-func (c *CVD) alignRow(r relstore.Row, rowSchema relstore.Schema) (relstore.Row, error) {
-	if len(r) != len(rowSchema.Columns) {
-		return nil, fmt.Errorf("cvd: %s: row has %d values but schema has %d columns", c.name, len(r), len(rowSchema.Columns))
-	}
-	out := make(relstore.Row, len(c.schema.Columns))
-	for i := range out {
-		out[i] = relstore.Null()
-	}
+// columnPlaces maps each column of rowSchema to its index in target, the
+// CVD's schema evolved by rowSchema.
+func (c *CVD) columnPlaces(rowSchema, target relstore.Schema) ([]int, error) {
+	place := make([]int, len(rowSchema.Columns))
 	for j, col := range rowSchema.Columns {
-		i := c.schema.ColumnIndex(col.Name)
+		i := target.ColumnIndex(col.Name)
 		if i < 0 {
 			return nil, fmt.Errorf("cvd: %s: column %q not in CVD schema after evolution", c.name, col.Name)
 		}
-		out[i] = r[j]
+		place[j] = i
 	}
-	return out, nil
+	return place, nil
 }
 
-// evolveSchema merges an incoming schema into the CVD's single-pool schema:
-// new attributes are added, and conflicting types are generalized
-// (Section 4.3). The physical model is altered accordingly.
-func (c *CVD) evolveSchema(incoming relstore.Schema) error {
+// mergedSchema returns the CVD's single-pool schema evolved by an incoming
+// schema — new attributes are appended, conflicting types are generalized
+// (Section 4.3) — and whether that differs from the current schema.
+func (c *CVD) mergedSchema(incoming relstore.Schema) (relstore.Schema, bool, error) {
 	changed := false
 	merged := c.schema.Clone()
 	for _, col := range incoming.Columns {
@@ -539,7 +574,7 @@ func (c *CVD) evolveSchema(incoming relstore.Schema) error {
 			var err error
 			merged, err = merged.WithColumn(col)
 			if err != nil {
-				return err
+				return relstore.Schema{}, false, err
 			}
 			changed = true
 			continue
@@ -550,9 +585,12 @@ func (c *CVD) evolveSchema(incoming relstore.Schema) error {
 			changed = true
 		}
 	}
-	if !changed {
-		return nil
-	}
+	return merged, changed, nil
+}
+
+// adoptSchema makes an evolved schema (see mergedSchema) the CVD's and alters
+// the physical model to match.
+func (c *CVD) adoptSchema(merged relstore.Schema) error {
 	if err := c.model.AlterSchema(merged); err != nil {
 		return err
 	}
@@ -568,8 +606,23 @@ func (c *CVD) lookupRecord(rid vgraph.RecordID) (relstore.Row, bool) {
 	return padRow(r.Clone(), len(c.schema.Columns)), true
 }
 
-// recordVersion updates the version graph, bipartite graph, and metadata
-// after the physical model has accepted the commit.
+// applyCommit hands a built request to the physical model and records the
+// version — the step a live commit and a replayed journal delta share.
+func (c *CVD) applyCommit(req CommitRequest, msg, author string, at time.Time) error {
+	var err error
+	if len(req.Parents) == 0 {
+		err = c.model.Init(req)
+	} else {
+		err = c.model.AppendVersion(req)
+	}
+	if err != nil {
+		return err
+	}
+	return c.recordVersion(req, msg, author, at)
+}
+
+// recordVersion updates the version graph, bipartite graph, metadata and
+// record catalog after the physical model has accepted the commit.
 func (c *CVD) recordVersion(req CommitRequest, msg, author string, at time.Time) error {
 	if _, err := c.graph.AddVersion(req.Version, int64(len(req.RIDs))); err != nil {
 		return err
@@ -602,6 +655,10 @@ func (c *CVD) recordVersion(req CommitRequest, msg, author string, at time.Time)
 	if err := c.meta.add(m); err != nil {
 		return err
 	}
+	for _, rec := range req.NewRecords {
+		c.records[rec.RID] = rec.Row
+	}
+	c.nextRID += vgraph.RecordID(len(req.NewRecords))
 	c.nextVID++
 	return nil
 }
@@ -613,14 +670,6 @@ func (c *CVD) recordVersion(req CommitRequest, msg, author string, at time.Time)
 // commits serialize, and checkouts/queries wait rather than observing a
 // half-applied version.
 func (c *CVD) Commit(parents []vgraph.VersionID, rows []relstore.Row, rowSchema relstore.Schema, msg, author string) (vgraph.VersionID, error) {
-	return c.CommitAt(parents, rows, rowSchema, msg, author, time.Time{})
-}
-
-// CommitAt is Commit with an explicit commit timestamp (zero means "now").
-// WAL replay uses it so a replayed commit reproduces the original version
-// metadata bit for bit; replayed commits run before a journal is attached,
-// so they are not logged a second time.
-func (c *CVD) CommitAt(parents []vgraph.VersionID, rows []relstore.Row, rowSchema relstore.Schema, msg, author string, at time.Time) (vgraph.VersionID, error) {
 	if len(parents) == 0 {
 		return 0, fmt.Errorf("cvd: %s: commit requires at least one parent version", c.name)
 	}
@@ -647,17 +696,13 @@ func (c *CVD) CommitAt(parents []vgraph.VersionID, rows []relstore.Row, rowSchem
 	if err != nil {
 		return 0, err
 	}
-	if err := c.model.AppendVersion(req); err != nil {
-		return 0, err
-	}
-	if at.IsZero() {
-		at = c.clock()
-	}
-	if err := c.recordVersion(req, msg, author, at); err != nil {
+	at := c.clock()
+	if err := c.applyCommit(req, msg, author, at); err != nil {
 		return 0, err
 	}
 	if c.journal != nil {
-		if err := c.journal.LogCommit(c.name, parents, rows, rowSchema, msg, author, at); err != nil {
+		versions, delta, schema := c.deltaLocked(req.Version, parents)
+		if err := c.journal.LogCommit(c.name, versions, delta, schema, msg, author, at); err != nil {
 			// The commit is applied in memory but the WAL lacks it: poison the
 			// journal so every later commit fails fast instead of appending
 			// records that replay against this missing version, then surface
@@ -723,6 +768,15 @@ func (c *CVD) Checkout(versions []vgraph.VersionID, tableName string) (*relstore
 func (c *CVD) materialize(versions []vgraph.VersionID, tableName string) (*relstore.Table, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	// Drop tears the model's tables down under the exclusive lock and sets
+	// dropped before releasing it, so a checkout that got past Checkout's own
+	// test and then waited for that lock must look again.
+	c.ckMu.Lock()
+	dropped := c.dropped
+	c.ckMu.Unlock()
+	if dropped {
+		return nil, fmt.Errorf("cvd: %s: CVD has been dropped", c.name)
+	}
 	for _, v := range versions {
 		if c.graph.Node(v) == nil {
 			return nil, fmt.Errorf("cvd: %s: unknown version %d", c.name, v)
@@ -852,7 +906,7 @@ func (c *CVD) CommitTable(tableName, msg, author string) (vgraph.VersionID, erro
 	if err != nil {
 		if v != 0 {
 			// The commit was applied in memory but journaling it failed
-			// (CommitAt's partial success). The staging table is consumed —
+			// (Commit's partial success). The staging table is consumed —
 			// restoring the claim would let a retry commit the same rows as
 			// a duplicate version.
 			c.db.DropTable(tableName)

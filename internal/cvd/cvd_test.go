@@ -2,6 +2,8 @@ package cvd
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -448,6 +450,39 @@ func TestDropRemovesTables(t *testing.T) {
 	for _, name := range db.TableNames() {
 		if strings.HasPrefix(name, "interaction") {
 			t.Errorf("table %q survived Drop", name)
+		}
+	}
+}
+
+// TestCheckoutRacingDrop pins the order that used to panic: a checkout passes
+// Checkout's dropped test, then waits for the CVD lock while Drop tears the
+// model's tables down. Holding the lock here stands in for Drop holding it, so
+// the order is forced, not raced.
+func TestCheckoutRacingDrop(t *testing.T) {
+	for _, kind := range allModels {
+		_, c := buildProteinCVD(t, kind)
+		c.mu.Lock()
+		done := make(chan error, 1)
+		go func() {
+			defer func() {
+				if r := recover(); r != nil {
+					done <- fmt.Errorf("checkout panicked: %v", r)
+				}
+			}()
+			_, err := c.Checkout([]vgraph.VersionID{4}, "late")
+			done <- err
+		}()
+		// The staging name is reserved after the dropped test and before the
+		// wait for c.mu: once it shows, the checkout is between the two.
+		for reserved := false; !reserved; runtime.Gosched() {
+			c.ckMu.Lock()
+			_, reserved = c.reserved["late"]
+			c.ckMu.Unlock()
+		}
+		c.dropLocked()
+		c.mu.Unlock()
+		if err := <-done; err == nil || !strings.Contains(err.Error(), "has been dropped") {
+			t.Errorf("%v: checkout that lost the race to Drop returned %v, want a has-been-dropped error", kind, err)
 		}
 	}
 }

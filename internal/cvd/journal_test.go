@@ -2,6 +2,7 @@ package cvd
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,14 +12,14 @@ import (
 )
 
 // journaledCommit is one captured LogCommit call — everything needed to
-// replay the commit through CommitAt, the way WAL recovery does.
+// replay the commit through ReplayCommit, the way WAL recovery does.
 type journaledCommit struct {
-	parents []vgraph.VersionID
-	rows    []relstore.Row
-	schema  relstore.Schema
-	msg     string
-	author  string
-	at      time.Time
+	versions []vgraph.VersionID
+	delta    []relstore.Row
+	schema   relstore.Schema
+	msg      string
+	author   string
+	at       time.Time
 }
 
 // flakyJournal records every successful append and fails the ones whose
@@ -28,14 +29,14 @@ type flakyJournal struct {
 	failNext bool
 }
 
-func (j *flakyJournal) LogCommit(_ string, parents []vgraph.VersionID, rows []relstore.Row, schema relstore.Schema, msg, author string, at time.Time) error {
+func (j *flakyJournal) LogCommit(_ string, versions []vgraph.VersionID, delta []relstore.Row, schema relstore.Schema, msg, author string, at time.Time) error {
 	if j.failNext {
 		j.failNext = false
 		return errors.New("injected journal failure")
 	}
 	j.log = append(j.log, journaledCommit{
-		parents: append([]vgraph.VersionID(nil), parents...),
-		rows:    rows, schema: schema, msg: msg, author: author, at: at,
+		versions: append([]vgraph.VersionID(nil), versions...),
+		delta:    delta, schema: schema, msg: msg, author: author, at: at,
 	})
 	return nil
 }
@@ -96,7 +97,7 @@ func TestJournalPoisonedAfterAppendFailure(t *testing.T) {
 	// the log contains no record referencing the lost version.
 	_, fresh := buildProteinCVD(t, SplitByRlist)
 	for i, jc := range j.log {
-		if _, err := fresh.CommitAt(jc.parents, jc.rows, jc.schema, jc.msg, jc.author, jc.at); err != nil {
+		if err := fresh.ReplayCommit(jc.versions, jc.delta, jc.schema, jc.msg, jc.author, jc.at); err != nil {
 			t.Fatalf("replaying journaled commit %d: %v", i, err)
 		}
 	}
@@ -133,5 +134,82 @@ func TestJournalDetachClearsPoison(t *testing.T) {
 	}
 	if _, err := c.Commit([]vgraph.VersionID{4}, rows, proteinSchema(), "ephemeral", "a"); err != nil {
 		t.Fatalf("ephemeral commit after detach: %v", err)
+	}
+}
+
+// failingModel refuses the next AppendVersion, as a physical model that hit
+// an insert error would.
+type failingModel struct {
+	DataModel
+	failNext bool
+}
+
+func (m *failingModel) AppendVersion(req CommitRequest) error {
+	if m.failNext {
+		m.failNext = false
+		return errors.New("injected model failure")
+	}
+	return m.DataModel.AppendVersion(req)
+}
+
+// TestRejectedCommitAllocatesNothing: a commit refused after its rows were
+// diffed — a malformed row behind well-formed ones, or the physical model
+// failing — must leave the record catalog as it was (and, refused before the
+// model saw it, the schema too; a model that fails has already been altered,
+// which the next delta's schema then carries). The next commit is journalled
+// with record ids that continue the log, so a fresh CVD replays it; handing
+// the refused commit's rids out for good would journal a gap that replay
+// refuses.
+func TestRejectedCommitAllocatesNothing(t *testing.T) {
+	wider := relstore.MustSchema(append(append([]relstore.Column(nil), proteinSchema().Columns...),
+		relstore.Column{Name: "note", Type: relstore.TypeString}), proteinSchema().PrimaryKey...)
+	wideRow := func(p1, p2 string) relstore.Row { return append(prow(p1, p2, 7, 8, 9), relstore.Str("n")) }
+	rejections := map[string]func(c *CVD) error{
+		"malformed-row": func(c *CVD) error {
+			rows := []relstore.Row{wideRow("ENSP000010", "ENSP000011"), wideRow("ENSP000012", "ENSP000013"), prow("ENSP000014", "ENSP000015", 1, 1, 1)}
+			_, err := c.Commit([]vgraph.VersionID{4}, rows, wider, "rejected", "eve")
+			return err
+		},
+		"model-failure": func(c *CVD) error {
+			m := &failingModel{DataModel: c.model, failNext: true}
+			c.model = m
+			rows := []relstore.Row{wideRow("ENSP000010", "ENSP000011"), wideRow("ENSP000012", "ENSP000013")}
+			_, err := c.Commit([]vgraph.VersionID{4}, rows, wider, "rejected", "eve")
+			return err
+		},
+	}
+	for name, reject := range rejections {
+		t.Run(name, func(t *testing.T) {
+			_, c := buildProteinCVD(t, SplitByRlist)
+			j := &flakyJournal{}
+			c.SetJournal(j)
+			nextRID, records, schema := c.nextRID, len(c.records), c.Schema()
+			if err := reject(c); err == nil {
+				t.Fatal("the commit was accepted")
+			}
+			if c.nextRID != nextRID || len(c.records) != records {
+				t.Fatalf("rejected commit allocated records: next rid %d → %d, catalog %d → %d", nextRID, c.nextRID, records, len(c.records))
+			}
+			if name == "malformed-row" && !c.Schema().Equal(schema) {
+				t.Fatalf("rejected commit evolved the schema to (%s)", c.Schema())
+			}
+			if len(j.log) != 0 {
+				t.Fatal("rejected commit was journalled")
+			}
+			good := []relstore.Row{prow("ENSP000020", "ENSP000021", 1, 2, 3)}
+			v, err := c.Commit([]vgraph.VersionID{4}, good, proteinSchema(), "good", "eve")
+			if err != nil {
+				t.Fatalf("commit after the rejected one: %v", err)
+			}
+			_, fresh := buildProteinCVD(t, SplitByRlist)
+			for _, jc := range j.log {
+				if err := fresh.ReplayCommit(jc.versions, jc.delta, jc.schema, jc.msg, jc.author, jc.at); err != nil {
+					t.Fatalf("the journalled log no longer replays: %v", err)
+				}
+			}
+			if got, want := fresh.RecordsOf(v), c.RecordsOf(v); !slices.Equal(got, want) {
+				t.Fatalf("replayed version %d holds records %v, live %v", v, got, want)
+			}
+		})
 	}
 }

@@ -76,7 +76,7 @@ type CommitRequest struct {
 	Parents []vgraph.VersionID
 	// ParentRIDs lists, per parent, the record ids that parent contains.
 	ParentRIDs map[vgraph.VersionID][]vgraph.RecordID
-	// RIDs is the complete record id list of the new version.
+	// RIDs is the complete record id list of the new version, ascending.
 	RIDs []vgraph.RecordID
 	// NewRecords are the records in RIDs that are not present in any parent
 	// and must be added to physical storage, with their contents.

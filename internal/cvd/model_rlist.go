@@ -108,11 +108,10 @@ func (m *rlistModel) AppendVersion(req CommitRequest) error {
 		}
 	}
 	vt := m.db.MustTable(m.versioningTabName())
-	rlist := make([]int64, len(req.RIDs))
+	rlist := make([]int64, len(req.RIDs)) // ascending, as req.RIDs is
 	for i, r := range req.RIDs {
 		rlist[i] = int64(r)
 	}
-	sort.Slice(rlist, func(i, j int) bool { return rlist[i] < rlist[j] })
 	if err := vt.Insert(relstore.Row{relstore.Int(int64(req.Version)), relstore.IntArray(rlist)}); err != nil {
 		return err
 	}
@@ -137,8 +136,8 @@ func (m *rlistModel) AppendVersion(req CommitRequest) error {
 // benchmark-only (see the cloneOnCheckout field).
 func (m *rlistModel) SetCloneOnCheckout(clone bool) { m.cloneOnCheckout = clone }
 
-// rlistOf returns the rid list of a version from the versioning table (kept
-// sorted by AppendVersion).
+// rlistOf returns the rid list of a version from the versioning table
+// (ascending: AppendVersion stores CommitRequest.RIDs as it gets them).
 func (m *rlistModel) rlistOf(v vgraph.VersionID) ([]int64, error) {
 	vt := m.db.MustTable(m.versioningTabName())
 	row, ok := vt.LookupIndex(relstore.Int(int64(v)))

@@ -17,13 +17,27 @@ import (
 // constitutes the persistent state.
 
 // Journal receives the logical redo log of a CVD: every successful commit is
-// reported (with its staged rows, row schema — which also carries any schema
-// evolution — and commit timestamp) so a write-ahead log can make it durable.
+// reported as its delta against its parents, so that what a write-ahead log
+// stores — and what replaying it costs — is proportional to the commit, not to
+// the version.
+//
+//   - versions is the new version's id followed by its parents, in the order
+//     the commit named them.
+//   - deltaSchema is the rid column followed by the CVD's data schema as the
+//     commit left it (so it carries any schema evolution), with the data
+//     schema's primary key.
+//   - delta is the commit's delta table: one full-width row (rid, then the data
+//     values in deltaSchema order) per record the version adds, in ascending
+//     rid order, and one rid-only tombstone row per record of the parents'
+//     union that the version does not keep. A version's records are therefore
+//     ∪parents − tombstones + added.
+//
+// ReplayCommit takes the same arguments and rebuilds the version from them.
 // Implementations are called while the CVD's exclusive lock is held, after
 // the commit has been applied in memory; they must not call back into the
-// CVD.
+// CVD, and must not modify delta's rows.
 type Journal interface {
-	LogCommit(cvdName string, parents []vgraph.VersionID, rows []relstore.Row, rowSchema relstore.Schema, msg, author string, at time.Time) error
+	LogCommit(cvdName string, versions []vgraph.VersionID, delta []relstore.Row, deltaSchema relstore.Schema, msg, author string, at time.Time) error
 }
 
 // SetJournal attaches (or detaches, with nil) the commit journal. The engine

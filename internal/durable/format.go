@@ -29,10 +29,16 @@ import (
 
 const (
 	// formatVersion is bumped on any incompatible change to the snapshot,
-	// chunk, manifest, or WAL payload layout. Readers refuse other versions.
+	// chunk, or manifest layout. Readers refuse other versions.
 	// Version 2 introduced content-addressed chunked checkpoints (manifest +
 	// chunk pack), lane codecs, and epoch-named WAL segments.
 	formatVersion = 2
+
+	// walFormatVersion is the WAL segments' own version, bumped when only the
+	// record layout changes: a version 2 directory's checkpoints and exports
+	// stay readable, its WAL segments do not. Version 3 replaced the full
+	// version image in init and commit records with the version's delta.
+	walFormatVersion = 3
 
 	snapshotMagic = "ORPHSNP1"
 	walMagic      = "ORPHWAL1"

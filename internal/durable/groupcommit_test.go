@@ -39,7 +39,7 @@ func TestAppendFailureKeepsLaterCommits(t *testing.T) {
 			ff := injectFaults(s)
 
 			at := time.Unix(0, 42)
-			if err := s.LogInit("cvd", 0, walSchema(), walRows(3), "init", "alice", at); err != nil {
+			if err := s.LogInit("cvd", 0, []vgraph.VersionID{1}, walDelta(1, 3), walSchema(), "init", "alice", at); err != nil {
 				t.Fatal(err)
 			}
 			if mode == "write" {
@@ -47,18 +47,18 @@ func TestAppendFailureKeepsLaterCommits(t *testing.T) {
 			} else {
 				ff.FailSyncs(1)
 			}
-			if err := s.LogCommit("cvd", []vgraph.VersionID{1}, walRows(2), walSchema(), "lost", "bob", at.Add(time.Second)); err == nil {
+			if err := s.LogCommit("cvd", []vgraph.VersionID{2, 1}, walDelta(4, 2), walSchema(), "lost", "bob", at.Add(time.Second)); err == nil {
 				t.Fatal("append with injected fault succeeded")
 			}
 
 			// This commit is acknowledged AFTER the failed append: it must
 			// survive recovery exactly as written.
 			want := &Record{
-				Op: OpCommit, CVD: "cvd", Parents: []vgraph.VersionID{7},
-				Rows: walRows(5), Schema: walSchema(),
+				Op: OpCommit, CVD: "cvd", Versions: []vgraph.VersionID{8, 7},
+				Delta: walDelta(40, 5, 3, 9), Schema: walSchema(),
 				Message: "survivor", Author: "carol", At: time.Unix(0, 99),
 			}
-			if err := s.LogCommit(want.CVD, want.Parents, want.Rows, want.Schema, want.Message, want.Author, want.At); err != nil {
+			if err := s.LogCommit(want.CVD, want.Versions, want.Delta, want.Schema, want.Message, want.Author, want.At); err != nil {
 				t.Fatalf("append after recovered failure: %v", err)
 			}
 			s.Close()
@@ -91,7 +91,7 @@ func TestAppendTruncateFailurePoisonsStore(t *testing.T) {
 	}
 	ff := injectFaults(s)
 	at := time.Unix(0, 42)
-	if err := s.LogInit("cvd", 0, walSchema(), walRows(3), "init", "alice", at); err != nil {
+	if err := s.LogInit("cvd", 0, []vgraph.VersionID{1}, walDelta(1, 3), walSchema(), "init", "alice", at); err != nil {
 		t.Fatal(err)
 	}
 	ff.FailWrites(1)

@@ -8,7 +8,9 @@ import (
 	"path/filepath"
 	"sort"
 
+	"repro/internal/cvd"
 	"repro/internal/vfs"
+	"repro/internal/vgraph"
 )
 
 // Scrub is the offline integrity checker behind `orpheus fsck`: it walks a
@@ -56,7 +58,9 @@ const (
 	// never repaired silently.
 	IssueSealedWALTorn IssueKind = "sealed-wal-torn"
 	// IssueCorruptWALRecord: a record passes its frame CRC but does not
-	// decode — mid-log corruption of committed history.
+	// decode, or decodes but does not continue the state before it (a version
+	// id, parent, or record id the log so far does not lead to) — mid-log
+	// corruption of committed history.
 	IssueCorruptWALRecord IssueKind = "corrupt-wal-record"
 	// IssueMissingWALSegment: the manifest/segment epoch chain has a hole.
 	IssueMissingWALSegment IssueKind = "missing-wal-segment"
@@ -269,14 +273,76 @@ type walState struct {
 	headerErr error
 	validEnd  int64
 	torn      bool
-	decodeErr error // a CRC-valid record that does not decode
+	recordErr error // a CRC-valid record that does not decode or does not continue the log
 	records   int
+}
+
+// walCursor is where one CVD's log must continue.
+type walCursor struct {
+	nextVID vgraph.VersionID
+	nextRID vgraph.RecordID
+}
+
+// walCursors follows a WAL chain record by record and checks the counters a
+// scrub can follow from the CVD heads alone: the version id, that the parents
+// lie below it (version ids are dense), and the first added record id. That is
+// a subset of what the open verifies, not a second copy of it: the rule lives
+// in cvd's replay, which also checks the remaining added rids, the tombstones
+// and the schema against state a scrub does not load. A record that fails here
+// is refused by the open too; one that passes may still be.
+type walCursors map[string]walCursor
+
+// cursorsOf starts a chain at the state a recovery root holds.
+func cursorsOf(cvds []*cvd.PersistentState) walCursors {
+	cur := make(walCursors, len(cvds))
+	for _, st := range cvds {
+		cur[st.Name] = walCursor{nextVID: st.NextVID, nextRID: st.NextRID}
+	}
+	return cur
+}
+
+// advance checks that rec continues the chain and steps past it.
+func (cur walCursors) advance(rec *Record) error {
+	c, known := cur[rec.CVD]
+	switch rec.Op {
+	case OpDrop:
+		delete(cur, rec.CVD) // dropping an unknown CVD is a tolerated no-op
+		return nil
+	case OpInit:
+		if known {
+			return fmt.Errorf("init of CVD %q, which already exists", rec.CVD)
+		}
+		c = walCursor{nextVID: 1, nextRID: 1}
+	case OpCommit:
+		if !known {
+			return fmt.Errorf("commit to unknown CVD %q", rec.CVD)
+		}
+	}
+	v, parents := rec.Versions[0], rec.Versions[1:]
+	if v != c.nextVID {
+		return fmt.Errorf("CVD %q: version %d does not continue the history (next version is %d)", rec.CVD, v, c.nextVID)
+	}
+	if (rec.Op == OpInit) != (len(parents) == 0) {
+		return fmt.Errorf("CVD %q: version %d has %d parents", rec.CVD, v, len(parents))
+	}
+	for _, p := range parents {
+		if p < 1 || p >= v {
+			return fmt.Errorf("CVD %q: version %d names unknown parent version %d", rec.CVD, v, p)
+		}
+	}
+	n, first := rec.added()
+	if n > 0 && first != c.nextRID {
+		return fmt.Errorf("CVD %q: version %d adds record %d where the next record id is %d", rec.CVD, v, first, c.nextRID)
+	}
+	cur[rec.CVD] = walCursor{nextVID: v + 1, nextRID: c.nextRID + vgraph.RecordID(n)}
+	return nil
 }
 
 // scanWALSegment validates one segment: header, framing, and a full decode
 // of every CRC-valid record (a record that passes its CRC but does not
-// decode is mid-log corruption, not a torn tail).
-func scanWALSegment(fsys vfs.FS, path string, epoch uint64) (*walState, error) {
+// decode is mid-log corruption, not a torn tail). With cursors, every record
+// must also continue the chain they follow.
+func scanWALSegment(fsys vfs.FS, path string, epoch uint64, cursors walCursors) (*walState, error) {
 	ws := &walState{epoch: epoch, path: path}
 	f, err := vfs.Open(fsys, path)
 	if err != nil {
@@ -320,8 +386,12 @@ func scanWALSegment(fsys vfs.FS, path string, epoch uint64) (*walState, error) {
 		if _, err := f.ReadAt(payload, offset+int64(len(hdr))); err != nil {
 			return nil, err
 		}
-		if _, err := decodeRecord(payload); err != nil {
-			ws.decodeErr = fmt.Errorf("record %d: %w", ws.records, err)
+		rec, err := decodeRecord(payload)
+		if err == nil && cursors != nil {
+			err = cursors.advance(rec)
+		}
+		if err != nil {
+			ws.recordErr = fmt.Errorf("record %d: %w", ws.records, err)
 			break
 		}
 		ws.records++
@@ -415,9 +485,13 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 	}
 	var base uint64
 	haveRoot := false
+	var cursors walCursors // the root's CVDs, when their heads are readable
 	if bestUsable >= 0 {
 		base = manifests[bestUsable].epoch
 		haveRoot = true
+		if heads, err := readCVDHeads(fsys, pack, manifests[bestUsable].m); err == nil {
+			cursors = cursorsOf(heads)
+		}
 	} else if len(manifests) == 0 {
 		snapPath := filepath.Join(dir, SnapshotFile)
 		if _, err := fsys.Stat(snapPath); err == nil {
@@ -427,9 +501,11 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 			} else if snap != nil {
 				base = snap.Epoch
 				haveRoot = true
+				cursors = cursorsOf(snap.CVDs)
 			}
 		} else {
 			haveRoot = true // empty/fresh directory: base 0
+			cursors = walCursors{}
 		}
 	}
 
@@ -514,20 +590,29 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 			}
 		}
 	}
+	if len(chain) > 0 && chain[0].epoch != base {
+		cursors = nil // the chain does not start at the root: nothing to continue
+	}
 	for i, seg := range chain {
 		active := i == len(chain)-1
 		rep.SegmentsChecked++
-		ws, err := scanWALSegment(fsys, seg.path, seg.epoch)
+		if i > 0 && seg.epoch != chain[i-1].epoch+1 {
+			cursors = nil // nothing to continue across a hole in the chain
+		}
+		ws, err := scanWALSegment(fsys, seg.path, seg.epoch, cursors)
 		if err != nil {
 			return err
+		}
+		if ws.headerErr != nil || ws.recordErr != nil || ws.torn {
+			cursors = nil // nor past a damaged stretch
 		}
 		switch {
 		case ws.headerErr != nil:
 			rep.addIssue(ScrubIssue{Kind: IssueCorruptWALRecord, Path: seg.path,
 				Detail: "WAL header unreadable: " + ws.headerErr.Error(), Epochs: []uint64{seg.epoch}})
-		case ws.decodeErr != nil:
+		case ws.recordErr != nil:
 			rep.addIssue(ScrubIssue{Kind: IssueCorruptWALRecord, Path: seg.path,
-				Detail: "committed record does not decode: " + ws.decodeErr.Error(), Epochs: []uint64{seg.epoch}})
+				Detail: "committed record does not decode or does not continue the log: " + ws.recordErr.Error(), Epochs: []uint64{seg.epoch}})
 		case ws.torn && !active:
 			rep.addIssue(ScrubIssue{Kind: IssueSealedWALTorn, Path: seg.path,
 				Detail: fmt.Sprintf("sealed segment ends mid-record at offset %d — committed history is damaged; refusing to truncate", ws.validEnd),
@@ -596,6 +681,30 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 		}
 	}
 	return nil
+}
+
+// readCVDHeads decodes the CVD head chunks a manifest references, for the
+// version and record counters the WAL after it must continue from.
+func readCVDHeads(fsys vfs.FS, pack *packState, m *manifest) ([]*cvd.PersistentState, error) {
+	f, err := vfs.Open(fsys, pack.path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	heads := make([]*cvd.PersistentState, 0, len(m.cvds))
+	for _, mc := range m.cvds {
+		loc := pack.valid[mc.head] // present: the manifest is usable
+		payload := make([]byte, loc.n)
+		if _, err := f.ReadAt(payload, loc.off); err != nil {
+			return nil, err
+		}
+		st, err := decodeCVDHead(payload)
+		if err != nil {
+			return nil, err
+		}
+		heads = append(heads, st)
+	}
+	return heads, nil
 }
 
 func manifestEpochsOf(ms []*manifestState) []uint64 {

@@ -28,7 +28,7 @@ func buildScrubDir(t *testing.T) string {
 		t.Fatal(err)
 	}
 	at := time.Unix(0, 42)
-	if err := s.LogInit("cvd", 0, walSchema(), walRows(3), "init", "alice", at); err != nil {
+	if err := s.LogInit("cvd", 0, []vgraph.VersionID{1}, walDelta(1, 3), walSchema(), "init", "alice", at); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
@@ -36,7 +36,8 @@ func buildScrubDir(t *testing.T) string {
 	if _, err := s.CheckpointSync(snap); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.LogCommit("cvd", []vgraph.VersionID{1}, walRows(2), walSchema(), "post-ckpt", "bob", at.Add(time.Second)); err != nil {
+	// The snapshot above holds no CVD, so what continues it is an init.
+	if err := s.LogInit("late", 0, []vgraph.VersionID{1}, walDelta(1, 2), walSchema(), "post-ckpt", "bob", at.Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -314,7 +315,7 @@ func TestScrubManifestFallback(t *testing.T) {
 	}
 	s.SetRetention(4)
 	at := time.Unix(0, 42)
-	if err := s.LogInit("cvd", 0, walSchema(), walRows(3), "init", "alice", at); err != nil {
+	if err := s.LogInit("cvd", 0, []vgraph.VersionID{1}, walDelta(1, 3), walSchema(), "init", "alice", at); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))

@@ -368,7 +368,7 @@ func OpenFS(dir string, fsys vfs.FS) (*Store, *OpenResult, error) {
 		}
 		f.Close()
 		if err != nil {
-			return fail(err)
+			return fail(fmt.Errorf("%s: %w", seg.path, err))
 		}
 		if torn {
 			return fail(fmt.Errorf("durable: sealed WAL segment %s has a torn tail — refusing to drop committed history", seg.path))
@@ -396,7 +396,7 @@ func OpenFS(dir string, fsys vfs.FS) (*Store, *OpenResult, error) {
 	}
 	e, err := readWALHeader(f)
 	if err != nil {
-		return fail(err)
+		return fail(fmt.Errorf("%s: %w", active.path, err))
 	}
 	if e != active.epoch {
 		return fail(fmt.Errorf("durable: WAL segment %s carries epoch %d", active.path, e))
@@ -434,14 +434,14 @@ func (s *Store) ReplayWAL(apply func(*Record) error) (int, error) {
 		if err != nil {
 			return total, err
 		}
-		n, err := replayWAL(f, apply)
+		n, err := replayWAL(f, seg.path, apply)
 		f.Close()
 		total += n
 		if err != nil {
 			return total, err
 		}
 	}
-	n, err := replayWAL(s.wal, apply)
+	n, err := replayWAL(s.wal, s.walPath, apply)
 	return total + n, err
 }
 
@@ -610,9 +610,10 @@ func (s *Store) truncateTailLocked(off int64) error {
 	return s.wal.Sync()
 }
 
-// LogInit journals the creation of a CVD with its initial rows.
-func (s *Store) LogInit(name string, kind cvd.ModelKind, schema relstore.Schema, rows []relstore.Row, msg, author string, at time.Time) error {
-	return s.append(&Record{Op: OpInit, CVD: name, Kind: kind, Schema: schema, Rows: rows, Message: msg, Author: author, At: at})
+// LogInit journals the creation of a CVD: its data model and its first
+// version's delta, as cvd.CVD.InitDelta returns it.
+func (s *Store) LogInit(name string, kind cvd.ModelKind, versions []vgraph.VersionID, delta []relstore.Row, deltaSchema relstore.Schema, msg, author string, at time.Time) error {
+	return s.append(&Record{Op: OpInit, CVD: name, Kind: kind, Versions: versions, Delta: delta, Schema: deltaSchema, Message: msg, Author: author, At: at})
 }
 
 // LogDrop journals dropping a CVD. It also bumps the name's drop generation:
@@ -626,10 +627,10 @@ func (s *Store) LogDrop(name string) error {
 	return s.append(&Record{Op: OpDrop, CVD: name})
 }
 
-// LogCommit implements cvd.Journal: it journals one committed version with
-// its staged rows and row schema (which also carries schema evolution).
-func (s *Store) LogCommit(cvdName string, parents []vgraph.VersionID, rows []relstore.Row, rowSchema relstore.Schema, msg, author string, at time.Time) error {
-	return s.append(&Record{Op: OpCommit, CVD: cvdName, Parents: parents, Rows: rows, Schema: rowSchema, Message: msg, Author: author, At: at})
+// LogCommit implements cvd.Journal: it journals one committed version as the
+// delta it is handed.
+func (s *Store) LogCommit(cvdName string, versions []vgraph.VersionID, delta []relstore.Row, deltaSchema relstore.Schema, msg, author string, at time.Time) error {
+	return s.append(&Record{Op: OpCommit, CVD: cvdName, Versions: versions, Delta: delta, Schema: deltaSchema, Message: msg, Author: author, At: at})
 }
 
 // ---- checkpointing -----------------------------------------------------------

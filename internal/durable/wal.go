@@ -16,7 +16,7 @@ import (
 
 // The commit WAL is an append-only file of self-delimiting records:
 //
-//	header: magic "ORPHWAL1", uint32 format version, uint64 epoch
+//	header: magic "ORPHWAL1", uint32 WAL format version, uint64 epoch
 //	record: uint32 payload length, uint32 CRC32(payload), payload
 //
 // Each payload is one logical engine operation (init / commit / drop). The
@@ -35,84 +35,135 @@ type RecordOp uint8
 // WAL record operations.
 const (
 	OpInit   RecordOp = 1 // create a CVD with its initial version
-	OpCommit RecordOp = 2 // commit a new version (rows carry schema changes too)
+	OpCommit RecordOp = 2 // commit a new version (the delta schema carries schema changes too)
 	OpDrop   RecordOp = 3 // drop a CVD
 )
 
-// Record is one decoded WAL entry: a logical redo operation.
+// Record is one decoded WAL entry: a logical redo operation. An init or commit
+// record is the version's delta exactly as cvd.Journal.LogCommit received it
+// (and as cvd.ReplayCommit takes it back), never the version's full image.
 type Record struct {
-	Op      RecordOp
-	CVD     string
-	Kind    cvd.ModelKind      // OpInit: physical data model
-	Schema  relstore.Schema    // OpInit: initial schema; OpCommit: row schema
-	Parents []vgraph.VersionID // OpCommit
-	Rows    []relstore.Row     // OpInit, OpCommit
-	Message string
-	Author  string
-	At      time.Time // original commit timestamp, reproduced on replay
+	Op       RecordOp
+	CVD      string
+	Kind     cvd.ModelKind      // OpInit: physical data model
+	Versions []vgraph.VersionID // the new version's id, then its parents (none for OpInit)
+	Schema   relstore.Schema    // delta table schema: rid, then the data schema after the commit
+	Delta    []relstore.Row     // a full-width row per added record, a rid-only row per dropped one
+	Message  string
+	Author   string
+	At       time.Time // original commit timestamp, reproduced on replay
 }
 
-func encodeRecord(e *enc, r *Record) {
+// added returns how many records r adds and the first one's id.
+func (r *Record) added() (n int, first vgraph.RecordID) {
+	for _, row := range r.Delta {
+		if len(row) > 1 {
+			if n == 0 {
+				first = vgraph.RecordID(row[0].AsInt())
+			}
+			n++
+		}
+	}
+	return n, first
+}
+
+// encodeRecord appends r's payload to e. Init and commit records share one
+// layout (see FORMAT.md, "WAL segments"): the added records' data attributes
+// go through the same column-band codec as checkpointed table columns, in
+// bands of DefaultBandRows; rids — added and dropped — are zigzag varint gaps,
+// at least one byte each, which is what lets decodeRecord bound every count by
+// the bytes that remain.
+func encodeRecord(e *enc, r *Record) error {
 	e.u8(uint8(r.Op))
 	e.str(r.CVD)
-	switch r.Op {
-	case OpInit:
-		e.uvarint(uint64(r.Kind))
-		e.schema(r.Schema)
-		e.str(r.Message)
-		e.str(r.Author)
-		e.varint(timeNano(r.At))
-		e.uvarint(uint64(len(r.Rows)))
-		for _, row := range r.Rows {
-			e.row(row)
-		}
-	case OpCommit:
-		e.uvarint(uint64(len(r.Parents)))
-		for _, p := range r.Parents {
-			e.uvarint(uint64(p))
-		}
-		e.schema(r.Schema)
-		e.str(r.Message)
-		e.str(r.Author)
-		e.varint(timeNano(r.At))
-		e.uvarint(uint64(len(r.Rows)))
-		for _, row := range r.Rows {
-			e.row(row)
-		}
-	case OpDrop:
-		// name only
+	if r.Op == OpDrop {
+		return nil
 	}
+	if r.Op == OpInit {
+		e.uvarint(uint64(r.Kind))
+	}
+	width := len(r.Schema.Columns)
+	if len(r.Versions) == 0 || width < 2 {
+		return fmt.Errorf("durable: WAL record for %s names %d versions over %d delta columns; want the version id and a rid column plus data", r.CVD, len(r.Versions), width)
+	}
+	e.uvarint(uint64(len(r.Versions)))
+	for _, v := range r.Versions {
+		e.uvarint(uint64(v))
+	}
+	e.schema(r.Schema)
+	e.str(r.Message)
+	e.str(r.Author)
+	e.varint(timeNano(r.At))
+
+	// Lay the added records out column-wise; NewTable would index a primary
+	// key, so the scratch table gets the data columns without one.
+	added := relstore.NewTable("", relstore.Schema{Columns: r.Schema.Columns[1:]})
+	var addedRIDs, droppedRIDs []int64
+	for _, row := range r.Delta {
+		switch len(row) {
+		case 1:
+			droppedRIDs = append(droppedRIDs, row[0].AsInt())
+		case width:
+			addedRIDs = append(addedRIDs, row[0].AsInt())
+			added.AppendRow(row[1:])
+		default:
+			return fmt.Errorf("durable: WAL record for %s: a delta row of %d values is neither a tombstone nor a record of %d", r.CVD, len(row), width)
+		}
+	}
+	e.ridGaps(droppedRIDs)
+	e.ridGaps(addedRIDs)
+	var band enc
+	for lo := 0; lo < len(addedRIDs); lo += DefaultBandRows {
+		hi := min(lo+DefaultBandRows, len(addedRIDs))
+		for ci := 0; ci < width-1; ci++ {
+			band.b = band.b[:0]
+			encodeColBand(&band, added.ColumnLanes(ci), lo, hi, false)
+			e.uvarint(uint64(len(band.b)))
+			e.raw(band.b)
+		}
+	}
+	return nil
+}
+
+// ridGaps appends a rid list as its length and the zigzag varint gap from each
+// rid to the next (the first from zero).
+func (e *enc) ridGaps(rids []int64) {
+	e.uvarint(uint64(len(rids)))
+	prev := int64(0)
+	for _, rid := range rids {
+		e.varint(rid - prev)
+		prev = rid
+	}
+}
+
+func (d *dec) ridGaps() []int64 {
+	rids := make([]int64, d.length(1))
+	prev := int64(0)
+	for i := range rids {
+		prev += d.varint()
+		rids[i] = prev
+	}
+	return rids
 }
 
 func decodeRecord(payload []byte) (*Record, error) {
 	d := &dec{b: payload}
 	r := &Record{Op: RecordOp(d.u8()), CVD: d.str()}
 	switch r.Op {
-	case OpInit:
-		r.Kind = cvd.ModelKind(d.uvarint())
-		r.Schema = d.schema()
-		r.Message = d.str()
-		r.Author = d.str()
-		r.At = nanoTime(d.varint())
-		n := d.length(2)
-		r.Rows = make([]relstore.Row, n)
-		for i := range r.Rows {
-			r.Rows[i] = d.row()
+	case OpInit, OpCommit:
+		if r.Op == OpInit {
+			r.Kind = cvd.ModelKind(d.uvarint())
 		}
-	case OpCommit:
-		np := d.length(1)
-		r.Parents = make([]vgraph.VersionID, np)
-		for i := range r.Parents {
-			r.Parents[i] = vgraph.VersionID(d.uvarint())
+		r.Versions = make([]vgraph.VersionID, d.length(1))
+		for i := range r.Versions {
+			r.Versions[i] = vgraph.VersionID(d.uvarint())
 		}
 		r.Schema = d.schema()
 		r.Message = d.str()
 		r.Author = d.str()
 		r.At = nanoTime(d.varint())
-		n := d.length(2)
-		r.Rows = make([]relstore.Row, n)
-		for i := range r.Rows {
-			r.Rows[i] = d.row()
+		if err := d.delta(r); err != nil {
+			return nil, err
 		}
 	case OpDrop:
 	default:
@@ -127,12 +178,61 @@ func decodeRecord(payload []byte) (*Record, error) {
 	return r, nil
 }
 
+// delta decodes the dropped rids and the added records of an init or commit
+// record into r.Delta, added records first.
+func (d *dec) delta(r *Record) error {
+	droppedRIDs := d.ridGaps()
+	addedRIDs := d.ridGaps()
+	if d.err != nil {
+		return d.err
+	}
+	if len(r.Versions) == 0 || len(r.Schema.Columns) < 2 {
+		return fmt.Errorf("durable: WAL record for %s names %d versions over %d delta columns", r.CVD, len(r.Versions), len(r.Schema.Columns))
+	}
+	data := relstore.Schema{Columns: r.Schema.Columns[1:]}
+	lanes := make([]relstore.ColumnLanes, len(data.Columns))
+	for lo := 0; lo < len(addedRIDs); lo += DefaultBandRows {
+		want := min(DefaultBandRows, len(addedRIDs)-lo)
+		for ci := range lanes {
+			band := d.raw(d.length(1))
+			if d.err != nil {
+				return d.err
+			}
+			var n int
+			var err error
+			if lanes[ci], _, n, err = decodeColBand(band, lanes[ci]); err != nil {
+				return fmt.Errorf("durable: WAL record for %s: column %d band at row %d: %w", r.CVD, ci, lo, err)
+			}
+			if n != want {
+				return fmt.Errorf("durable: WAL record for %s: column %d band at row %d has %d rows, want %d", r.CVD, ci, lo, n, want)
+			}
+		}
+	}
+	added, err := relstore.NewTableFromLanes("", data, relstore.ClusterNone, len(addedRIDs), lanes, nil)
+	if err != nil {
+		return fmt.Errorf("durable: WAL record for %s: %w", r.CVD, err)
+	}
+	r.Delta = make([]relstore.Row, 0, len(addedRIDs)+len(droppedRIDs))
+	for i, rid := range addedRIDs {
+		row := make(relstore.Row, len(r.Schema.Columns))
+		row[0] = relstore.Int(rid)
+		for ci := range data.Columns {
+			row[ci+1] = added.At(i, ci)
+		}
+		r.Delta = append(r.Delta, row)
+	}
+	for _, rid := range droppedRIDs {
+		r.Delta = append(r.Delta, relstore.Row{relstore.Int(rid)})
+	}
+	return nil
+}
+
 // writeWALHeader (re)writes the header at the start of f and truncates
 // everything after it.
 func writeWALHeader(f vfs.File, epoch uint64) error {
 	var hdr [walHeaderSize]byte
 	copy(hdr[:8], walMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], formatVersion)
+	binary.LittleEndian.PutUint32(hdr[8:12], walFormatVersion)
 	binary.LittleEndian.PutUint64(hdr[12:], epoch)
 	if err := f.Truncate(0); err != nil {
 		return err
@@ -152,8 +252,8 @@ func readWALHeader(f vfs.File) (uint64, error) {
 	if string(hdr[:8]) != walMagic {
 		return 0, fmt.Errorf("durable: not a WAL file (magic %q)", hdr[:8])
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != formatVersion {
-		return 0, fmt.Errorf("durable: unsupported WAL format version %d (want %d)", v, formatVersion)
+	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != walFormatVersion {
+		return 0, fmt.Errorf("durable: WAL segment is format version %d, this build reads version %d only (version 2 logged every commit as a full version image, version 3 logs its delta); open the directory with the build that wrote it, `save` an export, and load the export", v, walFormatVersion)
 	}
 	return binary.LittleEndian.Uint64(hdr[12:]), nil
 }
@@ -200,8 +300,9 @@ func scanWAL(f vfs.File) (validEnd int64, torn bool, err error) {
 // replayWAL streams every record after the header to apply, decoding one
 // payload at a time so replaying a large WAL never materializes the whole
 // log in memory. The caller (Open) has already truncated any torn tail, so
-// every frame here is complete and CRC-valid.
-func replayWAL(f vfs.File, apply func(*Record) error) (applied int, err error) {
+// every frame here is complete and CRC-valid. path names the segment in
+// errors.
+func replayWAL(f vfs.File, path string, apply func(*Record) error) (applied int, err error) {
 	info, err := f.Stat()
 	if err != nil {
 		return 0, err
@@ -223,10 +324,10 @@ func replayWAL(f vfs.File, apply func(*Record) error) (applied int, err error) {
 			// A record that passes its CRC but does not decode is real
 			// corruption, not a torn tail: fail loudly instead of silently
 			// dropping committed history.
-			return applied, err
+			return applied, fmt.Errorf("durable: WAL segment %s record %d: %w", path, applied, err)
 		}
 		if err := apply(rec); err != nil {
-			return applied, fmt.Errorf("durable: replaying WAL record %d: %w", applied, err)
+			return applied, fmt.Errorf("durable: replaying WAL segment %s record %d: %w", path, applied, err)
 		}
 		applied++
 		offset += int64(len(hdr)) + int64(n)
@@ -241,7 +342,9 @@ func replayWAL(f vfs.File, apply func(*Record) error) (applied int, err error) {
 func encodeFrame(rec *Record) ([]byte, error) {
 	var e enc
 	e.b = make([]byte, 8) // header placeholder
-	encodeRecord(&e, rec)
+	if err := encodeRecord(&e, rec); err != nil {
+		return nil, err
+	}
 	payload := e.b[8:]
 	if len(payload) > math.MaxUint32 {
 		// A wrapped length field would frame-corrupt the log and take every

@@ -3,6 +3,8 @@ package durable
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,17 +13,25 @@ import (
 	"repro/internal/vgraph"
 )
 
+// walSchema is a delta-table schema (see cvd.Journal): rid, then the data
+// columns with their primary key.
 func walSchema() relstore.Schema {
 	return relstore.MustSchema([]relstore.Column{
+		{Name: "rid", Type: relstore.TypeInt},
 		{Name: "id", Type: relstore.TypeInt},
 		{Name: "name", Type: relstore.TypeString},
 	}, "id")
 }
 
-func walRows(n int) []relstore.Row {
-	out := make([]relstore.Row, n)
-	for i := range out {
-		out[i] = relstore.Row{relstore.Int(int64(i + 1)), relstore.Str("r")}
+// walDelta is a delta table adding n records with rids first, first+1, ...
+// and dropping the given rids.
+func walDelta(first, n int, dropped ...int64) []relstore.Row {
+	out := make([]relstore.Row, 0, n+len(dropped))
+	for i := 0; i < n; i++ {
+		out = append(out, relstore.Row{relstore.Int(int64(first + i)), relstore.Int(int64(i + 1)), relstore.Str("r")})
+	}
+	for _, rid := range dropped {
+		out = append(out, relstore.Row{relstore.Int(rid)})
 	}
 	return out
 }
@@ -47,10 +57,10 @@ func openCollect(t *testing.T, dir string) (*Store, *OpenResult, []*Record) {
 func logThree(t *testing.T, s *Store) {
 	t.Helper()
 	at := time.Unix(0, 1234567890)
-	if err := s.LogInit("cvd", cvd.SplitByRlist, walSchema(), walRows(3), "init", "alice", at); err != nil {
+	if err := s.LogInit("cvd", cvd.SplitByRlist, []vgraph.VersionID{1}, walDelta(1, 3), walSchema(), "init", "alice", at); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.LogCommit("cvd", []vgraph.VersionID{1}, walRows(4), walSchema(), "more", "bob", at.Add(time.Second)); err != nil {
+	if err := s.LogCommit("cvd", []vgraph.VersionID{2, 1}, walDelta(4, 4, 2), walSchema(), "more", "bob", at.Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.LogDrop("gone"); err != nil {
@@ -78,14 +88,14 @@ func TestWALAppendReplay(t *testing.T) {
 		t.Fatalf("replayed %d records, want 3", len(recs2))
 	}
 	r0 := recs2[0]
-	if r0.Op != OpInit || r0.CVD != "cvd" || r0.Author != "alice" || len(r0.Rows) != 3 || !r0.Schema.Equal(walSchema()) {
+	if r0.Op != OpInit || r0.CVD != "cvd" || r0.Author != "alice" || !reflect.DeepEqual(r0.Delta, walDelta(1, 3)) || !r0.Schema.Equal(walSchema()) {
 		t.Fatalf("init record mismatch: %+v", r0)
 	}
 	if r0.At.UnixNano() != 1234567890 {
 		t.Fatalf("init timestamp %d", r0.At.UnixNano())
 	}
 	r1 := recs2[1]
-	if r1.Op != OpCommit || len(r1.Parents) != 1 || r1.Parents[0] != 1 || len(r1.Rows) != 4 || r1.Message != "more" {
+	if r1.Op != OpCommit || !reflect.DeepEqual(r1.Versions, []vgraph.VersionID{2, 1}) || !reflect.DeepEqual(r1.Delta, walDelta(4, 4, 2)) || r1.Message != "more" {
 		t.Fatalf("commit record mismatch: %+v", r1)
 	}
 	if recs2[2].Op != OpDrop || recs2[2].CVD != "gone" {
@@ -243,5 +253,26 @@ func TestStaleWALDiscarded(t *testing.T) {
 	}
 	if s2.Epoch() != 1 {
 		t.Fatalf("epoch %d after recovery, want 1", s2.Epoch())
+	}
+}
+
+// TestOldWALFormatRefused: a segment written before the delta record (WAL
+// format version 2 logged full version images) must fail the open with an
+// error that names the segment and both versions — there is no reader for it,
+// and guessing would replay garbage.
+func TestOldWALFormatRefused(t *testing.T) {
+	dir := t.TempDir()
+	hdr := []byte(walMagic + "\x02\x00\x00\x00" + "\x00\x00\x00\x00\x00\x00\x00\x00")
+	if err := os.WriteFile(filepath.Join(dir, WALSegmentFileName(0)), hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := Open(dir)
+	if err == nil {
+		t.Fatal("a version 2 WAL segment opened")
+	}
+	for _, want := range []string{WALSegmentFileName(0), "format version 2", "version 3"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("refusal does not mention %q: %v", want, err)
+		}
 	}
 }

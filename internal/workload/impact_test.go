@@ -38,15 +38,16 @@ func TestRunCheckpointAndRestore(t *testing.T) {
 	}
 }
 
-// TestRunRestoreSpecificEpoch pins restore_epoch with an explicit epoch id
-// (every run checkpoints at least once with these op counts, so epoch 1 is
-// always retained).
+// TestRunRestoreSpecificEpoch pins restore_epoch with an explicit epoch id.
+// At most 60 commits with a checkpoint every 10 is at most 6 epochs, inside
+// the default retention of 8, so epoch 1 is still there to restore; the mix
+// makes at least one checkpoint certain.
 func TestRunRestoreSpecificEpoch(t *testing.T) {
 	spec := smallSpec(t, ModeInProcess)
 	spec.Name = "t_ckpt_epoch1"
 	spec.Ops = 60
 	spec.Mix = Mix{Commit: 80, Checkout: 10, Select: 10, Merge: 0}
-	spec.Engine = EngineSpec{Durable: true, CheckpointEvery: 5, RestoreEpoch: 1}
+	spec.Engine = EngineSpec{Durable: true, CheckpointEvery: 10, RestoreEpoch: 1}
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
