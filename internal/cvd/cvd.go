@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,6 +36,7 @@ type CVD struct {
 	graph   *vgraph.Graph
 	bip     *vgraph.Bipartite
 	records map[vgraph.RecordID]relstore.Row // record catalog: rid -> data values
+	index   *recIndex                        // over records, for the current schema; nil until a commit needs it
 	meta    *metadataStore
 	attrs   *AttributeRegistry
 
@@ -75,6 +75,7 @@ type CVD struct {
 
 type checkoutInfo struct {
 	parents []vgraph.VersionID
+	table   *relstore.Table // as handed out: only its rid cells are trusted at commit
 	at      time.Time
 }
 
@@ -108,11 +109,12 @@ func Init(db *relstore.Database, name string, schema relstore.Schema, rows []rel
 	if err != nil {
 		return nil, err
 	}
-	if err := c.checkPrimaryKey(rows, schema); err != nil {
+	st, err := c.stageRows(rows, schema)
+	if err != nil {
 		c.meta.drop()
 		return nil, err
 	}
-	req, err := c.buildCommit(nil, rows, schema)
+	req, err := c.buildCommit(nil, st)
 	if err != nil {
 		c.meta.drop()
 		return nil, err
@@ -153,6 +155,7 @@ func newCVD(db *relstore.Database, name string, schema relstore.Schema, opts Opt
 		graph:      vgraph.New(),
 		bip:        vgraph.NewBipartite(),
 		records:    make(map[vgraph.RecordID]relstore.Row),
+		index:      newRecIndex(schema),
 		attrs:      NewAttributeRegistry(),
 		nextVID:    1,
 		nextRID:    1,
@@ -428,123 +431,6 @@ func (c *CVD) dropLocked() {
 	c.reserved = make(map[string]struct{})
 }
 
-// contentKey encodes a data row (padded to the current schema width) for
-// record-identity comparison during commit.
-func (c *CVD) contentKey(r relstore.Row) string {
-	padded := padRow(r, len(c.schema.Columns))
-	var b strings.Builder
-	for i, v := range padded[:len(c.schema.Columns)] {
-		if i > 0 {
-			b.WriteByte('\x1f')
-		}
-		b.WriteString(v.AsString())
-	}
-	return b.String()
-}
-
-// checkPrimaryKey verifies that no two rows share primary-key values (a
-// constraint that must hold within a single version).
-func (c *CVD) checkPrimaryKey(rows []relstore.Row, schema relstore.Schema) error {
-	pk := schema.PrimaryKeyIndexes()
-	if len(pk) == 0 {
-		return nil
-	}
-	seen := make(map[string]struct{}, len(rows))
-	for _, r := range rows {
-		var b strings.Builder
-		for _, i := range pk {
-			if i < len(r) {
-				b.WriteString(r[i].AsString())
-			}
-			b.WriteByte('\x1f')
-		}
-		k := b.String()
-		if _, dup := seen[k]; dup {
-			return fmt.Errorf("cvd: %s: duplicate primary key %q within a version", c.name, k)
-		}
-		seen[k] = struct{}{}
-	}
-	return nil
-}
-
-// buildCommit diffs the staged rows against the parent versions following
-// the no cross-version diff rule: a staged row reuses the rid of a parent
-// record with identical content; all other rows get fresh rids. Everything
-// that can refuse the rows is checked before the schema evolves, and the fresh
-// rids are only numbered here — recordVersion is what takes them from the
-// catalog — so a commit that fails allocates nothing, and the next journalled
-// delta still continues the log (see replay).
-func (c *CVD) buildCommit(parents []vgraph.VersionID, rows []relstore.Row, schema relstore.Schema) (CommitRequest, error) {
-	merged, changed, err := c.mergedSchema(schema)
-	if err != nil {
-		return CommitRequest{}, err
-	}
-	place, err := c.columnPlaces(schema, merged)
-	if err != nil {
-		return CommitRequest{}, err
-	}
-	for _, r := range rows {
-		if len(r) != len(schema.Columns) {
-			return CommitRequest{}, fmt.Errorf("cvd: %s: row has %d values but schema has %d columns", c.name, len(r), len(schema.Columns))
-		}
-	}
-	// Single-pool schema evolution next, so content keys use the final width.
-	if changed {
-		if err := c.adoptSchema(merged); err != nil {
-			return CommitRequest{}, err
-		}
-	}
-	req := CommitRequest{
-		Version:    c.nextVID,
-		Parents:    append([]vgraph.VersionID(nil), parents...),
-		ParentRIDs: make(map[vgraph.VersionID][]vgraph.RecordID, len(parents)),
-		Lookup:     c.lookupRecord,
-	}
-	parentByKey := make(map[string]vgraph.RecordID)
-	for _, p := range parents {
-		rids := c.recordsOfLocked(p)
-		req.ParentRIDs[p] = rids
-		for _, rid := range rids {
-			key := c.contentKey(c.records[rid])
-			if _, exists := parentByKey[key]; !exists {
-				parentByKey[key] = rid
-			}
-		}
-	}
-	seenRID := make(map[vgraph.RecordID]struct{}, len(rows))
-	kept := make([]vgraph.RecordID, 0, len(rows))
-	for _, r := range rows {
-		aligned := make(relstore.Row, len(merged.Columns))
-		for i := range aligned {
-			aligned[i] = relstore.Null()
-		}
-		for j, i := range place {
-			aligned[i] = r[j]
-		}
-		key := c.contentKey(aligned)
-		if rid, ok := parentByKey[key]; ok {
-			if _, dup := seenRID[rid]; dup {
-				continue // identical duplicate row within the staged table
-			}
-			seenRID[rid] = struct{}{}
-			kept = append(kept, rid)
-			continue
-		}
-		rid := c.nextRID + vgraph.RecordID(len(req.NewRecords))
-		req.NewRecords = append(req.NewRecords, CommitRecord{RID: rid, Row: aligned})
-	}
-	// Canonical record order: ascending rid, whatever order the rows were
-	// staged in — the one order a replayed journal delta can reproduce (see
-	// replay). Fresh rids are numbered in ascending order above every existing
-	// one, so only the kept records need sorting.
-	slices.Sort(kept)
-	req.RIDs = kept
-	for _, rec := range req.NewRecords {
-		req.RIDs = append(req.RIDs, rec.RID)
-	}
-	return req, nil
-}
-
 // columnPlaces maps each column of rowSchema to its index in target, the
 // CVD's schema evolved by rowSchema.
 func (c *CVD) columnPlaces(rowSchema, target relstore.Schema) ([]int, error) {
@@ -589,12 +475,14 @@ func (c *CVD) mergedSchema(incoming relstore.Schema) (relstore.Schema, bool, err
 }
 
 // adoptSchema makes an evolved schema (see mergedSchema) the CVD's and alters
-// the physical model to match.
+// the physical model to match. The record index describes records as the old
+// schema stored them, so it goes.
 func (c *CVD) adoptSchema(merged relstore.Schema) error {
 	if err := c.model.AlterSchema(merged); err != nil {
 		return err
 	}
 	c.schema = merged
+	c.index = nil
 	return nil
 }
 
@@ -627,14 +515,11 @@ func (c *CVD) recordVersion(req CommitRequest, msg, author string, at time.Time)
 	if _, err := c.graph.AddVersion(req.Version, int64(len(req.RIDs))); err != nil {
 		return err
 	}
-	// Build the new version's record set once: the parent edge weights are
-	// intersection cardinalities against sets the bipartite graph already
-	// holds, and the set itself is then handed to the graph.
-	vals := make([]int64, len(req.RIDs))
-	for i, r := range req.RIDs {
-		vals[i] = int64(r)
-	}
-	vset := recset.FromSlice(vals)
+	// Build the new version's record set once, straight from the ascending
+	// rid list: the parent edge weights are intersection cardinalities against
+	// sets the bipartite graph already holds, and the set itself is then
+	// handed to the graph.
+	vset := recset.FromSorted(req.RIDs)
 	attrIDs := c.attrs.RegisterSchema(c.schema)
 	for _, p := range req.Parents {
 		common := recset.AndLen(c.bip.RecordSet(p), vset)
@@ -657,62 +542,13 @@ func (c *CVD) recordVersion(req CommitRequest, msg, author string, at time.Time)
 	}
 	for _, rec := range req.NewRecords {
 		c.records[rec.RID] = rec.Row
+		if c.index != nil {
+			c.index.add(rec.RID, rec.Row)
+		}
 	}
 	c.nextRID += vgraph.RecordID(len(req.NewRecords))
 	c.nextVID++
 	return nil
-}
-
-// Commit adds a new version derived from parents with the given rows (data
-// attributes in rowSchema order). It returns the new version id. This is the
-// programmatic path; CommitTable commits a previously checked-out staging
-// table. Commit holds the CVD's exclusive lock for its duration: concurrent
-// commits serialize, and checkouts/queries wait rather than observing a
-// half-applied version.
-func (c *CVD) Commit(parents []vgraph.VersionID, rows []relstore.Row, rowSchema relstore.Schema, msg, author string) (vgraph.VersionID, error) {
-	if len(parents) == 0 {
-		return 0, fmt.Errorf("cvd: %s: commit requires at least one parent version", c.name)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.journal != nil && c.journalErr != nil {
-		// An earlier commit was applied in memory but never reached the WAL.
-		// Journaling this one would produce a log that replays against a
-		// parent the WAL does not contain — refuse before touching any state,
-		// so the divergence stays confined to the one lost version until a
-		// checkpoint (which snapshots the diverged state and re-arms the
-		// journal) or a reopen heals it.
-		return 0, fmt.Errorf("cvd: %s: commit refused: journal poisoned by an earlier append failure (in-memory state diverged from the WAL; checkpoint or reopen to recover): %w", c.name, c.journalErr)
-	}
-	for _, p := range parents {
-		if c.graph.Node(p) == nil {
-			return 0, fmt.Errorf("cvd: %s: unknown parent version %d", c.name, p)
-		}
-	}
-	if err := c.checkPrimaryKey(rows, rowSchema); err != nil {
-		return 0, err
-	}
-	req, err := c.buildCommit(parents, rows, rowSchema)
-	if err != nil {
-		return 0, err
-	}
-	at := c.clock()
-	if err := c.applyCommit(req, msg, author, at); err != nil {
-		return 0, err
-	}
-	if c.journal != nil {
-		versions, delta, schema := c.deltaLocked(req.Version, parents)
-		if err := c.journal.LogCommit(c.name, versions, delta, schema, msg, author, at); err != nil {
-			// The commit is applied in memory but the WAL lacks it: poison the
-			// journal so every later commit fails fast instead of appending
-			// records that replay against this missing version, then surface
-			// the durability failure so the caller knows the WAL does not
-			// cover it.
-			c.journalErr = err
-			return req.Version, fmt.Errorf("cvd: %s: version %d committed but journaling failed: %w", c.name, req.Version, err)
-		}
-	}
-	return req.Version, nil
 }
 
 // Checkout materializes one or more versions into a staging table registered
@@ -755,7 +591,7 @@ func (c *CVD) Checkout(versions []vgraph.VersionID, tableName string) (*relstore
 	}
 	if err == nil {
 		c.db.AttachTable(out)
-		c.checkouts[tableName] = checkoutInfo{parents: append([]vgraph.VersionID(nil), versions...), at: c.clock()}
+		c.checkouts[tableName] = checkoutInfo{parents: append([]vgraph.VersionID(nil), versions...), table: out, at: c.clock()}
 	}
 	c.ckMu.Unlock()
 	if err != nil {
@@ -782,10 +618,20 @@ func (c *CVD) materialize(versions []vgraph.VersionID, tableName string) (*relst
 			return nil, fmt.Errorf("cvd: %s: unknown version %d", c.name, v)
 		}
 	}
+	var out *relstore.Table
+	var err error
 	if len(versions) == 1 {
-		return c.model.Checkout(versions[0], tableName)
+		out, err = c.model.Checkout(versions[0], tableName)
+	} else {
+		out, err = c.checkoutMerged(versions, tableName)
 	}
-	return c.checkoutMerged(versions, tableName)
+	if err != nil {
+		return nil, err
+	}
+	// However the model filled the table, from here on a written row is one
+	// the table's user wrote (see CommitTable).
+	out.MarkClean()
+	return out, nil
 }
 
 // checkoutMerged materializes multiple versions with primary-key precedence.
@@ -801,30 +647,40 @@ func (c *CVD) checkoutMerged(versions []vgraph.VersionID, tableName string) (*re
 		return nil, err
 	}
 	out := relstore.NewTable(tableName, dataSchemaWithRID(c.schema))
+	// Keys already taken, by typed identity (recindex.go): the hash of a row's
+	// key cells files its index in keys.
 	pk := c.schema.PrimaryKeyIndexes()
-	seenPK := make(map[string]struct{})
+	keyCols := make([]relstore.Column, len(pk))
+	for k, j := range pk {
+		keyCols[k] = c.schema.Columns[j]
+	}
+	form := newRowForm(relstore.Schema{Columns: keyCols})
+	var seenPK chains
+	var keys []relstore.Row
+	key := make(relstore.Row, len(pk))
 	seenRID := make(map[int64]struct{})
 	for _, t := range tmps {
 		// Select the surviving positions of this version's staging table with
 		// cell reads only, then append them column-wise in one batch.
 		keep := make(relstore.Selection, 0, t.Len())
+	rows:
 		for i := 0; i < t.Len(); i++ {
 			rid := t.IntAt(i, 0) // checkout tables carry rid first
 			if _, dup := seenRID[rid]; dup {
 				continue
 			}
 			if len(pk) > 0 {
-				var b strings.Builder
-				for _, j := range pk {
-					// +1 because checkout rows carry rid first.
-					b.WriteString(t.StringAt(i, j+1))
-					b.WriteByte('\x1f')
+				for k, j := range pk {
+					key[k] = t.At(i, j+1) // +1 because checkout rows carry rid first
 				}
-				k := b.String()
-				if _, dup := seenPK[k]; dup {
-					continue
+				h := form.hash(key, nil)
+				for id := seenPK.first(h); id != 0; id = seenPK.after(id, h) {
+					if form.same(key, keys[id-1], nil) {
+						continue rows
+					}
 				}
-				seenPK[k] = struct{}{}
+				keys = append(keys, slices.Clone(key))
+				seenPK.add(uint32(len(keys)), h)
 			}
 			seenRID[rid] = struct{}{}
 			keep = append(keep, int32(i))
@@ -861,72 +717,6 @@ func (c *CVD) CheckoutToCSV(versions []vgraph.VersionID, w io.Writer) error {
 		return err
 	}
 	return relstore.WriteCSV(w, proj)
-}
-
-// CommitTable commits a previously checked-out staging table as a new
-// version; the version's parents are the versions the table was checked out
-// from. The staging table is dropped afterwards.
-func (c *CVD) CommitTable(tableName, msg, author string) (vgraph.VersionID, error) {
-	// Claim the checkout entry atomically: of two concurrent CommitTable
-	// calls for the same staging table, exactly one proceeds (the loser sees
-	// the entry gone). On failure the claim is restored so the caller can
-	// retry or discard.
-	c.ckMu.Lock()
-	info, ok := c.checkouts[tableName]
-	if ok {
-		delete(c.checkouts, tableName)
-	}
-	c.ckMu.Unlock()
-	if !ok {
-		return 0, fmt.Errorf("cvd: %s: table %q was not produced by checkout", c.name, tableName)
-	}
-	restore := func() {
-		c.ckMu.Lock()
-		c.checkouts[tableName] = info
-		c.ckMu.Unlock()
-	}
-	t, ok := c.db.Table(tableName)
-	if !ok {
-		restore()
-		return 0, fmt.Errorf("cvd: %s: staging table %q has been dropped", c.name, tableName)
-	}
-	// Strip the rid column (users may have added rows without rids).
-	dataCols := make([]string, 0, len(t.Schema.Columns))
-	for _, col := range t.Schema.Columns {
-		if col.Name != ridColumn {
-			dataCols = append(dataCols, col.Name)
-		}
-	}
-	proj, err := t.Project(tableName+"_commitproj", dataCols...)
-	if err != nil {
-		restore()
-		return 0, err
-	}
-	v, err := c.Commit(info.parents, proj.Rows(), proj.Schema, msg, author)
-	if err != nil {
-		if v != 0 {
-			// The commit was applied in memory but journaling it failed
-			// (Commit's partial success). The staging table is consumed —
-			// restoring the claim would let a retry commit the same rows as
-			// a duplicate version.
-			c.db.DropTable(tableName)
-			return v, err
-		}
-		restore()
-		return 0, err
-	}
-	c.db.DropTable(tableName)
-	return v, nil
-}
-
-// CommitCSV commits a CSV stream (with header) as a new version derived from
-// parents, coercing values through schema (the `commit -f -s` path).
-func (c *CVD) CommitCSV(parents []vgraph.VersionID, r io.Reader, schema relstore.Schema, msg, author string) (vgraph.VersionID, error) {
-	t, err := relstore.ReadCSV(r, c.name+"_csv_commit", schema)
-	if err != nil {
-		return 0, err
-	}
-	return c.Commit(parents, t.Rows(), schema, msg, author)
 }
 
 // DiscardCheckout drops a staging table without committing it.

@@ -12,7 +12,7 @@ import (
 // This file is both ends of the Journal contract (see Journal): deltaLocked
 // assembles what a commit hands to LogCommit, and ReplayInit / ReplayCommit
 // apply a journalled delta back. Replay costs the delta, not the version: it
-// never runs the primary-key check or buildCommit's content-key diff, and it
+// never runs the primary-key check or buildCommit's content match, and it
 // verifies that the delta continues the state it is applied to instead of
 // renumbering a log that does not.
 
@@ -149,13 +149,10 @@ func (c *CVD) replay(versions []vgraph.VersionID, delta []relstore.Row, deltaSch
 	req := CommitRequest{
 		Version:    v,
 		Parents:    append([]vgraph.VersionID(nil), parents...),
-		ParentRIDs: make(map[vgraph.VersionID][]vgraph.RecordID, len(parents)),
+		ParentRIDs: c.recordsOfLocked,
 		RIDs:       vgraph.RecordIDs(rids),
 		NewRecords: added,
 		Lookup:     c.lookupRecord,
-	}
-	for _, p := range parents {
-		req.ParentRIDs[p] = c.recordsOfLocked(p)
 	}
 	for _, rec := range added {
 		req.RIDs = append(req.RIDs, rec.RID)

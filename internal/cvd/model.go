@@ -74,8 +74,10 @@ type CommitRequest struct {
 	// Parents are the versions the commit derives from (empty for the
 	// initial version).
 	Parents []vgraph.VersionID
-	// ParentRIDs lists, per parent, the record ids that parent contains.
-	ParentRIDs map[vgraph.VersionID][]vgraph.RecordID
+	// ParentRIDs lists the record ids a parent contains, ascending, as a
+	// fresh slice. Only models that diff against a parent (delta-based) call
+	// it; the others never pay for the list.
+	ParentRIDs func(vgraph.VersionID) []vgraph.RecordID
 	// RIDs is the complete record id list of the new version, ascending.
 	RIDs []vgraph.RecordID
 	// NewRecords are the records in RIDs that are not present in any parent

@@ -109,8 +109,8 @@ func (m *combinedModel) StorageBytes() int64 {
 }
 
 func (m *combinedModel) AlterSchema(newSchema relstore.Schema) error {
-	t := m.db.MustTable(m.tabName())
 	for _, c := range newSchema.Columns {
+		t := m.db.MustTable(m.tabName()) // adding a column replaces the table
 		if !t.Schema.HasColumn(c.Name) {
 			// New data columns are inserted before the trailing vlist column by
 			// rebuilding the table (ALTER ... ADD COLUMN appends, so we rebuild

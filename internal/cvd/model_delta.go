@@ -61,16 +61,18 @@ func (m *deltaModel) AppendVersion(req CommitRequest) error {
 	for _, r := range req.RIDs {
 		vset[r] = struct{}{}
 	}
+	var baseRIDs []vgraph.RecordID
 	for _, p := range req.Parents {
 		var common int64
-		for _, r := range req.ParentRIDs[p] {
+		rids := req.ParentRIDs(p)
+		for _, r := range rids {
 			if _, ok := vset[r]; ok {
 				common++
 			}
 		}
 		if common > bestCommon {
 			bestCommon = common
-			base = p
+			base, baseRIDs = p, rids
 		}
 	}
 
@@ -86,7 +88,7 @@ func (m *deltaModel) AppendVersion(req CommitRequest) error {
 	}
 	baseSet := make(map[vgraph.RecordID]struct{})
 	if base != 0 {
-		for _, r := range req.ParentRIDs[base] {
+		for _, r := range baseRIDs {
 			baseSet[r] = struct{}{}
 		}
 	}
@@ -121,7 +123,7 @@ func (m *deltaModel) AppendVersion(req CommitRequest) error {
 	// content is repeated with a tombstone (this is what makes delta-based
 	// storage worse when deletions are common).
 	if base != 0 {
-		for _, rid := range req.ParentRIDs[base] {
+		for _, rid := range baseRIDs {
 			if _, still := vset[rid]; still {
 				continue
 			}

@@ -155,11 +155,23 @@ func (c *CVD) ExportState() *PersistentState {
 		Attrs:   c.attrs.All(),
 		Tables:  append(c.modelTableNames(), c.meta.name),
 	}
+	// Record ids are handed out densely from 1, so counting them up yields the
+	// catalog in order without sorting it — this runs under the exclusive lock
+	// of every checkpoint. A catalog with ids outside that range (none is
+	// known) is collected and sorted the slow way.
 	st.Records = make([]PersistedRecord, 0, len(c.records))
-	for rid, row := range c.records {
-		st.Records = append(st.Records, PersistedRecord{RID: rid, Row: row})
+	for rid := vgraph.RecordID(1); rid < c.nextRID; rid++ {
+		if row, ok := c.records[rid]; ok {
+			st.Records = append(st.Records, PersistedRecord{RID: rid, Row: row})
+		}
 	}
-	sort.Slice(st.Records, func(i, j int) bool { return st.Records[i].RID < st.Records[j].RID })
+	if len(st.Records) != len(c.records) {
+		st.Records = st.Records[:0]
+		for rid, row := range c.records {
+			st.Records = append(st.Records, PersistedRecord{RID: rid, Row: row})
+		}
+		sort.Slice(st.Records, func(i, j int) bool { return st.Records[i].RID < st.Records[j].RID })
+	}
 	for _, v := range c.bip.Versions() {
 		st.RecordSets = append(st.RecordSets, VersionRecordSet{Version: v, Set: c.bip.RecordSet(v)})
 	}

@@ -1,0 +1,234 @@
+package cvd
+
+import (
+	"fmt"
+	"hash/maphash"
+	"math"
+
+	"repro/internal/relstore"
+	"repro/internal/vgraph"
+)
+
+// This file is how a commit recognizes a staged row as a record the CVD
+// already stores without diffing against the parent versions: record identity
+// as a hash plus a typed comparison (rowForm), a hash multimap (chains), and
+// the per-CVD index over the record catalog built from the two (recIndex).
+//
+// Identity is typed, not rendered: two cells are the same when their type tag
+// and payload are (relstore.Value.Identical), after each is brought to the
+// form the current schema stores it in (canonical). NULL is not the empty
+// string, no separator can be forged, and a NaN is itself.
+//
+// Identity across schema evolution. A record's catalog row keeps the values it
+// was committed with; generalizing a column (integer → decimal, anything →
+// string) or widening the schema changes the form every record is stored in,
+// not which record it is. So both sides of every comparison are canonicalized
+// under the schema in force: a narrower value is cast up to the column type as
+// ALTER COLUMN TYPE casts a stored cell, a missing trailing cell is NULL, and a
+// value that is not narrower than its column (a string in an integer column)
+// stays what it is. A record committed as integer 5 is therefore the staged
+// decimal 5 once the column is decimal, and the index, which stores hashes of
+// canonical forms, is rebuilt whenever the schema changes.
+
+// canonical returns *v in the form a column of type col stores it: v itself
+// unless it has to be cast, in which case the cast lands in *buf.
+func canonical(v *relstore.Value, col relstore.ValueType, buf *relstore.Value) *relstore.Value {
+	if v.Type == col || v.Type == relstore.TypeNull || relstore.GeneralizeType(v.Type, col) != col {
+		return v
+	}
+	*buf, _ = v.Cast(col)
+	return buf
+}
+
+var null = relstore.Null()
+
+// rowForm hashes and compares rows by the canonical form of their cells. A row
+// shorter than types reads as padded with NULL; cols selects the cells (nil:
+// all of them).
+type rowForm struct {
+	types []relstore.ValueType
+	all   []int        // 0 … len(types)-1
+	seed  maphash.Seed // strings only; nothing the hash decides is observable
+}
+
+func newRowForm(schema relstore.Schema) rowForm {
+	n := len(schema.Columns)
+	f := rowForm{types: make([]relstore.ValueType, n), all: make([]int, n), seed: maphash.MakeSeed()}
+	for i, col := range schema.Columns {
+		f.types[i], f.all[i] = col.Type, i
+	}
+	return f
+}
+
+// cell returns the canonical form of cell i of row (see canonical for buf).
+func (f rowForm) cell(row relstore.Row, i int, buf *relstore.Value) *relstore.Value {
+	if i >= len(row) {
+		return &null
+	}
+	return canonical(&row[i], f.types[i], buf)
+}
+
+// mix folds x into h (the multiply-xorshift step of MurmurHash3's finalizer).
+func mix(h, x uint64) uint64 {
+	h = (h ^ x) * 0xff51afd7ed558ccd
+	return h ^ h>>33
+}
+
+func (f rowForm) hashCell(h uint64, v *relstore.Value) uint64 {
+	var payload uint64
+	switch v.Type {
+	case relstore.TypeInt:
+		payload = uint64(v.I)
+	case relstore.TypeFloat:
+		payload = math.Float64bits(v.F)
+	case relstore.TypeBool:
+		if v.B {
+			payload = 1
+		}
+	case relstore.TypeString:
+		payload = maphash.String(f.seed, v.S)
+	case relstore.TypeIntArray:
+		payload = uint64(len(v.A))
+		for _, e := range v.A {
+			payload = mix(payload, uint64(e))
+		}
+	}
+	return mix(mix(h, uint64(v.Type)), payload)
+}
+
+func (f rowForm) hash(row relstore.Row, cols []int) uint64 {
+	if cols == nil {
+		cols = f.all
+	}
+	var h uint64
+	var buf relstore.Value
+	for _, i := range cols {
+		h = f.hashCell(h, f.cell(row, i, &buf))
+	}
+	return h
+}
+
+func (f rowForm) same(a, b relstore.Row, cols []int) bool {
+	if cols == nil {
+		cols = f.all
+	}
+	var bufA, bufB relstore.Value
+	for _, i := range cols {
+		if !f.cell(a, i, &bufA).Identical(*f.cell(b, i, &bufB)) {
+			return false
+		}
+	}
+	return true
+}
+
+// chains is a hash multimap from a 64-bit hash to small positive ids, laid
+// out as bucket heads plus one link and one stored hash per id: 12 bytes per
+// id and 4 per bucket, no per-entry allocation. Equal hashes (equal content,
+// one hot key's history) share a bucket without lengthening any other. The id
+// 0 ends a chain.
+type chains struct {
+	heads []uint32 // bucket → its most recently added id
+	next  []uint32 // id → the next id of its bucket
+	hash  []uint64 // id → its hash
+	n     int
+}
+
+// add files id under h. Ids are added once each.
+func (c *chains) add(id uint32, h uint64) {
+	if grow := int(id) + 1 - len(c.hash); grow > 0 {
+		c.hash = append(c.hash, make([]uint64, grow)...)
+		c.next = append(c.next, make([]uint32, grow)...)
+	}
+	if c.n >= len(c.heads) {
+		c.rehash(max(16, 2*len(c.heads)))
+	}
+	c.hash[id] = h
+	b := h & uint64(len(c.heads)-1)
+	c.next[id], c.heads[b] = c.heads[b], id
+	c.n++
+}
+
+// rehash relinks every id into size buckets (a power of two).
+func (c *chains) rehash(size int) {
+	old := c.heads
+	c.heads = make([]uint32, size)
+	for _, id := range old {
+		for id != 0 {
+			following := c.next[id]
+			b := c.hash[id] & uint64(size-1)
+			c.next[id], c.heads[b] = c.heads[b], id
+			id = following
+		}
+	}
+}
+
+// reserve sizes an empty multimap for ids up to n.
+func (c *chains) reserve(n int) {
+	c.hash, c.next = make([]uint64, n+1), make([]uint32, n+1)
+	size := 16
+	for size < n {
+		size *= 2
+	}
+	c.heads = make([]uint32, size)
+}
+
+// first returns the first id filed under h, 0 if there is none; after returns
+// the one that follows id.
+func (c *chains) first(h uint64) uint32 {
+	if len(c.heads) == 0 {
+		return 0
+	}
+	return c.skip(c.heads[h&uint64(len(c.heads)-1)], h)
+}
+
+func (c *chains) after(id uint32, h uint64) uint32 { return c.skip(c.next[id], h) }
+
+func (c *chains) skip(id uint32, h uint64) uint32 {
+	for id != 0 && c.hash[id] != h {
+		id = c.next[id]
+	}
+	return id
+}
+
+// recIndex is the per-CVD index over the record catalog, kept beside it and
+// never persisted: the hash of a record's canonical content, and of its
+// primary-key cells, to its record id — the id itself is the chain id, which
+// is what keeps the index at 16–20 bytes per record per chain. It is valid for
+// one schema (see the note on schema evolution above): recordVersion adds the
+// records a commit creates, adoptSchema drops it, and the next commit builds
+// it again from the catalog.
+type recIndex struct {
+	rowForm
+	pk      []int  // primary-key columns of the schema; empty without one
+	content chains // hash of every cell → rid
+	key     chains // hash of the primary-key cells → rid; empty without a key
+}
+
+func newRecIndex(schema relstore.Schema) *recIndex {
+	return &recIndex{rowForm: newRowForm(schema), pk: schema.PrimaryKeyIndexes()}
+}
+
+// add indexes one record; 0 < rid <= math.MaxUint32, far more records than
+// a catalog held in memory can number.
+func (x *recIndex) add(rid vgraph.RecordID, row relstore.Row) {
+	x.content.add(uint32(rid), x.hash(row, nil))
+	if len(x.pk) > 0 {
+		x.key.add(uint32(rid), x.hash(row, x.pk))
+	}
+}
+
+// buildIndex indexes the whole catalog under schema.
+func (c *CVD) buildIndex(schema relstore.Schema) (*recIndex, error) {
+	x := newRecIndex(schema)
+	x.content.reserve(int(c.nextRID) - 1)
+	if len(x.pk) > 0 {
+		x.key.reserve(int(c.nextRID) - 1)
+	}
+	for rid, row := range c.records {
+		if rid <= 0 || rid >= c.nextRID {
+			return nil, fmt.Errorf("cvd: %s: the catalog holds record id %d, outside the ids handed out so far (1 to %d)", c.name, rid, c.nextRID-1)
+		}
+		x.add(rid, row)
+	}
+	return x, nil
+}

@@ -99,6 +99,10 @@ func (c *container) toArrayIfSparse() {
 	if c.bitmap == nil || c.n > arrayMaxLen/2 {
 		return
 	}
+	c.toArray()
+}
+
+func (c *container) toArray() {
 	a := make([]uint16, 0, c.n)
 	for w, word := range c.bitmap {
 		for word != 0 {
@@ -392,39 +396,42 @@ func FromSlice(vals []int64) *Set {
 }
 
 // FromSorted builds a set from values sorted ascending (duplicates are
-// skipped). This is the fast bulk-construction path: each container is built
-// in one pass with no per-value search.
-func FromSorted(vals []int64) *Set {
+// skipped). This is the fast bulk-construction path: the values sharing a high
+// key are one run of the input, so each container is sized from its run and
+// filled in one pass — an exact array, or the bitmap directly when the run is
+// dense — with no per-value search and nothing allocated that the set does
+// not keep. It takes any int64-based id type, so a typed id list needs no copy
+// into []int64 first.
+func FromSorted[T ~int64](vals []T) *Set {
 	s := New()
-	var lows []uint16
-	var curKey int64
-	started := false
-	flush := func() {
-		c := newArrayContainer(lows)
-		if c.n > arrayMaxLen {
-			c.toBitmap()
+	for lo := 0; lo < len(vals); {
+		key := int64(vals[lo]) >> 16
+		hi := lo + 1
+		for hi < len(vals) && int64(vals[hi])>>16 == key {
+			hi++
 		}
-		s.keys = append(s.keys, curKey)
+		c := &container{}
+		if hi-lo > arrayMaxLen { // an upper bound of the run's cardinality
+			c = newBitmapContainer()
+			for _, v := range vals[lo:hi] {
+				c.add(uint16(v & 0xFFFF))
+			}
+			if c.n <= arrayMaxLen { // the run had duplicates
+				c.toArray()
+			}
+		} else {
+			c.array = make([]uint16, 0, hi-lo)
+			for i, v := range vals[lo:hi] {
+				if i == 0 || v != vals[lo+i-1] {
+					c.array = append(c.array, uint16(v&0xFFFF))
+				}
+			}
+			c.n = len(c.array)
+		}
+		s.keys = append(s.keys, key)
 		s.cs = append(s.cs, c)
 		s.n += int64(c.n)
-	}
-	for i, v := range vals {
-		if i > 0 && v == vals[i-1] {
-			continue
-		}
-		k := v >> 16
-		if !started {
-			started = true
-			curKey = k
-		} else if k != curKey {
-			flush()
-			curKey = k
-			lows = lows[:0]
-		}
-		lows = append(lows, uint16(v&0xFFFF))
-	}
-	if started {
-		flush()
+		lo = hi
 	}
 	return s
 }

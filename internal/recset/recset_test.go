@@ -228,3 +228,44 @@ func TestConcurrentReads(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestFromSortedSizesContainersFromRuns: FromSorted builds each container
+// straight from its run of the input. Dense runs become bitmaps, sparse ones
+// exact arrays, duplicates are skipped on either side of the threshold, and a
+// typed id list needs no copy.
+func TestFromSortedSizesContainersFromRuns(t *testing.T) {
+	type id int64
+	var vals []id
+	want := make(naive)
+	add := func(v int64, times int) {
+		for ; times > 0; times-- {
+			vals = append(vals, id(v))
+		}
+		want[v] = struct{}{}
+	}
+	for v := int64(-70000); v < -69990; v++ { // a sparse run below zero
+		add(v, 1)
+	}
+	for v := int64(0); v < 5000; v++ { // dense: a bitmap
+		add(v, 1+int(v%2))
+	}
+	for v := int64(1 << 16); v < 1<<16+3000; v++ { // 6000 values, 3000 distinct: an array after all
+		add(v, 2)
+	}
+	add(1<<40, 3)
+	s := FromSorted(vals)
+	checkAgainst(t, s, want, "FromSorted")
+	kinds := make([]bool, len(s.cs))
+	for i, c := range s.cs {
+		kinds[i] = c.bitmap != nil
+	}
+	if c := s.cs[0]; cap(c.array) != len(c.array) {
+		t.Fatalf("a run without duplicates keeps %d slots for %d values", cap(c.array), len(c.array))
+	}
+	if len(kinds) != 4 || kinds[0] || !kinds[1] || kinds[2] || kinds[3] {
+		t.Fatalf("container kinds (bitmap?) %v, want array, bitmap, array, array", kinds)
+	}
+	if !Equal(s, FromSlice(want.slice())) {
+		t.Fatal("FromSorted and FromSlice disagree")
+	}
+}

@@ -390,13 +390,16 @@ func (c *column) deepCopy() *column {
 // gather returns a new column holding the cells at the selected positions.
 func (c *column) gather(sel Selection) *column {
 	out := &column{tags: make([]uint8, len(sel))}
-	for k, i := range sel {
-		out.tags[k] = c.tags[i]
-	}
 	if c.ints != nil {
+		// The common column — tags and integers — in one pass over sel.
 		out.ints = make([]int64, len(sel))
+		tags, ints, outTags, outInts := c.tags, c.ints, out.tags, out.ints[:len(out.tags)]
 		for k, i := range sel {
-			out.ints[k] = c.ints[i]
+			outTags[k], outInts[k] = tags[i], ints[i]
+		}
+	} else {
+		for k, i := range sel {
+			out.tags[k] = c.tags[i]
 		}
 	}
 	if c.floats != nil {

@@ -151,6 +151,9 @@ func joinSelection(data *Table, ridColumn string, probe ridProbe, method JoinMet
 	col := data.cols[ci]
 	switch method {
 	case HashJoin:
+		if sel, ok := data.positionalSelection(col, probe.set); ok {
+			return sel, nil
+		}
 		contains := probe.contains()
 		sel := make(Selection, 0, probe.len())
 		for i := 0; i < data.nrows; i++ {
@@ -175,7 +178,7 @@ func joinSelection(data *Table, ridColumn string, probe ridProbe, method JoinMet
 		if probe.set != nil {
 			sel = make(Selection, 0, probe.len())
 			probe.set.ForEach(func(rid int64) bool {
-				if pos, ok := data.intIndex[rid]; ok {
+				if pos, ok := data.intPos(rid); ok {
 					data.stats.AddRandomReads(1)
 					sel = append(sel, int32(pos))
 				}
@@ -184,7 +187,7 @@ func joinSelection(data *Table, ridColumn string, probe ridProbe, method JoinMet
 		} else {
 			sel = make(Selection, 0, len(probe.rids))
 			for _, rid := range probe.rids {
-				if pos, ok := data.intIndex[rid]; ok {
+				if pos, ok := data.intPos(rid); ok {
 					data.stats.AddRandomReads(1)
 					sel = append(sel, int32(pos))
 				}
@@ -194,6 +197,35 @@ func joinSelection(data *Table, ridColumn string, probe ridProbe, method JoinMet
 	default:
 		return nil, fmt.Errorf("relstore: unknown join method %d", int(method))
 	}
+}
+
+// positionalSelection answers the join without the scan when every rid of the
+// set sits at row rid-1 of col — which is where an unpartitioned data table
+// keeps it, records being appended in rid order from 1 — so that a checkout
+// costs the version, not every record ever committed. ok is false as soon as
+// one rid is somewhere else (a partition table, a deleted row), and the caller
+// scans. The cost it accounts is the hash join's, which the cost model is
+// about. It relies on col, t's rid column, holding no rid twice, as the unique
+// index on a data table's rid column guarantees.
+func (t *Table) positionalSelection(col *column, set *recset.Set) (sel Selection, ok bool) {
+	if set == nil || col.ints == nil {
+		return nil, false
+	}
+	sel = make(Selection, 0, set.Len())
+	ok = true
+	set.ForEach(func(rid int64) bool {
+		p := rid - 1
+		ok = p >= 0 && p < int64(len(col.ints)) && col.ints[p] == rid && ValueType(col.tags[p]) == TypeInt
+		if ok {
+			sel = append(sel, int32(p))
+		}
+		return ok
+	})
+	if ok {
+		t.stats.AddSeqReads(int64(t.nrows))
+		t.stats.AddHashProbes(int64(t.nrows))
+	}
+	return sel, ok
 }
 
 // mergeJoinSelection merges an already-sorted rid list against the data
@@ -248,6 +280,9 @@ func parallelSetSelection(data *Table, ridColumn string, set *recset.Set, worker
 		return nil, fmt.Errorf("relstore: table %s has no column %q", data.Name, ridColumn)
 	}
 	col := data.cols[ci]
+	if sel, ok := data.positionalSelection(col, set); ok {
+		return sel, nil
+	}
 	chunks := parallel.Chunks(workers, data.nrows)
 	parts := parallel.Map(workers, len(chunks), func(k int) Selection {
 		lo, hi := chunks[k][0], chunks[k][1]

@@ -1,7 +1,11 @@
 package relstore
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
+	"sort"
 	"strings"
 )
 
@@ -73,9 +77,22 @@ type Table struct {
 	// data tables) lives in exactly one of two stores: intIndex when the
 	// index is a single integer column (the rid hot path — no string
 	// encoding per probe), uniqueIndex (encoded string keys) otherwise.
+	//
+	// Rows [0, intSorted) of an integer index are not entered in intIndex:
+	// BuildIndexOn found their keys strictly ascending, and intPos finds them
+	// by binary search over the column itself. A checkout's staging table is
+	// rid-ordered by construction, as is a data table read back from a
+	// checkpoint, so either gets its index for one pass over a lane instead
+	// of a map entry per row.
 	indexCols   []int
 	uniqueIndex map[string]int
 	intIndex    map[int64]int
+	intSorted   int
+
+	// dirty is the set of row positions written since the table was
+	// materialized (or last MarkClean), one bit per row; nil until the first
+	// write, so a table nobody wrote to carries nothing. See DirtyRows.
+	dirty []uint64
 
 	stats *CostStats
 }
@@ -101,6 +118,7 @@ func (t *Table) resetIndexStores(idx []int) {
 	t.indexCols = idx
 	t.uniqueIndex = nil
 	t.intIndex = nil
+	t.intSorted = 0
 	if len(idx) == 1 && t.Schema.Columns[idx[0]].Type == TypeInt {
 		t.intIndex = make(map[int64]int)
 	} else {
@@ -160,6 +178,58 @@ func (t *Table) StringAt(row, col int) string { return t.cols[col].asString(row)
 func (t *Table) Set(row, col int, v Value) {
 	t.cols[col].ensureOwned()
 	t.cols[col].set(row, v)
+	t.markDirty(row, row+1)
+}
+
+// DirtyRows returns, ascending, the positions of the rows written since the
+// table was materialized — created, gathered out of another table, or last
+// passed to MarkClean — and nil when there are none. Every mutator keeps the
+// set: Set, UpdateWhere and AlterColumnType mark the rows they rewrite,
+// Insert, AppendRow, InsertBatch and AppendFrom the rows they add, and
+// DeleteWhere, Shrink and SortBy move the marks with the rows. AddColumn marks
+// nothing: it changes no existing cell. A commit uses the set to resolve only
+// the rows a checkout's user touched (cvd.CommitTable).
+func (t *Table) DirtyRows() Selection {
+	var out Selection
+	for w, word := range t.dirty {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, int32(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	return out
+}
+
+// MarkClean forgets every mark: the table's rows, as they are now, become
+// what DirtyRows measures writes against. Checkout calls it on the staging
+// table it hands out.
+func (t *Table) MarkClean() { t.dirty = nil }
+
+// markDirty marks rows [lo, hi).
+func (t *Table) markDirty(lo, hi int) {
+	if hi <= lo {
+		return
+	}
+	if need := (hi + 63) >> 6; need > len(t.dirty) {
+		t.dirty = append(t.dirty, make([]uint64, need-len(t.dirty))...)
+	}
+	for p := lo; p < hi; p++ {
+		t.dirty[p>>6] |= 1 << (p & 63)
+	}
+}
+
+// remapDirty moves the marks with the rows after the table was regathered
+// through sel: new row k is old row sel[k].
+func (t *Table) remapDirty(sel Selection) {
+	if t.dirty == nil {
+		return
+	}
+	old := t.dirty
+	t.dirty = make([]uint64, (len(sel)+63)>>6)
+	for k, p := range sel {
+		if w := int(p) >> 6; w < len(old) && old[w]&(1<<(p&63)) != 0 {
+			t.dirty[k>>6] |= 1 << (k & 63)
+		}
+	}
 }
 
 // SharedColumns reports how many of the table's columns currently share
@@ -187,17 +257,25 @@ func (t *Table) BuildIndexOn(cols ...string) error {
 		idx = append(idx, i)
 	}
 	if len(idx) == 1 && t.Schema.Columns[idx[0]].Type == TypeInt {
-		ci := idx[0]
-		uniq := make(map[int64]int, t.nrows)
-		for pos := 0; pos < t.nrows; pos++ {
-			k := t.cols[ci].asInt(pos)
-			if prev, dup := uniq[k]; dup {
+		col := t.cols[idx[0]]
+		sorted := min(1, t.nrows)
+		for sorted < t.nrows && col.asInt(sorted) > col.asInt(sorted-1) {
+			sorted++
+		}
+		uniq := make(map[int64]int, t.nrows-sorted)
+		for pos := sorted; pos < t.nrows; pos++ {
+			k := col.asInt(pos)
+			prev, dup := uniq[k]
+			if !dup {
+				prev, dup = searchInts(col, sorted, k)
+			}
+			if dup {
 				return fmt.Errorf("relstore: table %s: duplicate index key %d at rows %d and %d", t.Name, k, prev, pos)
 			}
 			uniq[k] = pos
 		}
 		t.indexCols = idx
-		t.intIndex = uniq
+		t.intIndex, t.intSorted = uniq, sorted
 		t.uniqueIndex = nil
 		return nil
 	}
@@ -211,8 +289,25 @@ func (t *Table) BuildIndexOn(cols ...string) error {
 	}
 	t.indexCols = idx
 	t.uniqueIndex = uniq
-	t.intIndex = nil
+	t.intIndex, t.intSorted = nil, 0
 	return nil
+}
+
+// searchInts finds key among the first n cells of col, whose integer values
+// ascend.
+func searchInts(col *column, n int, key int64) (pos int, found bool) {
+	return sort.Find(n, func(i int) int { return cmp.Compare(key, col.asInt(i)) })
+}
+
+// intPos looks key up in the integer index (t.intIndex != nil). An index that
+// a failed rebuild left stale may answer wrongly, as a stale map does, but
+// never reads past the rows.
+func (t *Table) intPos(key int64) (pos int, found bool) {
+	if pos, found = searchInts(t.cols[t.indexCols[0]], min(t.intSorted, t.nrows), key); found {
+		return pos, true
+	}
+	pos, found = t.intIndex[key]
+	return pos, found
 }
 
 // HasIndex reports whether the table currently has a unique index.
@@ -298,7 +393,7 @@ func (t *Table) Insert(r Row) error {
 	}
 	if t.intIndex != nil {
 		k := r[t.indexCols[0]].AsInt()
-		if _, dup := t.intIndex[k]; dup {
+		if _, dup := t.intPos(k); dup {
 			return fmt.Errorf("relstore: table %s: duplicate key %d", t.Name, k)
 		}
 		t.intIndex[k] = t.nrows
@@ -325,6 +420,7 @@ func (t *Table) appendRow(r Row) {
 			c.append(Null())
 		}
 	}
+	t.markDirty(t.nrows, t.nrows+1)
 	t.nrows++
 }
 
@@ -372,7 +468,7 @@ func (t *Table) StorageBytes() int64 {
 		n += int64(len(t.uniqueIndex)) * 16
 	}
 	if t.intIndex != nil {
-		n += int64(len(t.intIndex)) * 16
+		n += int64(len(t.intIndex)+t.intSorted) * 16
 	}
 	return n
 }
@@ -384,7 +480,7 @@ func (t *Table) LookupIndex(key ...Value) (Row, bool) {
 		if len(key) != 1 {
 			return nil, false
 		}
-		pos, ok := t.intIndex[key[0].AsInt()]
+		pos, ok := t.intPos(key[0].AsInt())
 		if !ok {
 			return nil, false
 		}
@@ -566,7 +662,7 @@ func (t *Table) AppendFrom(src *Table, sel Selection) error {
 		seen := make(map[int64]struct{}, len(sel))
 		for k, i := range sel {
 			key := src.cols[ci].asInt(int(i))
-			if _, dup := t.intIndex[key]; dup {
+			if _, dup := t.intPos(key); dup {
 				return fmt.Errorf("relstore: table %s: duplicate key %d", t.Name, key)
 			}
 			if _, dup := seen[key]; dup {
@@ -606,6 +702,7 @@ func (t *Table) AppendFrom(src *Table, sel Selection) error {
 			}
 		}
 	}
+	t.markDirty(t.nrows, t.nrows+len(sel))
 	t.nrows += len(sel)
 	t.stats.AddRowsWritten(int64(len(sel)))
 	return nil
@@ -633,7 +730,7 @@ func (t *Table) UpdateWhere(pred func(Row) bool, fn func(Row) Row) (int, error) 
 			indexDirty = true
 		}
 		for j := range t.cols {
-			if !sameValue(r[j], nr[j]) {
+			if !r[j].Identical(nr[j]) {
 				t.Set(i, j, nr[j])
 			}
 		}
@@ -666,6 +763,7 @@ func (t *Table) DeleteWhere(pred func(Row) bool) int {
 	for j, c := range t.cols {
 		t.cols[j] = c.gather(keep)
 	}
+	t.remapDirty(keep)
 	t.nrows = len(keep)
 	if t.HasIndex() {
 		names := t.IndexColumns()
@@ -683,6 +781,12 @@ func (t *Table) Shrink(n int) {
 	t.ownAll()
 	for _, c := range t.cols {
 		c.truncate(n)
+	}
+	if words := (n + 63) >> 6; words <= len(t.dirty) {
+		t.dirty = t.dirty[:words]
+		if n&63 != 0 {
+			t.dirty[words-1] &= 1<<(n&63) - 1
+		}
 	}
 	t.nrows = n
 	if t.HasIndex() {
@@ -706,6 +810,7 @@ func (t *Table) SortBy(mode ClusterMode, cols ...string) error {
 	for j, c := range t.cols {
 		t.cols[j] = c.gather(order)
 	}
+	t.remapDirty(order)
 	t.Cluster = mode
 	if t.HasIndex() {
 		names := t.IndexColumns()
@@ -754,6 +859,7 @@ func (t *Table) Clone(name string) *Table {
 	for j, c := range t.cols {
 		out.cols[j] = c.deepCopy()
 	}
+	out.dirty = slices.Clone(t.dirty)
 	if t.indexCols != nil {
 		names := t.IndexColumns()
 		_ = out.BuildIndexOn(names...)
@@ -797,21 +903,13 @@ func (t *Table) AlterColumnType(name string, typ ValueType) error {
 		if v.IsNull() {
 			continue
 		}
-		var cast Value
-		switch typ {
-		case TypeFloat:
-			cast = Float(v.AsFloat())
-		case TypeInt:
-			cast = Int(v.AsInt())
-		case TypeString:
-			cast = Str(v.AsString())
-		case TypeBool:
-			cast = Bool(v.AsBool())
-		default:
+		cast, ok := v.Cast(typ)
+		if !ok {
 			continue
 		}
 		col.ensureOwned()
 		col.set(i, cast)
+		t.markDirty(i, i+1)
 		t.stats.AddRowsWritten(1)
 	}
 	if t.HasIndex() {
@@ -839,10 +937,11 @@ func (t *Table) Truncate() {
 		t.cols[j] = newColumn(0)
 	}
 	t.nrows = 0
+	t.dirty = nil
 	if t.uniqueIndex != nil {
 		t.uniqueIndex = make(map[string]int)
 	}
 	if t.intIndex != nil {
-		t.intIndex = make(map[int64]int)
+		t.intIndex, t.intSorted = make(map[int64]int), 0
 	}
 }

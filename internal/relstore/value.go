@@ -18,6 +18,8 @@ package relstore
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -245,26 +247,50 @@ func (v Value) Compare(o Value) int {
 // Equal reports whether two values compare equal.
 func (v Value) Equal(o Value) bool { return v.Compare(o) == 0 }
 
-// sameValue reports exact equality — same type tag and same payload —
-// unlike Equal, which compares by ordering semantics (Int(1) equals
-// Float(1)). Used to detect cells an update did not actually change.
-func sameValue(a, b Value) bool {
-	if a.Type != b.Type {
+// Identical reports exact equality — same type tag and same payload — unlike
+// Equal, which compares by ordering semantics (Int(1) equals Float(1)).
+// Floats compare by their bits, so a NaN is identical to itself and 0 is not
+// identical to -0. It is how an update detects cells it did not change and how
+// a commit decides that a staged row is a record it already stores.
+func (v Value) Identical(o Value) bool {
+	if v.Type != o.Type {
 		return false
 	}
-	switch a.Type {
+	switch v.Type {
 	case TypeInt:
-		return a.I == b.I
+		return v.I == o.I
 	case TypeFloat:
-		return a.F == b.F
+		return math.Float64bits(v.F) == math.Float64bits(o.F)
 	case TypeString:
-		return a.S == b.S
+		return v.S == o.S
 	case TypeBool:
-		return a.B == b.B
+		return v.B == o.B
 	case TypeIntArray:
-		return compareIntSlices(a.A, b.A) == 0
+		return slices.Equal(v.A, o.A)
 	default:
 		return true
+	}
+}
+
+// Cast converts the value to a column type the way ALTER COLUMN TYPE rewrites
+// a stored cell (integer→decimal, anything→string, ...). NULL stays NULL; ok
+// is false for a type that has no cast (integer arrays, null), in which case
+// the value is returned unchanged.
+func (v Value) Cast(typ ValueType) (cast Value, ok bool) {
+	if v.IsNull() {
+		return v, true
+	}
+	switch typ {
+	case TypeFloat:
+		return Float(v.AsFloat()), true
+	case TypeInt:
+		return Int(v.AsInt()), true
+	case TypeString:
+		return Str(v.AsString()), true
+	case TypeBool:
+		return Bool(v.AsBool()), true
+	default:
+		return v, false
 	}
 }
 
