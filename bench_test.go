@@ -75,19 +75,6 @@ func BenchmarkFig5_14_PartitionBenefit(b *testing.B) {
 	}
 }
 
-// BenchmarkConcurrentCheckoutScaling times the concurrent checkout scaling
-// experiment: N clients (1/2/4/8) concurrently checking out versions of a
-// partitioned Fig-5.14-style CVD through one shared engine. The rendered
-// table (cmd/benchrunner -experiment concurrent) reports throughput and the
-// speedup over a single client.
-func BenchmarkConcurrentCheckoutScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := benchmark.RunConcurrent(benchmark.ConcurrentConfig{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFig5_17_OnlineMaintenance times the streaming online-maintenance
 // and migration simulation (Figures 5.17 and 5.19).
 func BenchmarkFig5_17_OnlineMaintenance(b *testing.B) {
@@ -113,74 +100,6 @@ func BenchmarkCh7_StorageRecreation(b *testing.B) {
 func BenchmarkCh8_Lineage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := benchmark.RunCh8(20, 7); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRecsetSubsystem times the full before/after suite of the
-// compressed record-set subsystem (RunRecset): map-based vs recset LyreSplit
-// on a 1k-version tree, clone-per-row vs zero-copy partitioned checkout, and
-// the set-algebra microworkloads. cmd/benchrunner -experiment recset prints
-// the table and writes BENCH_recset.json.
-func BenchmarkRecsetSubsystem(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := benchmark.RunRecset("SCI_10K", 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDurableSubsystem times the durable storage suite (RunDurable):
-// binary snapshot save/restore, journaled load with fsync per commit, WAL
-// streaming replay, and the re-init-from-CSV baseline. The small SCI_1K
-// preset keeps the fsync-heavy measurements inside benchtime budgets;
-// cmd/benchrunner -experiment durable runs the full-size version and writes
-// BENCH_durable.json.
-func BenchmarkDurableSubsystem(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := benchmark.RunDurable("SCI_1K", 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDurableIncremental times the incremental-checkpoint experiment
-// (RunDurableIncremental): full checkpoint of a seeded history, a small burst
-// of commits, then the incremental checkpoint that should rewrite only the
-// touched chunks. The small SCI_1K preset keeps it inside benchtime budgets;
-// cmd/benchrunner -experiment durable embeds the full-size SCI_50K report in
-// BENCH_durable.json (or -experiment durable-incremental writes it alone).
-func BenchmarkDurableIncremental(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := benchmark.RunDurableIncremental("SCI_1K", 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkColumnarSubsystem times the full before/after suite of the
-// columnar storage subsystem (RunColumnar): frozen row-backed tables with
-// closure predicates vs typed column vectors with vectorized predicate
-// evaluation, plus the checkout and LyreSplit regression guards.
-// cmd/benchrunner -experiment columnar prints the table and writes
-// BENCH_columnar.json.
-func BenchmarkColumnarSubsystem(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := benchmark.RunColumnar("SCI_10K", 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGroupCommitSubsystem times the WAL group-commit sweep
-// (RunGroupCommit): the 64/256-client commit storm with fsync-per-commit vs
-// batched fsyncs. A reduced per-client commit count keeps the fsync-heavy
-// sweep inside benchtime budgets; cmd/benchrunner -experiment groupcommit
-// runs the full-size version and writes BENCH_groupcommit.json.
-func BenchmarkGroupCommitSubsystem(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := benchmark.RunGroupCommit(2); err != nil {
 			b.Fatal(err)
 		}
 	}

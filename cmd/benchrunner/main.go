@@ -1,21 +1,13 @@
 // Command benchrunner regenerates every table and figure of the paper's
-// evaluation at laptop scale, plus the concurrent checkout scaling
-// experiment. Each experiment id corresponds to a table or figure; see
-// BENCH.md at the repository root for the per-experiment index and how to
-// read the rendered tables.
-//
-// The -experiment presets are a fixed registry; for scenarios declared as
-// data, benchrunner is also a thin loader over the workload harness: -spec
-// runs a specs/*.yaml workload spec and writes its BENCH_<name>.json report
-// (equivalent to workloadrunner without the crash modes).
+// evaluation at laptop scale. Each experiment id corresponds to a table or
+// figure; see BENCH.md at the repository root for the per-experiment index
+// and how to read the rendered tables. Performance numbers come from the
+// reference benchmark (bench/README.md), workload specs from workloadrunner.
 //
 // Usage:
 //
 //	go run ./cmd/benchrunner -experiment all
 //	go run ./cmd/benchrunner -experiment fig5.8 -dataset SCI_10K -scale 1
-//	go run ./cmd/benchrunner -experiment concurrent -workers 4
-//	go run ./cmd/benchrunner -experiment recset -out BENCH_recset.json
-//	go run ./cmd/benchrunner -spec specs/branch_heavy.yaml
 package main
 
 import (
@@ -24,147 +16,68 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/benchmark"
-	"repro/internal/workload"
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "experiment id (see -experiment help, or BENCH.md): "+strings.Join(experimentIDs(), ", ")+", all")
-	spec := flag.String("spec", "", "run a declarative workload spec file instead of a preset experiment")
+	experiment := flag.String("experiment", "all", "experiment id (see BENCH.md): "+strings.Join(experimentIDs(), ", ")+", all")
 	dataset := flag.String("dataset", "SCI_10K", "dataset preset for single-dataset experiments")
 	scale := flag.Int("scale", 1, "scale multiplier applied to dataset presets")
-	workers := flag.Int("workers", 0, "engine worker-pool size for parallel operations (0 = single-threaded operations)")
-	latency := flag.Duration("latency", 0, "simulated client-server round trip for the concurrent experiment (0 = default 5ms, negative = none)")
-	out := flag.String("out", "", "output path for a JSON report; honored for -spec and for explicitly selected report-producing experiments (never under -experiment all, where two reports would overwrite each other)")
 	flag.Parse()
 
-	if err := run(*experiment, *spec, *dataset, *scale, *workers, *latency, *out); err != nil {
+	if err := run(*experiment, *dataset, *scale); err != nil {
 		fmt.Fprintln(os.Stderr, "benchrunner:", err)
 		os.Exit(1)
 	}
 }
 
-// expParams carries the CLI knobs into the registry entries.
-type expParams struct {
-	dataset string
-	scale   int
-	workers int
-	latency time.Duration
-}
-
 // experiment is one registry entry: a primary id, the figure aliases that
-// select the same run, and the runner. A non-nil report document is written
-// to -out when this experiment was selected explicitly.
+// select the same run, and the runner, which renders the result table.
 type experiment struct {
 	id      string
 	aliases []string
-	run     func(p expParams) (table string, report []byte, err error)
-}
-
-// tableOnly adapts experiments without a JSON report.
-func tableOnly(fn func(p expParams) (string, error)) func(expParams) (string, []byte, error) {
-	return func(p expParams) (string, []byte, error) {
-		table, err := fn(p)
-		return table, nil, err
-	}
-}
-
-// withReport adapts experiments returning a benchmark report with a JSON()
-// method alongside the rendered table.
-func withReport[R interface{ JSON() ([]byte, error) }](fn func(p expParams) (R, string, error)) func(expParams) (string, []byte, error) {
-	return func(p expParams) (string, []byte, error) {
-		report, table, err := fn(p)
-		if err != nil {
-			return "", nil, err
-		}
-		doc, err := report.JSON()
-		if err != nil {
-			return "", nil, err
-		}
-		return table, doc, nil
-	}
+	run     func(dataset string, scale int) (string, error)
 }
 
 // experiments is the dispatch registry, in `-experiment all` execution order.
 var experiments = []experiment{
-	{id: "fig4.1", run: tableOnly(func(p expParams) (string, error) {
-		_, table, err := benchmark.RunFig41(nil, p.scale)
+	{id: "fig4.1", run: func(dataset string, scale int) (string, error) {
+		_, table, err := benchmark.RunFig41(nil, scale)
 		return table.String(), err
-	})},
-	{id: "tab5.2", run: tableOnly(func(p expParams) (string, error) {
-		table, err := benchmark.RunTable52(nil, p.scale)
+	}},
+	{id: "tab5.2", run: func(dataset string, scale int) (string, error) {
+		table, err := benchmark.RunTable52(nil, scale)
 		return table.String(), err
-	})},
-	{id: "fig5.7", run: tableOnly(func(p expParams) (string, error) {
+	}},
+	{id: "fig5.7", run: func(dataset string, scale int) (string, error) {
 		table, err := benchmark.RunFig57(nil, nil)
 		return table.String(), err
-	})},
-	{id: "fig5.8", aliases: []string{"fig5.20"}, run: tableOnly(func(p expParams) (string, error) {
-		_, table, err := benchmark.RunFig58(p.dataset, p.scale)
+	}},
+	{id: "fig5.8", aliases: []string{"fig5.20"}, run: func(dataset string, scale int) (string, error) {
+		_, table, err := benchmark.RunFig58(dataset, scale)
 		return table.String(), err
-	})},
-	{id: "fig5.10", aliases: []string{"fig5.12"}, run: tableOnly(func(p expParams) (string, error) {
-		table, err := benchmark.RunFig510(nil, p.scale)
+	}},
+	{id: "fig5.10", aliases: []string{"fig5.12"}, run: func(dataset string, scale int) (string, error) {
+		table, err := benchmark.RunFig510(nil, scale)
 		return table.String(), err
-	})},
-	{id: "fig5.14", aliases: []string{"fig5.15"}, run: tableOnly(func(p expParams) (string, error) {
-		table, err := benchmark.RunFig514(nil, p.scale, 20)
+	}},
+	{id: "fig5.14", aliases: []string{"fig5.15"}, run: func(dataset string, scale int) (string, error) {
+		table, err := benchmark.RunFig514(nil, scale, 20)
 		return table.String(), err
-	})},
-	{id: "fig5.17", aliases: []string{"fig5.19"}, run: tableOnly(func(p expParams) (string, error) {
-		table, err := benchmark.RunFig517(p.dataset, p.scale, 1.5, 2)
+	}},
+	{id: "fig5.17", aliases: []string{"fig5.19"}, run: func(dataset string, scale int) (string, error) {
+		table, err := benchmark.RunFig517(dataset, scale, 1.5, 2)
 		return table.String(), err
-	})},
-	{id: "concurrent", run: tableOnly(func(p expParams) (string, error) {
-		_, table, err := benchmark.RunConcurrent(benchmark.ConcurrentConfig{
-			Dataset:    p.dataset,
-			Scale:      p.scale,
-			SimLatency: p.latency,
-			Workers:    p.workers,
-		})
-		return table.String(), err
-	})},
-	{id: "recset", run: withReport(func(p expParams) (benchmark.RecsetReport, string, error) {
-		report, table, err := benchmark.RunRecset(p.dataset, p.scale)
-		return report, table.String(), err
-	})},
-	{id: "columnar", run: withReport(func(p expParams) (benchmark.ColumnarReport, string, error) {
-		report, table, err := benchmark.RunColumnar(p.dataset, p.scale)
-		return report, table.String(), err
-	})},
-	{id: "durable", run: withReport(func(p expParams) (benchmark.DurableReport, string, error) {
-		report, table, err := benchmark.RunDurable(p.dataset, p.scale)
-		if err != nil {
-			return report, "", err
-		}
-		// Attach the incremental-checkpoint experiment so BENCH_durable.json
-		// carries the full durability picture. SCI_50K regardless of
-		// -dataset: the reuse margins only show on a large seeded CVD.
-		incr, itable, err := benchmark.RunDurableIncremental("SCI_50K", 1)
-		if err != nil {
-			return report, "", err
-		}
-		report.Incremental = &incr
-		return report, table.String() + "\n" + itable.String(), nil
-	})},
-	{id: "durable-incremental", run: withReport(func(p expParams) (benchmark.IncrementalReport, string, error) {
-		report, table, err := benchmark.RunDurableIncremental("SCI_50K", 1)
-		return report, table.String(), err
-	})},
-	{id: "groupcommit", run: withReport(func(p expParams) (benchmark.GroupCommitReport, string, error) {
-		report, table, err := benchmark.RunGroupCommit(0)
-		return report, table.String(), err
-	})},
-	{id: "ch7", run: tableOnly(func(p expParams) (string, error) {
+	}},
+	{id: "ch7", run: func(dataset string, scale int) (string, error) {
 		table, err := benchmark.RunCh7(40, 7)
 		return table.String(), err
-	})},
-	{id: "ch8", run: tableOnly(func(p expParams) (string, error) {
+	}},
+	{id: "ch8", run: func(dataset string, scale int) (string, error) {
 		table, err := benchmark.RunCh8(30, 7)
 		return table.String(), err
-	})},
+	}},
 }
 
 // experimentIDs lists primary registry ids, sorted for the flag help.
@@ -190,67 +103,22 @@ func (e *experiment) matches(selector string) bool {
 	return false
 }
 
-func run(selector, specPath, dataset string, scale, workers int, latency time.Duration, out string) error {
-	if specPath != "" {
-		return runSpec(specPath, out)
-	}
-	p := expParams{dataset: dataset, scale: scale, workers: workers, latency: latency}
-	all := selector == "all"
+func run(selector, dataset string, scale int) error {
 	ran := false
 	for i := range experiments {
 		e := &experiments[i]
-		if !all && !e.matches(selector) {
+		if selector != "all" && !e.matches(selector) {
 			continue
 		}
 		ran = true
-		table, report, err := e.run(p)
+		table, err := e.run(dataset, scale)
 		if err != nil {
 			return err
 		}
 		fmt.Println(table)
-		if report == nil || out == "" {
-			continue
-		}
-		// -out is honored only for an explicitly selected experiment: under
-		// -experiment all, recset and columnar would otherwise write the same
-		// file one after the other, silently destroying the first report.
-		if all {
-			fmt.Printf("skipping -out for %s (only written with -experiment %s)\n", e.id, e.id)
-			continue
-		}
-		if err := os.WriteFile(out, append(report, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", out)
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q (known: %s)", selector, strings.Join(experimentIDs(), ", "))
 	}
-	return nil
-}
-
-// runSpec is the thin-loader path: parse the declarative spec, run it
-// through the workload harness, and write the BENCH_<name>.json report.
-func runSpec(specPath, out string) error {
-	spec, err := workload.ParseSpecFile(specPath)
-	if err != nil {
-		return err
-	}
-	report, err := workload.Run(spec)
-	if err != nil {
-		return err
-	}
-	doc, err := report.JSON()
-	if err != nil {
-		return err
-	}
-	if out == "" {
-		out = "BENCH_" + spec.Name + ".json"
-	}
-	if err := os.WriteFile(out, append(doc, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("%s: %d ops, %.0f ops/s, %d errors → %s\n",
-		spec.Name, report.TotalOps, report.ThroughputPerSec, report.TotalErrors, out)
 	return nil
 }

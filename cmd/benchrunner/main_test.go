@@ -1,29 +1,19 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
 // TestUnknownExperiment: an id that matches nothing is an error (main exits
-// non-zero on it), not a silent no-op run — with or without -out set.
+// non-zero on it), not a silent no-op run.
 func TestUnknownExperiment(t *testing.T) {
-	for _, out := range []string{"", filepath.Join(t.TempDir(), "never.json")} {
-		err := run("no-such-experiment", "", "SCI_1K", 1, 0, -1, out)
-		if err == nil {
-			t.Fatalf("unknown experiment id ran successfully (out=%q)", out)
-		}
-		if !strings.Contains(err.Error(), "no-such-experiment") {
-			t.Fatalf("error does not name the experiment: %v", err)
-		}
-		if out != "" {
-			if _, serr := os.Stat(out); serr == nil {
-				t.Fatalf("unknown experiment wrote %s", out)
-			}
-		}
+	err := run("no-such-experiment", "SCI_1K", 1)
+	if err == nil {
+		t.Fatal("unknown experiment id ran successfully")
+	}
+	if !strings.Contains(err.Error(), "no-such-experiment") {
+		t.Fatalf("error does not name the experiment: %v", err)
 	}
 }
 
@@ -48,7 +38,7 @@ func TestRegistryShape(t *testing.T) {
 // TestDispatchSingleExperiment: a known id at small scale runs end to end,
 // and alias ids select the same entry.
 func TestDispatchSingleExperiment(t *testing.T) {
-	if err := run("fig5.7", "", "SCI_1K", 1, 0, -1, ""); err != nil {
+	if err := run("fig5.7", "SCI_1K", 1); err != nil {
 		t.Fatalf("fig5.7: %v", err)
 	}
 }
@@ -63,83 +53,5 @@ func TestDispatchAlias(t *testing.T) {
 	}
 	if matched == nil || matched.id != "fig5.10" {
 		t.Fatalf("alias fig5.12 did not resolve to fig5.10: %+v", matched)
-	}
-}
-
-// TestSpecThinLoader: -spec routes through the workload harness and writes
-// the BENCH_<name>.json report.
-func TestSpecThinLoader(t *testing.T) {
-	dir := t.TempDir()
-	specPath := filepath.Join(dir, "loader.yaml")
-	spec := `name: loader
-dataset: SCI_1K
-clients: 2
-ops: 20
-mix:
-  commit: 10
-  checkout: 40
-  select: 50
-  merge: 0
-`
-	if err := os.WriteFile(specPath, []byte(spec), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out := filepath.Join(dir, "BENCH_loader.json")
-	if err := run("ignored", specPath, "SCI_10K", 1, 0, -1, out); err != nil {
-		t.Fatalf("spec run: %v", err)
-	}
-	doc, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		Spec     struct{ Name string }
-		TotalOps int64 `json:"total_ops"`
-	}
-	if err := json.Unmarshal(doc, &report); err != nil {
-		t.Fatalf("report is not JSON: %v", err)
-	}
-	if report.Spec.Name != "loader" || report.TotalOps != 20 {
-		t.Errorf("report: %s", doc)
-	}
-}
-
-// TestSpecBadFileFails: a broken spec is a hard error, not a fallback to the
-// preset experiments.
-func TestSpecBadFileFails(t *testing.T) {
-	specPath := filepath.Join(t.TempDir(), "broken.yaml")
-	if err := os.WriteFile(specPath, []byte("name: broken\nbogus: 1\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run("all", specPath, "SCI_10K", 1, 0, -1, ""); err == nil {
-		t.Fatal("broken spec ran successfully")
-	}
-}
-
-// TestOutWritesJSON: -out with an explicitly selected report-producing
-// experiment writes a parseable JSON document at the given path.
-func TestOutWritesJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full group-commit sweep")
-	}
-	out := filepath.Join(t.TempDir(), "gc.json")
-	if err := run("groupcommit", "", "SCI_1K", 1, 0, -1, out); err != nil {
-		t.Fatalf("groupcommit: %v", err)
-	}
-	doc, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatalf("-out file not written: %v", err)
-	}
-	var report struct {
-		Results []struct {
-			Clients int     `json:"clients"`
-			Speedup float64 `json:"speedup"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(doc, &report); err != nil {
-		t.Fatalf("-out is not valid JSON: %v", err)
-	}
-	if len(report.Results) != 2 || report.Results[0].Clients != 64 {
-		t.Fatalf("unexpected report shape: %+v", report)
 	}
 }

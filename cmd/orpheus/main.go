@@ -22,7 +22,7 @@
 //	optimize <cvd> [factor]                   run the partition optimizer (γ = factor·|R|)
 //	run <cvd> <vquel query ...>               run a VQuel query
 //	export <cvd> -v <v> -f <csv-file>         write a version to a CSV file
-//	save <dir>                                export a snapshot of the engine to a directory
+//	save <dir>                                export the engine to a fresh data directory
 //	load <dir>                                replace the session with a data directory's state
 //	log [cvd]                                 commit log (all CVDs, or one) plus durability status
 //	checkpoint                                write an incremental checkpoint manifest (durable sessions)
@@ -461,8 +461,8 @@ func (s *session) cmdExport(args []string) error {
 	return nil
 }
 
-// cmdSave exports a one-shot binary snapshot of the whole engine into a
-// directory that `orpheus -data <dir>` (or `load <dir>`) can open later.
+// cmdSave exports the whole engine into a fresh data directory — one
+// checkpoint — that `orpheus -data <dir>` (or `load <dir>`) can open later.
 func (s *session) cmdSave(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: save <dir>")

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/cvd"
 	"repro/internal/deltastore"
 	"repro/internal/partition"
@@ -425,166 +423,6 @@ func RunFig514(datasets []string, scale int, sampleVersions int) (Table, error) 
 		c.Drop()
 	}
 	return table, nil
-}
-
-// ---- Concurrent checkout scaling (multi-client throughput) -------------------
-
-// ConcurrentResult is one client-count measurement of the concurrent
-// checkout scaling experiment.
-type ConcurrentResult struct {
-	Clients    int
-	Checkouts  int // total checkouts across all clients
-	Elapsed    time.Duration
-	Throughput float64 // checkouts per second
-	Speedup    float64 // throughput relative to the single-client run
-}
-
-// ConcurrentConfig parameterizes RunConcurrent.
-type ConcurrentConfig struct {
-	// Dataset and Scale select the workload preset (default SCI_10K, scale 1).
-	Dataset string
-	Scale   int
-	// Clients is the list of concurrent client counts to sweep (default
-	// 1, 2, 4, 8).
-	Clients []int
-	// CheckoutsPerClient is how many single-version checkouts each client
-	// performs per run (default 10).
-	CheckoutsPerClient int
-	// SimLatency models the per-request client-server round trip of the
-	// original PostgreSQL-backed deployment (the engine here is embedded and
-	// in-memory, so without it a single-CPU machine cannot exhibit any
-	// concurrency benefit). Each client sleeps this long after every
-	// checkout, off the engine's locks, exactly like a client waiting on the
-	// wire. 0 selects the default of 5ms; set it negative to disable the
-	// sleep and measure pure in-process scaling on multi-core hardware.
-	SimLatency time.Duration
-	// Workers is the engine's intra-operation worker-pool size (the
-	// WithWorkers knob; default 0 = single-threaded operations, so the sweep
-	// isolates client-level concurrency).
-	Workers int
-}
-
-func (c *ConcurrentConfig) applyDefaults() {
-	if c.Dataset == "" {
-		c.Dataset = "SCI_10K"
-	}
-	if c.Scale <= 0 {
-		c.Scale = 1
-	}
-	if len(c.Clients) == 0 {
-		c.Clients = []int{1, 2, 4, 8}
-	}
-	if c.CheckoutsPerClient <= 0 {
-		c.CheckoutsPerClient = 10
-	}
-	if c.SimLatency < 0 {
-		c.SimLatency = 0
-	} else if c.SimLatency == 0 {
-		c.SimLatency = 5 * time.Millisecond
-	}
-}
-
-// RunConcurrent measures multi-client checkout throughput against a single
-// shared engine — the concurrent-workload counterpart of Figure 5.14. The
-// workload is loaded into a split-by-rlist CVD and partitioned with
-// LyreSplit at γ = 2|R| (so every single-version checkout touches exactly
-// one partition), then for each client count N, N goroutines concurrently
-// perform CheckoutsPerClient checkouts each of sampled versions through the
-// engine façade, discarding the staging table after every checkout. The
-// table reports throughput and the speedup over the single-client run:
-// since checkouts share the CVD's read lock, throughput should scale with
-// the client count until CPUs (or, with SimLatency = 0 on one CPU, the lack
-// of them) become the bottleneck.
-func RunConcurrent(cfg ConcurrentConfig) ([]ConcurrentResult, Table, error) {
-	cfg.applyDefaults()
-	preset, err := Preset(cfg.Dataset, cfg.Scale)
-	if err != nil {
-		return nil, Table{}, err
-	}
-	preset.Attributes = 10
-	w, err := Generate(preset)
-	if err != nil {
-		return nil, Table{}, err
-	}
-	engine := core.Open("concurrent", core.WithWorkers(cfg.Workers))
-	c, err := LoadCVD(engine.Database(), "cvd", w, cvd.SplitByRlist)
-	if err != nil {
-		return nil, Table{}, err
-	}
-	if err := engine.Adopt(c); err != nil {
-		return nil, Table{}, err
-	}
-	// Partition the CVD (Fig-5.14-style, γ = 2|R|) so each checkout scans one
-	// partition.
-	if _, err := engine.Optimize("cvd", 2.0); err != nil {
-		return nil, Table{}, err
-	}
-	sample := sampleVersionIDs(c.Versions(), 32)
-
-	var results []ConcurrentResult
-	for _, n := range cfg.Clients {
-		total := n * cfg.CheckoutsPerClient
-		start := time.Now()
-		var wg sync.WaitGroup
-		errs := make([]error, n)
-		for client := 0; client < n; client++ {
-			wg.Add(1)
-			go func(client int) {
-				defer wg.Done()
-				for k := 0; k < cfg.CheckoutsPerClient; k++ {
-					v := sample[(client*cfg.CheckoutsPerClient+k)%len(sample)]
-					tab := fmt.Sprintf("co_n%d_c%d_k%d", n, client, k)
-					if _, err := engine.Checkout("cvd", []vgraph.VersionID{v}, tab); err != nil {
-						errs[client] = err
-						return
-					}
-					c.DiscardCheckout(tab)
-					if cfg.SimLatency > 0 {
-						time.Sleep(cfg.SimLatency)
-					}
-				}
-			}(client)
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		for _, err := range errs {
-			if err != nil {
-				return nil, Table{}, err
-			}
-		}
-		results = append(results, ConcurrentResult{
-			Clients:    n,
-			Checkouts:  total,
-			Elapsed:    elapsed,
-			Throughput: float64(total) / elapsed.Seconds(),
-		})
-	}
-	// Speedups are relative to the 1-client run when the sweep includes one,
-	// and to the first run otherwise.
-	base := results[0].Throughput
-	for _, r := range results {
-		if r.Clients == 1 {
-			base = r.Throughput
-			break
-		}
-	}
-	if base > 0 {
-		for i := range results {
-			results[i].Speedup = results[i].Throughput / base
-		}
-	}
-	table := Table{
-		Title: fmt.Sprintf("Concurrent checkout scaling (%s, partitioned, latency=%s, workers=%d)",
-			cfg.Dataset, cfg.SimLatency, cfg.Workers),
-		Columns: []string{"clients", "checkouts", "elapsed", "throughput_per_s", "speedup_vs_1"},
-	}
-	for _, r := range results {
-		table.Rows = append(table.Rows, []string{
-			fmt.Sprintf("%d", r.Clients), fmt.Sprintf("%d", r.Checkouts), ms(r.Elapsed),
-			f2(r.Throughput), f2(r.Speedup),
-		})
-	}
-	return results, table, nil
 }
 
 func sampleVersionIDs(vs []vgraph.VersionID, n int) []vgraph.VersionID {

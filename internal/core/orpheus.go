@@ -59,9 +59,8 @@ type Engine struct {
 	// retain is the checkpoint retention window applied by OpenDurable
 	// (0 keeps the store default).
 	retain int
-	// fsys is the filesystem the durable layer runs on (nil means the real
-	// one, vfs.OS()); set by WithFS so fault-injection tests can route every
-	// durable I/O operation through a vfs.FaultFS.
+	// fsys is the filesystem the durable layer — data directory and exports
+	// alike — runs on: the real one unless WithFS substituted a vfs.FaultFS.
 	fsys vfs.FS
 	// recovery records what OpenDurable had to repair; immutable after open.
 	recovery RecoveryInfo
@@ -126,10 +125,10 @@ func GroupCommit(maxBatch int, maxDelay time.Duration) Option {
 	}
 }
 
-// WithFS routes a durable engine's storage I/O through fsys (OpenDurable
-// only; ephemeral engines ignore it). The production default is the real
-// filesystem; fault-injection tests pass a vfs.FaultFS to fail or crash at
-// any chosen I/O operation.
+// WithFS routes the engine's storage I/O — OpenDurable's data directory and
+// the directories Save and ExportEpoch write — through fsys. The production
+// default is the real filesystem; fault-injection tests pass a vfs.FaultFS to
+// fail or crash at any chosen I/O operation.
 func WithFS(fsys vfs.FS) Option {
 	return func(e *Engine) { e.fsys = fsys }
 }
@@ -141,6 +140,7 @@ func Open(name string, opts ...Option) *Engine {
 		cvds:     make(map[string]*cvd.CVD),
 		dropping: make(map[string]struct{}),
 		ckptSem:  make(chan struct{}, 1),
+		fsys:     vfs.OS(),
 	}
 	for _, o := range opts {
 		o(e)

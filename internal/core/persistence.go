@@ -7,7 +7,6 @@ import (
 	"repro/internal/cvd"
 	"repro/internal/durable"
 	"repro/internal/relstore"
-	"repro/internal/vfs"
 )
 
 // This file binds the engine to the durable storage subsystem (package
@@ -23,11 +22,7 @@ import (
 // appended to the WAL and fsynced before it returns.
 func OpenDurable(name, dir string, opts ...Option) (*Engine, error) {
 	e := Open(name, opts...)
-	fsys := e.fsys
-	if fsys == nil {
-		fsys = vfs.OS()
-	}
-	store, res, err := durable.OpenFS(dir, fsys)
+	store, res, err := durable.OpenFS(dir, e.fsys)
 	if err != nil {
 		return nil, err
 	}
@@ -242,18 +237,18 @@ func (e *Engine) buildSnapshot(exclusive, cow bool) (*durable.Snapshot, []*cvd.C
 	return snap, locked, release, nil
 }
 
-// Save exports a one-shot snapshot of the whole engine into dir (created if
-// needed): every CVD's versions, partition maps, and metadata, serialized
-// from the live columnar storage. The directory can later be opened with
-// OpenDurable. Saving into a live data directory (one with a WAL) is
-// refused — use Checkpoint for that.
+// Save exports the whole engine into dir (created if needed) as a data
+// directory holding one checkpoint: every CVD's versions, partition maps, and
+// metadata, serialized from the live columnar storage. The directory can
+// later be opened with OpenDurable. A directory that already holds checkpoint
+// or WAL state is refused — use Checkpoint for the engine's own.
 func (e *Engine) Save(dir string) error {
 	snap, _, release, err := e.buildSnapshot(false, false)
 	if err != nil {
 		return err
 	}
 	defer release()
-	return durable.SaveSnapshot(dir, snap)
+	return durable.Export(dir, e.fsys, snap)
 }
 
 // RetainedEpochs returns the checkpoint epochs the bound data directory still
@@ -267,8 +262,9 @@ func (e *Engine) RetainedEpochs() ([]uint64, error) {
 }
 
 // ExportEpoch exports the engine state captured by a retained checkpoint
-// epoch of the bound data directory as a flat snapshot in dir (which must not
-// be a live data directory). The export can later be loaded with OpenDurable.
+// epoch of the bound data directory into dir, as Save exports the live state
+// (dir must not already hold a data directory). The export can later be
+// loaded with OpenDurable.
 func (e *Engine) ExportEpoch(epoch uint64, dir string) error {
 	store := e.getStore()
 	if store == nil {
@@ -278,7 +274,7 @@ func (e *Engine) ExportEpoch(epoch uint64, dir string) error {
 	if err != nil {
 		return err
 	}
-	return durable.SaveSnapshot(dir, snap)
+	return durable.Export(dir, e.fsys, snap)
 }
 
 // Checkpoint folds the committed state into a fresh checkpoint manifest of

@@ -42,13 +42,6 @@ type rlistModel struct {
 	// workers bounds intra-operation parallelism: checkout scans are chunked
 	// and partition builds fan out across this many goroutines when > 1.
 	workers int
-
-	// cloneOnCheckout restores the pre-zero-copy behavior of deep-cloning
-	// every emitted row. Checkout shares row backing by default (rows are
-	// immutable once inserted; staging-table mutation is copy-on-write at
-	// the relstore layer); the clone path is kept only so the benchmark
-	// harness can measure the before/after difference.
-	cloneOnCheckout bool
 }
 
 func newRlistModel(db *relstore.Database, name string, schema relstore.Schema) *rlistModel {
@@ -132,10 +125,6 @@ func (m *rlistModel) AppendVersion(req CommitRequest) error {
 	return nil
 }
 
-// SetCloneOnCheckout restores the pre-zero-copy deep-clone checkout path;
-// benchmark-only (see the cloneOnCheckout field).
-func (m *rlistModel) SetCloneOnCheckout(clone bool) { m.cloneOnCheckout = clone }
-
 // rlistOf returns the rid list of a version from the versioning table
 // (ascending: AppendVersion stores CommitRequest.RIDs as it gets them).
 func (m *rlistModel) rlistOf(v vgraph.VersionID) ([]int64, error) {
@@ -170,23 +159,7 @@ func (m *rlistModel) Checkout(v vgraph.VersionID, tableName string) (*relstore.T
 		src = m.partitions[k]
 	}
 	data := m.db.MustTable(src)
-	if m.cloneOnCheckout {
-		// Benchmark-only replay of the pre-zero-copy path: materialize and
-		// deep-clone every matching row.
-		rows, err := relstore.JoinOnRIDSetParallel(data, ridColumn, set, m.join, m.workers)
-		if err != nil {
-			return nil, err
-		}
-		out := relstore.NewTable(tableName, data.Schema.Clone())
-		out.SetStats(data.Stats())
-		width := len(out.Schema.Columns)
-		for _, r := range rows {
-			out.AppendRow(padRow(r.Clone(), width))
-		}
-		_ = out.BuildIndexOn(ridColumn)
-		return out, nil
-	}
-	// The columnar fast path: the join resolves to a selection vector over
+	// The join resolves to a selection vector over
 	// the data table and the staging table is gathered column-wise — sharing
 	// the column backing outright (copy-on-write) when the version covers the
 	// whole backing table.

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
+	"sort"
 
 	"repro/internal/cvd"
 	"repro/internal/recset"
@@ -93,10 +95,18 @@ func bandSpan(b, band, n int) (int, int) {
 
 // ---- table column bands -----------------------------------------------------
 
+// Lane presence bits of a serialized column band.
+const (
+	laneInts uint8 = 1 << iota
+	laneFloats
+	laneStrs
+	laneArrs
+)
+
 // encodeColBand appends the chunk payload for rows [lo, hi) of one column to
 // e: kind, row count, lane presence mask, then each present lane under its
 // sampled encoding id (lanecodec.go). rawLanes forces the identity encodings
-// (the benchmark's uncompressed baseline).
+// (the uncompressed baseline the codec tests compare against).
 func encodeColBand(e *enc, l relstore.ColumnLanes, lo, hi int, rawLanes bool) {
 	e.u8(chunkColBand)
 	n := hi - lo
@@ -359,11 +369,34 @@ func (a *tableAssembler) addBand(ci int, payload []byte) error {
 	if a.begun[ci] && present != a.mask[ci] {
 		return fmt.Errorf("durable: table %s column %d: lane mask changed between bands (%x != %x)", a.meta.name, ci, present, a.mask[ci])
 	}
+	if !a.begun[ci] && n < a.meta.nrows {
+		// The first band says which lanes the column has; size them for the
+		// whole column once instead of regrowing them band after band.
+		lanes = reserveLanes(lanes, a.meta.nrows-n)
+	}
 	a.lanes[ci] = lanes
 	a.mask[ci] = present
 	a.begun[ci] = true
 	a.rows[ci] = lo + n
 	return nil
+}
+
+// reserveLanes grows every materialized lane of l by room for extra cells.
+func reserveLanes(l relstore.ColumnLanes, extra int) relstore.ColumnLanes {
+	l.Tags = slices.Grow(l.Tags, extra)
+	if len(l.Ints) > 0 {
+		l.Ints = slices.Grow(l.Ints, extra)
+	}
+	if len(l.Floats) > 0 {
+		l.Floats = slices.Grow(l.Floats, extra)
+	}
+	if len(l.Strs) > 0 {
+		l.Strs = slices.Grow(l.Strs, extra)
+	}
+	if len(l.Arrs) > 0 {
+		l.Arrs = slices.Grow(l.Arrs, extra)
+	}
+	return l
 }
 
 // finish validates completeness and builds the table.
@@ -377,6 +410,28 @@ func (a *tableAssembler) finish() (*relstore.Table, error) {
 }
 
 // ---- CVD head chunk ---------------------------------------------------------
+
+func sortedVersionKeys(m map[vgraph.VersionID]int) []vgraph.VersionID {
+	out := make([]vgraph.VersionID, 0, len(m))
+	for v := range m {
+		out = append(out, v)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+func (d *dec) recset() *recset.Set {
+	if d.err != nil {
+		return recset.New()
+	}
+	s, n, err := recset.DecodeBinary(d.b[d.off:])
+	if err != nil {
+		d.fail("decoding record set: %v", err)
+		return recset.New()
+	}
+	d.off += n
+	return s
+}
 
 // encodeCVDHead appends the CVD head chunk: the persisted CVD state minus the
 // record catalog and the per-version record sets, which chunk separately.
@@ -581,8 +636,22 @@ func decodeCatalogBand(dst []cvd.PersistedRecord, payload []byte) ([]cvd.Persist
 		return nil, fmt.Errorf("durable: chunk kind %d, want catalog band", k)
 	}
 	n := d.length(2)
+	// Rows are carved from one allocation per band (a band's rows are equally
+	// wide unless the schema evolved inside it). A cell is at least one byte,
+	// so what is left of the payload bounds the slab past the row in hand.
+	var slab []relstore.Value
 	for i := 0; i < n; i++ {
-		dst = append(dst, cvd.PersistedRecord{RID: vgraph.RecordID(d.uvarint()), Row: d.row()})
+		rid := vgraph.RecordID(d.uvarint())
+		w := d.length(1)
+		if len(slab) < w {
+			slab = make([]relstore.Value, max(w, min(w*(n-i), len(d.b)-d.off)))
+		}
+		row := relstore.Row(slab[:w:w])
+		slab = slab[w:]
+		for j := range row {
+			row[j] = d.value()
+		}
+		dst = append(dst, cvd.PersistedRecord{RID: rid, Row: row})
 		if d.err != nil {
 			return nil, d.err
 		}

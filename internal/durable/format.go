@@ -23,13 +23,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/relstore"
 )
 
 const (
-	// formatVersion is bumped on any incompatible change to the snapshot,
-	// chunk, or manifest layout. Readers refuse other versions.
+	// formatVersion is bumped on any incompatible change to the chunk, pack,
+	// or manifest layout. Readers refuse other versions.
 	// Version 2 introduced content-addressed chunked checkpoints (manifest +
 	// chunk pack), lane codecs, and epoch-named WAL segments.
 	formatVersion = 2
@@ -40,15 +41,9 @@ const (
 	// version image in init and commit records with the version's delta.
 	walFormatVersion = 3
 
-	snapshotMagic = "ORPHSNP1"
 	walMagic      = "ORPHWAL1"
 	packMagic     = "ORPHPAK1"
 	manifestMagic = "ORPHMAN1"
-
-	// SnapshotFile is the single-file snapshot name: the Save export format
-	// (and the only file of a Save-created directory). Live data directories
-	// instead persist through manifest-<epoch>.orph + chunks.orph.
-	SnapshotFile = "snapshot.orph"
 
 	// WALFile is the format v1 WAL name. v2 names WAL segments by epoch
 	// (WALSegmentFileName); the old name is only detected to refuse v1
@@ -75,13 +70,13 @@ func parseWALSegmentName(name string) (uint64, bool) {
 // enc is a little-endian append-only encoder over a byte slice.
 type enc struct{ b []byte }
 
-func (e *enc) u8(v uint8)      { e.b = append(e.b, v) }
-func (e *enc) u16(v uint16)    { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
-func (e *enc) u32(v uint32)    { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64)    { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
+func (e *enc) u8(v uint8)       { e.b = append(e.b, v) }
+func (e *enc) u16(v uint16)     { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
+func (e *enc) u32(v uint32)     { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
+func (e *enc) u64(v uint64)     { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 func (e *enc) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-func (e *enc) varint(v int64)  { e.b = binary.AppendVarint(e.b, v) }
-func (e *enc) f64(v float64)   { e.u64(math.Float64bits(v)) }
+func (e *enc) varint(v int64)   { e.b = binary.AppendVarint(e.b, v) }
+func (e *enc) f64(v float64)    { e.u64(math.Float64bits(v)) }
 func (e *enc) boolean(v bool) {
 	if v {
 		e.u8(1)
@@ -225,6 +220,23 @@ func (d *dec) raw(n int) []byte {
 
 // ---- shared sub-encodings ---------------------------------------------------
 
+// timeNano is how a time.Time is persisted: UnixNano, with the zero time
+// (whose UnixNano is undefined) stored as 0.
+func timeNano(t time.Time) int64 {
+	if t.IsZero() {
+		return 0
+	}
+	return t.UnixNano()
+}
+
+// nanoTime is the decoding half of timeNano.
+func nanoTime(ns int64) time.Time {
+	if ns == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, ns)
+}
+
 // value encodes one relstore.Value as a type tag plus typed payload.
 func (e *enc) value(v relstore.Value) {
 	e.u8(uint8(v.Type))
@@ -276,15 +288,6 @@ func (e *enc) row(r relstore.Row) {
 	for _, v := range r {
 		e.value(v)
 	}
-}
-
-func (d *dec) row() relstore.Row {
-	n := d.length(1)
-	r := make(relstore.Row, n)
-	for i := range r {
-		r[i] = d.value()
-	}
-	return r
 }
 
 func (e *enc) schema(s relstore.Schema) {

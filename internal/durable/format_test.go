@@ -1,10 +1,10 @@
 package durable
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
+	"repro/internal/cvd"
 	"repro/internal/recset"
 	"repro/internal/relstore"
 )
@@ -156,46 +156,6 @@ func TestTableBandChunkRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotStreamRoundTripAndCorruption(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	snap := &Snapshot{
-		DBName: "db",
-		Epoch:  42,
-		Tables: []*relstore.Table{
-			randomTable(t, rng, "a", 40),
-			randomTable(t, rng, "b", 7),
-		},
-	}
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, snap); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.DBName != "db" || got.Epoch != 42 || len(got.Tables) != 2 {
-		t.Fatalf("manifest mismatch: %+v", got)
-	}
-	for i := range snap.Tables {
-		tablesEqual(t, snap.Tables[i], got.Tables[i])
-	}
-
-	// Flip one payload byte: the section CRC must catch it.
-	raw := append([]byte(nil), buf.Bytes()...)
-	raw[len(raw)/2] ^= 0xFF
-	if _, err := ReadSnapshot(bytes.NewReader(raw)); err == nil {
-		t.Fatal("corrupted snapshot read succeeded")
-	}
-
-	// Truncations must error, not panic.
-	for cut := 1; cut < len(raw); cut += 97 {
-		if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
-			t.Fatalf("truncated snapshot (%d bytes) read succeeded", cut)
-		}
-	}
-}
-
 func TestRecsetBinaryRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	sets := []*recset.Set{
@@ -235,4 +195,51 @@ func orEmpty(s *recset.Set) *recset.Set {
 		return recset.New()
 	}
 	return s
+}
+
+// TestCatalogBandRows pins what the per-band row slab must not change: rows of
+// different widths in one band (a schema that evolved inside it) decode to
+// independent rows — appending to one cannot reach the next — and a row width
+// that overstates the payload is an error, not a slice out of bounds.
+func TestCatalogBandRows(t *testing.T) {
+	recs := []cvd.PersistedRecord{
+		{RID: 1, Row: relstore.Row{relstore.Int(10), relstore.Str("a")}},
+		{RID: 2, Row: relstore.Row{relstore.Int(20), relstore.Str("b")}},
+		{RID: 3, Row: relstore.Row{relstore.Int(30), relstore.Str("c"), relstore.Float(1.5)}},
+		{RID: 4, Row: relstore.Row{}},
+		{RID: 5, Row: relstore.Row{relstore.Int(50)}},
+	}
+	var e enc
+	encodeCatalogBand(&e, recs)
+	got, err := decodeCatalogBand(nil, e.b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(recs) {
+		t.Fatalf("%d records, want %d", len(got), len(recs))
+	}
+	for i, want := range recs {
+		if got[i].RID != want.RID || len(got[i].Row) != len(want.Row) {
+			t.Fatalf("record %d: rid %d width %d, want rid %d width %d", i, got[i].RID, len(got[i].Row), want.RID, len(want.Row))
+		}
+		for j := range want.Row {
+			if got[i].Row[j].Type != want.Row[j].Type || got[i].Row[j].AsString() != want.Row[j].AsString() {
+				t.Fatalf("record %d cell %d: %v, want %v", i, j, got[i].Row[j], want.Row[j])
+			}
+		}
+	}
+	_ = append(got[0].Row, relstore.Int(99))
+	if got[1].Row[0].I != 20 {
+		t.Fatalf("append to row 0 reached row 1: %v", got[1].Row[0])
+	}
+
+	var bad enc
+	bad.u8(chunkCatalogBand)
+	bad.uvarint(1) // one record
+	bad.uvarint(7) // rid
+	bad.uvarint(2) // two cells claimed, one byte follows
+	bad.u8(uint8(relstore.TypeNull))
+	if _, err := decodeCatalogBand(nil, bad.b); err == nil {
+		t.Fatal("overstated row width decoded")
+	}
 }

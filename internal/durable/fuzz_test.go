@@ -253,16 +253,16 @@ func FuzzWALRecordDecode(f *testing.F) {
 	})
 }
 
-// FuzzScrub feeds hostile bytes as an entire data directory — pack, manifest,
-// WAL segment, and flat snapshot all at once — and demands Scrub classify the
+// FuzzScrub feeds hostile bytes as an entire data directory — pack, manifest
+// and WAL segment all at once — and demands Scrub classify the
 // wreckage (or error) without ever panicking, with and without repair. The
 // repair pass additionally exercises truncation, quarantine, and the
 // verification reopen against arbitrary garbage.
 func FuzzScrub(f *testing.F) {
-	f.Add([]byte(packMagic+"\x02\x00\x00\x00"), []byte(manifestMagic), []byte(walMagic), []byte{})
+	f.Add([]byte(packMagic+"\x02\x00\x00\x00"), []byte(manifestMagic), []byte(walMagic))
 	f.Add([]byte("ORPHPAK1\x02\x00\x00\x00garbage frame bytes"), []byte("not a manifest"),
-		[]byte("ORPHWAL1\x03\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\xff\xff"), []byte(snapshotMagic))
-	f.Add([]byte{}, []byte{}, []byte{}, []byte{0x00})
+		[]byte("ORPHWAL1\x03\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\xff\xff"))
+	f.Add([]byte{}, []byte{}, []byte{})
 	// A well-formed segment of real records, so mutations reach the record
 	// decoder and the continuity check behind the frame CRC.
 	segment := []byte("ORPHWAL1\x03\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00")
@@ -273,14 +273,13 @@ func FuzzScrub(f *testing.F) {
 		}
 		segment = append(segment, frame...)
 	}
-	f.Add([]byte{}, []byte{}, segment, []byte{})
-	f.Fuzz(func(t *testing.T, pack, man, wal, snap []byte) {
+	f.Add([]byte{}, []byte{}, segment)
+	f.Fuzz(func(t *testing.T, pack, man, wal []byte) {
 		dir := t.TempDir()
 		for name, data := range map[string][]byte{
 			PackFile:              pack,
 			ManifestFileName(1):   man,
 			WALSegmentFileName(1): wal,
-			SnapshotFile:          snap,
 		} {
 			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 				t.Fatal(err)

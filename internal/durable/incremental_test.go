@@ -1,0 +1,133 @@
+package durable
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/cvd"
+	"repro/internal/relstore"
+	"repro/internal/vgraph"
+)
+
+// gateSchema is the SCI presets' record shape: an integer key and nineteen
+// integer attributes.
+func gateSchema() relstore.Schema {
+	cols := []relstore.Column{{Name: "key", Type: relstore.TypeInt}}
+	for i := 1; i < 20; i++ {
+		cols = append(cols, relstore.Column{Name: fmt.Sprintf("a%02d", i), Type: relstore.TypeInt})
+	}
+	return relstore.MustSchema(cols, "key")
+}
+
+// gateRows returns n records with keys from first, attributes drawn below 10^6
+// as the SCI generator draws them.
+func gateRows(rng *rand.Rand, first, n int) []relstore.Row {
+	rows := make([]relstore.Row, n)
+	for k := range rows {
+		rows[k] = relstore.Row{relstore.Int(int64(first + k))}
+		for i := 1; i < 20; i++ {
+			rows[k] = append(rows[k], relstore.Int(rng.Int63n(1_000_000)))
+		}
+	}
+	return rows
+}
+
+// commitSmallVersions commits n versions of 25 fresh records each, all children
+// of v1: the small-delta commits an incremental checkpoint is for.
+func commitSmallVersions(t *testing.T, c *cvd.CVD, rng *rand.Rand, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := c.Commit([]vgraph.VersionID{1}, gateRows(rng, int(c.NumRecords()), 25), gateSchema(), "small", "t"); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// seededCVD builds a split-by-rlist CVD large enough that the data table, the
+// catalog and the record sets all have full interior bands, which is what an
+// incremental checkpoint can reuse: 64 000 records in the first version and 20
+// small versions after it. On a smaller one the tail bands, which every
+// checkpoint re-encodes, dominate the counts.
+func seededCVD(t *testing.T, rng *rand.Rand) (*relstore.Database, *cvd.CVD) {
+	t.Helper()
+	db := relstore.NewDatabase("seeded")
+	c, err := cvd.Init(db, "d", gateSchema(), gateRows(rng, 0, 64_000), cvd.Options{Model: cvd.SplitByRlist})
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitSmallVersions(t, c, rng, 20)
+	return db, c
+}
+
+// snapshotOf captures the CVD as a checkpoint takes it.
+func snapshotOf(t *testing.T, db *relstore.Database, c *cvd.CVD) *Snapshot {
+	t.Helper()
+	st := c.ExportState()
+	snap := &Snapshot{DBName: db.Name(), CVDs: []*cvd.PersistentState{st}}
+	for _, name := range st.Tables {
+		snap.Tables = append(snap.Tables, db.MustTable(name))
+	}
+	return snap
+}
+
+// TestCheckpointGates holds the two deterministic gates of the checkpoint
+// format. Both are byte and chunk counts, the same on every machine.
+func TestCheckpointGates(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	db, c := seededCVD(t, rng)
+
+	// Lane codecs: over every column band of the CVD's tables, the sampled
+	// encodings take at most half the bytes of the identity encodings.
+	var sampled, identity int
+	var e enc
+	for _, tab := range snapshotOf(t, db, c).Tables {
+		meta := metaForTable(tab)
+		for ci := range meta.schema.Columns {
+			lanes := tab.ColumnLanes(ci)
+			for b := 0; b < numBands(meta.nrows, meta.bandRows); b++ {
+				lo, hi := bandSpan(b, meta.bandRows, meta.nrows)
+				e.b = e.b[:0]
+				encodeColBand(&e, lanes, lo, hi, false)
+				sampled += len(e.b)
+				e.b = e.b[:0]
+				encodeColBand(&e, lanes, lo, hi, true)
+				identity += len(e.b)
+			}
+		}
+	}
+	t.Logf("table bands: %d B under the sampled codecs, %d B under identity encodings (%.2fx)", sampled, identity, float64(identity)/float64(sampled))
+	if sampled*2 > identity {
+		t.Errorf("sampled lane codecs encode the table bands in %d B, want <= half of the identity encodings' %d B", sampled, identity)
+	}
+
+	// Content addressing: after a burst of small commits, a checkpoint writes
+	// at most 15 % of the bytes of the first one and rewrites at most 15 % of
+	// its chunks.
+	s, _, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	full, err := s.CheckpointSync(snapshotOf(t, db, c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The pack may still dedup the odd pair of identical small bands.
+	if full.ChunksWritten < full.Chunks*9/10 {
+		t.Errorf("first checkpoint wrote only %d of %d chunks", full.ChunksWritten, full.Chunks)
+	}
+	commitSmallVersions(t, c, rng, 20)
+	incr, err := s.CheckpointSync(snapshotOf(t, db, c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("first checkpoint: %d chunks, %d B written; after the burst: %d of %d chunks rewritten, %d B written",
+		full.Chunks, full.BytesWritten, incr.ChunksWritten, incr.Chunks, incr.BytesWritten)
+	if limit := full.BytesWritten * 15 / 100; incr.BytesWritten > limit {
+		t.Errorf("incremental checkpoint wrote %d B, want <= %d (15%% of the first checkpoint's %d)", incr.BytesWritten, limit, full.BytesWritten)
+	}
+	if limit := incr.Chunks * 15 / 100; incr.ChunksWritten > limit {
+		t.Errorf("incremental checkpoint rewrote %d of %d chunks, want <= %d (15%%)", incr.ChunksWritten, incr.Chunks, limit)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/vfs"
 )
@@ -271,26 +270,6 @@ func (m *manifest) chunkRefs(fn func(ChunkHash)) {
 	}
 }
 
-// listManifestEpochs returns the epochs of all manifest files in dir,
-// ascending.
-func listManifestEpochs(fsys vfs.FS, dir string) ([]uint64, error) {
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var epochs []uint64
-	for _, ent := range entries {
-		if ent.IsDir() {
-			continue
-		}
-		if epoch, ok := parseManifestName(ent.Name()); ok {
-			epochs = append(epochs, epoch)
-		}
-	}
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
-	return epochs, nil
-}
-
 // loadSnapshotFromManifest assembles the full snapshot a manifest describes,
 // fetching chunk payloads through get.
 func loadSnapshotFromManifest(m *manifest, get func(ChunkHash) ([]byte, error)) (*Snapshot, error) {
@@ -350,65 +329,4 @@ func loadSnapshotFromManifest(m *manifest, get func(ChunkHash) ([]byte, error)) 
 		snap.CVDs = append(snap.CVDs, st)
 	}
 	return snap, nil
-}
-
-// manifestForSnapshot is used by tests and the flat-file writer to derive
-// geometry without going through the store: it chunks a snapshot and hands
-// every payload to emit, returning the manifest skeleton. emit receives the
-// payload and must return its hash (typically hashChunk + pack put).
-func manifestForSnapshot(snap *Snapshot, rawLanes bool, emit func(payload []byte) (ChunkHash, error)) (*manifest, error) {
-	m := &manifest{dbName: snap.DBName, epoch: snap.Epoch}
-	var e enc
-	for _, t := range snap.Tables {
-		meta := metaForTable(t)
-		mt := manifestTable{meta: meta, cols: make([][]ChunkHash, len(meta.schema.Columns))}
-		nbands := numBands(meta.nrows, meta.bandRows)
-		for ci := range mt.cols {
-			lanes := t.ColumnLanes(ci)
-			bands := make([]ChunkHash, nbands)
-			for b := range bands {
-				lo, hi := bandSpan(b, meta.bandRows, meta.nrows)
-				e.b = e.b[:0]
-				encodeColBand(&e, lanes, lo, hi, rawLanes)
-				h, err := emit(e.b)
-				if err != nil {
-					return nil, err
-				}
-				bands[b] = h
-			}
-			mt.cols[ci] = bands
-		}
-		m.tables = append(m.tables, mt)
-	}
-	for _, st := range snap.CVDs {
-		layout := layoutForCVD(st)
-		mc := manifestCVD{layout: layout}
-		e.b = e.b[:0]
-		encodeCVDHead(&e, st)
-		h, err := emit(e.b)
-		if err != nil {
-			return nil, err
-		}
-		mc.head = h
-		mc.catalog = make([]ChunkHash, numBands(layout.records, layout.catBand))
-		for b := range mc.catalog {
-			lo, hi := bandSpan(b, layout.catBand, layout.records)
-			e.b = e.b[:0]
-			encodeCatalogBand(&e, st.Records[lo:hi])
-			if mc.catalog[b], err = emit(e.b); err != nil {
-				return nil, err
-			}
-		}
-		mc.runs = make([]ChunkHash, numBands(layout.sets, layout.runLen))
-		for b := range mc.runs {
-			lo, hi := bandSpan(b, layout.runLen, layout.sets)
-			e.b = e.b[:0]
-			encodeRecsetRun(&e, st.RecordSets[lo:hi])
-			if mc.runs[b], err = emit(e.b); err != nil {
-				return nil, err
-			}
-		}
-		m.cvds = append(m.cvds, mc)
-	}
-	return m, nil
 }

@@ -64,9 +64,6 @@ const (
 	IssueCorruptWALRecord IssueKind = "corrupt-wal-record"
 	// IssueMissingWALSegment: the manifest/segment epoch chain has a hole.
 	IssueMissingWALSegment IssueKind = "missing-wal-segment"
-	// IssueCorruptSnapshot: the flat snapshot.orph fails validation (only
-	// checked when it is the recovery root, i.e. no manifest exists).
-	IssueCorruptSnapshot IssueKind = "corrupt-snapshot"
 	// IssueUnopenable: after repairs, a full open of the directory still
 	// fails (reported by Scrub's verification pass).
 	IssueUnopenable IssueKind = "unopenable"
@@ -160,12 +157,12 @@ func Scrub(dir string, opts ScrubOptions) (*ScrubReport, error) {
 
 // packState is the pack walk's outcome.
 type packState struct {
-	path    string
-	exists  bool
-	valid   map[ChunkHash]chunkLoc
-	corrupt map[ChunkHash]chunkLoc // frames present but failing CRC or hash
-	tornAt  int64                  // file offset of a torn tail, -1 if none
-	size    int64
+	path      string
+	exists    bool
+	valid     map[ChunkHash]chunkLoc
+	corrupt   map[ChunkHash]chunkLoc // frames present but failing CRC or hash
+	tornAt    int64                  // file offset of a torn tail, -1 if none
+	size      int64
 	headerBad string // non-empty: the file is not a readable pack at all
 }
 
@@ -403,6 +400,13 @@ func scanWALSegment(fsys vfs.FS, path string, epoch uint64, cursors walCursors) 
 // scrubLocked runs the actual analysis (and repairs) under the directory
 // lock.
 func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) error {
+	listing, err := listDataDir(fsys, dir)
+	if err != nil {
+		return err
+	}
+	if err := listing.refuseFlatExport(dir); err != nil {
+		return err
+	}
 	packPath := filepath.Join(dir, PackFile)
 	pack, err := scanPackFile(fsys, packPath, rep)
 	if err != nil {
@@ -427,12 +431,8 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 	}
 
 	// Manifests: file integrity plus every chunk reference.
-	epochs, err := listManifestEpochs(fsys, dir)
-	if err != nil {
-		return err
-	}
 	var manifests []*manifestState
-	for _, e := range epochs {
+	for _, e := range listing.manifests {
 		ms := &manifestState{epoch: e, path: filepath.Join(dir, ManifestFileName(e))}
 		rep.ManifestsChecked++
 		m, err := readManifestFile(fsys, ms.path)
@@ -475,7 +475,7 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 	}
 
 	// The recovery root Scrub will hold the directory to: the newest usable
-	// manifest, else the flat snapshot (validated only when it is the root).
+	// manifest, or the empty state of a directory never checkpointed.
 	bestUsable := -1
 	for i := len(manifests) - 1; i >= 0; i-- {
 		if manifests[i].usable() {
@@ -493,20 +493,8 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 			cursors = cursorsOf(heads)
 		}
 	} else if len(manifests) == 0 {
-		snapPath := filepath.Join(dir, SnapshotFile)
-		if _, err := fsys.Stat(snapPath); err == nil {
-			snap, err := readSnapshotFileFS(fsys, snapPath)
-			if err != nil {
-				rep.addIssue(ScrubIssue{Kind: IssueCorruptSnapshot, Path: snapPath, Detail: err.Error()})
-			} else if snap != nil {
-				base = snap.Epoch
-				haveRoot = true
-				cursors = cursorsOf(snap.CVDs)
-			}
-		} else {
-			haveRoot = true // empty/fresh directory: base 0
-			cursors = walCursors{}
-		}
+		haveRoot = true
+		cursors = walCursors{}
 	}
 
 	// Quarantine fallback: the newest manifests are damaged but an older one
@@ -540,18 +528,13 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 	}
 
 	// WAL segments: framing, record decode, and chain contiguity from base.
-	segs, err := listWALSegments(fsys, dir)
-	if err != nil {
-		return err
-	}
 	var chain []walSegment
-	for _, seg := range segs {
+	for _, seg := range listing.segments {
 		if seg.epoch < base {
 			continue // stale: recovery deletes these, content already checkpointed
 		}
 		chain = append(chain, seg)
 	}
-	sort.Slice(chain, func(i, j int) bool { return chain[i].epoch < chain[j].epoch })
 	if haveRoot && len(chain) > 0 {
 		if chain[0].epoch != base {
 			is := ScrubIssue{Kind: IssueMissingWALSegment, Path: dir,

@@ -221,11 +221,11 @@ func TestScrubDanglingRef(t *testing.T) {
 // every committed record intact.
 func TestScrubTornWALTail(t *testing.T) {
 	dir := buildScrubDir(t)
-	segs, err := listWALSegments(vfs.OS(), dir)
+	listing, err := listDataDir(vfs.OS(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	active := segs[len(segs)-1]
+	active := listing.segments[len(listing.segments)-1]
 	f, err := os.OpenFile(active.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)

@@ -45,7 +45,7 @@ type Store struct {
 	walPath    string
 	lock       io.Closer // held advisory lock fencing other processes
 	epoch      uint64    // active WAL segment epoch == next manifest epoch
-	base       uint64    // newest durable manifest epoch (or flat-snapshot epoch)
+	base       uint64    // newest durable manifest epoch (0 before the first checkpoint)
 	walSize    int64     // offset just past the last durable record (header included)
 	poisoned   error     // sticky fatal error: the log tail state is unknown
 	sealed     []walSegment
@@ -177,6 +177,17 @@ func lockDir(fsys vfs.FS, dir string) (io.Closer, error) {
 	return lock, nil
 }
 
+// Snapshot is the complete persisted state of an engine: the backing
+// database's tables (serialized straight from their columnar lanes) plus the
+// logical state of every CVD. Epoch pairs the snapshot with the WAL
+// generation that continues it (see Store.Checkpoint).
+type Snapshot struct {
+	DBName string
+	Epoch  uint64
+	Tables []*relstore.Table
+	CVDs   []*cvd.PersistentState
+}
+
 // OpenResult is what Open recovered from a data directory: the snapshot (nil
 // when none was ever written) and recovery diagnostics. The WAL records that
 // continue the snapshot are streamed separately through Store.ReplayWAL so a
@@ -194,7 +205,7 @@ type OpenResult struct {
 // removeLeftoverTemps clears crash debris: temp files whose rename never
 // happened.
 func removeLeftoverTemps(fsys vfs.FS, dir string) {
-	for _, pat := range []string{".snapshot-*.tmp", ".manifest-*.tmp", ".chunks-*.tmp"} {
+	for _, pat := range []string{".manifest-*.tmp", ".chunks-*.tmp"} {
 		matches, _ := vfs.Glob(fsys, dir, pat)
 		for _, m := range matches {
 			fsys.Remove(m)
@@ -202,28 +213,52 @@ func removeLeftoverTemps(fsys vfs.FS, dir string) {
 	}
 }
 
-// listWALSegments returns the directory's WAL segments, epoch-ascending.
-func listWALSegments(fsys vfs.FS, dir string) ([]walSegment, error) {
+// dirListing is one ReadDir of a data directory, sorted into the files
+// recovery is rooted in.
+type dirListing struct {
+	manifests []uint64     // retained checkpoint epochs, ascending
+	segments  []walSegment // WAL segments, epoch-ascending
+	flat      bool         // a snapshot.orph is present
+}
+
+// listDataDir lists dir once.
+func listDataDir(fsys vfs.FS, dir string) (dirListing, error) {
+	var l dirListing
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return l, err
 	}
-	var segs []walSegment
 	for _, ent := range entries {
 		if ent.IsDir() {
 			continue
 		}
-		if epoch, ok := parseWALSegmentName(ent.Name()); ok {
-			segs = append(segs, walSegment{epoch: epoch, path: filepath.Join(dir, ent.Name())})
+		name := ent.Name()
+		if epoch, ok := parseManifestName(name); ok {
+			l.manifests = append(l.manifests, epoch)
+		} else if epoch, ok := parseWALSegmentName(name); ok {
+			l.segments = append(l.segments, walSegment{epoch: epoch, path: filepath.Join(dir, name)})
+		} else if name == "snapshot.orph" {
+			l.flat = true
 		}
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].epoch < segs[j].epoch })
-	return segs, nil
+	sort.Slice(l.manifests, func(i, j int) bool { return l.manifests[i] < l.manifests[j] })
+	sort.Slice(l.segments, func(i, j int) bool { return l.segments[i].epoch < l.segments[j].epoch })
+	return l, nil
+}
+
+// refuseFlatExport fails for a directory whose only recovery root is the
+// single-file export builds before pack + manifest exports wrote: without
+// this it would open as an empty store. Next to a manifest the file is
+// ignored, as it always was.
+func (l dirListing) refuseFlatExport(dir string) error {
+	if l.flat && len(l.manifests) == 0 {
+		return fmt.Errorf("durable: %s holds a flat snapshot.orph export; this build reads pack + manifest only — re-export with a build that wrote it", dir)
+	}
+	return nil
 }
 
 // Open opens (creating if needed) a data directory and recovers it: the
-// newest manifest's chunks are assembled into the snapshot (falling back to a
-// flat snapshot.orph export if no checkpoint ever completed), stale WAL
+// newest manifest's chunks are assembled into the snapshot, stale WAL
 // segments are deleted, and the surviving segments' framing is validated — a
 // torn tail from a crashed append is truncated so the active segment ends on
 // a record boundary. Call ReplayWAL next to stream the surviving records; the
@@ -270,6 +305,14 @@ func OpenFS(dir string, fsys vfs.FS) (*Store, *OpenResult, error) {
 		return nil, nil, err
 	}
 	removeLeftoverTemps(fsys, dir)
+	listing, err := listDataDir(fsys, dir)
+	if err != nil {
+		return fail(err)
+	}
+	if err := listing.refuseFlatExport(dir); err != nil {
+		return fail(err)
+	}
+	epochs, segs := listing.manifests, listing.segments
 
 	// A torn pack tail is routine crash debris: chunks only become reachable
 	// once a manifest referencing them is durably renamed in, and the pack is
@@ -280,10 +323,6 @@ func OpenFS(dir string, fsys vfs.FS) (*Store, *OpenResult, error) {
 	}
 	s.pack = pack
 
-	epochs, err := listManifestEpochs(fsys, dir)
-	if err != nil {
-		return fail(err)
-	}
 	for _, e := range epochs {
 		m, err := readManifestFile(fsys, filepath.Join(dir, ManifestFileName(e)))
 		if err != nil {
@@ -301,21 +340,8 @@ func OpenFS(dir string, fsys vfs.FS) (*Store, *OpenResult, error) {
 			return fail(err)
 		}
 		res.Snapshot = snap
-	} else {
-		snap, err := readSnapshotFileFS(fsys, filepath.Join(dir, SnapshotFile))
-		if err != nil {
-			return fail(err)
-		}
-		if snap != nil {
-			s.base = snap.Epoch
-			res.Snapshot = snap
-		}
 	}
 
-	segs, err := listWALSegments(fsys, dir)
-	if err != nil {
-		return fail(err)
-	}
 	var keep []walSegment
 	for _, seg := range segs {
 		if seg.epoch < s.base {
@@ -746,9 +772,6 @@ func (s *Store) CompleteCheckpoint(job *CheckpointJob, snap *Snapshot) (Checkpoi
 	retain := s.retain
 	s.mu.Unlock()
 
-	// The flat snapshot export (if this directory began life as one) is
-	// superseded by the manifest now.
-	s.fsys.Remove(filepath.Join(s.dir, SnapshotFile))
 	s.collectGarbage(retain)
 	stats.Duration = time.Since(job.start)
 	return stats, nil
@@ -1018,7 +1041,8 @@ func (s *Store) LoadEpoch(epoch uint64) (*Snapshot, error) {
 // ListEpochs returns the retained checkpoint epochs of a data directory,
 // ascending, without opening it as a store.
 func ListEpochs(dir string) ([]uint64, error) {
-	return listManifestEpochs(vfs.OS(), dir)
+	l, err := listDataDir(vfs.OS(), dir)
+	return l.manifests, err
 }
 
 // OpenAtEpoch loads the snapshot of one retained epoch from a closed data
@@ -1030,6 +1054,13 @@ func OpenAtEpoch(dir string, epoch uint64) (*Snapshot, error) {
 		return nil, err
 	}
 	defer lock.Close()
+	listing, err := listDataDir(fsys, dir)
+	if err != nil {
+		return nil, err
+	}
+	if err := listing.refuseFlatExport(dir); err != nil {
+		return nil, err
+	}
 	m, err := readManifestFile(fsys, filepath.Join(dir, ManifestFileName(epoch)))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -1045,72 +1076,33 @@ func OpenAtEpoch(dir string, epoch uint64) (*Snapshot, error) {
 	return loadSnapshotFromManifest(m, pack.get)
 }
 
-// WALBytes sums the sizes of a data directory's WAL segments — the log
-// volume recovery would have to replay.
-func WALBytes(dir string) (int64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, ent := range entries {
-		if ent.IsDir() {
-			continue
+// Export writes snap into dir (created if needed) as a data directory of its
+// own holding one checkpoint — taken by the ordinary checkpoint path of a
+// store opened on dir, so an export is read back by the only reader there is.
+// All I/O goes through fsys. A directory that already holds checkpoint or WAL
+// state is refused: checkpointing an unrelated snapshot over it would orphan
+// that history. Looking before opening matters twice over — Open repairs what
+// it finds, and the directory of a running engine would otherwise fail on the
+// lock with a message about another engine.
+func Export(dir string, fsys vfs.FS, snap *Snapshot) error {
+	if l, err := listDataDir(fsys, dir); err == nil {
+		what := ""
+		if len(l.manifests) > 0 {
+			what = "a checkpoint manifest"
+		} else if len(l.segments) > 0 {
+			what = "a WAL segment"
 		}
-		if _, ok := parseWALSegmentName(ent.Name()); !ok {
-			continue
+		if what != "" {
+			return fmt.Errorf("durable: %s is a live data directory (has %s); export into a fresh directory", dir, what)
 		}
-		info, err := ent.Info()
-		if err != nil {
-			return 0, err
-		}
-		total += info.Size()
 	}
-	return total, nil
-}
-
-// SaveSnapshot writes a one-shot flat snapshot (epoch 0, no WAL) into dir,
-// creating it if needed — the engine's Save-to-a-new-directory export path.
-// The directory's advisory lock is held for the write so a concurrent engine
-// cannot open the directory mid-export. A directory that already holds live
-// checkpoint state is refused: overwriting part of it would desynchronize
-// the manifest/WAL pairing.
-func SaveSnapshot(dir string, snap *Snapshot) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	// Check for live artifacts before taking the flock: saving into a live,
-	// currently open data directory then fails with this message instead of
-	// the lock contention one. The post-lock write is still fenced either way.
-	if live, what := liveDirArtifact(dir); live {
-		return fmt.Errorf("durable: %s is a live data directory (has %s); use Checkpoint instead of Save", dir, what)
-	}
-	lock, err := lockDir(vfs.OS(), dir)
+	s, _, err := OpenFS(dir, fsys)
 	if err != nil {
 		return err
 	}
-	defer lock.Close()
-	snap.Epoch = 0
-	return WriteSnapshotFile(filepath.Join(dir, SnapshotFile), snap)
-}
-
-// liveDirArtifact reports whether dir holds live data-directory state and
-// what kind was found.
-func liveDirArtifact(dir string) (bool, string) {
-	if _, err := os.Stat(filepath.Join(dir, WALFile)); err == nil {
-		return true, "a format v1 WAL"
+	err = s.Checkpoint(snap)
+	if cerr := s.Close(); err == nil {
+		err = cerr
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false, ""
-	}
-	for _, ent := range entries {
-		if _, ok := parseManifestName(ent.Name()); ok {
-			return true, "a checkpoint manifest"
-		}
-		if _, ok := parseWALSegmentName(ent.Name()); ok {
-			return true, "a WAL segment"
-		}
-	}
-	return false, ""
+	return err
 }

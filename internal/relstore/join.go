@@ -307,20 +307,6 @@ func parallelSetSelection(data *Table, ridColumn string, set *recset.Set, worker
 	return sel, nil
 }
 
-// JoinOnRIDSetParallel is JoinOnRIDSet with the chunked-scan parallelism of
-// parallelSetSelection; the compressed set is shared read-only across the
-// probing goroutines.
-func JoinOnRIDSetParallel(data *Table, ridColumn string, set *recset.Set, method JoinMethod, workers int) ([]Row, error) {
-	if method != HashJoin || workers <= 1 || data.nrows < parallelJoinMinRows {
-		return JoinOnRIDSet(data, ridColumn, set, method)
-	}
-	sel, err := parallelSetSelection(data, ridColumn, set, workers)
-	if err != nil {
-		return nil, err
-	}
-	return data.GatherRows(sel), nil
-}
-
 // JoinOnRIDsParallel is JoinOnRIDs with intra-operation parallelism: for the
 // hash join, the probe of the rid column is split into contiguous chunks
 // probed concurrently by up to workers goroutines, and the chunk selections

@@ -369,8 +369,12 @@ func DecodeIntLane(dst []int64, src []byte, encoding uint8, n int) ([]int64, int
 			bi := bit >> 3
 			shift := uint(bit & 7)
 			var word uint64
-			for k := 0; k < 8 && bi+k < len(packed); k++ {
-				word |= uint64(packed[bi+k]) << (8 * k)
+			if bi+8 <= len(packed) {
+				word = binary.LittleEndian.Uint64(packed[bi:])
+			} else {
+				for k := 0; bi+k < len(packed); k++ {
+					word |= uint64(packed[bi+k]) << (8 * k)
+				}
 			}
 			d := word >> shift
 			if shift > 0 && shift+uint(width) > 64 && bi+8 < len(packed) {

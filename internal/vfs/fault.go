@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"syscall"
 	"time"
@@ -208,13 +209,19 @@ func (s *FaultFS) stepLocked(isWrite, isSync bool) error {
 // crashLocked torn-flushes every dirty node and marks the filesystem dead.
 // For each dirty file the durable image keeps the already-synced prefix plus
 // a seeded-random number of the unflushed bytes; a pending truncation
-// persists (or not) independently.
+// persists (or not) independently. Files tear in name order, so the seed
+// decides the images whatever order the map yields them in.
 func (s *FaultFS) crashLocked() {
 	s.down = true
+	names := make([]string, 0, len(s.nodes))
 	for name, node := range s.nodes {
-		if !node.dirty {
-			continue
+		if node.dirty {
+			names = append(names, name)
 		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		node := s.nodes[name]
 		real, err := s.readInner(name)
 		if err != nil || bytes.Equal(real, node.view) {
 			continue

@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestRunCheckpointAndRestore pins the runner's checkpoint_every/restore_epoch
 // wiring: background checkpoints fire during the run, and afterwards the data
@@ -59,40 +56,4 @@ func TestRunRestoreSpecificEpoch(t *testing.T) {
 		t.Errorf("restore: verified=%v epoch=%d, want verified epoch 1",
 			report.RestoreVerified, report.RestoredEpoch)
 	}
-}
-
-// TestCheckpointImpactContinuousIngest is the commit-p99 budget assertion for
-// the continuous_ingest spec: background checkpoints must not blow up
-// foreground commit latency. The spec file is shortened for the unit suite
-// (CI runs the full spec via workloadrunner).
-func TestCheckpointImpactContinuousIngest(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timed two-leg workload")
-	}
-	spec, err := ParseSpecFile("../../specs/continuous_ingest.yaml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Duration = Duration(900 * time.Millisecond)
-	spec.Engine.CheckpointEvery = 40
-	imp, err := RunCheckpointImpact(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if imp.Checkpoints < 1 {
-		t.Errorf("checkpointed leg ran %d checkpoints, want >= 1", imp.Checkpoints)
-	}
-	if !imp.WithCheckpoints.RestoreVerified {
-		t.Error("checkpointed leg did not verify its restore epoch")
-	}
-	// Budget: p99 with background checkpoints <= 1.5x baseline. Absolute
-	// escape hatch for noisy shared runners: if the checkpointed p99 is
-	// itself tiny, the ratio is measurement noise, not a stall.
-	const budgetRatio, escapeHatchMs = 1.5, 15.0
-	if imp.P99Ratio > budgetRatio && imp.CheckpointCommitP99Ms > escapeHatchMs {
-		t.Errorf("commit p99 %.2fms is %.2fx baseline %.2fms (budget %.1fx)",
-			imp.CheckpointCommitP99Ms, imp.P99Ratio, imp.BaselineCommitP99Ms, budgetRatio)
-	}
-	t.Logf("commit p99: baseline %.3fms, with checkpoints %.3fms (ratio %.2f, %d checkpoints)",
-		imp.BaselineCommitP99Ms, imp.CheckpointCommitP99Ms, imp.P99Ratio, imp.Checkpoints)
 }

@@ -84,17 +84,6 @@ type Report struct {
 	Ops []OpStats `json:"ops"`
 }
 
-// CommitP99Ms returns the commit operation's p99 latency (0 when the run had
-// no successful commits).
-func (r *Report) CommitP99Ms() float64 {
-	for _, st := range r.Ops {
-		if st.Op == opCommit.String() {
-			return st.P99Ms
-		}
-	}
-	return 0
-}
-
 // JSON renders the report.
 func (r *Report) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
 
