@@ -139,6 +139,28 @@ func TestFlatExportRefused(t *testing.T) {
 		}
 	}
 
+	// A manifest of format version 2 — the builds that kept a record catalog
+	// section beside the tables wrote those — is another build's directory, not
+	// a corrupt one: refused with one sentence by all three, before the pack is
+	// read, and never quarantined by a repairing scrub.
+	const wantVersion = "is a format version 2 manifest, this build reads version 3 only"
+	v2 := t.TempDir()
+	v2Manifest := filepath.Join(v2, durable.ManifestFileName(1))
+	if err := os.WriteFile(v2Manifest, append([]byte("ORPHMAN1\x02\x00\x00\x00"), make([]byte, 8)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, openErr = OpenDurable("v2", v2)
+	_, epochErr = OpenAtEpoch("v2", v2, 1)
+	_, scrubErr = durable.Scrub(v2, durable.ScrubOptions{Repair: true})
+	for what, err := range map[string]error{"OpenDurable": openErr, "OpenAtEpoch": epochErr, "Scrub": scrubErr} {
+		if err == nil || !strings.Contains(err.Error(), wantVersion) {
+			t.Errorf("%s of a version 2 manifest: %v", what, err)
+		}
+	}
+	if _, err := os.Stat(v2Manifest); err != nil {
+		t.Errorf("the refused manifest was moved: %v", err)
+	}
+
 	dir := t.TempDir()
 	e, err := OpenDurable("new", dir)
 	if err != nil {

@@ -58,7 +58,8 @@ func OpenDurable(name, dir string, opts ...Option) (*Engine, error) {
 
 // restoreSnapshot populates a fresh engine from a decoded snapshot: tables
 // attach straight to the backing database and each CVD state is rebuilt over
-// them.
+// them (cvd.Restore takes a record catalog that is private to its CVD back out
+// of the database).
 func (e *Engine) restoreSnapshot(snap *durable.Snapshot) error {
 	if snap.DBName != "" {
 		e.db = relstore.NewDatabase(snap.DBName)
@@ -221,6 +222,9 @@ func (e *Engine) buildSnapshot(exclusive, cow bool) (*durable.Snapshot, []*cvd.C
 		snap.CVDs = append(snap.CVDs, st)
 		for _, name := range st.Tables {
 			t, ok := e.db.Table(name)
+			if name == st.CatalogTable() {
+				t, ok = c.Catalog(), true // off the database unless it is the model's data table
+			}
 			if !ok {
 				// Writing a snapshot that names a table it does not contain
 				// would fail only at restore time — after a checkpoint has

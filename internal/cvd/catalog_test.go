@@ -1,0 +1,425 @@
+package cvd
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/relstore"
+	"repro/internal/vgraph"
+)
+
+// The record catalog is one rid-ordered table of column lanes per CVD, record
+// r at row r-1; under split-by-rlist it is the model's data table itself. The
+// tests here pin that: one stored form per record whichever way it is read,
+// one table under split-by-rlist, a bounded number of bytes per record, and
+// readers that race commits appending to the shared table (run with -race).
+
+// checkCatalogAgrees verifies, for every record of version v, that catalog row
+// r-1, RecordContent(r) and the row a checkout of v returns for r are the same
+// cells.
+func checkCatalogAgrees(t *testing.T, c *CVD, v vgraph.VersionID) {
+	t.Helper()
+	tab, err := c.Checkout([]vgraph.VersionID{v}, "agree")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.DiscardCheckout("agree")
+	rids := c.RecordsOf(v)
+	if tab.Len() != len(rids) {
+		t.Fatalf("checkout of version %d has %d rows, the version %d records", v, tab.Len(), len(rids))
+	}
+	checked := make(map[vgraph.RecordID]relstore.Row, tab.Len())
+	for _, row := range tab.Rows() {
+		checked[vgraph.RecordID(row[0].AsInt())] = row[1:]
+	}
+	for _, rid := range rids {
+		content, ok := c.RecordContent(rid)
+		if !ok {
+			t.Fatalf("version %d holds record %d, RecordContent does not", v, rid)
+		}
+		lanes := c.catalog.RowAt(int(rid) - 1)
+		if got := vgraph.RecordID(lanes[0].AsInt()); got != rid {
+			t.Fatalf("catalog row %d carries rid %d", rid-1, got)
+		}
+		if err := sameRows([]relstore.Row{lanes[1:]}, []relstore.Row{content}); err != nil {
+			t.Fatalf("record %d: catalog row against RecordContent: %v", rid, err)
+		}
+		if err := sameRows([]relstore.Row{checked[rid]}, []relstore.Row{content}); err != nil {
+			t.Fatalf("record %d: checkout of version %d against RecordContent: %v", rid, v, err)
+		}
+	}
+}
+
+// TestRecordContentIsStoredForm: RecordContent returns a record as the schema
+// in force stores it, not as it was committed. A column generalized from
+// integer to decimal and a widened schema change the form of every older
+// record, and a checkout returns the same cells, on every model.
+func TestRecordContentIsStoredForm(t *testing.T) {
+	for _, model := range allModels {
+		t.Run(model.String(), func(t *testing.T) {
+			_, c := buildProteinCVD(t, model)
+			cols := append([]relstore.Column(nil), proteinSchema().Columns...)
+			cols[2].Type = relstore.TypeFloat // neighborhood: integer → decimal
+			cols = append(cols, relstore.Column{Name: "note", Type: relstore.TypeString})
+			evolved := relstore.MustSchema(cols, proteinSchema().PrimaryKey...)
+			rows := []relstore.Row{ // r2 and r3 as version 4 holds them, and a new record
+				{relstore.Str("ENSP273047"), relstore.Str("ENSP235932"), relstore.Float(0), relstore.Int(87), relstore.Int(0), relstore.Null()},
+				{relstore.Str("ENSP300413"), relstore.Str("ENSP274242"), relstore.Float(426), relstore.Int(0), relstore.Int(164), relstore.Null()},
+				{relstore.Str("ENSP999999"), relstore.Str("ENSP000001"), relstore.Float(1.5), relstore.Int(1), relstore.Int(1), relstore.Str("new")},
+			}
+			v, err := c.Commit([]vgraph.VersionID{4}, rows, evolved, "evolve", "t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rids := c.RecordsOf(v)
+			if len(rids) != 3 || rids[0] != 2 || rids[1] != 3 {
+				t.Fatalf("version %d holds %v: the generalized rows did not resolve to records 2 and 3", v, rids)
+			}
+			r3, _ := c.RecordContent(3)
+			want := relstore.Row{relstore.Str("ENSP300413"), relstore.Str("ENSP274242"), relstore.Float(426), relstore.Int(0), relstore.Int(164), relstore.Null()}
+			if err := sameRows([]relstore.Row{r3}, []relstore.Row{want}); err != nil {
+				t.Fatalf("record 3, committed with an integer neighborhood and no note: %v", err)
+			}
+			checkCatalogAgrees(t, c, v)
+		})
+	}
+}
+
+// TestCatalogAgreesProperty drives a generated history — commits of churned
+// parent rows, now and then under an evolved schema — on every model, with and
+// without a primary key, and after every commit holds the catalog, RecordContent
+// and a checkout of the new version to the same cells. Under split-by-rlist the
+// catalog is the model's data table, not a copy of it.
+func TestCatalogAgreesProperty(t *testing.T) {
+	for _, model := range allModels {
+		for _, withPK := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/pk=%v", model, withPK), func(t *testing.T) {
+				for seed := int64(1); seed <= 4; seed++ {
+					w := newTwins(t, &chooser{rng: rand.New(rand.NewSource(seed))}, model, withPK, 1)
+					checkCatalogAgrees(t, w.live, 1)
+					for i := 0; i < 10; i++ {
+						w.rawStep()
+						c := w.live
+						checkCatalogAgrees(t, c, c.Versions()[c.NumVersions()-1])
+						if int(c.nextRID)-1 != c.catalog.Len() || c.NumRecords() != int64(c.catalog.Len()) {
+							t.Fatalf("catalog of %d rows, next rid %d, NumRecords %d", c.catalog.Len(), c.nextRID, c.NumRecords())
+						}
+						if m, ok := c.model.(*rlistModel); ok && (m.data != c.catalog || c.db.MustTable(m.data.Name) != c.catalog) {
+							t.Fatal("split-by-rlist's data table is not the catalog")
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestRlistDataTableIsCatalog: split-by-rlist keeps one copy of every record.
+// A full-version checkout and a checkpoint capture (SnapshotClone) both read
+// the data table's column vectors through views, which cost the table nothing:
+// the next commit appends to it in place, past what they hold.
+func TestRlistDataTableIsCatalog(t *testing.T) {
+	db := relstore.NewDatabase("one")
+	schema := relstore.MustSchema([]relstore.Column{{Name: "k", Type: relstore.TypeInt}, {Name: "v", Type: relstore.TypeString}}, "k")
+	rows := []relstore.Row{{relstore.Int(1), relstore.Str("a")}, {relstore.Int(2), relstore.Str("b")}, {relstore.Int(3), relstore.Str("c")}}
+	c, err := Init(db, "d", schema, rows, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := c.Rlist()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := db.MustTable(m.data.Name)
+	if data != c.catalog || data != c.Catalog() || data != m.data {
+		t.Fatal("the data table registered in the database is not the catalog")
+	}
+	full, err := c.Checkout([]vgraph.VersionID{1}, "full") // version 1 is the whole table: shared, not copied
+	if err != nil {
+		t.Fatal(err)
+	}
+	capture := c.Catalog().SnapshotClone()
+	if n := len(schema.Columns) + 1; data.SharedColumns() != 0 || full.SharedColumns() != n || capture.SharedColumns() != n {
+		t.Fatalf("columns that copy before the next write: data table %d, checkout %d, capture %d, want 0, %d and %d", data.SharedColumns(), full.SharedColumns(), capture.SharedColumns(), n, n)
+	}
+	if _, err := c.Commit([]vgraph.VersionID{1}, append(rows, relstore.Row{relstore.Int(4), relstore.Str("d")}), schema, "append", "t"); err != nil {
+		t.Fatal(err)
+	}
+	if db.MustTable(m.data.Name) != c.catalog || data.Len() != 4 {
+		t.Fatal("the commit did not append to the one data table")
+	}
+	if n := data.SharedColumns(); n != 0 {
+		t.Fatalf("%d columns of the data table shared after the commit's append", n)
+	}
+	for _, held := range []*relstore.Table{capture, full} {
+		if held.Len() != 3 || held.At(2, 2).S != "c" {
+			t.Fatalf("the append reached %s: %d rows, last %v", held.Name, held.Len(), held.RowAt(held.Len()-1))
+		}
+	}
+	if got, want := c.StorageBytes(), data.StorageBytes()+db.MustTable(m.versioningTabName()).StorageBytes(); got != want {
+		t.Fatalf("StorageBytes %d, want the data table and the versioning table: %d", got, want)
+	}
+}
+
+// TestCheckoutOffTheLock: one version of an unpartitioned split-by-rlist CVD is
+// checked out of what the model published at the last commit, so it goes
+// through while the CVD's lock is held exclusively (as by a commit in flight),
+// returns what a checkout under the lock returns, and is there for every
+// version committed so far, an evolved schema included. Nothing is published
+// under partitioning or for a join that wants the data table's index; those
+// checkouts take the lock, as on every other model.
+func TestCheckoutOffTheLock(t *testing.T) {
+	_, c := buildProteinCVD(t, SplitByRlist)
+	m, _ := c.Rlist()
+	wide := proteinSchema()
+	wide.Columns = append(wide.Columns, relstore.Column{Name: "note", Type: relstore.TypeString})
+	widened := []relstore.Row{append(prow("ENSP9", "ENSP0", 1, 1, 1), relstore.Str("n"))}
+	if _, err := c.Commit([]vgraph.VersionID{4}, widened, wide, "widen", "t"); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range c.Versions() {
+		var got *relstore.Table
+		done := make(chan error, 1)
+		c.mu.Lock()
+		go func() {
+			var err error
+			got, err = c.Checkout([]vgraph.VersionID{v}, "off")
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("checkout of version %d with the lock held: %v", v, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("checkout of version %d waits for the lock", v)
+		}
+		c.mu.Unlock()
+		published := m.read.Swap(nil) // the same checkout, under the lock
+		want, err := c.Checkout([]vgraph.VersionID{v}, "under")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.read.Store(published)
+		if err := sameTable(got, want); err != nil {
+			t.Fatalf("version %d off the lock and under it: %v", v, err)
+		}
+		c.DiscardCheckout("off")
+		c.DiscardCheckout("under")
+	}
+
+	m.SetJoinMethod(relstore.MergeJoin)
+	if m.read.Load() != nil {
+		t.Fatal("published for a merge join, which reads the data table's order")
+	}
+	m.SetJoinMethod(relstore.HashJoin)
+	if m.read.Load() == nil {
+		t.Fatal("nothing published after the join method went back to a hash join")
+	}
+	if err := m.ApplyPartitioning(vgraph.NewPartitioning(map[vgraph.VersionID]int{1: 0, 2: 0, 3: 1, 4: 1, 5: 1})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Commit([]vgraph.VersionID{5}, widened, wide, "same", "t"); err != nil {
+		t.Fatal(err)
+	}
+	if m.read.Load() != nil {
+		t.Fatal("published under partitioning, where a checkout reads its partition's table")
+	}
+}
+
+// sameTable compares two tables cell by cell, schema included.
+func sameTable(a, b *relstore.Table) error {
+	if a.Len() != b.Len() || len(a.Schema.Columns) != len(b.Schema.Columns) {
+		return fmt.Errorf("%d×%d and %d×%d", a.Len(), len(a.Schema.Columns), b.Len(), len(b.Schema.Columns))
+	}
+	for j, col := range a.Schema.Columns {
+		if col != b.Schema.Columns[j] {
+			return fmt.Errorf("column %d is %v and %v", j, col, b.Schema.Columns[j])
+		}
+		for i := 0; i < a.Len(); i++ {
+			if x, y := a.At(i, j), b.At(i, j); !x.Identical(y) {
+				return fmt.Errorf("row %d column %q is %v and %v", i, col.Name, x, y)
+			}
+		}
+	}
+	return nil
+}
+
+// TestPrivateCatalogOffDatabase: under the models without a rid-ordered master
+// table the catalog is private to the CVD — the database, whose StorageBytes is
+// the paper's storage axis, does not hold it, before or after a restore.
+func TestPrivateCatalogOffDatabase(t *testing.T) {
+	for _, model := range allModels[1:] {
+		t.Run(model.String(), func(t *testing.T) {
+			db, c := buildProteinCVD(t, model)
+			if db.HasTable(c.catalog.Name) {
+				t.Fatalf("catalog %q is registered in the database", c.catalog.Name)
+			}
+			before := db.StorageBytes()
+			st := c.ExportState()
+			db.AttachTable(c.Catalog()) // as a deserializer leaves it
+			restored, err := Restore(db, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if db.HasTable(restored.catalog.Name) || db.StorageBytes() != before {
+				t.Fatalf("restore left the catalog in the database: %d B, had %d", db.StorageBytes(), before)
+			}
+			checkCatalogAgrees(t, restored, 4)
+		})
+	}
+}
+
+// TestRestoreRefusesSparseCatalog: a catalog that is not one row per record id
+// handed out, row r-1 carrying rid r, is refused with the CVD, the row and the
+// rid found.
+func TestRestoreRefusesSparseCatalog(t *testing.T) {
+	for name, tc := range map[string]struct {
+		damage func(c *CVD, st *PersistentState)
+		want   string
+	}{
+		"short":   {func(c *CVD, st *PersistentState) { st.NextRID++ }, "holds 7 records where record ids 1 to 8 were handed out"},
+		"swapped": {func(c *CVD, st *PersistentState) { c.catalog.Set(2, 0, relstore.Int(9)) }, "row 2 of record catalog interaction_data carries record id 9, want 3"},
+		"schema":  {func(c *CVD, st *PersistentState) { st.Schema.Columns[2].Type = relstore.TypeFloat }, "has schema"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			db, c := buildProteinCVD(t, SplitByRlist)
+			st := c.ExportState()
+			tc.damage(c, st)
+			if _, err := Restore(db, st); err == nil || !strings.Contains(err.Error(), "interaction") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("restore of a %s catalog: %v", name, err)
+			}
+		})
+	}
+}
+
+// TestCatalogBytesPerRecord is the memory gate: 20 000 records of 20 integer
+// attributes committed over 40 versions retain at most 450 bytes each — the
+// lanes (about 9 bytes a cell), the rid index, the record index and the
+// version structures — where a boxed second copy of every record alone took
+// 72 bytes a cell. No wall clock: a retained-heap count after two collections.
+func TestCatalogBytesPerRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory is not the program's")
+	}
+	const perCommit, commits, attrs = 500, 40, 20
+	cols := []relstore.Column{{Name: "key", Type: relstore.TypeInt}}
+	for i := 1; i < attrs; i++ {
+		cols = append(cols, relstore.Column{Name: fmt.Sprintf("a%02d", i), Type: relstore.TypeInt})
+	}
+	schema := relstore.MustSchema(cols, "key")
+	rng := rand.New(rand.NewSource(7))
+	batch := func(first int) []relstore.Row {
+		rows := make([]relstore.Row, perCommit)
+		for k := range rows {
+			rows[k] = relstore.Row{relstore.Int(int64(first + k))}
+			for i := 1; i < attrs; i++ {
+				rows[k] = append(rows[k], relstore.Int(rng.Int63n(1_000_000)))
+			}
+		}
+		return rows
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	c, err := Init(relstore.NewDatabase("gate"), "d", schema, batch(0), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < commits; i++ {
+		if _, err := c.Commit([]vgraph.VersionID{1}, batch(i*perCommit), schema, "more", "t"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := heap()
+	records := c.NumRecords()
+	if records != perCommit*commits {
+		t.Fatalf("%d records, want %d", records, perCommit*commits)
+	}
+	per := float64(after-before) / float64(records)
+	t.Logf("%d records retain %.0f B each (%d B in all)", records, per, after-before)
+	if per > 450 {
+		t.Errorf("a record retains %.0f B, want <= 450", per)
+	}
+	runtime.KeepAlive(c)
+}
+
+// TestReadersRaceCatalogAppends: checkouts, selects and record reads share the
+// catalog's lanes with commits that append to them, add a column to them and
+// rewrite one in a wider type. The CVD's lock orders selects and record reads
+// after commits; checkouts read the views the model published and take no
+// lock. Run with -race.
+func TestReadersRaceCatalogAppends(t *testing.T) {
+	_, c := buildProteinCVD(t, SplitByRlist)
+	pred, err := c.NamedPredicate("cooccurrence", ">=", relstore.Int(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const commits, readers = 30, 4
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				versions := c.Versions()
+				v := versions[(i+g)%len(versions)]
+				name := fmt.Sprintf("r%d_%d", g, i)
+				tab, err := c.Checkout([]vgraph.VersionID{v}, name)
+				if err != nil {
+					t.Errorf("checkout of version %d: %v", v, err)
+					return
+				}
+				if want := len(c.RecordsOf(v)); tab.Len() != want {
+					t.Errorf("checkout of version %d: %d rows, want %d", v, tab.Len(), want)
+				}
+				c.DiscardCheckout(name)
+				rows, err := c.ScanVersions([]vgraph.VersionID{v}, pred, 0)
+				if err != nil || len(rows) != tab.Len() {
+					t.Errorf("select over version %d: %d rows, %v", v, len(rows), err)
+				}
+				if _, ok := c.RecordContent(vgraph.RecordID(1 + i%int(c.NumRecords()))); !ok {
+					t.Errorf("a record below NumRecords is missing")
+				}
+			}
+		}(g)
+	}
+	schema := proteinSchema()
+	for i := 0; i < commits; i++ {
+		row := prow(fmt.Sprintf("ENSP9%05d", i), "ENSP000000", int64(i), 1, 1)
+		if i >= commits/3 {
+			if i == commits/3 {
+				schema.Columns = append(schema.Columns, relstore.Column{Name: "note", Type: relstore.TypeString})
+			}
+			row = append(row, relstore.Str("n"))
+		}
+		if i >= 2*commits/3 {
+			schema.Columns[2].Type = relstore.TypeFloat
+			row[2] = relstore.Float(float64(i) + 0.5)
+		}
+		if _, err := c.Commit([]vgraph.VersionID{4}, []relstore.Row{row}, schema, "append", "w"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if got := c.NumRecords(); got != 7+commits {
+		t.Fatalf("%d records, want %d", got, 7+commits)
+	}
+}

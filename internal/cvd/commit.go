@@ -97,29 +97,28 @@ func (c *CVD) stageTable(t *relstore.Table, ridTrusted bool, parents []vgraph.Ve
 // buildCommit turns staged rows into a commit request following the no
 // cross-version diff rule: a staged row reuses the rid of a parent record with
 // identical content — of the first parent, in commit order, that holds one,
-// and the lowest such rid — and every other row gets a fresh rid. Rows that
-// resolve to one record count once. Everything that can refuse the rows is
-// checked before the schema evolves, and the fresh rids are only numbered here
-// — recordVersion is what takes them from the catalog — so a commit that fails
-// allocates nothing, and the next journalled delta still continues the log
-// (see replay).
-func (c *CVD) buildCommit(parents []vgraph.VersionID, st staged) (CommitRequest, error) {
+// and the lowest such rid — and every other row becomes a fresh record,
+// returned as its rid followed by its data values (the form the journal logs
+// and applyCommit writes to the catalog); the request lists the kept records,
+// applyCommit adds the fresh ones. Rows that resolve to one record count once. Everything that can refuse the rows is checked before the schema
+// evolves, and the fresh rids are only numbered here — applyCommit is what
+// takes them — so a commit that fails allocates nothing, and the next
+// journalled delta still continues the log (see replay).
+func (c *CVD) buildCommit(parents []vgraph.VersionID, st staged) (CommitRequest, []relstore.Row, error) {
 	merged, changed, err := c.mergedSchema(st.schema)
 	if err != nil {
-		return CommitRequest{}, err
+		return CommitRequest{}, nil, err
 	}
 	place, err := c.columnPlaces(st.schema, merged)
 	if err != nil {
-		return CommitRequest{}, err
+		return CommitRequest{}, nil, err
 	}
 	// Records are compared in the form the evolved schema stores them, so an
 	// evolving commit resolves against an index of its own, installed with the
 	// schema once nothing can refuse the commit any more.
 	idx := c.index
 	if changed || idx == nil {
-		if idx, err = c.buildIndex(merged); err != nil {
-			return CommitRequest{}, err
-		}
+		idx = c.buildIndex(merged)
 		if !changed {
 			c.index = idx
 		}
@@ -133,7 +132,7 @@ func (c *CVD) buildCommit(parents []vgraph.VersionID, st staged) (CommitRequest,
 	if kept == nil {
 		kept = make([]vgraph.RecordID, 0, st.rows)
 	}
-	var fresh []CommitRecord
+	var fresh []relstore.Row
 	inPlace := len(place) == len(merged.Columns) // staged rows are laid out as the CVD's
 	for j, i := range place {
 		inPlace = inPlace && i == j
@@ -154,7 +153,9 @@ func (c *CVD) buildCommit(parents []vgraph.VersionID, st staged) (CommitRequest,
 			kept = append(kept, rid)
 			continue
 		}
-		fresh = append(fresh, CommitRecord{RID: c.nextRID + vgraph.RecordID(len(fresh)), Row: slices.Clone(aligned)})
+		row := make(relstore.Row, 1, 1+len(aligned))
+		row[0] = relstore.Int(int64(c.nextRID) + int64(len(fresh)))
+		fresh = append(fresh, append(row, aligned...))
 	}
 	// Canonical record order: ascending rid, whatever order the rows were
 	// staged in — the one order a replayed journal delta can reproduce (see
@@ -164,18 +165,18 @@ func (c *CVD) buildCommit(parents []vgraph.VersionID, st staged) (CommitRequest,
 	if len(idx.pk) > 0 {
 		for i := 1; i < len(kept); i++ {
 			if kept[i] == kept[i-1] { // two staged rows are the same record, so share its key
-				return CommitRequest{}, c.duplicateKey(idx, c.records[kept[i]])
+				return CommitRequest{}, nil, c.duplicateKey(idx, c.rec(kept[i]))
 			}
 		}
 		if err := c.checkPrimaryKey(idx, kept, fresh, len(parents) > 1); err != nil {
-			return CommitRequest{}, err
+			return CommitRequest{}, nil, err
 		}
 	}
 	kept = slices.Compact(kept)
 
 	if changed {
 		if err := c.adoptSchema(merged); err != nil {
-			return CommitRequest{}, err
+			return CommitRequest{}, nil, err
 		}
 		c.index = idx
 	}
@@ -184,19 +185,16 @@ func (c *CVD) buildCommit(parents []vgraph.VersionID, st staged) (CommitRequest,
 		Parents:    append([]vgraph.VersionID(nil), parents...),
 		ParentRIDs: c.recordsOfLocked,
 		RIDs:       kept,
-		NewRecords: fresh,
-		Lookup:     c.lookupRecord,
 	}
-	for _, rec := range fresh {
-		req.RIDs = append(req.RIDs, rec.RID)
-	}
-	return req, nil
+	return req, fresh, nil
 }
 
 // matchRecord returns the record a staged row (aligned with idx's schema) is,
-// by buildCommit's rule, or 0 when no parent holds a record of that content.
+// by buildCommit's rule, or 0 when no parent holds a record of that content. A
+// hash hit is confirmed cell by cell against the catalog's lanes.
 func (c *CVD) matchRecord(idx *recIndex, parentSets []*recset.Set, aligned relstore.Row) vgraph.RecordID {
-	h := idx.hash(aligned, nil)
+	staged := cells{row: aligned}
+	h := idx.hash(staged, nil)
 	best, bestParent := vgraph.RecordID(0), len(parentSets)-1
 	for id := idx.content.first(h); id != 0; id = idx.content.after(id, h) {
 		rid := vgraph.RecordID(id)
@@ -204,7 +202,7 @@ func (c *CVD) matchRecord(idx *recIndex, parentSets []*recset.Set, aligned relst
 			if !parentSets[p].Contains(int64(rid)) {
 				continue
 			}
-			if (p < bestParent || best == 0 || rid < best) && idx.same(aligned, c.records[rid], nil) {
+			if (p < bestParent || best == 0 || rid < best) && idx.same(staged, c.rec(rid), nil) {
 				best, bestParent = rid, p
 			}
 			break
@@ -219,22 +217,23 @@ func (c *CVD) matchRecord(idx *recIndex, parentSets []*recset.Set, aligned relst
 // other fresh ones and, through the key index, against the kept ones. Kept
 // records are compared with each other only when they come from several
 // parents — those of one parent are a subset of a version that was checked
-// when it was committed. kept is sorted.
-func (c *CVD) checkPrimaryKey(idx *recIndex, kept []vgraph.RecordID, fresh []CommitRecord, severalParents bool) error {
+// when it was committed. kept is sorted; fresh rows carry their rid first.
+func (c *CVD) checkPrimaryKey(idx *recIndex, kept []vgraph.RecordID, fresh []relstore.Row, severalParents bool) error {
 	var seen chains
 	seen.reserve(len(fresh))
-	for i, rec := range fresh {
-		h := idx.hash(rec.Row, idx.pk)
+	for i, row := range fresh {
+		rec := cells{row: row[1:]}
+		h := idx.hash(rec, idx.pk)
 		for id := seen.first(h); id != 0; id = seen.after(id, h) {
-			if idx.same(rec.Row, fresh[id-1].Row, idx.pk) {
-				return c.duplicateKey(idx, rec.Row)
+			if idx.same(rec, cells{row: fresh[id-1][1:]}, idx.pk) {
+				return c.duplicateKey(idx, rec)
 			}
 		}
 		seen.add(uint32(i+1), h)
 		for id := idx.key.first(h); id != 0; id = idx.key.after(id, h) {
 			rid := vgraph.RecordID(id)
-			if _, held := slices.BinarySearch(kept, rid); held && idx.same(rec.Row, c.records[rid], idx.pk) {
-				return c.duplicateKey(idx, rec.Row)
+			if _, held := slices.BinarySearch(kept, rid); held && idx.same(rec, c.rec(rid), idx.pk) {
+				return c.duplicateKey(idx, rec)
 			}
 		}
 	}
@@ -246,8 +245,8 @@ func (c *CVD) checkPrimaryKey(idx *recIndex, kept []vgraph.RecordID, fresh []Com
 	for i, rid := range kept {
 		h := idx.key.hash[rid]
 		for id := seen.first(h); id != 0; id = seen.after(id, h) {
-			if idx.same(c.records[rid], c.records[kept[id-1]], idx.pk) {
-				return c.duplicateKey(idx, c.records[rid])
+			if idx.same(c.rec(rid), c.rec(kept[id-1]), idx.pk) {
+				return c.duplicateKey(idx, c.rec(rid))
 			}
 		}
 		seen.add(uint32(i+1), h)
@@ -255,11 +254,11 @@ func (c *CVD) checkPrimaryKey(idx *recIndex, kept []vgraph.RecordID, fresh []Com
 	return nil
 }
 
-func (c *CVD) duplicateKey(idx *recIndex, row relstore.Row) error {
+func (c *CVD) duplicateKey(idx *recIndex, rec cells) error {
 	key := make([]string, len(idx.pk))
 	var buf relstore.Value
 	for k, i := range idx.pk {
-		key[k] = idx.cell(row, i, &buf).AsString()
+		key[k] = idx.cell(rec, i, &buf).AsString()
 	}
 	return fmt.Errorf("cvd: %s: duplicate primary key (%s) within a version", c.name, strings.Join(key, ", "))
 }
@@ -269,6 +268,14 @@ func (c *CVD) duplicateKey(idx *recIndex, row relstore.Row) error {
 func (c *CVD) admitCommit(parents []vgraph.VersionID) error {
 	if len(parents) == 0 {
 		return fmt.Errorf("cvd: %s: commit requires at least one parent version", c.name)
+	}
+	// Drop tears the model's tables down under the exclusive lock; a commit
+	// that waited for it must not reach for them.
+	c.ckMu.Lock()
+	dropped := c.dropped
+	c.ckMu.Unlock()
+	if dropped {
+		return fmt.Errorf("cvd: %s: CVD has been dropped", c.name)
 	}
 	if c.journal != nil && c.journalErr != nil {
 		// An earlier commit was applied in memory but never reached the WAL.
@@ -291,16 +298,16 @@ func (c *CVD) admitCommit(parents []vgraph.VersionID) error {
 // holds c.mu. A version id returned with an error is a commit applied in
 // memory whose journaling failed.
 func (c *CVD) commitStaged(parents []vgraph.VersionID, st staged, msg, author string) (vgraph.VersionID, error) {
-	req, err := c.buildCommit(parents, st)
+	req, fresh, err := c.buildCommit(parents, st)
 	if err != nil {
 		return 0, err
 	}
 	at := c.clock()
-	if err := c.applyCommit(req, msg, author, at); err != nil {
+	if err := c.applyCommit(req, fresh, msg, author, at); err != nil {
 		return 0, err
 	}
 	if c.journal != nil {
-		versions, delta, schema := c.deltaLocked(req.Version, parents)
+		versions, delta, schema := c.deltaLocked(req.Version, parents, fresh)
 		if err := c.journal.LogCommit(c.name, versions, delta, schema, msg, author, at); err != nil {
 			// The commit is applied in memory but the WAL lacks it: poison the
 			// journal so every later commit fails fast instead of appending

@@ -322,8 +322,8 @@ func TestCommitTableEnforcesPrimaryKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	work.AppendRow(rowWithRID(0, prow("N", "M", 1, 1, 1)))
-	work.AppendRow(rowWithRID(0, prow("N", "M", 2, 2, 2)))
+	work.AppendRow(append(relstore.Row{relstore.Int(0)}, prow("N", "M", 1, 1, 1)...))
+	work.AppendRow(append(relstore.Row{relstore.Int(0)}, prow("N", "M", 2, 2, 2)...))
 	if _, err := c.CommitTable("work", "", ""); err == nil {
 		t.Fatal("two added rows with one key were accepted")
 	}

@@ -33,10 +33,17 @@ type CVD struct {
 	kind   ModelKind
 	schema relstore.Schema // current single-pool data schema (no rid column)
 
-	graph   *vgraph.Graph
-	bip     *vgraph.Bipartite
-	records map[vgraph.RecordID]relstore.Row // record catalog: rid -> data values
-	index   *recIndex                        // over records, for the current schema; nil until a commit needs it
+	graph *vgraph.Graph
+	bip   *vgraph.Bipartite
+	// catalog is the record catalog: every record ever committed, once, as one
+	// row of column lanes — the rid, then the data attributes in the form the
+	// schema in force stores them. Rids are handed out densely from 1, so
+	// record r is row r-1 and a lookup is an index. Split-by-rlist registers
+	// this very table in db as its data table; under the other models it is
+	// private to the CVD, off the database, so their storage accounting counts
+	// the model's tables only.
+	catalog *relstore.Table
+	index   *recIndex // over catalog, for the current schema; nil until a commit needs it
 	meta    *metadataStore
 	attrs   *AttributeRegistry
 
@@ -89,7 +96,8 @@ type Options struct {
 	// Message is the commit message of the initial version.
 	Message string
 	// Clock overrides the time source (used by tests and the benchmark
-	// harness for reproducibility).
+	// harness for reproducibility). Checkouts and commits call it
+	// concurrently.
 	Clock func() time.Time
 	// At, when non-zero, is the commit timestamp of the initial version.
 	// WAL replay uses it to reproduce the original metadata exactly; when
@@ -114,7 +122,7 @@ func Init(db *relstore.Database, name string, schema relstore.Schema, rows []rel
 		c.meta.drop()
 		return nil, err
 	}
-	req, err := c.buildCommit(nil, st)
+	req, fresh, err := c.buildCommit(nil, st)
 	if err != nil {
 		c.meta.drop()
 		return nil, err
@@ -123,7 +131,7 @@ func Init(db *relstore.Database, name string, schema relstore.Schema, rows []rel
 	if at.IsZero() {
 		at = c.clock()
 	}
-	if err := c.applyCommit(req, opts.Message, opts.Author, at); err != nil {
+	if err := c.applyCommit(req, fresh, opts.Message, opts.Author, at); err != nil {
 		c.meta.drop()
 		return nil, err
 	}
@@ -154,7 +162,7 @@ func newCVD(db *relstore.Database, name string, schema relstore.Schema, opts Opt
 		schema:     schema.Clone(),
 		graph:      vgraph.New(),
 		bip:        vgraph.NewBipartite(),
-		records:    make(map[vgraph.RecordID]relstore.Row),
+		catalog:    relstore.NewTable(catalogTabName(name, opts.Model), dataSchemaWithRID(schema)),
 		index:      newRecIndex(schema),
 		attrs:      NewAttributeRegistry(),
 		nextVID:    1,
@@ -175,7 +183,7 @@ func newCVD(db *relstore.Database, name string, schema relstore.Schema, opts Opt
 		return nil, err
 	}
 	c.meta = meta
-	model, err := newModel(opts.Model, db, name, schema)
+	model, err := newModel(opts.Model, db, name, schema, c.catalog)
 	if err != nil {
 		meta.drop()
 		return nil, err
@@ -307,7 +315,7 @@ func (c *CVD) NumVersions() int {
 func (c *CVD) NumRecords() int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return int64(len(c.records))
+	return int64(c.catalog.Len())
 }
 
 // StorageBytes returns the accounted storage of the physical data model.
@@ -342,21 +350,32 @@ func (c *CVD) LatestVersion() (vgraph.VersionID, bool) {
 	return m.ID, true
 }
 
-// RecordContent returns the data values of a record by id.
+// RecordContent returns the data values of a record by id, in the form the
+// schema in force stores them — what a checkout of a version holding the
+// record returns for it — not the form they were committed in: once a column
+// is generalized from integer to decimal a record committed as integer 5
+// reads as decimal 5, and a record older than a column reads NULL in it. The
+// row is boxed for the caller; like any row read from a table it shares
+// integer-array elements with the column storage and must not be written
+// through.
 func (c *CVD) RecordContent(r vgraph.RecordID) (relstore.Row, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.recordContentLocked(r)
+	return c.record(r)
 }
 
-// recordContentLocked is RecordContent for callers already holding c.mu.
-func (c *CVD) recordContentLocked(r vgraph.RecordID) (relstore.Row, bool) {
-	row, ok := c.records[r]
-	if !ok {
+// record is RecordContent for callers already holding c.mu: the one way a
+// catalog record becomes a boxed row.
+func (c *CVD) record(r vgraph.RecordID) (relstore.Row, bool) {
+	if r < 1 || int(r) > c.catalog.Len() {
 		return nil, false
 	}
-	return padRow(row.Clone(), len(c.schema.Columns)), true
+	return c.catalog.RowAt(int(r) - 1)[1:], true
 }
+
+// rec names catalog record r, read off the lanes, as one side of a record
+// index comparison (recindex.go).
+func (c *CVD) rec(r vgraph.RecordID) cells { return cells{tab: c.catalog, pos: int(r) - 1} }
 
 // VersionSnapshot is one version's metadata plus its materialized rows, as
 // returned by Snapshot.
@@ -385,7 +404,7 @@ func (c *CVD) Snapshot() (relstore.Schema, []VersionSnapshot, error) {
 		rids := c.bip.RecordSet(vid)
 		rows := make([]relstore.Row, 0, rids.Len())
 		rids.ForEach(func(rid int64) bool {
-			if row, ok := c.recordContentLocked(vgraph.RecordID(rid)); ok {
+			if row, ok := c.record(vgraph.RecordID(rid)); ok {
 				rows = append(rows, row)
 			}
 			return true
@@ -475,9 +494,12 @@ func (c *CVD) mergedSchema(incoming relstore.Schema) (relstore.Schema, bool, err
 }
 
 // adoptSchema makes an evolved schema (see mergedSchema) the CVD's and alters
-// the physical model to match. The record index describes records as the old
-// schema stored them, so it goes.
+// the catalog and the physical model to match. The record index describes
+// records as the old schema stored them, so it goes.
 func (c *CVD) adoptSchema(merged relstore.Schema) error {
+	if err := alterTable(c.catalog, merged); err != nil {
+		return err
+	}
 	if err := c.model.AlterSchema(merged); err != nil {
 		return err
 	}
@@ -486,32 +508,57 @@ func (c *CVD) adoptSchema(merged relstore.Schema) error {
 	return nil
 }
 
-func (c *CVD) lookupRecord(rid vgraph.RecordID) (relstore.Row, bool) {
-	r, ok := c.records[rid]
-	if !ok {
-		return nil, false
-	}
-	return padRow(r.Clone(), len(c.schema.Columns)), true
-}
-
-// applyCommit hands a built request to the physical model and records the
-// version — the step a live commit and a replayed journal delta share.
-func (c *CVD) applyCommit(req CommitRequest, msg, author string, at time.Time) error {
-	var err error
-	if len(req.Parents) == 0 {
-		err = c.model.Init(req)
-	} else {
-		err = c.model.AppendVersion(req)
+// applyCommit writes a commit's fresh records (each its rid, ascending from the
+// next one, then its data values) to the catalog, completes the request — which
+// comes listing the records the version keeps — with them, hands it to the
+// physical model and records the version: the step a live commit and a
+// replayed journal delta share. A model that refuses leaves the catalog as long
+// as it was, so nothing of the commit stays behind in it.
+func (c *CVD) applyCommit(req CommitRequest, fresh []relstore.Row, msg, author string, at time.Time) error {
+	before := c.catalog.Len()
+	err := c.appendRecords(fresh)
+	if err == nil {
+		for i := range fresh {
+			req.RIDs = append(req.RIDs, c.nextRID+vgraph.RecordID(i))
+		}
+		req.Records, req.New = c.catalog, len(fresh)
+		if len(req.Parents) == 0 {
+			err = c.model.Init(req)
+		} else {
+			err = c.model.AppendVersion(req)
+		}
 	}
 	if err != nil {
+		c.catalog.Shrink(before)
 		return err
 	}
-	return c.recordVersion(req, msg, author, at)
+	return c.recordVersion(req, fresh, msg, author, at)
+}
+
+// appendRecords writes fresh records — each its rid, then its data values
+// aligned with the schema — as the catalog's next rows, every cell in the form
+// its column stores (see canonical): the one copy of a record the CVD keeps.
+func (c *CVD) appendRecords(fresh []relstore.Row) error {
+	row := make(relstore.Row, 1+len(c.schema.Columns))
+	var buf relstore.Value
+	for _, rec := range fresh {
+		if rid := rec[0].AsInt(); rid != int64(c.catalog.Len())+1 {
+			return fmt.Errorf("cvd: %s: record id %d does not continue a catalog of %d records", c.name, rid, c.catalog.Len())
+		}
+		row[0] = rec[0]
+		for j, col := range c.schema.Columns {
+			row[j+1] = *canonical(&rec[j+1], col.Type, &buf)
+		}
+		if err := c.catalog.Insert(row); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // recordVersion updates the version graph, bipartite graph, metadata and
-// record catalog after the physical model has accepted the commit.
-func (c *CVD) recordVersion(req CommitRequest, msg, author string, at time.Time) error {
+// record index after the physical model has accepted the commit.
+func (c *CVD) recordVersion(req CommitRequest, fresh []relstore.Row, msg, author string, at time.Time) error {
 	if _, err := c.graph.AddVersion(req.Version, int64(len(req.RIDs))); err != nil {
 		return err
 	}
@@ -540,13 +587,12 @@ func (c *CVD) recordVersion(req CommitRequest, msg, author string, at time.Time)
 	if err := c.meta.add(m); err != nil {
 		return err
 	}
-	for _, rec := range req.NewRecords {
-		c.records[rec.RID] = rec.Row
-		if c.index != nil {
-			c.index.add(rec.RID, rec.Row)
+	if c.index != nil {
+		for i, rec := range fresh {
+			c.index.add(c.nextRID+vgraph.RecordID(i), cells{row: rec[1:]})
 		}
 	}
-	c.nextRID += vgraph.RecordID(len(req.NewRecords))
+	c.nextRID += vgraph.RecordID(len(fresh))
 	c.nextVID++
 	return nil
 }
@@ -557,9 +603,12 @@ func (c *CVD) recordVersion(req CommitRequest, msg, author string, at time.Time)
 // already added by an earlier version is omitted (Section 3.3.1). The
 // staging table contains the rid column followed by the data attributes.
 //
-// Checkout holds only the shared lock while materializing, so any number of
+// Checkout holds at most the shared lock while materializing, so any number of
 // checkouts (and queries) run concurrently; the staging name is reserved
-// up front so two concurrent checkouts cannot claim the same table.
+// up front so two concurrent checkouts cannot claim the same table. One
+// version of an unpartitioned split-by-rlist CVD is materialized without the
+// lock, off what the model published at the last commit: it does not wait for
+// a commit in flight, and no commit waits for it.
 func (c *CVD) Checkout(versions []vgraph.VersionID, tableName string) (*relstore.Table, error) {
 	if len(versions) == 0 {
 		return nil, fmt.Errorf("cvd: %s: checkout requires at least one version", c.name)
@@ -600,8 +649,15 @@ func (c *CVD) Checkout(versions []vgraph.VersionID, tableName string) (*relstore
 	return out, nil
 }
 
-// materialize produces the checkout table under the shared lock.
+// materialize produces the checkout table, under the shared lock unless the
+// model has published the version (Checkout tests for a drop afterwards).
 func (c *CVD) materialize(versions []vgraph.VersionID, tableName string) (*relstore.Table, error) {
+	if m, ok := c.model.(*rlistModel); ok && len(versions) == 1 {
+		if out, ok := m.checkoutPublished(versions[0], tableName); ok {
+			out.MarkClean()
+			return out, nil
+		}
+	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	// Drop tears the model's tables down under the exclusive lock and sets
@@ -673,9 +729,9 @@ func (c *CVD) checkoutMerged(versions []vgraph.VersionID, tableName string) (*re
 				for k, j := range pk {
 					key[k] = t.At(i, j+1) // +1 because checkout rows carry rid first
 				}
-				h := form.hash(key, nil)
+				h := form.hash(cells{row: key}, nil)
 				for id := seenPK.first(h); id != 0; id = seenPK.after(id, h) {
-					if form.same(key, keys[id-1], nil) {
+					if form.same(cells{row: key}, cells{row: keys[id-1]}, nil) {
 						continue rows
 					}
 				}

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,9 +30,14 @@ func prow(p1, p2 string, n, co, cx int64) relstore.Row {
 	return relstore.Row{relstore.Str(p1), relstore.Str(p2), relstore.Int(n), relstore.Int(co), relstore.Int(cx)}
 }
 
+// fixedClock ticks a second a call. Checkouts stamp their staging table
+// outside the lock commits read the clock under, so it locks for itself.
 func fixedClock() func() time.Time {
+	var mu sync.Mutex
 	t := time.Date(2026, 6, 15, 0, 0, 0, 0, time.UTC)
 	return func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
 		t = t.Add(time.Second)
 		return t
 	}
@@ -457,10 +463,14 @@ func TestDropRemovesTables(t *testing.T) {
 // TestCheckoutRacingDrop pins the order that used to panic: a checkout passes
 // Checkout's dropped test, then waits for the CVD lock while Drop tears the
 // model's tables down. Holding the lock here stands in for Drop holding it, so
-// the order is forced, not raced.
+// the order is forced, not raced. Only a checkout that takes the lock can be
+// in that order, so split-by-rlist has what it published taken away first.
 func TestCheckoutRacingDrop(t *testing.T) {
 	for _, kind := range allModels {
 		_, c := buildProteinCVD(t, kind)
+		if m, ok := c.model.(*rlistModel); ok {
+			m.read.Store(nil)
+		}
 		c.mu.Lock()
 		done := make(chan error, 1)
 		go func() {

@@ -2,6 +2,7 @@ package cvd
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/recset"
@@ -40,23 +41,24 @@ func dataSchemaOf(deltaSchema relstore.Schema) (relstore.Schema, error) {
 func (c *CVD) InitDelta() (versions []vgraph.VersionID, delta []relstore.Row, deltaSchema relstore.Schema) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.deltaLocked(1, nil)
+	rids := c.bip.RecordSet(1)
+	added := make([]relstore.Row, 0, rids.Len())
+	rids.ForEach(func(rid int64) bool {
+		added = append(added, c.catalog.RowAt(int(rid)-1))
+		return true
+	})
+	return c.deltaLocked(1, nil, added)
 }
 
 // deltaLocked returns the delta of v, the version just recorded, against its
-// parents; the caller holds c.mu.
-func (c *CVD) deltaLocked(v vgraph.VersionID, parents []vgraph.VersionID) ([]vgraph.VersionID, []relstore.Row, relstore.Schema) {
+// parents: added — the records it added, each its rid and then its data values,
+// as applyCommit took them — followed by a tombstone per record of the parents
+// it does not keep. The caller holds c.mu.
+func (c *CVD) deltaLocked(v vgraph.VersionID, parents []vgraph.VersionID, added []relstore.Row) ([]vgraph.VersionID, []relstore.Row, relstore.Schema) {
 	versions := make([]vgraph.VersionID, 0, len(parents)+1)
 	versions = append(append(versions, v), parents...)
-	vset := c.bip.RecordSet(v)
-	inherited := c.bip.UnionSet(parents)
-	added, dropped := recset.AndNot(vset, inherited), recset.AndNot(inherited, vset)
-	width := len(c.schema.Columns) + 1
-	delta := make([]relstore.Row, 0, added.Len()+dropped.Len())
-	added.ForEach(func(rid int64) bool {
-		delta = append(delta, padRow(rowWithRID(vgraph.RecordID(rid), c.records[vgraph.RecordID(rid)]), width))
-		return true
-	})
+	dropped := recset.AndNot(c.bip.UnionSet(parents), c.bip.RecordSet(v))
+	delta := slices.Grow(added, int(dropped.Len()))
 	dropped.ForEach(func(rid int64) bool {
 		delta = append(delta, relstore.Row{relstore.Int(rid)})
 		return true
@@ -122,7 +124,7 @@ func (c *CVD) replay(versions []vgraph.VersionID, delta []relstore.Row, deltaSch
 	}
 
 	rids := c.bip.UnionSet(parents)
-	var added []CommitRecord
+	var added []relstore.Row
 	for _, row := range delta {
 		switch len(row) {
 		case 1:
@@ -134,7 +136,7 @@ func (c *CVD) replay(versions []vgraph.VersionID, delta []relstore.Row, deltaSch
 			if rid != want {
 				return fmt.Errorf("cvd: %s: journalled version %d adds record %d where the next record id is %d", c.name, v, rid, want)
 			}
-			added = append(added, CommitRecord{RID: rid, Row: row[1:]})
+			added = append(added, row)
 		default:
 			return fmt.Errorf("cvd: %s: journalled version %d: a delta row of %d values is neither a tombstone nor a record of %d", c.name, v, len(row), len(deltaSchema.Columns))
 		}
@@ -151,11 +153,6 @@ func (c *CVD) replay(versions []vgraph.VersionID, delta []relstore.Row, deltaSch
 		Parents:    append([]vgraph.VersionID(nil), parents...),
 		ParentRIDs: c.recordsOfLocked,
 		RIDs:       vgraph.RecordIDs(rids),
-		NewRecords: added,
-		Lookup:     c.lookupRecord,
 	}
-	for _, rec := range added {
-		req.RIDs = append(req.RIDs, rec.RID)
-	}
-	return c.applyCommit(req, msg, author, at)
+	return c.applyCommit(req, added, msg, author, at)
 }

@@ -153,63 +153,117 @@ func (m *failingModel) AppendVersion(req CommitRequest) error {
 }
 
 // TestRejectedCommitAllocatesNothing: a commit refused after its rows were
-// diffed — a malformed row behind well-formed ones, or the physical model
-// failing — must leave the record catalog as it was (and, refused before the
-// model saw it, the schema too; a model that fails has already been altered,
-// which the next delta's schema then carries). The next commit is journalled
-// with record ids that continue the log, so a fresh CVD replays it; handing
-// the refused commit's rids out for good would journal a gap that replay
-// refuses.
+// diffed — a malformed row behind well-formed ones, a duplicate key among
+// them, a poisoned journal, or the physical model failing once the fresh
+// records are in the catalog — must leave the record catalog, the next record
+// id and the record index as they were (and, refused before the model saw it,
+// the schema too; a model that fails under an evolving commit has already been
+// altered, which the next delta's schema then carries). The next commit is
+// journalled with record ids that continue the log, so a fresh CVD replays it;
+// handing the refused commit's rids out for good would journal a gap that
+// replay refuses.
 func TestRejectedCommitAllocatesNothing(t *testing.T) {
 	wider := relstore.MustSchema(append(append([]relstore.Column(nil), proteinSchema().Columns...),
 		relstore.Column{Name: "note", Type: relstore.TypeString}), proteinSchema().PrimaryKey...)
 	wideRow := func(p1, p2 string) relstore.Row { return append(prow(p1, p2, 7, 8, 9), relstore.Str("n")) }
-	rejections := map[string]func(c *CVD) error{
-		"malformed-row": func(c *CVD) error {
+	failModel := func(c *CVD) { c.model = &failingModel{DataModel: c.model, failNext: true} }
+	rejections := map[string]struct {
+		evolves bool // the refused commit reached adoptSchema
+		reject  func(c *CVD) error
+	}{
+		"malformed-row": {reject: func(c *CVD) error {
 			rows := []relstore.Row{wideRow("ENSP000010", "ENSP000011"), wideRow("ENSP000012", "ENSP000013"), prow("ENSP000014", "ENSP000015", 1, 1, 1)}
 			_, err := c.Commit([]vgraph.VersionID{4}, rows, wider, "rejected", "eve")
 			return err
-		},
-		"model-failure": func(c *CVD) error {
-			m := &failingModel{DataModel: c.model, failNext: true}
-			c.model = m
+		}},
+		"duplicate-key": {reject: func(c *CVD) error {
+			rows := []relstore.Row{prow("ENSP000010", "ENSP000011", 1, 1, 1), prow("ENSP000012", "ENSP000013", 2, 2, 2), prow("ENSP000010", "ENSP000011", 3, 3, 3)}
+			_, err := c.Commit([]vgraph.VersionID{4}, rows, proteinSchema(), "rejected", "eve")
+			return err
+		}},
+		"model-failure": {reject: func(c *CVD) error {
+			failModel(c)
+			rows := []relstore.Row{prow("ENSP000010", "ENSP000011", 1, 1, 1), prow("ENSP000012", "ENSP000013", 2, 2, 2)}
+			_, err := c.Commit([]vgraph.VersionID{4}, rows, proteinSchema(), "rejected", "eve")
+			return err
+		}},
+		"model-failure-evolving": {evolves: true, reject: func(c *CVD) error {
+			failModel(c)
 			rows := []relstore.Row{wideRow("ENSP000010", "ENSP000011"), wideRow("ENSP000012", "ENSP000013")}
 			_, err := c.Commit([]vgraph.VersionID{4}, rows, wider, "rejected", "eve")
 			return err
-		},
+		}},
 	}
-	for name, reject := range rejections {
-		t.Run(name, func(t *testing.T) {
-			_, c := buildProteinCVD(t, SplitByRlist)
-			j := &flakyJournal{}
-			c.SetJournal(j)
-			nextRID, records, schema := c.nextRID, len(c.records), c.Schema()
-			if err := reject(c); err == nil {
-				t.Fatal("the commit was accepted")
-			}
-			if c.nextRID != nextRID || len(c.records) != records {
-				t.Fatalf("rejected commit allocated records: next rid %d → %d, catalog %d → %d", nextRID, c.nextRID, records, len(c.records))
-			}
-			if name == "malformed-row" && !c.Schema().Equal(schema) {
-				t.Fatalf("rejected commit evolved the schema to (%s)", c.Schema())
-			}
-			if len(j.log) != 0 {
-				t.Fatal("rejected commit was journalled")
-			}
-			good := []relstore.Row{prow("ENSP000020", "ENSP000021", 1, 2, 3)}
-			v, err := c.Commit([]vgraph.VersionID{4}, good, proteinSchema(), "good", "eve")
-			if err != nil {
-				t.Fatalf("commit after the rejected one: %v", err)
-			}
-			_, fresh := buildProteinCVD(t, SplitByRlist)
-			for _, jc := range j.log {
-				if err := fresh.ReplayCommit(jc.versions, jc.delta, jc.schema, jc.msg, jc.author, jc.at); err != nil {
-					t.Fatalf("the journalled log no longer replays: %v", err)
+	for name, tc := range rejections {
+		for _, model := range allModels {
+			t.Run(name+"/"+model.String(), func(t *testing.T) {
+				_, c := buildProteinCVD(t, model)
+				j := &flakyJournal{}
+				c.SetJournal(j)
+				nextRID, records, schema := c.nextRID, c.catalog.Len(), c.Schema()
+				idx, indexed := c.index, c.index.content.n
+				if err := tc.reject(c); err == nil {
+					t.Fatal("the commit was accepted")
 				}
-			}
-			if got, want := fresh.RecordsOf(v), c.RecordsOf(v); !slices.Equal(got, want) {
-				t.Fatalf("replayed version %d holds records %v, live %v", v, got, want)
-			}
-		})
+				if c.nextRID != nextRID || c.catalog.Len() != records {
+					t.Fatalf("rejected commit allocated records: next rid %d → %d, catalog %d → %d", nextRID, c.nextRID, records, c.catalog.Len())
+				}
+				if !tc.evolves {
+					if !c.Schema().Equal(schema) {
+						t.Fatalf("rejected commit evolved the schema to (%s)", c.Schema())
+					}
+					if c.index != idx || c.index.content.n != indexed {
+						t.Fatalf("rejected commit touched the record index: %d entries, had %d", c.index.content.n, indexed)
+					}
+				}
+				if len(j.log) != 0 {
+					t.Fatal("rejected commit was journalled")
+				}
+				good := []relstore.Row{prow("ENSP000020", "ENSP000021", 1, 2, 3)}
+				v, err := c.Commit([]vgraph.VersionID{4}, good, proteinSchema(), "good", "eve")
+				if err != nil {
+					t.Fatalf("commit after the rejected one: %v", err)
+				}
+				if rid := c.RecordsOf(v)[0]; rid != nextRID {
+					t.Fatalf("the next commit's record is %d, want the refused commit's first rid %d", rid, nextRID)
+				}
+				_, fresh := buildProteinCVD(t, model)
+				for _, jc := range j.log {
+					if err := fresh.ReplayCommit(jc.versions, jc.delta, jc.schema, jc.msg, jc.author, jc.at); err != nil {
+						t.Fatalf("the journalled log no longer replays: %v", err)
+					}
+				}
+				if got, want := fresh.RecordsOf(v), c.RecordsOf(v); !slices.Equal(got, want) {
+					t.Fatalf("replayed version %d holds records %v, live %v", v, got, want)
+				}
+				got, _ := fresh.RecordContent(nextRID)
+				want, _ := c.RecordContent(nextRID)
+				if err := sameRows([]relstore.Row{got}, []relstore.Row{want}); err != nil {
+					t.Fatalf("replayed record %d: %v", nextRID, err)
+				}
+			})
+		}
+	}
+}
+
+// TestPoisonedJournalRefusesBeforeApply: a commit the journal would not take
+// is refused before anything is applied — catalog, next record id and index
+// stay as the lost commit left them.
+func TestPoisonedJournalRefusesBeforeApply(t *testing.T) {
+	_, c := buildProteinCVD(t, SplitByRlist)
+	j := &flakyJournal{failNext: true}
+	c.SetJournal(j)
+	rows := []relstore.Row{prow("ENSP000001", "ENSP000002", 1, 2, 3)}
+	if _, err := c.Commit([]vgraph.VersionID{4}, rows, proteinSchema(), "lost", "a"); err == nil {
+		t.Fatal("commit with failing journal reported success")
+	}
+	nextRID, records, idx, indexed := c.nextRID, c.catalog.Len(), c.index, c.index.content.n
+	more := []relstore.Row{prow("ENSP000003", "ENSP000004", 4, 5, 6)}
+	if _, err := c.Commit([]vgraph.VersionID{4}, more, proteinSchema(), "refused", "a"); err == nil || !strings.Contains(err.Error(), "poisoned") {
+		t.Fatalf("commit against a poisoned journal: %v", err)
+	}
+	if c.nextRID != nextRID || c.catalog.Len() != records || c.index != idx || c.index.content.n != indexed {
+		t.Fatalf("refused commit changed state: next rid %d → %d, catalog %d → %d, index %d → %d entries",
+			nextRID, c.nextRID, records, c.catalog.Len(), indexed, c.index.content.n)
 	}
 }

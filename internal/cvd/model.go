@@ -61,12 +61,6 @@ func (k ModelKind) String() string {
 	}
 }
 
-// CommitRecord pairs a record id with its data-attribute values.
-type CommitRecord struct {
-	RID vgraph.RecordID
-	Row relstore.Row // data attributes only, aligned with the CVD schema
-}
-
 // CommitRequest carries everything a data model needs to add a new version.
 type CommitRequest struct {
 	// Version is the id of the new version.
@@ -80,13 +74,24 @@ type CommitRequest struct {
 	ParentRIDs func(vgraph.VersionID) []vgraph.RecordID
 	// RIDs is the complete record id list of the new version, ascending.
 	RIDs []vgraph.RecordID
-	// NewRecords are the records in RIDs that are not present in any parent
-	// and must be added to physical storage, with their contents.
-	NewRecords []CommitRecord
-	// Lookup resolves the content of an already-stored record by id. Models
-	// that restate inherited records (delta-based, a-table-per-version) use
-	// it; models with a shared data table do not need it.
-	Lookup func(vgraph.RecordID) (relstore.Row, bool)
+	// Records is the CVD's record catalog: the rid column, then the data
+	// attributes under the schema in force, record r at row r-1. It already
+	// holds the version's new records, and a model takes the content of any
+	// record — new or inherited — from it column-wise (Table.AppendFrom). For
+	// split-by-rlist it is the model's own data table.
+	Records *relstore.Table
+	// New is how many records the version adds to physical storage: the last
+	// New entries of RIDs, which are the last New rows of Records.
+	New int
+}
+
+// positions returns the catalog positions of rids (record r is row r-1).
+func positions(rids []vgraph.RecordID) relstore.Selection {
+	sel := make(relstore.Selection, len(rids))
+	for i, r := range rids {
+		sel[i] = int32(r - 1)
+	}
+	return sel
 }
 
 // DataModel is the physical-storage strategy behind a CVD. Implementations
@@ -134,29 +139,41 @@ func dataSchemaWithRID(data relstore.Schema) relstore.Schema {
 	return relstore.MustSchema(cols, ridColumn)
 }
 
-// rowWithRID prepends the rid value to a data row.
-func rowWithRID(rid vgraph.RecordID, data relstore.Row) relstore.Row {
-	out := make(relstore.Row, 0, len(data)+1)
-	out = append(out, relstore.Int(int64(rid)))
-	out = append(out, data...)
-	return out
+// catalogTabName names a CVD's record catalog: split-by-rlist's data table is
+// the catalog; the other models' catalogs are tables of their own.
+func catalogTabName(cvdName string, kind ModelKind) string {
+	if kind == SplitByRlist {
+		return cvdName + "_data"
+	}
+	return cvdName + "_records"
 }
 
-// padRow extends a row with NULLs so its length matches want. Used after
-// schema evolution when older records have fewer attributes.
-func padRow(r relstore.Row, want int) relstore.Row {
-	for len(r) < want {
-		r = append(r, relstore.Null())
+// alterTable evolves a table holding the data attributes to newSchema the way
+// single-pool evolution does (Section 4.3): missing columns are added, NULL in
+// every existing row, and columns whose type was generalized are cast.
+func alterTable(t *relstore.Table, newSchema relstore.Schema) error {
+	for _, c := range newSchema.Columns {
+		idx := t.Schema.ColumnIndex(c.Name)
+		if idx < 0 {
+			if err := t.AddColumn(c); err != nil {
+				return err
+			}
+		} else if t.Schema.Columns[idx].Type != c.Type {
+			if err := t.AlterColumnType(c.Name, c.Type); err != nil {
+				return err
+			}
+		}
 	}
-	return r
+	return nil
 }
 
 // newModel constructs a data model of the requested kind backed by db, with
-// table names prefixed by the CVD name.
-func newModel(kind ModelKind, db *relstore.Database, cvdName string, schema relstore.Schema) (DataModel, error) {
+// table names prefixed by the CVD name. catalog is the CVD's record catalog,
+// which split-by-rlist adopts as its data table.
+func newModel(kind ModelKind, db *relstore.Database, cvdName string, schema relstore.Schema, catalog *relstore.Table) (DataModel, error) {
 	switch kind {
 	case SplitByRlist:
-		return newRlistModel(db, cvdName, schema), nil
+		return newRlistModel(db, cvdName, schema, catalog), nil
 	case SplitByVlist:
 		return newVlistModel(db, cvdName, schema), nil
 	case CombinedTable:

@@ -46,24 +46,20 @@ func (m *combinedModel) AppendVersion(req CommitRequest) error {
 	t := m.db.MustTable(m.tabName())
 	vlIdx := t.Schema.ColumnIndex(vlistColumn)
 	ridIdx := t.Schema.ColumnIndex(ridColumn)
-	dataCols := len(t.Schema.Columns) - 2
 
-	newSet := make(map[vgraph.RecordID]struct{}, len(req.NewRecords))
-	for _, rec := range req.NewRecords {
-		newSet[rec.RID] = struct{}{}
-		row := make(relstore.Row, 0, dataCols+2)
-		row = append(row, relstore.Int(int64(rec.RID)))
-		row = append(row, padRow(rec.Row.Clone(), dataCols)...)
-		row = append(row, relstore.IntArray([]int64{int64(req.Version)}))
-		if err := t.Insert(row); err != nil {
-			return err
-		}
+	// The new records are the catalog's tail rows and the tail of req.RIDs; the
+	// catalog has no vlist column, so theirs starts NULL and is set here.
+	kept := req.RIDs[:len(req.RIDs)-req.New]
+	first := t.Len()
+	if err := t.AppendFrom(req.Records, positions(req.RIDs[len(kept):])); err != nil {
+		return err
 	}
-	existing := make(map[int64]struct{})
-	for _, rid := range req.RIDs {
-		if _, isNew := newSet[rid]; !isNew {
-			existing[int64(rid)] = struct{}{}
-		}
+	for p := first; p < t.Len(); p++ {
+		t.Set(p, vlIdx, relstore.IntArray([]int64{int64(req.Version)}))
+	}
+	existing := make(map[int64]struct{}, len(kept))
+	for _, rid := range kept {
+		existing[int64(rid)] = struct{}{}
 	}
 	if len(existing) == 0 {
 		return nil
@@ -91,9 +87,7 @@ func (m *combinedModel) Checkout(v vgraph.VersionID, tableName string) (*relstor
 	t.Scan(func(_ int, r relstore.Row) bool {
 		if relstore.ArrayHas(r[vlIdx].A, int64(v)) {
 			found = true
-			row := make(relstore.Row, 0, len(outSchema.Columns))
-			row = append(row, r[:len(outSchema.Columns)].Clone()...)
-			out.AppendRow(padRow(row, len(outSchema.Columns)))
+			out.AppendRow(r[:len(outSchema.Columns)].Clone())
 		}
 		return true
 	})

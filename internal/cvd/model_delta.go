@@ -80,66 +80,33 @@ func (m *deltaModel) AppendVersion(req CommitRequest) error {
 	if err != nil {
 		return err
 	}
-	dataCols := len(m.schema.Columns)
-
-	newByRID := make(map[vgraph.RecordID]CommitRecord, len(req.NewRecords))
-	for _, rec := range req.NewRecords {
-		newByRID[rec.RID] = rec
+	baseSet := make(map[vgraph.RecordID]struct{}, len(baseRIDs))
+	for _, r := range baseRIDs {
+		baseSet[r] = struct{}{}
 	}
-	baseSet := make(map[vgraph.RecordID]struct{})
-	if base != 0 {
-		for _, r := range baseRIDs {
-			baseSet[r] = struct{}{}
-		}
-	}
-	insertRow := func(rid vgraph.RecordID, data relstore.Row, tombstone bool) error {
-		row := make(relstore.Row, 0, dataCols+2)
-		row = append(row, relstore.Int(int64(rid)))
-		row = append(row, padRow(data, dataCols)...)
-		row = append(row, relstore.Bool(tombstone))
-		return t.Insert(row)
-	}
-	// Insertions: records in the new version that the base does not have.
+	// Insertions are the records of the new version that the base does not
+	// have; deletions the records of the base missing from the new version,
+	// whose content is repeated with a tombstone (this is what makes
+	// delta-based storage worse when deletions are common). Both are taken
+	// from the catalog, which has no tombstone column: it is set here.
+	var changed []vgraph.RecordID
 	for _, rid := range req.RIDs {
-		if _, inBase := baseSet[rid]; inBase {
-			continue
-		}
-		var data relstore.Row
-		if rec, ok := newByRID[rid]; ok {
-			data = rec.Row.Clone()
-		} else if req.Lookup != nil {
-			if row, ok := req.Lookup(rid); ok {
-				data = row.Clone()
-			}
-		}
-		if data == nil {
-			return fmt.Errorf("cvd: %s: no content available for record %d of version %d", m.name, rid, req.Version)
-		}
-		if err := insertRow(rid, data, false); err != nil {
-			return err
+		if _, inBase := baseSet[rid]; !inBase {
+			changed = append(changed, rid)
 		}
 	}
-	// Deletions: records in the base missing from the new version; their
-	// content is repeated with a tombstone (this is what makes delta-based
-	// storage worse when deletions are common).
-	if base != 0 {
-		for _, rid := range baseRIDs {
-			if _, still := vset[rid]; still {
-				continue
-			}
-			var data relstore.Row
-			if req.Lookup != nil {
-				if row, ok := req.Lookup(rid); ok {
-					data = row.Clone()
-				}
-			}
-			if data == nil {
-				data = relstore.Row{}
-			}
-			if err := insertRow(rid, data, true); err != nil {
-				return err
-			}
+	inserted := len(changed)
+	for _, rid := range baseRIDs {
+		if _, still := vset[rid]; !still {
+			changed = append(changed, rid)
 		}
+	}
+	if err := t.AppendFrom(req.Records, positions(changed)); err != nil {
+		return err
+	}
+	tombIdx := t.Schema.ColumnIndex(tombstoneColumn)
+	for p := range changed {
+		t.Set(p, tombIdx, relstore.Bool(p >= inserted))
 	}
 	meta := m.db.MustTable(m.metaTabName())
 	if err := meta.Insert(relstore.Row{relstore.Int(int64(req.Version)), relstore.Int(int64(base))}); err != nil {
@@ -155,7 +122,6 @@ func (m *deltaModel) Checkout(v vgraph.VersionID, tableName string) (*relstore.T
 	}
 	out := relstore.NewTable(tableName, dataSchemaWithRID(m.schema))
 	seen := make(map[int64]struct{})
-	dataCols := len(m.schema.Columns)
 	cur := v
 	for {
 		t := m.db.MustTable(m.deltaTabName(cur))
@@ -170,9 +136,14 @@ func (m *deltaModel) Checkout(v vgraph.VersionID, tableName string) (*relstore.T
 			if r[tombIdx].AsBool() {
 				return true // deleted in a later version; never resurface
 			}
-			row := make(relstore.Row, 0, dataCols+1)
-			row = append(row, r[:len(r)-1].Clone()...)
-			out.AppendRow(padRow(row, dataCols+1))
+			// A delta older than a schema change keeps the schema it was written
+			// under; its rows are read in the form the current one stores them
+			// (AppendRow pads the columns they lack with NULL).
+			row := r[:len(r)-1].Clone()
+			for j := range row[1:] {
+				row[j+1] = *canonical(&row[j+1], m.schema.Columns[j].Type, &row[j+1])
+			}
+			out.AppendRow(row)
 			return true
 		})
 		base := m.bases[cur]

@@ -2,7 +2,7 @@ package cvd
 
 import (
 	"fmt"
-	"sort"
+	"sync/atomic"
 
 	"repro/internal/parallel"
 	"repro/internal/recset"
@@ -12,20 +12,22 @@ import (
 
 // rlistModel is the split-by-rlist data model (Approach 4.3): a shared data
 // table keyed by rid plus a versioning table keyed by vid whose rlist array
-// lists the records in the version. It is the model OrpheusDB adopts, and
-// the only model that supports partitioned storage (Chapter 5): the data
-// table may be split into several partition tables, each holding all records
-// of the versions assigned to it, so a checkout touches exactly one
+// lists the records in the version. The data table is the CVD's record catalog
+// itself — the same table, so a record is stored once and a commit has nothing
+// to add to it — which keeps record r at row r-1. It is the model OrpheusDB
+// adopts, and the only model that supports partitioned storage (Chapter 5):
+// the data table may be split into several partition tables, each holding all
+// records of the versions assigned to it, so a checkout touches exactly one
 // partition.
 type rlistModel struct {
-	db      *relstore.Database
-	name    string
-	schema  relstore.Schema // data schema without rid
-	join    relstore.JoinMethod
-	dataTab string
+	db     *relstore.Database
+	name   string
+	schema relstore.Schema // data schema without rid
+	join   relstore.JoinMethod
+	data   *relstore.Table // the CVD's record catalog, registered in db under its name (<cvd>_data)
 
 	// Partitioned state. When partitions is nil the model is unpartitioned
-	// and all records live in the single dataTab table. When non-nil,
+	// and all records live in the single data table. When non-nil,
 	// partition k's records live in table partTabName(k) and partitionOf
 	// maps each version to its partition.
 	partitions  []string // partition table names
@@ -42,15 +44,26 @@ type rlistModel struct {
 	// workers bounds intra-operation parallelism: checkout scans are chunked
 	// and partition builds fan out across this many goroutines when > 1.
 	workers int
+
+	// read is what checkoutPublished reads, without the CVD's lock. Every
+	// method that changes what a checkout reads ends with publish.
+	read atomic.Pointer[rlistRead]
 }
 
-func newRlistModel(db *relstore.Database, name string, schema relstore.Schema) *rlistModel {
+// rlistRead is an unpartitioned model as of its last change: views
+// (relstore.Table.View) of the two tables, which commits only append to.
+type rlistRead struct {
+	data, versions *relstore.Table
+	workers        int
+}
+
+func newRlistModel(db *relstore.Database, name string, schema relstore.Schema, catalog *relstore.Table) *rlistModel {
 	return &rlistModel{
-		db:      db,
-		name:    name,
-		schema:  schema.Clone(),
-		join:    relstore.HashJoin,
-		dataTab: name + "_data",
+		db:     db,
+		name:   name,
+		schema: schema.Clone(),
+		join:   relstore.HashJoin,
+		data:   catalog,
 	}
 }
 
@@ -58,7 +71,10 @@ func (m *rlistModel) Kind() ModelKind { return SplitByRlist }
 
 // SetJoinMethod overrides the join strategy used during checkout; the
 // default is a hash join (Section 5.5.5).
-func (m *rlistModel) SetJoinMethod(j relstore.JoinMethod) { m.join = j }
+func (m *rlistModel) SetJoinMethod(j relstore.JoinMethod) {
+	m.join = j
+	m.publish()
+}
 
 // SetWorkers bounds the intra-operation parallelism of checkout scans and
 // partition builds; 0 or 1 keeps them single-threaded.
@@ -67,6 +83,7 @@ func (m *rlistModel) SetWorkers(n int) {
 		n = 1
 	}
 	m.workers = n
+	m.publish()
 }
 
 func (m *rlistModel) versioningTabName() string { return m.name + "_versions" }
@@ -74,32 +91,20 @@ func (m *rlistModel) versioningTabName() string { return m.name + "_versions" }
 func (m *rlistModel) partTabName(k int) string { return fmt.Sprintf("%s_part%d", m.name, k) }
 
 func (m *rlistModel) Init(req CommitRequest) error {
-	data, err := m.db.CreateTable(m.dataTab, dataSchemaWithRID(m.schema))
-	if err != nil {
-		return err
+	if m.db.HasTable(m.data.Name) {
+		return fmt.Errorf("cvd: %s: table %q already exists", m.name, m.data.Name)
 	}
-	vt, err := m.db.CreateTable(m.versioningTabName(), relstore.MustSchema([]relstore.Column{
+	m.db.AttachTable(m.data)
+	if _, err := m.db.CreateTable(m.versioningTabName(), relstore.MustSchema([]relstore.Column{
 		{Name: vidColumn, Type: relstore.TypeInt},
 		{Name: rlistColumn, Type: relstore.TypeIntArray},
-	}, vidColumn))
-	if err != nil {
+	}, vidColumn)); err != nil {
 		return err
 	}
-	_ = data
-	_ = vt
 	return m.AppendVersion(req)
 }
 
 func (m *rlistModel) AppendVersion(req CommitRequest) error {
-	data, ok := m.db.Table(m.dataTab)
-	if !ok {
-		return fmt.Errorf("cvd: %s: data table missing", m.name)
-	}
-	for _, rec := range req.NewRecords {
-		if err := data.Insert(rowWithRID(rec.RID, padRow(rec.Row.Clone(), len(m.schema.Columns)))); err != nil {
-			return err
-		}
-	}
 	vt := m.db.MustTable(m.versioningTabName())
 	rlist := make([]int64, len(req.RIDs)) // ascending, as req.RIDs is
 	for i, r := range req.RIDs {
@@ -118,10 +123,11 @@ func (m *rlistModel) AppendVersion(req CommitRequest) error {
 				k = pk
 			}
 		}
-		if err := m.addVersionToPartition(req.Version, k, req.RIDs, req.NewRecords); err != nil {
+		if err := m.addVersionToPartition(req.Version, k, req.RIDs); err != nil {
 			return err
 		}
 	}
+	m.publish()
 	return nil
 }
 
@@ -146,24 +152,27 @@ func (m *rlistModel) rsetOf(v vgraph.VersionID) (*recset.Set, error) {
 }
 
 func (m *rlistModel) Checkout(v vgraph.VersionID, tableName string) (*relstore.Table, error) {
-	set, err := m.rsetOf(v)
+	rlist, err := m.rlistOf(v)
 	if err != nil {
 		return nil, err
 	}
-	src := m.dataTab
+	data := m.data
 	if m.partitions != nil {
 		k, ok := m.partitionOf[v]
 		if !ok {
 			return nil, fmt.Errorf("cvd: %s: version %d has no partition assignment", m.name, v)
 		}
-		src = m.partitions[k]
+		data = m.db.MustTable(m.partitions[k])
 	}
-	data := m.db.MustTable(src)
-	// The join resolves to a selection vector over
-	// the data table and the staging table is gathered column-wise — sharing
-	// the column backing outright (copy-on-write) when the version covers the
-	// whole backing table.
-	out, err := relstore.JoinTableOnRIDSet(data, ridColumn, set, m.join, m.workers, tableName)
+	return joinCheckout(data, rlist, m.join, m.workers, tableName)
+}
+
+// joinCheckout materializes the records of an rlist out of data. The join
+// resolves to a selection vector over the data table and the staging table is
+// gathered column-wise — sharing the column backing outright (copy-on-write)
+// when the version covers the whole backing table.
+func joinCheckout(data *relstore.Table, rlist []int64, join relstore.JoinMethod, workers int, tableName string) (*relstore.Table, error) {
+	out, err := relstore.JoinTableOnRIDs(data, ridColumn, rlist, join, workers, tableName)
 	if err != nil {
 		return nil, err
 	}
@@ -171,10 +180,38 @@ func (m *rlistModel) Checkout(v vgraph.VersionID, tableName string) (*relstore.T
 	return out, nil
 }
 
+// publish replaces what checkoutPublished reads with the model's current
+// state, or with nothing when a checkout is more than a positional gather out
+// of the data table: under partitioning, and with a join method picked for
+// the cost model. The caller holds the CVD's exclusive lock.
+func (m *rlistModel) publish() {
+	vt, ok := m.db.Table(m.versioningTabName())
+	if !ok || m.partitions != nil || m.join != relstore.HashJoin {
+		m.read.Store(nil)
+		return
+	}
+	m.read.Store(&rlistRead{data: m.data.View(), versions: vt.View(), workers: m.workers})
+}
+
+// checkoutPublished is Checkout for a caller that does not hold the CVD's
+// lock: it reads the views last published, so it neither waits for a commit in
+// flight nor makes one wait. ok is false when they do not hold the version and
+// the caller has to take the lock. Versions are numbered from 1 in commit
+// order, so version v is row v-1 of the versioning table.
+func (m *rlistModel) checkoutPublished(v vgraph.VersionID, tableName string) (out *relstore.Table, ok bool) {
+	rd := m.read.Load()
+	pos := int(v) - 1
+	if rd == nil || pos < 0 || pos >= rd.versions.Len() || rd.versions.IntAt(pos, 0) != int64(v) {
+		return nil, false
+	}
+	out, err := joinCheckout(rd.data, rd.versions.At(pos, 1).A, relstore.HashJoin, rd.workers, tableName)
+	return out, err == nil // an error is the locked path's to report
+}
+
 func (m *rlistModel) StorageBytes() int64 {
 	var n int64
 	if m.partitions == nil {
-		n += m.db.MustTable(m.dataTab).StorageBytes()
+		n += m.data.StorageBytes()
 	} else {
 		for _, p := range m.partitions {
 			n += m.db.MustTable(p).StorageBytes()
@@ -190,7 +227,7 @@ func (m *rlistModel) StorageBytes() int64 {
 func (m *rlistModel) DataStorageBytes() int64 {
 	var n int64
 	if m.partitions == nil {
-		return m.db.MustTable(m.dataTab).StorageBytes()
+		return m.data.StorageBytes()
 	}
 	for _, p := range m.partitions {
 		n += m.db.MustTable(p).StorageBytes()
@@ -203,7 +240,7 @@ func (m *rlistModel) DataStorageBytes() int64 {
 // when unpartitioned.
 func (m *rlistModel) DataRecordCount() int64 {
 	if m.partitions == nil {
-		return int64(m.db.MustTable(m.dataTab).Len())
+		return int64(m.data.Len())
 	}
 	var n int64
 	for _, p := range m.partitions {
@@ -212,38 +249,21 @@ func (m *rlistModel) DataRecordCount() int64 {
 	return n
 }
 
+// AlterSchema evolves the partition tables; the data table is the CVD's
+// catalog, which the CVD has evolved already.
 func (m *rlistModel) AlterSchema(newSchema relstore.Schema) error {
-	apply := func(t *relstore.Table) error {
-		for _, c := range newSchema.Columns {
-			if !t.Schema.HasColumn(c.Name) {
-				if err := t.AddColumn(c); err != nil {
-					return err
-				}
-				continue
-			}
-			idx := t.Schema.ColumnIndex(c.Name)
-			if t.Schema.Columns[idx].Type != c.Type {
-				if err := t.AlterColumnType(c.Name, c.Type); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := apply(m.db.MustTable(m.dataTab)); err != nil {
-		return err
-	}
 	for _, p := range m.partitions {
-		if err := apply(m.db.MustTable(p)); err != nil {
+		if err := alterTable(m.db.MustTable(p), newSchema); err != nil {
 			return err
 		}
 	}
 	m.schema = newSchema.Clone()
+	m.publish()
 	return nil
 }
 
 func (m *rlistModel) Drop() {
-	m.db.DropTable(m.dataTab)
+	m.db.DropTable(m.data.Name)
 	m.db.DropTable(m.versioningTabName())
 	for _, p := range m.partitions {
 		m.db.DropTable(p)
@@ -251,6 +271,7 @@ func (m *rlistModel) Drop() {
 	m.partitions = nil
 	m.partitionOf = nil
 	m.resident = nil
+	m.publish()
 }
 
 // Partitioned reports whether partitioned storage is active.
@@ -276,7 +297,7 @@ func (m *rlistModel) PartitionOf(v vgraph.VersionID) int {
 // the same physical table.
 func (m *rlistModel) PartitionTableName(v vgraph.VersionID) string {
 	if m.partitions == nil {
-		return m.dataTab
+		return m.data.Name
 	}
 	k, ok := m.partitionOf[v]
 	if !ok {
@@ -300,6 +321,7 @@ func (m *rlistModel) PartitionSizes() []int64 {
 // all versions assigned to it; records shared across partitions are
 // duplicated (Section 5.1).
 func (m *rlistModel) ApplyPartitioning(p vgraph.Partitioning) error {
+	defer m.publish()
 	// Drop any previous partitions.
 	for _, name := range m.partitions {
 		m.db.DropTable(name)
@@ -345,12 +367,11 @@ func (m *rlistModel) fillPartition(t *relstore.Table, k int, versions []vgraph.V
 		}
 		need.UnionWith(rs)
 	}
-	data := m.db.MustTable(m.dataTab)
-	sel, err := data.SelectRIDSet(ridColumn, need)
+	sel, err := m.data.SelectRIDSet(ridColumn, need)
 	if err != nil {
 		return err
 	}
-	if err := t.AppendFrom(data, sel); err != nil {
+	if err := t.AppendFrom(m.data, sel); err != nil {
 		return err
 	}
 	m.resident[k] = need
@@ -442,12 +463,11 @@ func (m *rlistModel) Migrate(p vgraph.Partitioning, plan []MigrationOp) (Migrati
 			res.PartitionsBuilt++
 		}
 		// Insert the records still missing, fetched from the master data table.
-		data := m.db.MustTable(m.dataTab)
-		sel, err := data.SelectRIDSet(ridColumn, missing)
+		sel, err := m.data.SelectRIDSet(ridColumn, missing)
 		if err != nil {
 			return res, err
 		}
-		if err := t.AppendFrom(data, sel); err != nil {
+		if err := t.AppendFrom(m.data, sel); err != nil {
 			return res, err
 		}
 		res.RecordsInserted += int64(len(sel))
@@ -511,7 +531,7 @@ func (m *rlistModel) residentOf(k int) *recset.Set {
 // the version's new records into that partition (the online maintenance rule
 // of Section 5.4). If newPartition is true a fresh partition is created for
 // the version instead.
-func (m *rlistModel) OnlineAssign(v vgraph.VersionID, k int, newPartition bool, rids []vgraph.RecordID, newRecords []CommitRecord) (int, error) {
+func (m *rlistModel) OnlineAssign(v vgraph.VersionID, k int, newPartition bool, rids []vgraph.RecordID) (int, error) {
 	if m.partitions == nil {
 		return -1, fmt.Errorf("cvd: %s: OnlineAssign requires partitioned storage", m.name)
 	}
@@ -528,7 +548,7 @@ func (m *rlistModel) OnlineAssign(v vgraph.VersionID, k int, newPartition bool, 
 	if k < 0 || k >= len(m.partitions) {
 		return -1, fmt.Errorf("cvd: %s: partition %d out of range", m.name, k)
 	}
-	if err := m.addVersionToPartition(v, k, rids, newRecords); err != nil {
+	if err := m.addVersionToPartition(v, k, rids); err != nil {
 		return -1, err
 	}
 	return k, nil
@@ -537,46 +557,25 @@ func (m *rlistModel) OnlineAssign(v vgraph.VersionID, k int, newPartition bool, 
 // addVersionToPartition ensures all records of the version exist in the
 // partition table and records the assignment. Membership of already-present
 // records comes from the partition's resident-rid recset — O(|rlist|) bit
-// probes per commit instead of the pre-recset full partition-table scan —
-// and the cache is updated as rows are inserted.
-func (m *rlistModel) addVersionToPartition(v vgraph.VersionID, k int, rids []vgraph.RecordID, newRecords []CommitRecord) error {
+// probes per commit — and the records it lacks, the commit's new ones among
+// them, are appended column-wise from the data table, where record r is row
+// r-1.
+func (m *rlistModel) addVersionToPartition(v vgraph.VersionID, k int, rids []vgraph.RecordID) error {
 	t := m.db.MustTable(m.partitions[k])
 	have := m.residentOf(k)
-	newByRID := make(map[int64]CommitRecord, len(newRecords))
-	for _, rec := range newRecords {
-		newByRID[int64(rec.RID)] = rec
-	}
-	var missing []int64
+	var missing []vgraph.RecordID // ascending, as rids is
 	for _, rid := range rids {
-		if have.Contains(int64(rid)) {
-			continue
+		if !have.Contains(int64(rid)) {
+			missing = append(missing, rid)
 		}
-		if rec, ok := newByRID[int64(rid)]; ok {
-			if err := t.Insert(rowWithRID(rec.RID, padRow(rec.Row.Clone(), len(m.schema.Columns)))); err != nil {
-				return err
-			}
-			have.Add(int64(rid))
-			continue
-		}
-		missing = append(missing, int64(rid))
 	}
-	if len(missing) > 0 {
-		sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
-		data := m.db.MustTable(m.dataTab)
-		sel, err := data.SelectRIDSet(ridColumn, recset.FromSorted(missing))
-		if err != nil {
+	if len(missing) > 0 { // an append of nothing would still unshare t's columns
+		if err := t.AppendFrom(m.data, positions(missing)); err != nil {
 			return err
 		}
-		found, err := data.GatherInts(ridColumn, sel)
-		if err != nil {
-			return err
-		}
-		if err := t.AppendFrom(data, sel); err != nil {
-			return err
-		}
-		for _, rid := range found {
-			have.Add(rid)
-		}
+	}
+	for _, rid := range missing {
+		have.Add(int64(rid))
 	}
 	if m.partitionOf == nil {
 		m.partitionOf = make(map[vgraph.VersionID]int)

@@ -35,38 +35,10 @@ func (m *tpvModel) AppendVersion(req CommitRequest) error {
 	if err != nil {
 		return err
 	}
-	newByRID := make(map[vgraph.RecordID]CommitRecord, len(req.NewRecords))
-	for _, rec := range req.NewRecords {
-		newByRID[rec.RID] = rec
-	}
-	// Records inherited from parents are looked up in the parents' tables;
-	// genuinely new records come from the commit request.
-	var parentTables []*relstore.Table
-	for _, p := range req.Parents {
-		if pt, ok := m.db.Table(m.tabName(p)); ok {
-			parentTables = append(parentTables, pt)
-		}
-	}
-	for _, rid := range req.RIDs {
-		if rec, ok := newByRID[rid]; ok {
-			if err := t.Insert(rowWithRID(rec.RID, padRow(rec.Row.Clone(), len(m.schema.Columns)))); err != nil {
-				return err
-			}
-			continue
-		}
-		inserted := false
-		for _, pt := range parentTables {
-			if row, ok := pt.LookupIndex(relstore.Int(int64(rid))); ok {
-				if err := t.Insert(padRow(row.Clone(), len(t.Schema.Columns))); err != nil {
-					return err
-				}
-				inserted = true
-				break
-			}
-		}
-		if !inserted {
-			return fmt.Errorf("cvd: %s: record %d of version %d not found in any parent", m.name, rid, req.Version)
-		}
+	// Every record of the version, new or inherited, comes from the catalog,
+	// in the form the schema in force stores it.
+	if err := t.AppendFrom(req.Records, positions(req.RIDs)); err != nil {
+		return err
 	}
 	m.versions[req.Version] = name
 	return nil

@@ -45,23 +45,21 @@ func (m *vlistModel) AppendVersion(req CommitRequest) error {
 	data := m.db.MustTable(m.dataTabName())
 	vt := m.db.MustTable(m.versioningTabName())
 
-	newSet := make(map[vgraph.RecordID]struct{}, len(req.NewRecords))
-	for _, rec := range req.NewRecords {
-		newSet[rec.RID] = struct{}{}
-		if err := data.Insert(rowWithRID(rec.RID, padRow(rec.Row.Clone(), len(m.schema.Columns)))); err != nil {
-			return err
-		}
-		if err := vt.Insert(relstore.Row{relstore.Int(int64(rec.RID)), relstore.IntArray([]int64{int64(req.Version)})}); err != nil {
+	// The new records are the catalog's tail rows and the tail of req.RIDs.
+	kept := req.RIDs[:len(req.RIDs)-req.New]
+	if err := data.AppendFrom(req.Records, positions(req.RIDs[len(kept):])); err != nil {
+		return err
+	}
+	for _, rid := range req.RIDs[len(kept):] {
+		if err := vt.Insert(relstore.Row{relstore.Int(int64(rid)), relstore.IntArray([]int64{int64(req.Version)})}); err != nil {
 			return err
 		}
 	}
 	// Append the new version id to the vlist of every pre-existing record in
 	// the version: the expensive array-append UPDATE of Table 4.1.
-	existing := make(map[int64]struct{})
-	for _, rid := range req.RIDs {
-		if _, isNew := newSet[rid]; !isNew {
-			existing[int64(rid)] = struct{}{}
-		}
+	existing := make(map[int64]struct{}, len(kept))
+	for _, rid := range kept {
+		existing[int64(rid)] = struct{}{}
 	}
 	if len(existing) == 0 {
 		return nil
@@ -116,20 +114,8 @@ func (m *vlistModel) StorageBytes() int64 {
 }
 
 func (m *vlistModel) AlterSchema(newSchema relstore.Schema) error {
-	t := m.db.MustTable(m.dataTabName())
-	for _, c := range newSchema.Columns {
-		if !t.Schema.HasColumn(c.Name) {
-			if err := t.AddColumn(c); err != nil {
-				return err
-			}
-			continue
-		}
-		idx := t.Schema.ColumnIndex(c.Name)
-		if t.Schema.Columns[idx].Type != c.Type {
-			if err := t.AlterColumnType(c.Name, c.Type); err != nil {
-				return err
-			}
-		}
+	if err := alterTable(m.db.MustTable(m.dataTabName()), newSchema); err != nil {
+		return err
 	}
 	m.schema = newSchema.Clone()
 	return nil

@@ -94,7 +94,7 @@ func TestCommitAfterPartitioningRoutesToParentPartition(t *testing.T) {
 func TestOnlineAssignNewPartition(t *testing.T) {
 	_, c := buildProteinCVD(t, SplitByRlist)
 	m, _ := c.Rlist()
-	if _, err := m.OnlineAssign(1, 0, false, nil, nil); err == nil {
+	if _, err := m.OnlineAssign(1, 0, false, nil); err == nil {
 		t.Error("OnlineAssign on unpartitioned model should fail")
 	}
 	p := vgraph.NewPartitioning(map[vgraph.VersionID]int{1: 0, 2: 0, 3: 0, 4: 0})
@@ -103,7 +103,7 @@ func TestOnlineAssignNewPartition(t *testing.T) {
 	}
 	// Move v4 into a brand new partition.
 	rids := c.RecordsOf(4)
-	k, err := m.OnlineAssign(4, -1, true, rids, nil)
+	k, err := m.OnlineAssign(4, -1, true, rids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestOnlineAssignNewPartition(t *testing.T) {
 	if len(sizes) != 2 || sizes[1] != 6 {
 		t.Errorf("partition sizes = %v, want second partition with 6 records", sizes)
 	}
-	if _, err := m.OnlineAssign(4, 99, false, rids, nil); err == nil {
+	if _, err := m.OnlineAssign(4, 99, false, rids); err == nil {
 		t.Error("out-of-range partition index should fail")
 	}
 }

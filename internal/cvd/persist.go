@@ -2,6 +2,7 @@ package cvd
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -95,12 +96,6 @@ func (c *CVD) JournalLocked() (Journal, error) {
 	return c.journal, c.journalErr
 }
 
-// PersistedRecord is one entry of the record catalog (rid → data values).
-type PersistedRecord struct {
-	RID vgraph.RecordID
-	Row relstore.Row
-}
-
 // VersionRecordSet pairs a version with its compressed record set, in the
 // bipartite graph's insertion order.
 type VersionRecordSet struct {
@@ -121,15 +116,18 @@ type PersistentState struct {
 	NextVID vgraph.VersionID
 	NextRID vgraph.RecordID
 
-	Records    []PersistedRecord  // record catalog sorted by rid
 	Graph      *vgraph.Graph      // version graph
 	RecordSets []VersionRecordSet // bipartite graph, insertion order
 	Metas      []*VersionMeta     // version metadata ordered by id
 	Attrs      []Attribute        // attribute registry in registration order
 
 	// Tables lists every backing table of this CVD (data, versioning,
-	// metadata, partitions, per-version/delta tables). Checked-out staging
-	// tables are deliberately absent: they are transient working state.
+	// metadata, partitions, per-version/delta tables, and the record catalog,
+	// which CatalogTable names). Checked-out staging tables are deliberately
+	// absent: they are transient working state. All are tables of the database
+	// but the record catalog of a model other than split-by-rlist, which is
+	// private to the CVD: a serializer gets it from CVD.Catalog, and Restore
+	// takes it back out of the database a deserializer put it in.
 	Tables []string
 
 	// Split-by-rlist partitioned storage (all empty when unpartitioned or
@@ -155,22 +153,8 @@ func (c *CVD) ExportState() *PersistentState {
 		Attrs:   c.attrs.All(),
 		Tables:  append(c.modelTableNames(), c.meta.name),
 	}
-	// Record ids are handed out densely from 1, so counting them up yields the
-	// catalog in order without sorting it — this runs under the exclusive lock
-	// of every checkpoint. A catalog with ids outside that range (none is
-	// known) is collected and sorted the slow way.
-	st.Records = make([]PersistedRecord, 0, len(c.records))
-	for rid := vgraph.RecordID(1); rid < c.nextRID; rid++ {
-		if row, ok := c.records[rid]; ok {
-			st.Records = append(st.Records, PersistedRecord{RID: rid, Row: row})
-		}
-	}
-	if len(st.Records) != len(c.records) {
-		st.Records = st.Records[:0]
-		for rid, row := range c.records {
-			st.Records = append(st.Records, PersistedRecord{RID: rid, Row: row})
-		}
-		sort.Slice(st.Records, func(i, j int) bool { return st.Records[i].RID < st.Records[j].RID })
+	if c.kind != SplitByRlist {
+		st.Tables = append(st.Tables, c.catalog.Name)
 	}
 	for _, v := range c.bip.Versions() {
 		st.RecordSets = append(st.RecordSets, VersionRecordSet{Version: v, Set: c.bip.RecordSet(v)})
@@ -190,10 +174,10 @@ func (c *CVD) ExportState() *PersistentState {
 // stays valid after the CVD's lock is released — the non-blocking checkpoint
 // path. The caller must hold the exclusive lock for the call itself. The
 // mutable structures (version graph, partition resident sets, version
-// metadata) are cloned; structurally immutable data — catalog rows and
-// committed record sets, which commits only ever add to, never mutate — is
-// shared by pointer, so the capture is O(versions) extra memory, not
-// O(dataset).
+// metadata) are cloned; committed record sets, which commits only ever add,
+// never mutate, are shared by pointer, so the capture is O(versions) extra
+// memory, not O(dataset). The backing tables, the catalog among them, are for
+// the caller to freeze (relstore.Table.SnapshotClone).
 func (c *CVD) ExportStateCOW() *PersistentState {
 	st := c.ExportState()
 	st.Graph = c.graph.Clone()
@@ -215,11 +199,19 @@ func (c *CVD) ExportStateCOW() *PersistentState {
 	return st
 }
 
+// CatalogTable returns the name of the table holding the CVD's record catalog.
+func (st *PersistentState) CatalogTable() string { return catalogTabName(st.Name, st.Kind) }
+
+// Catalog returns the record catalog table, for the serializer holding the
+// CVD's lock: the rid column, then the data attributes, record r at row r-1.
+// The pointer is live, like those of Graph and DataModel.
+func (c *CVD) Catalog() *relstore.Table { return c.catalog }
+
 // modelTableNames lists the backing tables of the physical data model.
 func (c *CVD) modelTableNames() []string {
 	switch m := c.model.(type) {
 	case *rlistModel:
-		out := []string{m.dataTab, m.versioningTabName()}
+		out := []string{m.data.Name, m.versioningTabName()}
 		return append(out, m.partitions...)
 	case *vlistModel:
 		return []string{m.dataTabName(), m.versioningTabName()}
@@ -247,13 +239,25 @@ func (c *CVD) modelTableNames() []string {
 // Restore rebuilds a live CVD from a persistent state. Every table named in
 // st.Tables must already have been deserialized into db; Restore only wires
 // the in-memory structures (graph, bipartite record sets, record catalog,
-// metadata, attribute registry, model bookkeeping) back around them. The
-// restored CVD takes ownership of the state's pointers.
+// metadata, attribute registry, model bookkeeping) back around them, taking a
+// catalog that is not the model's data table out of db again. The restored CVD
+// takes ownership of the state's pointers.
 func Restore(db *relstore.Database, st *PersistentState) (*CVD, error) {
 	for _, name := range st.Tables {
 		if !db.HasTable(name) {
 			return nil, fmt.Errorf("cvd: restore %s: backing table %q missing from database", st.Name, name)
 		}
+	}
+	catalog, ok := db.Table(st.CatalogTable())
+	if !ok {
+		return nil, fmt.Errorf("cvd: restore %s: record catalog table %q missing from database", st.Name, st.CatalogTable())
+	}
+	if err := CheckCatalog(st, catalog); err != nil {
+		return nil, err
+	}
+	if st.Kind != SplitByRlist {
+		db.DropTable(catalog.Name)
+		catalog.SetStats(&relstore.CostStats{})
 	}
 	c := &CVD{
 		name:      st.Name,
@@ -262,16 +266,13 @@ func Restore(db *relstore.Database, st *PersistentState) (*CVD, error) {
 		schema:    st.Schema.Clone(),
 		graph:     st.Graph,
 		bip:       vgraph.NewBipartite(),
-		records:   make(map[vgraph.RecordID]relstore.Row, len(st.Records)),
+		catalog:   catalog,
 		nextVID:   st.NextVID,
 		nextRID:   st.NextRID,
 		checkouts: make(map[string]checkoutInfo),
 		reserved:  make(map[string]struct{}),
 		workers:   1,
 		clock:     time.Now,
-	}
-	for _, rec := range st.Records {
-		c.records[rec.RID] = rec.Row
 	}
 	for _, vs := range st.RecordSets {
 		c.bip.SetVersionSet(vs.Version, vs.Set)
@@ -282,12 +283,36 @@ func Restore(db *relstore.Database, st *PersistentState) (*CVD, error) {
 		return nil, err
 	}
 	c.meta = meta
-	model, err := restoreModel(db, st)
+	model, err := restoreModel(db, st, catalog)
 	if err != nil {
 		return nil, err
 	}
 	c.model = model
 	return c, nil
+}
+
+// CheckCatalog verifies that catalog is the record catalog st describes: the
+// rid column followed by st's data schema, and dense — one row per record id
+// handed out so far, row r-1 carrying rid r, which is what lets a lookup be an
+// index. Restore refuses a state that fails it, and a scrub reports one.
+func CheckCatalog(st *PersistentState, catalog *relstore.Table) error {
+	// Spelled out rather than compared with dataSchemaWithRID(st.Schema), which
+	// panics on a schema that cannot take a rid column: st may be anything a
+	// scrub decoded.
+	if cols := catalog.Schema.Columns; len(cols) != len(st.Schema.Columns)+1 ||
+		cols[0] != (relstore.Column{Name: ridColumn, Type: relstore.TypeInt}) || !slices.Equal(cols[1:], st.Schema.Columns) ||
+		!slices.Equal(catalog.Schema.PrimaryKey, []string{ridColumn}) {
+		return fmt.Errorf("cvd: %s: record catalog %s has schema (%s), want the %s column, its key, then (%s)", st.Name, catalog.Name, catalog.Schema, ridColumn, st.Schema)
+	}
+	if n := catalog.Len(); n != int(st.NextRID)-1 {
+		return fmt.Errorf("cvd: %s: record catalog %s holds %d records where record ids 1 to %d were handed out", st.Name, catalog.Name, n, st.NextRID-1)
+	}
+	for row := 0; row < catalog.Len(); row++ {
+		if rid := catalog.At(row, 0); rid.Type != relstore.TypeInt || rid.I != int64(row)+1 {
+			return fmt.Errorf("cvd: %s: row %d of record catalog %s carries record id %s, want %d", st.Name, row, catalog.Name, rid.AsString(), row+1)
+		}
+	}
+	return nil
 }
 
 // restoreAttributeRegistry rebuilds the registry from its persisted rows.
@@ -323,10 +348,10 @@ func restoreMetadataStore(db *relstore.Database, cvdName string, metas []*Versio
 
 // restoreModel rebuilds the physical data model's in-memory bookkeeping
 // around the already deserialized tables.
-func restoreModel(db *relstore.Database, st *PersistentState) (DataModel, error) {
+func restoreModel(db *relstore.Database, st *PersistentState, catalog *relstore.Table) (DataModel, error) {
 	switch st.Kind {
 	case SplitByRlist:
-		m := newRlistModel(db, st.Name, st.Schema)
+		m := newRlistModel(db, st.Name, st.Schema, catalog)
 		if len(st.Partitions) > 0 {
 			m.partitions = append([]string(nil), st.Partitions...)
 			m.partitionOf = make(map[vgraph.VersionID]int, len(st.PartitionOf))
@@ -340,6 +365,7 @@ func restoreModel(db *relstore.Database, st *PersistentState) (DataModel, error)
 				m.resident = make([]*recset.Set, len(st.Partitions))
 			}
 		}
+		m.publish()
 		return m, nil
 	case SplitByVlist:
 		return newVlistModel(db, st.Name, st.Schema), nil

@@ -121,12 +121,11 @@ func (c *CVD) NamedPredicateAll(comparisons []ColumnComparison) (Predicate, erro
 	return &multiColumnPredicate{preds: preds}, nil
 }
 
-// pushdownSetLocked evaluates a (multi-)column predicate vectorized over
-// the split-by-rlist master data table, returning the compressed set of
-// rids whose record content satisfies it. It returns ok=false when the
-// predicate is opaque or the CVD's physical model has no shared data table
-// to scan (the caller then falls back to row-at-a-time evaluation).
-// Callers hold c.mu.
+// pushdownSetLocked evaluates a (multi-)column predicate vectorized over the
+// record catalog's column lanes, returning the compressed set of rids whose
+// record content satisfies it. It returns ok=false when the predicate is
+// opaque (the caller then falls back to row-at-a-time evaluation). Callers
+// hold c.mu.
 func (c *CVD) pushdownSetLocked(pred Predicate) (*recset.Set, bool) {
 	var cps []*columnPredicate
 	switch p := pred.(type) {
@@ -137,30 +136,20 @@ func (c *CVD) pushdownSetLocked(pred Predicate) (*recset.Set, bool) {
 	default:
 		return nil, false
 	}
-	m, ok := c.model.(*rlistModel)
-	if !ok {
-		return nil, false
-	}
-	data, ok := c.db.Table(m.dataTab)
-	if !ok {
-		return nil, false
-	}
 	preds := make([]relstore.ColPred, 0, len(cps))
 	for _, cp := range cps {
-		// Resolve the column against the data table (rid first, then the
-		// data attributes): the registered position may predate schema
-		// evolution.
-		di := data.Schema.ColumnIndex(cp.column)
-		if di < 0 {
+		// Resolve the column against the catalog (rid first, then the data
+		// attributes): the registered position may predate schema evolution.
+		if !c.catalog.Schema.HasColumn(cp.column) {
 			return nil, false
 		}
-		preds = append(preds, relstore.ColPred{Col: data.Schema.Columns[di].Name, Op: cp.op, Value: cp.value})
+		preds = append(preds, relstore.ColPred{Col: cp.column, Op: cp.op, Value: cp.value})
 	}
-	sel, err := data.FilterVecAll(preds)
+	sel, err := c.catalog.FilterVecAll(preds)
 	if err != nil {
 		return nil, false
 	}
-	rids, err := data.GatherInts(ridColumn, sel)
+	rids, err := c.catalog.GatherInts(ridColumn, sel)
 	if err != nil {
 		return nil, false
 	}
@@ -201,7 +190,7 @@ func (c *CVD) ScanVersions(versions []vgraph.VersionID, pred Predicate, limit in
 		done := false
 		rset.ForEach(func(x int64) bool {
 			rid := vgraph.RecordID(x)
-			row, ok := c.recordContentLocked(rid)
+			row, ok := c.record(rid)
 			if !ok {
 				return true
 			}
@@ -311,7 +300,7 @@ func (c *CVD) AggregateByVersion(versions []vgraph.VersionID, pred Predicate, ag
 		}
 		var rows []relstore.Row
 		rset.ForEach(func(x int64) bool {
-			row, ok := c.recordContentLocked(vgraph.RecordID(x))
+			row, ok := c.record(vgraph.RecordID(x))
 			if ok && (pred == nil || pred.Match(row)) {
 				rows = append(rows, row)
 			}

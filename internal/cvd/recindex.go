@@ -1,7 +1,6 @@
 package cvd
 
 import (
-	"fmt"
 	"hash/maphash"
 	"math"
 
@@ -19,16 +18,19 @@ import (
 // form the current schema stores it in (canonical). NULL is not the empty
 // string, no separator can be forged, and a NaN is itself.
 //
-// Identity across schema evolution. A record's catalog row keeps the values it
-// was committed with; generalizing a column (integer → decimal, anything →
-// string) or widening the schema changes the form every record is stored in,
-// not which record it is. So both sides of every comparison are canonicalized
-// under the schema in force: a narrower value is cast up to the column type as
-// ALTER COLUMN TYPE casts a stored cell, a missing trailing cell is NULL, and a
-// value that is not narrower than its column (a string in an integer column)
-// stays what it is. A record committed as integer 5 is therefore the staged
-// decimal 5 once the column is decimal, and the index, which stores hashes of
-// canonical forms, is rebuilt whenever the schema changes.
+// Identity across schema evolution. Generalizing a column (integer → decimal,
+// anything → string) or widening the schema changes the form every record is
+// stored in, not which record it is. So both sides of every comparison are
+// canonicalized under the schema the index is for: a narrower value is cast up
+// to the column type as ALTER COLUMN TYPE casts a stored cell, a missing
+// trailing cell is NULL, and a value that is not narrower than its column (a
+// string in an integer column) stays what it is. The catalog stores records in
+// that form — appendRecords writes it, adoptSchema alters the table — so
+// canonicalizing a catalog cell only does work while a commit that evolves the
+// schema resolves its rows against the catalog as it still is. A record
+// committed as integer 5 is therefore the staged decimal 5 once the column is
+// decimal, and the index, which stores hashes of canonical forms, is rebuilt
+// whenever the schema changes.
 
 // canonical returns *v in the form a column of type col stores it: v itself
 // unless it has to be cast, in which case the cast lands in *buf.
@@ -42,9 +44,18 @@ func canonical(v *relstore.Value, col relstore.ValueType, buf *relstore.Value) *
 
 var null = relstore.Null()
 
-// rowForm hashes and compares rows by the canonical form of their cells. A row
-// shorter than types reads as padded with NULL; cols selects the cells (nil:
-// all of them).
+// cells is one side of a comparison: a boxed row of data attributes or, when
+// tab is set, row pos of the record catalog read off its lanes (its data
+// attributes follow the rid column).
+type cells struct {
+	row relstore.Row
+	tab *relstore.Table
+	pos int
+}
+
+// rowForm hashes and compares records by the canonical form of their cells. A
+// record with fewer cells than types reads as padded with NULL; cols selects
+// the cells (nil: all of them).
 type rowForm struct {
 	types []relstore.ValueType
 	all   []int        // 0 … len(types)-1
@@ -60,12 +71,24 @@ func newRowForm(schema relstore.Schema) rowForm {
 	return f
 }
 
-// cell returns the canonical form of cell i of row (see canonical for buf).
-func (f rowForm) cell(row relstore.Row, i int, buf *relstore.Value) *relstore.Value {
-	if i >= len(row) {
+// cell returns the canonical form of cell i of c, in *buf when it had to be
+// boxed or cast.
+func (f rowForm) cell(c cells, i int, buf *relstore.Value) *relstore.Value {
+	if c.tab != nil {
+		if i+1 >= len(c.tab.Schema.Columns) {
+			return &null
+		}
+		*buf = c.tab.At(c.pos, i+1)
+		return canonical(buf, f.types[i], buf)
+	}
+	if i >= len(c.row) {
 		return &null
 	}
-	return canonical(&row[i], f.types[i], buf)
+	v := &c.row[i]
+	if v.Type == f.types[i] { // the common case, kept out of the call
+		return v
+	}
+	return canonical(v, f.types[i], buf)
 }
 
 // mix folds x into h (the multiply-xorshift step of MurmurHash3's finalizer).
@@ -96,25 +119,34 @@ func (f rowForm) hashCell(h uint64, v *relstore.Value) uint64 {
 	return mix(mix(h, uint64(v.Type)), payload)
 }
 
-func (f rowForm) hash(row relstore.Row, cols []int) uint64 {
+func (f rowForm) hash(c cells, cols []int) uint64 {
 	if cols == nil {
 		cols = f.all
 	}
 	var h uint64
 	var buf relstore.Value
 	for _, i := range cols {
-		h = f.hashCell(h, f.cell(row, i, &buf))
+		h = f.hashCell(h, f.cell(c, i, &buf))
 	}
 	return h
 }
 
-func (f rowForm) same(a, b relstore.Row, cols []int) bool {
+// same reports whether a and b are the same record over cols. Where b is a
+// catalog record whose column already has the form's type — always, unless the
+// commit at hand evolves the schema — the stored cell is in canonical form and
+// is compared in place, lane against value.
+func (f rowForm) same(a, b cells, cols []int) bool {
 	if cols == nil {
 		cols = f.all
 	}
 	var bufA, bufB relstore.Value
 	for _, i := range cols {
-		if !f.cell(a, i, &bufA).Identical(*f.cell(b, i, &bufB)) {
+		va := f.cell(a, i, &bufA)
+		if b.tab != nil && i+1 < len(b.tab.Schema.Columns) && b.tab.Schema.Columns[i+1].Type == f.types[i] {
+			if !b.tab.CellIdentical(b.pos, i+1, va) {
+				return false
+			}
+		} else if !va.Identical(*f.cell(b, i, &bufB)) {
 			return false
 		}
 	}
@@ -210,25 +242,24 @@ func newRecIndex(schema relstore.Schema) *recIndex {
 
 // add indexes one record; 0 < rid <= math.MaxUint32, far more records than
 // a catalog held in memory can number.
-func (x *recIndex) add(rid vgraph.RecordID, row relstore.Row) {
-	x.content.add(uint32(rid), x.hash(row, nil))
+func (x *recIndex) add(rid vgraph.RecordID, rec cells) {
+	x.content.add(uint32(rid), x.hash(rec, nil))
 	if len(x.pk) > 0 {
-		x.key.add(uint32(rid), x.hash(row, x.pk))
+		x.key.add(uint32(rid), x.hash(rec, x.pk))
 	}
 }
 
-// buildIndex indexes the whole catalog under schema.
-func (c *CVD) buildIndex(schema relstore.Schema) (*recIndex, error) {
+// buildIndex indexes the whole catalog under schema, walking its rows in
+// order.
+func (c *CVD) buildIndex(schema relstore.Schema) *recIndex {
 	x := newRecIndex(schema)
-	x.content.reserve(int(c.nextRID) - 1)
+	n := c.catalog.Len()
+	x.content.reserve(n)
 	if len(x.pk) > 0 {
-		x.key.reserve(int(c.nextRID) - 1)
+		x.key.reserve(n)
 	}
-	for rid, row := range c.records {
-		if rid <= 0 || rid >= c.nextRID {
-			return nil, fmt.Errorf("cvd: %s: the catalog holds record id %d, outside the ids handed out so far (1 to %d)", c.name, rid, c.nextRID-1)
-		}
-		x.add(rid, row)
+	for rid := vgraph.RecordID(1); int(rid) <= n; rid++ {
+		x.add(rid, c.rec(rid))
 	}
-	return x, nil
+	return x
 }

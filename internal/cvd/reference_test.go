@@ -21,12 +21,11 @@ import (
 // generalized from, and two records of equal content in one staging table
 // collapse into the first.
 
-// contentKey encodes a data row (padded to the current schema width) for
+// contentKey encodes a data row (of the current schema width) for
 // record-identity comparison during commit.
 func (c *CVD) contentKey(r relstore.Row) string {
-	padded := padRow(r, len(c.schema.Columns))
 	var b strings.Builder
-	for i, v := range padded[:len(c.schema.Columns)] {
+	for i, v := range r[:len(c.schema.Columns)] {
 		if i > 0 {
 			b.WriteByte('\x1f')
 		}
@@ -61,37 +60,37 @@ func (c *CVD) refCheckPrimaryKey(rows []relstore.Row, schema relstore.Schema) er
 
 // refBuildCommit diffs the staged rows against the parent versions: a staged
 // row reuses the rid of a parent record with identical content; all other
-// rows get fresh rids.
-func (c *CVD) refBuildCommit(parents []vgraph.VersionID, rows []relstore.Row, schema relstore.Schema) (CommitRequest, error) {
+// rows get fresh rids, returned as applyCommit takes them (rid, then values).
+func (c *CVD) refBuildCommit(parents []vgraph.VersionID, rows []relstore.Row, schema relstore.Schema) (CommitRequest, []relstore.Row, error) {
 	merged, changed, err := c.mergedSchema(schema)
 	if err != nil {
-		return CommitRequest{}, err
+		return CommitRequest{}, nil, err
 	}
 	place, err := c.columnPlaces(schema, merged)
 	if err != nil {
-		return CommitRequest{}, err
+		return CommitRequest{}, nil, err
 	}
 	for _, r := range rows {
 		if len(r) != len(schema.Columns) {
-			return CommitRequest{}, fmt.Errorf("cvd: %s: row has %d values but schema has %d columns", c.name, len(r), len(schema.Columns))
+			return CommitRequest{}, nil, fmt.Errorf("cvd: %s: row has %d values but schema has %d columns", c.name, len(r), len(schema.Columns))
 		}
 	}
 	// Single-pool schema evolution next, so content keys use the final width.
 	if changed {
 		if err := c.adoptSchema(merged); err != nil {
-			return CommitRequest{}, err
+			return CommitRequest{}, nil, err
 		}
 	}
 	req := CommitRequest{
 		Version:    c.nextVID,
 		Parents:    append([]vgraph.VersionID(nil), parents...),
 		ParentRIDs: c.recordsOfLocked,
-		Lookup:     c.lookupRecord,
 	}
 	parentByKey := make(map[string]vgraph.RecordID)
 	for _, p := range parents {
 		for _, rid := range c.recordsOfLocked(p) {
-			key := c.contentKey(c.records[rid])
+			row, _ := c.record(rid)
+			key := c.contentKey(row)
 			if _, exists := parentByKey[key]; !exists {
 				parentByKey[key] = rid
 			}
@@ -99,15 +98,16 @@ func (c *CVD) refBuildCommit(parents []vgraph.VersionID, rows []relstore.Row, sc
 	}
 	seenRID := make(map[vgraph.RecordID]struct{}, len(rows))
 	kept := make([]vgraph.RecordID, 0, len(rows))
+	var fresh []relstore.Row
 	for _, r := range rows {
-		aligned := make(relstore.Row, len(merged.Columns))
+		aligned := make(relstore.Row, 1+len(merged.Columns))
 		for i := range aligned {
 			aligned[i] = relstore.Null()
 		}
 		for j, i := range place {
-			aligned[i] = r[j]
+			aligned[1+i] = r[j]
 		}
-		key := c.contentKey(aligned)
+		key := c.contentKey(aligned[1:])
 		if rid, ok := parentByKey[key]; ok {
 			if _, dup := seenRID[rid]; dup {
 				continue // identical duplicate row within the staged table
@@ -116,15 +116,12 @@ func (c *CVD) refBuildCommit(parents []vgraph.VersionID, rows []relstore.Row, sc
 			kept = append(kept, rid)
 			continue
 		}
-		rid := c.nextRID + vgraph.RecordID(len(req.NewRecords))
-		req.NewRecords = append(req.NewRecords, CommitRecord{RID: rid, Row: aligned})
+		aligned[0] = relstore.Int(int64(c.nextRID) + int64(len(fresh)))
+		fresh = append(fresh, aligned)
 	}
 	slices.Sort(kept)
 	req.RIDs = kept
-	for _, rec := range req.NewRecords {
-		req.RIDs = append(req.RIDs, rec.RID)
-	}
-	return req, nil
+	return req, fresh, nil
 }
 
 // refCommit is Commit as it was: the primary-key check over every row, the
@@ -138,11 +135,11 @@ func (c *CVD) refCommit(parents []vgraph.VersionID, rows []relstore.Row, rowSche
 	if err := c.refCheckPrimaryKey(rows, rowSchema); err != nil {
 		return 0, err
 	}
-	req, err := c.refBuildCommit(parents, rows, rowSchema)
+	req, fresh, err := c.refBuildCommit(parents, rows, rowSchema)
 	if err != nil {
 		return 0, err
 	}
-	if err := c.applyCommit(req, msg, author, c.clock()); err != nil {
+	if err := c.applyCommit(req, fresh, msg, author, c.clock()); err != nil {
 		return 0, err
 	}
 	return req.Version, nil

@@ -14,18 +14,19 @@ import (
 )
 
 // The format v2 snapshot is content-addressed: engine state is split into
-// chunks — fixed-geometry row bands of each table column, the CVD head
-// (graph, metadata, counters), bands of the record catalog, and runs of
-// per-version record sets — each serialized independently and identified by
+// chunks — fixed-geometry row bands of each table column (a CVD's record
+// catalog is one of its tables), the CVD head (graph, metadata, counters), and
+// runs of per-version record sets — each serialized independently and
+// identified by
 // the SHA-256 of its payload truncated to 16 bytes. A checkpoint manifest
 // maps section → chunk hash, and chunk payloads live in the append-only
 // chunk pack (pack.go), so a checkpoint writes only chunks whose content
 // changed and retained manifests share unchanged chunks structurally.
 //
 // Band geometry is fixed multiples from row 0, so appending rows (the
-// dominant mutation: rlist commits append to the shared data table, the
-// versioning table, and the catalog) dirties only the tail band of each
-// section while every full interior band keeps its hash.
+// dominant mutation: rlist commits append to the shared data table — which is
+// the record catalog — and the versioning table) dirties only the tail band of
+// each section while every full interior band keeps its hash.
 
 // ChunkHash is the 16-byte truncated SHA-256 content address of a chunk
 // payload (the payload includes its one-byte kind prefix).
@@ -46,9 +47,18 @@ func hashChunk(payload []byte) ChunkHash {
 const (
 	chunkColBand     uint8 = 1 // one row band of one table column's lanes
 	chunkCVDHead     uint8 = 2 // CVD identity, counters, graph, metas, partitions
-	chunkCatalogBand uint8 = 3 // one band of a CVD's record catalog
+	chunkCatalogBand uint8 = 3 // retired with manifest version 2: a band of boxed catalog rows; nothing writes or reads it
 	chunkRecsetRun   uint8 = 4 // one run of per-version record sets
 )
+
+// wrongKind is the error for a chunk whose kind byte is not the one its
+// section calls for; the retired kind is refused by name.
+func wrongKind(k uint8, want string) error {
+	if k == chunkCatalogBand {
+		return fmt.Errorf("durable: chunk kind %d is the retired record-catalog band of manifest version 2, want %s", k, want)
+	}
+	return fmt.Errorf("durable: chunk kind %d, want %s", k, want)
+}
 
 // Band geometry. These are defaults for newly written checkpoints; readers
 // take the actual geometry from the manifest or snapshot stream, so the
@@ -56,8 +66,6 @@ const (
 const (
 	// DefaultBandRows is the row-band height of table-column chunks.
 	DefaultBandRows = 4096
-	// defaultCatalogBand is how many catalog records form one chunk.
-	defaultCatalogBand = 4096
 	// defaultRecsetRun is how many version record sets form one chunk. Kept
 	// small: the partial tail run is re-encoded on every checkpoint (its
 	// content moves with each commit), so short runs let older — typically
@@ -175,7 +183,7 @@ func decodeColBand(payload []byte, dst relstore.ColumnLanes) (relstore.ColumnLan
 	}
 	d := &dec{b: payload}
 	if k := d.u8(); k != chunkColBand {
-		return fail(fmt.Errorf("durable: chunk kind %d, want column band", k))
+		return fail(wrongKind(k, "column band"))
 	}
 	n64 := d.uvarint()
 	if n64 > maxBandRows {
@@ -433,9 +441,9 @@ func (d *dec) recset() *recset.Set {
 	return s
 }
 
-// encodeCVDHead appends the CVD head chunk: the persisted CVD state minus the
-// record catalog and the per-version record sets, which chunk separately.
-// Field order matches the v1 CVD section with those two blocks removed.
+// encodeCVDHead appends the CVD head chunk: the persisted CVD state minus its
+// tables (the record catalog among them) and the per-version record sets,
+// which chunk separately.
 func encodeCVDHead(e *enc, st *cvd.PersistentState) {
 	e.u8(chunkCVDHead)
 	e.str(st.Name)
@@ -507,12 +515,12 @@ func encodeCVDHead(e *enc, st *cvd.PersistentState) {
 	}
 }
 
-// decodeCVDHead parses a CVD head chunk. Records and RecordSets stay nil —
-// the cvdAssembler fills them from catalog-band and recset-run chunks.
+// decodeCVDHead parses a CVD head chunk. RecordSets stays nil — the
+// cvdAssembler fills it from recset-run chunks.
 func decodeCVDHead(payload []byte) (*cvd.PersistentState, error) {
 	d := &dec{b: payload}
 	if k := d.u8(); k != chunkCVDHead {
-		return nil, fmt.Errorf("durable: chunk kind %d, want CVD head", k)
+		return nil, wrongKind(k, "CVD head")
 	}
 	st := &cvd.PersistentState{
 		Name:    d.str(),
@@ -617,53 +625,7 @@ func decodeCVDHead(payload []byte) (*cvd.PersistentState, error) {
 	return st, nil
 }
 
-// ---- catalog bands and recset runs ------------------------------------------
-
-// encodeCatalogBand appends one band of the record catalog.
-func encodeCatalogBand(e *enc, recs []cvd.PersistedRecord) {
-	e.u8(chunkCatalogBand)
-	e.uvarint(uint64(len(recs)))
-	for _, rec := range recs {
-		e.uvarint(uint64(rec.RID))
-		e.row(rec.Row)
-	}
-}
-
-// decodeCatalogBand appends the band's records to dst.
-func decodeCatalogBand(dst []cvd.PersistedRecord, payload []byte) ([]cvd.PersistedRecord, error) {
-	d := &dec{b: payload}
-	if k := d.u8(); k != chunkCatalogBand {
-		return nil, fmt.Errorf("durable: chunk kind %d, want catalog band", k)
-	}
-	n := d.length(2)
-	// Rows are carved from one allocation per band (a band's rows are equally
-	// wide unless the schema evolved inside it). A cell is at least one byte,
-	// so what is left of the payload bounds the slab past the row in hand.
-	var slab []relstore.Value
-	for i := 0; i < n; i++ {
-		rid := vgraph.RecordID(d.uvarint())
-		w := d.length(1)
-		if len(slab) < w {
-			slab = make([]relstore.Value, max(w, min(w*(n-i), len(d.b)-d.off)))
-		}
-		row := relstore.Row(slab[:w:w])
-		slab = slab[w:]
-		for j := range row {
-			row[j] = d.value()
-		}
-		dst = append(dst, cvd.PersistedRecord{RID: rid, Row: row})
-		if d.err != nil {
-			return nil, d.err
-		}
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(payload) {
-		return nil, fmt.Errorf("durable: catalog band: %d trailing bytes", len(payload)-d.off)
-	}
-	return dst, nil
-}
+// ---- recset runs --------------------------------------------------------------
 
 // encodeRecsetRun appends one run of per-version record sets.
 func encodeRecsetRun(e *enc, sets []cvd.VersionRecordSet) {
@@ -679,7 +641,7 @@ func encodeRecsetRun(e *enc, sets []cvd.VersionRecordSet) {
 func decodeRecsetRun(dst []cvd.VersionRecordSet, payload []byte) ([]cvd.VersionRecordSet, error) {
 	d := &dec{b: payload}
 	if k := d.u8(); k != chunkRecsetRun {
-		return nil, fmt.Errorf("durable: chunk kind %d, want record-set run", k)
+		return nil, wrongKind(k, "record-set run")
 	}
 	n := d.length(2)
 	for i := 0; i < n; i++ {
@@ -697,20 +659,16 @@ func decodeRecsetRun(dst []cvd.VersionRecordSet, payload []byte) ([]cvd.VersionR
 	return dst, nil
 }
 
-// cvdLayout is the per-CVD section geometry in manifests and the snapshot
-// stream: how many records and sets the chunks must reassemble.
+// cvdLayout is the per-CVD section geometry in manifests: how many record sets
+// the run chunks must reassemble.
 type cvdLayout struct {
-	name    string
-	records int // catalog record count
-	catBand int // catalog band height
-	sets    int // version record-set count
-	runLen  int // record sets per run chunk
+	name   string
+	sets   int // version record-set count
+	runLen int // record sets per run chunk
 }
 
 func (e *enc) cvdLayout(l *cvdLayout) {
 	e.str(l.name)
-	e.uvarint(uint64(l.records))
-	e.uvarint(uint64(l.catBand))
 	e.uvarint(uint64(l.sets))
 	e.uvarint(uint64(l.runLen))
 }
@@ -718,23 +676,19 @@ func (e *enc) cvdLayout(l *cvdLayout) {
 func (d *dec) cvdLayout() cvdLayout {
 	var l cvdLayout
 	l.name = d.str()
-	records := d.uvarint()
-	catBand := d.uvarint()
 	sets := d.uvarint()
 	runLen := d.uvarint()
 	if d.err != nil {
 		return l
 	}
-	if records > 1<<40 || sets > 1<<40 {
-		d.fail("CVD %s: implausible layout counts (%d records, %d sets)", l.name, records, sets)
+	if sets > 1<<40 {
+		d.fail("CVD %s: implausible layout count (%d sets)", l.name, sets)
 		return l
 	}
-	if catBand == 0 || catBand > maxBandRows || runLen == 0 || runLen > maxBandRows {
-		d.fail("CVD %s: implausible band geometry (%d, %d)", l.name, catBand, runLen)
+	if runLen == 0 || runLen > maxBandRows {
+		d.fail("CVD %s: implausible run length %d", l.name, runLen)
 		return l
 	}
-	l.records = int(records)
-	l.catBand = int(catBand)
 	l.sets = int(sets)
 	l.runLen = int(runLen)
 	return l
@@ -742,17 +696,11 @@ func (d *dec) cvdLayout() cvdLayout {
 
 // layoutForCVD captures a CVD state's chunk geometry.
 func layoutForCVD(st *cvd.PersistentState) cvdLayout {
-	return cvdLayout{
-		name:    st.Name,
-		records: len(st.Records),
-		catBand: defaultCatalogBand,
-		sets:    len(st.RecordSets),
-		runLen:  defaultRecsetRun,
-	}
+	return cvdLayout{name: st.Name, sets: len(st.RecordSets), runLen: defaultRecsetRun}
 }
 
 // cvdAssembler rebuilds a persisted CVD state from its head chunk plus
-// catalog-band and recset-run chunks delivered in order.
+// recset-run chunks delivered in order.
 type cvdAssembler struct {
 	layout cvdLayout
 	st     *cvd.PersistentState
@@ -766,33 +714,10 @@ func newCVDAssembler(layout cvdLayout, headPayload []byte) (*cvdAssembler, error
 	if st.Name != layout.name {
 		return nil, fmt.Errorf("durable: CVD head names %q, manifest says %q", st.Name, layout.name)
 	}
-	if layout.records > 0 {
-		st.Records = make([]cvd.PersistedRecord, 0, layout.records)
-	}
 	if layout.sets > 0 {
 		st.RecordSets = make([]cvd.VersionRecordSet, 0, layout.sets)
 	}
 	return &cvdAssembler{layout: layout, st: st}, nil
-}
-
-func (a *cvdAssembler) addCatalogBand(payload []byte) error {
-	before := len(a.st.Records)
-	if before >= a.layout.records {
-		return fmt.Errorf("durable: CVD %s: more catalog bands than %d records need", a.layout.name, a.layout.records)
-	}
-	recs, err := decodeCatalogBand(a.st.Records, payload)
-	if err != nil {
-		return fmt.Errorf("durable: CVD %s catalog band at %d: %w", a.layout.name, before, err)
-	}
-	want := a.layout.catBand
-	if before+want > a.layout.records {
-		want = a.layout.records - before
-	}
-	if len(recs)-before != want {
-		return fmt.Errorf("durable: CVD %s catalog band at %d: %d records, want %d", a.layout.name, before, len(recs)-before, want)
-	}
-	a.st.Records = recs
-	return nil
 }
 
 func (a *cvdAssembler) addRecsetRun(payload []byte) error {
@@ -816,9 +741,6 @@ func (a *cvdAssembler) addRecsetRun(payload []byte) error {
 }
 
 func (a *cvdAssembler) finish() (*cvd.PersistentState, error) {
-	if got := len(a.st.Records); got != a.layout.records {
-		return nil, fmt.Errorf("durable: CVD %s: assembled %d of %d catalog records", a.layout.name, got, a.layout.records)
-	}
 	if got := len(a.st.RecordSets); got != a.layout.sets {
 		return nil, fmt.Errorf("durable: CVD %s: assembled %d of %d record sets", a.layout.name, got, a.layout.sets)
 	}

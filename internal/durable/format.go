@@ -22,18 +22,24 @@ package durable
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/relstore"
 )
 
 const (
-	// formatVersion is bumped on any incompatible change to the chunk, pack,
-	// or manifest layout. Readers refuse other versions.
+	// formatVersion is bumped on any incompatible change to the chunk or pack
+	// layout. Readers refuse other versions.
 	// Version 2 introduced content-addressed chunked checkpoints (manifest +
 	// chunk pack), lane codecs, and epoch-named WAL segments.
 	formatVersion = 2
+
+	// manifestFormatVersion is the manifests' own version, bumped when the
+	// sections a manifest lists change. Version 2 listed, per CVD, the bands of
+	// a record catalog stored apart from the tables (chunk kind 3); version 3
+	// has no such section — the catalog is one of the tables. A version 2
+	// manifest is refused (errManifestVersion), not converted.
+	manifestFormatVersion = 3
 
 	// walFormatVersion is the WAL segments' own version, bumped when only the
 	// record layout changes: a version 2 directory's checkpoints and exports
@@ -50,6 +56,10 @@ const (
 	// directories loudly.
 	WALFile = "wal.orph"
 )
+
+// errManifestVersion refuses a manifest of another version, wherever one is
+// read: open, restore at an epoch, fsck.
+var errManifestVersion = fmt.Errorf("this build reads version %d only (version 2 stored every record a second time, as catalog bands; version 3 stores the catalog as a table): export the versions to CSV with the build that wrote the directory and commit them to a fresh one", manifestFormatVersion)
 
 // WALSegmentFileName returns the WAL segment file name for an epoch; the
 // fixed-width hex key makes lexical order equal epoch order.
@@ -71,19 +81,10 @@ func parseWALSegmentName(name string) (uint64, bool) {
 type enc struct{ b []byte }
 
 func (e *enc) u8(v uint8)       { e.b = append(e.b, v) }
-func (e *enc) u16(v uint16)     { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
 func (e *enc) u32(v uint32)     { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 func (e *enc) u64(v uint64)     { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 func (e *enc) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
 func (e *enc) varint(v int64)   { e.b = binary.AppendVarint(e.b, v) }
-func (e *enc) f64(v float64)    { e.u64(math.Float64bits(v)) }
-func (e *enc) boolean(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
 func (e *enc) str(s string) {
 	e.uvarint(uint64(len(s)))
 	e.b = append(e.b, s...)
@@ -122,15 +123,6 @@ func (d *dec) u8() uint8 {
 	}
 	v := d.b[d.off]
 	d.off++
-	return v
-}
-
-func (d *dec) u16() uint16 {
-	if !d.need(2) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(d.b[d.off:])
-	d.off += 2
 	return v
 }
 
@@ -177,10 +169,6 @@ func (d *dec) varint() int64 {
 	d.off += n
 	return v
 }
-
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *dec) boolean() bool { return d.u8() != 0 }
 
 // length reads a uvarint count and bounds it by the remaining bytes divided
 // by minBytesPer, so corrupt counts fail instead of allocating gigabytes.
@@ -235,59 +223,6 @@ func nanoTime(ns int64) time.Time {
 		return time.Time{}
 	}
 	return time.Unix(0, ns)
-}
-
-// value encodes one relstore.Value as a type tag plus typed payload.
-func (e *enc) value(v relstore.Value) {
-	e.u8(uint8(v.Type))
-	switch v.Type {
-	case relstore.TypeInt:
-		e.varint(v.I)
-	case relstore.TypeFloat:
-		e.f64(v.F)
-	case relstore.TypeString:
-		e.str(v.S)
-	case relstore.TypeBool:
-		e.boolean(v.B)
-	case relstore.TypeIntArray:
-		e.uvarint(uint64(len(v.A)))
-		for _, x := range v.A {
-			e.varint(x)
-		}
-	}
-}
-
-func (d *dec) value() relstore.Value {
-	t := relstore.ValueType(d.u8())
-	switch t {
-	case relstore.TypeNull:
-		return relstore.Null()
-	case relstore.TypeInt:
-		return relstore.Int(d.varint())
-	case relstore.TypeFloat:
-		return relstore.Float(d.f64())
-	case relstore.TypeString:
-		return relstore.Str(d.str())
-	case relstore.TypeBool:
-		return relstore.Bool(d.boolean())
-	case relstore.TypeIntArray:
-		n := d.length(1)
-		a := make([]int64, n)
-		for i := range a {
-			a[i] = d.varint()
-		}
-		return relstore.IntArray(a)
-	default:
-		d.fail("unknown value type %d", int(t))
-		return relstore.Null()
-	}
-}
-
-func (e *enc) row(r relstore.Row) {
-	e.uvarint(uint64(len(r)))
-	for _, v := range r {
-		e.value(v)
-	}
 }
 
 func (e *enc) schema(s relstore.Schema) {

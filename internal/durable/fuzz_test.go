@@ -79,12 +79,6 @@ func fuzzCVDState() *cvd.PersistentState {
 		},
 		Tables: []string{"fuzz_data", "fuzz_versions"},
 	}
-	for rid := vgraph.RecordID(1); rid <= 30; rid++ {
-		st.Records = append(st.Records, cvd.PersistedRecord{
-			RID: rid,
-			Row: relstore.Row{relstore.Int(int64(rid)), relstore.Str("r")},
-		})
-	}
 	for v := vgraph.VersionID(1); v <= 3; v++ {
 		st.RecordSets = append(st.RecordSets, cvd.VersionRecordSet{
 			Version: v,
@@ -94,16 +88,13 @@ func fuzzCVDState() *cvd.PersistentState {
 	return st
 }
 
-// FuzzChunkDecode runs arbitrary payloads through all four chunk decoders.
+// FuzzChunkDecode runs arbitrary payloads through all three chunk decoders.
 // The payload kind byte routes real chunks to the right decoder, but every
 // decoder sees every input here — a pack lookup can hand back the wrong kind.
 func FuzzChunkDecode(f *testing.F) {
 	var e enc
 	st := fuzzCVDState()
 	encodeCVDHead(&e, st)
-	f.Add(append([]byte(nil), e.b...))
-	e.b = e.b[:0]
-	encodeCatalogBand(&e, st.Records)
 	f.Add(append([]byte(nil), e.b...))
 	e.b = e.b[:0]
 	encodeRecsetRun(&e, st.RecordSets)
@@ -113,6 +104,7 @@ func FuzzChunkDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{chunkColBand})
 	f.Add([]byte{chunkCVDHead, 0xff, 0xff})
+	f.Add([]byte{chunkCatalogBand, 1, 7, 1, uint8(relstore.TypeNull)}) // the retired kind, as version 2 wrote it
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if lanes, present, n, err := decodeColBand(data, relstore.ColumnLanes{}); err == nil {
 			if len(lanes.Tags) != n {
@@ -128,7 +120,6 @@ func FuzzChunkDecode(f *testing.F) {
 		if st, err := decodeCVDHead(data); err == nil && st.Graph == nil {
 			t.Fatal("CVD head decoded without a graph")
 		}
-		_, _ = decodeCatalogBand(nil, data)
 		_, _ = decodeRecsetRun(nil, data)
 	})
 }
@@ -158,10 +149,9 @@ func FuzzManifestDecode(f *testing.F) {
 	m.tables = append(m.tables, mt)
 	layout := layoutForCVD(st)
 	mc := manifestCVD{
-		layout:  layout,
-		head:    hashChunk([]byte("head")),
-		catalog: make([]ChunkHash, numBands(layout.records, layout.catBand)),
-		runs:    make([]ChunkHash, numBands(layout.sets, layout.runLen)),
+		layout: layout,
+		head:   hashChunk([]byte("head")),
+		runs:   make([]ChunkHash, numBands(layout.sets, layout.runLen)),
 	}
 	m.cvds = append(m.cvds, mc)
 	var e enc

@@ -44,8 +44,8 @@ func commitSmallVersions(t *testing.T, c *cvd.CVD, rng *rand.Rand, n int) {
 	}
 }
 
-// seededCVD builds a split-by-rlist CVD large enough that the data table, the
-// catalog and the record sets all have full interior bands, which is what an
+// seededCVD builds a split-by-rlist CVD large enough that the data table (its
+// record catalog) and the record sets have full interior bands, which is what an
 // incremental checkpoint can reuse: 64 000 records in the first version and 20
 // small versions after it. On a smaller one the tail bands, which every
 // checkpoint re-encodes, dominate the counts.
@@ -66,7 +66,11 @@ func snapshotOf(t *testing.T, db *relstore.Database, c *cvd.CVD) *Snapshot {
 	st := c.ExportState()
 	snap := &Snapshot{DBName: db.Name(), CVDs: []*cvd.PersistentState{st}}
 	for _, name := range st.Tables {
-		snap.Tables = append(snap.Tables, db.MustTable(name))
+		if name == st.CatalogTable() { // off the database unless it is the model's data table
+			snap.Tables = append(snap.Tables, c.Catalog())
+		} else {
+			snap.Tables = append(snap.Tables, db.MustTable(name))
+		}
 	}
 	return snap
 }

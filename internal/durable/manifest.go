@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"path/filepath"
 
+	"repro/internal/relstore"
 	"repro/internal/vfs"
 )
 
@@ -16,15 +17,18 @@ import (
 // manifest-<epoch>.orph — so a directory listing enumerates the retained
 // restore points.
 //
-//	file: magic "ORPHMAN1", uint32 format version,
+//	file: magic "ORPHMAN1", uint32 manifest format version,
 //	      uint32 payload length, uint32 CRC32(payload), payload
 //
 // Payload layout (enc encoding):
 //
 //	str dbName, u64 epoch
 //	uvarint ntables, per table: tableMeta, ncols × nbands × hash16 (col-major)
-//	uvarint ncvds, per CVD: cvdLayout, head hash16,
-//	    catalog-band hashes, recset-run hashes
+//	uvarint ncvds, per CVD: cvdLayout, head hash16, recset-run hashes
+//
+// A CVD's record catalog is one of the tables (see cvd.PersistentState):
+// manifest version 3 dropped the per-CVD catalog-band section version 2 kept
+// beside them.
 
 // manifest is one decoded checkpoint manifest.
 type manifest struct {
@@ -40,10 +44,9 @@ type manifestTable struct {
 }
 
 type manifestCVD struct {
-	layout  cvdLayout
-	head    ChunkHash
-	catalog []ChunkHash
-	runs    []ChunkHash
+	layout cvdLayout
+	head   ChunkHash
+	runs   []ChunkHash
 }
 
 // ManifestFileName returns the manifest file name for an epoch; the fixed-
@@ -105,9 +108,6 @@ func encodeManifestPayload(e *enc, m *manifest) {
 		c := &m.cvds[i]
 		e.cvdLayout(&c.layout)
 		e.chunkHash(c.head)
-		for _, h := range c.catalog {
-			e.chunkHash(h)
-		}
 		for _, h := range c.runs {
 			e.chunkHash(h)
 		}
@@ -152,14 +152,9 @@ func decodeManifestPayload(payload []byte) (*manifest, error) {
 			return nil, d.err
 		}
 		c.head = d.chunkHash()
-		ncat := numBands(c.layout.records, c.layout.catBand)
 		nruns := numBands(c.layout.sets, c.layout.runLen)
-		if !d.hashesFit(int64(ncat)+int64(nruns), "CVD "+c.layout.name) {
+		if !d.hashesFit(int64(nruns), "CVD "+c.layout.name) {
 			return nil, d.err
-		}
-		c.catalog = make([]ChunkHash, ncat)
-		for b := range c.catalog {
-			c.catalog[b] = d.chunkHash()
 		}
 		c.runs = make([]ChunkHash, nruns)
 		for b := range c.runs {
@@ -185,7 +180,7 @@ func decodeManifestPayload(payload []byte) (*manifest, error) {
 func writeManifestFile(fsys vfs.FS, dir string, m *manifest) (int64, error) {
 	var e enc
 	e.raw([]byte(manifestMagic))
-	e.u32(formatVersion)
+	e.u32(manifestFormatVersion)
 	e.u32(0) // payload length placeholder
 	e.u32(0) // payload CRC placeholder
 	bodyStart := len(e.b)
@@ -228,8 +223,12 @@ func readManifestFile(fsys vfs.FS, path string) (*manifest, error) {
 	if string(data[:8]) != manifestMagic {
 		return nil, fmt.Errorf("durable: %s is not a manifest (magic %q)", path, data[:8])
 	}
-	if v := binary.LittleEndian.Uint32(data[8:12]); v != formatVersion {
-		return nil, fmt.Errorf("durable: unsupported manifest version %d (want %d)", v, formatVersion)
+	switch v := binary.LittleEndian.Uint32(data[8:12]); v {
+	case manifestFormatVersion:
+	case 2:
+		return nil, fmt.Errorf("durable: %s is a format version 2 manifest, %w", path, errManifestVersion)
+	default:
+		return nil, fmt.Errorf("durable: unsupported manifest version %d (want %d)", v, manifestFormatVersion)
 	}
 	n := binary.LittleEndian.Uint32(data[12:16])
 	want := binary.LittleEndian.Uint32(data[16:20])
@@ -261,13 +260,27 @@ func (m *manifest) chunkRefs(fn func(ChunkHash)) {
 	for i := range m.cvds {
 		c := &m.cvds[i]
 		fn(c.head)
-		for _, h := range c.catalog {
-			fn(h)
-		}
 		for _, h := range c.runs {
 			fn(h)
 		}
 	}
+}
+
+// assemble rebuilds the table from its column-band chunks, fetched through get.
+func (mt *manifestTable) assemble(get func(ChunkHash) ([]byte, error)) (*relstore.Table, error) {
+	asm := newTableAssembler(mt.meta)
+	for ci, bands := range mt.cols {
+		for _, h := range bands {
+			payload, err := get(h)
+			if err != nil {
+				return nil, fmt.Errorf("durable: table %s: %w", mt.meta.name, err)
+			}
+			if err := asm.addBand(ci, payload); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return asm.finish()
 }
 
 // loadSnapshotFromManifest assembles the full snapshot a manifest describes,
@@ -275,20 +288,7 @@ func (m *manifest) chunkRefs(fn func(ChunkHash)) {
 func loadSnapshotFromManifest(m *manifest, get func(ChunkHash) ([]byte, error)) (*Snapshot, error) {
 	snap := &Snapshot{DBName: m.dbName, Epoch: m.epoch}
 	for i := range m.tables {
-		mt := &m.tables[i]
-		asm := newTableAssembler(mt.meta)
-		for ci, bands := range mt.cols {
-			for _, h := range bands {
-				payload, err := get(h)
-				if err != nil {
-					return nil, fmt.Errorf("durable: table %s: %w", mt.meta.name, err)
-				}
-				if err := asm.addBand(ci, payload); err != nil {
-					return nil, err
-				}
-			}
-		}
-		t, err := asm.finish()
+		t, err := m.tables[i].assemble(get)
 		if err != nil {
 			return nil, err
 		}
@@ -303,15 +303,6 @@ func loadSnapshotFromManifest(m *manifest, get func(ChunkHash) ([]byte, error)) 
 		asm, err := newCVDAssembler(mc.layout, head)
 		if err != nil {
 			return nil, err
-		}
-		for _, h := range mc.catalog {
-			payload, err := get(h)
-			if err != nil {
-				return nil, fmt.Errorf("durable: CVD %s catalog: %w", mc.layout.name, err)
-			}
-			if err := asm.addCatalogBand(payload); err != nil {
-				return nil, err
-			}
 		}
 		for _, h := range mc.runs {
 			payload, err := get(h)

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -62,6 +63,11 @@ const (
 	// id, parent, or record id the log so far does not lead to) — mid-log
 	// corruption of committed history.
 	IssueCorruptWALRecord IssueKind = "corrupt-wal-record"
+	// IssueBadCatalog: the newest usable manifest holds a CVD whose record
+	// catalog table is missing, has the wrong schema, or is not dense (one row
+	// per record id handed out, row r-1 carrying rid r): every chunk is intact,
+	// yet the open refuses the directory (cvd.CheckCatalog).
+	IssueBadCatalog IssueKind = "bad-catalog"
 	// IssueMissingWALSegment: the manifest/segment epoch chain has a hole.
 	IssueMissingWALSegment IssueKind = "missing-wal-segment"
 	// IssueUnopenable: after repairs, a full open of the directory still
@@ -436,6 +442,9 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 		ms := &manifestState{epoch: e, path: filepath.Join(dir, ManifestFileName(e))}
 		rep.ManifestsChecked++
 		m, err := readManifestFile(fsys, ms.path)
+		if errors.Is(err, errManifestVersion) {
+			return err // another build's directory, not a damaged one
+		}
 		if err != nil {
 			rep.addIssue(ScrubIssue{Kind: IssueCorruptManifest, Path: ms.path,
 				Detail: err.Error(), Epochs: []uint64{e}})
@@ -489,8 +498,12 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 	if bestUsable >= 0 {
 		base = manifests[bestUsable].epoch
 		haveRoot = true
-		if heads, err := readCVDHeads(fsys, pack, manifests[bestUsable].m); err == nil {
+		if heads, bad, err := readCVDHeads(fsys, pack, manifests[bestUsable].m); err == nil {
 			cursors = cursorsOf(heads)
+			for _, err := range bad {
+				rep.addIssue(ScrubIssue{Kind: IssueBadCatalog, Path: manifests[bestUsable].path,
+					Detail: err.Error(), Epochs: []uint64{base}})
+			}
 		}
 	} else if len(manifests) == 0 {
 		haveRoot = true
@@ -667,27 +680,50 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 }
 
 // readCVDHeads decodes the CVD head chunks a manifest references, for the
-// version and record counters the WAL after it must continue from.
-func readCVDHeads(fsys vfs.FS, pack *packState, m *manifest) ([]*cvd.PersistentState, error) {
+// version and record counters the WAL after it must continue from, and checks
+// each CVD's record catalog the way the open will (bad lists the failures).
+func readCVDHeads(fsys vfs.FS, pack *packState, m *manifest) (heads []*cvd.PersistentState, bad []error, err error) {
 	f, err := vfs.Open(fsys, pack.path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
-	heads := make([]*cvd.PersistentState, 0, len(m.cvds))
-	for _, mc := range m.cvds {
-		loc := pack.valid[mc.head] // present: the manifest is usable
+	get := func(h ChunkHash) ([]byte, error) {
+		loc := pack.valid[h] // present: the manifest is usable
 		payload := make([]byte, loc.n)
-		if _, err := f.ReadAt(payload, loc.off); err != nil {
-			return nil, err
+		_, err := f.ReadAt(payload, loc.off)
+		return payload, err
+	}
+	for _, mc := range m.cvds {
+		payload, err := get(mc.head)
+		if err != nil {
+			return nil, nil, err
 		}
 		st, err := decodeCVDHead(payload)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		heads = append(heads, st)
+		if err := checkCatalog(st, m, get); err != nil {
+			bad = append(bad, err)
+		}
 	}
-	return heads, nil
+	return heads, bad, nil
+}
+
+// checkCatalog assembles the record catalog table of st from m's chunks and
+// verifies it as cvd.Restore does.
+func checkCatalog(st *cvd.PersistentState, m *manifest, get func(ChunkHash) ([]byte, error)) error {
+	for i := range m.tables {
+		if mt := &m.tables[i]; mt.meta.name == st.CatalogTable() {
+			t, err := mt.assemble(get)
+			if err != nil {
+				return err
+			}
+			return cvd.CheckCatalog(st, t)
+		}
+	}
+	return fmt.Errorf("durable: CVD %s: the manifest lists no record catalog table %q", st.Name, st.CatalogTable())
 }
 
 func manifestEpochsOf(ms []*manifestState) []uint64 {

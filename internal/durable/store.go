@@ -643,9 +643,8 @@ func (s *Store) LogInit(name string, kind cvd.ModelKind, versions []vgraph.Versi
 }
 
 // LogDrop journals dropping a CVD. It also bumps the name's drop generation:
-// catalog and record-set fingerprint-cache keys include it, so a CVD
-// re-created under a dropped name can never structurally alias the old one's
-// cached chunks.
+// record-set fingerprint-cache keys include it, so a CVD re-created under a
+// dropped name can never structurally alias the old one's cached chunks.
 func (s *Store) LogDrop(name string) error {
 	s.mu.Lock()
 	s.gens[name]++
@@ -803,10 +802,10 @@ func (s *Store) CheckpointSync(snap *Snapshot) (CheckpointStats, error) {
 // pack, and returns the manifest plus the next fingerprint cache. Table
 // columns encode in parallel; full interior bands whose content fingerprint
 // matches the previous checkpoint skip encoding entirely and reuse their
-// chunk hash. Catalog bands and record-set runs exploit a stronger invariant
-// — within one CVD lifetime (see LogDrop's generation) both are strictly
-// append-only, so a full band at the same index is immutable and only needs
-// its boundary guard checked.
+// chunk hash. Record-set runs exploit a stronger invariant — within one CVD
+// lifetime (see LogDrop's generation) they are strictly append-only, so a full
+// run at the same index is immutable and only needs its boundary guard
+// checked.
 func (s *Store) encodeSnapshotChunks(job *CheckpointJob, snap *Snapshot) (*manifest, map[string]fpEntry, CheckpointStats, error) {
 	stats := CheckpointStats{Epoch: snap.Epoch}
 	m := &manifest{dbName: snap.DBName, epoch: snap.Epoch}
@@ -904,8 +903,8 @@ func (s *Store) encodeSnapshotChunks(job *CheckpointJob, snap *Snapshot) (*manif
 	}
 
 	// CVD sections run serially: heads are small and always re-encoded (the
-	// pack deduplicates them by content), and the append-only sections are
-	// mostly cache hits.
+	// pack deduplicates them by content), and the append-only record-set runs
+	// are mostly cache hits.
 	var e enc
 	for _, st := range snap.CVDs {
 		gen := job.gens[st.Name]
@@ -918,32 +917,6 @@ func (s *Store) encodeSnapshotChunks(job *CheckpointJob, snap *Snapshot) (*manif
 			return nil, nil, stats, err
 		}
 		mc.head = h
-
-		nb := numBands(layout.records, layout.catBand)
-		mc.catalog = make([]ChunkHash, nb)
-		for b := 0; b < nb; b++ {
-			lo, hi := bandSpan(b, layout.catBand, layout.records)
-			if hi-lo == layout.catBand {
-				key := fmt.Sprintf("c|%s|%d|%d", st.Name, gen, b)
-				fp := [2]uint64{uint64(st.Records[lo].RID), uint64(st.Records[hi-1].RID)}
-				if old, ok := s.fpCache[key]; ok && old.fp == fp && s.pack.has(old.hash) {
-					mc.catalog[b] = old.hash
-					reuse(old.hash)
-					newCache[key] = old
-					continue
-				}
-			}
-			e.b = e.b[:0]
-			encodeCatalogBand(&e, st.Records[lo:hi])
-			if mc.catalog[b], err = emit(e.b); err != nil {
-				return nil, nil, stats, err
-			}
-			if hi-lo == layout.catBand {
-				key := fmt.Sprintf("c|%s|%d|%d", st.Name, gen, b)
-				fp := [2]uint64{uint64(st.Records[lo].RID), uint64(st.Records[hi-1].RID)}
-				newCache[key] = fpEntry{fp: fp, hash: mc.catalog[b]}
-			}
-		}
 
 		nr := numBands(layout.sets, layout.runLen)
 		mc.runs = make([]ChunkHash, nr)

@@ -1,6 +1,8 @@
 package relstore
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,6 +27,11 @@ import (
 // truncate — copies the backing vectors of the affected column first
 // (ensureOwned). The boundary is per column: adding a column or rewriting one
 // column's cells never copies its siblings.
+//
+// Views. A column that only has read-only views over its current cells
+// (Table.View) is marked viewed, not shared: appending to it lands past every
+// view's cells and copies nothing (ensureAppendable), any other write copies
+// first as above.
 
 // Selection is a selection vector: row positions in ascending order, as
 // produced by FilterVec and consumed by GatherInto/AppendFrom.
@@ -122,15 +129,21 @@ type column struct {
 	strs   []string  // TypeString cells
 	arrs   [][]int64 // TypeIntArray cells (the overflow vector)
 
-	// shared is nonzero when the backing vectors are shared with another
-	// table. Accessed atomically: checkouts mark a source column shared
-	// while holding only the CVD's read lock, so concurrent checkouts of the
-	// same table store the flag in parallel; the vectors themselves are only
-	// mutated by writers that the layer above serializes exclusively.
+	// shared is colShared when the backing vectors are shared with another
+	// table and colViewed when they only back read-only views. Accessed
+	// atomically: checkouts mark a source column shared while holding only
+	// the CVD's read lock, so concurrent checkouts of the same table store
+	// the flag in parallel; the vectors themselves are only mutated by
+	// writers that the layer above serializes exclusively.
 	shared uint32
 }
 
-func (c *column) isShared() bool { return atomic.LoadUint32(&c.shared) != 0 }
+const (
+	colShared uint32 = 1
+	colViewed uint32 = 2
+)
+
+func (c *column) isShared() bool { return atomic.LoadUint32(&c.shared) == colShared }
 
 func newColumn(capHint int) *column {
 	if capHint < 0 {
@@ -172,9 +185,9 @@ func ensureLaneArr(c *column) {
 	}
 }
 
-// append adds one cell. The caller must have called ensureOwned when the
-// column is shared (any write into shared backing — including an append into
-// spare capacity another sharer may also append into — is unsafe).
+// append adds one cell. The caller must have called ensureAppendable (any
+// write into shared backing — including an append into spare capacity another
+// sharer may also append into — is unsafe; a view never appends).
 func (c *column) append(v Value) {
 	c.tags = append(c.tags, uint8(v.Type))
 	n := len(c.tags)
@@ -238,6 +251,28 @@ func (c *column) value(i int) Value {
 		return Value{Type: TypeIntArray, A: c.arrs[i]}
 	default:
 		return Value{}
+	}
+}
+
+// identical is Value.Identical between cell i and v without materializing the
+// cell.
+func (c *column) identical(i int, v *Value) bool {
+	if ValueType(c.tags[i]) != v.Type {
+		return false
+	}
+	switch v.Type {
+	case TypeInt:
+		return c.ints[i] == v.I
+	case TypeBool:
+		return (c.ints[i] != 0) == v.B
+	case TypeFloat:
+		return math.Float64bits(c.floats[i]) == math.Float64bits(v.F)
+	case TypeString:
+		return c.strs[i] == v.S
+	case TypeIntArray:
+		return slices.Equal(c.arrs[i], v.A)
+	default:
+		return true
 	}
 }
 
@@ -322,7 +357,7 @@ func (c *column) set(i int, v Value) {
 // copy-on-write boundary. Integer-array cells keep sharing their element
 // slices (cells are replaced wholesale, never edited in place).
 func (c *column) ensureOwned() {
-	if !c.isShared() {
+	if atomic.LoadUint32(&c.shared) == 0 {
 		return
 	}
 	c.tags = append([]uint8(nil), c.tags...)
@@ -341,19 +376,39 @@ func (c *column) ensureOwned() {
 	atomic.StoreUint32(&c.shared, 0)
 }
 
+// ensureAppendable is ensureOwned for a caller about to append: cells past
+// the current length are no view's, so only a column shared outright copies.
+func (c *column) ensureAppendable() {
+	if c.isShared() {
+		c.ensureOwned()
+	}
+}
+
 // share returns a second column over the same backing vectors, marking both
 // sides shared so either side's next mutation copies first. The receiver's
 // flag is stored atomically because concurrent checkouts share the same
 // source column under a read lock.
 func (c *column) share() *column {
-	atomic.StoreUint32(&c.shared, 1)
+	atomic.StoreUint32(&c.shared, colShared)
+	return c.alias()
+}
+
+// view returns a column over the receiver's current cells for reading only
+// and marks the receiver viewed, unless it is shared already. The view itself
+// counts as shared: whatever is gathered from it copies before it writes.
+func (c *column) view() *column {
+	atomic.CompareAndSwapUint32(&c.shared, 0, colViewed)
+	return c.alias()
+}
+
+func (c *column) alias() *column {
 	return &column{
 		tags:   c.tags,
 		ints:   c.ints,
 		floats: c.floats,
 		strs:   c.strs,
 		arrs:   c.arrs,
-		shared: 1,
+		shared: colShared,
 	}
 }
 
@@ -424,9 +479,9 @@ func (c *column) gather(sel Selection) *column {
 }
 
 // appendFrom appends the selected cells of src lane by lane (no per-cell
-// Value boxing). The caller must have called ensureOwned when the column is
-// shared. Lane values of cells whose tag names a different type are zero
-// values on both sides, so copying them verbatim is exact.
+// Value boxing). The caller must have called ensureAppendable. Lane values of
+// cells whose tag names a different type are zero values on both sides, so
+// copying them verbatim is exact.
 func (c *column) appendFrom(src *column, sel Selection) {
 	base := len(c.tags)
 	for _, i := range sel {

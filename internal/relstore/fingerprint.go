@@ -78,25 +78,36 @@ func (l ColumnLanes) BandFingerprint(s1, s2 maphash.Seed, lo, hi int) [2]uint64 
 	return [2]uint64{h1.Sum64(), h2.Sum64()}
 }
 
-// SnapshotClone returns a serialization-only copy of the table whose columns
-// share the receiver's backing vectors copy-on-write: the live table's next
-// mutation of a column copies that column first (ensureOwned), leaving the
-// clone's view frozen. The clone carries schema, cluster mode, and index
-// column names — everything the snapshot writer reads — but no index maps;
-// it must not be queried or mutated. Callers must hold the exclusive lock of
-// the CVD owning the table while cloning.
-func (t *Table) SnapshotClone() *Table {
+// View returns a read-only table over the rows the receiver holds now, sharing
+// their backing vectors. The receiver may go on appending — new rows land past
+// the view's and copy nothing — while any other write to it (Set, Shrink,
+// AlterColumnType, ...) copies the column first, leaving the view frozen. A
+// view taken under the lock that serializes the receiver's writers can
+// therefore be read after the lock is released, concurrently with appends. It
+// carries the schema and the stats collector but no index, and must not be
+// mutated.
+func (t *Table) View() *Table {
 	nt := &Table{
 		Name:    t.Name,
 		Schema:  t.Schema.Clone(),
 		Cluster: t.Cluster,
 		nrows:   t.nrows,
-		stats:   &CostStats{},
+		stats:   t.stats,
 	}
 	nt.cols = make([]*column, len(t.cols))
 	for i, c := range t.cols {
-		nt.cols[i] = c.share()
+		nt.cols[i] = c.view()
 	}
+	return nt
+}
+
+// SnapshotClone returns a view of the table for the snapshot writer: it also
+// carries the index column names, which the writer records, and counts what is
+// read from it apart from the live table's cost statistics. Callers must hold
+// the exclusive lock of the CVD owning the table while cloning.
+func (t *Table) SnapshotClone() *Table {
+	nt := t.View()
+	nt.stats = &CostStats{}
 	nt.indexCols = append([]int(nil), t.indexCols...)
 	return nt
 }

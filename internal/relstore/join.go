@@ -62,7 +62,7 @@ func JoinOnRIDs(data *Table, ridColumn string, rids []int64, method JoinMethod) 
 // building a map[int64]struct{}, the merge join skips re-sorting (recsets
 // iterate in ascending order by construction), and cardinalities size the
 // output exactly. The returned rows are materialized from the column
-// vectors; checkout uses JoinTableOnRIDSet to skip the row materialization
+// vectors; checkout uses JoinTableOnRIDs to skip the row materialization
 // entirely.
 func JoinOnRIDSet(data *Table, ridColumn string, set *recset.Set, method JoinMethod) ([]Row, error) {
 	sel, err := joinSelection(data, ridColumn, ridProbe{set: set}, method)
@@ -72,12 +72,20 @@ func JoinOnRIDSet(data *Table, ridColumn string, set *recset.Set, method JoinMet
 	return data.GatherRows(sel), nil
 }
 
-// JoinTableOnRIDSet performs the rid join and gathers the matching rows
-// column-wise into a new table named tableName — the zero-materialization
-// checkout path. When the join selects the entire data table the result
-// shares the column backing copy-on-write (see Table.GatherInto). workers >
-// 1 chunks the hash-join probe across goroutines.
-func JoinTableOnRIDSet(data *Table, ridColumn string, set *recset.Set, method JoinMethod, workers int, tableName string) (*Table, error) {
+// JoinTableOnRIDs performs the rid join — rids ascending, none twice — and
+// gathers the matching rows column-wise into a new table named tableName: the
+// zero-materialization checkout path. A data table that keeps record r at row
+// r-1 is not probed at all; otherwise the rids become a compressed set for the
+// join. When the join selects the entire data table the result shares the
+// column backing copy-on-write (see Table.GatherInto). workers > 1 chunks the
+// hash-join probe across goroutines.
+func JoinTableOnRIDs(data *Table, ridColumn string, rids []int64, method JoinMethod, workers int, tableName string) (*Table, error) {
+	if ci := data.Schema.ColumnIndex(ridColumn); ci >= 0 && method == HashJoin {
+		if sel, ok := data.positionalRIDs(data.cols[ci], rids); ok {
+			return data.GatherInto(tableName, sel), nil
+		}
+	}
+	set := recset.FromSorted(rids)
 	var sel Selection
 	var err error
 	if method == HashJoin && workers > 1 && data.nrows >= parallelJoinMinRows {
@@ -208,24 +216,31 @@ func joinSelection(data *Table, ridColumn string, probe ridProbe, method JoinMet
 // about. It relies on col, t's rid column, holding no rid twice, as the unique
 // index on a data table's rid column guarantees.
 func (t *Table) positionalSelection(col *column, set *recset.Set) (sel Selection, ok bool) {
-	if set == nil || col.ints == nil {
+	if set == nil {
 		return nil, false
 	}
-	sel = make(Selection, 0, set.Len())
-	ok = true
-	set.ForEach(func(rid int64) bool {
-		p := rid - 1
-		ok = p >= 0 && p < int64(len(col.ints)) && col.ints[p] == rid && ValueType(col.tags[p]) == TypeInt
-		if ok {
-			sel = append(sel, int32(p))
-		}
-		return ok
-	})
-	if ok {
-		t.stats.AddSeqReads(int64(t.nrows))
-		t.stats.AddHashProbes(int64(t.nrows))
+	// A table in another order fails on its first rid: look before expanding.
+	first := int64(-1)
+	set.ForEach(func(rid int64) bool { first = rid; return false })
+	if first > 0 && (first > int64(len(col.ints)) || col.ints[first-1] != first) {
+		return nil, false
 	}
-	return sel, ok
+	return t.positionalRIDs(col, set.Slice())
+}
+
+// positionalRIDs is positionalSelection for rids in a slice, ascending.
+func (t *Table) positionalRIDs(col *column, rids []int64) (Selection, bool) {
+	sel := make(Selection, len(rids))
+	for k, rid := range rids {
+		p := rid - 1
+		if p < 0 || p >= int64(len(col.ints)) || col.ints[p] != rid || ValueType(col.tags[p]) != TypeInt {
+			return nil, false
+		}
+		sel[k] = int32(p)
+	}
+	t.stats.AddSeqReads(int64(t.nrows))
+	t.stats.AddHashProbes(int64(t.nrows))
+	return sel, true
 }
 
 // mergeJoinSelection merges an already-sorted rid list against the data

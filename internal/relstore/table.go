@@ -167,6 +167,11 @@ func (t *Table) At(row, col int) Value { return t.cols[col].value(row) }
 // materializing the Value — the rid-probe hot path.
 func (t *Table) IntAt(row, col int) int64 { return t.cols[col].asInt(row) }
 
+// CellIdentical reports whether one cell is identical to v (Value.Identical)
+// without materializing it — how a commit confirms a record-index hit against
+// the catalog's lanes.
+func (t *Table) CellIdentical(row, col int, v *Value) bool { return t.cols[col].identical(row, v) }
+
 // StringAt returns one cell's string rendering (Value.AsString semantics)
 // without materializing the Value.
 func (t *Table) StringAt(row, col int) string { return t.cols[col].asString(row) }
@@ -234,7 +239,8 @@ func (t *Table) remapDirty(sel Selection) {
 
 // SharedColumns reports how many of the table's columns currently share
 // backing vectors with another table — a diagnostic for pinning the
-// copy-on-write boundary in tests.
+// copy-on-write boundary in tests. A column that only backs views (View) is
+// not counted: appending to it copies nothing.
 func (t *Table) SharedColumns() int {
 	n := 0
 	for _, c := range t.cols {
@@ -258,9 +264,13 @@ func (t *Table) BuildIndexOn(cols ...string) error {
 	}
 	if len(idx) == 1 && t.Schema.Columns[idx[0]].Type == TypeInt {
 		col := t.cols[idx[0]]
-		sorted := min(1, t.nrows)
-		for sorted < t.nrows && col.asInt(sorted) > col.asInt(sorted-1) {
-			sorted++
+		sorted := 0
+		for prev := int64(0); sorted < t.nrows; sorted++ { // each key read once
+			key := col.asInt(sorted)
+			if sorted > 0 && key <= prev {
+				break
+			}
+			prev = key
 		}
 		uniq := make(map[int64]int, t.nrows-sorted)
 		for pos := sorted; pos < t.nrows; pos++ {
@@ -413,7 +423,7 @@ func (t *Table) Insert(r Row) error {
 // index or the cost counters.
 func (t *Table) appendRow(r Row) {
 	for j, c := range t.cols {
-		c.ensureOwned()
+		c.ensureAppendable()
 		if j < len(r) {
 			c.append(r[j])
 		} else {
@@ -446,7 +456,7 @@ func (t *Table) MustInsert(r Row) {
 // are grown once up front instead of per row.
 func (t *Table) InsertBatch(rows []Row) error {
 	for _, c := range t.cols {
-		c.ensureOwned()
+		c.ensureAppendable()
 		c.reserve(len(rows))
 	}
 	for _, r := range rows {
@@ -693,7 +703,7 @@ func (t *Table) AppendFrom(src *Table, sel Selection) error {
 		}
 	}
 	for j, c := range t.cols {
-		c.ensureOwned()
+		c.ensureAppendable()
 		if j < len(src.cols) {
 			c.appendFrom(src.cols[j], sel)
 		} else {
