@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -301,5 +303,38 @@ func TestFsckCommand(t *testing.T) {
 	// Usage errors exit 2.
 	if code, _, _ := runSession(t, []string{"fsck"}, ""); code != 2 {
 		t.Fatalf("fsck with no dir exit %d, want 2", code)
+	}
+}
+
+// TestFsckRefusesInMemoryModel: a directory whose WAL creates a CVD of a model
+// that does not persist — as a build that journalled the in-memory models wrote
+// it — is not a damaged directory but another build's: fsck and the open both
+// exit 2 naming the CVD and its model.
+func TestFsckRefusesInMemoryModel(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "data")
+	csv := writeCSV(t, dir, "p.csv", proteinCSV)
+	if code, _, errw := runSession(t, []string{"-data", data}, "init proteins "+csv+" pk=pid\n"); code != 0 {
+		t.Fatalf("seed session exit %d: %s", code, errw)
+	}
+	// The init record is the WAL's first frame (after the 20-byte header):
+	// length, CRC, then op, name length, name, and the model field.
+	wal := filepath.Join(data, "wal-0000000000000000.orph")
+	raw, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := raw[20:]
+	n := binary.LittleEndian.Uint32(frame)
+	frame[8+2+len("proteins")] = 4 // delta-based
+	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(frame[8:8+n]))
+	if err := os.WriteFile(wal, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, argv := range [][]string{{"fsck", data}, {"fsck", "-repair", data}, {"-data", data}} {
+		code, _, errw := runSession(t, argv, "")
+		if code != 2 || !strings.Contains(errw, `"proteins" uses delta-based`) || !strings.Contains(errw, "only split-by-rlist CVDs are durable") {
+			t.Fatalf("%v: exit %d, want 2 with the refusal: %s", argv, code, errw)
+		}
 	}
 }

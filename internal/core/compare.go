@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/cvd"
 	"repro/internal/relstore"
 	"repro/internal/vgraph"
 )
@@ -56,9 +58,9 @@ func RowsBitIdentical(ctx string, a, b []relstore.Row) error {
 }
 
 // EnginesEquivalent verifies that two engines hold the same CVDs, that every
-// version of every CVD checks out bit-identically on both, and that commit
-// metadata survived. tag names the comparison in errors and keeps the two
-// engines' staging tables apart.
+// version of every CVD checks out bit-identically on both and sits in the
+// same partition, and that commit metadata survived. tag names the comparison
+// in errors and keeps the two engines' staging tables apart.
 func EnginesEquivalent(tag string, a, b *Engine) error {
 	namesA, namesB := a.List(), b.List()
 	if len(namesA) != len(namesB) {
@@ -112,6 +114,27 @@ func EnginesEquivalent(tag string, a, b *Engine) error {
 				return fmt.Errorf("%s/%s v%d: metadata %+v != %+v", tag, name, va[i], ma, mb)
 			}
 		}
+		pa, pb := partitionsOf(ca, va), partitionsOf(cb, vb)
+		if !slices.Equal(pa, pb) {
+			return fmt.Errorf("%s/%s: versions %v sit in partitions %v and %v", tag, name, va, pa, pb)
+		}
 	}
 	return nil
+}
+
+// partitionsOf returns the partition of each of versions (-1 each when the CVD
+// is unpartitioned, nil when it is not split-by-rlist).
+func partitionsOf(c *cvd.CVD, versions []vgraph.VersionID) []int {
+	m, err := c.Rlist()
+	if err != nil {
+		return nil
+	}
+	out := make([]int, len(versions))
+	_ = c.WithShared(func() error { // cannot fail
+		for i, v := range versions {
+			out[i] = m.PartitionOf(v)
+		}
+		return nil
+	})
+	return out
 }

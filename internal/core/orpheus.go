@@ -159,13 +159,19 @@ func (e *Engine) Workers() int { return e.workers }
 // options say otherwise, the CVD inherits the engine's worker count. On a
 // durable engine the creation (with its first version's records) is appended
 // to the commit WAL and fsynced before Init returns, and every later commit
-// to the CVD is journaled as its delta the same way.
+// to the CVD is journaled as its delta the same way; a durable engine refuses
+// a model other than split-by-rlist (cvd.CheckDurable).
 func (e *Engine) Init(name string, schema relstore.Schema, rows []relstore.Row, opts cvd.Options) (*cvd.CVD, error) {
 	if opts.Workers == 0 {
 		opts.Workers = e.workers
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.store != nil {
+		if err := cvd.CheckDurable(name, opts.Model); err != nil {
+			return nil, err
+		}
+	}
 	if _, dup := e.cvds[name]; dup {
 		return nil, fmt.Errorf("core: CVD %q already exists", name)
 	}
@@ -184,7 +190,7 @@ func (e *Engine) Init(name string, schema relstore.Schema, rows []relstore.Row, 
 		// either folded in or in the continuing WAL.
 		versions, delta, deltaSchema := c.InitDelta()
 		meta, _ := c.Meta(1)
-		if err := e.store.LogInit(name, opts.Model, versions, delta, deltaSchema, opts.Message, opts.Author, meta.CommitAt); err != nil {
+		if err := e.store.LogInit(name, versions, delta, deltaSchema, opts.Message, opts.Author, meta.CommitAt); err != nil {
 			c.Drop()
 			return nil, fmt.Errorf("core: journaling init of %q: %w", name, err)
 		}
@@ -204,10 +210,16 @@ func (e *Engine) Init(name string, schema relstore.Schema, rows []relstore.Row, 
 // so no journal is attached either — journaling commits against a CVD the
 // snapshot does not contain would make the WAL unreplayable. Checkpoint
 // folds the CVD into the snapshot and attaches the journal atomically; call
-// it right after adopting.
+// it right after adopting. A durable engine refuses a CVD of another model
+// than split-by-rlist (cvd.CheckDurable).
 func (e *Engine) Adopt(c *cvd.CVD) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.store != nil {
+		if err := cvd.CheckDurable(c.Name(), c.Model()); err != nil {
+			return err
+		}
+	}
 	if _, dup := e.cvds[c.Name()]; dup {
 		return fmt.Errorf("core: CVD %q already exists", c.Name())
 	}
@@ -343,7 +355,9 @@ type OptimizeReport struct {
 // given storage threshold factor (γ = factor·|R|) and applies the resulting
 // partitioning (the `optimize` command). The whole optimize-and-apply runs
 // under the CVD's exclusive lock, so concurrent checkouts never observe a
-// half-built partitioning.
+// half-built partitioning. The WAL journals commits, not partitionings, so on
+// a durable engine Optimize returns only once a checkpoint holds the
+// partitioning, taken after the lock is released (as Adopt's is).
 func (e *Engine) Optimize(cvdName string, storageFactor float64) (OptimizeReport, error) {
 	c, err := e.CVD(cvdName)
 	if err != nil {
@@ -380,6 +394,11 @@ func (e *Engine) Optimize(cvdName string, storageFactor float64) (OptimizeReport
 	})
 	if err != nil {
 		return OptimizeReport{}, err
+	}
+	if e.Durable() {
+		if err := e.Checkpoint(); err != nil {
+			return OptimizeReport{}, fmt.Errorf("core: checkpointing the partitioning of %q: %w", cvdName, err)
+		}
 	}
 	return rep, nil
 }

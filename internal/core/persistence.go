@@ -58,8 +58,7 @@ func OpenDurable(name, dir string, opts ...Option) (*Engine, error) {
 
 // restoreSnapshot populates a fresh engine from a decoded snapshot: tables
 // attach straight to the backing database and each CVD state is rebuilt over
-// them (cvd.Restore takes a record catalog that is private to its CVD back out
-// of the database).
+// them.
 func (e *Engine) restoreSnapshot(snap *durable.Snapshot) error {
 	if snap.DBName != "" {
 		e.db = relstore.NewDatabase(snap.DBName)
@@ -108,7 +107,6 @@ func (e *Engine) applyRecord(rec *durable.Record) error {
 			return fmt.Errorf("core: WAL replays init of existing CVD %q", rec.CVD)
 		}
 		c, err := cvd.ReplayInit(e.db, rec.CVD, rec.Versions, rec.Delta, rec.Schema, cvd.Options{
-			Model:   rec.Kind,
 			Author:  rec.Author,
 			Message: rec.Message,
 			At:      rec.At,
@@ -175,7 +173,8 @@ func (e *Engine) getStore() *durable.Store {
 // headers over shared immutable column lanes (Table.SnapshotClone) and CVD
 // states whose mutable containers are copied (ExportStateCOW) — so it stays
 // consistent after release while commits continue; without it the snapshot
-// shares live structures and is only valid while the locks are held.
+// shares live structures and is only valid while the locks are held. A CVD of
+// an in-memory model fails the snapshot (cvd.CheckDurable).
 func (e *Engine) buildSnapshot(exclusive, cow bool) (*durable.Snapshot, []*cvd.CVD, func(), error) {
 	e.mu.RLock()
 	names := make([]string, 0, len(e.cvds))
@@ -214,17 +213,19 @@ func (e *Engine) buildSnapshot(exclusive, cow bool) (*durable.Snapshot, []*cvd.C
 	snap := &durable.Snapshot{DBName: e.db.Name()}
 	for _, c := range locked {
 		var st *cvd.PersistentState
+		var err error
 		if cow {
-			st = c.ExportStateCOW()
+			st, err = c.ExportStateCOW()
 		} else {
-			st = c.ExportState()
+			st, err = c.ExportState()
+		}
+		if err != nil {
+			release()
+			return nil, nil, nil, err
 		}
 		snap.CVDs = append(snap.CVDs, st)
 		for _, name := range st.Tables {
 			t, ok := e.db.Table(name)
-			if name == st.CatalogTable() {
-				t, ok = c.Catalog(), true // off the database unless it is the model's data table
-			}
 			if !ok {
 				// Writing a snapshot that names a table it does not contain
 				// would fail only at restore time — after a checkpoint has

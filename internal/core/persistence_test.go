@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -56,10 +57,67 @@ func randomValue(rng *rand.Rand, typ relstore.ValueType) relstore.Value {
 
 var colTypes = []relstore.ValueType{relstore.TypeInt, relstore.TypeFloat, relstore.TypeString, relstore.TypeBool}
 
-// buildRandomCVD grows a CVD through a random commit history: branching
-// parents, row churn, and — crucially for the property — schema evolution
-// mid-history (new columns, generalized types).
-func buildRandomCVD(t *testing.T, rng *rand.Rand, e *Engine, name string, model cvd.ModelKind) {
+// padRows strips the rid from checked-out rows and pads them to width.
+func padRows(rows []relstore.Row, width int) []relstore.Row {
+	for i, r := range rows {
+		r = r[1:]
+		for len(r) < width {
+			r = append(r, relstore.Null())
+		}
+		rows[i] = r
+	}
+	return rows
+}
+
+// lockstep makes the same commit on the CVD name of every engine — the rows of
+// its latest version and one fresh row — and fails unless each engine hands
+// out the same version, checks it out bit-identically and places it in the
+// same partition. The CVD's first column must be an integer key below 10⁶.
+func lockstep(t *testing.T, name string, engines ...*Engine) {
+	t.Helper()
+	c, err := engines[0].CVD(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	latest, _ := c.LatestVersion()
+	s := c.Schema()
+	rows := padRows(checkoutRows(t, engines[0], name, latest, "base"), len(s.Columns))
+	fresh := relstore.Row{relstore.Int(1_000_000)}
+	for len(fresh) < len(s.Columns) {
+		fresh = append(fresh, relstore.Null())
+	}
+	rows = append(rows, fresh)
+	var want []relstore.Row
+	var wantV vgraph.VersionID
+	var wantPart []int
+	for i, e := range engines {
+		ec, err := e.CVD(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := ec.Commit([]vgraph.VersionID{latest}, rows, s, "lockstep", "prop")
+		if err != nil {
+			t.Fatalf("lockstep commit on engine %d: %v", i, err)
+		}
+		got, part := checkoutRows(t, e, name, v, "next"), partitionsOf(ec, []vgraph.VersionID{v})
+		if i == 0 {
+			want, wantV, wantPart = got, v, part
+			continue
+		}
+		if v != wantV || !slices.Equal(part, wantPart) {
+			t.Fatalf("lockstep commit is version %d in partitions %v on engine 0, %d in %v on engine %d", wantV, wantPart, v, part, i)
+		}
+		if err := RowsBitIdentical("lockstep", want, got); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// buildRandomCVD grows a split-by-rlist CVD through a random commit history:
+// branching parents, row churn, and — crucially for the property — schema
+// evolution mid-history (new columns, generalized types). mid, when not nil,
+// runs once between two of its commits.
+func buildRandomCVD(t *testing.T, rng *rand.Rand, e *Engine, name string, mid func()) {
 	t.Helper()
 	ncols := 2 + rng.Intn(3)
 	cols := []relstore.Column{{Name: "k", Type: relstore.TypeInt}}
@@ -87,7 +145,7 @@ func buildRandomCVD(t *testing.T, rng *rand.Rand, e *Engine, name string, model 
 		return clock
 	}
 	_, err := e.Init(name, schema, makeRows(schema, 5+rng.Intn(20)), cvd.Options{
-		Model: model, Author: "prop", Message: "v1", Clock: tick,
+		Author: "prop", Message: "v1", Clock: tick,
 	})
 	if err != nil {
 		t.Fatalf("init %s: %v", name, err)
@@ -97,7 +155,14 @@ func buildRandomCVD(t *testing.T, rng *rand.Rand, e *Engine, name string, model 
 		t.Fatal(err)
 	}
 	nversions := 3 + rng.Intn(6)
+	midAt := -1
+	if mid != nil {
+		midAt = 1 + rng.Intn(nversions-1)
+	}
 	for i := 0; i < nversions; i++ {
+		if i == midAt {
+			mid()
+		}
 		versions := c.Versions()
 		parent := versions[rng.Intn(len(versions))]
 		rowSchema := schema
@@ -122,55 +187,71 @@ func buildRandomCVD(t *testing.T, rng *rand.Rand, e *Engine, name string, model 
 }
 
 // TestSnapshotRoundTripProperty is the snapshot property test of the
-// acceptance criteria: across randomized schemas, nulls, evolved columns,
-// several data models, and partitioned storage, a Save + OpenDurable cycle
-// reconstructs an engine whose every version checks out bit-identically.
+// acceptance criteria: across randomized schemas, nulls, evolved columns and
+// partitioned storage, a durable engine's directory — its newest checkpoint,
+// taken in the background between two commits while commits continue, and the
+// WAL after it — and a Save of the engine both reopen to an engine whose every
+// version checks out bit-identically, in the same partition, and that stays in
+// lockstep on the next commit.
 func TestSnapshotRoundTripProperty(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + trial)))
-			e := Open("prop")
-			models := []cvd.ModelKind{cvd.SplitByRlist, cvd.SplitByVlist, cvd.CombinedTable, cvd.TablePerVersion, cvd.DeltaBased}
-			ncvds := 1 + rng.Intn(3)
-			for i := 0; i < ncvds; i++ {
-				buildRandomCVD(t, rng, e, fmt.Sprintf("cvd%d", i), models[rng.Intn(len(models))])
-			}
-			// Partition one rlist CVD half the time so partition maps and
-			// resident sets go through the snapshot too.
-			buildRandomCVD(t, rng, e, "parted", cvd.SplitByRlist)
-			if trial%2 == 0 {
-				if _, err := e.Optimize("parted", 2.0); err != nil {
-					t.Fatalf("optimize: %v", err)
-				}
-			}
-
 			dir := t.TempDir()
-			if err := e.Save(dir); err != nil {
-				t.Fatalf("save: %v", err)
-			}
-			restored, err := OpenDurable("prop", dir)
-			if err != nil {
-				t.Fatalf("open durable: %v", err)
-			}
-			defer restored.Close()
-			enginesEquivalent(t, fmt.Sprintf("trial%d", trial), e, restored)
-
-			// The restored engine must remain fully writable: commit on top of
-			// a restored version and check out the result.
-			name := restored.List()[0]
-			rc, err := restored.CVD(name)
+			e, err := OpenDurable("prop", dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			latest, _ := rc.LatestVersion()
-			tab := "post_restore"
-			if _, err := restored.Checkout(name, []vgraph.VersionID{latest}, tab); err != nil {
-				t.Fatalf("post-restore checkout: %v", err)
+			var ckpts []<-chan error
+			checkpoint := func() {
+				done, err := e.CheckpointAsync()
+				if err != nil {
+					t.Fatalf("checkpoint: %v", err)
+				}
+				ckpts = append(ckpts, done)
 			}
-			if _, err := restored.Commit(name, tab, "post-restore commit", "prop"); err != nil {
-				t.Fatalf("post-restore commit: %v", err)
+			ncvds := 1 + rng.Intn(3)
+			for i := 0; i < ncvds; i++ {
+				buildRandomCVD(t, rng, e, fmt.Sprintf("cvd%d", i), checkpoint)
 			}
+			// Partition one CVD mid-history half the time, so partition maps and
+			// resident sets go through the checkpoint Optimize takes and the
+			// commits after it, each placed in its parent's partition, through
+			// the WAL.
+			optimize := func() {}
+			if trial%2 == 0 {
+				optimize = func() {
+					if _, err := e.Optimize("parted", 2.0); err != nil {
+						t.Fatalf("optimize: %v", err)
+					}
+				}
+			}
+			buildRandomCVD(t, rng, e, "parted", optimize)
+			for _, done := range ckpts {
+				if err := <-done; err != nil {
+					t.Fatalf("background checkpoint: %v", err)
+				}
+			}
+			saved := filepath.Join(t.TempDir(), "saved")
+			if err := e.Save(saved); err != nil {
+				t.Fatalf("save: %v", err)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			engines := []*Engine{e}
+			for _, d := range []string{dir, saved} {
+				restored, err := OpenDurable("prop", d)
+				if err != nil {
+					t.Fatalf("open durable %s: %v", d, err)
+				}
+				defer restored.Close()
+				enginesEquivalent(t, fmt.Sprintf("trial%d", trial), e, restored)
+				engines = append(engines, restored)
+			}
+			lockstep(t, "parted", engines...)
 		})
 	}
 }
@@ -181,7 +262,7 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 func TestSnapshotRoundTripPartitioned(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	e := Open("parts")
-	buildRandomCVD(t, rng, e, "d", cvd.SplitByRlist)
+	buildRandomCVD(t, rng, e, "d", nil)
 	if _, err := e.Optimize("d", 1.5); err != nil {
 		t.Fatal(err)
 	}
@@ -216,6 +297,56 @@ func TestSnapshotRoundTripPartitioned(t *testing.T) {
 		}
 	}
 	enginesEquivalent(t, "parted", e, restored)
+}
+
+// TestOptimizeSurvivesReopen: the WAL journals commits, not partitionings, so
+// Optimize on a durable engine returns only once a checkpoint holds its
+// partitioning. A reopen with no explicit Checkpoint keeps every version's
+// partition, and a commit made after Optimize replays from the WAL into its
+// parent's partition.
+func TestOptimizeSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	e, err := OpenDurable("parts", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buildRandomCVD(t, rand.New(rand.NewSource(99)), e, "d", nil)
+	if _, err := e.Optimize("d", 1.5); err != nil {
+		t.Fatal(err)
+	}
+	c, _ := e.CVD("d")
+	latest, _ := c.LatestVersion()
+	rows := padRows(checkoutRows(t, e, "d", latest, "after"), len(c.Schema().Columns))
+	after, err := c.Commit([]vgraph.VersionID{latest}, rows[1:], c.Schema(), "after optimize", "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenDurable("parts", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	m, _ := c.Rlist()
+	rc, _ := reopened.CVD("d")
+	rm, err := rc.Rlist()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rm.Partitioned() || !slices.Equal(rm.PartitionSizes(), m.PartitionSizes()) {
+		t.Fatalf("reopened with partitions %v (partitioned: %v), live %v", rm.PartitionSizes(), rm.Partitioned(), m.PartitionSizes())
+	}
+	for _, v := range c.Versions() {
+		if got, want := rm.PartitionOf(v), m.PartitionOf(v); got != want {
+			t.Fatalf("v%d in partition %d after reopen, want %d", v, got, want)
+		}
+	}
+	if k := rm.PartitionOf(after); k != rm.PartitionOf(latest) {
+		t.Fatalf("the commit after Optimize replayed into partition %d, its parent is in %d", k, rm.PartitionOf(latest))
+	}
+	enginesEquivalent(t, "reopened", e, reopened)
 }
 
 // TestWALCrashRecovery is the crash-recovery property test of the acceptance

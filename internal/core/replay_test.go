@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -16,11 +17,11 @@ import (
 	"repro/internal/vgraph"
 )
 
-// replayHistory drives one CVD of a durable engine through a seeded history
-// that covers every shape a journalled delta can take: row churn staged in
-// shuffled order, schema evolution (a new column, a generalized type), a
-// two-parent merge, a commit identical to its parent (empty delta), a full
-// replacement, and — without a primary key — duplicate-content rows.
+// replayHistory drives one CVD of an engine through a seeded history that
+// covers every shape a journalled delta can take: row churn staged in shuffled
+// order, schema evolution (a new column, a generalized type), a two-parent
+// merge, a commit identical to its parent (empty delta), a full replacement,
+// and — without a primary key — duplicate-content rows.
 type replayHistory struct {
 	t      *testing.T
 	rng    *rand.Rand
@@ -30,6 +31,9 @@ type replayHistory struct {
 	model  cvd.ModelKind
 	withPK bool
 	key    int64
+
+	journal *memJournal    // when set, receives the CVD's history (in-memory models)
+	ckpts   []<-chan error // background checkpoints started by the history
 }
 
 func (h *replayHistory) schemaOf(cols []relstore.Column) relstore.Schema {
@@ -54,15 +58,7 @@ func (h *replayHistory) newRows(s relstore.Schema, n int) []relstore.Row {
 
 // rowsOf returns a version's rows without the rid, padded to width.
 func (h *replayHistory) rowsOf(v vgraph.VersionID, width int) []relstore.Row {
-	rows := checkoutRows(h.t, h.e, h.name, v, "hist")
-	for i, r := range rows {
-		r = r[1:]
-		for len(r) < width {
-			r = append(r, relstore.Null())
-		}
-		rows[i] = r
-	}
-	return rows
+	return padRows(checkoutRows(h.t, h.e, h.name, v, "hist"), width)
 }
 
 func (h *replayHistory) commit(kind string, parents []vgraph.VersionID, rows []relstore.Row, s relstore.Schema) {
@@ -74,6 +70,20 @@ func (h *replayHistory) commit(kind string, parents []vgraph.VersionID, rows []r
 }
 
 func (h *replayHistory) step(kind string) {
+	switch kind {
+	case "optimize":
+		if _, err := h.e.Optimize(h.name, 1.5); err != nil {
+			h.t.Fatalf("optimize: %v", err)
+		}
+		return
+	case "checkpoint":
+		done, err := h.e.CheckpointAsync()
+		if err != nil {
+			h.t.Fatalf("checkpoint: %v", err)
+		}
+		h.ckpts = append(h.ckpts, done)
+		return
+	}
 	versions := h.c.Versions()
 	h.rng.Shuffle(len(versions), func(i, j int) { versions[i], versions[j] = versions[j], versions[i] })
 	parent := versions[0]
@@ -135,7 +145,10 @@ func (h *replayHistory) step(kind string) {
 	}
 }
 
-func (h *replayHistory) run() {
+// run creates the CVD and commits its history. Each extra step ("optimize",
+// "checkpoint") lands between two commits at a random place; run returns once
+// every background checkpoint has completed.
+func (h *replayHistory) run(extra ...string) {
 	cols := []relstore.Column{{Name: "k", Type: relstore.TypeInt}}
 	for i := 1; i < 3+h.rng.Intn(3); i++ {
 		cols = append(cols, relstore.Column{Name: fmt.Sprintf("c%d", i), Type: colTypes[h.rng.Intn(len(colTypes))]})
@@ -146,67 +159,129 @@ func (h *replayHistory) run() {
 		h.t.Fatalf("init: %v", err)
 	}
 	h.c = c
+	if h.journal != nil {
+		h.journal.begin(c)
+	}
 	kinds := []string{"churn", "add-column", "generalize", "merge", "identical", "replace", "churn", "merge"}
 	if !h.withPK {
 		kinds = append(kinds, "duplicates")
 	}
 	h.rng.Shuffle(len(kinds), func(i, j int) { kinds[i], kinds[j] = kinds[j], kinds[i] })
+	for _, kind := range extra {
+		kinds = slices.Insert(kinds, 1+h.rng.Intn(len(kinds)-1), kind)
+	}
 	for _, kind := range kinds {
 		h.step(kind)
 	}
+	for _, done := range h.ckpts {
+		if err := <-done; err != nil {
+			h.t.Fatalf("background checkpoint: %v", err)
+		}
+	}
+}
+
+// throughDisk runs the history on a durable engine — partitioned by Optimize
+// and checkpointed in the background mid-history, with commits after both —
+// and reopens its directory: the newest manifest plus the WAL tail after it.
+func (h *replayHistory) throughDisk() (live, replayed *Engine) {
+	dir := h.t.TempDir()
+	live, err := OpenDurable("live", dir)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	h.e = live
+	h.run("optimize", "checkpoint")
+	if err := live.Close(); err != nil {
+		h.t.Fatal(err)
+	}
+	epochs, err := durable.ListEpochs(dir)
+	if err != nil || len(epochs) == 0 {
+		h.t.Fatalf("no checkpoint ran (%v, %v)", epochs, err)
+	}
+	if tail, err := os.Stat(filepath.Join(dir, durable.WALSegmentFileName(epochs[len(epochs)-1]))); err != nil || tail.Size() <= walHeaderBytes {
+		h.t.Fatalf("no WAL after the newest checkpoint (%v): the reopen would be the manifest alone", err)
+	}
+	replayed, err = OpenDurable("replayed", dir)
+	if err != nil {
+		h.t.Fatalf("reopening: %v", err)
+	}
+	return live, replayed
+}
+
+// inMemory runs the history of an in-memory model on an ephemeral engine and
+// rebuilds the CVD from its journal alone into another one.
+func (h *replayHistory) inMemory() (live, replayed *Engine) {
+	live = Open("live")
+	h.e = live
+	h.journal = &memJournal{}
+	h.run()
+	first, _ := h.c.Meta(1)
+	in := h.journal.init
+	replayed = Open("replayed")
+	c, err := cvd.ReplayInit(replayed.Database(), h.name, in.versions, in.delta, in.schema,
+		cvd.Options{Model: h.model, Author: first.Author, Message: first.Message, At: first.CommitAt})
+	if err != nil {
+		h.t.Fatalf("replaying the first version: %v", err)
+	}
+	for i, jc := range h.journal.commits {
+		if err := c.ReplayCommit(jc.versions, jc.delta, jc.schema, jc.msg, jc.author, jc.at); err != nil {
+			h.t.Fatalf("replaying commit %d: %v", i, err)
+		}
+	}
+	if err := replayed.Adopt(c); err != nil {
+		h.t.Fatal(err)
+	}
+	return live, replayed
+}
+
+// memJournal keeps a CVD's journalled history in memory, as the WAL keeps a
+// durable one's: its first version's delta and every commit's.
+type memJournal struct {
+	init    journalled
+	commits []journalled
+}
+
+type journalled struct {
+	versions    []vgraph.VersionID
+	delta       []relstore.Row
+	schema      relstore.Schema
+	msg, author string
+	at          time.Time
+}
+
+// begin records c's first version and attaches the journal for the rest.
+func (j *memJournal) begin(c *cvd.CVD) {
+	j.init.versions, j.init.delta, j.init.schema = c.InitDelta()
+	c.SetJournal(j)
+}
+
+func (j *memJournal) LogCommit(_ string, versions []vgraph.VersionID, delta []relstore.Row, schema relstore.Schema, msg, author string, at time.Time) error {
+	j.commits = append(j.commits, journalled{append([]vgraph.VersionID(nil), versions...), delta, schema, msg, author, at})
+	return nil
 }
 
 // TestLiveEqualsReplayed is the property behind the delta WAL record: an
-// engine rebuilt only by replaying the journalled deltas (no checkpoint ever
-// ran) is bit-identical to the live one — every version of every data model,
-// record order inside a version included — and stays in lockstep with it
-// afterwards (same rids for the next commit).
+// engine rebuilt from the journalled deltas is bit-identical to the live one —
+// every version, record order inside a version and partition included — and
+// stays in lockstep with it afterwards (same rids for the next commit). A
+// split-by-rlist CVD goes through the disk, partitioned and checkpointed
+// mid-history (throughDisk); the in-memory models replay their journal in
+// memory.
 func TestLiveEqualsReplayed(t *testing.T) {
 	models := []cvd.ModelKind{cvd.SplitByRlist, cvd.SplitByVlist, cvd.CombinedTable, cvd.TablePerVersion, cvd.DeltaBased}
 	for _, model := range models {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", model, seed), func(t *testing.T) {
-				dir := t.TempDir()
-				live, err := OpenDurable("live", dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				h := &replayHistory{t: t, rng: rand.New(rand.NewSource(seed)), e: live, name: "d", model: model, withPK: seed%2 == 1}
-				h.run()
-				if epochs, _ := live.RetainedEpochs(); len(epochs) != 0 {
-					t.Fatalf("a checkpoint ran (%v): the reopen below would not be replay alone", epochs)
-				}
-				if err := live.Close(); err != nil {
-					t.Fatal(err)
-				}
-				replayed, err := OpenDurable("replayed", dir)
-				if err != nil {
-					t.Fatalf("replaying the WAL: %v", err)
+				h := &replayHistory{t: t, rng: rand.New(rand.NewSource(seed)), name: "d", model: model, withPK: seed%2 == 1}
+				var live, replayed *Engine
+				if model == cvd.SplitByRlist {
+					live, replayed = h.throughDisk()
+				} else {
+					live, replayed = h.inMemory()
 				}
 				defer replayed.Close()
 				enginesEquivalent(t, "replayed", live, replayed)
-
-				// Lockstep: the same commit on both sides must diff against the
-				// same record catalog and hand out the same rids.
-				rc, err := replayed.CVD("d")
-				if err != nil {
-					t.Fatal(err)
-				}
-				latest, _ := h.c.LatestVersion()
-				s := h.c.Schema()
-				rows := append(h.rowsOf(latest, len(s.Columns)), h.newRows(s, 3)...)
-				var next [2]vgraph.VersionID
-				for i, c := range []*cvd.CVD{h.c, rc} {
-					if next[i], err = c.Commit([]vgraph.VersionID{latest}, rows, s, "lockstep", "prop"); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if next[0] != next[1] {
-					t.Fatalf("lockstep commit is version %d live, %d replayed", next[0], next[1])
-				}
-				if err := RowsBitIdentical("lockstep", checkoutRows(t, live, "d", next[0], "l"), checkoutRows(t, replayed, "d", next[1], "r")); err != nil {
-					t.Fatal(err)
-				}
+				lockstep(t, "d", live, replayed)
 			})
 		}
 	}
@@ -253,11 +328,13 @@ func TestRejectedCommitKeepsLogReplayable(t *testing.T) {
 	enginesEquivalent(t, "replayed", live, replayed)
 }
 
+// walHeaderBytes is the length of a WAL segment's header.
+const walHeaderBytes = 20
+
 // walFrames splits a WAL segment into its header and its record frames.
 func walFrames(t *testing.T, raw []byte) (header []byte, frames [][]byte) {
 	t.Helper()
-	const headerSize = 20
-	header, raw = raw[:headerSize], raw[headerSize:]
+	header, raw = raw[:walHeaderBytes], raw[walHeaderBytes:]
 	for len(raw) > 0 {
 		n := 8 + int(binary.LittleEndian.Uint32(raw[:4]))
 		frames = append(frames, raw[:n])

@@ -1,6 +1,7 @@
 package cvd
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -136,14 +137,14 @@ func TestRlistDataTableIsCatalog(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := db.MustTable(m.data.Name)
-	if data != c.catalog || data != c.Catalog() || data != m.data {
+	if data != c.catalog || data != m.data {
 		t.Fatal("the data table registered in the database is not the catalog")
 	}
 	full, err := c.Checkout([]vgraph.VersionID{1}, "full") // version 1 is the whole table: shared, not copied
 	if err != nil {
 		t.Fatal(err)
 	}
-	capture := c.Catalog().SnapshotClone()
+	capture := c.catalog.SnapshotClone()
 	if n := len(schema.Columns) + 1; data.SharedColumns() != 0 || full.SharedColumns() != n || capture.SharedColumns() != n {
 		t.Fatalf("columns that copy before the next write: data table %d, checkout %d, capture %d, want 0, %d and %d", data.SharedColumns(), full.SharedColumns(), capture.SharedColumns(), n, n)
 	}
@@ -171,8 +172,7 @@ func TestRlistDataTableIsCatalog(t *testing.T) {
 // through while the CVD's lock is held exclusively (as by a commit in flight),
 // returns what a checkout under the lock returns, and is there for every
 // version committed so far, an evolved schema included. Nothing is published
-// under partitioning or for a join that wants the data table's index; those
-// checkouts take the lock, as on every other model.
+// under partitioning; those checkouts take the lock, as on every other model.
 func TestCheckoutOffTheLock(t *testing.T) {
 	_, c := buildProteinCVD(t, SplitByRlist)
 	m, _ := c.Rlist()
@@ -213,14 +213,6 @@ func TestCheckoutOffTheLock(t *testing.T) {
 		c.DiscardCheckout("under")
 	}
 
-	m.SetJoinMethod(relstore.MergeJoin)
-	if m.read.Load() != nil {
-		t.Fatal("published for a merge join, which reads the data table's order")
-	}
-	m.SetJoinMethod(relstore.HashJoin)
-	if m.read.Load() == nil {
-		t.Fatal("nothing published after the join method went back to a hash join")
-	}
 	if err := m.ApplyPartitioning(vgraph.NewPartitioning(map[vgraph.VersionID]int{1: 0, 2: 0, 3: 1, 4: 1, 5: 1})); err != nil {
 		t.Fatal(err)
 	}
@@ -250,9 +242,9 @@ func sameTable(a, b *relstore.Table) error {
 	return nil
 }
 
-// TestPrivateCatalogOffDatabase: under the models without a rid-ordered master
-// table the catalog is private to the CVD — the database, whose StorageBytes is
-// the paper's storage axis, does not hold it, before or after a restore.
+// TestPrivateCatalogOffDatabase: under the in-memory models, which have no
+// rid-ordered master table, the catalog is private to the CVD — the database,
+// whose StorageBytes is the paper's storage axis, does not hold it.
 func TestPrivateCatalogOffDatabase(t *testing.T) {
 	for _, model := range allModels[1:] {
 		t.Run(model.String(), func(t *testing.T) {
@@ -260,17 +252,9 @@ func TestPrivateCatalogOffDatabase(t *testing.T) {
 			if db.HasTable(c.catalog.Name) {
 				t.Fatalf("catalog %q is registered in the database", c.catalog.Name)
 			}
-			before := db.StorageBytes()
-			st := c.ExportState()
-			db.AttachTable(c.Catalog()) // as a deserializer leaves it
-			restored, err := Restore(db, st)
-			if err != nil {
-				t.Fatal(err)
+			if _, err := c.ExportState(); !errors.Is(err, ErrInMemoryModel) || !strings.Contains(err.Error(), model.String()) {
+				t.Fatalf("export of a %s CVD: %v", model, err)
 			}
-			if db.HasTable(restored.catalog.Name) || db.StorageBytes() != before {
-				t.Fatalf("restore left the catalog in the database: %d B, had %d", db.StorageBytes(), before)
-			}
-			checkCatalogAgrees(t, restored, 4)
 		})
 	}
 }
@@ -289,7 +273,10 @@ func TestRestoreRefusesSparseCatalog(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			db, c := buildProteinCVD(t, SplitByRlist)
-			st := c.ExportState()
+			st, err := c.ExportState()
+			if err != nil {
+				t.Fatal(err)
+			}
 			tc.damage(c, st)
 			if _, err := Restore(db, st); err == nil || !strings.Contains(err.Error(), "interaction") || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("restore of a %s catalog: %v", name, err)

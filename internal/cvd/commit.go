@@ -100,10 +100,11 @@ func (c *CVD) stageTable(t *relstore.Table, ridTrusted bool, parents []vgraph.Ve
 // and the lowest such rid — and every other row becomes a fresh record,
 // returned as its rid followed by its data values (the form the journal logs
 // and applyCommit writes to the catalog); the request lists the kept records,
-// applyCommit adds the fresh ones. Rows that resolve to one record count once. Everything that can refuse the rows is checked before the schema
-// evolves, and the fresh rids are only numbered here — applyCommit is what
-// takes them — so a commit that fails allocates nothing, and the next
-// journalled delta still continues the log (see replay).
+// applyCommit adds the fresh ones. Rows that resolve to one record count once.
+// Everything that can refuse the rows is checked before the schema evolves,
+// and the fresh rids are only numbered here — applyCommit is what takes them —
+// so a commit that fails allocates nothing, and the next journalled delta
+// still continues the log (see replay).
 func (c *CVD) buildCommit(parents []vgraph.VersionID, st staged) (CommitRequest, []relstore.Row, error) {
 	merged, changed, err := c.mergedSchema(st.schema)
 	if err != nil {

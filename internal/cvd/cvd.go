@@ -39,7 +39,7 @@ type CVD struct {
 	// row of column lanes — the rid, then the data attributes in the form the
 	// schema in force stores them. Rids are handed out densely from 1, so
 	// record r is row r-1 and a lookup is an index. Split-by-rlist registers
-	// this very table in db as its data table; under the other models it is
+	// this very table in db as its data table; under the in-memory models it is
 	// private to the CVD, off the database, so their storage accounting counts
 	// the model's tables only.
 	catalog *relstore.Table
@@ -89,7 +89,9 @@ type checkoutInfo struct {
 // Options configures CVD creation.
 type Options struct {
 	// Model selects the physical data model; the default is SplitByRlist,
-	// the model OrpheusDB adopts.
+	// the model OrpheusDB adopts and the only one that persists. The four
+	// others are in-memory reproductions of Figure 4.1: a durable engine
+	// refuses them (CheckDurable).
 	Model ModelKind
 	// Author is recorded in the initial version's metadata.
 	Author string
@@ -155,6 +157,10 @@ func newCVD(db *relstore.Database, name string, schema relstore.Schema, opts Opt
 	if clock == nil {
 		clock = time.Now
 	}
+	catalog := relstore.NewTable(rlistDataTabName(name), dataSchemaWithRID(schema))
+	if opts.Model != SplitByRlist {
+		catalog.Name = name + "_records" // private to the CVD, beside the model's own tables
+	}
 	c := &CVD{
 		name:       name,
 		db:         db,
@@ -162,7 +168,7 @@ func newCVD(db *relstore.Database, name string, schema relstore.Schema, opts Opt
 		schema:     schema.Clone(),
 		graph:      vgraph.New(),
 		bip:        vgraph.NewBipartite(),
-		catalog:    relstore.NewTable(catalogTabName(name, opts.Model), dataSchemaWithRID(schema)),
+		catalog:    catalog,
 		index:      newRecIndex(schema),
 		attrs:      NewAttributeRegistry(),
 		nextVID:    1,

@@ -4,7 +4,9 @@
 // (a-table-per-version, combined-table, split-by-vlist, split-by-rlist and
 // delta-based). It provides the git-style checkout / commit / diff workflow
 // of Chapter 3, version metadata and schema evolution of Section 4.3, and
-// the versioned query shortcuts used by the OrpheusDB query language.
+// the versioned query shortcuts used by the OrpheusDB query language. Only
+// split-by-rlist CVDs persist (PersistentState, package durable); the other
+// four models are in-memory reproductions of Figure 4.1.
 //
 // CVDs are safe for concurrent use: commits serialize behind an exclusive
 // lock while checkouts, diffs, and versioned queries share a read lock and
@@ -17,6 +19,7 @@
 package cvd
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/relstore"
@@ -59,6 +62,21 @@ func (k ModelKind) String() string {
 	default:
 		return fmt.Sprintf("model(%d)", int(k))
 	}
+}
+
+// ErrInMemoryModel is what every durable path refuses a CVD of another model
+// than split-by-rlist with (see CheckDurable).
+var ErrInMemoryModel = errors.New("only split-by-rlist CVDs are durable; the other four data models are in-memory reproductions of Figure 4.1")
+
+// CheckDurable returns nil for a CVD of the split-by-rlist model and, for any
+// other, the one error that names the CVD and its model. A durable engine's
+// Init, Adopt, Save and checkpoints, the WAL and checkpoint decoders and fsck
+// all refuse with it.
+func CheckDurable(name string, kind ModelKind) error {
+	if kind == SplitByRlist {
+		return nil
+	}
+	return fmt.Errorf("cvd: CVD %q uses %s: %w", name, kind, ErrInMemoryModel)
 }
 
 // CommitRequest carries everything a data model needs to add a new version.
@@ -137,15 +155,6 @@ func dataSchemaWithRID(data relstore.Schema) relstore.Schema {
 	cols = append(cols, relstore.Column{Name: ridColumn, Type: relstore.TypeInt})
 	cols = append(cols, data.Columns...)
 	return relstore.MustSchema(cols, ridColumn)
-}
-
-// catalogTabName names a CVD's record catalog: split-by-rlist's data table is
-// the catalog; the other models' catalogs are tables of their own.
-func catalogTabName(cvdName string, kind ModelKind) string {
-	if kind == SplitByRlist {
-		return cvdName + "_data"
-	}
-	return cvdName + "_records"
 }
 
 // alterTable evolves a table holding the data attributes to newSchema the way

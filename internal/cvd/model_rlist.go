@@ -23,8 +23,7 @@ type rlistModel struct {
 	db     *relstore.Database
 	name   string
 	schema relstore.Schema // data schema without rid
-	join   relstore.JoinMethod
-	data   *relstore.Table // the CVD's record catalog, registered in db under its name (<cvd>_data)
+	data   *relstore.Table // the CVD's record catalog, registered in db under its name (rlistDataTabName)
 
 	// Partitioned state. When partitions is nil the model is unpartitioned
 	// and all records live in the single data table. When non-nil,
@@ -62,19 +61,14 @@ func newRlistModel(db *relstore.Database, name string, schema relstore.Schema, c
 		db:     db,
 		name:   name,
 		schema: schema.Clone(),
-		join:   relstore.HashJoin,
 		data:   catalog,
 	}
 }
 
-func (m *rlistModel) Kind() ModelKind { return SplitByRlist }
+// rlistDataTabName names the data table of a split-by-rlist CVD.
+func rlistDataTabName(cvdName string) string { return cvdName + "_data" }
 
-// SetJoinMethod overrides the join strategy used during checkout; the
-// default is a hash join (Section 5.5.5).
-func (m *rlistModel) SetJoinMethod(j relstore.JoinMethod) {
-	m.join = j
-	m.publish()
-}
+func (m *rlistModel) Kind() ModelKind { return SplitByRlist }
 
 // SetWorkers bounds the intra-operation parallelism of checkout scans and
 // partition builds; 0 or 1 keeps them single-threaded.
@@ -164,15 +158,16 @@ func (m *rlistModel) Checkout(v vgraph.VersionID, tableName string) (*relstore.T
 		}
 		data = m.db.MustTable(m.partitions[k])
 	}
-	return joinCheckout(data, rlist, m.join, m.workers, tableName)
+	return joinCheckout(data, rlist, m.workers, tableName)
 }
 
-// joinCheckout materializes the records of an rlist out of data. The join
-// resolves to a selection vector over the data table and the staging table is
-// gathered column-wise — sharing the column backing outright (copy-on-write)
-// when the version covers the whole backing table.
-func joinCheckout(data *relstore.Table, rlist []int64, join relstore.JoinMethod, workers int, tableName string) (*relstore.Table, error) {
-	out, err := relstore.JoinTableOnRIDs(data, ridColumn, rlist, join, workers, tableName)
+// joinCheckout materializes the records of an rlist out of data with a hash
+// join (Section 5.5.5). The join resolves to a selection vector over the data
+// table and the staging table is gathered column-wise — sharing the column
+// backing outright (copy-on-write) when the version covers the whole backing
+// table.
+func joinCheckout(data *relstore.Table, rlist []int64, workers int, tableName string) (*relstore.Table, error) {
+	out, err := relstore.JoinTableOnRIDs(data, ridColumn, rlist, relstore.HashJoin, workers, tableName)
 	if err != nil {
 		return nil, err
 	}
@@ -181,12 +176,11 @@ func joinCheckout(data *relstore.Table, rlist []int64, join relstore.JoinMethod,
 }
 
 // publish replaces what checkoutPublished reads with the model's current
-// state, or with nothing when a checkout is more than a positional gather out
-// of the data table: under partitioning, and with a join method picked for
-// the cost model. The caller holds the CVD's exclusive lock.
+// state, or with nothing under partitioning, where a checkout reads its
+// partition's table. The caller holds the CVD's exclusive lock.
 func (m *rlistModel) publish() {
 	vt, ok := m.db.Table(m.versioningTabName())
-	if !ok || m.partitions != nil || m.join != relstore.HashJoin {
+	if !ok || m.partitions != nil {
 		m.read.Store(nil)
 		return
 	}
@@ -204,7 +198,7 @@ func (m *rlistModel) checkoutPublished(v vgraph.VersionID, tableName string) (ou
 	if rd == nil || pos < 0 || pos >= rd.versions.Len() || rd.versions.IntAt(pos, 0) != int64(v) {
 		return nil, false
 	}
-	out, err := joinCheckout(rd.data, rd.versions.At(pos, 1).A, relstore.HashJoin, rd.workers, tableName)
+	out, err := joinCheckout(rd.data, rd.versions.At(pos, 1).A, rd.workers, tableName)
 	return out, err == nil // an error is the locked path's to report
 }
 
@@ -218,20 +212,6 @@ func (m *rlistModel) StorageBytes() int64 {
 		}
 	}
 	n += m.db.MustTable(m.versioningTabName()).StorageBytes()
-	return n
-}
-
-// DataStorageBytes returns only the data-table portion of the storage (the
-// quantity partitioning schemes trade off; the versioning table is constant
-// across schemes, Section 5.5.2).
-func (m *rlistModel) DataStorageBytes() int64 {
-	var n int64
-	if m.partitions == nil {
-		return m.data.StorageBytes()
-	}
-	for _, p := range m.partitions {
-		n += m.db.MustTable(p).StorageBytes()
-	}
 	return n
 }
 
@@ -293,8 +273,7 @@ func (m *rlistModel) PartitionOf(v vgraph.VersionID) int {
 // PartitionTableName returns the name of the backing table a version's
 // checkout reads: its partition table under partitioned storage, the shared
 // data table otherwise ("" when the version has no assignment). The
-// benchmark harness uses it to replay the pre-recset checkout path against
-// the same physical table.
+// reference benchmark reads it to measure the records a checkout scans.
 func (m *rlistModel) PartitionTableName(v vgraph.VersionID) string {
 	if m.partitions == nil {
 		return m.data.Name

@@ -16,11 +16,10 @@ type vlistModel struct {
 	db     *relstore.Database
 	name   string
 	schema relstore.Schema
-	join   relstore.JoinMethod
 }
 
 func newVlistModel(db *relstore.Database, name string, schema relstore.Schema) *vlistModel {
-	return &vlistModel{db: db, name: name, schema: schema.Clone(), join: relstore.HashJoin}
+	return &vlistModel{db: db, name: name, schema: schema.Clone()}
 }
 
 func (m *vlistModel) Kind() ModelKind { return SplitByVlist }
@@ -96,7 +95,7 @@ func (m *vlistModel) Checkout(v vgraph.VersionID, tableName string) (*relstore.T
 		return nil, fmt.Errorf("cvd: %s: version %d not found", m.name, v)
 	}
 	data := m.db.MustTable(m.dataTabName())
-	rows, err := relstore.JoinOnRIDs(data, ridColumn, rids, m.join)
+	rows, err := relstore.JoinOnRIDs(data, ridColumn, rids, relstore.HashJoin)
 	if err != nil {
 		return nil, err
 	}

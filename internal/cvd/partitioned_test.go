@@ -190,19 +190,3 @@ func TestRlistAccessorOnOtherModelFails(t *testing.T) {
 		t.Error("Rlist() on a combined-table CVD should fail")
 	}
 }
-
-func TestSetJoinMethodCheckoutStillCorrect(t *testing.T) {
-	for _, j := range []relstore.JoinMethod{relstore.HashJoin, relstore.MergeJoin, relstore.IndexNestedLoopJoin} {
-		_, c := buildProteinCVD(t, SplitByRlist)
-		m, _ := c.Rlist()
-		m.SetJoinMethod(j)
-		tab, err := c.Checkout([]vgraph.VersionID{4}, "jm")
-		if err != nil {
-			t.Fatalf("%v: %v", j, err)
-		}
-		if tab.Len() != 6 {
-			t.Errorf("%v: checkout(v4) = %d rows, want 6", j, tab.Len())
-		}
-		c.DiscardCheckout("jm")
-	}
-}

@@ -3,7 +3,6 @@ package cvd
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/recset"
@@ -103,15 +102,15 @@ type VersionRecordSet struct {
 	Set     *recset.Set
 }
 
-// PersistentState is the complete logical state of a CVD minus the backing
-// tables themselves (those are serialized separately, straight from their
-// columnar lanes; Tables names which ones belong to this CVD). Exported
-// pointers (Graph, Metas, record sets, resident sets) are live internal
-// state: ExportState must be called under the shared lock (LockShared) and
-// the state must be consumed — serialized — before the lock is released.
+// PersistentState is the complete logical state of a split-by-rlist CVD —
+// the only model that persists — minus the backing tables themselves (those
+// are serialized separately, straight from their columnar lanes; Tables names
+// which ones belong to this CVD). Exported pointers (Graph, Metas, record
+// sets, resident sets) are live internal state: ExportState must be called
+// under the shared lock (LockShared) and the state must be consumed —
+// serialized — before the lock is released.
 type PersistentState struct {
 	Name    string
-	Kind    ModelKind
 	Schema  relstore.Schema
 	NextVID vgraph.VersionID
 	NextRID vgraph.RecordID
@@ -121,45 +120,46 @@ type PersistentState struct {
 	Metas      []*VersionMeta     // version metadata ordered by id
 	Attrs      []Attribute        // attribute registry in registration order
 
-	// Tables lists every backing table of this CVD (data, versioning,
-	// metadata, partitions, per-version/delta tables, and the record catalog,
-	// which CatalogTable names). Checked-out staging tables are deliberately
-	// absent: they are transient working state. All are tables of the database
-	// but the record catalog of a model other than split-by-rlist, which is
-	// private to the CVD: a serializer gets it from CVD.Catalog, and Restore
-	// takes it back out of the database a deserializer put it in.
+	// Tables lists every backing table of this CVD, all tables of the
+	// database: the data table, which is the record catalog (DataTable), the
+	// versioning table, the partitions and the metadata table. Checked-out
+	// staging tables are deliberately absent: they are transient working
+	// state.
 	Tables []string
 
-	// Split-by-rlist partitioned storage (all empty when unpartitioned or
-	// when another model is in use).
+	// Partitioned storage (all empty when unpartitioned).
 	Partitions  []string
 	PartitionOf map[vgraph.VersionID]int
 	Resident    []*recset.Set
 }
 
-// ExportState assembles the CVD's persistent state. The caller must hold the
-// shared lock (LockShared) and keep holding it until serialization finishes;
-// the returned structure shares internal pointers rather than copying the
-// whole dataset.
-func (c *CVD) ExportState() *PersistentState {
+// DataTable names the CVD's data table, one of Tables: the record catalog
+// CheckCatalog verifies.
+func (st *PersistentState) DataTable() string { return rlistDataTabName(st.Name) }
+
+// ExportState assembles the CVD's persistent state; a CVD of an in-memory
+// model is refused (CheckDurable). The caller must hold the shared lock
+// (LockShared) and keep holding it until serialization finishes; the returned
+// structure shares internal pointers rather than copying the whole dataset.
+func (c *CVD) ExportState() (*PersistentState, error) {
+	if err := CheckDurable(c.name, c.kind); err != nil {
+		return nil, err
+	}
+	m := c.model.(*rlistModel)
 	st := &PersistentState{
 		Name:    c.name,
-		Kind:    c.kind,
 		Schema:  c.schema.Clone(),
 		NextVID: c.nextVID,
 		NextRID: c.nextRID,
 		Graph:   c.graph,
 		Metas:   c.meta.all(),
 		Attrs:   c.attrs.All(),
-		Tables:  append(c.modelTableNames(), c.meta.name),
-	}
-	if c.kind != SplitByRlist {
-		st.Tables = append(st.Tables, c.catalog.Name)
+		Tables:  append(append([]string{m.data.Name, m.versioningTabName()}, m.partitions...), c.meta.name),
 	}
 	for _, v := range c.bip.Versions() {
 		st.RecordSets = append(st.RecordSets, VersionRecordSet{Version: v, Set: c.bip.RecordSet(v)})
 	}
-	if m, ok := c.model.(*rlistModel); ok && m.partitions != nil {
+	if m.partitions != nil {
 		st.Partitions = append([]string(nil), m.partitions...)
 		st.PartitionOf = make(map[vgraph.VersionID]int, len(m.partitionOf))
 		for v, k := range m.partitionOf {
@@ -167,7 +167,7 @@ func (c *CVD) ExportState() *PersistentState {
 		}
 		st.Resident = m.resident
 	}
-	return st
+	return st, nil
 }
 
 // ExportStateCOW assembles the persistent state as a frozen capture that
@@ -178,8 +178,11 @@ func (c *CVD) ExportState() *PersistentState {
 // never mutate, are shared by pointer, so the capture is O(versions) extra
 // memory, not O(dataset). The backing tables, the catalog among them, are for
 // the caller to freeze (relstore.Table.SnapshotClone).
-func (c *CVD) ExportStateCOW() *PersistentState {
-	st := c.ExportState()
+func (c *CVD) ExportStateCOW() (*PersistentState, error) {
+	st, err := c.ExportState()
+	if err != nil {
+		return nil, err
+	}
 	st.Graph = c.graph.Clone()
 	metas := make([]*VersionMeta, len(st.Metas))
 	for i, m := range st.Metas {
@@ -196,73 +199,32 @@ func (c *CVD) ExportStateCOW() *PersistentState {
 		}
 		st.Resident = res
 	}
-	return st
+	return st, nil
 }
 
-// CatalogTable returns the name of the table holding the CVD's record catalog.
-func (st *PersistentState) CatalogTable() string { return catalogTabName(st.Name, st.Kind) }
-
-// Catalog returns the record catalog table, for the serializer holding the
-// CVD's lock: the rid column, then the data attributes, record r at row r-1.
-// The pointer is live, like those of Graph and DataModel.
-func (c *CVD) Catalog() *relstore.Table { return c.catalog }
-
-// modelTableNames lists the backing tables of the physical data model.
-func (c *CVD) modelTableNames() []string {
-	switch m := c.model.(type) {
-	case *rlistModel:
-		out := []string{m.data.Name, m.versioningTabName()}
-		return append(out, m.partitions...)
-	case *vlistModel:
-		return []string{m.dataTabName(), m.versioningTabName()}
-	case *combinedModel:
-		return []string{m.tabName()}
-	case *tpvModel:
-		out := make([]string, 0, len(m.versions))
-		for _, name := range m.versions {
-			out = append(out, name)
-		}
-		sort.Strings(out)
-		return out
-	case *deltaModel:
-		out := make([]string, 0, len(m.bases)+1)
-		for v := range m.bases {
-			out = append(out, m.deltaTabName(v))
-		}
-		sort.Strings(out)
-		return append(out, m.metaTabName())
-	default:
-		return nil
-	}
-}
-
-// Restore rebuilds a live CVD from a persistent state. Every table named in
-// st.Tables must already have been deserialized into db; Restore only wires
-// the in-memory structures (graph, bipartite record sets, record catalog,
-// metadata, attribute registry, model bookkeeping) back around them, taking a
-// catalog that is not the model's data table out of db again. The restored CVD
-// takes ownership of the state's pointers.
+// Restore rebuilds a live split-by-rlist CVD from a persistent state. Every
+// table named in st.Tables must already have been deserialized into db;
+// Restore only wires the in-memory structures (graph, bipartite record sets,
+// metadata, attribute registry, partition bookkeeping) back around them, the
+// data table serving as the record catalog. The restored CVD takes ownership
+// of the state's pointers.
 func Restore(db *relstore.Database, st *PersistentState) (*CVD, error) {
 	for _, name := range st.Tables {
 		if !db.HasTable(name) {
 			return nil, fmt.Errorf("cvd: restore %s: backing table %q missing from database", st.Name, name)
 		}
 	}
-	catalog, ok := db.Table(st.CatalogTable())
+	catalog, ok := db.Table(st.DataTable())
 	if !ok {
-		return nil, fmt.Errorf("cvd: restore %s: record catalog table %q missing from database", st.Name, st.CatalogTable())
+		return nil, fmt.Errorf("cvd: restore %s: data table %q missing from database", st.Name, st.DataTable())
 	}
 	if err := CheckCatalog(st, catalog); err != nil {
 		return nil, err
 	}
-	if st.Kind != SplitByRlist {
-		db.DropTable(catalog.Name)
-		catalog.SetStats(&relstore.CostStats{})
-	}
 	c := &CVD{
 		name:      st.Name,
 		db:        db,
-		kind:      st.Kind,
+		kind:      SplitByRlist,
 		schema:    st.Schema.Clone(),
 		graph:     st.Graph,
 		bip:       vgraph.NewBipartite(),
@@ -283,11 +245,7 @@ func Restore(db *relstore.Database, st *PersistentState) (*CVD, error) {
 		return nil, err
 	}
 	c.meta = meta
-	model, err := restoreModel(db, st, catalog)
-	if err != nil {
-		return nil, err
-	}
-	c.model = model
+	c.model = restoreModel(db, st, catalog)
 	return c, nil
 }
 
@@ -346,51 +304,23 @@ func restoreMetadataStore(db *relstore.Database, cvdName string, metas []*Versio
 	return s, nil
 }
 
-// restoreModel rebuilds the physical data model's in-memory bookkeeping
-// around the already deserialized tables.
-func restoreModel(db *relstore.Database, st *PersistentState, catalog *relstore.Table) (DataModel, error) {
-	switch st.Kind {
-	case SplitByRlist:
-		m := newRlistModel(db, st.Name, st.Schema, catalog)
-		if len(st.Partitions) > 0 {
-			m.partitions = append([]string(nil), st.Partitions...)
-			m.partitionOf = make(map[vgraph.VersionID]int, len(st.PartitionOf))
-			for v, k := range st.PartitionOf {
-				m.partitionOf[v] = k
-			}
-			if len(st.Resident) == len(st.Partitions) {
-				m.resident = st.Resident
-			} else {
-				// Defensive: residentOf rebuilds lazily from partition scans.
-				m.resident = make([]*recset.Set, len(st.Partitions))
-			}
+// restoreModel rebuilds split-by-rlist's partition bookkeeping around the
+// already deserialized tables, catalog the data table among them.
+func restoreModel(db *relstore.Database, st *PersistentState, catalog *relstore.Table) *rlistModel {
+	m := newRlistModel(db, st.Name, st.Schema, catalog)
+	if len(st.Partitions) > 0 {
+		m.partitions = append([]string(nil), st.Partitions...)
+		m.partitionOf = make(map[vgraph.VersionID]int, len(st.PartitionOf))
+		for v, k := range st.PartitionOf {
+			m.partitionOf[v] = k
 		}
-		m.publish()
-		return m, nil
-	case SplitByVlist:
-		return newVlistModel(db, st.Name, st.Schema), nil
-	case CombinedTable:
-		return newCombinedModel(db, st.Name, st.Schema), nil
-	case TablePerVersion:
-		m := newTPVModel(db, st.Name, st.Schema)
-		for _, v := range st.Graph.Versions() {
-			m.versions[v] = m.tabName(v)
+		if len(st.Resident) == len(st.Partitions) {
+			m.resident = st.Resident
+		} else {
+			// Defensive: residentOf rebuilds lazily from partition scans.
+			m.resident = make([]*recset.Set, len(st.Partitions))
 		}
-		return m, nil
-	case DeltaBased:
-		m := newDeltaModel(db, st.Name, st.Schema)
-		// The precedent chain is mirrored in the metadata table; rebuild the
-		// in-memory map from it.
-		meta, ok := db.Table(m.metaTabName())
-		if !ok {
-			return nil, fmt.Errorf("cvd: restore %s: precedent table missing", st.Name)
-		}
-		meta.Scan(func(_ int, r relstore.Row) bool {
-			m.bases[vgraph.VersionID(r[0].AsInt())] = vgraph.VersionID(r[1].AsInt())
-			return true
-		})
-		return m, nil
-	default:
-		return nil, fmt.Errorf("cvd: restore %s: unknown data model %d", st.Name, int(st.Kind))
 	}
+	m.publish()
+	return m
 }

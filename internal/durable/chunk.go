@@ -15,7 +15,7 @@ import (
 
 // The format v2 snapshot is content-addressed: engine state is split into
 // chunks — fixed-geometry row bands of each table column (a CVD's record
-// catalog is one of its tables), the CVD head (graph, metadata, counters), and
+// catalog is its data table), the CVD head (graph, metadata, counters), and
 // runs of per-version record sets — each serialized independently and
 // identified by
 // the SHA-256 of its payload truncated to 16 bytes. A checkpoint manifest
@@ -447,7 +447,7 @@ func (d *dec) recset() *recset.Set {
 func encodeCVDHead(e *enc, st *cvd.PersistentState) {
 	e.u8(chunkCVDHead)
 	e.str(st.Name)
-	e.uvarint(uint64(st.Kind))
+	e.uvarint(uint64(cvd.SplitByRlist)) // the model field: the only model that persists
 	e.schema(st.Schema)
 	e.uvarint(uint64(st.NextVID))
 	e.uvarint(uint64(st.NextRID))
@@ -522,13 +522,13 @@ func decodeCVDHead(payload []byte) (*cvd.PersistentState, error) {
 	if k := d.u8(); k != chunkCVDHead {
 		return nil, wrongKind(k, "CVD head")
 	}
-	st := &cvd.PersistentState{
-		Name:    d.str(),
-		Kind:    cvd.ModelKind(d.uvarint()),
-		Schema:  d.schema(),
-		NextVID: vgraph.VersionID(d.uvarint()),
-		NextRID: vgraph.RecordID(d.uvarint()),
+	st := &cvd.PersistentState{Name: d.str()}
+	if err := cvd.CheckDurable(st.Name, cvd.ModelKind(d.uvarint())); err != nil {
+		return nil, err
 	}
+	st.Schema = d.schema()
+	st.NextVID = vgraph.VersionID(d.uvarint())
+	st.NextRID = vgraph.RecordID(d.uvarint())
 
 	g := vgraph.New()
 	nver := d.length(2)

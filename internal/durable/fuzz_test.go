@@ -2,8 +2,10 @@ package durable
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -63,7 +65,6 @@ func fuzzCVDState() *cvd.PersistentState {
 	}
 	st := &cvd.PersistentState{
 		Name:    "fuzz",
-		Kind:    cvd.SplitByRlist,
 		Schema:  schema,
 		NextVID: 4,
 		NextRID: 31,
@@ -88,6 +89,15 @@ func fuzzCVDState() *cvd.PersistentState {
 	return st
 }
 
+// withModel returns a copy of an init record or CVD head payload of the CVD
+// name with kind in its model field, which follows the kind or op byte and the
+// name (shorter than 128 bytes).
+func withModel(payload []byte, name string, kind cvd.ModelKind) []byte {
+	out := append([]byte(nil), payload...)
+	out[2+len(name)] = byte(kind)
+	return out
+}
+
 // FuzzChunkDecode runs arbitrary payloads through all three chunk decoders.
 // The payload kind byte routes real chunks to the right decoder, but every
 // decoder sees every input here — a pack lookup can hand back the wrong kind.
@@ -96,6 +106,12 @@ func FuzzChunkDecode(f *testing.F) {
 	st := fuzzCVDState()
 	encodeCVDHead(&e, st)
 	f.Add(append([]byte(nil), e.b...))
+	// The head of a model that does not persist, as a build that checkpointed
+	// the in-memory models wrote it, is refused by name.
+	refused := withModel(e.b, st.Name, cvd.SplitByVlist)
+	if _, err := decodeCVDHead(refused); !errors.Is(err, cvd.ErrInMemoryModel) || !strings.Contains(err.Error(), `"fuzz" uses split-by-vlist`) {
+		f.Fatalf("a split-by-vlist CVD head decodes with %v", err)
+	}
 	e.b = e.b[:0]
 	encodeRecsetRun(&e, st.RecordSets)
 	f.Add(append([]byte(nil), e.b...))
@@ -105,6 +121,7 @@ func FuzzChunkDecode(f *testing.F) {
 	f.Add([]byte{chunkColBand})
 	f.Add([]byte{chunkCVDHead, 0xff, 0xff})
 	f.Add([]byte{chunkCatalogBand, 1, 7, 1, uint8(relstore.TypeNull)}) // the retired kind, as version 2 wrote it
+	f.Add(refused)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if lanes, present, n, err := decodeColBand(data, relstore.ColumnLanes{}); err == nil {
 			if len(lanes.Tags) != n {
@@ -193,7 +210,7 @@ func fuzzWALRecords() []*Record {
 	}
 	at := time.Unix(0, 1234567890)
 	return []*Record{
-		{Op: OpInit, CVD: "fuzz", Kind: cvd.DeltaBased, Versions: []vgraph.VersionID{1}, Schema: schema,
+		{Op: OpInit, CVD: "fuzz", Versions: []vgraph.VersionID{1}, Schema: schema,
 			Delta: []relstore.Row{row(1, relstore.Str("a")), row(2, relstore.Str("b")), row(3, relstore.Null())}, Message: "init", Author: "f", At: at},
 		{Op: OpCommit, CVD: "fuzz", Versions: []vgraph.VersionID{2, 1}, Schema: schema,
 			Delta: []relstore.Row{row(4, relstore.Int(7)), row(5, relstore.Str("e")), {relstore.Int(1)}, {relstore.Int(3)}}, Message: "more", Author: "f", At: at},
@@ -208,6 +225,7 @@ func fuzzWALRecords() []*Record {
 // payload's length (dec.length); and an accepted record re-encodes to a form
 // that is a fixed point of decode∘encode.
 func FuzzWALRecordDecode(f *testing.F) {
+	var refused []byte
 	for _, rec := range fuzzWALRecords() {
 		var e enc
 		if err := encodeRecord(&e, rec); err != nil {
@@ -215,8 +233,17 @@ func FuzzWALRecordDecode(f *testing.F) {
 		}
 		f.Add(append([]byte(nil), e.b...))
 		f.Add(e.b[:len(e.b)/2])
+		if rec.Op == OpInit {
+			refused = withModel(e.b, rec.CVD, cvd.DeltaBased)
+		}
 	}
 	f.Add([]byte{})
+	// An init record of a model that does not persist, as a build that
+	// journalled the in-memory models wrote it, is refused by name.
+	if _, err := decodeRecord(refused); !errors.Is(err, cvd.ErrInMemoryModel) || !strings.Contains(err.Error(), `"fuzz" uses delta-based`) {
+		f.Fatalf("a delta-based init record decodes with %v", err)
+	}
+	f.Add(refused)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := decodeRecord(data)
 		if err != nil {

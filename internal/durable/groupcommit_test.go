@@ -39,7 +39,7 @@ func TestAppendFailureKeepsLaterCommits(t *testing.T) {
 			ff := injectFaults(s)
 
 			at := time.Unix(0, 42)
-			if err := s.LogInit("cvd", 0, []vgraph.VersionID{1}, walDelta(1, 3), walSchema(), "init", "alice", at); err != nil {
+			if err := s.LogInit("cvd", []vgraph.VersionID{1}, walDelta(1, 3), walSchema(), "init", "alice", at); err != nil {
 				t.Fatal(err)
 			}
 			if mode == "write" {
@@ -91,7 +91,7 @@ func TestAppendTruncateFailurePoisonsStore(t *testing.T) {
 	}
 	ff := injectFaults(s)
 	at := time.Unix(0, 42)
-	if err := s.LogInit("cvd", 0, []vgraph.VersionID{1}, walDelta(1, 3), walSchema(), "init", "alice", at); err != nil {
+	if err := s.LogInit("cvd", []vgraph.VersionID{1}, walDelta(1, 3), walSchema(), "init", "alice", at); err != nil {
 		t.Fatal(err)
 	}
 	ff.FailWrites(1)

@@ -63,14 +63,13 @@ func seededCVD(t *testing.T, rng *rand.Rand) (*relstore.Database, *cvd.CVD) {
 // snapshotOf captures the CVD as a checkpoint takes it.
 func snapshotOf(t *testing.T, db *relstore.Database, c *cvd.CVD) *Snapshot {
 	t.Helper()
-	st := c.ExportState()
+	st, err := c.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
 	snap := &Snapshot{DBName: db.Name(), CVDs: []*cvd.PersistentState{st}}
 	for _, name := range st.Tables {
-		if name == st.CatalogTable() { // off the database unless it is the model's data table
-			snap.Tables = append(snap.Tables, c.Catalog())
-		} else {
-			snap.Tables = append(snap.Tables, db.MustTable(name))
-		}
+		snap.Tables = append(snap.Tables, db.MustTable(name))
 	}
 	return snap
 }

@@ -126,7 +126,9 @@ type ScrubOptions struct {
 // Scrub checks the data directory at dir. It takes the directory's advisory
 // lock for the duration — a directory held open by a live engine refuses to
 // scrub. The returned report lists every defect found; err is reserved for
-// I/O failures of the scrub itself (an unreadable directory), not for
+// I/O failures of the scrub itself (an unreadable directory) and for a
+// directory this build refuses whole — a manifest of another version, a CVD of
+// another model than split-by-rlist (cvd.ErrInMemoryModel) — not for
 // corruption, which is always reported rather than returned.
 func Scrub(dir string, opts ScrubOptions) (*ScrubReport, error) {
 	fsys := opts.FS
@@ -390,6 +392,9 @@ func scanWALSegment(fsys vfs.FS, path string, epoch uint64, cursors walCursors) 
 			return nil, err
 		}
 		rec, err := decodeRecord(payload)
+		if errors.Is(err, cvd.ErrInMemoryModel) {
+			return nil, fmt.Errorf("durable: WAL segment %s record %d: %w", path, ws.records, err)
+		}
 		if err == nil && cursors != nil {
 			err = cursors.advance(rec)
 		}
@@ -498,7 +503,11 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 	if bestUsable >= 0 {
 		base = manifests[bestUsable].epoch
 		haveRoot = true
-		if heads, bad, err := readCVDHeads(fsys, pack, manifests[bestUsable].m); err == nil {
+		heads, bad, err := readCVDHeads(fsys, pack, manifests[bestUsable].m)
+		if errors.Is(err, cvd.ErrInMemoryModel) {
+			return fmt.Errorf("durable: %s: %w", manifests[bestUsable].path, err)
+		}
+		if err == nil {
 			cursors = cursorsOf(heads)
 			for _, err := range bad {
 				rep.addIssue(ScrubIssue{Kind: IssueBadCatalog, Path: manifests[bestUsable].path,
@@ -711,11 +720,11 @@ func readCVDHeads(fsys vfs.FS, pack *packState, m *manifest) (heads []*cvd.Persi
 	return heads, bad, nil
 }
 
-// checkCatalog assembles the record catalog table of st from m's chunks and
-// verifies it as cvd.Restore does.
+// checkCatalog assembles the data table of st — its record catalog — from m's
+// chunks and verifies it as cvd.Restore does.
 func checkCatalog(st *cvd.PersistentState, m *manifest, get func(ChunkHash) ([]byte, error)) error {
 	for i := range m.tables {
-		if mt := &m.tables[i]; mt.meta.name == st.CatalogTable() {
+		if mt := &m.tables[i]; mt.meta.name == st.DataTable() {
 			t, err := mt.assemble(get)
 			if err != nil {
 				return err
@@ -723,7 +732,7 @@ func checkCatalog(st *cvd.PersistentState, m *manifest, get func(ChunkHash) ([]b
 			return cvd.CheckCatalog(st, t)
 		}
 	}
-	return fmt.Errorf("durable: CVD %s: the manifest lists no record catalog table %q", st.Name, st.CatalogTable())
+	return fmt.Errorf("durable: CVD %s: the manifest lists no data table %q", st.Name, st.DataTable())
 }
 
 func manifestEpochsOf(ms []*manifestState) []uint64 {

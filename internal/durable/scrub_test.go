@@ -30,7 +30,7 @@ func buildScrubDir(t *testing.T) string {
 		t.Fatal(err)
 	}
 	at := time.Unix(0, 42)
-	if err := s.LogInit("cvd", 0, []vgraph.VersionID{1}, walDelta(1, 3), walSchema(), "init", "alice", at); err != nil {
+	if err := s.LogInit("cvd", []vgraph.VersionID{1}, walDelta(1, 3), walSchema(), "init", "alice", at); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
@@ -39,7 +39,7 @@ func buildScrubDir(t *testing.T) string {
 		t.Fatal(err)
 	}
 	// The snapshot above holds no CVD, so what continues it is an init.
-	if err := s.LogInit("late", 0, []vgraph.VersionID{1}, walDelta(1, 2), walSchema(), "post-ckpt", "bob", at.Add(time.Second)); err != nil {
+	if err := s.LogInit("late", []vgraph.VersionID{1}, walDelta(1, 2), walSchema(), "post-ckpt", "bob", at.Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -317,7 +317,7 @@ func TestScrubManifestFallback(t *testing.T) {
 	}
 	s.SetRetention(4)
 	at := time.Unix(0, 42)
-	if err := s.LogInit("cvd", 0, []vgraph.VersionID{1}, walDelta(1, 3), walSchema(), "init", "alice", at); err != nil {
+	if err := s.LogInit("cvd", []vgraph.VersionID{1}, walDelta(1, 3), walSchema(), "init", "alice", at); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
@@ -404,56 +404,53 @@ func TestScrubRefusesLiveDir(t *testing.T) {
 }
 
 // TestScrubSparseCatalog: a checkpoint whose chunks are all intact but whose
-// record catalog is not one row per record id handed out cannot be restored
-// (cvd.CheckCatalog). Scrub says so instead of calling the directory clean,
-// for the data table of a split-by-rlist CVD and for the private catalog table
-// of another model alike.
+// record catalog — the data table — is not one row per record id handed out
+// cannot be restored (cvd.CheckCatalog). Scrub says so instead of calling the
+// directory clean.
 func TestScrubSparseCatalog(t *testing.T) {
-	for _, model := range []cvd.ModelKind{cvd.SplitByRlist, cvd.SplitByVlist} {
-		t.Run(model.String(), func(t *testing.T) {
-			db := relstore.NewDatabase("sparse")
-			rng := rand.New(rand.NewSource(3))
-			c, err := cvd.Init(db, "d", gateSchema(), gateRows(rng, 0, 40), cvd.Options{Model: model})
-			if err != nil {
+	t.Run(cvd.SplitByRlist.String(), func(t *testing.T) {
+		db := relstore.NewDatabase("sparse")
+		rng := rand.New(rand.NewSource(3))
+		c, err := cvd.Init(db, "d", gateSchema(), gateRows(rng, 0, 40), cvd.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		export := func(damage func(*cvd.PersistentState)) string {
+			snap := snapshotOf(t, db, c)
+			damage(snap.CVDs[0])
+			dir := t.TempDir()
+			if err := Export(dir, vfs.OS(), snap); err != nil {
 				t.Fatal(err)
 			}
-			export := func(damage func(*cvd.PersistentState)) string {
-				snap := snapshotOf(t, db, c)
-				damage(snap.CVDs[0])
-				dir := t.TempDir()
-				if err := Export(dir, vfs.OS(), snap); err != nil {
-					t.Fatal(err)
-				}
-				return dir
-			}
-			rep, err := Scrub(export(func(*cvd.PersistentState) {}), ScrubOptions{})
-			if err != nil || !rep.Healthy() {
-				t.Fatalf("scrub of an intact export: %v, %+v", err, rep)
-			}
-			dir := export(func(st *cvd.PersistentState) { st.NextRID += 2 })
-			rep, err = Scrub(dir, ScrubOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if kinds := scrubKinds(rep); kinds[IssueBadCatalog] != 1 || len(rep.Issues) != 1 {
-				t.Fatalf("issues %+v, want one %s", rep.Issues, IssueBadCatalog)
-			}
-			if d := rep.Issues[0].Detail; !strings.Contains(d, "holds 40 records where record ids 1 to 42 were handed out") {
-				t.Fatalf("issue detail %q", d)
-			}
-			// The open refuses the same state with the same sentence.
-			s, res, err := Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			restored := relstore.NewDatabase("r")
-			for _, tab := range res.Snapshot.Tables {
-				restored.AttachTable(tab)
-			}
-			if _, err := cvd.Restore(restored, res.Snapshot.CVDs[0]); err == nil || err.Error() != rep.Issues[0].Detail {
-				t.Fatalf("restore: %v; scrub said %q", err, rep.Issues[0].Detail)
-			}
-		})
-	}
+			return dir
+		}
+		rep, err := Scrub(export(func(*cvd.PersistentState) {}), ScrubOptions{})
+		if err != nil || !rep.Healthy() {
+			t.Fatalf("scrub of an intact export: %v, %+v", err, rep)
+		}
+		dir := export(func(st *cvd.PersistentState) { st.NextRID += 2 })
+		rep, err = Scrub(dir, ScrubOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kinds := scrubKinds(rep); kinds[IssueBadCatalog] != 1 || len(rep.Issues) != 1 {
+			t.Fatalf("issues %+v, want one %s", rep.Issues, IssueBadCatalog)
+		}
+		if d := rep.Issues[0].Detail; !strings.Contains(d, "holds 40 records where record ids 1 to 42 were handed out") {
+			t.Fatalf("issue detail %q", d)
+		}
+		// The open refuses the same state with the same sentence.
+		s, res, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		restored := relstore.NewDatabase("r")
+		for _, tab := range res.Snapshot.Tables {
+			restored.AttachTable(tab)
+		}
+		if _, err := cvd.Restore(restored, res.Snapshot.CVDs[0]); err == nil || err.Error() != rep.Issues[0].Detail {
+			t.Fatalf("restore: %v; scrub said %q", err, rep.Issues[0].Detail)
+		}
+	})
 }

@@ -636,10 +636,10 @@ func (s *Store) truncateTailLocked(off int64) error {
 	return s.wal.Sync()
 }
 
-// LogInit journals the creation of a CVD: its data model and its first
-// version's delta, as cvd.CVD.InitDelta returns it.
-func (s *Store) LogInit(name string, kind cvd.ModelKind, versions []vgraph.VersionID, delta []relstore.Row, deltaSchema relstore.Schema, msg, author string, at time.Time) error {
-	return s.append(&Record{Op: OpInit, CVD: name, Kind: kind, Versions: versions, Delta: delta, Schema: deltaSchema, Message: msg, Author: author, At: at})
+// LogInit journals the creation of a split-by-rlist CVD: its first version's
+// delta, as cvd.CVD.InitDelta returns it.
+func (s *Store) LogInit(name string, versions []vgraph.VersionID, delta []relstore.Row, deltaSchema relstore.Schema, msg, author string, at time.Time) error {
+	return s.append(&Record{Op: OpInit, CVD: name, Versions: versions, Delta: delta, Schema: deltaSchema, Message: msg, Author: author, At: at})
 }
 
 // LogDrop journals dropping a CVD. It also bumps the name's drop generation:

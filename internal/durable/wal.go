@@ -45,7 +45,6 @@ const (
 type Record struct {
 	Op       RecordOp
 	CVD      string
-	Kind     cvd.ModelKind      // OpInit: physical data model
 	Versions []vgraph.VersionID // the new version's id, then its parents (none for OpInit)
 	Schema   relstore.Schema    // delta table schema: rid, then the data schema after the commit
 	Delta    []relstore.Row     // a full-width row per added record, a rid-only row per dropped one
@@ -80,7 +79,7 @@ func encodeRecord(e *enc, r *Record) error {
 		return nil
 	}
 	if r.Op == OpInit {
-		e.uvarint(uint64(r.Kind))
+		e.uvarint(uint64(cvd.SplitByRlist)) // the model field: the only model that persists
 	}
 	width := len(r.Schema.Columns)
 	if len(r.Versions) == 0 || width < 2 {
@@ -152,7 +151,9 @@ func decodeRecord(payload []byte) (*Record, error) {
 	switch r.Op {
 	case OpInit, OpCommit:
 		if r.Op == OpInit {
-			r.Kind = cvd.ModelKind(d.uvarint())
+			if err := cvd.CheckDurable(r.CVD, cvd.ModelKind(d.uvarint())); err != nil {
+				return nil, err
+			}
 		}
 		r.Versions = make([]vgraph.VersionID, d.length(1))
 		for i := range r.Versions {

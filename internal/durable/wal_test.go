@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cvd"
 	"repro/internal/relstore"
 	"repro/internal/vgraph"
 )
@@ -57,7 +56,7 @@ func openCollect(t *testing.T, dir string) (*Store, *OpenResult, []*Record) {
 func logThree(t *testing.T, s *Store) {
 	t.Helper()
 	at := time.Unix(0, 1234567890)
-	if err := s.LogInit("cvd", cvd.SplitByRlist, []vgraph.VersionID{1}, walDelta(1, 3), walSchema(), "init", "alice", at); err != nil {
+	if err := s.LogInit("cvd", []vgraph.VersionID{1}, walDelta(1, 3), walSchema(), "init", "alice", at); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.LogCommit("cvd", []vgraph.VersionID{2, 1}, walDelta(4, 4, 2), walSchema(), "more", "bob", at.Add(time.Second)); err != nil {

@@ -56,22 +56,6 @@ func JoinOnRIDs(data *Table, ridColumn string, rids []int64, method JoinMethod) 
 	return data.GatherRows(sel), nil
 }
 
-// JoinOnRIDSet is JoinOnRIDs with a compressed record set as the probe side:
-// the rid list arrives as a recset.Set (as produced by the versioning layer),
-// so the hash join probes the compressed set directly instead of first
-// building a map[int64]struct{}, the merge join skips re-sorting (recsets
-// iterate in ascending order by construction), and cardinalities size the
-// output exactly. The returned rows are materialized from the column
-// vectors; checkout uses JoinTableOnRIDs to skip the row materialization
-// entirely.
-func JoinOnRIDSet(data *Table, ridColumn string, set *recset.Set, method JoinMethod) ([]Row, error) {
-	sel, err := joinSelection(data, ridColumn, ridProbe{set: set}, method)
-	if err != nil {
-		return nil, err
-	}
-	return data.GatherRows(sel), nil
-}
-
 // JoinTableOnRIDs performs the rid join — rids ascending, none twice — and
 // gathers the matching rows column-wise into a new table named tableName: the
 // zero-materialization checkout path. A data table that keeps record r at row
@@ -320,24 +304,6 @@ func parallelSetSelection(data *Table, ridColumn string, set *recset.Set, worker
 		sel = append(sel, p...)
 	}
 	return sel, nil
-}
-
-// JoinOnRIDsParallel is JoinOnRIDs with intra-operation parallelism: for the
-// hash join, the probe of the rid column is split into contiguous chunks
-// probed concurrently by up to workers goroutines, and the chunk selections
-// are concatenated in chunk order so the result row order (and the accounted
-// cost) is identical to the sequential join. Merge and index-nested-loop
-// joins, small tables, and workers <= 1 all fall back to the sequential
-// path.
-func JoinOnRIDsParallel(data *Table, ridColumn string, rids []int64, method JoinMethod, workers int) ([]Row, error) {
-	if method != HashJoin || workers <= 1 || data.nrows < parallelJoinMinRows {
-		return JoinOnRIDs(data, ridColumn, rids, method)
-	}
-	sel, err := parallelSetSelection(data, ridColumn, recset.FromSlice(rids), workers)
-	if err != nil {
-		return nil, err
-	}
-	return data.GatherRows(sel), nil
 }
 
 // HashJoinTables performs a general equi-join of two tables on the named

@@ -107,24 +107,6 @@ func (s Schema) WithColumn(c Column) (Schema, error) {
 	return out, nil
 }
 
-// WithoutColumn returns a copy of the schema with the named column removed.
-func (s Schema) WithoutColumn(name string) (Schema, error) {
-	i := s.ColumnIndex(name)
-	if i < 0 {
-		return Schema{}, fmt.Errorf("relstore: column %q does not exist", name)
-	}
-	out := s.Clone()
-	out.Columns = append(out.Columns[:i], out.Columns[i+1:]...)
-	pk := out.PrimaryKey[:0]
-	for _, k := range out.PrimaryKey {
-		if k != name {
-			pk = append(pk, k)
-		}
-	}
-	out.PrimaryKey = pk
-	return out, nil
-}
-
 // WithColumnType returns a copy of the schema with the named column's type
 // changed. Used when the CVD layer generalizes a type (e.g. integer→decimal,
 // Section 4.3).

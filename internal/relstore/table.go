@@ -384,9 +384,6 @@ func (t *Table) encodeKeyAt(pos int, cols []int) string {
 	return b.String()
 }
 
-// KeyOf returns the encoded index key of a row for this table's index.
-func (t *Table) KeyOf(r Row) string { return encodeKey(r, t.indexCols) }
-
 // ownAll establishes private copies of every shared column before an
 // operation that writes in place across the table (insert, delete, sort).
 func (t *Table) ownAll() {

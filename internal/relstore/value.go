@@ -12,8 +12,8 @@
 // goroutines may read (scan, join, look up) the same tables concurrently.
 // Table mutation (inserts, schema changes, sorts) is not internally
 // synchronized — the versioning layer above serializes writers per CVD. The
-// hash join additionally offers a chunked data-parallel variant
-// (JoinOnRIDsParallel) used by partitioned checkout scans.
+// hash join of a checkout (JoinTableOnRIDs) additionally probes in chunks on
+// several goroutines when asked for workers.
 package relstore
 
 import (

@@ -120,21 +120,6 @@ func (t *Tree) TotalBipartiteEdges() int64 {
 	return total
 }
 
-// TotalAttrCells returns Σ a(v)·|R(v)|, the bipartite "cell" count used by
-// the schema-change-aware cost model. If attribute counts are absent it
-// falls back to treating every version as having one attribute.
-func (t *Tree) TotalAttrCells() int64 {
-	var total int64
-	for id, r := range t.Records {
-		a := t.Attrs[id]
-		if a <= 0 {
-			a = 1
-		}
-		total += int64(a) * r
-	}
-	return total
-}
-
 // DistinctRecords returns the tree-model estimate of |R|: the root's records
 // plus, for every other version, the records not shared with its parent.
 // For graphs converted from DAGs this counts duplicated records separately

@@ -67,7 +67,7 @@ type CrashReport struct {
 	// VerifiedVersions sums versions proven bit-identical across iterations.
 	VerifiedVersions int64 `json:"verified_versions"`
 	// Checkpoints counts child-side checkpoints (stale-WAL recovery coverage).
-	Checkpoints int64 `json:"checkpoints"`
+	Checkpoints int64   `json:"checkpoints"`
 	ElapsedMs   float64 `json:"elapsed_ms"`
 
 	// FailedDataDir is set when verification failed and KeepFailed preserved
