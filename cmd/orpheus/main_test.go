@@ -338,3 +338,34 @@ func TestFsckRefusesInMemoryModel(t *testing.T) {
 		}
 	}
 }
+
+// TestFsckRefusesManifestVersion3: a directory checkpointed by a build whose
+// manifests were of version 3 — they listed a versioning table beside the
+// record-set runs — is another build's: fsck, with and without -repair, and
+// the open exit 2 naming the version, and no file changes.
+func TestFsckRefusesManifestVersion3(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "data")
+	csv := writeCSV(t, dir, "p.csv", proteinCSV)
+	if code, _, errw := runSession(t, []string{"-data", data}, "init proteins "+csv+" pk=pid\ncheckpoint\n"); code != 0 {
+		t.Fatalf("seed session exit %d: %s", code, errw)
+	}
+	manifest := filepath.Join(data, "manifest-0000000000000001.orph")
+	raw, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(raw[8:12], 3) // the version field after the magic
+	if err := os.WriteFile(manifest, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, argv := range [][]string{{"fsck", data}, {"fsck", "-repair", data}, {"-data", data}} {
+		code, _, errw := runSession(t, argv, "")
+		if code != 2 || !strings.Contains(errw, "is a format version 3 manifest, this build reads version 4 only") {
+			t.Fatalf("%v: exit %d, want 2 with the refusal: %s", argv, code, errw)
+		}
+	}
+	if after, err := os.ReadFile(manifest); err != nil || !bytes.Equal(after, raw) {
+		t.Fatalf("the refused manifest changed (%v)", err)
+	}
+}

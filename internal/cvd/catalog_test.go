@@ -162,8 +162,16 @@ func TestRlistDataTableIsCatalog(t *testing.T) {
 			t.Fatalf("the append reached %s: %d rows, last %v", held.Name, held.Len(), held.RowAt(held.Len()-1))
 		}
 	}
-	if got, want := c.StorageBytes(), data.StorageBytes()+db.MustTable(m.versioningTabName()).StorageBytes(); got != want {
+	// The versioning table is charged as the (vid, rlist) table it stands for,
+	// 32 B a version plus 8 B a record of it: versions of 3 and 4 records here.
+	if got, want := c.StorageBytes(), data.StorageBytes()+2*32+8*(3+4); got != want {
 		t.Fatalf("StorageBytes %d, want the data table and the versioning table: %d", got, want)
+	}
+	if _, isTable := db.Table(m.versioningTabName()); isTable || !db.HasTable(m.versioningTabName()) {
+		t.Fatal("the versioning table is not a relation of the database")
+	}
+	if got, want := db.StorageBytes(), c.StorageBytes()+db.MustTable(c.meta.name).StorageBytes()+full.StorageBytes(); got != want {
+		t.Fatalf("the database accounts %d B, want the model's, the metadata table's and the checkout's %d", got, want)
 	}
 }
 
@@ -337,6 +345,87 @@ func TestCatalogBytesPerRecord(t *testing.T) {
 	t.Logf("%d records retain %.0f B each (%d B in all)", records, per, after-before)
 	if per > 450 {
 		t.Errorf("a record retains %.0f B, want <= 450", per)
+	}
+	runtime.KeepAlive(c)
+}
+
+// TestVersionBytesPerEdge is the memory gate per (version, record) edge: on an
+// ingest-shaped history — a seed of 13 000 records over 100 versions, then 300
+// commits that each check out one of the 8 newest versions in rotation, update
+// 30 rows, append 100 and commit the table — the retained heap grows by at most
+// 6 bytes per edge the new versions add, their new records' lanes included. A
+// version's records are listed once, as its compressed record set; an rlist
+// array beside it alone would cost 8 bytes an edge. No wall clock: HeapInuse
+// after a collection.
+func TestVersionBytesPerEdge(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory is not the program's")
+	}
+	const attrs, seedRecords, seedVersions, commits, heads = 20, 8_000, 100, 300, 8
+	cols := []relstore.Column{{Name: "key", Type: relstore.TypeInt}}
+	for i := 1; i < attrs; i++ {
+		cols = append(cols, relstore.Column{Name: fmt.Sprintf("a%02d", i), Type: relstore.TypeInt})
+	}
+	schema := relstore.MustSchema(cols, "key")
+	rng := rand.New(rand.NewSource(11))
+	key := int64(0)
+	record := func() relstore.Row {
+		key++
+		row := relstore.Row{relstore.Int(key)}
+		for i := 1; i < attrs; i++ {
+			row = append(row, relstore.Int(rng.Int63n(1_000_000)))
+		}
+		return row
+	}
+	seed := make([]relstore.Row, seedRecords)
+	for i := range seed {
+		seed[i] = record()
+	}
+	c, err := Init(relstore.NewDatabase("edges"), "d", schema, seed, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// derive commits a child of parent that updates and appends rows, through a
+	// checked-out table as a client does.
+	derive := func(parent vgraph.VersionID, updates, appends int) {
+		work, err := c.Checkout([]vgraph.VersionID{parent}, "work")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < updates; i++ {
+			work.Set(rng.Intn(work.Len()), 2, relstore.Int(rng.Int63n(1_000_000)))
+		}
+		for i := 0; i < appends; i++ {
+			if err := work.Insert(append(relstore.Row{relstore.Int(int64(-1 - i))}, record()...)); err != nil { // a fresh rid: any unused one
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.CommitTable("work", "m", "t"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for v := 2; v <= seedVersions; v++ {
+		derive(vgraph.VersionID(1+rng.Intn(v-1)), 25, 25)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapInuse
+	}
+	before, seeded := heap(), c.NumVersions()
+	for i := 0; i < commits; i++ {
+		derive(vgraph.VersionID(c.NumVersions()-i%heads), 30, 100)
+	}
+	after := heap()
+	var edges int64
+	for _, v := range c.Versions()[seeded:] {
+		edges += c.Bipartite().NumRecordsOf(v)
+	}
+	per := (float64(after) - float64(before)) / float64(edges)
+	t.Logf("%d records; %d versions add %d edges and retain %.2f B each (%d B in all)", c.NumRecords(), commits, edges, per, int64(after)-int64(before))
+	if per > 6 {
+		t.Errorf("an edge retains %.2f B, want <= 6", per)
 	}
 	runtime.KeepAlive(c)
 }

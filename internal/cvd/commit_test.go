@@ -471,9 +471,9 @@ func commitCost(t *testing.T, cycle func() func()) (allocs float64, commitBytes 
 }
 
 // TestCommitAllocationsFollowTheDelta is the allocation gate (no wall-clock):
-// what a commit allocates depends on the rows it changes, except for the 16
+// what a commit allocates depends on the rows it changes, except for the 10
 // bytes per record of the version that are the version — its record id list
-// and the copy the rlist tuple stores.
+// (8 bytes a record) and its compressed record set, which is the rlist too.
 func TestCommitAllocationsFollowTheDelta(t *testing.T) {
 	type cost struct {
 		allocs float64
@@ -496,11 +496,11 @@ func TestCommitAllocationsFollowTheDelta(t *testing.T) {
 			t.Errorf("%s: %.0f allocations at %d records but %.0f at %d: the count follows the version, not the delta", path, small.allocs, sizes[0], big.allocs, sizes[1])
 		}
 		// The slack is what 130 changed rows cost at the small size, where
-		// 16 B per record is 32 KB of it.
+		// 10 B per record is 20 KB of it.
 		slack := small.bytes
 		for n, c := range got {
-			if limit := uint64(16*(n+allocDelta*12)) + slack; c.bytes > limit {
-				t.Errorf("%s: the commit allocates %d bytes at %d records, over 16 B per record plus %d", path, c.bytes, n, slack)
+			if limit := uint64(10*(n+allocDelta*12)) + slack; c.bytes > limit {
+				t.Errorf("%s: the commit allocates %d bytes at %d records, over 10 B per record plus %d", path, c.bytes, n, slack)
 			}
 		}
 	}

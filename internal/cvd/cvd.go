@@ -516,10 +516,11 @@ func (c *CVD) adoptSchema(merged relstore.Schema) error {
 
 // applyCommit writes a commit's fresh records (each its rid, ascending from the
 // next one, then its data values) to the catalog, completes the request — which
-// comes listing the records the version keeps — with them, hands it to the
-// physical model and records the version: the step a live commit and a
-// replayed journal delta share. A model that refuses leaves the catalog as long
-// as it was, so nothing of the commit stays behind in it.
+// comes listing the records the version keeps — with them and with the
+// version's record set, built here once, hands it to the physical model and
+// records the version: the step a live commit and a replayed journal delta
+// share. A model that refuses leaves the catalog as long as it was, so nothing
+// of the commit stays behind in it.
 func (c *CVD) applyCommit(req CommitRequest, fresh []relstore.Row, msg, author string, at time.Time) error {
 	before := c.catalog.Len()
 	err := c.appendRecords(fresh)
@@ -527,6 +528,7 @@ func (c *CVD) applyCommit(req CommitRequest, fresh []relstore.Row, msg, author s
 		for i := range fresh {
 			req.RIDs = append(req.RIDs, c.nextRID+vgraph.RecordID(i))
 		}
+		req.Set = recset.FromSorted(req.RIDs)
 		req.Records, req.New = c.catalog, len(fresh)
 		if len(req.Parents) == 0 {
 			err = c.model.Init(req)
@@ -568,19 +570,17 @@ func (c *CVD) recordVersion(req CommitRequest, fresh []relstore.Row, msg, author
 	if _, err := c.graph.AddVersion(req.Version, int64(len(req.RIDs))); err != nil {
 		return err
 	}
-	// Build the new version's record set once, straight from the ascending
-	// rid list: the parent edge weights are intersection cardinalities against
-	// sets the bipartite graph already holds, and the set itself is then
-	// handed to the graph.
-	vset := recset.FromSorted(req.RIDs)
+	// The parent edge weights are intersection cardinalities against sets the
+	// bipartite graph already holds; the version's own set is then handed to
+	// the graph, the same pointer the model keeps.
 	attrIDs := c.attrs.RegisterSchema(c.schema)
 	for _, p := range req.Parents {
-		common := recset.AndLen(c.bip.RecordSet(p), vset)
+		common := recset.AndLen(c.bip.RecordSet(p), req.Set)
 		if err := c.graph.AddEdgeAttrs(p, req.Version, common, len(c.schema.Columns)); err != nil {
 			return err
 		}
 	}
-	c.bip.SetVersionSet(req.Version, vset)
+	c.bip.SetVersionSet(req.Version, req.Set)
 	m := &VersionMeta{
 		ID:         req.Version,
 		Parents:    append([]vgraph.VersionID(nil), req.Parents...),

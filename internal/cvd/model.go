@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/recset"
 	"repro/internal/relstore"
 	"repro/internal/vgraph"
 )
@@ -32,7 +33,8 @@ type ModelKind int
 
 const (
 	// SplitByRlist stores a data table plus a versioning table keyed by vid
-	// with an rlist array (the model OrpheusDB adopts).
+	// with an rlist per version (the model OrpheusDB adopts); the rlist is
+	// the version's compressed record set.
 	SplitByRlist ModelKind = iota
 	// SplitByVlist stores a data table plus a versioning table keyed by rid
 	// with a vlist array.
@@ -92,6 +94,10 @@ type CommitRequest struct {
 	ParentRIDs func(vgraph.VersionID) []vgraph.RecordID
 	// RIDs is the complete record id list of the new version, ascending.
 	RIDs []vgraph.RecordID
+	// Set is RIDs as a compressed set, built once per commit. The bipartite
+	// graph keeps it as the version's record set and split-by-rlist as the
+	// version's rlist; the other models ignore it. Nobody mutates it.
+	Set *recset.Set
 	// Records is the CVD's record catalog: the rid column, then the data
 	// attributes under the schema in force, record r at row r-1. It already
 	// holds the version's new records, and a model takes the content of any
@@ -140,10 +146,10 @@ type DataModel interface {
 // checkout results.
 const ridColumn = "rid"
 
-// vidColumn, rlistColumn, vlistColumn name the versioning-table attributes.
+// vidColumn names the version id attribute of a versioning table, vlistColumn
+// the vlist array of split-by-vlist and combined-table.
 const (
 	vidColumn   = "vid"
-	rlistColumn = "rlist"
 	vlistColumn = "vlist"
 )
 

@@ -11,10 +11,13 @@ import (
 )
 
 // rlistModel is the split-by-rlist data model (Approach 4.3): a shared data
-// table keyed by rid plus a versioning table keyed by vid whose rlist array
-// lists the records in the version. The data table is the CVD's record catalog
-// itself — the same table, so a record is stored once and a commit has nothing
-// to add to it — which keeps record r at row r-1. It is the model OrpheusDB
+// table keyed by rid plus a versioning table keyed by vid whose rlist lists the
+// records in the version. The data table is the CVD's record catalog itself —
+// the same table, so a record is stored once and a commit has nothing to add to
+// it — which keeps record r at row r-1. The versioning table is versions: each
+// rlist is the version's compressed record set, the very set the bipartite
+// graph holds, so a version's records are listed once; the database accounts
+// for it under its table name (versioningTable). It is the model OrpheusDB
 // adopts, and the only model that supports partitioned storage (Chapter 5):
 // the data table may be split into several partition tables, each holding all
 // records of the versions assigned to it, so a checkout touches exactly one
@@ -24,6 +27,11 @@ type rlistModel struct {
 	name   string
 	schema relstore.Schema // data schema without rid
 	data   *relstore.Table // the CVD's record catalog, registered in db under its name (rlistDataTabName)
+
+	// versions is the versioning table: version v's rlist at index v-1.
+	// Versions are only ever appended and a set is never mutated, so an entry
+	// below the length a reader captured stays what it was (see publish).
+	versions []*recset.Set
 
 	// Partitioned state. When partitions is nil the model is unpartitioned
 	// and all records live in the single data table. When non-nil,
@@ -49,11 +57,13 @@ type rlistModel struct {
 	read atomic.Pointer[rlistRead]
 }
 
-// rlistRead is an unpartitioned model as of its last change: views
-// (relstore.Table.View) of the two tables, which commits only append to.
+// rlistRead is an unpartitioned model as of its last change: a view
+// (relstore.Table.View) of the data table and the versioning table's slice
+// header, both of which commits only append to.
 type rlistRead struct {
-	data, versions *relstore.Table
-	workers        int
+	data     *relstore.Table
+	versions []*recset.Set
+	workers  int
 }
 
 func newRlistModel(db *relstore.Database, name string, schema relstore.Schema, catalog *relstore.Table) *rlistModel {
@@ -82,30 +92,39 @@ func (m *rlistModel) SetWorkers(n int) {
 
 func (m *rlistModel) versioningTabName() string { return m.name + "_versions" }
 
+// versioningTable is the model's versioning table as the database accounts for
+// it: what the two-column table (vid, rlist) it stands for is charged — 8 bytes
+// for the vid, 8 plus 8 per element for the rlist array, 16 for the vid's index
+// entry — so Figure 4.1's storage axis reads as if the rlists were arrays.
+type versioningTable struct{ m *rlistModel }
+
+func (t versioningTable) StorageBytes() int64 {
+	n := int64(32 * len(t.m.versions))
+	for _, s := range t.m.versions {
+		n += 8 * s.Len()
+	}
+	return n
+}
+
 func (m *rlistModel) partTabName(k int) string { return fmt.Sprintf("%s_part%d", m.name, k) }
 
 func (m *rlistModel) Init(req CommitRequest) error {
 	if m.db.HasTable(m.data.Name) {
 		return fmt.Errorf("cvd: %s: table %q already exists", m.name, m.data.Name)
 	}
-	m.db.AttachTable(m.data)
-	if _, err := m.db.CreateTable(m.versioningTabName(), relstore.MustSchema([]relstore.Column{
-		{Name: vidColumn, Type: relstore.TypeInt},
-		{Name: rlistColumn, Type: relstore.TypeIntArray},
-	}, vidColumn)); err != nil {
-		return err
+	if m.db.HasTable(m.versioningTabName()) {
+		return fmt.Errorf("cvd: %s: table %q already exists", m.name, m.versioningTabName())
 	}
+	m.db.AttachTable(m.data)
+	m.db.AttachRelation(m.versioningTabName(), versioningTable{m})
 	return m.AppendVersion(req)
 }
 
+// AppendVersion appends the version's record set, req.Set, to the versioning
+// table as its rlist; version ids are dense from 1 in commit order.
 func (m *rlistModel) AppendVersion(req CommitRequest) error {
-	vt := m.db.MustTable(m.versioningTabName())
-	rlist := make([]int64, len(req.RIDs)) // ascending, as req.RIDs is
-	for i, r := range req.RIDs {
-		rlist[i] = int64(r)
-	}
-	if err := vt.Insert(relstore.Row{relstore.Int(int64(req.Version)), relstore.IntArray(rlist)}); err != nil {
-		return err
+	if want := vgraph.VersionID(len(m.versions) + 1); req.Version != want {
+		return fmt.Errorf("cvd: %s: version %d does not follow the versioning table's %d versions", m.name, req.Version, len(m.versions))
 	}
 	// Under partitioning, new versions are routed by online maintenance
 	// (OnlineAssign); until then they are placed with their first parent's
@@ -121,32 +140,31 @@ func (m *rlistModel) AppendVersion(req CommitRequest) error {
 			return err
 		}
 	}
+	m.versions = append(m.versions, req.Set)
 	m.publish()
 	return nil
 }
 
-// rlistOf returns the rid list of a version from the versioning table
-// (ascending: AppendVersion stores CommitRequest.RIDs as it gets them).
-func (m *rlistModel) rlistOf(v vgraph.VersionID) ([]int64, error) {
-	vt := m.db.MustTable(m.versioningTabName())
-	row, ok := vt.LookupIndex(relstore.Int(int64(v)))
-	if !ok {
-		return nil, fmt.Errorf("cvd: %s: version %d not found", m.name, v)
+// RecordSet returns version v's rlist, which is the bipartite graph's record
+// set of v (nil when the versioning table has no version v). It is shared:
+// read it, never mutate it.
+func (m *rlistModel) RecordSet(v vgraph.VersionID) *recset.Set {
+	if v < 1 || int(v) > len(m.versions) {
+		return nil
 	}
-	return row[1].A, nil
+	return m.versions[v-1]
 }
 
-// rsetOf returns the rid list of a version as a compressed set.
-func (m *rlistModel) rsetOf(v vgraph.VersionID) (*recset.Set, error) {
-	rlist, err := m.rlistOf(v)
-	if err != nil {
-		return nil, err
+// setOf is RecordSet for a version that must exist.
+func (m *rlistModel) setOf(v vgraph.VersionID) (*recset.Set, error) {
+	if s := m.RecordSet(v); s != nil {
+		return s, nil
 	}
-	return recset.FromSorted(rlist), nil
+	return nil, fmt.Errorf("cvd: %s: version %d not found", m.name, v)
 }
 
 func (m *rlistModel) Checkout(v vgraph.VersionID, tableName string) (*relstore.Table, error) {
-	rlist, err := m.rlistOf(v)
+	rlist, err := m.setOf(v)
 	if err != nil {
 		return nil, err
 	}
@@ -166,8 +184,8 @@ func (m *rlistModel) Checkout(v vgraph.VersionID, tableName string) (*relstore.T
 // table and the staging table is gathered column-wise — sharing the column
 // backing outright (copy-on-write) when the version covers the whole backing
 // table.
-func joinCheckout(data *relstore.Table, rlist []int64, workers int, tableName string) (*relstore.Table, error) {
-	out, err := relstore.JoinTableOnRIDs(data, ridColumn, rlist, relstore.HashJoin, workers, tableName)
+func joinCheckout(data *relstore.Table, rlist *recset.Set, workers int, tableName string) (*relstore.Table, error) {
+	out, err := relstore.JoinTableOnRIDs(data, ridColumn, rlist, workers, tableName)
 	if err != nil {
 		return nil, err
 	}
@@ -179,26 +197,23 @@ func joinCheckout(data *relstore.Table, rlist []int64, workers int, tableName st
 // state, or with nothing under partitioning, where a checkout reads its
 // partition's table. The caller holds the CVD's exclusive lock.
 func (m *rlistModel) publish() {
-	vt, ok := m.db.Table(m.versioningTabName())
-	if !ok || m.partitions != nil {
+	if len(m.versions) == 0 || m.partitions != nil {
 		m.read.Store(nil)
 		return
 	}
-	m.read.Store(&rlistRead{data: m.data.View(), versions: vt.View(), workers: m.workers})
+	m.read.Store(&rlistRead{data: m.data.View(), versions: m.versions, workers: m.workers})
 }
 
 // checkoutPublished is Checkout for a caller that does not hold the CVD's
-// lock: it reads the views last published, so it neither waits for a commit in
-// flight nor makes one wait. ok is false when they do not hold the version and
-// the caller has to take the lock. Versions are numbered from 1 in commit
-// order, so version v is row v-1 of the versioning table.
+// lock: it reads what was last published, so it neither waits for a commit in
+// flight nor makes one wait. ok is false when that does not hold the version
+// and the caller has to take the lock.
 func (m *rlistModel) checkoutPublished(v vgraph.VersionID, tableName string) (out *relstore.Table, ok bool) {
 	rd := m.read.Load()
-	pos := int(v) - 1
-	if rd == nil || pos < 0 || pos >= rd.versions.Len() || rd.versions.IntAt(pos, 0) != int64(v) {
+	if rd == nil || v < 1 || int(v) > len(rd.versions) {
 		return nil, false
 	}
-	out, err := joinCheckout(rd.data, rd.versions.At(pos, 1).A, rd.workers, tableName)
+	out, err := joinCheckout(rd.data, rd.versions[v-1], rd.workers, tableName)
 	return out, err == nil // an error is the locked path's to report
 }
 
@@ -211,8 +226,7 @@ func (m *rlistModel) StorageBytes() int64 {
 			n += m.db.MustTable(p).StorageBytes()
 		}
 	}
-	n += m.db.MustTable(m.versioningTabName()).StorageBytes()
-	return n
+	return n + versioningTable{m}.StorageBytes()
 }
 
 // DataRecordCount returns Σ_k |R_k| in records (the storage cost S of
@@ -251,6 +265,7 @@ func (m *rlistModel) Drop() {
 	m.partitions = nil
 	m.partitionOf = nil
 	m.resident = nil
+	m.versions = nil
 	m.publish()
 }
 
@@ -340,7 +355,7 @@ func (m *rlistModel) ApplyPartitioning(p vgraph.Partitioning) error {
 func (m *rlistModel) fillPartition(t *relstore.Table, k int, versions []vgraph.VersionID) error {
 	need := recset.New()
 	for _, v := range versions {
-		rs, err := m.rsetOf(v)
+		rs, err := m.setOf(v)
 		if err != nil {
 			return err
 		}
@@ -406,7 +421,7 @@ func (m *rlistModel) Migrate(p vgraph.Partitioning, plan []MigrationOp) (Migrati
 	for _, op := range plan {
 		need := recset.New()
 		for _, v := range op.Versions {
-			rs, err := m.rsetOf(v)
+			rs, err := m.setOf(v)
 			if err != nil {
 				return res, err
 			}

@@ -95,8 +95,8 @@ func (c *CVD) JournalLocked() (Journal, error) {
 	return c.journal, c.journalErr
 }
 
-// VersionRecordSet pairs a version with its compressed record set, in the
-// bipartite graph's insertion order.
+// VersionRecordSet pairs a version with its compressed record set — its rlist,
+// a row of split-by-rlist's versioning table.
 type VersionRecordSet struct {
 	Version vgraph.VersionID
 	Set     *recset.Set
@@ -115,16 +115,19 @@ type PersistentState struct {
 	NextVID vgraph.VersionID
 	NextRID vgraph.RecordID
 
-	Graph      *vgraph.Graph      // version graph
-	RecordSets []VersionRecordSet // bipartite graph, insertion order
-	Metas      []*VersionMeta     // version metadata ordered by id
-	Attrs      []Attribute        // attribute registry in registration order
+	Graph *vgraph.Graph // version graph
+	// RecordSets is the versioning table: one set per version 1 … NextVID-1,
+	// in order (CheckVersions), each the version's rlist and its record set
+	// in the bipartite graph at once.
+	RecordSets []VersionRecordSet
+	Metas      []*VersionMeta // version metadata ordered by id
+	Attrs      []Attribute    // attribute registry in registration order
 
-	// Tables lists every backing table of this CVD, all tables of the
+	// Tables lists the backing tables of this CVD, all tables of the
 	// database: the data table, which is the record catalog (DataTable), the
-	// versioning table, the partitions and the metadata table. Checked-out
-	// staging tables are deliberately absent: they are transient working
-	// state.
+	// partitions and the metadata table. The versioning table is RecordSets.
+	// Checked-out staging tables are deliberately absent: they are transient
+	// working state.
 	Tables []string
 
 	// Partitioned storage (all empty when unpartitioned).
@@ -154,10 +157,11 @@ func (c *CVD) ExportState() (*PersistentState, error) {
 		Graph:   c.graph,
 		Metas:   c.meta.all(),
 		Attrs:   c.attrs.All(),
-		Tables:  append(append([]string{m.data.Name, m.versioningTabName()}, m.partitions...), c.meta.name),
+		Tables:  append(append([]string{m.data.Name}, m.partitions...), c.meta.name),
 	}
-	for _, v := range c.bip.Versions() {
-		st.RecordSets = append(st.RecordSets, VersionRecordSet{Version: v, Set: c.bip.RecordSet(v)})
+	st.RecordSets = make([]VersionRecordSet, len(m.versions))
+	for i, s := range m.versions {
+		st.RecordSets[i] = VersionRecordSet{Version: vgraph.VersionID(i + 1), Set: s}
 	}
 	if m.partitions != nil {
 		st.Partitions = append([]string(nil), m.partitions...)
@@ -204,10 +208,12 @@ func (c *CVD) ExportStateCOW() (*PersistentState, error) {
 
 // Restore rebuilds a live split-by-rlist CVD from a persistent state. Every
 // table named in st.Tables must already have been deserialized into db;
-// Restore only wires the in-memory structures (graph, bipartite record sets,
-// metadata, attribute registry, partition bookkeeping) back around them, the
-// data table serving as the record catalog. The restored CVD takes ownership
-// of the state's pointers.
+// Restore only wires the in-memory structures (graph, record sets, metadata,
+// attribute registry, partition bookkeeping) back around them, the data table
+// serving as the record catalog. Each record set becomes both the version's
+// rlist and its set in the bipartite graph. A state that fails CheckCatalog or
+// CheckVersions is refused. The restored CVD takes ownership of the state's
+// pointers.
 func Restore(db *relstore.Database, st *PersistentState) (*CVD, error) {
 	for _, name := range st.Tables {
 		if !db.HasTable(name) {
@@ -219,6 +225,9 @@ func Restore(db *relstore.Database, st *PersistentState) (*CVD, error) {
 		return nil, fmt.Errorf("cvd: restore %s: data table %q missing from database", st.Name, st.DataTable())
 	}
 	if err := CheckCatalog(st, catalog); err != nil {
+		return nil, err
+	}
+	if err := CheckVersions(st); err != nil {
 		return nil, err
 	}
 	c := &CVD{
@@ -273,6 +282,40 @@ func CheckCatalog(st *PersistentState, catalog *relstore.Table) error {
 	return nil
 }
 
+// CheckVersions verifies that st's versioning table is the version history its
+// head describes: one record set per version 1 … NextVID-1, in order, each as
+// large as its graph node and its metadata say the version is, holding only
+// record ids handed out so far. Restore refuses a state that fails it, and a
+// scrub reports one.
+func CheckVersions(st *PersistentState) error {
+	if want := int(st.NextVID) - 1; len(st.RecordSets) != want {
+		return fmt.Errorf("cvd: %s: the versioning table holds %d versions where version ids 1 to %d were handed out", st.Name, len(st.RecordSets), want)
+	}
+	if len(st.Metas) != len(st.RecordSets) {
+		return fmt.Errorf("cvd: %s: %d versions carry metadata, the versioning table holds %d", st.Name, len(st.Metas), len(st.RecordSets))
+	}
+	for i, vs := range st.RecordSets {
+		v := vgraph.VersionID(i + 1)
+		if vs.Version != v || vs.Set == nil {
+			return fmt.Errorf("cvd: %s: row %d of the versioning table is version %d, want %d", st.Name, i, vs.Version, v)
+		}
+		n := vs.Set.Len()
+		node, meta := st.Graph.Node(v), st.Metas[i]
+		if node == nil || meta.ID != v {
+			return fmt.Errorf("cvd: %s: version %d of the versioning table has no node in the version graph or no metadata", st.Name, v)
+		}
+		if node.NumRecords != n || meta.NumRecords != n {
+			return fmt.Errorf("cvd: %s: version %d lists %d records in the versioning table, %d in the version graph and %d in its metadata", st.Name, v, n, node.NumRecords, meta.NumRecords)
+		}
+		lo, _ := vs.Set.Min()
+		hi, _ := vs.Set.Max()
+		if n > 0 && (lo < 1 || hi >= int64(st.NextRID)) {
+			return fmt.Errorf("cvd: %s: version %d lists record ids %d to %d where ids 1 to %d were handed out", st.Name, v, lo, hi, st.NextRID-1)
+		}
+	}
+	return nil
+}
+
 // restoreAttributeRegistry rebuilds the registry from its persisted rows.
 // Attribute ids are assigned densely from 1, so the next id is len+1.
 func restoreAttributeRegistry(attrs []Attribute) *AttributeRegistry {
@@ -304,10 +347,16 @@ func restoreMetadataStore(db *relstore.Database, cvdName string, metas []*Versio
 	return s, nil
 }
 
-// restoreModel rebuilds split-by-rlist's partition bookkeeping around the
-// already deserialized tables, catalog the data table among them.
+// restoreModel rebuilds split-by-rlist's versioning table and partition
+// bookkeeping around the already deserialized tables, catalog the data table
+// among them.
 func restoreModel(db *relstore.Database, st *PersistentState, catalog *relstore.Table) *rlistModel {
 	m := newRlistModel(db, st.Name, st.Schema, catalog)
+	m.versions = make([]*recset.Set, len(st.RecordSets))
+	for i, vs := range st.RecordSets {
+		m.versions[i] = vs.Set
+	}
+	db.AttachRelation(m.versioningTabName(), versioningTable{m})
 	if len(st.Partitions) > 0 {
 		m.partitions = append([]string(nil), st.Partitions...)
 		m.partitionOf = make(map[vgraph.VersionID]int, len(st.PartitionOf))

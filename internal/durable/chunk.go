@@ -16,16 +16,16 @@ import (
 // The format v2 snapshot is content-addressed: engine state is split into
 // chunks — fixed-geometry row bands of each table column (a CVD's record
 // catalog is its data table), the CVD head (graph, metadata, counters), and
-// runs of per-version record sets — each serialized independently and
-// identified by
-// the SHA-256 of its payload truncated to 16 bytes. A checkpoint manifest
+// runs of per-version record sets (a CVD's versioning table: each set is a
+// version's rlist) — each serialized independently and identified by the
+// SHA-256 of its payload truncated to 16 bytes. A checkpoint manifest
 // maps section → chunk hash, and chunk payloads live in the append-only
 // chunk pack (pack.go), so a checkpoint writes only chunks whose content
 // changed and retained manifests share unchanged chunks structurally.
 //
 // Band geometry is fixed multiples from row 0, so appending rows (the
-// dominant mutation: rlist commits append to the shared data table — which is
-// the record catalog — and the versioning table) dirties only the tail band of
+// dominant mutation: commits append to the shared data table — which is the
+// record catalog — and a record set to the runs) dirties only the tail band of
 // each section while every full interior band keeps its hash.
 
 // ChunkHash is the 16-byte truncated SHA-256 content address of a chunk
@@ -74,9 +74,9 @@ const (
 	defaultRecsetRun = 16
 	// bandTargetBytes caps roughly how many raw table bytes one row band
 	// spans across all its columns. Fixed-height bands are fine for narrow
-	// rows, but a table with fat array cells (a versions table's record
-	// lists) would otherwise pack megabytes into the always-re-encoded tail
-	// band and defeat incremental checkpoints.
+	// rows, but a table with fat cells (long strings, integer arrays) would
+	// otherwise pack megabytes into the always-re-encoded tail band and
+	// defeat incremental checkpoints.
 	bandTargetBytes = 1 << 20
 )
 
@@ -697,52 +697,4 @@ func (d *dec) cvdLayout() cvdLayout {
 // layoutForCVD captures a CVD state's chunk geometry.
 func layoutForCVD(st *cvd.PersistentState) cvdLayout {
 	return cvdLayout{name: st.Name, sets: len(st.RecordSets), runLen: defaultRecsetRun}
-}
-
-// cvdAssembler rebuilds a persisted CVD state from its head chunk plus
-// recset-run chunks delivered in order.
-type cvdAssembler struct {
-	layout cvdLayout
-	st     *cvd.PersistentState
-}
-
-func newCVDAssembler(layout cvdLayout, headPayload []byte) (*cvdAssembler, error) {
-	st, err := decodeCVDHead(headPayload)
-	if err != nil {
-		return nil, err
-	}
-	if st.Name != layout.name {
-		return nil, fmt.Errorf("durable: CVD head names %q, manifest says %q", st.Name, layout.name)
-	}
-	if layout.sets > 0 {
-		st.RecordSets = make([]cvd.VersionRecordSet, 0, layout.sets)
-	}
-	return &cvdAssembler{layout: layout, st: st}, nil
-}
-
-func (a *cvdAssembler) addRecsetRun(payload []byte) error {
-	before := len(a.st.RecordSets)
-	if before >= a.layout.sets {
-		return fmt.Errorf("durable: CVD %s: more record-set runs than %d sets need", a.layout.name, a.layout.sets)
-	}
-	sets, err := decodeRecsetRun(a.st.RecordSets, payload)
-	if err != nil {
-		return fmt.Errorf("durable: CVD %s record-set run at %d: %w", a.layout.name, before, err)
-	}
-	want := a.layout.runLen
-	if before+want > a.layout.sets {
-		want = a.layout.sets - before
-	}
-	if len(sets)-before != want {
-		return fmt.Errorf("durable: CVD %s record-set run at %d: %d sets, want %d", a.layout.name, before, len(sets)-before, want)
-	}
-	a.st.RecordSets = sets
-	return nil
-}
-
-func (a *cvdAssembler) finish() (*cvd.PersistentState, error) {
-	if got := len(a.st.RecordSets); got != a.layout.sets {
-		return nil, fmt.Errorf("durable: CVD %s: assembled %d of %d record sets", a.layout.name, got, a.layout.sets)
-	}
-	return a.st, nil
 }

@@ -2,7 +2,9 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/cvd"
 	"repro/internal/recset"
 	"repro/internal/relstore"
+	"repro/internal/vfs"
 	"repro/internal/vgraph"
 )
 
@@ -78,7 +81,7 @@ func fuzzCVDState() *cvd.PersistentState {
 			{ID: 1, Name: "key", Type: relstore.TypeInt},
 			{ID: 2, Name: "val", Type: relstore.TypeString},
 		},
-		Tables: []string{"fuzz_data", "fuzz_versions"},
+		Tables: []string{"fuzz_data", "fuzz_metadata"},
 	}
 	for v := vgraph.VersionID(1); v <= 3; v++ {
 		st.RecordSets = append(st.RecordSets, cvd.VersionRecordSet{
@@ -176,6 +179,32 @@ func FuzzManifestDecode(f *testing.F) {
 	f.Add(append([]byte(nil), e.b...))
 	f.Add(e.b[:len(e.b)/2])
 	f.Add([]byte{})
+
+	// Version 3's shape: the CVD's versioning table listed among the tables, an
+	// rlist array per version. The payload decodes — tables are tables — but
+	// the file it came in is refused by its version before the payload is read.
+	v3 := &manifest{dbName: "db", epoch: 9, cvds: m.cvds}
+	versions := manifestTable{meta: tableMeta{
+		name: "fuzz_versions", nrows: 3, bandRows: 4, index: []string{"vid"},
+		schema: relstore.MustSchema([]relstore.Column{{Name: "vid", Type: relstore.TypeInt}, {Name: "rlist", Type: relstore.TypeIntArray}}, "vid"),
+	}}
+	for ci := 0; ci < 2; ci++ {
+		versions.cols = append(versions.cols, []ChunkHash{hashChunk([]byte{'v', byte(ci)})})
+	}
+	v3.tables = append([]manifestTable{mt}, versions)
+	e.b = e.b[:0]
+	encodeManifestPayload(&e, v3)
+	f.Add(append([]byte(nil), e.b...))
+	file := append([]byte(manifestMagic), 3, 0, 0, 0)
+	file = binary.LittleEndian.AppendUint32(file, uint32(len(e.b)))
+	file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(e.b))
+	path := filepath.Join(f.TempDir(), ManifestFileName(9))
+	if err := os.WriteFile(path, append(file, e.b...), 0o644); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := readManifestFile(vfs.OS(), path); !errors.Is(err, errManifestVersion) || !strings.Contains(err.Error(), "format version 3 manifest") {
+		f.Fatalf("a version 3 manifest reads with %v", err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeManifestPayload(data)
 		if err != nil {

@@ -105,8 +105,13 @@ func TestCheckpointGates(t *testing.T) {
 	}
 
 	// Content addressing: after a burst of small commits, a checkpoint writes
-	// at most 15 % of the bytes of the first one and rewrites at most 15 % of
-	// its chunks.
+	// at most 7 % of the bytes of the first one and rewrites at most 15 % of
+	// its chunks. It rewrites the tail bands of the data table, the tail run of
+	// record sets and the head. With a versioning table of rlist arrays beside
+	// the runs (manifest version 3) it also rewrote that table — here all of
+	// it, version 1's 64 000-element rlist included, as the band height follows
+	// the average rlist and the burst moved it: 7.8 % of the bytes (246 470 of
+	// 3 158 345) then, 5.9 % (181 231 of 3 093 534) now.
 	s, _, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -127,8 +132,8 @@ func TestCheckpointGates(t *testing.T) {
 	}
 	t.Logf("first checkpoint: %d chunks, %d B written; after the burst: %d of %d chunks rewritten, %d B written",
 		full.Chunks, full.BytesWritten, incr.ChunksWritten, incr.Chunks, incr.BytesWritten)
-	if limit := full.BytesWritten * 15 / 100; incr.BytesWritten > limit {
-		t.Errorf("incremental checkpoint wrote %d B, want <= %d (15%% of the first checkpoint's %d)", incr.BytesWritten, limit, full.BytesWritten)
+	if limit := full.BytesWritten * 7 / 100; incr.BytesWritten > limit {
+		t.Errorf("incremental checkpoint wrote %d B, want <= %d (7%% of the first checkpoint's %d)", incr.BytesWritten, limit, full.BytesWritten)
 	}
 	if limit := incr.Chunks * 15 / 100; incr.ChunksWritten > limit {
 		t.Errorf("incremental checkpoint rewrote %d of %d chunks, want <= %d (15%%)", incr.ChunksWritten, incr.Chunks, limit)

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"path/filepath"
 
+	"repro/internal/cvd"
 	"repro/internal/relstore"
 	"repro/internal/vfs"
 )
@@ -26,9 +27,10 @@ import (
 //	uvarint ntables, per table: tableMeta, ncols × nbands × hash16 (col-major)
 //	uvarint ncvds, per CVD: cvdLayout, head hash16, recset-run hashes
 //
-// A CVD's record catalog is one of the tables (see cvd.PersistentState):
-// manifest version 3 dropped the per-CVD catalog-band section version 2 kept
-// beside them.
+// A CVD's record catalog is one of the tables and its record-set runs are its
+// versioning table (see cvd.PersistentState): manifest version 3 dropped the
+// per-CVD catalog-band section version 2 kept beside the tables, and version 4
+// the versioning table version 3 listed among them.
 
 // manifest is one decoded checkpoint manifest.
 type manifest struct {
@@ -225,8 +227,8 @@ func readManifestFile(fsys vfs.FS, path string) (*manifest, error) {
 	}
 	switch v := binary.LittleEndian.Uint32(data[8:12]); v {
 	case manifestFormatVersion:
-	case 2:
-		return nil, fmt.Errorf("durable: %s is a format version 2 manifest, %w", path, errManifestVersion)
+	case 2, 3:
+		return nil, fmt.Errorf("durable: %s is a format version %d manifest, %w", path, v, errManifestVersion)
 	default:
 		return nil, fmt.Errorf("durable: unsupported manifest version %d (want %d)", v, manifestFormatVersion)
 	}
@@ -283,6 +285,53 @@ func (mt *manifestTable) assemble(get func(ChunkHash) ([]byte, error)) (*relstor
 	return asm.finish()
 }
 
+// decodeHead decodes the CVD's head chunk, fetched through get.
+func (mc *manifestCVD) decodeHead(get func(ChunkHash) ([]byte, error)) (*cvd.PersistentState, error) {
+	head, err := get(mc.head)
+	if err != nil {
+		return nil, fmt.Errorf("durable: CVD %s head: %w", mc.layout.name, err)
+	}
+	st, err := decodeCVDHead(head)
+	if err != nil {
+		return nil, err
+	}
+	if st.Name != mc.layout.name {
+		return nil, fmt.Errorf("durable: CVD head names %q, manifest says %q", st.Name, mc.layout.name)
+	}
+	return st, nil
+}
+
+// addRecordSets decodes the CVD's record-set runs, fetched through get and
+// delivered in order, into st.RecordSets: the versioning table.
+func (mc *manifestCVD) addRecordSets(st *cvd.PersistentState, get func(ChunkHash) ([]byte, error)) error {
+	l := mc.layout
+	if l.sets > 0 {
+		st.RecordSets = make([]cvd.VersionRecordSet, 0, l.sets)
+	}
+	for _, h := range mc.runs {
+		payload, err := get(h)
+		if err != nil {
+			return fmt.Errorf("durable: CVD %s record sets: %w", l.name, err)
+		}
+		before := len(st.RecordSets)
+		if before >= l.sets {
+			return fmt.Errorf("durable: CVD %s: more record-set runs than %d sets need", l.name, l.sets)
+		}
+		sets, err := decodeRecsetRun(st.RecordSets, payload)
+		if err != nil {
+			return fmt.Errorf("durable: CVD %s record-set run at %d: %w", l.name, before, err)
+		}
+		if want := min(l.runLen, l.sets-before); len(sets)-before != want {
+			return fmt.Errorf("durable: CVD %s record-set run at %d: %d sets, want %d", l.name, before, len(sets)-before, want)
+		}
+		st.RecordSets = sets
+	}
+	if got := len(st.RecordSets); got != l.sets {
+		return fmt.Errorf("durable: CVD %s: assembled %d of %d record sets", l.name, got, l.sets)
+	}
+	return nil
+}
+
 // loadSnapshotFromManifest assembles the full snapshot a manifest describes,
 // fetching chunk payloads through get.
 func loadSnapshotFromManifest(m *manifest, get func(ChunkHash) ([]byte, error)) (*Snapshot, error) {
@@ -296,25 +345,11 @@ func loadSnapshotFromManifest(m *manifest, get func(ChunkHash) ([]byte, error)) 
 	}
 	for i := range m.cvds {
 		mc := &m.cvds[i]
-		head, err := get(mc.head)
-		if err != nil {
-			return nil, fmt.Errorf("durable: CVD %s head: %w", mc.layout.name, err)
-		}
-		asm, err := newCVDAssembler(mc.layout, head)
+		st, err := mc.decodeHead(get)
 		if err != nil {
 			return nil, err
 		}
-		for _, h := range mc.runs {
-			payload, err := get(h)
-			if err != nil {
-				return nil, fmt.Errorf("durable: CVD %s record sets: %w", mc.layout.name, err)
-			}
-			if err := asm.addRecsetRun(payload); err != nil {
-				return nil, err
-			}
-		}
-		st, err := asm.finish()
-		if err != nil {
+		if err := mc.addRecordSets(st, get); err != nil {
 			return nil, err
 		}
 		snap.CVDs = append(snap.CVDs, st)

@@ -68,6 +68,13 @@ const (
 	// per record id handed out, row r-1 carrying rid r): every chunk is intact,
 	// yet the open refuses the directory (cvd.CheckCatalog).
 	IssueBadCatalog IssueKind = "bad-catalog"
+	// IssueBadVersions: the newest usable manifest holds a CVD whose versioning
+	// table — its record-set runs — is not the history its head describes: a
+	// run that does not decode, a version missing or out of order, a set whose
+	// size disagrees with its version's node or metadata, or a record id never
+	// handed out. Every chunk is intact, yet the open refuses the directory
+	// (cvd.CheckVersions). Never repaired.
+	IssueBadVersions IssueKind = "bad-versions"
 	// IssueMissingWALSegment: the manifest/segment epoch chain has a hole.
 	IssueMissingWALSegment IssueKind = "missing-wal-segment"
 	// IssueUnopenable: after repairs, a full open of the directory still
@@ -509,9 +516,9 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 		}
 		if err == nil {
 			cursors = cursorsOf(heads)
-			for _, err := range bad {
-				rep.addIssue(ScrubIssue{Kind: IssueBadCatalog, Path: manifests[bestUsable].path,
-					Detail: err.Error(), Epochs: []uint64{base}})
+			for _, is := range bad {
+				is.Path, is.Epochs = manifests[bestUsable].path, []uint64{base}
+				rep.addIssue(is)
 			}
 		}
 	} else if len(manifests) == 0 {
@@ -690,8 +697,9 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 
 // readCVDHeads decodes the CVD head chunks a manifest references, for the
 // version and record counters the WAL after it must continue from, and checks
-// each CVD's record catalog the way the open will (bad lists the failures).
-func readCVDHeads(fsys vfs.FS, pack *packState, m *manifest) (heads []*cvd.PersistentState, bad []error, err error) {
+// each CVD's record catalog and versioning table the way the open will (bad
+// lists the failures as issues for the caller to place).
+func readCVDHeads(fsys vfs.FS, pack *packState, m *manifest) (heads []*cvd.PersistentState, bad []ScrubIssue, err error) {
 	f, err := vfs.Open(fsys, pack.path)
 	if err != nil {
 		return nil, nil, err
@@ -703,18 +711,22 @@ func readCVDHeads(fsys vfs.FS, pack *packState, m *manifest) (heads []*cvd.Persi
 		_, err := f.ReadAt(payload, loc.off)
 		return payload, err
 	}
-	for _, mc := range m.cvds {
-		payload, err := get(mc.head)
-		if err != nil {
-			return nil, nil, err
-		}
-		st, err := decodeCVDHead(payload)
+	for i := range m.cvds {
+		mc := &m.cvds[i]
+		st, err := mc.decodeHead(get)
 		if err != nil {
 			return nil, nil, err
 		}
 		heads = append(heads, st)
 		if err := checkCatalog(st, m, get); err != nil {
-			bad = append(bad, err)
+			bad = append(bad, ScrubIssue{Kind: IssueBadCatalog, Detail: err.Error()})
+		}
+		err = mc.addRecordSets(st, get)
+		if err == nil {
+			err = cvd.CheckVersions(st)
+		}
+		if err != nil {
+			bad = append(bad, ScrubIssue{Kind: IssueBadVersions, Detail: err.Error()})
 		}
 	}
 	return heads, bad, nil

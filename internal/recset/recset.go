@@ -534,6 +534,49 @@ func (s *Set) ForEach(fn func(int64) bool) {
 	}
 }
 
+// Containers calls fn for every container in ascending order with its base
+// (its high key shifted into place) and either its sorted low parts or its
+// bitmap words, for a caller that walks a set without a call per element. fn
+// must not modify them; iteration stops early when it returns false.
+func (s *Set) Containers(fn func(base int64, lows []uint16, bitmap []uint64) bool) {
+	if s == nil {
+		return
+	}
+	for i, key := range s.keys {
+		if !fn(key<<16, s.cs[i].array, s.cs[i].bitmap) {
+			return
+		}
+	}
+}
+
+// Min returns the smallest element; ok is false for an empty set.
+func (s *Set) Min() (v int64, ok bool) {
+	s.ForEach(func(x int64) bool { v, ok = x, true; return false })
+	return v, ok
+}
+
+// Max returns the largest element; ok is false for an empty set.
+func (s *Set) Max() (v int64, ok bool) {
+	if s == nil {
+		return 0, false
+	}
+	for i := len(s.keys) - 1; i >= 0; i-- { // a decoded set may carry empty containers
+		c := s.cs[i]
+		if c.bitmap == nil {
+			if len(c.array) > 0 {
+				return s.keys[i]<<16 | int64(c.array[len(c.array)-1]), true
+			}
+			continue
+		}
+		for w := len(c.bitmap) - 1; w >= 0; w-- {
+			if word := c.bitmap[w]; word != 0 {
+				return s.keys[i]<<16 | int64(w<<6|(63-bits.LeadingZeros64(word))), true
+			}
+		}
+	}
+	return 0, false
+}
+
 // AppendTo appends the elements in ascending order to dst and returns it.
 func (s *Set) AppendTo(dst []int64) []int64 {
 	s.ForEach(func(v int64) bool {

@@ -35,6 +35,33 @@ func checkAgainst(t *testing.T, s *Set, n naive, ctx string) {
 			t.Fatalf("%s: element %d = %d, want %d", ctx, i, got[i], want[i])
 		}
 	}
+	var walked []int64
+	s.Containers(func(base int64, lows []uint16, bitmap []uint64) bool {
+		for _, lo := range lows {
+			walked = append(walked, base|int64(lo))
+		}
+		for w, word := range bitmap {
+			for b := 0; b < 64; b++ {
+				if word&(1<<b) != 0 {
+					walked = append(walked, base|int64(w<<6|b))
+				}
+			}
+		}
+		return true
+	})
+	if len(walked) != len(want) {
+		t.Fatalf("%s: the containers hold %d elements, want %d", ctx, len(walked), len(want))
+	}
+	for i := range walked {
+		if walked[i] != want[i] {
+			t.Fatalf("%s: container element %d = %d, want %d", ctx, i, walked[i], want[i])
+		}
+	}
+	lo, okLo := s.Min()
+	hi, okHi := s.Max()
+	if okLo != (len(want) > 0) || okHi != okLo || okLo && (lo != want[0] || hi != want[len(want)-1]) {
+		t.Fatalf("%s: Min %d (%v), Max %d (%v) of %d elements", ctx, lo, okLo, hi, okHi, len(want))
+	}
 	// Spot-check Contains both ways.
 	for i := 0; i < len(want) && i < 64; i++ {
 		if !s.Contains(want[i]) {

@@ -13,17 +13,28 @@ import (
 // Database is a named collection of tables sharing one cost-statistics
 // collector. It plays the role of a PostgreSQL database in OrpheusDB: the
 // versioning middleware stores CVD data tables, versioning tables, metadata
-// tables, and checked-out staging tables in it.
+// tables, and checked-out staging tables in it. A relation kept outside any
+// Table — split-by-rlist's versioning table, whose rlists are the version
+// graph's compressed record sets — is registered as a Relation under its name:
+// it shares the table namespace and StorageBytes counts it, but Table does not
+// return it.
 type Database struct {
-	mu     sync.RWMutex
-	name   string
-	tables map[string]*Table
-	stats  CostStats
+	mu        sync.RWMutex
+	name      string
+	tables    map[string]*Table
+	relations map[string]Relation
+	stats     CostStats
+}
+
+// Relation is a relation a Database accounts for without holding its rows.
+type Relation interface {
+	// StorageBytes returns the bytes the relation would take as a table.
+	StorageBytes() int64
 }
 
 // NewDatabase creates an empty database.
 func NewDatabase(name string) *Database {
-	return &Database{name: name, tables: make(map[string]*Table)}
+	return &Database{name: name, tables: make(map[string]*Table), relations: make(map[string]Relation)}
 }
 
 // Name returns the database name.
@@ -34,7 +45,7 @@ func (d *Database) Name() string { return d.name }
 func (d *Database) CreateTable(name string, schema Schema) (*Table, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, exists := d.tables[name]; exists {
+	if d.hasLocked(name) {
 		return nil, fmt.Errorf("relstore: table %q already exists", name)
 	}
 	t := NewTable(name, schema)
@@ -44,13 +55,23 @@ func (d *Database) CreateTable(name string, schema Schema) (*Table, error) {
 }
 
 // AttachTable registers an existing table under its name, replacing any
-// previous table with that name (used by the migration engine when swapping
-// partitions).
+// previous table or relation with that name (used by the migration engine when
+// swapping partitions).
 func (d *Database) AttachTable(t *Table) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	t.SetStats(&d.stats)
+	delete(d.relations, t.Name)
 	d.tables[t.Name] = t
+}
+
+// AttachRelation registers r under name, replacing any previous table or
+// relation with that name.
+func (d *Database) AttachRelation(name string, r Relation) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	delete(d.tables, name)
+	d.relations[name] = r
 }
 
 // Table returns a table by name.
@@ -70,40 +91,53 @@ func (d *Database) MustTable(name string) *Table {
 	return t
 }
 
-// DropTable removes a table; dropping a missing table is not an error.
+// DropTable removes a table or relation; dropping a missing one is not an
+// error.
 func (d *Database) DropTable(name string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	delete(d.tables, name)
+	delete(d.relations, name)
 }
 
-// HasTable reports whether a table exists.
+// HasTable reports whether a table or relation of that name exists.
 func (d *Database) HasTable(name string) bool {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	_, ok := d.tables[name]
-	return ok
+	return d.hasLocked(name)
 }
 
-// TableNames returns the sorted names of all tables.
+func (d *Database) hasLocked(name string) bool {
+	_, table := d.tables[name]
+	_, relation := d.relations[name]
+	return table || relation
+}
+
+// TableNames returns the sorted names of all tables and relations.
 func (d *Database) TableNames() []string {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	names := make([]string, 0, len(d.tables))
+	names := make([]string, 0, len(d.tables)+len(d.relations))
 	for n := range d.tables {
+		names = append(names, n)
+	}
+	for n := range d.relations {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
 }
 
-// StorageBytes returns the accounted total size of all tables.
+// StorageBytes returns the accounted total size of all tables and relations.
 func (d *Database) StorageBytes() int64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	var n int64
 	for _, t := range d.tables {
 		n += t.StorageBytes()
+	}
+	for _, r := range d.relations {
+		n += r.StorageBytes()
 	}
 	return n
 }

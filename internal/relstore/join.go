@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/parallel"
@@ -56,26 +57,20 @@ func JoinOnRIDs(data *Table, ridColumn string, rids []int64, method JoinMethod) 
 	return data.GatherRows(sel), nil
 }
 
-// JoinTableOnRIDs performs the rid join — rids ascending, none twice — and
-// gathers the matching rows column-wise into a new table named tableName: the
-// zero-materialization checkout path. A data table that keeps record r at row
-// r-1 is not probed at all; otherwise the rids become a compressed set for the
-// join. When the join selects the entire data table the result shares the
+// JoinTableOnRIDs performs the hash join of a version's record set with the
+// data table and gathers the matching rows column-wise into a new table named
+// tableName: the zero-materialization checkout path. A data table that keeps
+// record r at row r-1 is not probed at all; otherwise the set is the probe
+// side. When the join selects the entire data table the result shares the
 // column backing copy-on-write (see Table.GatherInto). workers > 1 chunks the
-// hash-join probe across goroutines.
-func JoinTableOnRIDs(data *Table, ridColumn string, rids []int64, method JoinMethod, workers int, tableName string) (*Table, error) {
-	if ci := data.Schema.ColumnIndex(ridColumn); ci >= 0 && method == HashJoin {
-		if sel, ok := data.positionalRIDs(data.cols[ci], rids); ok {
-			return data.GatherInto(tableName, sel), nil
-		}
-	}
-	set := recset.FromSorted(rids)
+// probe across goroutines.
+func JoinTableOnRIDs(data *Table, ridColumn string, set *recset.Set, workers int, tableName string) (*Table, error) {
 	var sel Selection
 	var err error
-	if method == HashJoin && workers > 1 && data.nrows >= parallelJoinMinRows {
+	if workers > 1 && data.nrows >= parallelJoinMinRows {
 		sel, err = parallelSetSelection(data, ridColumn, set, workers)
 	} else {
-		sel, err = joinSelection(data, ridColumn, ridProbe{set: set}, method)
+		sel, err = joinSelection(data, ridColumn, ridProbe{set: set}, HashJoin)
 	}
 	if err != nil {
 		return nil, err
@@ -203,24 +198,41 @@ func (t *Table) positionalSelection(col *column, set *recset.Set) (sel Selection
 	if set == nil {
 		return nil, false
 	}
-	// A table in another order fails on its first rid: look before expanding.
-	first := int64(-1)
-	set.ForEach(func(rid int64) bool { first = rid; return false })
-	if first > 0 && (first > int64(len(col.ints)) || col.ints[first-1] != first) {
+	// A table in another order fails on its first rid: look before allocating.
+	if first, ok := set.Min(); ok && (first < 1 || first > int64(len(col.ints)) || col.ints[first-1] != first) {
 		return nil, false
 	}
-	return t.positionalRIDs(col, set.Slice())
-}
-
-// positionalRIDs is positionalSelection for rids in a slice, ascending.
-func (t *Table) positionalRIDs(col *column, rids []int64) (Selection, bool) {
-	sel := make(Selection, len(rids))
-	for k, rid := range rids {
-		p := rid - 1
-		if p < 0 || p >= int64(len(col.ints)) || col.ints[p] != rid || ValueType(col.tags[p]) != TypeInt {
-			return nil, false
+	// The containers are walked in place, each rid checked as it is decoded.
+	sel = make(Selection, set.Len())
+	ints, tags := col.ints, col.tags
+	n, ok := 0, true
+	set.Containers(func(base int64, lows []uint16, bitmap []uint64) bool {
+		out, k := sel[n:], 0
+		for _, lo := range lows {
+			rid := base | int64(lo)
+			if rid < 1 || rid > int64(len(ints)) || ints[rid-1] != rid || ValueType(tags[rid-1]) != TypeInt {
+				ok = false
+				return false
+			}
+			out[k] = int32(rid - 1)
+			k++
 		}
-		sel[k] = int32(p)
+		for w, word := range bitmap {
+			for ; word != 0; word &= word - 1 {
+				rid := base | int64(w<<6|bits.TrailingZeros64(word))
+				if rid < 1 || rid > int64(len(ints)) || ints[rid-1] != rid || ValueType(tags[rid-1]) != TypeInt {
+					ok = false
+					return false
+				}
+				out[k] = int32(rid - 1)
+				k++
+			}
+		}
+		n += k
+		return true
+	})
+	if !ok {
+		return nil, false
 	}
 	t.stats.AddSeqReads(int64(t.nrows))
 	t.stats.AddHashProbes(int64(t.nrows))

@@ -2,10 +2,13 @@
 //
 // It is the substrate that the versioning layers (package cvd, partition) are
 // built on, playing the role PostgreSQL plays in the OrpheusDB paper: typed
-// tables, integer-array columns (used for vlist/rlist versioning attributes),
-// primary-key hash indexes, and three join strategies (hash join, merge join,
-// and index nested-loop join) whose relative costs drive the checkout cost
-// model of Chapter 5.
+// tables, integer-array columns (the vlist attribute of split-by-vlist and
+// combined-table), primary-key hash indexes, and three join strategies (hash
+// join, merge join, and index nested-loop join) whose relative costs drive the
+// checkout cost model of Chapter 5. Split-by-rlist keeps its rlists as
+// compressed record sets (package recset) outside any table; the join of a
+// checkout (JoinTableOnRIDs) probes with the set, and the Database accounts for
+// the versioning table they stand for as a Relation.
 //
 // Concurrency: a Database's table registry is guarded by its own mutex, and
 // the CostStats I/O counters are updated atomically, so any number of
