@@ -2,7 +2,7 @@
 // evaluation at laptop scale. Each experiment id corresponds to a table or
 // figure; see BENCH.md at the repository root for the per-experiment index
 // and how to read the rendered tables. Performance numbers come from the
-// reference benchmark (bench/README.md), workload specs from workloadrunner.
+// reference benchmark (bench/README.md) and nowhere else.
 //
 // Usage:
 //

@@ -14,32 +14,36 @@ import (
 // proportions between |V|, |R|, |B| and |I| follow the table; Scale can be
 // raised to approach the paper's sizes.
 
-// Preset returns a named dataset configuration. Known names: SCI_10K,
-// SCI_20K, SCI_50K, SCI_80K, SCI_100K, CUR_10K, CUR_50K, CUR_100K. The scale
-// multiplier scales record counts and inserts (1 = default laptop scale).
+// presets are the named dataset configurations at scale 1, before Preset
+// fills in the attributes, update/delete fractions and seed they share.
+var presets = map[string]Config{
+	// SCI_1K..SCI_8K scale down the SCI_1M..SCI_8M series of Figure 4.1
+	// (data-model comparison); they are small because the
+	// a-table-per-version model materializes every version in full.
+	"SCI_1K": {Kind: SCI, Branches: 10, VersionsPerBranch: 5, TargetRecords: 1_000, InsertsPerVersion: 20},
+	"SCI_2K": {Kind: SCI, Branches: 10, VersionsPerBranch: 5, TargetRecords: 2_000, InsertsPerVersion: 40},
+	"SCI_5K": {Kind: SCI, Branches: 10, VersionsPerBranch: 5, TargetRecords: 5_000, InsertsPerVersion: 100},
+	"SCI_8K": {Kind: SCI, Branches: 10, VersionsPerBranch: 5, TargetRecords: 8_000, InsertsPerVersion: 160},
+	// SCI_1M in the paper: |V|=1K, |R|=944K, |B|=100, |I|=1000.
+	"SCI_10K":  {Kind: SCI, Branches: 20, VersionsPerBranch: 5, TargetRecords: 10_000, InsertsPerVersion: 100},
+	"SCI_20K":  {Kind: SCI, Branches: 20, VersionsPerBranch: 5, TargetRecords: 20_000, InsertsPerVersion: 200},
+	"SCI_50K":  {Kind: SCI, Branches: 20, VersionsPerBranch: 5, TargetRecords: 50_000, InsertsPerVersion: 500},
+	"SCI_80K":  {Kind: SCI, Branches: 20, VersionsPerBranch: 5, TargetRecords: 80_000, InsertsPerVersion: 800},
+	"SCI_100K": {Kind: SCI, Branches: 50, VersionsPerBranch: 10, TargetRecords: 100_000, InsertsPerVersion: 100},
+	"CUR_10K":  {Kind: CUR, Branches: 20, VersionsPerBranch: 5, TargetRecords: 10_000, InsertsPerVersion: 100, MergeEvery: 3},
+	"CUR_50K":  {Kind: CUR, Branches: 20, VersionsPerBranch: 5, TargetRecords: 50_000, InsertsPerVersion: 500, MergeEvery: 3},
+	"CUR_100K": {Kind: CUR, Branches: 50, VersionsPerBranch: 10, TargetRecords: 100_000, InsertsPerVersion: 100, MergeEvery: 4},
+}
+
+// Preset returns a named dataset configuration. Known names: SCI_1K,
+// SCI_2K, SCI_5K, SCI_8K, SCI_10K, SCI_20K, SCI_50K, SCI_80K, SCI_100K,
+// CUR_10K, CUR_50K, CUR_100K. The scale multiplier scales record counts and
+// inserts (1 = default laptop scale).
 func Preset(name string, scale int) (Config, error) {
 	if scale <= 0 {
 		scale = 1
 	}
-	base := map[string]Config{
-		// SCI_1K..SCI_8K scale down the SCI_1M..SCI_8M series of Figure 4.1
-		// (data-model comparison); they are small because the
-		// a-table-per-version model materializes every version in full.
-		"SCI_1K": {Kind: SCI, Branches: 10, VersionsPerBranch: 5, TargetRecords: 1_000, InsertsPerVersion: 20},
-		"SCI_2K": {Kind: SCI, Branches: 10, VersionsPerBranch: 5, TargetRecords: 2_000, InsertsPerVersion: 40},
-		"SCI_5K": {Kind: SCI, Branches: 10, VersionsPerBranch: 5, TargetRecords: 5_000, InsertsPerVersion: 100},
-		"SCI_8K": {Kind: SCI, Branches: 10, VersionsPerBranch: 5, TargetRecords: 8_000, InsertsPerVersion: 160},
-		// SCI_1M in the paper: |V|=1K, |R|=944K, |B|=100, |I|=1000.
-		"SCI_10K":  {Kind: SCI, Branches: 20, VersionsPerBranch: 5, TargetRecords: 10_000, InsertsPerVersion: 100},
-		"SCI_20K":  {Kind: SCI, Branches: 20, VersionsPerBranch: 5, TargetRecords: 20_000, InsertsPerVersion: 200},
-		"SCI_50K":  {Kind: SCI, Branches: 20, VersionsPerBranch: 5, TargetRecords: 50_000, InsertsPerVersion: 500},
-		"SCI_80K":  {Kind: SCI, Branches: 20, VersionsPerBranch: 5, TargetRecords: 80_000, InsertsPerVersion: 800},
-		"SCI_100K": {Kind: SCI, Branches: 50, VersionsPerBranch: 10, TargetRecords: 100_000, InsertsPerVersion: 100},
-		"CUR_10K":  {Kind: CUR, Branches: 20, VersionsPerBranch: 5, TargetRecords: 10_000, InsertsPerVersion: 100, MergeEvery: 3},
-		"CUR_50K":  {Kind: CUR, Branches: 20, VersionsPerBranch: 5, TargetRecords: 50_000, InsertsPerVersion: 500, MergeEvery: 3},
-		"CUR_100K": {Kind: CUR, Branches: 50, VersionsPerBranch: 10, TargetRecords: 100_000, InsertsPerVersion: 100, MergeEvery: 4},
-	}
-	cfg, ok := base[name]
+	cfg, ok := presets[name]
 	if !ok {
 		return Config{}, fmt.Errorf("benchmark: unknown preset %q", name)
 	}
@@ -51,17 +55,6 @@ func Preset(name string, scale int) (Config, error) {
 	cfg.DeleteFraction = 0.02
 	cfg.Seed = 42
 	return cfg, nil
-}
-
-// PresetNames returns the known preset names in a stable order.
-func PresetNames() []string {
-	names := []string{
-		"SCI_1K", "SCI_2K", "SCI_5K", "SCI_8K",
-		"SCI_10K", "SCI_20K", "SCI_50K", "SCI_80K", "SCI_100K",
-		"CUR_10K", "CUR_50K", "CUR_100K",
-	}
-	sort.Strings(names)
-	return names
 }
 
 // LoadCVD commits every version of a workload into a fresh CVD (in

@@ -37,7 +37,7 @@ func smallCUR(t testing.TB) *Workload {
 }
 
 func TestPresetNamesResolve(t *testing.T) {
-	for _, name := range PresetNames() {
+	for name := range presets {
 		cfg, err := Preset(name, 1)
 		if err != nil {
 			t.Errorf("Preset(%s): %v", name, err)

@@ -10,10 +10,12 @@ import (
 )
 
 // This file holds the bit-identity comparators shared by the persistence
-// round-trip property tests (persistence_test.go) and the crash-injection
-// harness (internal/workload): after a snapshot restore or a kill -9
-// recovery, the claim is always the same — every version checks out with the
-// same rows, the same value type tags, and the same payloads as before.
+// round-trip property tests (persistence_test.go), the kill -9 campaign
+// (internal/workload/crash_test.go) and the reference benchmark's
+// crash-image check (bench/):
+// after a snapshot restore or a kill -9 recovery, the claim is always the
+// same — every version checks out with the same rows, the same value type
+// tags, and the same payloads as before.
 
 // CheckoutVersionRows materializes one version of a CVD into cloned rows
 // (the rid column included, exactly as checkout produces it) and drops the

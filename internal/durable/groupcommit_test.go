@@ -103,7 +103,7 @@ func TestAppendTruncateFailurePoisonsStore(t *testing.T) {
 	if err := s.LogDrop("y"); err == nil {
 		t.Fatal("append on a poisoned store succeeded")
 	}
-	if err := s.Checkpoint(&Snapshot{DBName: "db"}); err == nil {
+	if _, err := s.Checkpoint(&Snapshot{DBName: "db"}); err == nil {
 		t.Fatal("checkpoint on a poisoned store succeeded")
 	}
 	s.Close()

@@ -117,7 +117,7 @@ func TestCheckpointGates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	full, err := s.CheckpointSync(snapshotOf(t, db, c))
+	full, err := s.Checkpoint(snapshotOf(t, db, c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestCheckpointGates(t *testing.T) {
 		t.Errorf("first checkpoint wrote only %d of %d chunks", full.ChunksWritten, full.Chunks)
 	}
 	commitSmallVersions(t, c, rng, 20)
-	incr, err := s.CheckpointSync(snapshotOf(t, db, c))
+	incr, err := s.Checkpoint(snapshotOf(t, db, c))
 	if err != nil {
 		t.Fatal(err)
 	}

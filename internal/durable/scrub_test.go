@@ -35,7 +35,7 @@ func buildScrubDir(t *testing.T) string {
 	}
 	rng := rand.New(rand.NewSource(5))
 	snap := &Snapshot{DBName: "db", Tables: []*relstore.Table{randomTable(t, rng, "a", 64)}}
-	if _, err := s.CheckpointSync(snap); err != nil {
+	if _, err := s.Checkpoint(snap); err != nil {
 		t.Fatal(err)
 	}
 	// The snapshot above holds no CVD, so what continues it is an init.
@@ -321,10 +321,10 @@ func TestScrubManifestFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
-	if _, err := s.CheckpointSync(&Snapshot{DBName: "db", Tables: []*relstore.Table{randomTable(t, rng, "a", 64)}}); err != nil {
+	if _, err := s.Checkpoint(&Snapshot{DBName: "db", Tables: []*relstore.Table{randomTable(t, rng, "a", 64)}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.CheckpointSync(&Snapshot{DBName: "db", Tables: []*relstore.Table{randomTable(t, rng, "b", 64)}}); err != nil {
+	if _, err := s.Checkpoint(&Snapshot{DBName: "db", Tables: []*relstore.Table{randomTable(t, rng, "b", 64)}}); err != nil {
 		t.Fatal(err)
 	}
 	epochs := s.RetainedEpochs()

@@ -780,17 +780,7 @@ func (s *Store) CompleteCheckpoint(job *CheckpointJob, snap *Snapshot) (Checkpoi
 // The caller must hold the engine state fixed for the full duration (the
 // non-blocking path is BeginCheckpoint under the fence + CompleteCheckpoint
 // outside it).
-func (s *Store) Checkpoint(snap *Snapshot) error {
-	job, err := s.BeginCheckpoint()
-	if err != nil {
-		return err
-	}
-	_, err = s.CompleteCheckpoint(job, snap)
-	return err
-}
-
-// CheckpointSync is Checkpoint returning the stats.
-func (s *Store) CheckpointSync(snap *Snapshot) (CheckpointStats, error) {
+func (s *Store) Checkpoint(snap *Snapshot) (CheckpointStats, error) {
 	job, err := s.BeginCheckpoint()
 	if err != nil {
 		return CheckpointStats{}, err
@@ -1073,7 +1063,7 @@ func Export(dir string, fsys vfs.FS, snap *Snapshot) error {
 	if err != nil {
 		return err
 	}
-	err = s.Checkpoint(snap)
+	_, err = s.Checkpoint(snap)
 	if cerr := s.Close(); err == nil {
 		err = cerr
 	}

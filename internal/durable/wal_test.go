@@ -235,7 +235,7 @@ func TestStaleWALDiscarded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Checkpoint(&Snapshot{DBName: "db"}); err != nil {
+	if _, err := s.Checkpoint(&Snapshot{DBName: "db"}); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()

@@ -63,6 +63,10 @@ type session struct {
 
 	mu     sync.Mutex
 	tables map[string]staged
+	// closed is set by reclaim: a checkout that finishes afterwards must
+	// discard its table rather than register it with a session nobody can
+	// reach.
+	closed bool
 }
 
 type staged struct {
@@ -123,18 +127,24 @@ func (s *Server) CloseSessions() {
 	}
 }
 
-// reclaim drops a session's remaining staging tables.
+// reclaim marks a session closed and drops its remaining staging tables.
 func (s *Server) reclaim(sess *session) {
 	sess.mu.Lock()
 	tables := sess.tables
 	sess.tables = make(map[string]staged)
+	sess.closed = true
 	sess.mu.Unlock()
 	for _, st := range tables {
-		if c, err := s.engine.CVD(st.cvd); err == nil {
-			c.DiscardCheckout(st.physical)
-		} else {
-			s.engine.Database().DropTable(st.physical)
-		}
+		s.discard(st)
+	}
+}
+
+// discard drops one staging table and its CVD's checkout entry.
+func (s *Server) discard(st staged) {
+	if c, err := s.engine.CVD(st.cvd); err == nil {
+		c.DiscardCheckout(st.physical)
+	} else {
+		s.engine.Database().DropTable(st.physical)
 	}
 }
 
@@ -351,8 +361,17 @@ func (s *Server) handleCheckout(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, err)
 		return
 	}
+	st := staged{cvd: req.CVD, physical: physical}
 	sess.mu.Lock()
-	sess.tables[req.Table] = staged{cvd: req.CVD, physical: physical}
+	if sess.closed {
+		// The session closed while the checkout ran; reclaim has already
+		// swept its tables, so this one is dropped here instead.
+		sess.mu.Unlock()
+		s.discard(st)
+		writeError(w, http.StatusNotFound, fmt.Errorf("session %s closed during checkout", sess.id))
+		return
+	}
+	sess.tables[req.Table] = st
 	sess.mu.Unlock()
 	writeJSON(w, http.StatusOK, checkoutResponse{Table: req.Table, Records: tab.Len()})
 }
@@ -387,10 +406,18 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 	// The staging table is consumed on success AND on the journal-failure
 	// partial-success path (v != 0): either way it no longer exists, so the
 	// session must forget it.
+	sess.mu.Lock()
 	if v != 0 {
-		sess.mu.Lock()
 		delete(sess.tables, req.Table)
-		sess.mu.Unlock()
+	}
+	closed := sess.closed
+	sess.mu.Unlock()
+	if err != nil && v == 0 && closed {
+		// reclaim dropped the staging table while the commit ran. Drop the
+		// checkout entry CommitTable restores on failure with it.
+		s.discard(st)
+		writeError(w, http.StatusNotFound, fmt.Errorf("session %s closed during commit", sess.id))
+		return
 	}
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)

@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -220,9 +223,45 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
+// postJSON is post for goroutines other than the test's: it reports
+// failures as an error instead of failing the test.
+func postJSON(ts *httptest.Server, path string, body, out interface{}) (int, error) {
+	buf, err := json.Marshal(body)
+	if err != nil {
+		return 0, err
+	}
+	resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(buf))
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	if out != nil && resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			return 0, fmt.Errorf("decoding %s response: %w", path, err)
+		}
+	}
+	return resp.StatusCode, nil
+}
+
+var sessionTable = regexp.MustCompile(`^s[0-9]+__`)
+
+// stagedTables lists the engine's session-prefixed staging tables.
+func stagedTables(e *core.Engine) []string {
+	var out []string
+	for _, name := range e.Database().TableNames() {
+		if sessionTable.MatchString(name) {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
 // TestConcurrentCommits: many sessions commit to their own CVDs over HTTP at
-// once — the paths the -race build must prove clean, and on a durable engine
-// the natural group-commit workload.
+// once while every open session is closed every few milliseconds (the
+// daemon's drain path, CloseSessions) — the paths the -race build must prove
+// clean, and on a durable engine the natural group-commit workload. A client
+// whose session was closed gets a 404, opens a new session, and retries the
+// checkout and the commit together.
 func TestConcurrentCommits(t *testing.T) {
 	dir := t.TempDir()
 	e, err := core.OpenDurable("srv", dir, core.GroupCommit(0, time.Millisecond))
@@ -230,11 +269,28 @@ func TestConcurrentCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	ts := httptest.NewServer(New(e, Config{}))
+	srv := New(e, Config{})
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
+
+	stop := make(chan struct{})
+	var drains sync.WaitGroup
+	drains.Add(1)
+	go func() {
+		defer drains.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(10 * time.Millisecond):
+				srv.CloseSessions()
+			}
+		}
+	}()
 
 	const clients = 8
 	var wg sync.WaitGroup
+	var retries atomic.Int64
 	errs := make(chan error, clients)
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
@@ -243,56 +299,49 @@ func TestConcurrentCommits(t *testing.T) {
 			name := fmt.Sprintf("ds%d", i)
 			req := proteinInit
 			req.CVD = name
-			var buf bytes.Buffer
-			if err := json.NewEncoder(&buf).Encode(req); err != nil {
-				errs <- err
-				return
-			}
-			resp, err := http.Post(ts.URL+"/v1/init", "application/json", &buf)
-			if err != nil {
-				errs <- err
-				return
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("init %s: status %d", name, resp.StatusCode)
+			if code, err := postJSON(ts, "/v1/init", req, nil); err != nil || code != http.StatusOK {
+				errs <- fmt.Errorf("init %s: status %d, %v", name, code, err)
 				return
 			}
 			var sr sessionResponse
-			r2, err := http.Post(ts.URL+"/v1/session", "application/json", bytes.NewReader([]byte("{}")))
-			if err != nil {
-				errs <- err
-				return
-			}
-			json.NewDecoder(r2.Body).Decode(&sr)
-			r2.Body.Close()
-			for c := 0; c < 3; c++ {
-				co, _ := json.Marshal(checkoutRequest{Session: sr.Session, CVD: name, Versions: []int64{1}, Table: "wd"})
-				r3, err := http.Post(ts.URL+"/v1/checkout", "application/json", bytes.NewReader(co))
-				if err != nil {
+			for c := 0; c < 3; {
+				if sr.Session == "" {
+					if code, err := postJSON(ts, "/v1/session", struct{}{}, &sr); err != nil || code != http.StatusOK {
+						errs <- fmt.Errorf("session open: status %d, %v", code, err)
+						return
+					}
+				}
+				code, err := postJSON(ts, "/v1/checkout", checkoutRequest{Session: sr.Session, CVD: name, Versions: []int64{1}, Table: "wd"}, nil)
+				if err == nil && code == http.StatusOK {
+					code, err = postJSON(ts, "/v1/commit", commitRequest{Session: sr.Session, CVD: name, Table: "wd", Message: "m", Author: "a"}, nil)
+				}
+				switch {
+				case err != nil:
 					errs <- err
 					return
-				}
-				r3.Body.Close()
-				cm, _ := json.Marshal(commitRequest{Session: sr.Session, CVD: name, Table: "wd", Message: "m", Author: "a"})
-				r4, err := http.Post(ts.URL+"/v1/commit", "application/json", bytes.NewReader(cm))
-				if err != nil {
-					errs <- err
+				case code == http.StatusNotFound:
+					sr.Session = "" // drained: reopen and retry both
+					retries.Add(1)
+				case code != http.StatusOK:
+					errs <- fmt.Errorf("%s round %d: status %d", name, c, code)
 					return
+				default:
+					c++
 				}
-				if r4.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("commit %s round %d: status %d", name, c, r4.StatusCode)
-					r4.Body.Close()
-					return
-				}
-				r4.Body.Close()
 			}
 		}(i)
 	}
 	wg.Wait()
+	close(stop)
+	drains.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	t.Logf("%d checkout+commit pairs retried after a drain", retries.Load())
+	srv.CloseSessions()
+	if left := stagedTables(e); len(left) != 0 {
+		t.Fatalf("staging tables outlived their sessions: %v", left)
 	}
 	// Every dataset has 1 init + 3 commits; reopen proves it all hit the WAL.
 	if err := e.Close(); err != nil {
@@ -312,6 +361,68 @@ func TestConcurrentCommits(t *testing.T) {
 			t.Fatalf("ds%d recovered %d versions, want 4", i, c.NumVersions())
 		}
 	}
+}
+
+// TestCheckoutRacingSessionClose: a checkout still running when its session
+// closes must not register its staging table with the closed session, where
+// nothing would ever drop it. The CVD's exclusive lock parks a two-version
+// checkout inside the engine while the session closes.
+func TestCheckoutRacingSessionClose(t *testing.T) {
+	e := core.Open("t")
+	ts := httptest.NewServer(New(e, Config{}))
+	defer ts.Close()
+	if code := post(t, ts, "/v1/init", proteinInit, nil); code != http.StatusOK {
+		t.Fatalf("init: status %d", code)
+	}
+	sid := openSession(t, ts)
+	if code := post(t, ts, "/v1/checkout", checkoutRequest{Session: sid, CVD: "protein", Versions: []int64{1}, Table: "wd"}, nil); code != http.StatusOK {
+		t.Fatalf("checkout: status %d", code)
+	}
+	if code := post(t, ts, "/v1/commit", commitRequest{Session: sid, CVD: "protein", Table: "wd", Message: "v2", Author: "a"}, nil); code != http.StatusOK {
+		t.Fatalf("commit: status %d", code)
+	}
+	c, err := e.CVD("protein")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		code int
+		err  error
+	}
+	done := make(chan result, 1)
+	_ = c.WithExclusive(func() error {
+		go func() {
+			code, err := postJSON(ts, "/v1/checkout", checkoutRequest{Session: sid, CVD: "protein", Versions: []int64{1, 2}, Table: "wd"}, nil)
+			done <- result{code, err}
+		}()
+		waitForGoroutineIn(t, "cvd.(*CVD).materialize")
+		if code := post(t, ts, "/v1/session/close", sessionResponse{Session: sid}, nil); code != http.StatusOK {
+			t.Errorf("session close: status %d", code)
+		}
+		return nil
+	})
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.code != http.StatusNotFound {
+		t.Errorf("checkout in a session closed under it: status %d, want 404", r.code)
+	}
+	if left := stagedTables(e); len(left) != 0 {
+		t.Fatalf("staging tables outlived their session: %v", left)
+	}
+}
+
+// waitForGoroutineIn blocks until some goroutine's stack holds fn.
+func waitForGoroutineIn(t *testing.T, fn string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if bytes.Contains(buf[:runtime.Stack(buf, true)], []byte(fn)) {
+			return
+		}
+	}
+	t.Fatalf("no goroutine reached %s", fn)
 }
 
 // TestBadRequests: malformed inputs come back as 4xx JSON errors.
