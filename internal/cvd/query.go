@@ -19,7 +19,7 @@ import (
 // predicates (arbitrary Go functions, see RowPredicate) are evaluated row at
 // a time; predicates built by NamedPredicate carry their column comparison
 // in structured form, so the versioned query shortcuts push them down to the
-// vectorized relstore scan (Table.FilterVec) instead of materializing and
+// vectorized relstore scans (see selectLocked) instead of materializing and
 // testing every row.
 type Predicate interface {
 	// Match reports whether the row satisfies the predicate.
@@ -53,7 +53,7 @@ func (p *columnPredicate) Match(r relstore.Row) bool {
 
 // multiColumnPredicate is the conjunction of compiled column comparisons;
 // its pushdown form is the chained selection refinement of
-// relstore.Table.FilterVecAll.
+// relstore.Table.FilterVecSet.
 type multiColumnPredicate struct {
 	preds []*columnPredicate
 }
@@ -96,8 +96,8 @@ type ColumnComparison struct {
 
 // NamedPredicateAll builds the conjunction of column comparisons, each
 // compiled once like NamedPredicate. When pushed down, the comparisons
-// evaluate as a chained selection refinement: the first scans its whole
-// column vector, each subsequent one touches only the surviving rows.
+// evaluate as a chained selection refinement: the first reads the selected
+// versions' rows of its column, each subsequent one only the surviving rows.
 func (c *CVD) NamedPredicateAll(comparisons []ColumnComparison) (Predicate, error) {
 	if len(comparisons) == 0 {
 		return nil, fmt.Errorf("cvd: %s: NamedPredicateAll requires at least one comparison", c.name)
@@ -121,14 +121,14 @@ func (c *CVD) NamedPredicateAll(comparisons []ColumnComparison) (Predicate, erro
 	return &multiColumnPredicate{preds: preds}, nil
 }
 
-// pushdownSetLocked evaluates a (multi-)column predicate vectorized over the
-// record catalog's column lanes, returning the compressed set of rids whose
-// record content satisfies it. It returns ok=false when the predicate is
-// opaque (the caller then falls back to row-at-a-time evaluation). Callers
-// hold c.mu.
-func (c *CVD) pushdownSetLocked(pred Predicate) (*recset.Set, bool) {
+// comparisonsLocked returns pred as the column comparisons the catalog's lanes
+// evaluate: none for a nil predicate, ok=false for an opaque one. Callers hold
+// c.mu.
+func (c *CVD) comparisonsLocked(pred Predicate) (preds []relstore.ColPred, ok bool) {
 	var cps []*columnPredicate
 	switch p := pred.(type) {
+	case nil:
+		return nil, true
 	case *columnPredicate:
 		cps = []*columnPredicate{p}
 	case *multiColumnPredicate:
@@ -136,7 +136,7 @@ func (c *CVD) pushdownSetLocked(pred Predicate) (*recset.Set, bool) {
 	default:
 		return nil, false
 	}
-	preds := make([]relstore.ColPred, 0, len(cps))
+	preds = make([]relstore.ColPred, 0, len(cps))
 	for _, cp := range cps {
 		// Resolve the column against the catalog (rid first, then the data
 		// attributes): the registered position may predate schema evolution.
@@ -145,15 +145,60 @@ func (c *CVD) pushdownSetLocked(pred Predicate) (*recset.Set, bool) {
 		}
 		preds = append(preds, relstore.ColPred{Col: cp.column, Op: cp.op, Value: cp.value})
 	}
-	sel, err := c.catalog.FilterVecAll(preds)
-	if err != nil {
-		return nil, false
+	return preds, true
+}
+
+// selectLocked is the plan ScanVersions and AggregateByVersion share. It
+// returns the listed versions' records that satisfy pred — their catalog
+// positions (record r is row r-1) and their rows — version after version and
+// ascending within one, at most limit of them when limit > 0; version i's
+// records end at ends[i]. Each version's record set is walked straight into
+// selections. A predicate of column comparisons refines them on the catalog's
+// lanes, so the select costs its versions, not the catalog, and stops at the
+// limit; the answer's rows are then materialized once, column-wise, as slices
+// of one block of cells. An opaque predicate is evaluated row at a time on
+// rows boxed one by one, and the rows it accepts are the answer's. Callers
+// hold c.mu.
+func (c *CVD) selectLocked(versions []vgraph.VersionID, pred Predicate, limit int) (sel relstore.Selection, rows []relstore.Row, ends []int, err error) {
+	var total int64
+	for _, v := range versions {
+		if c.graph.Node(v) == nil {
+			return nil, nil, nil, fmt.Errorf("cvd: %s: unknown version %d", c.name, v)
+		}
+		total += c.bip.RecordSet(v).Len()
 	}
-	rids, err := c.catalog.GatherInts(ridColumn, sel)
-	if err != nil {
-		return nil, false
+	if limit > 0 {
+		sel = make(relstore.Selection, 0, min(int64(limit), total))
 	}
-	return recset.FromSlice(rids), true
+	preds, pushed := c.comparisonsLocked(pred)
+	ends = make([]int, len(versions))
+	for i, v := range versions {
+		set := c.bip.RecordSet(v)
+		switch {
+		case limit > 0 && len(sel) >= limit:
+		case !pushed:
+			set.ForEach(func(rid int64) bool {
+				if row, ok := c.record(vgraph.RecordID(rid)); ok && pred.Match(row) {
+					sel, rows = append(sel, int32(rid-1)), append(rows, row)
+				}
+				return limit <= 0 || len(sel) < limit
+			})
+		default:
+			if sel, err = c.catalog.FilterVecSet(sel, set, preds, limit); err != nil {
+				return nil, nil, nil, err
+			}
+		}
+		ends[i] = len(sel)
+	}
+	if pushed {
+		block, width := c.catalog.RowBlock(sel, 1)
+		rows = make([]relstore.Row, len(sel))
+		for k := range rows {
+			// Capped, so that appending to a row cannot write into the next.
+			rows[k] = block[k*width : (k+1)*width : (k+1)*width]
+		}
+	}
+	return sel, rows, ends, nil
 }
 
 // VersionedRow pairs a record with the version it was selected from.
@@ -169,44 +214,17 @@ type VersionedRow struct {
 func (c *CVD) ScanVersions(versions []vgraph.VersionID, pred Predicate, limit int) ([]VersionedRow, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	// Vectorized pushdown: a column predicate is evaluated once over the
-	// shared data table's column vectors, and each version's scan reduces to
-	// a compressed-set intersection — rows are materialized only for the
-	// records that both belong to the version and match.
-	var match *recset.Set
-	if set, ok := c.pushdownSetLocked(pred); ok {
-		match = set
-		pred = nil
+	sel, rows, ends, err := c.selectLocked(versions, pred, limit)
+	if err != nil {
+		return nil, err
 	}
-	var out []VersionedRow
-	for _, v := range versions {
-		if c.graph.Node(v) == nil {
-			return nil, fmt.Errorf("cvd: %s: unknown version %d", c.name, v)
+	out := make([]VersionedRow, len(sel))
+	i := 0
+	for k, pos := range sel {
+		for k == ends[i] {
+			i++
 		}
-		rset := c.bip.RecordSet(v)
-		if match != nil {
-			rset = recset.And(rset, match)
-		}
-		done := false
-		rset.ForEach(func(x int64) bool {
-			rid := vgraph.RecordID(x)
-			row, ok := c.record(rid)
-			if !ok {
-				return true
-			}
-			if pred != nil && !pred.Match(row) {
-				return true
-			}
-			out = append(out, VersionedRow{Version: v, RID: rid, Row: row})
-			if limit > 0 && len(out) >= limit {
-				done = true
-				return false
-			}
-			return true
-		})
-		if done {
-			return out, nil
-		}
+		out[k] = VersionedRow{Version: versions[i], RID: vgraph.RecordID(pos) + 1, Row: rows[k]}
 	}
 	return out, nil
 }
@@ -282,31 +300,15 @@ func (c *CVD) AggregateByVersion(versions []vgraph.VersionID, pred Predicate, ag
 	if versions == nil {
 		versions = c.graph.Versions()
 	}
-	// Same pushdown as ScanVersions: evaluate a column predicate once over
-	// the data table's column vectors, then intersect per version.
-	var match *recset.Set
-	if set, ok := c.pushdownSetLocked(pred); ok {
-		match = set
-		pred = nil
+	_, rows, ends, err := c.selectLocked(versions, pred, 0)
+	if err != nil {
+		return nil, err
 	}
 	out := make(map[vgraph.VersionID]relstore.Value, len(versions))
-	for _, v := range versions {
-		if c.graph.Node(v) == nil {
-			return nil, fmt.Errorf("cvd: %s: unknown version %d", c.name, v)
-		}
-		rset := c.bip.RecordSet(v)
-		if match != nil {
-			rset = recset.And(rset, match)
-		}
-		var rows []relstore.Row
-		rset.ForEach(func(x int64) bool {
-			row, ok := c.record(vgraph.RecordID(x))
-			if ok && (pred == nil || pred.Match(row)) {
-				rows = append(rows, row)
-			}
-			return true
-		})
-		out[v] = agg(rows)
+	start := 0
+	for i, v := range versions {
+		out[v] = agg(rows[start:ends[i]:ends[i]])
+		start = ends[i]
 	}
 	return out, nil
 }

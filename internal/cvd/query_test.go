@@ -1,7 +1,14 @@
 package cvd
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"strconv"
 	"testing"
+	"unsafe"
 
 	"repro/internal/relstore"
 	"repro/internal/vgraph"
@@ -399,4 +406,406 @@ func TestAttributeRegistry(t *testing.T) {
 	if len(r.All()) != 2 {
 		t.Errorf("All() = %v, want 2 attributes", r.All())
 	}
+}
+
+// sameAnswer compares two select answers (Version, RID, Row) by (Version,
+// RID, Row), cells by typed identity.
+func sameAnswer(got, want []VersionedRow) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d rows, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Version != want[i].Version || got[i].RID != want[i].RID {
+			return fmt.Errorf("row %d is (v%d, r%d), want (v%d, r%d)", i, got[i].Version, got[i].RID, want[i].Version, want[i].RID)
+		}
+		if err := sameRows([]relstore.Row{got[i].Row}, []relstore.Row{want[i].Row}); err != nil {
+			return fmt.Errorf("row %d (v%d, r%d): %v", i, got[i].Version, got[i].RID, err)
+		}
+	}
+	return nil
+}
+
+// planHistory draws a keyed CVD for the plan tests: its integer column holds
+// NULLs, stray strings, stray floats and values around 2^53; later versions,
+// each derived from a random parent by dropping, updating and adding rows, now
+// and then add a column that older records read NULL in.
+func planHistory(t testing.TB, ch *chooser) *CVD {
+	t.Helper()
+	key := int64(0)
+	cell := func(typ relstore.ValueType) relstore.Value {
+		switch n := ch.intn(16); {
+		case n == 0:
+			return relstore.Null()
+		case n == 1 && typ == relstore.TypeInt:
+			return relstore.Str("x" + strconv.Itoa(ch.intn(3)))
+		case n == 2 && typ == relstore.TypeInt:
+			return relstore.Float(float64(ch.intn(20)) - 4.5)
+		case n == 3 && typ == relstore.TypeInt:
+			return relstore.Int(1<<53 + int64(ch.intn(3)) - 1)
+		}
+		switch typ {
+		case relstore.TypeInt:
+			return relstore.Int(int64(ch.intn(20) - 5))
+		case relstore.TypeFloat:
+			return relstore.Float(float64(ch.intn(40))/2 - 5)
+		default:
+			return relstore.Str("s" + strconv.Itoa(ch.intn(10)))
+		}
+	}
+	newRow := func(s relstore.Schema) relstore.Row {
+		key++
+		r := relstore.Row{relstore.Int(key)}
+		for _, col := range s.Columns[1:] {
+			r = append(r, cell(col.Type))
+		}
+		return r
+	}
+	schema := relstore.MustSchema([]relstore.Column{
+		{Name: "k", Type: relstore.TypeInt},
+		{Name: "a", Type: relstore.TypeInt},
+		{Name: "b", Type: relstore.TypeFloat},
+		{Name: "s", Type: relstore.TypeString},
+	}, "k")
+	rows := make([]relstore.Row, 5+ch.intn(30))
+	for i := range rows {
+		rows[i] = newRow(schema)
+	}
+	c, err := Init(relstore.NewDatabase("plans"), "d", schema, rows, Options{Clock: fixedClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1 + ch.intn(6); i > 0; i-- {
+		all := c.Versions()
+		parent := all[ch.intn(len(all))]
+		s := c.Schema()
+		if ch.intn(3) == 0 {
+			s = relstore.MustSchema(append(slices.Clone(s.Columns), relstore.Column{Name: fmt.Sprintf("e%d", len(s.Columns)), Type: diffTypes[ch.intn(len(diffTypes))]}), "k")
+		}
+		tab, err := c.Checkout([]vgraph.VersionID{parent}, "parent")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var next []relstore.Row
+		for _, r := range tab.Rows() {
+			r = r[1:]
+			for len(r) < len(s.Columns) {
+				r = append(r, relstore.Null())
+			}
+			switch ch.intn(4) {
+			case 0: // dropped
+			case 1:
+				r = r.Clone()
+				j := 1 + ch.intn(len(r)-1)
+				r[j] = cell(s.Columns[j].Type)
+				next = append(next, r)
+			default:
+				next = append(next, r)
+			}
+		}
+		c.DiscardCheckout("parent")
+		for j := ch.intn(12); j >= 0; j-- {
+			next = append(next, newRow(s))
+		}
+		if _, err := c.Commit([]vgraph.VersionID{parent}, next, s, "derive", "plans"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// planQuery draws a conjunction of one to three comparisons — any column, any
+// operator, an Int, Float, Str or Null literal — in its compiled form and as
+// the equivalent opaque row predicate.
+func planQuery(t testing.TB, ch *chooser, c *CVD) (named, opaque Predicate, desc string) {
+	t.Helper()
+	schema := c.Schema()
+	comparisons := make([]ColumnComparison, 1+ch.intn(3))
+	for k := range comparisons {
+		var lit relstore.Value
+		switch ch.intn(6) {
+		case 0:
+			lit = relstore.Null()
+		case 1:
+			lit = relstore.Str([]string{"s3", "x1", "4", ""}[ch.intn(4)])
+		case 2:
+			lit = relstore.Float(float64(ch.intn(40))/2 - 5)
+		case 3:
+			lit = relstore.Int(1<<53 + int64(ch.intn(3)) - 1)
+		default:
+			lit = relstore.Int(int64(ch.intn(20) - 5))
+		}
+		comparisons[k] = ColumnComparison{
+			Column: schema.Columns[ch.intn(len(schema.Columns))].Name,
+			Op:     []string{"=", "!=", "<", "<=", ">", ">="}[ch.intn(6)],
+			Value:  lit,
+		}
+	}
+	named, err := c.NamedPredicateAll(comparisons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, ops := make([]int, len(comparisons)), make([]relstore.CmpOp, len(comparisons))
+	for k, cmp := range comparisons {
+		idx[k] = schema.ColumnIndex(cmp.Column)
+		ops[k], _ = relstore.ParseCmpOp(cmp.Op)
+	}
+	opaque = RowPredicate(func(r relstore.Row) bool {
+		for k, cmp := range comparisons {
+			if idx[k] >= len(r) || !ops[k].Eval(r[idx[k]].Compare(cmp.Value)) {
+				return false
+			}
+		}
+		return true
+	})
+	return named, opaque, fmt.Sprint(comparisons)
+}
+
+// checkPlans runs queries against one history: the pushed-down comparisons and
+// the opaque fallback return the same (Version, RID, Row) sequence for one to
+// all versions, with no limit and limits that land on a version boundary,
+// inside a version and past the answer; the per-version counts agree too.
+func checkPlans(t *testing.T, ch *chooser, c *CVD, queries int) {
+	t.Helper()
+	for q := 0; q < queries; q++ {
+		named, opaque, desc := planQuery(t, ch, c)
+		versions := c.Versions()
+		if ch.intn(4) != 0 {
+			rand.New(rand.NewSource(int64(ch.intn(1000)))).Shuffle(len(versions), func(i, j int) { versions[i], versions[j] = versions[j], versions[i] })
+			versions = versions[:1+ch.intn(len(versions))]
+		}
+		full, err := c.ScanVersions(versions, opaque, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		limits := []int{0, 1, len(full), len(full) + 3, 1 + ch.intn(len(full)+1)}
+		for i := 1; i < len(full); i++ {
+			if full[i].Version != full[i-1].Version {
+				limits = append(limits, i, i+1) // on the boundary, and one row into the next version
+				break
+			}
+		}
+		counts := make(map[vgraph.VersionID]int64, len(versions))
+		for _, r := range full {
+			counts[r.Version]++
+		}
+		for _, limit := range limits {
+			want, err := c.ScanVersions(versions, opaque, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := min(limit, len(full)); limit > 0 && sameAnswer(want, full[:n]) != nil {
+				t.Fatalf("%s over %v: the fallback's LIMIT %d is not the first %d rows of its answer", desc, versions, limit, n)
+			}
+			got, err := c.ScanVersions(versions, named, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameAnswer(got, want); err != nil {
+				t.Fatalf("%s over versions %v LIMIT %d: %v", desc, versions, limit, err)
+			}
+		}
+		agg, err := c.AggregateByVersion(versions, named, CountAgg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range versions {
+			if agg[v].AsInt() != counts[v] {
+				t.Fatalf("%s: count(v%d) = %d, want %d", desc, v, agg[v].AsInt(), counts[v])
+			}
+		}
+	}
+}
+
+// TestScanVersionsPlans is the select plan's differential test over seeded
+// random histories: the pushed-down comparisons and the row-at-a-time
+// fallback agree on every answer.
+func TestScanVersionsPlans(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		ch := &chooser{rng: rand.New(rand.NewSource(seed))}
+		checkPlans(t, ch, planHistory(t, ch), 12)
+	}
+}
+
+// FuzzScanVersionsPlans lets the fuzzer script the history and the queries of
+// TestScanVersionsPlans.
+func FuzzScanVersionsPlans(f *testing.F) {
+	f.Add(int64(1), []byte{})
+	f.Add(int64(2), []byte{5, 3, 0, 1, 2, 3, 4, 5, 15, 14, 13, 1, 2, 0})
+	f.Add(int64(3), []byte{29, 5, 2, 3, 3, 3, 1, 1, 1, 2, 2, 2, 0, 0, 0, 9})
+	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
+		ch := &chooser{script: script, rng: rand.New(rand.NewSource(seed))}
+		checkPlans(t, ch, planHistory(t, ch), 4)
+	})
+}
+
+// TestScanVersionsExactAbove2To53: a pushed-down integer comparison tells
+// apart integers above 2^53 that share a float64, as the row-at-a-time
+// fallback does.
+func TestScanVersionsExactAbove2To53(t *testing.T) {
+	schema := relstore.MustSchema([]relstore.Column{{Name: "k", Type: relstore.TypeInt}, {Name: "a", Type: relstore.TypeInt}}, "k")
+	vals := []int64{math.MinInt64, 1<<53 - 1, 1 << 53, 1<<53 + 1, math.MaxInt64}
+	rows := make([]relstore.Row, len(vals))
+	for i, x := range vals {
+		rows[i] = relstore.Row{relstore.Int(int64(i)), relstore.Int(x)}
+	}
+	c, err := Init(relstore.NewDatabase("big"), "d", schema, rows, Options{Clock: fixedClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		op   string
+		lit  int64
+		want []vgraph.RecordID
+	}{
+		{"=", 1 << 53, []vgraph.RecordID{3}},
+		{">", 1 << 53, []vgraph.RecordID{4, 5}},
+		{"<=", 1<<53 - 1, []vgraph.RecordID{1, 2}},
+		{"!=", math.MaxInt64, []vgraph.RecordID{1, 2, 3, 4}},
+		{">=", math.MinInt64, []vgraph.RecordID{1, 2, 3, 4, 5}},
+	} {
+		named, err := c.NamedPredicate("a", tc.op, relstore.Int(tc.lit))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.ScanVersions([]vgraph.VersionID{1}, named, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rids []vgraph.RecordID
+		for _, r := range got {
+			rids = append(rids, r.RID)
+		}
+		if !slices.Equal(rids, tc.want) {
+			t.Errorf("a %s %d: records %v, want %v", tc.op, tc.lit, rids, tc.want)
+		}
+		cmp, _ := relstore.ParseCmpOp(tc.op)
+		lit := relstore.Int(tc.lit)
+		slow, err := c.ScanVersions([]vgraph.VersionID{1}, RowPredicate(func(r relstore.Row) bool { return cmp.Eval(r[1].Compare(lit)) }), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(slow) != len(tc.want) {
+			t.Errorf("a %s %d: the fallback selects %d records, want %d", tc.op, tc.lit, len(slow), len(tc.want))
+		}
+	}
+}
+
+// TestSelectCostsTheVersion is the select's wall-clock-free gate. On a CVD whose
+// catalog holds four times the records of the version selected from, a select
+// with a LIMIT reads no more rows than the version holds, makes the same few
+// allocations whatever it returns, and allocates for a 1 000-row answer within
+// 10 % of the answer's own cells.
+func TestSelectCostsTheVersion(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory is not the program's")
+	}
+	const width, versionRecords, catalogRecords, limit = 20, 4_000, 16_000, 1_000
+	cols := []relstore.Column{{Name: "key", Type: relstore.TypeInt}}
+	for i := 1; i < width; i++ {
+		cols = append(cols, relstore.Column{Name: fmt.Sprintf("a%02d", i), Type: relstore.TypeInt})
+	}
+	schema := relstore.MustSchema(cols, "key")
+	rng := rand.New(rand.NewSource(3))
+	rows := make([]relstore.Row, catalogRecords)
+	for k := range rows {
+		rows[k] = relstore.Row{relstore.Int(int64(k))}
+		for i := 1; i < width; i++ {
+			rows[k] = append(rows[k], relstore.Int(rng.Int63n(1_000)))
+		}
+	}
+	db := relstore.NewDatabase("gate")
+	c, err := Init(db, "d", schema, rows[:versionRecords], Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Commit([]vgraph.VersionID{1}, rows[versionRecords:], schema, "the rest", "t"); err != nil {
+		t.Fatal(err)
+	}
+	pred, err := c.NamedPredicate("a01", ">=", relstore.Int(500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := []vgraph.VersionID{1}
+	before := db.Stats()
+	got, err := c.ScanVersions(v, pred, limit)
+	if err != nil || len(got) != limit {
+		t.Fatalf("select: %d rows, %v", len(got), err)
+	}
+	reads := before.Diff(db.Stats()).TotalReads()
+	t.Logf("a select from a %d-record version of a %d-record catalog reads %d rows", versionRecords, catalogRecords, reads)
+	if reads > versionRecords {
+		t.Errorf("a select from a %d-record version of a %d-record catalog read %d rows", versionRecords, catalogRecords, reads)
+	}
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if rows, err := c.ScanVersions(v, pred, n); err != nil || len(rows) != n {
+				t.Fatalf("select: %d rows, %v", len(rows), err)
+			}
+		})
+	}
+	few, many := allocs(10), allocs(limit)
+	t.Logf("a select allocates %.0f times for 10 rows and %.0f for %d", few, many, limit)
+	if many > 8 || few != many {
+		t.Errorf("a select allocates %.0f times for 10 rows and %.0f for %d, want the same, at most 8", few, many, limit)
+	}
+	const runs = 20
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		if _, err := c.ScanVersions(v, pred, limit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	per := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	cells := float64(limit * (width) * int(unsafe.Sizeof(relstore.Value{})))
+	t.Logf("a %d-row select allocates %.0f B (%.3f of its cells' %.0f B)", limit, per, per/cells, cells)
+	if per > 1.1*cells {
+		t.Errorf("a %d-row select allocates %.0f B, want <= %.0f", limit, per, 1.1*cells)
+	}
+}
+
+// BenchmarkSelectOpaque measures the row-at-a-time fallback of ScanVersions
+// and AggregateByVersion: an opaque predicate that half the rows of a
+// 10-column, 20 000-record CVD satisfy, over one version (scan) and over both
+// of its versions (aggregate).
+func BenchmarkSelectOpaque(b *testing.B) {
+	const width, records = 10, 20_000
+	cols := []relstore.Column{{Name: "key", Type: relstore.TypeInt}}
+	for i := 1; i < width; i++ {
+		cols = append(cols, relstore.Column{Name: fmt.Sprintf("a%02d", i), Type: relstore.TypeInt})
+	}
+	schema := relstore.MustSchema(cols, "key")
+	rng := rand.New(rand.NewSource(3))
+	rows := make([]relstore.Row, records)
+	for k := range rows {
+		rows[k] = relstore.Row{relstore.Int(int64(k))}
+		for i := 1; i < width; i++ {
+			rows[k] = append(rows[k], relstore.Int(rng.Int63n(1_000)))
+		}
+	}
+	c, err := Init(relstore.NewDatabase("opaque"), "d", schema, rows[:records/2], Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := c.Commit([]vgraph.VersionID{1}, rows, schema, "the rest", "b"); err != nil {
+		b.Fatal(err)
+	}
+	pred := RowPredicate(func(r relstore.Row) bool { return r[1].AsInt() >= 500 })
+	b.Run("scan", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.ScanVersions([]vgraph.VersionID{2}, pred, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("aggregate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.AggregateByVersion(nil, pred, CountAgg()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -111,6 +112,18 @@ func (o CmpOp) Eval(cmp int) bool {
 	default:
 		return false
 	}
+}
+
+// keep returns Eval as a mask: bit k+1 is set when the operator accepts the
+// three-way result k.
+func (o CmpOp) keep() uint8 {
+	var mask uint8
+	for k := -1; k <= 1; k++ {
+		if o.Eval(k) {
+			mask |= 1 << (k + 1)
+		}
+	}
+	return mask
 }
 
 // ColPred is one column comparison of a compiled multi-predicate filter
@@ -577,10 +590,11 @@ func (c *column) storageBytes() int64 {
 }
 
 // compare three-way compares cell i against v with exactly Value.Compare's
-// rules (NULL sorts first, numeric types compare as floats, integer arrays
-// lexicographically, everything else on the string rendering). vf and vs are
-// the precomputed float and string renderings of v, so the homogeneous fast
-// paths never rematerialize them per cell.
+// rules (NULL sorts first, integers and booleans compare exactly, a float
+// against another numeric type as floats, integer arrays lexicographically,
+// everything else on the string rendering). vf and vs are the precomputed float
+// and string renderings of v, so the generic scan never rematerializes them per
+// cell.
 func (c *column) compare(i int, v Value, vf float64, vs string) int {
 	tag := ValueType(c.tags[i])
 	if tag == TypeNull || v.Type == TypeNull {
@@ -594,6 +608,9 @@ func (c *column) compare(i int, v Value, vf float64, vs string) int {
 		}
 	}
 	if isNumeric(tag) && isNumeric(v.Type) {
+		if tag != TypeFloat && v.Type != TypeFloat {
+			return cmp.Compare(c.ints[i], v.AsInt())
+		}
 		var a float64
 		switch tag {
 		case TypeInt, TypeBool:
@@ -620,8 +637,18 @@ func (c *column) compare(i int, v Value, vf float64, vs string) int {
 }
 
 // filter evaluates `cell op v` over the whole column (sel == nil) or over an
-// existing selection, returning the surviving positions.
+// existing selection, which it refines in place, returning the surviving
+// positions. A numeric literal runs the typed kernel over the lane it compares
+// against directly; anything else compares cell by cell.
 func (c *column) filter(op CmpOp, v Value, sel Selection) Selection {
+	switch {
+	case (v.Type == TypeInt || v.Type == TypeBool) && c.ints != nil:
+		return filterLane(c, c.ints, TypeInt, v.AsInt(), op, v, sel)
+	case isNumeric(v.Type) && c.floats != nil:
+		// A float literal, or an integer one against a column holding no
+		// integers: either way the comparison is on floats.
+		return filterLane(c, c.floats, TypeFloat, v.AsFloat(), op, v, sel)
+	}
 	vf, vs := v.AsFloat(), v.AsString()
 	if sel == nil {
 		out := make(Selection, 0, len(c.tags)/4+1)
@@ -639,6 +666,64 @@ func (c *column) filter(op CmpOp, v Value, sel Selection) Selection {
 		}
 	}
 	return out
+}
+
+// filterLane is filter's typed kernel: cells tagged typ compare their lane
+// value straight against b, which is v on that lane; every other cell — NULL,
+// a stray string, the other numeric type — goes through compare, so the
+// result is Value.Compare's. keep has bit k+1 set for each three-way result k
+// the operator accepts.
+func filterLane[T int64 | float64](c *column, lane []T, typ ValueType, b T, op CmpOp, v Value, sel Selection) Selection {
+	keep := op.keep()
+	tags, want := c.tags, uint8(typ)
+	lane = lane[:len(tags)]
+	vf, vs, rendered := v.AsFloat(), "", false
+	other := func(i int) bool {
+		if !rendered {
+			vs, rendered = v.AsString(), true
+		}
+		return keep&(1<<(c.compare(i, v, vf, vs)+1)) != 0
+	}
+	if sel == nil {
+		out := make(Selection, 0, len(tags)/4+1)
+		for i, tag := range tags {
+			if tag != want {
+				if other(i) {
+					out = append(out, int32(i))
+				}
+			} else if keep&rank(lane[i], b) != 0 {
+				out = append(out, int32(i))
+			}
+		}
+		return out
+	}
+	// Compact in place: every position is written back at or before its own
+	// slot, and kept by advancing n.
+	n := 0
+	for _, i := range sel {
+		sel[n] = i
+		if tags[i] != want {
+			if other(int(i)) {
+				n++
+			}
+		} else if keep&rank(lane[i], b) != 0 {
+			n++
+		}
+	}
+	return sel[:n]
+}
+
+// rank is the three-way comparison of a and b as the bit filterLane's keep
+// mask tests: 1 below, 2 equal, 4 above. Floats that are neither below nor
+// above — NaN on either side — rank equal, as Value.Compare has them.
+func rank[T int64 | float64](a, b T) uint8 {
+	if a < b {
+		return 1
+	}
+	if a > b {
+		return 4
+	}
+	return 2
 }
 
 // sortSelection orders positions by the given key columns ascending (stable),

@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -322,5 +323,185 @@ func TestAppendFromMaintainsIndex(t *testing.T) {
 	}
 	if dst.Len() != 3 {
 		t.Fatalf("Len after rejected batches = %d, want 3", dst.Len())
+	}
+}
+
+// TestFilterVecExactAbove2To53: integer cells compare with an integer literal
+// as int64, so neighbours above 2^53 that share a float64 are told apart, and
+// the extremes of int64 order correctly — over the whole column, over a
+// selection, and in SortBy. An integer against a float still compares as
+// floats.
+func TestFilterVecExactAbove2To53(t *testing.T) {
+	vals := []int64{math.MinInt64, math.MinInt64 + 1, -1 << 53, 0, 1<<53 - 1, 1 << 53, 1<<53 + 1, 1<<53 + 2, math.MaxInt64 - 1, math.MaxInt64}
+	tbl := NewTable("big", MustSchema([]Column{{Name: "k", Type: TypeInt}}))
+	for i := len(vals) - 1; i >= 0; i-- {
+		tbl.MustInsert(Row{Int(vals[i])})
+	}
+	tbl.MustInsert(Row{Null()})
+	tbl.MustInsert(Row{Float(1 << 53)})
+	exact := func(cell Value, lit int64) (int, bool) {
+		if cell.Type != TypeInt {
+			return 0, false
+		}
+		switch {
+		case cell.I < lit:
+			return -1, true
+		case cell.I > lit:
+			return 1, true
+		}
+		return 0, true
+	}
+	for _, lit := range vals {
+		for _, op := range propOps {
+			sel, err := tbl.FilterVec("k", op, Int(lit))
+			if err != nil {
+				t.Fatal(err)
+			}
+			all := make(Selection, tbl.Len())
+			for i := range all {
+				all[i] = int32(i)
+			}
+			refined, err := tbl.FilterVecAll([]ColPred{{Col: "k", Op: CmpGE, Value: Null()}, {Col: "k", Op: op, Value: Int(lit)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want Selection
+			for i := 0; i < tbl.Len(); i++ {
+				cell := tbl.At(i, 0)
+				if c, ok := exact(cell, lit); ok && op.Eval(c) || !ok && op.Eval(cell.Compare(Int(lit))) {
+					want = append(want, int32(i))
+				}
+			}
+			if fmt.Sprint(sel) != fmt.Sprint(want) || fmt.Sprint(refined) != fmt.Sprint(want) {
+				t.Fatalf("k %s %d: FilterVec %v, over a selection %v, want %v", op, lit, sel, refined, want)
+			}
+		}
+	}
+	if sel, _ := tbl.FilterVec("k", CmpEQ, Int(1<<53)); len(sel) != 2 { // the integer and the float
+		t.Errorf("k = 2^53 selects rows %v, want the integer 2^53 and the float 2^53", sel)
+	}
+	if sel, _ := tbl.FilterVec("k", CmpEQ, Float(1<<53)); len(sel) != 3 { // 2^53+1 rounds to 2^53
+		t.Errorf("k = 2^53 (float) selects rows %v, want the integers 2^53 and 2^53+1 and the float", sel)
+	}
+	if err := tbl.SortBy(ClusterNone, "k"); err != nil {
+		t.Fatal(err)
+	}
+	var got []int64
+	for i := 0; i < tbl.Len(); i++ {
+		if v := tbl.At(i, 0); v.Type == TypeInt {
+			got = append(got, v.I)
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(vals) {
+		t.Errorf("SortBy ordered %v, want %v", got, vals)
+	}
+}
+
+// randomCatalog is randomSchemaTable, of at least minRows rows, behind a
+// leading rid column: row r-1 holds rid r, as in a record catalog.
+func randomCatalog(rng *rand.Rand, minRows int) *Table {
+	src := randomSchemaTable(rng)
+	tbl := NewTable("catalog", MustSchema(append([]Column{{Name: "rid", Type: TypeInt}}, src.Schema.Columns...)))
+	add := func(r Row) { tbl.MustInsert(append(Row{Int(int64(tbl.Len()) + 1)}, r...)) }
+	for _, r := range src.Rows() {
+		add(r)
+	}
+	for tbl.Len() < minRows {
+		r := make(Row, len(src.Schema.Columns))
+		for j, col := range src.Schema.Columns {
+			r[j] = randomValue(rng, col.Type)
+		}
+		add(r)
+	}
+	return tbl
+}
+
+// TestFilterVecSetMatchesFilterVecAll: refining the rows a record set names
+// (rid r at row r-1) selects exactly FilterVecAll's rows that the set holds,
+// cut at the limit, and reads no row outside the set. A set whose rids are not
+// at their rows is refused.
+func TestFilterVecSetMatchesFilterVecAll(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		minRows := 0
+		if trial%10 == 0 {
+			minRows = 3 * selectBlock // several blocks
+		}
+		tbl := randomCatalog(rng, minRows)
+		set := recset.New()
+		for i := 0; i < tbl.Len(); i++ {
+			if rng.Intn(3) != 0 {
+				set.Add(int64(i) + 1)
+			}
+		}
+		preds := make([]ColPred, rng.Intn(3))
+		for k := range preds {
+			preds[k] = ColPred{Col: tbl.Schema.Columns[rng.Intn(len(tbl.Schema.Columns))].Name, Op: propOps[rng.Intn(len(propOps))], Value: randomValue(rng, ValueType(-1))}
+		}
+		limit := rng.Intn(40) - 10
+		all, err := tbl.FilterVecAll(preds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want Selection
+		for _, pos := range all {
+			if set.Contains(int64(pos)+1) && (limit <= 0 || len(want) < limit) {
+				want = append(want, pos)
+			}
+		}
+		prefix, total := Selection{-7}, limit
+		if limit > 0 {
+			total++ // the limit counts what dst already holds
+		}
+		before := tbl.Stats().Snapshot()
+		got, err := tbl.FilterVecSet(prefix, set, preds, total)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reads := before.Diff(tbl.Stats().Snapshot()).TotalReads(); reads > int64(len(preds)+1)*set.Len() {
+			t.Errorf("trial %d: %d reads for a set of %d", trial, reads, set.Len())
+		}
+		if fmt.Sprint(got) != fmt.Sprint(append(prefix, want...)) {
+			t.Fatalf("trial %d (%v, limit %d): FilterVecSet %v, want %v", trial, preds, limit, got, want)
+		}
+	}
+	tbl := randomCatalog(rng, 4)
+	if _, err := tbl.FilterVecSet(nil, recset.FromSlice([]int64{2, int64(tbl.Len()) + 1}), nil, 0); err == nil {
+		t.Error("a rid past the table was walked")
+	}
+	reversed := NewTable("reversed", tbl.Schema)
+	for i := tbl.Len() - 1; i >= 0; i-- {
+		reversed.MustInsert(tbl.RowAt(i))
+	}
+	if _, err := reversed.FilterVecSet(nil, recset.FromSlice([]int64{1, 2}), nil, 0); err == nil {
+		t.Error("a table in another order was walked as if row r-1 held rid r")
+	}
+}
+
+// TestRowBlock: the block holds the selected rows' cells from the given
+// column on, row after row, as RowAt reads them.
+func TestRowBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 50; trial++ {
+		tbl := randomSchemaTable(rng)
+		var sel Selection
+		for i := 0; i < tbl.Len(); i++ {
+			if rng.Intn(2) == 0 {
+				sel = append(sel, int32(i))
+			}
+		}
+		from := rng.Intn(len(tbl.Schema.Columns) + 1)
+		block, width := tbl.RowBlock(sel, from)
+		if width != len(tbl.Schema.Columns)-from || len(block) != len(sel)*width {
+			t.Fatalf("trial %d: %d cells of width %d for %d rows", trial, len(block), width, len(sel))
+		}
+		for k, i := range sel {
+			want := tbl.RowAt(int(i))[from:]
+			for j := range want {
+				if !block[k*width+j].Identical(want[j]) {
+					t.Fatalf("trial %d: row %d cell %d is %v, want %v", trial, k, j, block[k*width+j], want[j])
+				}
+			}
+		}
 	}
 }

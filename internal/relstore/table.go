@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
+
+	"repro/internal/recset"
 )
 
 // Row is a single tuple; values are positionally aligned with the table's
@@ -544,9 +546,11 @@ func (t *Table) Filter(pred func(Row) bool) []Row {
 
 // FilterVec evaluates `col op value` over the whole column vector into a
 // selection vector, without materializing any row. The comparison semantics
-// are exactly Value.Compare's (NULL sorts before everything, numeric types
-// compare numerically, otherwise the string renderings compare), so the
-// result always matches the row-at-a-time Filter over the same predicate.
+// are exactly Value.Compare's — NULL sorts before everything, integers and
+// booleans compare exactly as int64, an integer against a float as float64,
+// otherwise the string renderings compare — so the result always matches the
+// row-at-a-time Filter over the same predicate. A numeric value compares
+// straight against the column's typed lane.
 func (t *Table) FilterVec(col string, op CmpOp, value Value) (Selection, error) {
 	ci := t.Schema.ColumnIndex(col)
 	if ci < 0 {
@@ -557,9 +561,11 @@ func (t *Table) FilterVec(col string, op CmpOp, value Value) (Selection, error) 
 	return sel, nil
 }
 
-// FilterVecAll is the compiled multi-predicate form: the first comparison
-// scans its whole column, and each subsequent comparison refines the
-// surviving selection, touching only the rows still alive.
+// FilterVecAll is the compiled multi-predicate form over the whole table: the
+// first comparison scans its whole column, and each subsequent comparison
+// refines the surviving selection, touching only the rows still alive. It
+// costs the table; FilterVecSet is the same refinement over the rows a record
+// set names, and costs the set.
 func (t *Table) FilterVecAll(preds []ColPred) (Selection, error) {
 	if len(preds) == 0 {
 		sel := make(Selection, t.nrows)
@@ -587,6 +593,102 @@ func (t *Table) FilterVecAll(preds []ColPred) (Selection, error) {
 		}
 	}
 	return sel, nil
+}
+
+// selectBlock is how many positions FilterVecSet walks out of a record set
+// before it refines them: a limit stops the walk within one block of being
+// met, and a block amortizes each comparison's set-up.
+const selectBlock = 1024
+
+// FilterVecSet is FilterVecAll over the rows a record set names, in a table
+// whose first column is the rid and whose row r-1 holds rid r — a record
+// catalog, whose rids are handed out densely from 1. It walks the set's
+// containers straight into blocks of positions, refines each block with preds
+// in order and appends the survivors, ascending, to dst until dst holds limit
+// positions (limit <= 0: no limit). It reads the rows it walks, and for each
+// comparison after the first the rows still alive, never the rest of the
+// table. It is an error when the set's lowest or highest rid is not at its row
+// (a partition table, a table in another order, a rid past the table).
+func (t *Table) FilterVecSet(dst Selection, set *recset.Set, preds []ColPred, limit int) (Selection, error) {
+	cols := make([]*column, len(preds))
+	for k, p := range preds {
+		ci := t.Schema.ColumnIndex(p.Col)
+		if ci < 0 {
+			return dst, fmt.Errorf("relstore: table %s has no column %q", t.Name, p.Col)
+		}
+		cols[k] = t.cols[ci]
+	}
+	low, _ := set.Min()
+	if high, ok := set.Max(); ok && (!t.holdsRID(low) || !t.holdsRID(high)) {
+		return dst, fmt.Errorf("relstore: table %s: record set spans rids %d..%d, not each at its row of the table's %d", t.Name, low, high, t.nrows)
+	}
+	if limit > 0 && len(dst) >= limit {
+		return dst, nil
+	}
+	block := make(Selection, 0, selectBlock)
+	// flush refines the block into dst and reports whether dst has room left.
+	flush := func() bool {
+		t.stats.AddSeqReads(int64(len(block)))
+		sel := block
+		for k, p := range preds {
+			if k > 0 {
+				t.stats.AddSeqReads(int64(len(sel)))
+			}
+			if sel = cols[k].filter(p.Op, p.Value, sel); len(sel) == 0 {
+				break
+			}
+		}
+		if limit > 0 {
+			sel = sel[:min(len(sel), limit-len(dst))]
+		}
+		dst, block = append(dst, sel...), block[:0]
+		return limit <= 0 || len(dst) < limit
+	}
+	set.Containers(func(base int64, lows []uint16, bitmap []uint64) bool {
+		first := int32(base - 1)
+		for _, lo := range lows {
+			if block = append(block, first+int32(lo)); len(block) == selectBlock && !flush() {
+				return false
+			}
+		}
+		for w, word := range bitmap {
+			for ; word != 0; word &= word - 1 {
+				if block = append(block, first+int32(w<<6|bits.TrailingZeros64(word))); len(block) == selectBlock && !flush() {
+					return false
+				}
+			}
+		}
+		return true
+	})
+	if len(block) > 0 {
+		flush()
+	}
+	return dst, nil
+}
+
+// holdsRID reports whether row r-1 holds rid r in the table's first column, as
+// in a record catalog.
+func (t *Table) holdsRID(r int64) bool {
+	if r < 1 || r > int64(t.nrows) || len(t.cols) == 0 {
+		return false
+	}
+	c := t.cols[0]
+	return ValueType(c.tags[r-1]) == TypeInt && r <= int64(len(c.ints)) && c.ints[r-1] == r
+}
+
+// RowBlock materializes columns from.. of the selected rows, column by column,
+// into one block of width cells a row: row k is block[k*width:(k+1)*width].
+// It is GatherRows for a caller that wants an answer's rows in one allocation
+// rather than one each, and without its leading columns (a catalog's rid).
+func (t *Table) RowBlock(sel Selection, from int) (block []Value, width int) {
+	width = len(t.cols) - from
+	block = make([]Value, len(sel)*width)
+	for j, c := range t.cols[from:] {
+		for k, i := range sel {
+			block[k*width+j] = c.value(int(i))
+		}
+	}
+	return block, width
 }
 
 // GatherRows materializes the selected rows (the bridge from a selection

@@ -20,6 +20,7 @@
 package relstore
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -216,9 +217,11 @@ func (v Value) StorageBytes() int64 {
 	}
 }
 
-// Compare orders two values. NULL sorts before everything; values of
-// different numeric types compare numerically; otherwise comparison is on
-// the string rendering. The result is -1, 0 or 1.
+// Compare orders two values. NULL sorts before everything. Integers and
+// booleans (as 0 and 1) compare exactly as int64, at any magnitude; an integer
+// against a float compares as float64, so integers above 2^53 that round to the
+// same float equal it. Integer arrays compare element-wise; otherwise
+// comparison is on the string rendering. The result is -1, 0 or 1.
 func (v Value) Compare(o Value) int {
 	if v.Type == TypeNull || o.Type == TypeNull {
 		switch {
@@ -231,6 +234,9 @@ func (v Value) Compare(o Value) int {
 		}
 	}
 	if isNumeric(v.Type) && isNumeric(o.Type) {
+		if v.Type != TypeFloat && o.Type != TypeFloat {
+			return cmp.Compare(v.AsInt(), o.AsInt())
+		}
 		a, b := v.AsFloat(), o.AsFloat()
 		switch {
 		case a < b:

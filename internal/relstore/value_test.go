@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -74,6 +75,12 @@ func TestValueCompare(t *testing.T) {
 		{IntArray([]int64{1, 2}), IntArray([]int64{1, 2, 3}), -1},
 		{IntArray([]int64{1, 3}), IntArray([]int64{1, 2, 3}), 1},
 		{IntArray([]int64{1, 2}), IntArray([]int64{1, 2}), 0},
+		// Integers compare exactly at any magnitude; against a float, as floats.
+		{Int(1<<53 + 1), Int(1 << 53), 1},
+		{Int(math.MinInt64), Int(math.MaxInt64), -1},
+		{Int(math.MaxInt64 - 1), Int(math.MaxInt64), -1},
+		{Bool(true), Int(1), 0},
+		{Int(1<<53 + 1), Float(1 << 53), 0},
 	}
 	for _, c := range cases {
 		if got := c.a.Compare(c.b); got != c.want {
