@@ -32,8 +32,15 @@ func stressRows(n, salt int) []relstore.Row {
 	return rows
 }
 
+// wideSchema is stressSchema widened by one column.
+func wideSchema() relstore.Schema {
+	return relstore.MustSchema(append(stressSchema().Columns, relstore.Column{Name: "w", Type: relstore.TypeInt}), "k")
+}
+
 // TestConcurrentMixedWorkload runs committers, checkout clients, and query
-// clients against a single CVD at the same time.
+// clients against a single CVD at the same time. One committer widens the
+// schema halfway, so VQuel queries read the catalog view they were handed
+// while commits append to the catalog and add a column to it.
 func TestConcurrentMixedWorkload(t *testing.T) {
 	engine := Open("stress", WithWorkers(4))
 	c, err := engine.Init("data", stressSchema(), stressRows(60, 0), cvd.Options{Author: "seed", Message: "v1"})
@@ -56,8 +63,14 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				rows := stressRows(60, g*iters+i+1)
-				if _, err := c.Commit([]vgraph.VersionID{1}, rows, stressSchema(), fmt.Sprintf("c%d-%d", g, i), "committer"); err != nil {
+				rows, schema := stressRows(60, g*iters+i+1), stressSchema()
+				if g == 0 && i >= iters/2 {
+					for k := range rows {
+						rows[k] = append(rows[k], relstore.Int(int64(k)))
+					}
+					schema = wideSchema()
+				}
+				if _, err := c.Commit([]vgraph.VersionID{1}, rows, schema, fmt.Sprintf("c%d-%d", g, i), "committer"); err != nil {
 					errCh <- fmt.Errorf("committer %d: %w", g, err)
 					return
 				}
@@ -117,6 +130,10 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 					errCh <- fmt.Errorf("querier %d agg: %w", g, err)
 					return
 				}
+				if err := checkTupleQueries(engine, c, agg); err != nil {
+					errCh <- fmt.Errorf("querier %d: %w", g, err)
+					return
+				}
 			}
 		}(g)
 	}
@@ -132,6 +149,52 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	if got, want := c.NumVersions(), 1+committers*iters; got != want {
 		t.Errorf("NumVersions = %d, want %d", got, want)
 	}
+}
+
+// checkTupleQueries runs two VQuel queries that read records. A pushed-down
+// filter with a sum must agree, version by version, with AggregateByVersion
+// under the same predicate, and every E.all of one query must have as many
+// fields as one of the schemas the CVD has had: all of them the same number,
+// that of the query's snapshot.
+func checkTupleQueries(engine *Engine, c *cvd.CVD, sum cvd.Aggregator) error {
+	res, err := engine.Query("data", `range of V is Version
+		range of E is V.Relations(name = "data").Tuples(v >= 1000)
+		retrieve V.id, sum(E.v)`)
+	if err != nil {
+		return fmt.Errorf("vquel sum: %w", err)
+	}
+	pred, err := c.NamedPredicate("v", ">=", relstore.Int(1000))
+	if err != nil {
+		return err
+	}
+	for _, row := range res.Rows {
+		var v vgraph.VersionID
+		if _, err := fmt.Sscanf(row[0].AsString(), "v%d", &v); err != nil {
+			return err
+		}
+		want, err := c.AggregateByVersion([]vgraph.VersionID{v}, pred, sum)
+		if err != nil {
+			return err
+		}
+		if !row[1].Identical(want[v]) {
+			return fmt.Errorf("vquel sum(E.v) of %v = %v, AggregateByVersion says %v", row[0], row[1], want[v])
+		}
+	}
+	res, err = engine.Query("data", `range of E is Version(id = "v1").Relations(name = "data").Tuples
+		retrieve E.all`)
+	if err != nil {
+		return fmt.Errorf("vquel all: %w", err)
+	}
+	width := len(strings.Split(res.Rows[0][0].AsString(), "|"))
+	if width != len(stressSchema().Columns) && width != len(wideSchema().Columns) {
+		return fmt.Errorf("E.all %v has %d fields, no schema of the CVD's", res.Rows[0][0], width)
+	}
+	for _, row := range res.Rows {
+		if n := len(strings.Split(row[0].AsString(), "|")); n != width {
+			return fmt.Errorf("E.all %v has %d fields, another tuple of the same query %d", row[0], n, width)
+		}
+	}
+	return nil
 }
 
 // TestConcurrentCheckoutSameName verifies that two checkouts racing for one
@@ -263,6 +326,23 @@ func dropDuringCheckouts(t *testing.T, engine *Engine) {
 				}
 			}(g)
 		}
+		// Queriers: a VQuel query through the engine and a select on the CVD
+		// itself, which answer from the victim or refuse.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < 6; i++ {
+				_, err := engine.Query(name, `range of E is Version(id = "v2").Relations.Tuples(v > 10) retrieve E.k`)
+				if err == nil {
+					_, err = victim.ScanVersions([]vgraph.VersionID{1, 2}, nil, 0)
+				}
+				if err != nil && !strings.Contains(err.Error(), "has been dropped") && !strings.Contains(err.Error(), "unknown CVD") {
+					t.Errorf("round %d querier: unexpected error: %v", round, err)
+					return
+				}
+			}
+		}()
 		// Committers racing the drop the same way.
 		wg.Add(1)
 		go func() {

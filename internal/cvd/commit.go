@@ -272,11 +272,8 @@ func (c *CVD) admitCommit(parents []vgraph.VersionID) error {
 	}
 	// Drop tears the model's tables down under the exclusive lock; a commit
 	// that waited for it must not reach for them.
-	c.ckMu.Lock()
-	dropped := c.dropped
-	c.ckMu.Unlock()
-	if dropped {
-		return fmt.Errorf("cvd: %s: CVD has been dropped", c.name)
+	if c.dropped {
+		return c.errDropped()
 	}
 	if c.journal != nil && c.journalErr != nil {
 		// An earlier commit was applied in memory but never reached the WAL.

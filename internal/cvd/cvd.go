@@ -60,7 +60,7 @@ type CVD struct {
 	ckMu      sync.Mutex
 	checkouts map[string]checkoutInfo
 	reserved  map[string]struct{} // staging names claimed by in-flight checkouts
-	dropped   bool                // set by Drop; refuses new/in-flight checkouts
+	dropped   bool                // set by Drop, under mu and ckMu: either guards a read
 
 	workers    int  // intra-operation parallelism (see Options.Workers)
 	workersSet bool // workers was configured explicitly (Options or SetWorkers)
@@ -383,41 +383,35 @@ func (c *CVD) record(r vgraph.RecordID) (relstore.Row, bool) {
 // index comparison (recindex.go).
 func (c *CVD) rec(r vgraph.RecordID) cells { return cells{tab: c.catalog, pos: int(r) - 1} }
 
-// VersionSnapshot is one version's metadata plus its materialized rows, as
-// returned by Snapshot.
+// VersionSnapshot is one version as Snapshot reads it: its metadata and its
+// record set, the pointer the bipartite graph holds, which is never written
+// once the version is committed.
 type VersionSnapshot struct {
-	Meta *VersionMeta
-	Rows []relstore.Row
+	Meta    *VersionMeta
+	Records *recset.Set
 }
 
-// Snapshot returns, under a single shared lock, the current schema together
-// with every version's metadata and materialized rows in commit order. It is
-// the consistent read path for whole-history consumers (vquel.FromCVD):
-// piecing the same view together from separate Schema/Versions/Meta/
-// RecordContent calls can interleave with a schema-widening commit and
-// observe rows wider than the schema they were paired with.
-func (c *CVD) Snapshot() (relstore.Schema, []VersionSnapshot, error) {
+// Snapshot is the consistent read of the whole history (vquel.FromCVD): under
+// one shared lock, a view of the record catalog (Table.View; record r is row
+// r-1) and every version's metadata and record set, in commit order. It copies
+// no record. Later commits change neither the view, its schema included, nor
+// the sets, so the caller reads them after the lock is released.
+func (c *CVD) Snapshot() (*relstore.Table, []VersionSnapshot, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	schema := c.schema.Clone()
+	if c.dropped {
+		return nil, nil, c.errDropped()
+	}
 	versions := c.graph.Versions()
-	out := make([]VersionSnapshot, 0, len(versions))
-	for _, vid := range versions {
+	out := make([]VersionSnapshot, len(versions))
+	for i, vid := range versions {
 		m, ok := c.meta.get(vid)
 		if !ok {
-			return relstore.Schema{}, nil, fmt.Errorf("cvd: %s: missing metadata for version %d", c.name, vid)
+			return nil, nil, fmt.Errorf("cvd: %s: missing metadata for version %d", c.name, vid)
 		}
-		rids := c.bip.RecordSet(vid)
-		rows := make([]relstore.Row, 0, rids.Len())
-		rids.ForEach(func(rid int64) bool {
-			if row, ok := c.record(vgraph.RecordID(rid)); ok {
-				rows = append(rows, row)
-			}
-			return true
-		})
-		out = append(out, VersionSnapshot{Meta: m, Rows: rows})
+		out[i] = VersionSnapshot{Meta: m, Records: c.bip.RecordSet(vid)}
 	}
-	return schema, out, nil
+	return c.catalog.View(), out, nil
 }
 
 // RecordsOf returns the record ids of a version.
@@ -441,6 +435,9 @@ func (c *CVD) Drop() {
 	defer c.mu.Unlock()
 	c.dropLocked()
 }
+
+// errDropped is what every read and write of a dropped CVD returns.
+func (c *CVD) errDropped() error { return fmt.Errorf("cvd: %s: CVD has been dropped", c.name) }
 
 // dropLocked is Drop for a caller holding c.mu exclusively.
 func (c *CVD) dropLocked() {
@@ -625,7 +622,7 @@ func (c *CVD) Checkout(versions []vgraph.VersionID, tableName string) (*relstore
 	c.ckMu.Lock()
 	if c.dropped {
 		c.ckMu.Unlock()
-		return nil, fmt.Errorf("cvd: %s: CVD has been dropped", c.name)
+		return nil, c.errDropped()
 	}
 	_, inFlight := c.reserved[tableName]
 	if inFlight || c.db.HasTable(tableName) {
@@ -642,7 +639,7 @@ func (c *CVD) Checkout(versions []vgraph.VersionID, tableName string) (*relstore
 	if err == nil && c.dropped {
 		// Drop ran between materialize releasing the shared lock and here:
 		// registering the staging table now would leak it past the teardown.
-		err = fmt.Errorf("cvd: %s: CVD has been dropped", c.name)
+		err = c.errDropped()
 	}
 	if err == nil {
 		c.db.AttachTable(out)
@@ -669,11 +666,8 @@ func (c *CVD) materialize(versions []vgraph.VersionID, tableName string) (*relst
 	// Drop tears the model's tables down under the exclusive lock and sets
 	// dropped before releasing it, so a checkout that got past Checkout's own
 	// test and then waited for that lock must look again.
-	c.ckMu.Lock()
-	dropped := c.dropped
-	c.ckMu.Unlock()
-	if dropped {
-		return nil, fmt.Errorf("cvd: %s: CVD has been dropped", c.name)
+	if c.dropped {
+		return nil, c.errDropped()
 	}
 	for _, v := range versions {
 		if c.graph.Node(v) == nil {

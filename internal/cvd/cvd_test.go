@@ -460,6 +460,51 @@ func TestDropRemovesTables(t *testing.T) {
 	}
 }
 
+// TestReadsRefuseDroppedCVD: Drop keeps the catalog and the record sets, which
+// a snapshot taken before it may still read, but no read that starts after it
+// answers from them. Each says the CVD has been dropped, as a checkout and a
+// commit do.
+func TestReadsRefuseDroppedCVD(t *testing.T) {
+	for _, kind := range allModels {
+		_, c := buildProteinCVD(t, kind)
+		c.Drop()
+		pred, err := c.NamedPredicate("coexpression", ">", relstore.Int(80))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads := map[string]func() (int, error){
+			"ScanVersions": func() (int, error) {
+				rows, err := c.ScanVersions([]vgraph.VersionID{1, 2}, pred, 0)
+				return len(rows), err
+			},
+			"AggregateByVersion": func() (int, error) {
+				counts, err := c.AggregateByVersion(nil, nil, CountAgg())
+				return len(counts), err
+			},
+			"VersionsWhere": func() (int, error) {
+				vs, err := c.VersionsWhere(nil, CountAgg(), func(relstore.Value) bool { return true })
+				return len(vs), err
+			},
+			"Snapshot": func() (int, error) {
+				_, vs, err := c.Snapshot()
+				return len(vs), err
+			},
+			"Checkout": func() (int, error) {
+				tab, err := c.Checkout([]vgraph.VersionID{1}, "after")
+				if tab != nil {
+					return tab.Len(), err
+				}
+				return 0, err
+			},
+		}
+		for name, read := range reads {
+			if n, err := read(); n != 0 || err == nil || !strings.Contains(err.Error(), "has been dropped") {
+				t.Errorf("%v: %s of a dropped CVD = %d results, %v; want none and a has-been-dropped error", kind, name, n, err)
+			}
+		}
+	}
+}
+
 // TestCheckoutRacingDrop pins the order that used to panic: a checkout passes
 // Checkout's dropped test, then waits for the CVD lock while Drop tears the
 // model's tables down. Holding the lock here stands in for Drop holding it, so

@@ -22,7 +22,8 @@ import (
 // vectorized relstore scans (see selectLocked) instead of materializing and
 // testing every row.
 type Predicate interface {
-	// Match reports whether the row satisfies the predicate.
+	// Match reports whether the row satisfies the predicate. The row is valid
+	// for the call only: the select refills it for the next record.
 	Match(relstore.Row) bool
 }
 
@@ -73,17 +74,26 @@ func (p *multiColumnPredicate) Match(r relstore.Row) bool {
 // Unknown operators yield a predicate that matches nothing, mirroring the
 // historical behavior.
 func (c *CVD) NamedPredicate(column, op string, value relstore.Value) (Predicate, error) {
-	c.mu.RLock()
-	idx := c.schema.ColumnIndex(column)
-	c.mu.RUnlock()
-	if idx < 0 {
-		return nil, fmt.Errorf("cvd: %s: unknown column %q", c.name, column)
+	idx, err := c.columnIndex(column)
+	if err != nil {
+		return nil, err
 	}
 	cmp, ok := relstore.ParseCmpOp(op)
 	if !ok {
 		return RowPredicate(func(relstore.Row) bool { return false }), nil
 	}
 	return &columnPredicate{column: column, idx: idx, op: cmp, value: value}, nil
+}
+
+// columnIndex resolves a named data column against the schema in force.
+func (c *CVD) columnIndex(column string) (int, error) {
+	c.mu.RLock()
+	idx := c.schema.ColumnIndex(column)
+	c.mu.RUnlock()
+	if idx < 0 {
+		return 0, fmt.Errorf("cvd: %s: unknown column %q", c.name, column)
+	}
+	return idx, nil
 }
 
 // ColumnComparison specifies one comparison of a compiled multi-predicate
@@ -149,56 +159,58 @@ func (c *CVD) comparisonsLocked(pred Predicate) (preds []relstore.ColPred, ok bo
 }
 
 // selectLocked is the plan ScanVersions and AggregateByVersion share. It
-// returns the listed versions' records that satisfy pred — their catalog
-// positions (record r is row r-1) and their rows — version after version and
-// ascending within one, at most limit of them when limit > 0; version i's
+// appends to sel the catalog positions (record r is row r-1) of the listed
+// versions' records that satisfy pred, version after version and ascending
+// within one, until sel holds limit of them when limit > 0; version i's
 // records end at ends[i]. Each version's record set is walked straight into
 // selections. A predicate of column comparisons refines them on the catalog's
 // lanes, so the select costs its versions, not the catalog, and stops at the
-// limit; the answer's rows are then materialized once, column-wise, as slices
-// of one block of cells. An opaque predicate is evaluated row at a time on
-// rows boxed one by one, and the rows it accepts are the answer's. Callers
-// hold c.mu.
-func (c *CVD) selectLocked(versions []vgraph.VersionID, pred Predicate, limit int) (sel relstore.Selection, rows []relstore.Row, ends []int, err error) {
+// limit. An opaque predicate is evaluated row at a time, on one row refilled
+// from the catalog for each record. No row of the answer is materialized.
+// Callers hold c.mu.
+func (c *CVD) selectLocked(sel relstore.Selection, versions []vgraph.VersionID, pred Predicate, limit int) (relstore.Selection, []int, error) {
+	if c.dropped {
+		return nil, nil, c.errDropped()
+	}
 	var total int64
 	for _, v := range versions {
 		if c.graph.Node(v) == nil {
-			return nil, nil, nil, fmt.Errorf("cvd: %s: unknown version %d", c.name, v)
+			return nil, nil, fmt.Errorf("cvd: %s: unknown version %d", c.name, v)
 		}
 		total += c.bip.RecordSet(v).Len()
 	}
-	if limit > 0 {
+	if limit > 0 && sel == nil {
 		sel = make(relstore.Selection, 0, min(int64(limit), total))
 	}
 	preds, pushed := c.comparisonsLocked(pred)
-	ends = make([]int, len(versions))
+	var row relstore.Row
+	if !pushed {
+		row = make(relstore.Row, len(c.schema.Columns))
+	}
+	ends := make([]int, len(versions))
 	for i, v := range versions {
 		set := c.bip.RecordSet(v)
 		switch {
 		case limit > 0 && len(sel) >= limit:
 		case !pushed:
 			set.ForEach(func(rid int64) bool {
-				if row, ok := c.record(vgraph.RecordID(rid)); ok && pred.Match(row) {
-					sel, rows = append(sel, int32(rid-1)), append(rows, row)
+				for j := range row {
+					row[j] = c.catalog.At(int(rid-1), j+1)
+				}
+				if pred.Match(row) {
+					sel = append(sel, int32(rid-1))
 				}
 				return limit <= 0 || len(sel) < limit
 			})
 		default:
+			var err error
 			if sel, err = c.catalog.FilterVecSet(sel, set, preds, limit); err != nil {
-				return nil, nil, nil, err
+				return nil, nil, err
 			}
 		}
 		ends[i] = len(sel)
 	}
-	if pushed {
-		block, width := c.catalog.RowBlock(sel, 1)
-		rows = make([]relstore.Row, len(sel))
-		for k := range rows {
-			// Capped, so that appending to a row cannot write into the next.
-			rows[k] = block[k*width : (k+1)*width : (k+1)*width]
-		}
-	}
-	return sel, rows, ends, nil
+	return sel, ends, nil
 }
 
 // VersionedRow pairs a record with the version it was selected from.
@@ -210,47 +222,51 @@ type VersionedRow struct {
 
 // ScanVersions evaluates `SELECT * FROM VERSION v1, v2, ... OF CVD c WHERE
 // pred LIMIT limit`: it returns the (version, record) pairs of the listed
-// versions whose data satisfies pred. limit <= 0 means no limit.
+// versions whose data satisfies pred. limit <= 0 means no limit. The answer's
+// rows are materialized once, column-wise, as slices of one block of cells.
 func (c *CVD) ScanVersions(versions []vgraph.VersionID, pred Predicate, limit int) ([]VersionedRow, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	sel, rows, ends, err := c.selectLocked(versions, pred, limit)
+	sel, ends, err := c.selectLocked(nil, versions, pred, limit)
 	if err != nil {
 		return nil, err
 	}
+	block, width := c.catalog.RowBlock(sel, 1)
 	out := make([]VersionedRow, len(sel))
 	i := 0
 	for k, pos := range sel {
 		for k == ends[i] {
 			i++
 		}
-		out[k] = VersionedRow{Version: versions[i], RID: vgraph.RecordID(pos) + 1, Row: rows[k]}
+		// Capped, so that appending to a row cannot write into the next.
+		row := block[k*width : (k+1)*width : (k+1)*width]
+		out[k] = VersionedRow{Version: versions[i], RID: vgraph.RecordID(pos) + 1, Row: row}
 	}
 	return out, nil
 }
 
-// Aggregator folds rows into a single value.
-type Aggregator func(rows []relstore.Row) relstore.Value
+// Aggregator folds the records of one version into a single value. catalog is
+// the CVD's record catalog — the rid column, then the data attributes; record
+// r is row r-1 — and sel the positions of the records to fold, ascending. An
+// aggregator reads the cells it needs off the catalog's lanes and boxes no
+// row; it must not write the catalog or keep it past the call.
+type Aggregator func(catalog *relstore.Table, sel relstore.Selection) relstore.Value
 
 // CountAgg counts rows.
 func CountAgg() Aggregator {
-	return func(rows []relstore.Row) relstore.Value { return relstore.Int(int64(len(rows))) }
+	return func(_ *relstore.Table, sel relstore.Selection) relstore.Value { return relstore.Int(int64(len(sel))) }
 }
 
 // SumAgg sums a named column (resolved against the CVD schema at call time).
 func (c *CVD) SumAgg(column string) (Aggregator, error) {
-	c.mu.RLock()
-	idx := c.schema.ColumnIndex(column)
-	c.mu.RUnlock()
-	if idx < 0 {
-		return nil, fmt.Errorf("cvd: %s: unknown column %q", c.name, column)
+	idx, err := c.columnIndex(column)
+	if err != nil {
+		return nil, err
 	}
-	return func(rows []relstore.Row) relstore.Value {
+	return func(catalog *relstore.Table, sel relstore.Selection) relstore.Value {
 		var sum float64
-		for _, r := range rows {
-			if idx < len(r) {
-				sum += r[idx].AsFloat()
-			}
+		for _, p := range sel {
+			sum += catalog.At(int(p), idx+1).AsFloat()
 		}
 		return relstore.Float(sum)
 	}, nil
@@ -262,27 +278,25 @@ func (c *CVD) AvgAgg(column string) (Aggregator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(rows []relstore.Row) relstore.Value {
-		if len(rows) == 0 {
+	return func(catalog *relstore.Table, sel relstore.Selection) relstore.Value {
+		if len(sel) == 0 {
 			return relstore.Null()
 		}
-		return relstore.Float(sum(rows).AsFloat() / float64(len(rows)))
+		return relstore.Float(sum(catalog, sel).AsFloat() / float64(len(sel)))
 	}, nil
 }
 
 // MaxAgg returns the maximum of a named column.
 func (c *CVD) MaxAgg(column string) (Aggregator, error) {
-	c.mu.RLock()
-	idx := c.schema.ColumnIndex(column)
-	c.mu.RUnlock()
-	if idx < 0 {
-		return nil, fmt.Errorf("cvd: %s: unknown column %q", c.name, column)
+	idx, err := c.columnIndex(column)
+	if err != nil {
+		return nil, err
 	}
-	return func(rows []relstore.Row) relstore.Value {
+	return func(catalog *relstore.Table, sel relstore.Selection) relstore.Value {
 		best := relstore.Null()
-		for _, r := range rows {
-			if idx < len(r) && (best.IsNull() || r[idx].Compare(best) > 0) {
-				best = r[idx]
+		for _, p := range sel {
+			if v := catalog.At(int(p), idx+1); best.IsNull() || v.Compare(best) > 0 {
+				best = v
 			}
 		}
 		return best
@@ -291,6 +305,8 @@ func (c *CVD) MaxAgg(column string) (Aggregator, error) {
 
 // AggregateByVersion evaluates `SELECT vid, agg(...) FROM CVD c [WHERE pred]
 // GROUP BY vid` over the given versions (all versions when versions is nil).
+// It selects one version at a time into one selection, which it folds, so it
+// holds the positions of the largest version, never a row.
 func (c *CVD) AggregateByVersion(versions []vgraph.VersionID, pred Predicate, agg Aggregator) (map[vgraph.VersionID]relstore.Value, error) {
 	if agg == nil {
 		return nil, fmt.Errorf("cvd: %s: nil aggregator", c.name)
@@ -300,15 +316,14 @@ func (c *CVD) AggregateByVersion(versions []vgraph.VersionID, pred Predicate, ag
 	if versions == nil {
 		versions = c.graph.Versions()
 	}
-	_, rows, ends, err := c.selectLocked(versions, pred, 0)
-	if err != nil {
-		return nil, err
-	}
 	out := make(map[vgraph.VersionID]relstore.Value, len(versions))
-	start := 0
+	var sel relstore.Selection
 	for i, v := range versions {
-		out[v] = agg(rows[start:ends[i]:ends[i]])
-		start = ends[i]
+		var err error
+		if sel, _, err = c.selectLocked(sel[:0], versions[i:i+1], pred, 0); err != nil {
+			return nil, err
+		}
+		out[v] = agg(c.catalog, sel)
 	}
 	return out, nil
 }

@@ -563,7 +563,8 @@ func planQuery(t testing.TB, ch *chooser, c *CVD) (named, opaque Predicate, desc
 // checkPlans runs queries against one history: the pushed-down comparisons and
 // the opaque fallback return the same (Version, RID, Row) sequence for one to
 // all versions, with no limit and limits that land on a version boundary,
-// inside a version and past the answer; the per-version counts agree too.
+// inside a version and past the answer; the per-version aggregates, folded
+// over the lanes, equal the row folds over the answer's rows.
 func checkPlans(t *testing.T, ch *chooser, c *CVD, queries int) {
 	t.Helper()
 	for q := 0; q < queries; q++ {
@@ -584,10 +585,6 @@ func checkPlans(t *testing.T, ch *chooser, c *CVD, queries int) {
 				break
 			}
 		}
-		counts := make(map[vgraph.VersionID]int64, len(versions))
-		for _, r := range full {
-			counts[r.Version]++
-		}
 		for _, limit := range limits {
 			want, err := c.ScanVersions(versions, opaque, limit)
 			if err != nil {
@@ -604,16 +601,79 @@ func checkPlans(t *testing.T, ch *chooser, c *CVD, queries int) {
 				t.Fatalf("%s over versions %v LIMIT %d: %v", desc, versions, limit, err)
 			}
 		}
-		agg, err := c.AggregateByVersion(versions, named, CountAgg())
-		if err != nil {
-			t.Fatal(err)
+		// The lane folds against the row folds, over the rows of each version.
+		rows := make(map[vgraph.VersionID][]relstore.Row, len(versions))
+		for _, r := range full {
+			rows[r.Version] = append(rows[r.Version], r.Row)
 		}
-		for _, v := range versions {
-			if agg[v].AsInt() != counts[v] {
-				t.Fatalf("%s: count(v%d) = %d, want %d", desc, v, agg[v].AsInt(), counts[v])
+		col := c.Schema().Columns[ch.intn(len(c.Schema().Columns))].Name
+		for name, fold := range rowAggregates(c.Schema().ColumnIndex(col)) {
+			agg := laneAggregate(t, c, name, col)
+			got, err := c.AggregateByVersion(versions, named, agg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range versions {
+				if want := fold(rows[v]); !got[v].Identical(want) {
+					t.Fatalf("%s: %s(%s) of v%d = %v, want %v", desc, name, col, v, got[v], want)
+				}
 			}
 		}
 	}
+}
+
+// rowAggregates are the aggregators as they were when they folded boxed rows,
+// by name, for the column at idx of a row: the oracle for the lane folds.
+func rowAggregates(idx int) map[string]func([]relstore.Row) relstore.Value {
+	sum := func(rows []relstore.Row) relstore.Value {
+		var sum float64
+		for _, r := range rows {
+			if idx < len(r) {
+				sum += r[idx].AsFloat()
+			}
+		}
+		return relstore.Float(sum)
+	}
+	return map[string]func([]relstore.Row) relstore.Value{
+		"count": func(rows []relstore.Row) relstore.Value { return relstore.Int(int64(len(rows))) },
+		"sum":   sum,
+		"avg": func(rows []relstore.Row) relstore.Value {
+			if len(rows) == 0 {
+				return relstore.Null()
+			}
+			return relstore.Float(sum(rows).AsFloat() / float64(len(rows)))
+		},
+		"max": func(rows []relstore.Row) relstore.Value {
+			best := relstore.Null()
+			for _, r := range rows {
+				if idx < len(r) && (best.IsNull() || r[idx].Compare(best) > 0) {
+					best = r[idx]
+				}
+			}
+			return best
+		},
+	}
+}
+
+// laneAggregate is the aggregator rowAggregates names.
+func laneAggregate(t testing.TB, c *CVD, name, col string) Aggregator {
+	t.Helper()
+	var agg Aggregator
+	var err error
+	switch name {
+	case "count":
+		agg = CountAgg()
+	case "sum":
+		agg, err = c.SumAgg(col)
+	case "avg":
+		agg, err = c.AvgAgg(col)
+	case "max":
+		agg, err = c.MaxAgg(col)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return agg
 }
 
 // TestScanVersionsPlans is the select plan's differential test over seeded

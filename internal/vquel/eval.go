@@ -20,16 +20,16 @@ type value struct {
 	version  *Version
 	relation *Relation
 	tupleRel *Relation
-	tupleIdx int
+	tupleIdx int // the tuple's ordinal in its relation, its `id`
+	tuplePos int // its row in the relation's catalog
 	scalar   relstore.Value
-	isTuple  bool
 	isScalar bool
 }
 
 func versionValue(v *Version) value   { return value{version: v} }
 func relationValue(r *Relation) value { return value{relation: r} }
-func tupleValue(r *Relation, idx int) value {
-	return value{tupleRel: r, tupleIdx: idx, isTuple: true}
+func tupleValue(r *Relation, idx, pos int) value {
+	return value{tupleRel: r, tupleIdx: idx, tuplePos: pos}
 }
 func scalarValue(v relstore.Value) value { return value{scalar: v, isScalar: true} }
 
@@ -40,7 +40,7 @@ func (v value) key() string {
 		return "V:" + v.version.ID
 	case v.relation != nil:
 		return "R:" + v.relation.Name
-	case v.isTuple:
+	case v.tupleRel != nil:
 		return fmt.Sprintf("T:%s:%d", v.tupleRel.Name, v.tupleIdx)
 	default:
 		return "S:" + v.scalar.AsString()
@@ -56,10 +56,11 @@ func (v value) render() relstore.Value {
 		return relstore.Str(v.version.ID)
 	case v.relation != nil:
 		return relstore.Str(v.relation.Name)
-	case v.isTuple:
-		parts := make([]string, len(v.tupleRel.Table.Schema.Columns))
+	case v.tupleRel != nil:
+		cat := v.tupleRel.Catalog
+		parts := make([]string, len(cat.Schema.Columns)-1)
 		for i := range parts {
-			parts[i] = v.tupleRel.Table.StringAt(v.tupleIdx, i)
+			parts[i] = cat.StringAt(v.tuplePos, i+1)
 		}
 		return relstore.Str(strings.Join(parts, "|"))
 	default:
@@ -378,20 +379,25 @@ func (e *Evaluator) step(v value, seg PathSegment, b binding) ([]value, error) {
 		rel := v.relation
 		switch strings.ToLower(name) {
 		case "tuples", "records":
-			// Scalar filters over a relation's tuples push straight down to
-			// the vectorized column scan when the filter is a plain
-			// column-vs-literal comparison; only opaque filters fall back to
-			// enumerating and testing tuple values one at a time.
-			if sel, ok := e.pushdownTupleFilter(rel, seg.Filter); ok {
-				out := make([]value, 0, len(sel))
-				for _, i := range sel {
-					out = append(out, tupleValue(rel, int(i)))
-				}
-				return out, nil
+			// A filter `column op literal` is evaluated on the catalog's
+			// lanes over the record set, like a select's predicate; any
+			// other filter tests the tuple values one at a time.
+			preds, pushed := pushdownTupleFilter(rel, seg.Filter)
+			sel, err := rel.Catalog.FilterVecSet(nil, rel.Records, preds, 0)
+			if err != nil {
+				return nil, err
 			}
-			var out []value
-			for i := 0; i < rel.Table.Len(); i++ {
-				out = append(out, tupleValue(rel, i))
+			// A tuple's id is its ordinal in the record set.
+			out, i := make([]value, 0, len(sel)), 0
+			rel.Records.ForEach(func(rid int64) bool {
+				if len(out) < len(sel) && int64(sel[len(out)]) == rid-1 {
+					out = append(out, tupleValue(rel, i, int(rid-1)))
+				}
+				i++
+				return len(out) < len(sel)
+			})
+			if pushed {
+				return out, nil
 			}
 			return filterAll(out)
 		case "name":
@@ -404,7 +410,7 @@ func (e *Evaluator) step(v value, seg PathSegment, b binding) ([]value, error) {
 		default:
 			return nil, fmt.Errorf("vquel: relation has no attribute %q", name)
 		}
-	case v.isTuple:
+	case v.tupleRel != nil:
 		rel := v.tupleRel
 		switch strings.ToLower(name) {
 		case "all":
@@ -421,11 +427,11 @@ func (e *Evaluator) step(v value, seg PathSegment, b binding) ([]value, error) {
 			// The Record entity is conceptually the union of all fields across
 			// records (Figure 6.1), so a missing column reads as NULL rather
 			// than erroring.
-			idx := rel.Table.Schema.ColumnIndex(name)
+			idx := rel.column(name)
 			if idx < 0 {
 				return []value{scalarValue(relstore.Null())}, nil
 			}
-			return []value{scalarValue(rel.Table.At(v.tupleIdx, idx))}, nil
+			return []value{scalarValue(rel.Catalog.At(v.tuplePos, idx))}, nil
 		}
 	case v.isScalar:
 		// ".name" on a scalar (e.g. V.author.name) is the identity.
@@ -439,41 +445,27 @@ func (e *Evaluator) step(v value, seg PathSegment, b binding) ([]value, error) {
 }
 
 // pushdownTupleFilter recognizes inline tuple filters of the shape
-// `column op literal` (either side) and evaluates them as one vectorized
-// column scan (relstore.Table.FilterVec) instead of materializing and
-// testing every tuple. It declines (ok=false) anything it cannot prove
-// equivalent to the row-at-a-time path: opaque paths, aggregate operands,
-// the special tuple attributes (all/parents/id), unknown columns, and
-// unknown operators — those keep their historical evaluation and errors.
-func (e *Evaluator) pushdownTupleFilter(rel *Relation, f *Comparison) (relstore.Selection, bool) {
+// `column op literal` (either side) and returns them as the comparison the
+// catalog's lanes evaluate (relstore.Table.FilterVecSet), flipping the
+// operator when the literal is on the left. It declines (ok=false) anything it
+// cannot prove equivalent to the row-at-a-time path: opaque paths, aggregate
+// operands, the special tuple attributes (all/parents/id), unknown columns,
+// and unknown operators — those keep their historical evaluation and errors.
+func pushdownTupleFilter(rel *Relation, f *Comparison) ([]relstore.ColPred, bool) {
 	if f == nil {
 		return nil, false
 	}
-	col, op, lit, ok := splitColumnComparison(rel, *f)
-	if !ok {
-		return nil, false
-	}
-	sel, err := rel.Table.FilterVec(col, op, lit)
-	if err != nil {
-		return nil, false
-	}
-	return sel, true
-}
-
-// splitColumnComparison normalizes a comparison to (column, op, literal),
-// flipping the operator when the literal is on the left.
-func splitColumnComparison(rel *Relation, f Comparison) (string, relstore.CmpOp, relstore.Value, bool) {
 	op, ok := relstore.ParseCmpOp(f.Op)
 	if !ok {
-		return "", 0, relstore.Value{}, false
+		return nil, false
 	}
 	if col, ok := bareColumn(rel, f.Left); ok && f.Right.Literal != nil {
-		return col, op, literalValue(*f.Right.Literal), true
+		return []relstore.ColPred{{Col: col, Op: op, Value: literalValue(*f.Right.Literal)}}, true
 	}
 	if col, ok := bareColumn(rel, f.Right); ok && f.Left.Literal != nil {
-		return col, flipCmpOp(op), literalValue(*f.Left.Literal), true
+		return []relstore.ColPred{{Col: col, Op: flipCmpOp(op), Value: literalValue(*f.Left.Literal)}}, true
 	}
-	return "", 0, relstore.Value{}, false
+	return nil, false
 }
 
 // bareColumn reports whether the operand is a segment-free path naming a
@@ -487,7 +479,7 @@ func bareColumn(rel *Relation, op Operand) (string, bool) {
 	case "all", "parents", "id":
 		return "", false // special tuple attributes, not columns
 	}
-	if rel.Table.Schema.ColumnIndex(name) < 0 {
+	if rel.column(name) < 0 {
 		return "", false
 	}
 	return name, true
@@ -579,23 +571,11 @@ func literalValue(l Literal) relstore.Value {
 }
 
 func compareValues(a relstore.Value, op string, b relstore.Value) (bool, error) {
-	cmp := a.Compare(b)
-	switch op {
-	case "=", "==":
-		return cmp == 0, nil
-	case "!=", "<>":
-		return cmp != 0, nil
-	case "<":
-		return cmp < 0, nil
-	case "<=":
-		return cmp <= 0, nil
-	case ">":
-		return cmp > 0, nil
-	case ">=":
-		return cmp >= 0, nil
-	default:
+	cmp, ok := relstore.ParseCmpOp(op)
+	if !ok {
 		return false, fmt.Errorf("vquel: unknown comparison operator %q", op)
 	}
+	return cmp.Eval(a.Compare(b)), nil
 }
 
 // evalBool evaluates a boolean expression for a group: plain operands are

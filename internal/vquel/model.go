@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/cvd"
+	"repro/internal/recset"
 	"repro/internal/relstore"
 )
 
@@ -31,17 +32,33 @@ type Version struct {
 	Relations map[string]*Relation
 }
 
-// Relation is a named table inside a version.
+// Relation is a named table inside a version: the records of a catalog that a
+// record set names, one tuple per record, in record id order. A tuple's `id`
+// is its ordinal there. Relations of a CVD share the CVD's record catalog, so
+// a query reads the store rather than a copy of it.
 type Relation struct {
 	Name string
 	// Changed records whether the relation differs from the same-named
 	// relation in the parent version.
 	Changed bool
-	Table   *relstore.Table
+	// Catalog holds the records, read only: its first column is the record
+	// id, which is not an attribute of the tuples, and row r-1 holds record r.
+	Catalog *relstore.Table
+	// Records names the relation's tuples by record id.
+	Records *recset.Set
 	// Provenance maps a row index of this relation to the row indexes of the
 	// parent version's same-named relation it was derived from (record-level
 	// provenance, when available).
 	Provenance map[int][]int
+}
+
+// column returns the catalog column of a tuple attribute, -1 for none: the
+// record id column is not one.
+func (r *Relation) column(name string) int {
+	if i := r.Catalog.Schema.ColumnIndex(name); i > 0 {
+		return i
+	}
+	return -1
 }
 
 // Repository is the queryable universe: all versions keyed by id.
@@ -143,34 +160,24 @@ func (v *Version) walk(maxHops int, next func(*Version) []*Version) []*Version {
 
 // FromCVD builds a single-relation repository from a CVD: every version of
 // the CVD becomes a repository version whose one relation (named after the
-// CVD) holds that version's records. This lets VQuel queries run against
-// OrpheusDB-managed data.
+// CVD) holds that version's records. The relations are the CVD's record
+// catalog and each version's record set, taken by one consistent read
+// (cvd.Snapshot): no record is copied, and a query reads only the records it
+// touches.
 func FromCVD(c *cvd.CVD) (*Repository, error) {
-	repo := NewRepository()
-	// Snapshot takes the schema, metadata, and rows under one shared lock, so
-	// a concurrent schema-widening commit cannot hand us rows wider than the
-	// schema we pair them with.
-	schema, versions, err := c.Snapshot()
+	catalog, versions, err := c.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	// Repository relations are read-only snapshots; drop the primary key so
-	// records that collide across merged versions do not trip the index.
-	schema.PrimaryKey = nil
+	repo := NewRepository()
 	for _, vs := range versions {
 		meta := vs.Meta
-		tab := relstore.NewTable(c.Name(), schema)
-		for _, row := range vs.Rows {
-			if err := tab.Insert(row); err != nil {
-				return nil, err
-			}
-		}
 		v := &Version{
 			ID:        fmt.Sprintf("v%d", meta.ID),
 			Author:    meta.Author,
 			Message:   meta.Message,
 			CommitTS:  meta.CommitAt,
-			Relations: map[string]*Relation{c.Name(): {Name: c.Name(), Table: tab, Changed: true}},
+			Relations: map[string]*Relation{c.Name(): {Name: c.Name(), Changed: true, Catalog: catalog, Records: vs.Records}},
 		}
 		parentIDs := make([]string, 0, len(meta.Parents))
 		for _, p := range meta.Parents {

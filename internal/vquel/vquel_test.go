@@ -1,17 +1,36 @@
 package vquel
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/cvd"
+	"repro/internal/recset"
 	"repro/internal/relstore"
 	"repro/internal/vgraph"
 )
 
+// catalogOf builds a record catalog: a rid column, then schema's columns, with
+// rows[r-1] as record r.
+func catalogOf(name string, schema relstore.Schema, rows ...relstore.Row) *relstore.Table {
+	cols := append([]relstore.Column{{Name: "rid", Type: relstore.TypeInt}}, schema.Columns...)
+	cat := relstore.NewTable(name, relstore.MustSchema(cols))
+	for i, r := range rows {
+		cat.MustInsert(append(relstore.Row{relstore.Int(int64(i + 1))}, r...))
+	}
+	return cat
+}
+
+// relationOf names the records rids of a catalog as a relation.
+func relationOf(name string, changed bool, catalog *relstore.Table, rids ...int64) *Relation {
+	return &Relation{Name: name, Changed: changed, Catalog: catalog, Records: recset.FromSorted(rids)}
+}
+
 // buildFigure61Repo builds the repository of Figure 6.1: three versions v01,
 // v02, v03 each containing Employee and Department relations. v02 adds
-// employees; v03 modifies one.
+// employees; v03 modifies one. Like a CVD's, each relation is one catalog per
+// relation name plus the version's record set.
 func buildFigure61Repo(t testing.TB) *Repository {
 	t.Helper()
 	empSchema := relstore.MustSchema([]relstore.Column{
@@ -24,49 +43,82 @@ func buildFigure61Repo(t testing.TB) *Repository {
 		{Name: "dept_id", Type: relstore.TypeInt},
 		{Name: "name", Type: relstore.TypeString},
 	})
-	mkEmp := func(rows ...relstore.Row) *relstore.Table {
-		tab := relstore.NewTable("Employee", empSchema)
-		for _, r := range rows {
-			tab.MustInsert(r)
-		}
-		return tab
-	}
-	mkDept := func() *relstore.Table {
-		tab := relstore.NewTable("Department", deptSchema)
-		tab.MustInsert(relstore.Row{relstore.Int(1), relstore.Str("eng")})
-		tab.MustInsert(relstore.Row{relstore.Int(2), relstore.Str("bio")})
-		return tab
-	}
 	e := func(id, last string, age, dept int64) relstore.Row {
 		return relstore.Row{relstore.Str(id), relstore.Str(last), relstore.Int(age), relstore.Int(dept)}
 	}
+	emp := catalogOf("Employee", empSchema,
+		e("e01", "Smith", 34, 1), e("e02", "Jones", 51, 1), e("e03", "Smith", 45, 2), // 1-3
+		e("e04", "Lee", 29, 2), e("e05", "Smith", 62, 1), // 4-5
+		e("e01", "Smith", 35, 1)) // 6
+	dept := catalogOf("Department", deptSchema,
+		relstore.Row{relstore.Int(1), relstore.Str("eng")},
+		relstore.Row{relstore.Int(2), relstore.Str("bio")})
 	repo := NewRepository()
 	ts := time.Date(2015, 3, 1, 0, 0, 0, 0, time.UTC)
 	v1 := &Version{ID: "v01", Author: "Alice", Message: "initial", CommitTS: ts,
 		Relations: map[string]*Relation{
-			"Employee":   {Name: "Employee", Changed: true, Table: mkEmp(e("e01", "Smith", 34, 1), e("e02", "Jones", 51, 1), e("e03", "Smith", 45, 2))},
-			"Department": {Name: "Department", Changed: true, Table: mkDept()},
+			"Employee":   relationOf("Employee", true, emp, 1, 2, 3),
+			"Department": relationOf("Department", true, dept, 1, 2),
 		}}
 	if err := repo.AddVersion(v1); err != nil {
 		t.Fatal(err)
 	}
 	v2 := &Version{ID: "v02", Author: "Bob", Message: "add hires", CommitTS: ts.AddDate(0, 1, 0),
 		Relations: map[string]*Relation{
-			"Employee":   {Name: "Employee", Changed: true, Table: mkEmp(e("e01", "Smith", 34, 1), e("e02", "Jones", 51, 1), e("e03", "Smith", 45, 2), e("e04", "Lee", 29, 2), e("e05", "Smith", 62, 1))},
-			"Department": {Name: "Department", Changed: false, Table: mkDept()},
+			"Employee":   relationOf("Employee", true, emp, 1, 2, 3, 4, 5),
+			"Department": relationOf("Department", false, dept, 1, 2),
 		}}
 	if err := repo.AddVersion(v2, "v01"); err != nil {
 		t.Fatal(err)
 	}
 	v3 := &Version{ID: "v03", Author: "Alice", Message: "fix age", CommitTS: ts.AddDate(0, 2, 0),
 		Relations: map[string]*Relation{
-			"Employee":   {Name: "Employee", Changed: true, Table: mkEmp(e("e01", "Smith", 35, 1), e("e02", "Jones", 51, 1), e("e03", "Smith", 45, 2))},
-			"Department": {Name: "Department", Changed: false, Table: mkDept()},
+			"Employee":   relationOf("Employee", true, emp, 2, 3, 6),
+			"Department": relationOf("Department", false, dept, 1, 2),
 		}}
 	if err := repo.AddVersion(v3, "v01"); err != nil {
 		t.Fatal(err)
 	}
 	return repo
+}
+
+// copyFromCVD is FromCVD as it was before relations read the store: every
+// version's records are copied, row by row, into a private catalog that holds
+// only them (record k of the version is its row k-1). It is the oracle the
+// store-backed relations are checked against.
+func copyFromCVD(c *cvd.CVD) (*Repository, error) {
+	repo := NewRepository()
+	schema := c.Schema()
+	schema.PrimaryKey = nil
+	for _, meta := range c.AllMeta() {
+		var rows []relstore.Row
+		for _, rid := range c.RecordsOf(meta.ID) {
+			row, ok := c.RecordContent(rid)
+			if !ok {
+				return nil, fmt.Errorf("record %d of version %d is not in the catalog", rid, meta.ID)
+			}
+			rows = append(rows, row)
+		}
+		rids := make([]int64, len(rows))
+		for i := range rids {
+			rids[i] = int64(i + 1)
+		}
+		v := &Version{
+			ID:        fmt.Sprintf("v%d", meta.ID),
+			Author:    meta.Author,
+			Message:   meta.Message,
+			CommitTS:  meta.CommitAt,
+			Relations: map[string]*Relation{c.Name(): relationOf(c.Name(), true, catalogOf(c.Name(), schema, rows...), rids...)},
+		}
+		parentIDs := make([]string, 0, len(meta.Parents))
+		for _, p := range meta.Parents {
+			parentIDs = append(parentIDs, fmt.Sprintf("v%d", p))
+		}
+		if err := repo.AddVersion(v, parentIDs...); err != nil {
+			return nil, err
+		}
+	}
+	return repo, nil
 }
 
 func runQuery(t *testing.T, repo *Repository, q string) *Result {
