@@ -158,16 +158,16 @@ func (c *CVD) comparisonsLocked(pred Predicate) (preds []relstore.ColPred, ok bo
 	return preds, true
 }
 
-// selectLocked is the plan ScanVersions and AggregateByVersion share. It
-// appends to sel the catalog positions (record r is row r-1) of the listed
-// versions' records that satisfy pred, version after version and ascending
-// within one, until sel holds limit of them when limit > 0; version i's
-// records end at ends[i]. Each version's record set is walked straight into
-// selections. A predicate of column comparisons refines them on the catalog's
-// lanes, so the select costs its versions, not the catalog, and stops at the
-// limit. An opaque predicate is evaluated row at a time, on one row refilled
-// from the catalog for each record. No row of the answer is materialized.
-// Callers hold c.mu.
+// selectLocked is the plan SelectVersions, ScanVersions and AggregateByVersion
+// share. It appends to sel the catalog positions (record r is row r-1) of the
+// listed versions' records that satisfy pred, version after version and
+// ascending within one, until sel holds limit of them when limit > 0; version
+// i's records end at ends[i]. Each version's record set is walked straight
+// into selections. A predicate of column comparisons refines them on the
+// catalog's lanes, so the select costs its versions, not the catalog, and
+// stops at the limit. An opaque predicate is evaluated row at a time, on one
+// row refilled from the catalog for each record. No row of the answer is
+// materialized. Callers hold c.mu.
 func (c *CVD) selectLocked(sel relstore.Selection, versions []vgraph.VersionID, pred Predicate, limit int) (relstore.Selection, []int, error) {
 	if c.dropped {
 		return nil, nil, c.errDropped()
@@ -220,10 +220,70 @@ type VersionedRow struct {
 	Row     relstore.Row
 }
 
+// Answer is a select's answer as the catalog stores it: positions in the
+// record catalog, each with the version it was selected from, and no row.
+type Answer struct {
+	// Catalog is the record catalog: the rid column, then the data
+	// attributes, whose names are the answer's columns; record r is row r-1.
+	Catalog *relstore.Table
+	// Sel holds the selected positions in Catalog, version after version and
+	// ascending within one.
+	Sel relstore.Selection
+	// Versions are the versions selected from, as listed by the caller, and
+	// Sel[Ends[i-1]:Ends[i]] are the positions selected from Versions[i]
+	// (Ends[-1] read as 0). A version with no match repeats its predecessor's
+	// end.
+	Versions []vgraph.VersionID
+	Ends     []int
+}
+
+// VersionOf returns the index i in Versions of the version Sel[k] was
+// selected from, given the index of Sel[k-1]'s (0 for k == 0): walking Sel in
+// order with it visits Versions once.
+func (a *Answer) VersionOf(k, i int) int {
+	for k == a.Ends[i] {
+		i++
+	}
+	return i
+}
+
+// Rows boxes the answer: one row per position, the data attributes only,
+// materialized column-wise as slices of one block of cells.
+func (a *Answer) Rows() []VersionedRow {
+	block, width := a.Catalog.RowBlock(a.Sel, 1)
+	out := make([]VersionedRow, len(a.Sel))
+	i := 0
+	for k, pos := range a.Sel {
+		i = a.VersionOf(k, i)
+		// Capped, so that appending to a row cannot write into the next.
+		row := block[k*width : (k+1)*width : (k+1)*width]
+		out[k] = VersionedRow{Version: a.Versions[i], RID: vgraph.RecordID(pos) + 1, Row: row}
+	}
+	return out
+}
+
+// SelectVersions runs the select ScanVersions runs and returns its answer
+// unboxed, over a Table.View of the record catalog taken under the same shared
+// lock. Later commits change neither the view, its schema included, nor the
+// selection, so the caller reads the answer's cells off the catalog's lanes
+// after the lock is released (the HTTP server writes its JSON from them), and
+// the columns it names are the ones its cells were selected from.
+func (c *CVD) SelectVersions(versions []vgraph.VersionID, pred Predicate, limit int) (Answer, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	sel, ends, err := c.selectLocked(nil, versions, pred, limit)
+	if err != nil {
+		return Answer{}, err
+	}
+	return Answer{Catalog: c.catalog.View(), Sel: sel, Versions: versions, Ends: ends}, nil
+}
+
 // ScanVersions evaluates `SELECT * FROM VERSION v1, v2, ... OF CVD c WHERE
 // pred LIMIT limit`: it returns the (version, record) pairs of the listed
-// versions whose data satisfies pred. limit <= 0 means no limit. The answer's
-// rows are materialized once, column-wise, as slices of one block of cells.
+// versions whose data satisfies pred. limit <= 0 means no limit. It is
+// SelectVersions boxed (Answer.Rows); the rows are boxed under the lock, off
+// the live catalog, so it takes no view: a view costs allocations in the
+// catalog's width, and the answer's rows are one allocation.
 func (c *CVD) ScanVersions(versions []vgraph.VersionID, pred Predicate, limit int) ([]VersionedRow, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -231,18 +291,8 @@ func (c *CVD) ScanVersions(versions []vgraph.VersionID, pred Predicate, limit in
 	if err != nil {
 		return nil, err
 	}
-	block, width := c.catalog.RowBlock(sel, 1)
-	out := make([]VersionedRow, len(sel))
-	i := 0
-	for k, pos := range sel {
-		for k == ends[i] {
-			i++
-		}
-		// Capped, so that appending to a row cannot write into the next.
-		row := block[k*width : (k+1)*width : (k+1)*width]
-		out[k] = VersionedRow{Version: versions[i], RID: vgraph.RecordID(pos) + 1, Row: row}
-	}
-	return out, nil
+	a := Answer{Catalog: c.catalog, Sel: sel, Versions: versions, Ends: ends}
+	return a.Rows(), nil
 }
 
 // Aggregator folds the records of one version into a single value. catalog is

@@ -25,6 +25,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -213,17 +214,6 @@ type selectRequest struct {
 	Versions []int64         `json:"versions"`
 	Where    []predicateSpec `json:"where"`
 	Limit    int             `json:"limit"`
-}
-
-type selectRow struct {
-	Version int64         `json:"version"`
-	RID     int64         `json:"rid"`
-	Values  []interface{} `json:"values"`
-}
-
-type selectResponse struct {
-	Columns []string    `json:"columns"`
-	Rows    []selectRow `json:"rows"`
 }
 
 type logVersion struct {
@@ -464,20 +454,22 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	rows, err := c.ScanVersions(versionIDs(req.Versions), pred, req.Limit)
+	a, err := c.SelectVersions(versionIDs(req.Versions), pred, req.Limit)
 	if err != nil {
 		writeError(w, http.StatusConflict, err)
 		return
 	}
-	resp := selectResponse{Columns: c.Schema().ColumnNames(), Rows: make([]selectRow, 0, len(rows))}
-	for _, vr := range rows {
-		vals := make([]interface{}, len(vr.Row))
-		for i, v := range vr.Row {
-			vals[i] = valueToJSON(v)
-		}
-		resp.Rows = append(resp.Rows, selectRow{Version: int64(vr.Version), RID: int64(vr.RID), Values: vals})
+	buf := selectBufs.Get().(*[]byte)
+	body, err := appendSelect((*buf)[:0], &a)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+	} else {
+		writeBody(w, http.StatusOK, body)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if cap(body) <= maxPooledBuf {
+		*buf = body[:0]
+		selectBufs.Put(buf)
+	}
 }
 
 func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
@@ -546,10 +538,24 @@ func decodeBody(r *http.Request, into interface{}) error {
 	return nil
 }
 
+// writeJSON sends v as a JSON body. A value encoding/json refuses is a 500
+// saying why, not a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(errorResponse{Error: fmt.Sprintf("encoding the response: %v", err)}) // a string always marshals
+	}
+	writeBody(w, code, append(body, '\n'))
+}
+
+// writeBody sends a whole JSON body in one write, with its length.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body) // a failed write is a client gone: nobody to tell
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
@@ -618,6 +624,10 @@ func jsonToValue(t relstore.ValueType, raw interface{}) (relstore.Value, error) 
 			if err != nil {
 				return relstore.Value{}, fmt.Errorf("not a float: %q", x)
 			}
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				// JSON has no number for it, so no select could answer it.
+				return relstore.Value{}, fmt.Errorf("not a finite float: %q", x)
+			}
 			return relstore.Float(f), nil
 		}
 	case relstore.TypeString:
@@ -633,18 +643,4 @@ func jsonToValue(t relstore.ValueType, raw interface{}) (relstore.Value, error) 
 		}
 	}
 	return relstore.Value{}, fmt.Errorf("cannot use JSON value %v (%T) as %s", raw, raw, t)
-}
-
-// valueToJSON renders a relstore value as its natural JSON type.
-func valueToJSON(v relstore.Value) interface{} {
-	switch v.Type {
-	case relstore.TypeInt:
-		return v.AsInt()
-	case relstore.TypeFloat:
-		return v.AsFloat()
-	case relstore.TypeBool:
-		return v.AsBool()
-	default:
-		return v.AsString()
-	}
 }
