@@ -10,11 +10,12 @@ import (
 
 // runFsck implements `orpheus fsck [-repair] <data-dir>`: an offline
 // integrity scrub of a data directory — chunk pack CRCs and content hashes,
-// manifest reachability, WAL segment framing and record decoding — with
-// optional repair of what is safe to repair (torn tails, unreferenced
-// corrupt chunks, fallback to an older intact manifest). Exit status: 0 when
-// the directory is healthy (or every issue was repaired), 1 when issues
-// remain, 2 on usage or I/O errors.
+// manifest reachability, WAL segment framing, then the open's own recovery
+// (every retained checkpoint restored, every WAL record replayed) — with
+// optional repair of what is safe to repair (torn tails and headers,
+// unreferenced corrupt chunks, fallback to an older intact manifest). Exit
+// status: 0 when the directory is healthy (or every issue was repaired), so
+// the open recovers it; 1 when issues remain; 2 on usage or I/O errors.
 func runFsck(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("orpheus fsck", flag.ContinueOnError)
 	fs.SetOutput(stderr)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cvd"
+	"repro/internal/durable"
 	"repro/internal/relstore"
 	"repro/internal/vfs"
 	"repro/internal/vgraph"
@@ -18,8 +19,9 @@ import (
 // ENOSPC, a short (torn) write, an fsync error, or a crash that drops every
 // unsynced buffer. After each injected run the data directory is reopened on
 // the real filesystem and every acknowledged commit must check out
-// bit-identical to a reference engine, or the reopen must fail with a
-// diagnosable error. Silent loss and panics are the two forbidden outcomes.
+// bit-identical to a reference engine. Before the reopen, fsck must agree
+// with the open on the image and repair it (fsckAgreesWithOpen). Silent loss
+// and panics are the two forbidden outcomes.
 // The sweep covers three durability modes: fsync-per-commit, group commit,
 // and background checkpoint.
 
@@ -120,15 +122,18 @@ func runSweepWorkload(mode, dir string, fs vfs.FS, seed int64) (acked int) {
 	return acked
 }
 
-// verifySweepDir reopens dir on the real filesystem and checks the
-// no-silent-loss invariant: either the open fails with a diagnosable error,
-// or every acknowledged version (and any unacknowledged trailing commit that
-// made it to disk) checks out bit-identical to a reference engine.
+// verifySweepDir holds fsck to the open on dir (fsckAgreesWithOpen), then
+// reopens the repaired directory on the real filesystem and checks the
+// no-silent-loss invariant: every acknowledged version (and any
+// unacknowledged trailing commit that made it to disk) checks out
+// bit-identical to a reference engine.
 func verifySweepDir(dir string, seed int64, acked int) error {
+	if err := fsckAgreesWithOpen(dir); err != nil {
+		return err
+	}
 	recovered, err := OpenDurable("sweep-verify", dir)
 	if err != nil {
-		// Failing loudly is an allowed outcome; failing silently is not.
-		return nil
+		return fmt.Errorf("a directory fsck repaired does not open: %w", err)
 	}
 	defer recovered.Close()
 	var have int
@@ -167,6 +172,80 @@ func verifySweepDir(dir string, seed int64, acked int) error {
 			return fmt.Errorf("reference engine, v%d: %w", v, err)
 		}
 		if err := RowsBitIdentical(fmt.Sprintf("sweep v%d", v), got, want); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fsckAgreesWithOpen holds fsck to the open on one crash image: a plain scrub
+// reports nothing but crash debris (a torn WAL or pack tail) exactly when the
+// open recovers the image — tried on a copy, since the open repairs what it
+// finds — and a repairing scrub then leaves nothing unrepaired. A clean image
+// is left to the caller, whose open of it must succeed. A directory the crash
+// never created is no image.
+func fsckAgreesWithOpen(dir string) error {
+	if _, err := os.Stat(dir); os.IsNotExist(err) {
+		return nil
+	}
+	rep, err := durable.Scrub(dir, durable.ScrubOptions{})
+	if err != nil {
+		return fmt.Errorf("fsck: %w", err)
+	}
+	if rep.Healthy() {
+		return nil
+	}
+	probe := dir + "-probe"
+	if err := copyDir(dir, probe); err != nil {
+		return err
+	}
+	e, openErr := OpenDurable("fsck-probe", probe)
+	if openErr == nil {
+		e.Close()
+	}
+	if err := os.RemoveAll(probe); err != nil {
+		return err
+	}
+	if onlyDebris(rep) != (openErr == nil) {
+		return fmt.Errorf("fsck and the open disagree: fsck reports %+v, the open says %v", rep.Issues, openErr)
+	}
+	if rep, err = durable.Scrub(dir, durable.ScrubOptions{Repair: true}); err != nil {
+		return fmt.Errorf("fsck -repair: %w", err)
+	}
+	if rep.Unrepaired() > 0 {
+		return fmt.Errorf("fsck -repair leaves %+v", rep.Issues)
+	}
+	return nil
+}
+
+// onlyDebris reports that a scrub found nothing but crash debris.
+func onlyDebris(rep *durable.ScrubReport) bool {
+	for _, is := range rep.Issues {
+		if is.Kind != durable.IssueTornWALTail && is.Kind != durable.IssueTornPackTail {
+			return false
+		}
+	}
+	return true
+}
+
+// copyDir copies the files of dir into a new directory to.
+func copyDir(dir, to string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	if err := os.Mkdir(to, 0o755); err != nil {
+		return err
+	}
+	for _, ent := range entries {
+		if ent.IsDir() {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(to, ent.Name()), data, 0o644); err != nil {
 			return err
 		}
 	}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cvd"
 	"repro/internal/durable"
-	"repro/internal/relstore"
 )
 
 // This file binds the engine to the durable storage subsystem (package
@@ -34,46 +33,27 @@ func OpenDurable(name, dir string, opts ...Option) (*Engine, error) {
 		store.SetRetention(e.retain)
 	}
 	e.recovery = RecoveryInfo{TornTail: res.TornTail, StaleWAL: res.StaleWAL}
+	rec := durable.NewRecovery(e.db, e.workers)
 	if res.Snapshot != nil {
-		if err := e.restoreSnapshot(res.Snapshot); err != nil {
+		if err := rec.Restore(res.Snapshot); err != nil {
 			store.Close()
 			return nil, err
 		}
 	}
-	// Stream the WAL through the engine one record at a time (a large log is
-	// never materialized whole).
-	if _, err := store.ReplayWAL(e.applyRecord); err != nil {
+	// Stream the WAL through the recovery one record at a time (a large log
+	// is never materialized whole).
+	if _, err := store.ReplayWAL(rec.Apply); err != nil {
 		store.Close()
 		return nil, err
 	}
 	// Attach the journal only after replay so replayed operations are not
 	// logged a second time.
-	e.store = store
+	e.db, e.cvds, e.store = rec.DB, rec.CVDs, store
 	for _, c := range e.cvds {
 		c.SetJournal(store)
 		c.InheritWorkers(e.workers)
 	}
 	return e, nil
-}
-
-// restoreSnapshot populates a fresh engine from a decoded snapshot: tables
-// attach straight to the backing database and each CVD state is rebuilt over
-// them.
-func (e *Engine) restoreSnapshot(snap *durable.Snapshot) error {
-	if snap.DBName != "" {
-		e.db = relstore.NewDatabase(snap.DBName)
-	}
-	for _, t := range snap.Tables {
-		e.db.AttachTable(t)
-	}
-	for _, st := range snap.CVDs {
-		c, err := cvd.Restore(e.db, st)
-		if err != nil {
-			return err
-		}
-		e.cvds[c.Name()] = c
-	}
-	return nil
 }
 
 // OpenAtEpoch materializes the engine state captured by a retained checkpoint
@@ -87,57 +67,15 @@ func OpenAtEpoch(name, dir string, epoch uint64, opts ...Option) (*Engine, error
 		return nil, err
 	}
 	e := Open(name, opts...)
-	if err := e.restoreSnapshot(snap); err != nil {
+	rec := durable.NewRecovery(e.db, e.workers)
+	if err := rec.Restore(snap); err != nil {
 		return nil, err
 	}
+	e.db, e.cvds = rec.DB, rec.CVDs
 	for _, c := range e.cvds {
 		c.InheritWorkers(e.workers)
 	}
 	return e, nil
-}
-
-// applyRecord replays one WAL record against the in-memory engine: an init or
-// commit record's delta goes straight back into the CVD (cvd.ReplayInit /
-// ReplayCommit), which refuses one that does not continue its state. Replay
-// runs before the journal is attached, so nothing here re-logs.
-func (e *Engine) applyRecord(rec *durable.Record) error {
-	switch rec.Op {
-	case durable.OpInit:
-		if _, dup := e.cvds[rec.CVD]; dup {
-			return fmt.Errorf("core: WAL replays init of existing CVD %q", rec.CVD)
-		}
-		c, err := cvd.ReplayInit(e.db, rec.CVD, rec.Versions, rec.Delta, rec.Schema, cvd.Options{
-			Author:  rec.Author,
-			Message: rec.Message,
-			At:      rec.At,
-			Workers: e.workers,
-		})
-		if err != nil {
-			return fmt.Errorf("core: replaying init of %q: %w", rec.CVD, err)
-		}
-		e.cvds[rec.CVD] = c
-		return nil
-	case durable.OpCommit:
-		c, ok := e.cvds[rec.CVD]
-		if !ok {
-			return fmt.Errorf("core: WAL replays commit to unknown CVD %q (a CVD adopted but never checkpointed?)", rec.CVD)
-		}
-		if err := c.ReplayCommit(rec.Versions, rec.Delta, rec.Schema, rec.Message, rec.Author, rec.At); err != nil {
-			return fmt.Errorf("core: replaying commit to %q: %w", rec.CVD, err)
-		}
-		return nil
-	case durable.OpDrop:
-		// A drop may race a checkpoint in the original process (the CVD was
-		// already unlinked from the snapshot's registry), so a drop of an
-		// unknown CVD is a no-op, not corruption.
-		if c, ok := e.cvds[rec.CVD]; ok {
-			c.Drop()
-			delete(e.cvds, rec.CVD)
-		}
-		return nil
-	default:
-		return fmt.Errorf("core: unknown WAL record op %d", rec.Op)
-	}
 }
 
 // Durable reports whether the engine is bound to a data directory. It

@@ -328,6 +328,60 @@ func TestRejectedCommitKeepsLogReplayable(t *testing.T) {
 	enginesEquivalent(t, "replayed", live, replayed)
 }
 
+// TestScrubTornWALHeader: a crash inside a checkpoint can leave the new active
+// segment shorter than its header. The open writes the header afresh, so fsck
+// reports crash debris and its repair writes the same header: afterwards the
+// directory scrubs clean and opens with every version.
+func TestScrubTornWALHeader(t *testing.T) {
+	dir := t.TempDir()
+	live, err := OpenDurable("live", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := live.Init("d", sweepSchema(), sweepRows(3, 2), cvd.Options{Author: "t", Message: "v1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 2; v <= 4; v++ {
+		if _, err := c.Commit([]vgraph.VersionID{vgraph.VersionID(v - 1)}, sweepRows(3, v+1), sweepSchema(), fmt.Sprintf("v%d", v), "t"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := live.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segments, err := filepath.Glob(filepath.Join(dir, "wal-*.orph"))
+	if err != nil || len(segments) == 0 {
+		t.Fatalf("no WAL segment: %v", err)
+	}
+	if err := os.WriteFile(segments[len(segments)-1], []byte("ORPHW"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := durable.Scrub(dir, durable.ScrubOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Issues) != 1 || rep.Issues[0].Kind != durable.IssueTornWALTail {
+		t.Fatalf("scrub of a torn WAL header: %+v, want one %s", rep.Issues, durable.IssueTornWALTail)
+	}
+	if rep, err = durable.Scrub(dir, durable.ScrubOptions{Repair: true}); err != nil || rep.Unrepaired() != 0 {
+		t.Fatalf("repair of a torn WAL header: %v, %+v", err, rep.Issues)
+	}
+	if rep, err = durable.Scrub(dir, durable.ScrubOptions{}); err != nil || !rep.Healthy() {
+		t.Fatalf("scrub after the repair: %v, %+v", err, rep.Issues)
+	}
+	recovered, err := OpenDurable("recovered", dir)
+	if err != nil {
+		t.Fatalf("opening the repaired directory: %v", err)
+	}
+	defer recovered.Close()
+	enginesEquivalent(t, "recovered", live, recovered)
+}
+
 // walHeaderBytes is the length of a WAL segment's header.
 const walHeaderBytes = 20
 
@@ -346,9 +400,11 @@ func walFrames(t *testing.T, raw []byte) (header []byte, frames [][]byte) {
 // TestReplayRefusesDiscontinuousLog: a WAL that does not continue the state
 // it is replayed onto — a commit record missing from the middle, a record
 // naming a parent that does not exist, a record whose added rids do not start
-// at the next rid — must fail the open with an error naming the segment and
-// the record, never open as a renumbered history; and the offline scrub
-// behind `orpheus fsck` must report the same record as corrupt-wal-record.
+// at the next rid or skip one after it, a tombstone for a record the parents
+// do not hold, a schema that is not the current one evolved — must fail the
+// open with an error naming the segment and the record, never open as a
+// renumbered history; and the offline scrub behind `orpheus fsck` must report
+// the same record as corrupt-wal-record, in the open's sentence.
 func TestReplayRefusesDiscontinuousLog(t *testing.T) {
 	schema := relstore.MustSchema([]relstore.Column{
 		{Name: "id", Type: relstore.TypeInt},
@@ -380,7 +436,7 @@ func TestReplayRefusesDiscontinuousLog(t *testing.T) {
 		return dir
 	}
 	// forge appends one CRC-valid commit record straight through the store.
-	forge := func(t *testing.T, dir string, versions []vgraph.VersionID, delta []relstore.Row) {
+	forge := func(t *testing.T, dir string, versions []vgraph.VersionID, delta []relstore.Row, deltaSchema relstore.Schema) {
 		s, _, err := durable.Open(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -419,11 +475,24 @@ func TestReplayRefusesDiscontinuousLog(t *testing.T) {
 			}
 		}, 2, "version 4 does not continue the history (next version is 3)"},
 		{"unknown-parent", func(t *testing.T, dir string) {
-			forge(t, dir, []vgraph.VersionID{5, 99}, []relstore.Row{{relstore.Int(6), relstore.Int(50), relstore.Str("x")}})
+			forge(t, dir, []vgraph.VersionID{5, 99}, []relstore.Row{{relstore.Int(6), relstore.Int(50), relstore.Str("x")}}, deltaSchema)
 		}, 4, "unknown parent version 99"},
 		{"rid-gap", func(t *testing.T, dir string) {
-			forge(t, dir, []vgraph.VersionID{5, 4}, []relstore.Row{{relstore.Int(9), relstore.Int(50), relstore.Str("x")}})
+			forge(t, dir, []vgraph.VersionID{5, 4}, []relstore.Row{{relstore.Int(9), relstore.Int(50), relstore.Str("x")}}, deltaSchema)
 		}, 4, "adds record 9 where the next record id is 6"},
+		{"tombstone-not-held", func(t *testing.T, dir string) {
+			forge(t, dir, []vgraph.VersionID{5, 1}, []relstore.Row{{relstore.Int(99)}}, deltaSchema)
+		}, 4, "drops record 99, which its parents do not hold"},
+		{"second-rid-gap", func(t *testing.T, dir string) {
+			forge(t, dir, []vgraph.VersionID{5, 4}, []relstore.Row{
+				{relstore.Int(6), relstore.Int(50), relstore.Str("x")},
+				{relstore.Int(8), relstore.Int(51), relstore.Str("y")},
+			}, deltaSchema)
+		}, 4, "adds record 8 where the next record id is 7"},
+		{"schema-not-evolved", func(t *testing.T, dir string) {
+			narrowed := relstore.MustSchema(deltaSchema.Columns[:2], "id")
+			forge(t, dir, []vgraph.VersionID{5, 4}, []relstore.Row{{relstore.Int(6), relstore.Int(50)}}, narrowed)
+		}, 4, "has schema (id integer, PRIMARY KEY(id)), which is not the current schema (id integer, payload string, PRIMARY KEY(id)) evolved"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -435,15 +504,6 @@ func TestReplayRefusesDiscontinuousLog(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			found := false
-			for _, is := range rep.Issues {
-				if is.Kind == durable.IssueCorruptWALRecord && strings.Contains(is.Detail, where) && strings.Contains(is.Detail, tc.mention) {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("scrub did not report %s as %s (%q): %+v", where, durable.IssueCorruptWALRecord, tc.mention, rep.Issues)
-			}
 
 			e, err := OpenDurable("teeth", dir)
 			if err == nil {
@@ -454,6 +514,9 @@ func TestReplayRefusesDiscontinuousLog(t *testing.T) {
 				if !strings.Contains(err.Error(), want) {
 					t.Fatalf("open error does not mention %q: %v", want, err)
 				}
+			}
+			if len(rep.Issues) != 1 || rep.Issues[0].Kind != durable.IssueCorruptWALRecord || rep.Issues[0].Detail != err.Error() {
+				t.Fatalf("scrub reports %+v, want one %s saying %q", rep.Issues, durable.IssueCorruptWALRecord, err)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package cvd
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -117,7 +118,7 @@ type PersistentState struct {
 
 	Graph *vgraph.Graph // version graph
 	// RecordSets is the versioning table: one set per version 1 … NextVID-1,
-	// in order (CheckVersions), each the version's rlist and its record set
+	// in order (Restore checks), each the version's rlist and its record set
 	// in the bipartite graph at once.
 	RecordSets []VersionRecordSet
 	Metas      []*VersionMeta // version metadata ordered by id
@@ -137,7 +138,7 @@ type PersistentState struct {
 }
 
 // DataTable names the CVD's data table, one of Tables: the record catalog
-// CheckCatalog verifies.
+// Restore verifies.
 func (st *PersistentState) DataTable() string { return rlistDataTabName(st.Name) }
 
 // ExportState assembles the CVD's persistent state; a CVD of an in-memory
@@ -211,24 +212,25 @@ func (c *CVD) ExportStateCOW() (*PersistentState, error) {
 // Restore only wires the in-memory structures (graph, record sets, metadata,
 // attribute registry, partition bookkeeping) back around them, the data table
 // serving as the record catalog. Each record set becomes both the version's
-// rlist and its set in the bipartite graph. A state that fails CheckCatalog or
-// CheckVersions is refused. The restored CVD takes ownership of the state's
-// pointers.
+// rlist and its set in the bipartite graph. A state whose record catalog or
+// versioning table is not the one it describes is refused, with an error that
+// is ErrBadCatalog or ErrBadVersions (errors.Is). The restored CVD takes
+// ownership of the state's pointers.
 func Restore(db *relstore.Database, st *PersistentState) (*CVD, error) {
+	catalog, ok := db.Table(st.DataTable())
+	if !ok {
+		return nil, refusal{fmt.Errorf("cvd: restore %s: data table %q missing from database", st.Name, st.DataTable()), ErrBadCatalog}
+	}
 	for _, name := range st.Tables {
 		if !db.HasTable(name) {
 			return nil, fmt.Errorf("cvd: restore %s: backing table %q missing from database", st.Name, name)
 		}
 	}
-	catalog, ok := db.Table(st.DataTable())
-	if !ok {
-		return nil, fmt.Errorf("cvd: restore %s: data table %q missing from database", st.Name, st.DataTable())
+	if err := verifyCatalog(st, catalog); err != nil {
+		return nil, refusal{err, ErrBadCatalog}
 	}
-	if err := CheckCatalog(st, catalog); err != nil {
-		return nil, err
-	}
-	if err := CheckVersions(st); err != nil {
-		return nil, err
+	if err := verifyVersions(st); err != nil {
+		return nil, refusal{err, ErrBadVersions}
 	}
 	c := &CVD{
 		name:      st.Name,
@@ -258,14 +260,31 @@ func Restore(db *relstore.Database, st *PersistentState) (*CVD, error) {
 	return c, nil
 }
 
-// CheckCatalog verifies that catalog is the record catalog st describes: the
+// ErrBadCatalog and ErrBadVersions class Restore's refusals (errors.Is): the
+// state's record catalog, or its versioning table, is not the one its head
+// describes. The refusal's sentence is its own; the class adds nothing to it.
+var (
+	ErrBadCatalog  = errors.New("cvd: the record catalog is not the one the CVD head describes")
+	ErrBadVersions = errors.New("cvd: the versioning table is not the history the CVD head describes")
+)
+
+// refusal is one of Restore's sentences, classed under ErrBadCatalog or
+// ErrBadVersions.
+type refusal struct {
+	error
+	class error
+}
+
+func (r refusal) Is(target error) bool { return target == r.class }
+
+// verifyCatalog checks that catalog is the record catalog st describes: the
 // rid column followed by st's data schema, and dense — one row per record id
 // handed out so far, row r-1 carrying rid r, which is what lets a lookup be an
-// index. Restore refuses a state that fails it, and a scrub reports one.
-func CheckCatalog(st *PersistentState, catalog *relstore.Table) error {
+// index.
+func verifyCatalog(st *PersistentState, catalog *relstore.Table) error {
 	// Spelled out rather than compared with dataSchemaWithRID(st.Schema), which
 	// panics on a schema that cannot take a rid column: st may be anything a
-	// scrub decoded.
+	// checkpoint decoded to.
 	if cols := catalog.Schema.Columns; len(cols) != len(st.Schema.Columns)+1 ||
 		cols[0] != (relstore.Column{Name: ridColumn, Type: relstore.TypeInt}) || !slices.Equal(cols[1:], st.Schema.Columns) ||
 		!slices.Equal(catalog.Schema.PrimaryKey, []string{ridColumn}) {
@@ -282,12 +301,11 @@ func CheckCatalog(st *PersistentState, catalog *relstore.Table) error {
 	return nil
 }
 
-// CheckVersions verifies that st's versioning table is the version history its
+// verifyVersions checks that st's versioning table is the version history its
 // head describes: one record set per version 1 … NextVID-1, in order, each as
 // large as its graph node and its metadata say the version is, holding only
-// record ids handed out so far. Restore refuses a state that fails it, and a
-// scrub reports one.
-func CheckVersions(st *PersistentState) error {
+// record ids handed out so far.
+func verifyVersions(st *PersistentState) error {
 	if want := int(st.NextVID) - 1; len(st.RecordSets) != want {
 		return fmt.Errorf("cvd: %s: the versioning table holds %d versions where version ids 1 to %d were handed out", st.Name, len(st.RecordSets), want)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -300,10 +301,10 @@ func FuzzWALRecordDecode(f *testing.F) {
 }
 
 // FuzzScrub feeds hostile bytes as an entire data directory — pack, manifest
-// and WAL segment all at once — and demands Scrub classify the
-// wreckage (or error) without ever panicking, with and without repair. The
-// repair pass additionally exercises truncation, quarantine, and the
-// verification reopen against arbitrary garbage.
+// and WAL segment all at once — and demands Scrub classify the wreckage (or
+// error) without ever panicking, with and without repair, and agree with the
+// open: when a plain scrub finds nothing but crash debris, or a repairing one
+// leaves nothing unrepaired, the directory opens and recovers (recoverDir).
 func FuzzScrub(f *testing.F) {
 	f.Add([]byte(packMagic+"\x02\x00\x00\x00"), []byte(manifestMagic), []byte(walMagic))
 	f.Add([]byte("ORPHPAK1\x02\x00\x00\x00garbage frame bytes"), []byte("not a manifest"),
@@ -320,20 +321,98 @@ func FuzzScrub(f *testing.F) {
 		segment = append(segment, frame...)
 	}
 	f.Add([]byte{}, []byte{}, segment)
+	// A checkpointed directory, so mutations reach the recovery behind the
+	// framing: a CVD restored from the manifest and a commit replayed onto it.
+	pack, man, wal := fuzzScrubImage(f)
+	f.Add(pack, man, wal)
 	f.Fuzz(func(t *testing.T, pack, man, wal []byte) {
-		dir := t.TempDir()
-		for name, data := range map[string][]byte{
-			PackFile:              pack,
-			ManifestFileName(1):   man,
-			WALSegmentFileName(1): wal,
-		} {
-			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-				t.Fatal(err)
+		image := func() string {
+			dir := t.TempDir()
+			for name, data := range map[string][]byte{
+				PackFile:              pack,
+				ManifestFileName(1):   man,
+				WALSegmentFileName(1): wal,
+			} {
+				if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return dir
+		}
+		dir := image()
+		if rep, err := Scrub(dir, ScrubOptions{}); err == nil && onlyDebris(rep) {
+			// The open repairs what it finds: it gets an image of its own.
+			if err := recoverDir(image()); err != nil {
+				t.Fatalf("fsck finds only debris (%+v), yet the open fails: %v", rep.Issues, err)
 			}
 		}
-		for _, repair := range []bool{false, true} {
-			// Corruption must surface as a report or an error — never a panic.
-			_, _ = Scrub(dir, ScrubOptions{Repair: repair})
+		if rep, err := Scrub(dir, ScrubOptions{Repair: true}); err == nil && rep.Unrepaired() == 0 {
+			if err := recoverDir(dir); err != nil {
+				t.Fatalf("fsck -repair leaves nothing unrepaired (%+v), yet the open fails: %v", rep.Issues, err)
+			}
 		}
 	})
+}
+
+// fuzzScrubImage writes a directory holding one CVD — checkpointed at epoch
+// 1, then committed to once more — and returns its pack, manifest and WAL
+// segment.
+func fuzzScrubImage(f *testing.F) (pack, man, wal []byte) {
+	dir := f.TempDir()
+	s, _, err := Open(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	db := relstore.NewDatabase("fuzz")
+	rng := rand.New(rand.NewSource(9))
+	c, err := cvd.Init(db, "d", gateSchema(), gateRows(rng, 0, 30), cvd.Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := s.Checkpoint(snapshotOf(f, db, c)); err != nil {
+		f.Fatal(err)
+	}
+	c.SetJournal(s)
+	if _, err := c.Commit([]vgraph.VersionID{1}, gateRows(rng, 20, 15), gateSchema(), "more", "f"); err != nil {
+		f.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		f.Fatal(err)
+	}
+	read := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	return read(PackFile), read(ManifestFileName(1)), read(WALSegmentFileName(1))
+}
+
+// onlyDebris reports that a scrub found nothing but crash debris.
+func onlyDebris(rep *ScrubReport) bool {
+	for _, is := range rep.Issues {
+		if is.Kind != IssueTornWALTail && is.Kind != IssueTornPackTail {
+			return false
+		}
+	}
+	return true
+}
+
+// recoverDir opens dir and recovers it the way the engine's open does: the
+// newest checkpoint restored, the WAL replayed onto it.
+func recoverDir(dir string) error {
+	s, res, err := Open(dir)
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	rec := NewRecovery(relstore.NewDatabase(""), 0)
+	if res.Snapshot != nil {
+		if err := rec.Restore(res.Snapshot); err != nil {
+			return err
+		}
+	}
+	_, err = s.ReplayWAL(rec.Apply)
+	return err
 }

@@ -61,7 +61,7 @@ func seededCVD(t *testing.T, rng *rand.Rand) (*relstore.Database, *cvd.CVD) {
 }
 
 // snapshotOf captures the CVD as a checkpoint takes it.
-func snapshotOf(t *testing.T, db *relstore.Database, c *cvd.CVD) *Snapshot {
+func snapshotOf(t testing.TB, db *relstore.Database, c *cvd.CVD) *Snapshot {
 	t.Helper()
 	st, err := c.ExportState()
 	if err != nil {

@@ -67,16 +67,8 @@ func openPack(fsys vfs.FS, path string) (p *chunkPack, tornTail bool, err error)
 		return fail(err)
 	}
 	if info.Size() < packHeaderSize {
-		var hdr [packHeaderSize]byte
-		copy(hdr[:8], packMagic)
-		binary.LittleEndian.PutUint32(hdr[8:], formatVersion)
-		if err := f.Truncate(0); err != nil {
-			return fail(err)
-		}
-		if _, err := f.WriteAt(hdr[:], 0); err != nil {
-			return fail(err)
-		}
-		if err := f.Sync(); err != nil {
+		// A crash while creating the pack: no chunk in it was ever written.
+		if err := writePackHeader(f); err != nil {
 			return fail(err)
 		}
 		return &chunkPack{fsys: fsys, path: path, f: f, idx: make(map[ChunkHash]chunkLoc), size: packHeaderSize}, false, nil
@@ -132,14 +124,30 @@ func openPack(fsys vfs.FS, path string) (p *chunkPack, tornTail bool, err error)
 		valid = off
 	}
 	if tornTail {
-		if err := f.Truncate(valid); err != nil {
-			return fail(err)
-		}
-		if err := f.Sync(); err != nil {
+		if err := truncateTail(f, valid); err != nil {
 			return fail(err)
 		}
 	}
 	return &chunkPack{fsys: fsys, path: path, f: f, idx: idx, size: valid}, tornTail, nil
+}
+
+// packHeader is the header every pack starts with.
+func packHeader() []byte {
+	hdr := make([]byte, packHeaderSize)
+	copy(hdr[:8], packMagic)
+	binary.LittleEndian.PutUint32(hdr[8:], formatVersion)
+	return hdr
+}
+
+// writePackHeader makes f an empty pack: the header alone, synced.
+func writePackHeader(f vfs.File) error {
+	if err := f.Truncate(0); err != nil {
+		return err
+	}
+	if _, err := f.WriteAt(packHeader(), 0); err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // has reports whether the chunk is present.
@@ -259,10 +267,7 @@ func (p *chunkPack) compact(live map[ChunkHash]struct{}) error {
 	}
 	defer p.fsys.Remove(tmp.Name())
 	bw := bufio.NewWriterSize(tmp, 1<<20)
-	var hdr [packHeaderSize]byte
-	copy(hdr[:8], packMagic)
-	binary.LittleEndian.PutUint32(hdr[8:], formatVersion)
-	if _, err := bw.Write(hdr[:]); err != nil {
+	if _, err := bw.Write(packHeader()); err != nil {
 		tmp.Close()
 		return err
 	}

@@ -10,19 +10,24 @@ import (
 	"sort"
 
 	"repro/internal/cvd"
+	"repro/internal/relstore"
 	"repro/internal/vfs"
-	"repro/internal/vgraph"
 )
 
-// Scrub is the offline integrity checker behind `orpheus fsck`: it walks a
+// Scrub is the offline integrity checker behind `orpheus fsck`. It walks a
 // closed data directory end to end — chunk pack frames (CRC and content
-// hash), checkpoint manifests (file CRC plus every chunk reference),
-// WAL segment framing and record decoding, and the manifest/segment epoch
-// chain — classifies every defect it finds, and (with Repair) fixes what can
-// be fixed without dropping committed history silently:
+// hash), checkpoint manifests (file CRC plus every chunk reference), WAL
+// segment headers and framing, and the manifest/segment epoch chain — and
+// then runs the open's own recovery over what it found (Recovery): every
+// usable retained checkpoint is restored as point-in-time restore would
+// restore it, and every WAL record is decoded and, from the recovery root
+// on, replayed as the open replays it. It classifies every defect, and (with
+// Repair) fixes what can be fixed without dropping committed history
+// silently:
 //
-//   - a torn pack tail or torn active-WAL tail (crash debris) is truncated
-//     away, exactly as recovery would;
+//   - a torn pack tail or torn active-WAL tail (crash debris), or a pack or
+//     active segment shorter than its header, is truncated away or given its
+//     header, exactly as the open would;
 //   - corrupt chunks no manifest references are compacted out of the pack;
 //   - when the newest manifest references corrupt or missing chunks but an
 //     older retained manifest is fully intact, the damaged manifests (and
@@ -30,55 +35,62 @@ import (
 //     .corrupt suffix so the directory opens again at the older epoch — and
 //     the report says exactly which epochs were lost;
 //   - everything else (a torn sealed segment, a corrupt live chunk with no
-//     intact fallback, an undecodable committed record) is reported with the
-//     affected epochs and left untouched.
+//     intact fallback, a checkpoint or record the recovery refuses) is
+//     reported with the affected epochs and left untouched.
 
 // IssueKind classifies one defect found by Scrub.
 type IssueKind string
 
 // The corruption classes Scrub distinguishes.
 const (
-	// IssueTornPackTail: the chunk pack ends mid-frame — a crashed append.
-	// Repairable: the tail is unreferenced by construction (manifests are
-	// written only after the pack is fsynced).
+	// IssueTornPackTail: the chunk pack ends mid-frame — a crashed append —
+	// or is shorter than its header — a crash while creating it. Repairable:
+	// the tail is unreferenced by construction (manifests are written only
+	// after the pack is fsynced).
 	IssueTornPackTail IssueKind = "torn-pack-tail"
 	// IssueCorruptChunk: a pack frame whose payload fails its CRC or whose
 	// content does not hash to the frame's chunk hash (mid-file corruption,
-	// not a torn tail). Repairable by compaction only if no manifest
-	// references it.
+	// not a torn tail), or a pack header of another magic or version.
+	// Repairable by compaction only if no manifest references it.
 	IssueCorruptChunk IssueKind = "corrupt-chunk"
 	// IssueDanglingRef: a manifest references a chunk the pack does not hold.
 	IssueDanglingRef IssueKind = "dangling-ref"
 	// IssueCorruptManifest: a manifest file fails its magic, CRC, or decode.
 	IssueCorruptManifest IssueKind = "corrupt-manifest"
 	// IssueTornWALTail: the active WAL segment ends mid-record — a crashed
-	// append. Repairable: recovery would truncate it identically.
+	// append — or is shorter than its header. Repairable: the open truncates
+	// it, or writes the header, identically.
 	IssueTornWALTail IssueKind = "torn-wal-tail"
 	// IssueSealedWALTorn: a sealed segment ends mid-record. Every record in a
 	// sealed segment was acknowledged, so this is committed-history loss —
 	// never repaired silently.
 	IssueSealedWALTorn IssueKind = "sealed-wal-torn"
-	// IssueCorruptWALRecord: a record passes its frame CRC but does not
-	// decode, or decodes but does not continue the state before it (a version
-	// id, parent, or record id the log so far does not lead to) — mid-log
-	// corruption of committed history.
+	// IssueCorruptWALRecord: a segment header that is not its own, or a record
+	// that passes its frame CRC but does not decode, or that the open's replay
+	// refuses (Recovery.Apply: a version id, parent, tombstone, added record
+	// id or schema the log so far does not lead to) — mid-log corruption of
+	// committed history. The detail is the open's sentence.
 	IssueCorruptWALRecord IssueKind = "corrupt-wal-record"
-	// IssueBadCatalog: the newest usable manifest holds a CVD whose record
+	// IssueBadCatalog: a usable retained manifest holds a CVD whose record
 	// catalog table is missing, has the wrong schema, or is not dense (one row
 	// per record id handed out, row r-1 carrying rid r): every chunk is intact,
-	// yet the open refuses the directory (cvd.CheckCatalog).
+	// yet restoring the epoch fails (cvd.ErrBadCatalog), with the sentence the
+	// detail repeats. Never repaired.
 	IssueBadCatalog IssueKind = "bad-catalog"
-	// IssueBadVersions: the newest usable manifest holds a CVD whose versioning
-	// table — its record-set runs — is not the history its head describes: a
-	// run that does not decode, a version missing or out of order, a set whose
-	// size disagrees with its version's node or metadata, or a record id never
-	// handed out. Every chunk is intact, yet the open refuses the directory
-	// (cvd.CheckVersions). Never repaired.
+	// IssueBadVersions: a usable retained manifest holds a CVD whose
+	// versioning table — its record-set runs — is not the history its head
+	// describes: a version missing or out of order, a set whose size disagrees
+	// with its version's node or metadata, or a record id never handed out.
+	// Every chunk is intact, yet restoring the epoch fails
+	// (cvd.ErrBadVersions), with the sentence the detail repeats. Never
+	// repaired.
 	IssueBadVersions IssueKind = "bad-versions"
 	// IssueMissingWALSegment: the manifest/segment epoch chain has a hole.
 	IssueMissingWALSegment IssueKind = "missing-wal-segment"
-	// IssueUnopenable: after repairs, a full open of the directory still
-	// fails (reported by Scrub's verification pass).
+	// IssueUnopenable: a usable retained manifest whose chunks are all intact
+	// does not load or restore for another reason than its catalog or its
+	// versioning table — a CVD head or a table that does not decode or
+	// assemble. The detail is the open's (or OpenAtEpoch's) sentence.
 	IssueUnopenable IssueKind = "unopenable"
 )
 
@@ -136,7 +148,9 @@ type ScrubOptions struct {
 // I/O failures of the scrub itself (an unreadable directory) and for a
 // directory this build refuses whole — a manifest of another version, a CVD of
 // another model than split-by-rlist (cvd.ErrInMemoryModel) — not for
-// corruption, which is always reported rather than returned.
+// corruption, which is always reported rather than returned. The recovery
+// pass runs after the repairs, so a repaired directory is one the open
+// recovers.
 func Scrub(dir string, opts ScrubOptions) (*ScrubReport, error) {
 	fsys := opts.FS
 	if fsys == nil {
@@ -149,25 +163,9 @@ func Scrub(dir string, opts ScrubOptions) (*ScrubReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer lock.Close()
 	rep := &ScrubReport{}
-	scrubErr := scrubLocked(fsys, dir, opts, rep)
-	lock.Close()
-	if scrubErr != nil {
-		return rep, scrubErr
-	}
-	// Verification pass: after a repair run, the directory must actually
-	// open (full recovery path: manifest load, chunk hash verification, WAL
-	// scan). The lock is released above so OpenFS can take it.
-	if opts.Repair && rep.Repairs > 0 {
-		s, _, err := OpenFS(dir, fsys)
-		if err != nil {
-			rep.addIssue(ScrubIssue{Kind: IssueUnopenable, Path: dir,
-				Detail: fmt.Sprintf("directory still fails to open after repair: %v", err)})
-		} else {
-			s.Close()
-		}
-	}
-	return rep, nil
+	return rep, scrubLocked(fsys, dir, opts, rep)
 }
 
 // packState is the pack walk's outcome.
@@ -178,6 +176,7 @@ type packState struct {
 	corrupt   map[ChunkHash]chunkLoc // frames present but failing CRC or hash
 	tornAt    int64                  // file offset of a torn tail, -1 if none
 	size      int64
+	short     bool   // shorter than its header: openPack writes the header
 	headerBad string // non-empty: the file is not a readable pack at all
 }
 
@@ -204,7 +203,7 @@ func scanPackFile(fsys vfs.FS, path string, rep *ScrubReport) (*packState, error
 	}
 	st.size = info.Size()
 	if st.size < packHeaderSize {
-		st.headerBad = fmt.Sprintf("%d bytes is shorter than the pack header", st.size)
+		st.short = true
 		return st, nil
 	}
 	var hdr [packHeaderSize]byte
@@ -278,146 +277,21 @@ func (ms *manifestState) usable() bool {
 	return ms.m != nil && len(ms.dangling) == 0 && len(ms.corrupt) == 0
 }
 
-// walState is one WAL segment's scrub outcome.
-type walState struct {
-	epoch     uint64
-	path      string
-	headerErr error
-	validEnd  int64
-	torn      bool
-	recordErr error // a CRC-valid record that does not decode or does not continue the log
-	records   int
-}
-
-// walCursor is where one CVD's log must continue.
-type walCursor struct {
-	nextVID vgraph.VersionID
-	nextRID vgraph.RecordID
-}
-
-// walCursors follows a WAL chain record by record and checks the counters a
-// scrub can follow from the CVD heads alone: the version id, that the parents
-// lie below it (version ids are dense), and the first added record id. That is
-// a subset of what the open verifies, not a second copy of it: the rule lives
-// in cvd's replay, which also checks the remaining added rids, the tombstones
-// and the schema against state a scrub does not load. A record that fails here
-// is refused by the open too; one that passes may still be.
-type walCursors map[string]walCursor
-
-// cursorsOf starts a chain at the state a recovery root holds.
-func cursorsOf(cvds []*cvd.PersistentState) walCursors {
-	cur := make(walCursors, len(cvds))
-	for _, st := range cvds {
-		cur[st.Name] = walCursor{nextVID: st.NextVID, nextRID: st.NextRID}
-	}
-	return cur
-}
-
-// advance checks that rec continues the chain and steps past it.
-func (cur walCursors) advance(rec *Record) error {
-	c, known := cur[rec.CVD]
-	switch rec.Op {
-	case OpDrop:
-		delete(cur, rec.CVD) // dropping an unknown CVD is a tolerated no-op
-		return nil
-	case OpInit:
-		if known {
-			return fmt.Errorf("init of CVD %q, which already exists", rec.CVD)
-		}
-		c = walCursor{nextVID: 1, nextRID: 1}
-	case OpCommit:
-		if !known {
-			return fmt.Errorf("commit to unknown CVD %q", rec.CVD)
-		}
-	}
-	v, parents := rec.Versions[0], rec.Versions[1:]
-	if v != c.nextVID {
-		return fmt.Errorf("CVD %q: version %d does not continue the history (next version is %d)", rec.CVD, v, c.nextVID)
-	}
-	if (rec.Op == OpInit) != (len(parents) == 0) {
-		return fmt.Errorf("CVD %q: version %d has %d parents", rec.CVD, v, len(parents))
-	}
-	for _, p := range parents {
-		if p < 1 || p >= v {
-			return fmt.Errorf("CVD %q: version %d names unknown parent version %d", rec.CVD, v, p)
-		}
-	}
-	n, first := rec.added()
-	if n > 0 && first != c.nextRID {
-		return fmt.Errorf("CVD %q: version %d adds record %d where the next record id is %d", rec.CVD, v, first, c.nextRID)
-	}
-	cur[rec.CVD] = walCursor{nextVID: v + 1, nextRID: c.nextRID + vgraph.RecordID(n)}
-	return nil
-}
-
-// scanWALSegment validates one segment: header, framing, and a full decode
-// of every CRC-valid record (a record that passes its CRC but does not
-// decode is mid-log corruption, not a torn tail). With cursors, every record
-// must also continue the chain they follow.
-func scanWALSegment(fsys vfs.FS, path string, epoch uint64, cursors walCursors) (*walState, error) {
-	ws := &walState{epoch: epoch, path: path}
-	f, err := vfs.Open(fsys, path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if info.Size() < walHeaderSize {
-		// Crash inside BeginCheckpoint before the new segment's header
-		// landed; recovery completes the header, so this is only a torn tail
-		// when the segment is sealed.
-		ws.validEnd = walHeaderSize
-		ws.torn = info.Size() > 0
-		return ws, nil
-	}
-	e, err := readWALHeader(f)
-	if err != nil {
-		ws.headerErr = err
-		return ws, nil
-	}
-	if e != epoch {
-		ws.headerErr = fmt.Errorf("segment carries epoch %d, name says %d", e, epoch)
-		return ws, nil
-	}
-	ws.validEnd, ws.torn, err = scanWAL(f)
-	if err != nil {
-		return nil, err
-	}
-	// Decode pass over the valid region.
-	offset := int64(walHeaderSize)
-	var hdr [8]byte
-	for offset < ws.validEnd {
-		if _, err := f.ReadAt(hdr[:], offset); err != nil {
-			return nil, err
-		}
-		n := binary.LittleEndian.Uint32(hdr[:4])
-		payload := make([]byte, n)
-		if _, err := f.ReadAt(payload, offset+int64(len(hdr))); err != nil {
-			return nil, err
-		}
-		rec, err := decodeRecord(payload)
-		if errors.Is(err, cvd.ErrInMemoryModel) {
-			return nil, fmt.Errorf("durable: WAL segment %s record %d: %w", path, ws.records, err)
-		}
-		if err == nil && cursors != nil {
-			err = cursors.advance(rec)
-		}
-		if err != nil {
-			ws.recordErr = fmt.Errorf("record %d: %w", ws.records, err)
-			break
-		}
-		ws.records++
-		offset += int64(len(hdr)) + int64(n)
-	}
-	return ws, nil
-}
-
 // scrubLocked runs the actual analysis (and repairs) under the directory
 // lock.
 func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) error {
+	// repair applies fix to is when repairing, and records the outcome.
+	repair := func(is *ScrubIssue, fix func() error) {
+		if !opts.Repair {
+			return
+		}
+		if err := fix(); err != nil {
+			is.Detail += fmt.Sprintf("; repair failed: %v", err)
+			return
+		}
+		is.Repaired = true
+		rep.Repairs++
+	}
 	listing, err := listDataDir(fsys, dir)
 	if err != nil {
 		return err
@@ -430,21 +304,21 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 	if err != nil {
 		return err
 	}
-	if pack.headerBad != "" {
+	switch {
+	case pack.headerBad != "":
 		rep.addIssue(ScrubIssue{Kind: IssueCorruptChunk, Path: packPath,
 			Detail: "pack header unreadable: " + pack.headerBad})
-	}
-	if pack.tornAt >= 0 {
+	case pack.short:
+		is := ScrubIssue{Kind: IssueTornPackTail, Path: packPath,
+			Detail: fmt.Sprintf("pack of %d bytes is shorter than its header (a crash while creating it); the open writes the header afresh", pack.size)}
+		repair(&is, func() error { return editFile(fsys, packPath, writePackHeader) })
+		rep.addIssue(is)
+	case pack.tornAt >= 0:
 		is := ScrubIssue{Kind: IssueTornPackTail, Path: packPath,
 			Detail: fmt.Sprintf("pack ends mid-frame at offset %d (file size %d)", pack.tornAt, pack.size)}
-		if opts.Repair {
-			if err := truncateFile(fsys, packPath, pack.tornAt); err != nil {
-				is.Detail += fmt.Sprintf("; truncate failed: %v", err)
-			} else {
-				is.Repaired = true
-				rep.Repairs++
-			}
-		}
+		repair(&is, func() error {
+			return editFile(fsys, packPath, func(f vfs.File) error { return truncateTail(f, pack.tornAt) })
+		})
 		rep.addIssue(is)
 	}
 
@@ -497,34 +371,18 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 
 	// The recovery root Scrub will hold the directory to: the newest usable
 	// manifest, or the empty state of a directory never checkpointed.
-	bestUsable := -1
+	root := -1
 	for i := len(manifests) - 1; i >= 0; i-- {
 		if manifests[i].usable() {
-			bestUsable = i
+			root = i
 			break
 		}
 	}
 	var base uint64
-	haveRoot := false
-	var cursors walCursors // the root's CVDs, when their heads are readable
-	if bestUsable >= 0 {
-		base = manifests[bestUsable].epoch
-		haveRoot = true
-		heads, bad, err := readCVDHeads(fsys, pack, manifests[bestUsable].m)
-		if errors.Is(err, cvd.ErrInMemoryModel) {
-			return fmt.Errorf("durable: %s: %w", manifests[bestUsable].path, err)
-		}
-		if err == nil {
-			cursors = cursorsOf(heads)
-			for _, is := range bad {
-				is.Path, is.Epochs = manifests[bestUsable].path, []uint64{base}
-				rep.addIssue(is)
-			}
-		}
-	} else if len(manifests) == 0 {
-		haveRoot = true
-		cursors = walCursors{}
+	if root >= 0 {
+		base = manifests[root].epoch
 	}
+	haveRoot := root >= 0 || len(manifests) == 0
 
 	// Quarantine fallback: the newest manifests are damaged but an older one
 	// is intact. Renaming the damaged manifests (and the WAL segments the
@@ -532,10 +390,10 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 	// to .corrupt lets the directory open again at the older epoch. The lost
 	// epochs are reported, never dropped silently.
 	newestDamaged := len(manifests) > 0 && !manifests[len(manifests)-1].usable()
-	if newestDamaged && bestUsable >= 0 && opts.Repair {
+	if newestDamaged && root >= 0 && opts.Repair {
 		var lost []uint64
 		ok := true
-		for _, ms := range manifests[bestUsable+1:] {
+		for _, ms := range manifests[root+1:] {
 			if err := fsys.Rename(ms.path, ms.path+".corrupt"); err != nil {
 				ok = false
 				break
@@ -545,18 +403,19 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 		}
 		if ok {
 			fsys.SyncDir(dir)
-			manifests = manifests[:bestUsable+1]
+			manifests = manifests[:root+1]
 			rep.addIssue(ScrubIssue{Kind: IssueCorruptManifest, Path: dir, Repaired: true,
 				Detail: fmt.Sprintf("fell back to intact manifest epoch %d; quarantined %d damaged newer manifest(s) as .corrupt — epochs %v are no longer restorable", base, len(lost), lost),
 				Epochs: lost})
 		}
-	} else if newestDamaged && bestUsable < 0 && len(manifests) > 0 {
+	} else if newestDamaged && root < 0 {
 		rep.addIssue(ScrubIssue{Kind: IssueCorruptManifest, Path: dir,
 			Detail: "no intact manifest remains; the directory cannot be repaired from checkpoints",
 			Epochs: manifestEpochsOf(manifests)})
 	}
 
-	// WAL segments: framing, record decode, and chain contiguity from base.
+	// WAL segments: chain contiguity from base, then each segment's header
+	// and framing.
 	var chain []walSegment
 	for _, seg := range listing.segments {
 		if seg.epoch < base {
@@ -602,149 +461,161 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 			}
 		}
 	}
-	if len(chain) > 0 && chain[0].epoch != base {
-		cursors = nil // the chain does not start at the root: nothing to continue
-	}
+	segs := make([]*walState, len(chain))
 	for i, seg := range chain {
 		active := i == len(chain)-1
 		rep.SegmentsChecked++
-		if i > 0 && seg.epoch != chain[i-1].epoch+1 {
-			cursors = nil // nothing to continue across a hole in the chain
-		}
-		ws, err := scanWALSegment(fsys, seg.path, seg.epoch, cursors)
+		ws, err := scanWALSegment(fsys, seg, active)
 		if err != nil {
 			return err
 		}
-		if ws.headerErr != nil || ws.recordErr != nil || ws.torn {
-			cursors = nil // nor past a damaged stretch
-		}
+		segs[i] = ws
 		switch {
 		case ws.headerErr != nil:
 			rep.addIssue(ScrubIssue{Kind: IssueCorruptWALRecord, Path: seg.path,
-				Detail: "WAL header unreadable: " + ws.headerErr.Error(), Epochs: []uint64{seg.epoch}})
-		case ws.recordErr != nil:
-			rep.addIssue(ScrubIssue{Kind: IssueCorruptWALRecord, Path: seg.path,
-				Detail: "committed record does not decode or does not continue the log: " + ws.recordErr.Error(), Epochs: []uint64{seg.epoch}})
+				Detail: ws.headerErr.Error(), Epochs: []uint64{seg.epoch}})
 		case ws.torn && !active:
 			rep.addIssue(ScrubIssue{Kind: IssueSealedWALTorn, Path: seg.path,
 				Detail: fmt.Sprintf("sealed segment ends mid-record at offset %d — committed history is damaged; refusing to truncate", ws.validEnd),
 				Epochs: []uint64{seg.epoch}})
-		case ws.torn && active:
+		case ws.torn && ws.short:
+			is := ScrubIssue{Kind: IssueTornWALTail, Path: seg.path,
+				Detail: "active segment is shorter than its header (a crash while a checkpoint started it); the open writes the header afresh",
+				Epochs: []uint64{seg.epoch}}
+			repair(&is, func() error {
+				return editFile(fsys, seg.path, func(f vfs.File) error { return writeWALHeader(f, seg.epoch) })
+			})
+			rep.addIssue(is)
+		case ws.torn:
 			is := ScrubIssue{Kind: IssueTornWALTail, Path: seg.path,
 				Detail: fmt.Sprintf("active segment ends mid-record at offset %d (a crashed append); the torn bytes were never acknowledged", ws.validEnd),
 				Epochs: []uint64{seg.epoch}}
-			if opts.Repair {
-				if err := truncateFile(fsys, seg.path, ws.validEnd); err != nil {
-					is.Detail += fmt.Sprintf("; truncate failed: %v", err)
-				} else {
-					is.Repaired = true
-					rep.Repairs++
-				}
-			}
+			repair(&is, func() error {
+				return editFile(fsys, seg.path, func(f vfs.File) error { return truncateTail(f, ws.validEnd) })
+			})
 			rep.addIssue(is)
 		}
 	}
 
-	// Dead corrupt chunks: compact them out of the pack. Live ones must stay
-	// in place — dropping the frame would turn a detectable hash mismatch
-	// into a dangling reference.
-	if len(pack.corrupt) > 0 && opts.Repair {
-		live := make(map[ChunkHash]struct{})
-		for _, ms := range manifests {
-			if ms.m != nil {
-				ms.m.chunkRefs(func(h ChunkHash) { live[h] = struct{}{} })
-			}
-		}
-		dead := 0
-		anyLive := false
-		for h := range pack.corrupt {
-			if _, ok := live[h]; ok {
-				anyLive = true
-			} else {
-				dead++
-			}
-		}
-		if dead > 0 && !anyLive {
-			is := ScrubIssue{Kind: IssueCorruptChunk, Path: packPath,
-				Detail: fmt.Sprintf("compacted %d corrupt unreferenced chunk frame(s) out of the pack", dead)}
-			if err := rewritePackDroppingCorrupt(fsys, packPath, pack); err != nil {
-				is.Detail = fmt.Sprintf("compacting %d corrupt unreferenced chunk frame(s) failed: %v", dead, err)
-			} else {
-				is.Repaired = true
-				rep.Repairs++
-			}
-			rep.addIssue(is)
+	if err := recoverAsOpen(fsys, pack, manifests, root, haveRoot, segs, rep); err != nil {
+		return err
+	}
+
+	// Corrupt chunks nothing references: reported, or with Repair compacted
+	// out of the pack. Live ones must stay in place — dropping the frame
+	// would turn a detectable hash mismatch into a dangling reference.
+	live := make(map[ChunkHash]struct{})
+	for _, ms := range manifests {
+		if ms.m != nil {
+			ms.m.chunkRefs(func(h ChunkHash) { live[h] = struct{}{} })
 		}
 	}
-	// Corrupt chunks nothing references (reported even without Repair so a
-	// plain fsck run shows them).
-	if !opts.Repair {
-		live := make(map[ChunkHash]struct{})
-		for _, ms := range manifests {
-			if ms.m != nil {
-				ms.m.chunkRefs(func(h ChunkHash) { live[h] = struct{}{} })
-			}
+	dead, anyLive := 0, false
+	for h := range pack.corrupt {
+		if _, ok := live[h]; ok {
+			anyLive = true
+			continue
 		}
-		for h := range pack.corrupt {
-			if _, ok := live[h]; !ok {
-				rep.addIssue(ScrubIssue{Kind: IssueCorruptChunk, Path: packPath,
-					Detail: fmt.Sprintf("unreferenced chunk %s fails CRC/content-hash verification (safe to compact away with -repair)", h)})
-			}
+		dead++
+		if !opts.Repair {
+			rep.addIssue(ScrubIssue{Kind: IssueCorruptChunk, Path: packPath,
+				Detail: fmt.Sprintf("unreferenced chunk %s fails CRC/content-hash verification (safe to compact away with -repair)", h)})
+		}
+	}
+	if opts.Repair && dead > 0 && !anyLive {
+		is := ScrubIssue{Kind: IssueCorruptChunk, Path: packPath,
+			Detail: fmt.Sprintf("%d corrupt unreferenced chunk frame(s), compacted out of the pack on repair", dead)}
+		repair(&is, func() error { return rewritePackDroppingCorrupt(fsys, packPath, pack) })
+		rep.addIssue(is)
+	}
+	return nil
+}
+
+// recoverAsOpen runs the open's recovery (Recovery) over what the walk found.
+// Every usable retained manifest is loaded and restored into a throw-away
+// database, as OpenAtEpoch restores it; then the chain's records are replayed
+// onto the recovery root (the manifest at index root, or the empty state when
+// haveRoot and there is none), each segment up to where its valid records
+// end, as the open replays them. A segment the open would never reach — past
+// a hole or a damaged stretch, or with no root to continue — is still decoded
+// record by record. A refusal is reported in the open's own sentence.
+func recoverAsOpen(fsys vfs.FS, pack *packState, manifests []*manifestState, root int, haveRoot bool, segs []*walState, rep *ScrubReport) error {
+	chunks := &chunkPack{fsys: fsys, path: pack.path, idx: pack.valid}
+	if pack.exists {
+		f, err := vfs.Open(fsys, pack.path)
+		if err != nil {
+			return err
+		}
+		chunks.f = f
+		defer chunks.close()
+	}
+	var rec *Recovery // the recovery root, once restored
+	if haveRoot && root < 0 {
+		rec = NewRecovery(relstore.NewDatabase(""), 0)
+	}
+	base := uint64(0)
+	for i, ms := range manifests {
+		if !ms.usable() {
+			continue
+		}
+		r := NewRecovery(relstore.NewDatabase(""), 0)
+		snap, err := loadSnapshotFromManifest(ms.m, chunks.get)
+		if err == nil {
+			err = r.Restore(snap)
+		}
+		switch {
+		case errors.Is(err, cvd.ErrInMemoryModel):
+			return fmt.Errorf("durable: %s: %w", ms.path, err)
+		case err != nil:
+			rep.addIssue(ScrubIssue{Kind: refusalKind(err), Path: ms.path, Detail: err.Error(), Epochs: []uint64{ms.epoch}})
+		case i == root:
+			rec, base = r, ms.epoch
+		}
+	}
+
+	reach := rec != nil && len(segs) > 0 && segs[0].epoch == base
+	skip := func(*Record) error { return nil }
+	for i, ws := range segs {
+		if i > 0 && ws.epoch != segs[i-1].epoch+1 {
+			reach = false // nothing continues across a hole in the chain
+		}
+		if ws.headerErr != nil {
+			reach = false
+			continue
+		}
+		apply := skip
+		if reach {
+			apply = rec.Apply
+		}
+		f, err := vfs.Open(fsys, ws.path)
+		if err != nil {
+			return err
+		}
+		_, err = replayWAL(f, ws.path, ws.validEnd, apply)
+		f.Close()
+		if errors.Is(err, cvd.ErrInMemoryModel) {
+			return err
+		}
+		if err != nil {
+			rep.addIssue(ScrubIssue{Kind: IssueCorruptWALRecord, Path: ws.path, Detail: err.Error(), Epochs: []uint64{ws.epoch}})
+			reach = false
+		}
+		if ws.torn {
+			reach = false // a torn sealed segment; the active one is last
 		}
 	}
 	return nil
 }
 
-// readCVDHeads decodes the CVD head chunks a manifest references, for the
-// version and record counters the WAL after it must continue from, and checks
-// each CVD's record catalog and versioning table the way the open will (bad
-// lists the failures as issues for the caller to place).
-func readCVDHeads(fsys vfs.FS, pack *packState, m *manifest) (heads []*cvd.PersistentState, bad []ScrubIssue, err error) {
-	f, err := vfs.Open(fsys, pack.path)
-	if err != nil {
-		return nil, nil, err
+// refusalKind classes a checkpoint the recovery refuses.
+func refusalKind(err error) IssueKind {
+	switch {
+	case errors.Is(err, cvd.ErrBadCatalog):
+		return IssueBadCatalog
+	case errors.Is(err, cvd.ErrBadVersions):
+		return IssueBadVersions
 	}
-	defer f.Close()
-	get := func(h ChunkHash) ([]byte, error) {
-		loc := pack.valid[h] // present: the manifest is usable
-		payload := make([]byte, loc.n)
-		_, err := f.ReadAt(payload, loc.off)
-		return payload, err
-	}
-	for i := range m.cvds {
-		mc := &m.cvds[i]
-		st, err := mc.decodeHead(get)
-		if err != nil {
-			return nil, nil, err
-		}
-		heads = append(heads, st)
-		if err := checkCatalog(st, m, get); err != nil {
-			bad = append(bad, ScrubIssue{Kind: IssueBadCatalog, Detail: err.Error()})
-		}
-		err = mc.addRecordSets(st, get)
-		if err == nil {
-			err = cvd.CheckVersions(st)
-		}
-		if err != nil {
-			bad = append(bad, ScrubIssue{Kind: IssueBadVersions, Detail: err.Error()})
-		}
-	}
-	return heads, bad, nil
-}
-
-// checkCatalog assembles the data table of st — its record catalog — from m's
-// chunks and verifies it as cvd.Restore does.
-func checkCatalog(st *cvd.PersistentState, m *manifest, get func(ChunkHash) ([]byte, error)) error {
-	for i := range m.tables {
-		if mt := &m.tables[i]; mt.meta.name == st.DataTable() {
-			t, err := mt.assemble(get)
-			if err != nil {
-				return err
-			}
-			return cvd.CheckCatalog(st, t)
-		}
-	}
-	return fmt.Errorf("durable: CVD %s: the manifest lists no data table %q", st.Name, st.DataTable())
+	return IssueUnopenable
 }
 
 func manifestEpochsOf(ms []*manifestState) []uint64 {
@@ -755,17 +626,15 @@ func manifestEpochsOf(ms []*manifestState) []uint64 {
 	return out
 }
 
-// truncateFile truncates path to size and syncs it.
-func truncateFile(fsys vfs.FS, path string, size int64) error {
+// editFile opens path for writing and applies edit to it: how a repair
+// truncates a torn tail or writes a header, through the open's own code.
+func editFile(fsys vfs.FS, path string, edit func(vfs.File) error) error {
 	f, err := fsys.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := f.Truncate(size); err != nil {
-		return err
-	}
-	return f.Sync()
+	return edit(f)
 }
 
 // rewritePackDroppingCorrupt streams every valid frame of the pack into a
@@ -784,10 +653,7 @@ func rewritePackDroppingCorrupt(fsys vfs.FS, path string, pack *packState) error
 		return err
 	}
 	defer fsys.Remove(tmp.Name())
-	var hdr [packHeaderSize]byte
-	copy(hdr[:8], packMagic)
-	binary.LittleEndian.PutUint32(hdr[8:], formatVersion)
-	if _, err := tmp.Write(hdr[:]); err != nil {
+	if _, err := tmp.Write(packHeader()); err != nil {
 		tmp.Close()
 		return err
 	}

@@ -1,11 +1,13 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -405,7 +407,7 @@ func TestScrubRefusesLiveDir(t *testing.T) {
 
 // TestScrubSparseCatalog: a checkpoint whose chunks are all intact but whose
 // record catalog — the data table — is not one row per record id handed out
-// cannot be restored (cvd.CheckCatalog). Scrub says so instead of calling the
+// cannot be restored (cvd.ErrBadCatalog). Scrub says so instead of calling the
 // directory clean.
 func TestScrubSparseCatalog(t *testing.T) {
 	t.Run(cvd.SplitByRlist.String(), func(t *testing.T) {
@@ -445,12 +447,158 @@ func TestScrubSparseCatalog(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		restored := relstore.NewDatabase("r")
-		for _, tab := range res.Snapshot.Tables {
-			restored.AttachTable(tab)
-		}
-		if _, err := cvd.Restore(restored, res.Snapshot.CVDs[0]); err == nil || err.Error() != rep.Issues[0].Detail {
+		if err := NewRecovery(relstore.NewDatabase("r"), 0).Restore(res.Snapshot); err == nil || err.Error() != rep.Issues[0].Detail {
 			t.Fatalf("restore: %v; scrub said %q", err, rep.Issues[0].Detail)
 		}
 	})
+}
+
+// TestScrubRestoresEveryRetainedEpoch: fsck restores every retained
+// checkpoint, not only the newest. An older epoch whose record catalog is not
+// the one its head describes is reported as bad-catalog, for that epoch, in
+// the sentence its point-in-time restore fails with — while the newest epoch,
+// which the open restores, is intact.
+func TestScrubRestoresEveryRetainedEpoch(t *testing.T) {
+	db := relstore.NewDatabase("epochs")
+	c, err := cvd.Init(db, "d", gateSchema(), gateRows(rand.New(rand.NewSource(3)), 0, 40), cvd.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bumped := snapshotOf(t, db, c)
+	bumped.CVDs[0].NextRID += 2
+	for _, snap := range []*Snapshot{bumped, snapshotOf(t, db, c)} {
+		if _, err := s.Checkpoint(snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Scrub(dir, ScrubOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Issues) != 1 || rep.Issues[0].Kind != IssueBadCatalog || !slices.Equal(rep.Issues[0].Epochs, []uint64{1}) {
+		t.Fatalf("issues %+v, want one %s of epoch 1", rep.Issues, IssueBadCatalog)
+	}
+	for epoch, want := range map[uint64]string{1: rep.Issues[0].Detail, 2: ""} {
+		snap, err := OpenAtEpoch(dir, epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ""
+		if err := NewRecovery(relstore.NewDatabase(""), 0).Restore(snap); err != nil {
+			got = err.Error()
+		}
+		if got != want {
+			t.Fatalf("restoring epoch %d: %q, want %q", epoch, got, want)
+		}
+	}
+}
+
+// TestScrubShortPackHeader: a pack shorter than its header is what a crash
+// while creating it leaves, and the open writes the header afresh. fsck
+// reports it as crash debris and its repair writes the same header; a header
+// of the right length but another magic stays corrupt-chunk, because the open
+// refuses it too.
+func TestScrubShortPackHeader(t *testing.T) {
+	build := func(pack []byte) string {
+		dir := t.TempDir()
+		s, _, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.LogInit("cvd", []vgraph.VersionID{1}, walDelta(1, 3), walSchema(), "init", "alice", time.Unix(0, 42)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, PackFile), pack, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	for _, n := range []int{0, 5, packHeaderSize - 1} {
+		dir := build(packHeader()[:n])
+		rep, err := Scrub(dir, ScrubOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Issues) != 1 || rep.Issues[0].Kind != IssueTornPackTail {
+			t.Fatalf("a %d-byte pack: %+v, want one %s", n, rep.Issues, IssueTornPackTail)
+		}
+		if rep, err = Scrub(dir, ScrubOptions{Repair: true}); err != nil || rep.Unrepaired() != 0 {
+			t.Fatalf("repairing a %d-byte pack: %v, %+v", n, err, rep.Issues)
+		}
+		if got, err := os.ReadFile(filepath.Join(dir, PackFile)); err != nil || !bytes.Equal(got, packHeader()) {
+			t.Fatalf("repaired pack %q (%v), want the header", got, err)
+		}
+		if err := recoverDir(dir); err != nil {
+			t.Fatalf("opening a repaired %d-byte pack: %v", n, err)
+		}
+	}
+	dir := build([]byte("ORPHPAKX\x02\x00\x00\x00"))
+	rep, err := Scrub(dir, ScrubOptions{Repair: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Issues) != 1 || rep.Issues[0].Kind != IssueCorruptChunk || rep.Issues[0].Repaired {
+		t.Fatalf("a pack of another magic: %+v, want one unrepaired %s", rep.Issues, IssueCorruptChunk)
+	}
+	if err := recoverDir(dir); err == nil {
+		t.Fatal("a pack of another magic opened")
+	}
+}
+
+// TestScrubUndecodableHead: a checkpoint whose CVD head chunk is intact — it
+// hashes right — but does not decode cannot be opened. Scrub reports it as
+// unopenable, in the open's sentence, instead of passing over it.
+func TestScrubUndecodableHead(t *testing.T) {
+	db := relstore.NewDatabase("head")
+	c, err := cvd.Init(db, "d", gateSchema(), gateRows(rand.New(rand.NewSource(4)), 0, 20), cvd.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := Export(dir, vfs.OS(), snapshotOf(t, db, c)); err != nil {
+		t.Fatal(err)
+	}
+	junk := []byte("not a CVD head")
+	pack, _, err := openPack(vfs.OS(), filepath.Join(dir, PackFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pack.put(hashChunk(junk), junk); err != nil {
+		t.Fatal(err)
+	}
+	if err := pack.sync(); err != nil {
+		t.Fatal(err)
+	}
+	pack.close()
+	m, err := readManifestFile(vfs.OS(), filepath.Join(dir, ManifestFileName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.cvds[0].head = hashChunk(junk)
+	if _, err := writeManifestFile(vfs.OS(), dir, m); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := Scrub(dir, ScrubOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	openErr := recoverDir(dir)
+	if openErr == nil {
+		t.Fatal("a checkpoint with an undecodable CVD head opened")
+	}
+	if len(rep.Issues) != 1 || rep.Issues[0].Kind != IssueUnopenable || rep.Issues[0].Detail != openErr.Error() {
+		t.Fatalf("scrub reports %+v, want one %s saying %q", rep.Issues, IssueUnopenable, openErr)
+	}
 }

@@ -85,6 +85,7 @@ type fpEntry struct {
 type walSegment struct {
 	epoch uint64
 	path  string
+	end   int64 // where its records end, once recovery scanned it (sealed segments)
 }
 
 // DefaultGroupCommitBatch is the frames-per-fsync cap used when group commit
@@ -376,71 +377,44 @@ func OpenFS(dir string, fsys vfs.FS) (*Store, *OpenResult, error) {
 			return fail(fmt.Errorf("durable: %s: WAL segments %d and %d are not contiguous", dir, keep[i-1].epoch, keep[i].epoch))
 		}
 	}
-	// Sealed segments (all but the newest): they were closed by a completed
-	// BeginCheckpoint after every append in them returned durably, so a torn
-	// tail here is mid-log corruption, not crash debris.
-	for _, seg := range keep[:len(keep)-1] {
-		f, err := vfs.Open(fsys, seg.path)
+	for i, seg := range keep {
+		active := i == len(keep)-1
+		ws, err := scanWALSegment(fsys, seg, active)
 		if err != nil {
 			return fail(err)
 		}
-		e, err := readWALHeader(f)
-		if err == nil && e != seg.epoch {
-			err = fmt.Errorf("durable: WAL segment %s carries epoch %d", seg.path, e)
+		if ws.headerErr != nil {
+			return fail(ws.headerErr)
 		}
-		var torn bool
-		if err == nil {
-			_, torn, err = scanWAL(f)
+		if !active {
+			// Sealed: closed by a completed BeginCheckpoint after every
+			// append in it returned durably, so a torn tail here is mid-log
+			// corruption, not crash debris.
+			if ws.torn {
+				return fail(fmt.Errorf("durable: sealed WAL segment %s has a torn tail — refusing to drop committed history", seg.path))
+			}
+			seg.end = ws.validEnd
+			s.sealed = append(s.sealed, seg)
+			continue
 		}
-		f.Close()
+		f, err := fsys.OpenFile(seg.path, os.O_RDWR, 0o644)
 		if err != nil {
-			return fail(fmt.Errorf("%s: %w", seg.path, err))
-		}
-		if torn {
-			return fail(fmt.Errorf("durable: sealed WAL segment %s has a torn tail — refusing to drop committed history", seg.path))
-		}
-		s.sealed = append(s.sealed, seg)
-	}
-
-	active := keep[len(keep)-1]
-	f, err := fsys.OpenFile(active.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fail(err)
-	}
-	s.wal, s.walPath, s.epoch, s.walSize = f, active.path, active.epoch, walHeaderSize
-	info, err := f.Stat()
-	if err != nil {
-		return fail(err)
-	}
-	if info.Size() < walHeaderSize {
-		// Crash inside BeginCheckpoint after creating the new segment but
-		// before its header landed: finish the header now.
-		if err := writeWALHeader(f, active.epoch); err != nil {
 			return fail(err)
 		}
-		return s, res, nil
-	}
-	e, err := readWALHeader(f)
-	if err != nil {
-		return fail(fmt.Errorf("%s: %w", active.path, err))
-	}
-	if e != active.epoch {
-		return fail(fmt.Errorf("durable: WAL segment %s carries epoch %d", active.path, e))
-	}
-	validEnd, torn, err := scanWAL(f)
-	if err != nil {
-		return fail(err)
-	}
-	if torn {
-		if err := f.Truncate(validEnd); err != nil {
-			return fail(err)
+		s.wal, s.walPath, s.epoch, s.walSize = f, seg.path, seg.epoch, ws.validEnd
+		switch {
+		case ws.short:
+			// Crash inside BeginCheckpoint after creating the new segment
+			// but before its header landed: finish the header now.
+			err = writeWALHeader(f, seg.epoch)
+		case ws.torn:
+			err = truncateTail(f, ws.validEnd)
+			res.TornTail = true
 		}
-		if err := f.Sync(); err != nil {
+		if err != nil {
 			return fail(err)
 		}
 	}
-	s.walSize = validEnd
-	res.TornTail = torn
 	return s, res, nil
 }
 
@@ -460,14 +434,14 @@ func (s *Store) ReplayWAL(apply func(*Record) error) (int, error) {
 		if err != nil {
 			return total, err
 		}
-		n, err := replayWAL(f, seg.path, apply)
+		n, err := replayWAL(f, seg.path, seg.end, apply)
 		f.Close()
 		total += n
 		if err != nil {
 			return total, err
 		}
 	}
-	n, err := replayWAL(s.wal, s.walPath, apply)
+	n, err := replayWAL(s.wal, s.walPath, s.walSize, apply)
 	return total + n, err
 }
 
@@ -619,7 +593,7 @@ func (s *Store) writeFramesLocked(frames [][]byte) error {
 		return nil
 	}
 	// Failure path: remove whatever landed past the last durable record.
-	if terr := s.truncateTailLocked(start); terr != nil {
+	if terr := truncateTail(s.wal, start); terr != nil {
 		s.poisoned = fmt.Errorf("durable: WAL append to %s failed (%v) and truncating the torn tail failed too (%v); store disabled until reopen", s.dir, err, terr)
 		s.wal.Close()
 		s.wal = nil
@@ -628,12 +602,13 @@ func (s *Store) writeFramesLocked(frames [][]byte) error {
 	return fmt.Errorf("durable: WAL append to %s failed; log truncated back to the last durable record: %w", s.dir, err)
 }
 
-// truncateTailLocked cuts the WAL back to off and makes the cut durable.
-func (s *Store) truncateTailLocked(off int64) error {
-	if err := s.wal.Truncate(off); err != nil {
+// truncateTail cuts f back to end and makes the cut durable: how recovery
+// drops a torn tail, and how a failed append takes its bytes back.
+func truncateTail(f vfs.File, end int64) error {
+	if err := f.Truncate(end); err != nil {
 		return err
 	}
-	return s.wal.Sync()
+	return f.Sync()
 }
 
 // LogInit journals the creation of a split-by-rlist CVD: its first version's
@@ -712,7 +687,7 @@ func (s *Store) BeginCheckpoint() (*CheckpointJob, error) {
 	// commit boundary), so a close error cannot lose data; the file stays
 	// readable by path for replay either way.
 	s.wal.Close()
-	s.sealed = append(s.sealed, walSegment{epoch: s.epoch, path: s.walPath})
+	s.sealed = append(s.sealed, walSegment{epoch: s.epoch, path: s.walPath, end: s.walSize})
 	s.wal, s.walPath, s.epoch, s.walSize = f, newPath, newEpoch, walHeaderSize
 	s.ckptActive = true
 	job := &CheckpointJob{epoch: newEpoch, start: time.Now(), gens: make(map[string]uint64, len(s.gens))}

@@ -259,6 +259,19 @@ func readWALHeader(f vfs.File) (uint64, error) {
 	return binary.LittleEndian.Uint64(hdr[12:]), nil
 }
 
+// checkWALHeader validates seg's header and that it carries the epoch its
+// name says.
+func checkWALHeader(f vfs.File, seg walSegment) error {
+	e, err := readWALHeader(f)
+	if err != nil {
+		return fmt.Errorf("%s: %w", seg.path, err)
+	}
+	if e != seg.epoch {
+		return fmt.Errorf("durable: WAL segment %s carries epoch %d", seg.path, e)
+	}
+	return nil
+}
+
 // scanWAL validates the record frames after the header without decoding
 // payloads (pass 1 of recovery): it returns the offset just past the last
 // fully-valid record and whether a torn tail — truncated header or payload,
@@ -298,20 +311,52 @@ func scanWAL(f vfs.File) (validEnd int64, torn bool, err error) {
 	}
 }
 
-// replayWAL streams every record after the header to apply, decoding one
-// payload at a time so replaying a large WAL never materializes the whole
-// log in memory. The caller (Open) has already truncated any torn tail, so
-// every frame here is complete and CRC-valid. path names the segment in
-// errors.
-func replayWAL(f vfs.File, path string, apply func(*Record) error) (applied int, err error) {
+// walState is one WAL segment's header and framing: what the open acts on
+// and Scrub reports.
+type walState struct {
+	walSegment
+	headerErr error // the open's refusal of the header
+	validEnd  int64 // where the valid records end
+	torn      bool  // bytes follow validEnd
+	short     bool  // an active segment shorter than its header: the open writes it
+}
+
+// scanWALSegment checks one segment's header and framing without changing
+// it; the records are decoded by replayWAL. Only the active segment may be
+// shorter than its header.
+func scanWALSegment(fsys vfs.FS, seg walSegment, active bool) (*walState, error) {
+	ws := &walState{walSegment: seg}
+	f, err := vfs.Open(fsys, seg.path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
 	info, err := f.Stat()
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	size := info.Size()
+	if active && info.Size() < walHeaderSize {
+		// Crash inside BeginCheckpoint before the new segment's header
+		// landed; the open completes the header.
+		ws.short, ws.validEnd, ws.torn = true, walHeaderSize, info.Size() > 0
+		return ws, nil
+	}
+	if ws.headerErr = checkWALHeader(f, seg); ws.headerErr != nil {
+		return ws, nil
+	}
+	ws.validEnd, ws.torn, err = scanWAL(f)
+	return ws, err
+}
+
+// replayWAL streams every record between the header and end to apply,
+// decoding one payload at a time so replaying a large WAL never materializes
+// the whole log in memory. end is where scanWAL found the valid records to
+// stop, so every frame here is complete and CRC-valid. path names the segment
+// in errors.
+func replayWAL(f vfs.File, path string, end int64, apply func(*Record) error) (applied int, err error) {
 	offset := int64(walHeaderSize)
 	var hdr [8]byte
-	for size-offset >= int64(len(hdr)) {
+	for end-offset >= int64(len(hdr)) {
 		if _, err := f.ReadAt(hdr[:], offset); err != nil {
 			return applied, err
 		}
