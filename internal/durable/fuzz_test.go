@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"os"
@@ -304,7 +305,9 @@ func FuzzWALRecordDecode(f *testing.F) {
 // and WAL segment all at once — and demands Scrub classify the wreckage (or
 // error) without ever panicking, with and without repair, and agree with the
 // open: when a plain scrub finds nothing but crash debris, or a repairing one
-// leaves nothing unrepaired, the directory opens and recovers (recoverDir).
+// leaves nothing unrepaired, the directory opens and recovers (recoverDir);
+// and whatever the open makes of the image, it leaves the pack as it was or
+// cuts it exactly where the plain scrub reported a torn tail.
 func FuzzScrub(f *testing.F) {
 	f.Add([]byte(packMagic+"\x02\x00\x00\x00"), []byte(manifestMagic), []byte(walMagic))
 	f.Add([]byte("ORPHPAK1\x02\x00\x00\x00garbage frame bytes"), []byte("not a manifest"),
@@ -325,6 +328,11 @@ func FuzzScrub(f *testing.F) {
 	// framing: a CVD restored from the manifest and a commit replayed onto it.
 	pack, man, wal := fuzzScrubImage(f)
 	f.Add(pack, man, wal)
+	// The same with its first chunk's first byte flipped: a corrupt frame
+	// mid-file, which the open must leave where it is.
+	flipped := append([]byte(nil), pack...)
+	flipped[packHeaderSize+packFrameOverhead] ^= 0x80
+	f.Add(flipped, man, wal)
 	f.Fuzz(func(t *testing.T, pack, man, wal []byte) {
 		image := func() string {
 			dir := t.TempDir()
@@ -340,10 +348,20 @@ func FuzzScrub(f *testing.F) {
 			return dir
 		}
 		dir := image()
-		if rep, err := Scrub(dir, ScrubOptions{}); err == nil && onlyDebris(rep) {
-			// The open repairs what it finds: it gets an image of its own.
-			if err := recoverDir(image()); err != nil {
-				t.Fatalf("fsck finds only debris (%+v), yet the open fails: %v", rep.Issues, err)
+		rep, err := Scrub(dir, ScrubOptions{})
+		// The open repairs what it finds: it gets an image of its own.
+		probe := image()
+		openErr := recoverDir(probe)
+		if err == nil && onlyDebris(rep) && openErr != nil {
+			t.Fatalf("fsck finds only debris (%+v), yet the open fails: %v", rep.Issues, openErr)
+		}
+		if rep != nil {
+			got, err := os.ReadFile(filepath.Join(probe, PackFile))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !packCutAsReported(pack, got, rep) {
+				t.Fatalf("the open left a pack of %d bytes from %d; fsck reported %+v", len(got), len(pack), rep.Issues)
 			}
 		}
 		if rep, err := Scrub(dir, ScrubOptions{Repair: true}); err == nil && rep.Unrepaired() == 0 {
@@ -397,6 +415,27 @@ func onlyDebris(rep *ScrubReport) bool {
 		}
 	}
 	return true
+}
+
+// packCutAsReported is the physical half of the open agreeing with fsck: the
+// open leaves the pack byte-identical, cuts it exactly where Scrub reported a
+// torn tail, or, where Scrub reported it shorter than its header, writes the
+// header.
+func packCutAsReported(before, after []byte, rep *ScrubReport) bool {
+	if bytes.Equal(before, after) {
+		return true
+	}
+	for _, is := range rep.Issues {
+		if is.Kind != IssueTornPackTail {
+			continue
+		}
+		var off int
+		if _, err := fmt.Sscanf(is.Detail, "pack ends mid-frame at offset %d", &off); err == nil {
+			return off <= len(before) && bytes.Equal(after, before[:off])
+		}
+		return bytes.Equal(after, packHeader())
+	}
+	return false
 }
 
 // recoverDir opens dir and recovers it the way the engine's open does: the

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 
 	"repro/internal/vfs"
@@ -21,10 +22,19 @@ import (
 // Chunks are written at most once (append-if-absent keyed by content hash)
 // and never rewritten in place; retention GC rewrites the pack to a temp
 // file and renames it over when enough dead bytes accumulate (compact).
-// Opening scans the frames sequentially to rebuild the in-memory index,
-// truncating a torn tail from a crashed append — safe because a chunk only
-// becomes reachable once a manifest referencing it is durably renamed in,
-// and manifests are written after the pack is fsynced.
+//
+// One walk reads a pack (openPack, for the open, point-in-time restore and
+// Scrub alike) and sorts its frames three ways. A frame whose CRC holds is
+// valid and indexed. A frame whose CRC fails, whose length fits and that more
+// bytes follow is corrupt: it stays in place, unindexed, and the frames after
+// it are read on. A short frame header, a length past end of file, or a CRC
+// failure in the last frame starts a torn tail — a crashed append. The walk
+// writes nothing; only the open cuts a torn tail (repair), and only once the
+// newest checkpoint has loaded from the frames before it — safe because a
+// chunk becomes reachable only once a manifest referencing it is durably
+// renamed in, and the pack is fsynced before the manifest. A failed append
+// takes its bytes back (put), so a corrupt frame mid-file is never the debris
+// of one.
 
 // PackFile is the chunk pack's file name inside a data directory.
 const PackFile = "chunks.orph"
@@ -43,68 +53,104 @@ type chunkLoc struct {
 // chunkPack is the open pack: file handle plus the hash → location index.
 // All methods are safe for concurrent use.
 type chunkPack struct {
-	mu   sync.Mutex
-	fsys vfs.FS
-	path string
-	f    vfs.File
-	idx  map[ChunkHash]chunkLoc
-	size int64 // end of the last valid frame == next append offset
+	mu       sync.Mutex
+	fsys     vfs.FS
+	path     string
+	f        vfs.File // nil: closed, or no pack file yet
+	idx      map[ChunkHash]chunkLoc
+	size     int64 // next append offset: the end of the frames before any torn tail
+	poisoned error // sticky: a failed append whose bytes could not be taken back
 }
 
-// openPack opens (creating if needed) the pack at path and scans its frames
-// into the index. A torn tail is truncated; tornTail reports that.
-func openPack(fsys vfs.FS, path string) (p *chunkPack, tornTail bool, err error) {
-	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+// packScan is what the walk found besides the valid frames.
+type packScan struct {
+	size    int64                  // file size (0: no pack file)
+	short   bool                   // a pack file shorter than its header
+	bad     error                  // non-nil: the header is not this format's
+	tornAt  int64                  // offset where a torn tail starts, -1 if none
+	corrupt map[ChunkHash]chunkLoc // corrupt frames of hashes no valid frame holds
+	frames  int                    // frames read whole
+}
+
+// openPack opens the pack at path — read-write for the open, which appends to
+// it, read-only otherwise — and walks its frames into the index. It writes
+// nothing; a missing pack is an empty one. verify, when non-nil, is checked
+// on top of a frame's CRC (Scrub's content hash); a frame failing it is
+// corrupt.
+func openPack(fsys vfs.FS, path string, writable bool, verify func(ChunkHash, []byte) bool) (*chunkPack, *packScan, error) {
+	var f vfs.File
+	var err error
+	if writable {
+		f, err = fsys.OpenFile(path, os.O_RDWR, 0o644)
+	} else {
+		f, err = vfs.Open(fsys, path)
+	}
+	switch {
+	case os.IsNotExist(err):
+		f = nil
+	case err != nil:
+		return nil, nil, err
+	}
+	p := &chunkPack{fsys: fsys, path: path, f: f, idx: make(map[ChunkHash]chunkLoc)}
+	sc, err := p.walk(verify)
 	if err != nil {
-		return nil, false, err
+		p.close()
+		return nil, nil, err
 	}
-	fail := func(err error) (*chunkPack, bool, error) {
-		f.Close()
-		return nil, false, err
+	p.size = packHeaderSize
+	switch {
+	case sc.tornAt >= 0:
+		p.size = sc.tornAt
+	case sc.size > packHeaderSize:
+		p.size = sc.size
 	}
-	info, err := f.Stat()
+	return p, sc, nil
+}
+
+// walk reads the frames sequentially, checking each CRC (and verify), into
+// p.idx; see the package comment above for how a frame is classified.
+func (p *chunkPack) walk(verify func(ChunkHash, []byte) bool) (*packScan, error) {
+	sc := &packScan{tornAt: -1, corrupt: make(map[ChunkHash]chunkLoc)}
+	if p.f == nil {
+		return sc, nil
+	}
+	info, err := p.f.Stat()
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
-	if info.Size() < packHeaderSize {
-		// A crash while creating the pack: no chunk in it was ever written.
-		if err := writePackHeader(f); err != nil {
-			return fail(err)
-		}
-		return &chunkPack{fsys: fsys, path: path, f: f, idx: make(map[ChunkHash]chunkLoc), size: packHeaderSize}, false, nil
+	sc.size = info.Size()
+	if sc.size < packHeaderSize {
+		sc.short = true
+		return sc, nil
 	}
 	var hdr [packHeaderSize]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		return fail(err)
+	if _, err := p.f.ReadAt(hdr[:], 0); err != nil {
+		return nil, err
 	}
 	if string(hdr[:8]) != packMagic {
-		return fail(fmt.Errorf("durable: %s is not a chunk pack (magic %q)", path, hdr[:8]))
+		sc.bad = fmt.Errorf("durable: %s is not a chunk pack (magic %q)", p.path, hdr[:8])
+		return sc, nil
 	}
 	if v := binary.LittleEndian.Uint32(hdr[8:]); v != formatVersion {
-		return fail(fmt.Errorf("durable: unsupported chunk pack version %d (want %d)", v, formatVersion))
+		sc.bad = fmt.Errorf("durable: unsupported chunk pack version %d (want %d)", v, formatVersion)
+		return sc, nil
 	}
-
-	idx := make(map[ChunkHash]chunkLoc)
-	size := info.Size()
-	br := bufio.NewReaderSize(io.NewSectionReader(f, packHeaderSize, size-packHeaderSize), 1<<20)
-	off := int64(packHeaderSize)
-	valid := off
+	br := bufio.NewReaderSize(io.NewSectionReader(p.f, packHeaderSize, sc.size-packHeaderSize), 1<<20)
 	var frame [packFrameOverhead]byte
 	var payload []byte
-	for {
-		if _, err := io.ReadFull(br, frame[:]); err != nil {
-			if err == io.EOF {
-				break
-			}
-			tornTail = true // short frame header
+	for off := int64(packHeaderSize); off < sc.size; {
+		if sc.size-off < packFrameOverhead {
+			sc.tornAt = off
 			break
+		}
+		if _, err := io.ReadFull(br, frame[:]); err != nil {
+			return nil, err
 		}
 		var h ChunkHash
 		copy(h[:], frame[:16])
 		n := binary.LittleEndian.Uint32(frame[16:20])
-		want := binary.LittleEndian.Uint32(frame[20:24])
-		if int64(n) > size-off-packFrameOverhead {
-			tornTail = true
+		if int64(n) > sc.size-off-packFrameOverhead {
+			sc.tornAt = off
 			break
 		}
 		if int(n) > cap(payload) {
@@ -112,23 +158,50 @@ func openPack(fsys vfs.FS, path string) (p *chunkPack, tornTail bool, err error)
 		}
 		payload = payload[:n]
 		if _, err := io.ReadFull(br, payload); err != nil {
-			tornTail = true
+			return nil, err
+		}
+		sc.frames++
+		loc := chunkLoc{off: off + packFrameOverhead, n: n}
+		off = loc.off + int64(n)
+		ok := crc32.ChecksumIEEE(payload) == binary.LittleEndian.Uint32(frame[20:24])
+		if !ok && off == sc.size {
+			sc.tornAt = loc.off - packFrameOverhead
 			break
 		}
-		if crc32.ChecksumIEEE(payload) != want {
-			tornTail = true
-			break
+		if ok && verify != nil {
+			ok = verify(h, payload)
 		}
-		idx[h] = chunkLoc{off: off + packFrameOverhead, n: n}
-		off += packFrameOverhead + int64(n)
-		valid = off
-	}
-	if tornTail {
-		if err := truncateTail(f, valid); err != nil {
-			return fail(err)
+		if ok {
+			p.idx[h] = loc
+			delete(sc.corrupt, h)
+		} else if _, valid := p.idx[h]; !valid {
+			sc.corrupt[h] = loc
 		}
 	}
-	return &chunkPack{fsys: fsys, path: path, f: f, idx: idx, size: valid}, tornTail, nil
+	return sc, nil
+}
+
+// repair gives the file the shape the walk found it should have: a pack
+// shorter than its header (or none at all) gets the header, and a torn tail
+// is cut. Only the open repairs, once the newest checkpoint has loaded.
+func (p *chunkPack) repair(sc *packScan) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.f == nil {
+		f, err := p.fsys.OpenFile(p.path, os.O_RDWR|os.O_CREATE, 0o644)
+		if err != nil {
+			return err
+		}
+		p.f = f
+	}
+	switch {
+	case sc.size < packHeaderSize:
+		// A crash while creating the pack: no chunk in it was ever written.
+		return writePackHeader(p.f)
+	case sc.tornAt >= 0:
+		return truncateTail(p.f, sc.tornAt)
+	}
+	return nil
 }
 
 // packHeader is the header every pack starts with.
@@ -150,6 +223,14 @@ func writePackHeader(f vfs.File) error {
 	return f.Sync()
 }
 
+// appendFrame appends payload's frame to dst: the one frame encoder.
+func appendFrame(dst []byte, h ChunkHash, payload []byte) []byte {
+	dst = append(dst, h[:]...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
+}
+
 // has reports whether the chunk is present.
 func (p *chunkPack) has(h ChunkHash) bool {
 	p.mu.Lock()
@@ -160,24 +241,25 @@ func (p *chunkPack) has(h ChunkHash) bool {
 
 // put appends the chunk unless it is already present. It returns whether the
 // chunk was written (false = deduplicated). Durability is the caller's:
-// CompleteCheckpoint syncs the pack once before writing the manifest.
+// CompleteCheckpoint syncs the pack once before writing the manifest. A
+// failed write is taken back — the pack is cut to where the frame began — so
+// no leftover of it sits in front of a later frame; if the cut fails too, the
+// pack is poisoned and takes no write until the directory is reopened.
 func (p *chunkPack) put(h ChunkHash, payload []byte) (bool, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, ok := p.idx[h]; ok {
 		return false, nil
 	}
-	if p.f == nil {
-		return false, fmt.Errorf("durable: chunk pack %s is closed", p.path)
+	if err := p.unwritable(); err != nil {
+		return false, err
 	}
-	frame := make([]byte, packFrameOverhead+len(payload))
-	copy(frame[:16], h[:])
-	binary.LittleEndian.PutUint32(frame[16:20], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[20:24], crc32.ChecksumIEEE(payload))
-	copy(frame[packFrameOverhead:], payload)
+	frame := appendFrame(make([]byte, 0, packFrameOverhead+len(payload)), h, payload)
 	if _, err := p.f.WriteAt(frame, p.size); err != nil {
-		// The tail past size is garbage now; leave size unchanged so the next
-		// put overwrites it, and open-time scanning would truncate it anyway.
+		if terr := truncateTail(p.f, p.size); terr != nil {
+			p.poisoned = fmt.Errorf("durable: chunk append to %s failed (%v) and cutting it back failed too (%v); pack disabled until reopen", p.path, err, terr)
+			return false, p.poisoned
+		}
 		return false, err
 	}
 	p.idx[h] = chunkLoc{off: p.size + packFrameOverhead, n: uint32(len(payload))}
@@ -185,11 +267,23 @@ func (p *chunkPack) put(h ChunkHash, payload []byte) (bool, error) {
 	return true, nil
 }
 
-// get reads one chunk's payload, re-verifying its CRC against the stored hash
-// location (detects on-disk corruption after open).
+// unwritable reports why the pack takes no write: closed, or poisoned.
+func (p *chunkPack) unwritable() error {
+	if p.f == nil {
+		return fmt.Errorf("durable: chunk pack %s is closed", p.path)
+	}
+	return p.poisoned
+}
+
+// get reads one chunk's payload, re-verifying its content hash (detects
+// on-disk corruption after open).
 func (p *chunkPack) get(h ChunkHash) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.getLocked(h)
+}
+
+func (p *chunkPack) getLocked(h ChunkHash) ([]byte, error) {
 	loc, ok := p.idx[h]
 	if !ok {
 		return nil, fmt.Errorf("durable: chunk %s missing from pack %s", h, p.path)
@@ -219,8 +313,8 @@ func (p *chunkPack) sizeOf(h ChunkHash) (uint32, bool) {
 func (p *chunkPack) sync() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.f == nil {
-		return fmt.Errorf("durable: chunk pack %s is closed", p.path)
+	if err := p.unwritable(); err != nil {
+		return err
 	}
 	return p.f.Sync()
 }
@@ -251,68 +345,62 @@ func (p *chunkPack) bytes(live map[ChunkHash]struct{}) (total, liveBytes int64) 
 	return total, liveBytes
 }
 
-// compact rewrites the pack keeping only live chunks: frames stream to a
-// temp file which is fsynced and renamed over the pack, and the index is
-// rebuilt against the new file. Readers are excluded for the duration.
-func (p *chunkPack) compact(live map[ChunkHash]struct{}) error {
+// compact rewrites the pack holding only the chunks in keep, in the order
+// they sit in the pack: frames stream to a temp file which is fsynced and
+// renamed over the pack, and the index is rebuilt against the new file.
+// Retention GC keeps the live chunks; fsck -repair keeps every valid one,
+// which drops the corrupt frames. Every payload is re-hashed on the way
+// (getLocked): copying a silently-rotted chunk forward would launder the
+// corruption behind a fresh CRC, so that aborts and leaves the old pack, and
+// its detectable mismatch, intact. Readers are excluded for the duration.
+func (p *chunkPack) compact(keep map[ChunkHash]struct{}) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.f == nil {
 		return fmt.Errorf("durable: chunk pack %s is closed", p.path)
 	}
+	hs := make([]ChunkHash, 0, len(keep))
+	for h := range keep {
+		if _, ok := p.idx[h]; !ok {
+			return fmt.Errorf("durable: compacting %s: chunk %s missing", p.path, h)
+		}
+		hs = append(hs, h)
+	}
+	sort.Slice(hs, func(i, j int) bool { return p.idx[hs[i]].off < p.idx[hs[j]].off })
 	dir := filepath.Dir(p.path)
 	tmp, err := p.fsys.CreateTemp(dir, ".chunks-*.tmp")
 	if err != nil {
 		return err
 	}
 	defer p.fsys.Remove(tmp.Name())
+	fail := func(err error) error {
+		tmp.Close()
+		return err
+	}
 	bw := bufio.NewWriterSize(tmp, 1<<20)
 	if _, err := bw.Write(packHeader()); err != nil {
-		tmp.Close()
-		return err
+		return fail(err)
 	}
-	newIdx := make(map[ChunkHash]chunkLoc, len(live))
+	newIdx := make(map[ChunkHash]chunkLoc, len(hs))
 	off := int64(packHeaderSize)
-	var frame [packFrameOverhead]byte
-	for h := range live {
-		loc, ok := p.idx[h]
-		if !ok {
-			tmp.Close()
-			return fmt.Errorf("durable: compacting %s: live chunk %s missing", p.path, h)
+	var frame []byte
+	for _, h := range hs {
+		payload, err := p.getLocked(h)
+		if err != nil {
+			return fail(fmt.Errorf("durable: compacting %s: %w", p.path, err))
 		}
-		payload := make([]byte, loc.n)
-		if _, err := p.f.ReadAt(payload, loc.off); err != nil {
-			tmp.Close()
-			return err
+		frame = appendFrame(frame[:0], h, payload)
+		if _, err := bw.Write(frame); err != nil {
+			return fail(err)
 		}
-		if got := hashChunk(payload); got != h {
-			// Copying a silently-rotted live chunk forward would launder the
-			// corruption behind a fresh CRC; abort and leave the old pack (and
-			// its detectable mismatch) intact for fsck.
-			tmp.Close()
-			return fmt.Errorf("durable: compacting %s: chunk %s content hash mismatch (%s)", p.path, h, got)
-		}
-		copy(frame[:16], h[:])
-		binary.LittleEndian.PutUint32(frame[16:20], loc.n)
-		binary.LittleEndian.PutUint32(frame[20:24], crc32.ChecksumIEEE(payload))
-		if _, err := bw.Write(frame[:]); err != nil {
-			tmp.Close()
-			return err
-		}
-		if _, err := bw.Write(payload); err != nil {
-			tmp.Close()
-			return err
-		}
-		newIdx[h] = chunkLoc{off: off + packFrameOverhead, n: loc.n}
-		off += packFrameOverhead + int64(loc.n)
+		newIdx[h] = chunkLoc{off: off + packFrameOverhead, n: uint32(len(payload))}
+		off += int64(len(frame))
 	}
 	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return err
+		return fail(err)
 	}
 	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
+		return fail(err)
 	}
 	if err := tmp.Close(); err != nil {
 		return err

@@ -1,13 +1,10 @@
 package durable
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/cvd"
 	"repro/internal/relstore"
@@ -15,9 +12,10 @@ import (
 )
 
 // Scrub is the offline integrity checker behind `orpheus fsck`. It walks a
-// closed data directory end to end — chunk pack frames (CRC and content
-// hash), checkpoint manifests (file CRC plus every chunk reference), WAL
-// segment headers and framing, and the manifest/segment epoch chain — and
+// closed data directory end to end — chunk pack frames (the open's own walk,
+// read-only, with the content hash checked on top of each CRC), checkpoint
+// manifests (file CRC plus every chunk reference), WAL segment headers and
+// framing, and the manifest/segment epoch chain — and
 // then runs the open's own recovery over what it found (Recovery): every
 // usable retained checkpoint is restored as point-in-time restore would
 // restore it, and every WAL record is decoded and, from the recovery root
@@ -29,6 +27,7 @@ import (
 //     active segment shorter than its header, is truncated away or given its
 //     header, exactly as the open would;
 //   - corrupt chunks no manifest references are compacted out of the pack;
+//   - the WAL segments a hole in the epoch chain strands are quarantined;
 //   - when the newest manifest references corrupt or missing chunks but an
 //     older retained manifest is fully intact, the damaged manifests (and
 //     the WAL segments stranded by the fallback) are quarantined with a
@@ -85,7 +84,9 @@ const (
 	// (cvd.ErrBadVersions), with the sentence the detail repeats. Never
 	// repaired.
 	IssueBadVersions IssueKind = "bad-versions"
-	// IssueMissingWALSegment: the manifest/segment epoch chain has a hole.
+	// IssueMissingWALSegment: the manifest/segment epoch chain has a hole —
+	// the first one, in the sentence the open fails with. Repairable by
+	// quarantining the segments it strands.
 	IssueMissingWALSegment IssueKind = "missing-wal-segment"
 	// IssueUnopenable: a usable retained manifest whose chunks are all intact
 	// does not load or restore for another reason than its catalog or its
@@ -168,102 +169,6 @@ func Scrub(dir string, opts ScrubOptions) (*ScrubReport, error) {
 	return rep, scrubLocked(fsys, dir, opts, rep)
 }
 
-// packState is the pack walk's outcome.
-type packState struct {
-	path      string
-	exists    bool
-	valid     map[ChunkHash]chunkLoc
-	corrupt   map[ChunkHash]chunkLoc // frames present but failing CRC or hash
-	tornAt    int64                  // file offset of a torn tail, -1 if none
-	size      int64
-	short     bool   // shorter than its header: openPack writes the header
-	headerBad string // non-empty: the file is not a readable pack at all
-}
-
-// scanPackFile walks every pack frame, verifying both the frame CRC and the
-// payload's content hash against the frame's chunk hash. Frames that fail
-// either but carry a plausible length are skipped over (mid-file corruption
-// must not hide the chunks after it); an implausible length or a short read
-// at end of file is a torn tail.
-func scanPackFile(fsys vfs.FS, path string, rep *ScrubReport) (*packState, error) {
-	st := &packState{path: path, tornAt: -1,
-		valid: make(map[ChunkHash]chunkLoc), corrupt: make(map[ChunkHash]chunkLoc)}
-	f, err := vfs.Open(fsys, path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return st, nil
-		}
-		return nil, err
-	}
-	defer f.Close()
-	st.exists = true
-	info, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	st.size = info.Size()
-	if st.size < packHeaderSize {
-		st.short = true
-		return st, nil
-	}
-	var hdr [packHeaderSize]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		return nil, err
-	}
-	if string(hdr[:8]) != packMagic {
-		st.headerBad = fmt.Sprintf("bad magic %q", hdr[:8])
-		return st, nil
-	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != formatVersion {
-		st.headerBad = fmt.Sprintf("unsupported format version %d (want %d)", v, formatVersion)
-		return st, nil
-	}
-	off := int64(packHeaderSize)
-	var frame [packFrameOverhead]byte
-	for off < st.size {
-		if st.size-off < packFrameOverhead {
-			st.tornAt = off
-			break
-		}
-		if _, err := f.ReadAt(frame[:], off); err != nil {
-			return nil, err
-		}
-		var h ChunkHash
-		copy(h[:], frame[:16])
-		n := binary.LittleEndian.Uint32(frame[16:20])
-		wantCRC := binary.LittleEndian.Uint32(frame[20:24])
-		if int64(n) > st.size-off-packFrameOverhead {
-			// The length field runs past end of file: either a torn append
-			// or header rot that makes the rest of the file unparseable.
-			st.tornAt = off
-			break
-		}
-		payload := make([]byte, n)
-		if _, err := f.ReadAt(payload, off+packFrameOverhead); err != nil {
-			return nil, err
-		}
-		loc := chunkLoc{off: off + packFrameOverhead, n: n}
-		rep.ChunksChecked++
-		crcOK := crc32.ChecksumIEEE(payload) == wantCRC
-		hashOK := hashChunk(payload) == h
-		switch {
-		case crcOK && hashOK:
-			st.valid[h] = loc
-		case !crcOK && off+packFrameOverhead+int64(n) == st.size:
-			// A CRC failure in the file's very last frame is
-			// indistinguishable from a crashed append: classify torn tail.
-			st.tornAt = off
-		default:
-			st.corrupt[h] = loc
-		}
-		if st.tornAt >= 0 {
-			break
-		}
-		off += packFrameOverhead + int64(n)
-	}
-	return st, nil
-}
-
 // manifestState is one manifest's scrub outcome.
 type manifestState struct {
 	epoch    uint64
@@ -299,25 +204,31 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 	if err := listing.refuseFlatExport(dir); err != nil {
 		return err
 	}
+	// The pack: the open's walk, read-only, with the content hash checked on
+	// top of each frame's CRC.
 	packPath := filepath.Join(dir, PackFile)
-	pack, err := scanPackFile(fsys, packPath, rep)
+	pack, scan, err := openPack(fsys, packPath, false, func(h ChunkHash, payload []byte) bool {
+		return hashChunk(payload) == h
+	})
 	if err != nil {
 		return err
 	}
+	defer pack.close()
+	rep.ChunksChecked = scan.frames
 	switch {
-	case pack.headerBad != "":
+	case scan.bad != nil:
 		rep.addIssue(ScrubIssue{Kind: IssueCorruptChunk, Path: packPath,
-			Detail: "pack header unreadable: " + pack.headerBad})
-	case pack.short:
+			Detail: scan.bad.Error()})
+	case scan.short:
 		is := ScrubIssue{Kind: IssueTornPackTail, Path: packPath,
-			Detail: fmt.Sprintf("pack of %d bytes is shorter than its header (a crash while creating it); the open writes the header afresh", pack.size)}
+			Detail: fmt.Sprintf("pack of %d bytes is shorter than its header (a crash while creating it); the open writes the header afresh", scan.size)}
 		repair(&is, func() error { return editFile(fsys, packPath, writePackHeader) })
 		rep.addIssue(is)
-	case pack.tornAt >= 0:
+	case scan.tornAt >= 0:
 		is := ScrubIssue{Kind: IssueTornPackTail, Path: packPath,
-			Detail: fmt.Sprintf("pack ends mid-frame at offset %d (file size %d)", pack.tornAt, pack.size)}
+			Detail: fmt.Sprintf("pack ends mid-frame at offset %d (file size %d)", scan.tornAt, scan.size)}
 		repair(&is, func() error {
-			return editFile(fsys, packPath, func(f vfs.File) error { return truncateTail(f, pack.tornAt) })
+			return editFile(fsys, packPath, func(f vfs.File) error { return truncateTail(f, scan.tornAt) })
 		})
 		rep.addIssue(is)
 	}
@@ -346,10 +257,10 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 					return
 				}
 				seen[h] = struct{}{}
-				if _, ok := pack.valid[h]; ok {
+				if _, ok := pack.idx[h]; ok {
 					return
 				}
-				if _, ok := pack.corrupt[h]; ok {
+				if _, ok := scan.corrupt[h]; ok {
 					ms.corrupt = append(ms.corrupt, h)
 				} else {
 					ms.dangling = append(ms.dangling, h)
@@ -423,43 +334,27 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 		}
 		chain = append(chain, seg)
 	}
-	if haveRoot && len(chain) > 0 {
-		if chain[0].epoch != base {
-			is := ScrubIssue{Kind: IssueMissingWALSegment, Path: dir,
-				Detail: fmt.Sprintf("WAL segment for epoch %d is missing (oldest present is %d); commits since checkpoint %d are stranded", base, chain[0].epoch, base),
-				Epochs: []uint64{base}}
-			if opts.Repair {
-				// The stranded segments' records build on state that no
-				// longer exists; quarantine them so the directory opens at
-				// the base checkpoint.
-				ok := true
-				var lostEpochs []uint64
-				for _, seg := range chain {
-					if err := fsys.Rename(seg.path, seg.path+".corrupt"); err != nil {
-						ok = false
-						break
-					}
-					lostEpochs = append(lostEpochs, seg.epoch)
-					rep.Repairs++
-				}
-				if ok {
-					fsys.SyncDir(dir)
-					is.Repaired = true
-					is.Detail += fmt.Sprintf("; quarantined stranded segment(s) %v as .corrupt — their records are no longer replayable", lostEpochs)
-					chain = nil
-				}
-			}
-			rep.addIssue(is)
-		} else {
-			for i := 1; i < len(chain); i++ {
-				if chain[i].epoch != chain[i-1].epoch+1 {
-					rep.addIssue(ScrubIssue{Kind: IssueMissingWALSegment, Path: dir,
-						Detail: fmt.Sprintf("WAL segments %d and %d are not contiguous", chain[i-1].epoch, chain[i].epoch),
-						Epochs: []uint64{chain[i-1].epoch + 1}})
-					break
-				}
-			}
+	if from, err := walChainHole(base, chain); haveRoot && err != nil {
+		missing := base
+		if from > 0 {
+			missing = chain[from-1].epoch + 1
 		}
+		is := ScrubIssue{Kind: IssueMissingWALSegment, Path: dir, Detail: err.Error(), Epochs: []uint64{missing}}
+		// The stranded segments' records build on state that no longer
+		// exists; quarantining them lets the directory open without them.
+		repair(&is, func() error {
+			var lost []uint64
+			for _, seg := range chain[from:] {
+				if err := fsys.Rename(seg.path, seg.path+".corrupt"); err != nil {
+					return err
+				}
+				lost = append(lost, seg.epoch)
+			}
+			chain = chain[:from]
+			is.Detail += fmt.Sprintf("; quarantined stranded segment(s) %v as .corrupt — their records are no longer replayable", lost)
+			return fsys.SyncDir(dir)
+		})
+		rep.addIssue(is)
 	}
 	segs := make([]*walState, len(chain))
 	for i, seg := range chain {
@@ -511,7 +406,7 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 		}
 	}
 	dead, anyLive := 0, false
-	for h := range pack.corrupt {
+	for h := range scan.corrupt {
 		if _, ok := live[h]; ok {
 			anyLive = true
 			continue
@@ -525,7 +420,13 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 	if opts.Repair && dead > 0 && !anyLive {
 		is := ScrubIssue{Kind: IssueCorruptChunk, Path: packPath,
 			Detail: fmt.Sprintf("%d corrupt unreferenced chunk frame(s), compacted out of the pack on repair", dead)}
-		repair(&is, func() error { return rewritePackDroppingCorrupt(fsys, packPath, pack) })
+		repair(&is, func() error {
+			valid := make(map[ChunkHash]struct{}, len(pack.idx))
+			for h := range pack.idx {
+				valid[h] = struct{}{}
+			}
+			return pack.compact(valid)
+		})
 		rep.addIssue(is)
 	}
 	return nil
@@ -539,16 +440,7 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 // end, as the open replays them. A segment the open would never reach — past
 // a hole or a damaged stretch, or with no root to continue — is still decoded
 // record by record. A refusal is reported in the open's own sentence.
-func recoverAsOpen(fsys vfs.FS, pack *packState, manifests []*manifestState, root int, haveRoot bool, segs []*walState, rep *ScrubReport) error {
-	chunks := &chunkPack{fsys: fsys, path: pack.path, idx: pack.valid}
-	if pack.exists {
-		f, err := vfs.Open(fsys, pack.path)
-		if err != nil {
-			return err
-		}
-		chunks.f = f
-		defer chunks.close()
-	}
+func recoverAsOpen(fsys vfs.FS, pack *chunkPack, manifests []*manifestState, root int, haveRoot bool, segs []*walState, rep *ScrubReport) error {
 	var rec *Recovery // the recovery root, once restored
 	if haveRoot && root < 0 {
 		rec = NewRecovery(relstore.NewDatabase(""), 0)
@@ -559,7 +451,7 @@ func recoverAsOpen(fsys vfs.FS, pack *packState, manifests []*manifestState, roo
 			continue
 		}
 		r := NewRecovery(relstore.NewDatabase(""), 0)
-		snap, err := loadSnapshotFromManifest(ms.m, chunks.get)
+		snap, err := loadSnapshotFromManifest(ms.m, pack.get)
 		if err == nil {
 			err = r.Restore(snap)
 		}
@@ -635,70 +527,4 @@ func editFile(fsys vfs.FS, path string, edit func(vfs.File) error) error {
 	}
 	defer f.Close()
 	return edit(f)
-}
-
-// rewritePackDroppingCorrupt streams every valid frame of the pack into a
-// temp file and renames it over — the fsck sibling of chunkPack.compact,
-// keeping all valid chunks (live or dead; retention GC owns dead-chunk
-// collection) and dropping only frames that fail verification.
-func rewritePackDroppingCorrupt(fsys vfs.FS, path string, pack *packState) error {
-	src, err := vfs.Open(fsys, path)
-	if err != nil {
-		return err
-	}
-	defer src.Close()
-	dir := filepath.Dir(path)
-	tmp, err := fsys.CreateTemp(dir, ".chunks-*.tmp")
-	if err != nil {
-		return err
-	}
-	defer fsys.Remove(tmp.Name())
-	if _, err := tmp.Write(packHeader()); err != nil {
-		tmp.Close()
-		return err
-	}
-	// Deterministic output order: by source offset.
-	type entry struct {
-		h   ChunkHash
-		loc chunkLoc
-	}
-	entries := make([]entry, 0, len(pack.valid))
-	for h, loc := range pack.valid {
-		entries = append(entries, entry{h, loc})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].loc.off < entries[j].loc.off })
-	var frame [packFrameOverhead]byte
-	for _, ent := range entries {
-		payload := make([]byte, ent.loc.n)
-		if _, err := src.ReadAt(payload, ent.loc.off); err != nil {
-			tmp.Close()
-			return err
-		}
-		if got := hashChunk(payload); got != ent.h {
-			tmp.Close()
-			return fmt.Errorf("chunk %s changed under scrub (now hashes %s)", ent.h, got)
-		}
-		copy(frame[:16], ent.h[:])
-		binary.LittleEndian.PutUint32(frame[16:20], ent.loc.n)
-		binary.LittleEndian.PutUint32(frame[20:24], crc32.ChecksumIEEE(payload))
-		if _, err := tmp.Write(frame[:]); err != nil {
-			tmp.Close()
-			return err
-		}
-		if _, err := tmp.Write(payload); err != nil {
-			tmp.Close()
-			return err
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := fsys.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return fsys.SyncDir(dir)
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -156,36 +157,125 @@ func TestScrubFlippedLiveChunk(t *testing.T) {
 	}
 }
 
-// TestScrubPlainBitFlip: the classic single bit flip (no CRC fix-up). The
-// frame CRC catches it; mid-file position must classify as corruption, not a
-// torn tail.
+// buildFlipDir creates a closed data directory holding one CVD checkpointed
+// twice under SetRetention(1), with a commit after each checkpoint: the first
+// checkpoint's frames that the second did not reuse are dead, and sit in
+// front of live ones.
+func buildFlipDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	s, _, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetRetention(1)
+	db := relstore.NewDatabase("flip")
+	rng := rand.New(rand.NewSource(11))
+	c, err := cvd.Init(db, "d", gateSchema(), gateRows(rng, 0, 30), cvd.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetJournal(s)
+	for v := vgraph.VersionID(1); v <= 2; v++ {
+		if _, err := s.Checkpoint(snapshotOf(t, db, c)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Commit([]vgraph.VersionID{v}, gateRows(rng, 20, 15), gateSchema(), "more", "f"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestScrubPlainBitFlip: the classic single bit flip (no CRC fix-up), in each
+// frame of the pack in turn. The frame CRC catches it; a mid-file frame is a
+// corrupt chunk, the last frame a torn tail. The open and point-in-time
+// restore read the pack by the same walk and leave it byte-identical: a
+// corrupt frame stays in place and the frames after it still serve, so the
+// open succeeds exactly when the newest checkpoint does not need the flipped
+// chunk, and Scrub reports the same before and after the open. A dead flipped
+// frame is compacted away by Scrub{Repair}, and the directory opens.
 func TestScrubPlainBitFlip(t *testing.T) {
-	dir := buildScrubDir(t)
-	packPath := filepath.Join(dir, PackFile)
-	frames := readPackFrames(t, packPath)
-	if len(frames) < 2 {
-		t.Fatalf("fixture pack has %d frames, want >= 2", len(frames))
+	fixture := buildFlipDir(t)
+	epochs, err := ListEpochs(fixture)
+	if err != nil || len(epochs) != 1 {
+		t.Fatalf("fixture retains epochs %v (%v), want one", epochs, err)
 	}
-	f, err := os.OpenFile(packPath, os.O_RDWR, 0o644)
+	newest := epochs[0]
+	m, err := readManifestFile(vfs.OS(), filepath.Join(fixture, ManifestFileName(newest)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := frames[0] // mid-file: later frames follow
-	b := []byte{target.payload[0] ^ 0x80}
-	if _, err := f.WriteAt(b, target.off+packFrameOverhead); err != nil {
-		t.Fatal(err)
+	live := make(map[ChunkHash]bool)
+	m.chunkRefs(func(h ChunkHash) { live[h] = true })
+	frames := readPackFrames(t, filepath.Join(fixture, PackFile))
+	last := len(frames) - 1
+	dead := func(fr packFrame) bool { return !live[fr.h] }
+	if !live[frames[last].h] || !slices.ContainsFunc(frames[:last], dead) {
+		t.Fatalf("fixture pack has no dead frame in front of a live one (%d frames)", len(frames))
 	}
-	f.Close()
-	rep, err := Scrub(dir, ScrubOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kinds := scrubKinds(rep)
-	if kinds[IssueCorruptChunk] == 0 {
-		t.Fatalf("mid-file bit flip not detected as corrupt chunk: %+v", rep.Issues)
-	}
-	if kinds[IssueTornPackTail] != 0 {
-		t.Fatalf("mid-file bit flip misclassified as torn tail: %+v", rep.Issues)
+
+	for i, fr := range frames {
+		dir := t.TempDir()
+		if err := os.CopyFS(dir, os.DirFS(fixture)); err != nil {
+			t.Fatal(err)
+		}
+		packPath := filepath.Join(dir, PackFile)
+		f, err := os.OpenFile(packPath, os.O_RDWR, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt([]byte{fr.payload[0] ^ 0x80}, fr.off+packFrameOverhead); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		flipped, err := os.ReadFile(packPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unchanged := func(after string) {
+			t.Helper()
+			if got, err := os.ReadFile(packPath); err != nil || !bytes.Equal(got, flipped) {
+				t.Fatalf("frame %d: %s changed the pack from %d to %d bytes (%v)", i, after, len(flipped), len(got), err)
+			}
+		}
+
+		before, err := Scrub(dir, ScrubOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds := scrubKinds(before)
+		if i == last && kinds[IssueTornPackTail] == 0 {
+			t.Fatalf("frame %d: a bit flip in the last frame is not a torn tail: %+v", i, before.Issues)
+		} else if i < last && (kinds[IssueCorruptChunk] == 0 || kinds[IssueTornPackTail] != 0) {
+			t.Fatalf("frame %d: a mid-file bit flip is not a corrupt chunk alone: %+v", i, before.Issues)
+		}
+		openErr := recoverDir(dir)
+		unchanged("the open")
+		if (openErr == nil) == live[fr.h] {
+			t.Fatalf("frame %d (live %v): the open says %v", i, live[fr.h], openErr)
+		}
+		OpenAtEpoch(dir, newest) // succeeds or fails as the open does; only its writes matter here
+		unchanged("OpenAtEpoch")
+		after, err := Scrub(dir, ScrubOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(before.Issues, after.Issues) {
+			t.Fatalf("frame %d: Scrub before the open %+v, after %+v", i, before.Issues, after.Issues)
+		}
+		if live[fr.h] {
+			continue
+		}
+		if rep, err := Scrub(dir, ScrubOptions{Repair: true}); err != nil || rep.Unrepaired() != 0 {
+			t.Fatalf("frame %d: repairing a dead flipped frame: %v, %+v", i, err, rep.Issues)
+		}
+		if err := recoverDir(dir); err != nil {
+			t.Fatalf("frame %d: the repaired directory does not open: %v", i, err)
+		}
 	}
 }
 
@@ -275,6 +365,62 @@ func TestScrubTornWALTail(t *testing.T) {
 	s.Close()
 	if commits != 1 {
 		t.Fatalf("replayed %d records after repair, want 1 (the post-checkpoint commit)", commits)
+	}
+}
+
+// TestScrubWALChainHole: the open and Scrub find a hole in the WAL chain by
+// one check — the checkpoint's own segment missing, or two segments that are
+// not consecutive. The open fails with the sentence Scrub reports, and
+// Scrub{Repair} quarantines the segments the hole strands, after which the
+// directory opens.
+func TestScrubWALChainHole(t *testing.T) {
+	segment := func(t *testing.T, dir string, epoch uint64) {
+		t.Helper()
+		f, err := os.Create(filepath.Join(dir, WALSegmentFileName(epoch)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if err := writeWALHeader(f, epoch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		damage   func(t *testing.T, dir string)
+		sentence string
+		epoch    uint64
+	}{
+		{"gap", func(t *testing.T, dir string) { segment(t, dir, 3) },
+			"WAL segments 1 and 3 are not contiguous", 2},
+		{"base missing", func(t *testing.T, dir string) {
+			if err := os.Remove(filepath.Join(dir, WALSegmentFileName(1))); err != nil {
+				t.Fatal(err)
+			}
+			segment(t, dir, 2)
+		}, "WAL segment for epoch 1 is missing (oldest present is 2)", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := buildScrubDir(t)
+			tc.damage(t, dir)
+			rep, err := Scrub(dir, ScrubOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Issues) != 1 || rep.Issues[0].Kind != IssueMissingWALSegment ||
+				rep.Issues[0].Detail != tc.sentence || !slices.Equal(rep.Issues[0].Epochs, []uint64{tc.epoch}) {
+				t.Fatalf("scrub reports %+v, want one %s saying %q for epoch %d", rep.Issues, IssueMissingWALSegment, tc.sentence, tc.epoch)
+			}
+			if err := recoverDir(dir); err == nil || !strings.HasSuffix(err.Error(), ": "+tc.sentence) {
+				t.Fatalf("the open says %v, want %q", err, tc.sentence)
+			}
+			if rep, err := Scrub(dir, ScrubOptions{Repair: true}); err != nil || rep.Unrepaired() != 0 {
+				t.Fatalf("repair: %v, %+v", err, rep.Issues)
+			}
+			if err := recoverDir(dir); err != nil {
+				t.Fatalf("the repaired directory does not open: %v", err)
+			}
+		})
 	}
 }
 
@@ -570,7 +716,7 @@ func TestScrubUndecodableHead(t *testing.T) {
 		t.Fatal(err)
 	}
 	junk := []byte("not a CVD head")
-	pack, _, err := openPack(vfs.OS(), filepath.Join(dir, PackFile))
+	pack, _, err := openPack(vfs.OS(), filepath.Join(dir, PackFile), true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

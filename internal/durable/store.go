@@ -315,14 +315,14 @@ func OpenFS(dir string, fsys vfs.FS) (*Store, *OpenResult, error) {
 	}
 	epochs, segs := listing.manifests, listing.segments
 
-	// A torn pack tail is routine crash debris: chunks only become reachable
-	// once a manifest referencing them is durably renamed in, and the pack is
-	// fsynced before the manifest, so the truncated bytes were unreferenced.
-	pack, _, err := openPack(fsys, filepath.Join(dir, PackFile))
+	pack, scan, err := openPack(fsys, filepath.Join(dir, PackFile), true, nil)
 	if err != nil {
 		return fail(err)
 	}
 	s.pack = pack
+	if scan.bad != nil {
+		return fail(scan.bad)
+	}
 
 	for _, e := range epochs {
 		m, err := readManifestFile(fsys, filepath.Join(dir, ManifestFileName(e)))
@@ -341,6 +341,11 @@ func OpenFS(dir string, fsys vfs.FS) (*Store, *OpenResult, error) {
 			return fail(err)
 		}
 		res.Snapshot = snap
+	}
+	// A torn pack tail is routine crash debris, cut only now that the newest
+	// checkpoint has loaded from the frames before it (see pack.go).
+	if err := pack.repair(scan); err != nil {
+		return fail(err)
 	}
 
 	var keep []walSegment
@@ -369,13 +374,8 @@ func OpenFS(dir string, fsys vfs.FS) (*Store, *OpenResult, error) {
 		}
 		return s, res, nil
 	}
-	if keep[0].epoch != s.base {
-		return fail(fmt.Errorf("durable: %s: WAL segment for epoch %d is missing (oldest present is %d)", dir, s.base, keep[0].epoch))
-	}
-	for i := 1; i < len(keep); i++ {
-		if keep[i].epoch != keep[i-1].epoch+1 {
-			return fail(fmt.Errorf("durable: %s: WAL segments %d and %d are not contiguous", dir, keep[i-1].epoch, keep[i].epoch))
-		}
+	if _, err := walChainHole(s.base, keep); err != nil {
+		return fail(fmt.Errorf("durable: %s: %w", dir, err))
 	}
 	for i, seg := range keep {
 		active := i == len(keep)-1
@@ -416,6 +416,24 @@ func OpenFS(dir string, fsys vfs.FS) (*Store, *OpenResult, error) {
 		}
 	}
 	return s, res, nil
+}
+
+// walChainHole returns the first hole in chain, the WAL segments from the
+// checkpoint at base on, ascending: the segment for base itself missing, or
+// two segments whose epochs are not consecutive. from indexes the first
+// segment the hole strands — its records continue ones that are gone. The
+// open fails with err; Scrub reports it and, repairing, quarantines the
+// stranded segments.
+func walChainHole(base uint64, chain []walSegment) (from int, err error) {
+	if len(chain) > 0 && chain[0].epoch != base {
+		return 0, fmt.Errorf("WAL segment for epoch %d is missing (oldest present is %d)", base, chain[0].epoch)
+	}
+	for i := 1; i < len(chain); i++ {
+		if chain[i].epoch != chain[i-1].epoch+1 {
+			return i, fmt.Errorf("WAL segments %d and %d are not contiguous", chain[i-1].epoch, chain[i].epoch)
+		}
+	}
+	return -1, nil
 }
 
 // ReplayWAL streams every record of the (already recovered) WAL segments to
@@ -984,7 +1002,8 @@ func ListEpochs(dir string) ([]uint64, error) {
 }
 
 // OpenAtEpoch loads the snapshot of one retained epoch from a closed data
-// directory (the directory lock is held only for the read).
+// directory (the directory lock is held only for the read). It is read-only:
+// the pack is read as the open reads it, and nothing is written.
 func OpenAtEpoch(dir string, epoch uint64) (*Snapshot, error) {
 	fsys := vfs.OS()
 	lock, err := lockDir(fsys, dir)
@@ -1006,11 +1025,14 @@ func OpenAtEpoch(dir string, epoch uint64) (*Snapshot, error) {
 		}
 		return nil, err
 	}
-	pack, _, err := openPack(fsys, filepath.Join(dir, PackFile))
+	pack, scan, err := openPack(fsys, filepath.Join(dir, PackFile), false, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer pack.close()
+	if scan.bad != nil {
+		return nil, scan.bad
+	}
 	return loadSnapshotFromManifest(m, pack.get)
 }
 
