@@ -132,11 +132,8 @@ func partitionsOf(c *cvd.CVD, versions []vgraph.VersionID) []int {
 		return nil
 	}
 	out := make([]int, len(versions))
-	_ = c.WithShared(func() error { // cannot fail
-		for i, v := range versions {
-			out[i] = m.PartitionOf(v)
-		}
-		return nil
-	})
+	for i, v := range versions {
+		out[i] = m.PartitionOf(v)
+	}
 	return out
 }

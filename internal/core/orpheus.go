@@ -4,9 +4,9 @@
 // language (vquel). Examples and the command-line tools use this package.
 //
 // An Engine is safe for concurrent use by many clients: the CVD registry is
-// guarded by a read-write mutex, and each CVD carries its own read-write
-// lock so checkouts, diffs, and queries of one dataset proceed in parallel
-// while commits and the partition optimizer get exclusive access. The
+// guarded by a read-write mutex, and each CVD serializes its writers (commits,
+// the partition optimizer) behind its own mutex while checkouts, diffs, and
+// queries read the state its last writer published, without waiting. The
 // WithWorkers option additionally bounds the intra-operation parallelism of
 // the hot paths (multi-version checkout, partitioned scans, partition
 // builds, and LyreSplit candidate evaluation).
@@ -289,7 +289,7 @@ func (e *Engine) Drop(name string) error {
 	var logErr error
 	if store != nil {
 		// WAL ordering: the OpDrop must land after any in-flight commit's
-		// OpCommit, so fence the CVD's exclusive lock (waiting out in-flight
+		// OpCommit, so fence the CVD's mutex (waiting out in-flight
 		// work without holding e.mu — registry traffic on other datasets
 		// stays live) and detach its journal; commits that slip in after the
 		// fence journal nothing, and the teardown below discards them anyway.
@@ -354,10 +354,11 @@ type OptimizeReport struct {
 // Optimize runs the partition optimizer on a split-by-rlist CVD with the
 // given storage threshold factor (γ = factor·|R|) and applies the resulting
 // partitioning (the `optimize` command). The whole optimize-and-apply runs
-// under the CVD's exclusive lock, so concurrent checkouts never observe a
-// half-built partitioning. The WAL journals commits, not partitionings, so on
-// a durable engine Optimize returns only once a checkpoint holds the
-// partitioning, taken after the lock is released (as Adopt's is).
+// under the CVD's mutex, and checkouts read the partitioning it publishes
+// once built, never a half-built one. The WAL journals commits, not
+// partitionings, so on a durable engine Optimize returns only once a
+// checkpoint holds the partitioning, taken after the lock is released (as
+// Adopt's is).
 func (e *Engine) Optimize(cvdName string, storageFactor float64) (OptimizeReport, error) {
 	c, err := e.CVD(cvdName)
 	if err != nil {

@@ -101,19 +101,16 @@ func (e *Engine) getStore() *durable.Store {
 	return e.store
 }
 
-// buildSnapshot assembles the full engine snapshot under a consistent set of
-// locks: the registry shared lock plus every CVD's lock (in name order,
-// shared or exclusive per the flag). The returned release function drops the
-// locks; callers that need to act while the engine is still fenced
-// (Checkpoint sealing the WAL segment) do so before calling it.
-//
-// With cow the snapshot references copy-on-write captures — cloned table
-// headers over shared immutable column lanes (Table.SnapshotClone) and CVD
-// states whose mutable containers are copied (ExportStateCOW) — so it stays
-// consistent after release while commits continue; without it the snapshot
-// shares live structures and is only valid while the locks are held. A CVD of
-// an in-memory model fails the snapshot (cvd.CheckDurable).
-func (e *Engine) buildSnapshot(exclusive, cow bool) (*durable.Snapshot, []*cvd.CVD, func(), error) {
+// buildSnapshot captures the full engine snapshot under a brief fence: the
+// registry shared lock plus every CVD's mutex, taken in name order. The
+// capture is frozen — cloned table headers over shared immutable column lanes
+// (Table.SnapshotClone) and CVD states whose mutable containers are copied
+// (ExportState) — so it stays consistent after release while commits go on,
+// and callers serialize it after releasing. The returned release function
+// lifts the fence; callers that need to act while the engine is still fenced
+// (Checkpoint sealing the WAL segment) do so before calling it. A CVD of an
+// in-memory model fails the snapshot (cvd.CheckDurable).
+func (e *Engine) buildSnapshot() (*durable.Snapshot, []*cvd.CVD, func(), error) {
 	e.mu.RLock()
 	names := make([]string, 0, len(e.cvds))
 	for n := range e.cvds {
@@ -131,32 +128,18 @@ func (e *Engine) buildSnapshot(exclusive, cow bool) (*durable.Snapshot, []*cvd.C
 	locked := make([]*cvd.CVD, 0, len(names))
 	for _, n := range names {
 		c := e.cvds[n]
-		if exclusive {
-			c.LockExclusive()
-		} else {
-			c.LockShared()
-		}
+		c.LockExclusive()
 		locked = append(locked, c)
 	}
 	release := func() {
 		for i := len(locked) - 1; i >= 0; i-- {
-			if exclusive {
-				locked[i].UnlockExclusive()
-			} else {
-				locked[i].UnlockShared()
-			}
+			locked[i].UnlockExclusive()
 		}
 		e.mu.RUnlock()
 	}
 	snap := &durable.Snapshot{DBName: e.db.Name()}
 	for _, c := range locked {
-		var st *cvd.PersistentState
-		var err error
-		if cow {
-			st, err = c.ExportStateCOW()
-		} else {
-			st, err = c.ExportState()
-		}
+		st, err := c.ExportState()
 		if err != nil {
 			release()
 			return nil, nil, nil, err
@@ -171,10 +154,7 @@ func (e *Engine) buildSnapshot(exclusive, cow bool) (*durable.Snapshot, []*cvd.C
 				release()
 				return nil, nil, nil, fmt.Errorf("core: snapshot of CVD %q: backing table %q missing from database", c.Name(), name)
 			}
-			if cow {
-				t = t.SnapshotClone()
-			}
-			snap.Tables = append(snap.Tables, t)
+			snap.Tables = append(snap.Tables, t.SnapshotClone())
 		}
 	}
 	return snap, locked, release, nil
@@ -182,15 +162,16 @@ func (e *Engine) buildSnapshot(exclusive, cow bool) (*durable.Snapshot, []*cvd.C
 
 // Save exports the whole engine into dir (created if needed) as a data
 // directory holding one checkpoint: every CVD's versions, partition maps, and
-// metadata, serialized from the live columnar storage. The directory can
+// metadata, serialized from the columnar storage. Commits are fenced only
+// while the state is captured, not while it is written. The directory can
 // later be opened with OpenDurable. A directory that already holds checkpoint
 // or WAL state is refused — use Checkpoint for the engine's own.
 func (e *Engine) Save(dir string) error {
-	snap, _, release, err := e.buildSnapshot(false, false)
+	snap, _, release, err := e.buildSnapshot()
 	if err != nil {
 		return err
 	}
-	defer release()
+	release()
 	return durable.Export(dir, e.fsys, snap)
 }
 
@@ -235,7 +216,7 @@ func (e *Engine) Checkpoint() error {
 
 // CheckpointAsync begins a checkpoint and completes it in the background.
 //
-// The commit fence (every CVD's exclusive lock) is held only long enough to
+// The commit fence (every CVD's mutex) is held only long enough to
 // capture copy-on-write references to the column lanes and version metadata
 // and to seal the active WAL segment — typically far shorter than encoding
 // and writing the checkpoint itself. Commits resume into a fresh WAL segment
@@ -258,7 +239,7 @@ func (e *Engine) CheckpointAsync() (<-chan error, error) {
 		<-e.ckptSem
 		return nil, err
 	}
-	snap, locked, release, err := e.buildSnapshot(true, true)
+	snap, locked, release, err := e.buildSnapshot()
 	if err != nil {
 		return fail(err)
 	}

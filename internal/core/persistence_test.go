@@ -6,12 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cvd"
 	"repro/internal/durable"
 	"repro/internal/relstore"
+	"repro/internal/vfs"
 	"repro/internal/vgraph"
 )
 
@@ -732,5 +734,79 @@ func TestDurableDropRecovery(t *testing.T) {
 	defer e2.Close()
 	if got := e2.List(); len(got) != 1 || got[0] != "keep" {
 		t.Fatalf("recovered CVDs %v, want [keep]", got)
+	}
+}
+
+// parkFS is the OS filesystem with its first file creation parked: parked is
+// closed when it is reached, and it goes on once release is closed.
+type parkFS struct {
+	vfs.FS
+	once            sync.Once
+	parked, release chan struct{}
+}
+
+func (p *parkFS) park() {
+	p.once.Do(func() {
+		close(p.parked)
+		<-p.release
+	})
+}
+
+func (p *parkFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	if flag&os.O_CREATE != 0 {
+		p.park()
+	}
+	return p.FS.OpenFile(name, flag, perm)
+}
+
+func (p *parkFS) CreateTemp(dir, pattern string) (vfs.File, error) {
+	p.park()
+	return p.FS.CreateTemp(dir, pattern)
+}
+
+// TestSaveDoesNotBlockCommits: Save fences commits only while it captures the
+// state. Parked at its first file creation, it lets a commit on the CVD
+// complete, and what it writes is the state it captured.
+func TestSaveDoesNotBlockCommits(t *testing.T) {
+	fsys := &parkFS{FS: vfs.OS(), parked: make(chan struct{}), release: make(chan struct{})}
+	e := Open("save", WithFS(fsys))
+	c, err := e.Init("d", sweepSchema(), sweepRows(1, 3), cvd.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "saved")
+	saved := make(chan error, 1)
+	go func() { saved <- e.Save(dir) }()
+	<-fsys.parked
+	committed := make(chan error, 1)
+	go func() {
+		_, err := c.Commit([]vgraph.VersionID{1}, sweepRows(1, 4), sweepSchema(), "during save", "t")
+		committed <- err
+	}()
+	select {
+	case err = <-committed:
+		close(fsys.release)
+	case <-time.After(10 * time.Second):
+		t.Error("a commit waits for Save to write the state it captured")
+		close(fsys.release)
+		err = <-committed
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-saved; err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDurable("re", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	rc, err := re.CVD("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rc.NumVersions(); n != 1 {
+		t.Fatalf("the saved CVD has %d versions, want the 1 Save captured", n)
 	}
 }

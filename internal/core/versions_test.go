@@ -132,7 +132,7 @@ func TestBadVersionsRefused(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			snap, _, release, err := e.buildSnapshot(true, true)
+			snap, _, release, err := e.buildSnapshot()
 			if err != nil {
 				t.Fatal(err)
 			}

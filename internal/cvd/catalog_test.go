@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -110,7 +111,7 @@ func TestCatalogAgreesProperty(t *testing.T) {
 						if int(c.nextRID)-1 != c.catalog.Len() || c.NumRecords() != int64(c.catalog.Len()) {
 							t.Fatalf("catalog of %d rows, next rid %d, NumRecords %d", c.catalog.Len(), c.nextRID, c.NumRecords())
 						}
-						if m, ok := c.model.(*rlistModel); ok && (m.data != c.catalog || c.db.MustTable(m.data.Name) != c.catalog) {
+						if _, ok := c.model.(*rlistModel); ok && c.db.MustTable(rlistDataTabName(c.name)) != c.catalog {
 							t.Fatal("split-by-rlist's data table is not the catalog")
 						}
 					}
@@ -132,12 +133,8 @@ func TestRlistDataTableIsCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := c.Rlist()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := db.MustTable(m.data.Name)
-	if data != c.catalog || data != m.data {
+	data := db.MustTable(rlistDataTabName(c.name))
+	if data != c.catalog {
 		t.Fatal("the data table registered in the database is not the catalog")
 	}
 	full, err := c.Checkout([]vgraph.VersionID{1}, "full") // version 1 is the whole table: shared, not copied
@@ -151,7 +148,7 @@ func TestRlistDataTableIsCatalog(t *testing.T) {
 	if _, err := c.Commit([]vgraph.VersionID{1}, append(rows, relstore.Row{relstore.Int(4), relstore.Str("d")}), schema, "append", "t"); err != nil {
 		t.Fatal(err)
 	}
-	if db.MustTable(m.data.Name) != c.catalog || data.Len() != 4 {
+	if db.MustTable(rlistDataTabName(c.name)) != c.catalog || data.Len() != 4 {
 		t.Fatal("the commit did not append to the one data table")
 	}
 	if n := data.SharedColumns(); n != 0 {
@@ -167,7 +164,7 @@ func TestRlistDataTableIsCatalog(t *testing.T) {
 	if got, want := c.StorageBytes(), data.StorageBytes()+2*32+8*(3+4); got != want {
 		t.Fatalf("StorageBytes %d, want the data table and the versioning table: %d", got, want)
 	}
-	if _, isTable := db.Table(m.versioningTabName()); isTable || !db.HasTable(m.versioningTabName()) {
+	if _, isTable := db.Table(c.name + "_versions"); isTable || !db.HasTable(c.name+"_versions") {
 		t.Fatal("the versioning table is not a relation of the database")
 	}
 	if got, want := db.StorageBytes(), c.StorageBytes()+db.MustTable(c.meta.name).StorageBytes()+full.StorageBytes(); got != want {
@@ -175,60 +172,152 @@ func TestRlistDataTableIsCatalog(t *testing.T) {
 	}
 }
 
-// TestCheckoutOffTheLock: one version of an unpartitioned split-by-rlist CVD is
-// checked out of what the model published at the last commit, so it goes
-// through while the CVD's lock is held exclusively (as by a commit in flight),
-// returns what a checkout under the lock returns, and is there for every
-// version committed so far, an evolved schema included. Nothing is published
-// under partitioning; those checkouts take the lock, as on every other model.
-func TestCheckoutOffTheLock(t *testing.T) {
-	_, c := buildProteinCVD(t, SplitByRlist)
-	m, _ := c.Rlist()
-	wide := proteinSchema()
-	wide.Columns = append(wide.Columns, relstore.Column{Name: "note", Type: relstore.TypeString})
-	widened := []relstore.Row{append(prow("ENSP9", "ENSP0", 1, 1, 1), relstore.Str("n"))}
-	if _, err := c.Commit([]vgraph.VersionID{4}, widened, wide, "widen", "t"); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range c.Versions() {
-		var got *relstore.Table
-		done := make(chan error, 1)
-		c.mu.Lock()
-		go func() {
-			var err error
-			got, err = c.Checkout([]vgraph.VersionID{v}, "off")
-			done <- err
-		}()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("checkout of version %d with the lock held: %v", v, err)
+// TestReadsOffTheLock: every read of a split-by-rlist CVD loads the state its
+// last writer published and reads nothing else, so each goes through while the
+// CVD's mutex is held (as by a commit in flight) — on an unpartitioned and a
+// partitioned CVD, a multi-version checkout and an evolved schema included —
+// and answers what it answers once the mutex is released.
+func TestReadsOffTheLock(t *testing.T) {
+	for _, partitioned := range []bool{false, true} {
+		t.Run(fmt.Sprintf("partitioned=%v", partitioned), func(t *testing.T) {
+			_, c := buildProteinCVD(t, SplitByRlist)
+			wide := proteinSchema()
+			wide.Columns = append(wide.Columns, relstore.Column{Name: "note", Type: relstore.TypeString})
+			widened := []relstore.Row{append(prow("ENSP9", "ENSP0", 1, 1, 1), relstore.Str("n"))}
+			if _, err := c.Commit([]vgraph.VersionID{4}, widened, wide, "widen", "t"); err != nil {
+				t.Fatal(err)
 			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("checkout of version %d waits for the lock", v)
-		}
-		c.mu.Unlock()
-		published := m.read.Swap(nil) // the same checkout, under the lock
-		want, err := c.Checkout([]vgraph.VersionID{v}, "under")
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.read.Store(published)
-		if err := sameTable(got, want); err != nil {
-			t.Fatalf("version %d off the lock and under it: %v", v, err)
-		}
-		c.DiscardCheckout("off")
-		c.DiscardCheckout("under")
+			if partitioned {
+				m, _ := c.Rlist()
+				if err := m.ApplyPartitioning(vgraph.NewPartitioning(map[vgraph.VersionID]int{1: 0, 2: 0, 3: 1, 4: 1, 5: 1})); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.Commit([]vgraph.VersionID{5}, widened, wide, "same", "t"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for name, read := range everyRead(t, c) {
+				c.mu.Lock()
+				done := make(chan any, 1)
+				go func() { done <- read("off") }()
+				var got any
+				select {
+				case got = <-done:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("%s waits for the lock", name)
+				}
+				c.mu.Unlock()
+				if want := read("on"); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s with the lock held: %v\nafter it is released: %v", name, got, want)
+				}
+			}
+		})
 	}
+}
 
-	if err := m.ApplyPartitioning(vgraph.NewPartitioning(map[vgraph.VersionID]int{1: 0, 2: 0, 3: 1, 4: 1, 5: 1})); err != nil {
+// everyRead returns each read API of c, its answer made comparable; tag names
+// what a checkout's staging table is called, so that a read can run twice.
+func everyRead(t *testing.T, c *CVD) map[string]func(tag string) any {
+	t.Helper()
+	pred, err := c.NamedPredicate("cooccurrence", ">=", relstore.Int(0))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Commit([]vgraph.VersionID{5}, widened, wide, "same", "t"); err != nil {
-		t.Fatal(err)
+	last := vgraph.VersionID(c.NumVersions())
+	checkout := func(vs ...vgraph.VersionID) func(string) any {
+		return func(tag string) any {
+			tab, err := c.Checkout(vs, tag)
+			if err != nil {
+				return err.Error()
+			}
+			c.DiscardCheckout(tag)
+			return []any{tab.Schema, tab.Rows()}
+		}
 	}
-	if m.read.Load() != nil {
-		t.Fatal("published under partitioning, where a checkout reads its partition's table")
+	return map[string]func(string) any{
+		"Checkout(1)":       checkout(1),
+		"Checkout(last)":    checkout(last),
+		"Checkout(last, 3)": checkout(last, 3),
+		"Checkout(1, 2, 3)": checkout(1, 2, 3),
+		"SelectVersions": func(string) any {
+			a, err := c.SelectVersions([]vgraph.VersionID{1, last}, pred, 0)
+			return []any{a.Catalog.Schema, a.Rows(), err}
+		},
+		"ScanVersions": func(string) any {
+			rows, err := c.ScanVersions([]vgraph.VersionID{last, 2}, pred, 3)
+			return []any{rows, err}
+		},
+		"AggregateByVersion": func(string) any {
+			counts, err := c.AggregateByVersion(nil, pred, CountAgg())
+			return []any{counts, err}
+		},
+		"VersionsWhere": func(string) any {
+			vs, err := c.VersionsWhere(nil, CountAgg(), func(v relstore.Value) bool { return v.AsInt() > 3 })
+			return []any{vs, err}
+		},
+		"Snapshot": func(string) any {
+			catalog, vs, err := c.Snapshot()
+			out := []any{catalog.Schema, catalog.Rows(), err}
+			for _, v := range vs {
+				out = append(out, *v.Meta, v.Records.Slice())
+			}
+			return out
+		},
+		"Diff": func(string) any {
+			d, err := c.Diff(1, last)
+			return []any{d, err}
+		},
+		"VDiff": func(string) any {
+			d, err := c.VDiff([]vgraph.VersionID{last}, []vgraph.VersionID{1, 2})
+			return []any{d, err}
+		},
+		"VIntersect": func(string) any {
+			d, err := c.VIntersect([]vgraph.VersionID{2, 3, last})
+			return []any{d, err}
+		},
+		"Versions":    func(string) any { return c.Versions() },
+		"NumVersions": func(string) any { return c.NumVersions() },
+		"Meta": func(string) any {
+			m, ok := c.Meta(last)
+			return []any{*m, ok}
+		},
+		"AllMeta": func(string) any {
+			var out []VersionMeta
+			for _, m := range c.AllMeta() {
+				out = append(out, *m)
+			}
+			return out
+		},
+		"LatestVersion": func(string) any {
+			v, ok := c.LatestVersion()
+			return []any{v, ok}
+		},
+		"Parents":     func(string) any { return c.Parents(last) },
+		"Ancestors":   func(string) any { return c.Ancestors(last) },
+		"Descendants": func(string) any { return c.Descendants(1) },
+		"RecordContent": func(string) any {
+			row, ok := c.RecordContent(vgraph.RecordID(c.NumRecords()))
+			return []any{row, ok}
+		},
+		"RecordsOf":  func(string) any { return c.RecordsOf(last) },
+		"NumRecords": func(string) any { return c.NumRecords() },
+		"Schema":     func(string) any { return c.Schema() },
+		"NamedPredicate": func(string) any {
+			p, err := c.NamedPredicate("note", "=", relstore.Str("n"))
+			return []any{*p.(*columnPredicate), err}
+		},
+		"SumAgg": func(string) any {
+			sum, err := c.SumAgg("coexpression")
+			if err != nil {
+				return err
+			}
+			sums, err := c.AggregateByVersion(nil, nil, sum)
+			return []any{sums, err}
+		},
+		"InitDelta": func(string) any {
+			versions, delta, schema := c.InitDelta()
+			return []any{versions, delta, schema}
+		},
 	}
 }
 
@@ -432,9 +521,8 @@ func TestVersionBytesPerEdge(t *testing.T) {
 
 // TestReadersRaceCatalogAppends: checkouts, selects and record reads share the
 // catalog's lanes with commits that append to them, add a column to them and
-// rewrite one in a wider type. The CVD's lock orders selects and record reads
-// after commits; checkouts read the views the model published and take no
-// lock. Run with -race.
+// rewrite one in a wider type. Every read loads the view the last commit
+// published and takes no lock. Run with -race.
 func TestReadersRaceCatalogAppends(t *testing.T) {
 	_, c := buildProteinCVD(t, SplitByRlist)
 	pred, err := c.NamedPredicate("cooccurrence", ">=", relstore.Int(0))
@@ -498,4 +586,103 @@ func TestReadersRaceCatalogAppends(t *testing.T) {
 	if got := c.NumRecords(); got != 7+commits {
 		t.Fatalf("%d records, want %d", got, 7+commits)
 	}
+}
+
+// TestReadStateIsConsistent: readers loop while a writer commits — widening
+// the schema on the way, on an unpartitioned and a partitioned CVD — and
+// every state they observe agrees with itself: as many versions as metadata
+// rows, each version's metadata counting its set, and a catalog that holds
+// every record of the sets. The public reads each load a state of their own,
+// so they can only grow from one call to the next. Run with -race.
+func TestReadStateIsConsistent(t *testing.T) {
+	for _, partitioned := range []bool{false, true} {
+		t.Run(fmt.Sprintf("partitioned=%v", partitioned), func(t *testing.T) {
+			_, c := buildProteinCVD(t, SplitByRlist)
+			if partitioned {
+				m, _ := c.Rlist()
+				if err := m.ApplyPartitioning(vgraph.NewPartitioning(map[vgraph.VersionID]int{1: 0, 2: 0, 3: 1, 4: 1})); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const commits, readers = 40, 3
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < readers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if err := stateAgrees(c.read()); err != nil {
+							t.Error(err)
+							return
+						}
+						nv, nm := len(c.Versions()), len(c.AllMeta())
+						catalog, vs, err := c.Snapshot()
+						if err != nil || nv > nm || nm > len(vs) {
+							t.Errorf("Versions %d, then AllMeta %d, then Snapshot %d versions, %v", nv, nm, len(vs), err)
+							return
+						}
+						for _, s := range vs {
+							if hi, _ := s.Records.Max(); s.Meta.NumRecords != s.Records.Len() || int(hi) > catalog.Len() {
+								t.Errorf("Snapshot: version %d counts %d records, holds %d up to record %d, of a catalog of %d", s.Meta.ID, s.Meta.NumRecords, s.Records.Len(), hi, catalog.Len())
+								return
+							}
+						}
+						v := vgraph.VersionID(1 + (i+g)%len(vs))
+						name := fmt.Sprintf("c%d_%d", g, i)
+						tab, err := c.Checkout([]vgraph.VersionID{v}, name)
+						if err != nil || int64(tab.Len()) != vs[v-1].Records.Len() {
+							t.Errorf("checkout of version %d: %v", v, err)
+							return
+						}
+						c.DiscardCheckout(name)
+					}
+				}(g)
+			}
+			schema := proteinSchema()
+			for i := 0; i < commits; i++ {
+				row := prow(fmt.Sprintf("ENSP8%05d", i), "ENSP000000", int64(i), 1, 1)
+				if i >= commits/2 {
+					if i == commits/2 {
+						schema.Columns = append(schema.Columns, relstore.Column{Name: "note", Type: relstore.TypeString})
+					}
+					row = append(row, relstore.Str("n"))
+				}
+				parent := vgraph.VersionID(c.NumVersions())
+				if _, err := c.Commit([]vgraph.VersionID{parent}, []relstore.Row{row}, schema, "grow", "w"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(stop)
+			wg.Wait()
+			if err := stateAgrees(c.read()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// stateAgrees checks that a published state is one CVD as one writer left it.
+func stateAgrees(st *readState) error {
+	if len(st.sets) != len(st.metas) || int(st.latest) > len(st.metas) {
+		return fmt.Errorf("a state of %d record sets, %d metadata rows and latest version %d", len(st.sets), len(st.metas), st.latest)
+	}
+	for i, s := range st.sets {
+		m := st.metas[i]
+		if hi, _ := s.Max(); m.ID != vgraph.VersionID(i+1) || m.NumRecords != s.Len() || int(hi) > st.catalog.Len() {
+			return fmt.Errorf("version %d: metadata of version %d counting %d records, a set of %d up to record %d, a catalog of %d", i+1, m.ID, m.NumRecords, s.Len(), hi, st.catalog.Len())
+		}
+		if st.parts != nil && (i >= len(st.partOf) || st.partOf[i] >= len(st.parts)) {
+			return fmt.Errorf("version %d is in no partition of %d", i+1, len(st.parts))
+		}
+	}
+	if len(st.catalog.Schema.Columns) != len(st.schema.Columns)+1 {
+		return fmt.Errorf("a catalog of %d columns under a schema of %d", len(st.catalog.Schema.Columns), len(st.schema.Columns))
+	}
+	return nil
 }

@@ -182,9 +182,9 @@ func (c *CVD) buildCommit(parents []vgraph.VersionID, st staged) (CommitRequest,
 		c.index = idx
 	}
 	req := CommitRequest{
-		Version:    c.nextVID,
+		Version:    c.nextVersion(),
 		Parents:    append([]vgraph.VersionID(nil), parents...),
-		ParentRIDs: c.recordsOfLocked,
+		ParentRIDs: c.bip.Records,
 		RIDs:       kept,
 	}
 	return req, fresh, nil
@@ -270,9 +270,9 @@ func (c *CVD) admitCommit(parents []vgraph.VersionID) error {
 	if len(parents) == 0 {
 		return fmt.Errorf("cvd: %s: commit requires at least one parent version", c.name)
 	}
-	// Drop tears the model's tables down under the exclusive lock; a commit
-	// that waited for it must not reach for them.
-	if c.dropped {
+	// Drop tears the model's tables down under the mutex; a commit that
+	// waited for it must not reach for them.
+	if c.read().dropped {
 		return c.errDropped()
 	}
 	if c.journal != nil && c.journalErr != nil {
@@ -292,9 +292,10 @@ func (c *CVD) admitCommit(parents []vgraph.VersionID) error {
 	return nil
 }
 
-// commitStaged builds, applies and journals one admitted commit; the caller
-// holds c.mu. A version id returned with an error is a commit applied in
-// memory whose journaling failed.
+// commitStaged builds, applies and journals one admitted commit, and publishes
+// it once journaled; the caller holds c.mu. A version id returned with an
+// error is a commit applied in memory whose journaling failed, which is
+// published all the same.
 func (c *CVD) commitStaged(parents []vgraph.VersionID, st staged, msg, author string) (vgraph.VersionID, error) {
 	req, fresh, err := c.buildCommit(parents, st)
 	if err != nil {
@@ -304,6 +305,7 @@ func (c *CVD) commitStaged(parents []vgraph.VersionID, st staged, msg, author st
 	if err := c.applyCommit(req, fresh, msg, author, at); err != nil {
 		return 0, err
 	}
+	defer c.publish()
 	if c.journal != nil {
 		versions, delta, schema := c.deltaLocked(req.Version, parents, fresh)
 		if err := c.journal.LogCommit(c.name, versions, delta, schema, msg, author, at); err != nil {
@@ -324,9 +326,9 @@ func (c *CVD) commitStaged(parents []vgraph.VersionID, st staged, msg, author st
 // programmatic path; CommitTable commits a previously checked-out staging
 // table. Every row is matched by content against the parents' records: rows
 // equal to one record count once, and the CVD's primary key, if it has one,
-// must be unique among the rows. Commit holds the CVD's exclusive lock for its
-// duration: concurrent commits serialize, and checkouts/queries wait rather
-// than observing a half-applied version.
+// must be unique among the rows. Commit holds the CVD's mutex for its
+// duration, so concurrent commits serialize; reads go on off the state
+// published before it and see the version once Commit publishes it.
 func (c *CVD) Commit(parents []vgraph.VersionID, rows []relstore.Row, rowSchema relstore.Schema, msg, author string) (vgraph.VersionID, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

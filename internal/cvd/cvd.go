@@ -19,19 +19,24 @@ import (
 // bipartite graph, version metadata, the attribute registry, and a physical
 // data model inside a relstore database.
 //
-// A CVD is safe for concurrent use: commits take an exclusive lock while
-// checkouts, diffs and versioned queries share a read lock, so any number of
-// readers proceed in parallel. The raw-structure accessors (Graph, Bipartite,
+// A CVD is safe for concurrent use. A committed version never changes, and the
+// record catalog, the record sets and the metadata only grow, so every writer —
+// a commit, Init and replay, a schema change, SetWorkers, a partitioning, Drop —
+// ends by publishing one immutable read state (readState) under the CVD's
+// mutex, and every read loads the last published state once and reads nothing
+// else: no read takes the mutex or waits for a writer, and no writer waits for
+// a read. The mutex serializes writers; besides them only StorageBytes,
+// JournalErr and the checkouts of the four in-memory models, whose tables are
+// mutable maps, take it. The raw-structure accessors (Graph, Bipartite,
 // DataModel, Rlist, Attributes) return live internal pointers and are NOT
-// synchronized; callers that traverse or mutate them concurrently with other
-// operations must wrap the access in WithExclusive (or WithShared for pure
-// reads).
+// synchronized; callers that traverse or mutate them concurrently with
+// commits must wrap the access in WithExclusive.
 type CVD struct {
 	name   string
 	db     *relstore.Database
 	model  DataModel
 	kind   ModelKind
-	schema relstore.Schema // current single-pool data schema (no rid column)
+	schema relstore.Schema // current single-pool data schema (no rid column); replaced, never written
 
 	graph *vgraph.Graph
 	bip   *vgraph.Bipartite
@@ -46,21 +51,24 @@ type CVD struct {
 	index   *recIndex // over catalog, for the current schema; nil until a commit needs it
 	meta    *metadataStore
 	attrs   *AttributeRegistry
+	// sets holds version v's record set at v-1: the pointers the bipartite
+	// graph holds, and split-by-rlist's versioning table. It is only appended
+	// to, so the published states share it.
+	sets []*recset.Set
 
-	nextVID vgraph.VersionID
 	nextRID vgraph.RecordID
 
-	// mu guards all version state above plus the physical model: commits and
-	// schema evolution take it exclusively, checkouts and queries share it.
-	mu sync.RWMutex
+	// mu serializes the writers of all version state above plus the physical
+	// model; each ends by publishing state.
+	mu    sync.Mutex
+	state atomic.Pointer[readState]
 
 	// ckMu guards the staging-table registry (checkouts, reserved) so
 	// concurrent checkouts can register staging tables without serializing
-	// their materialization work behind an exclusive lock.
+	// their materialization work.
 	ckMu      sync.Mutex
 	checkouts map[string]checkoutInfo
 	reserved  map[string]struct{} // staging names claimed by in-flight checkouts
-	dropped   bool                // set by Drop, under mu and ckMu: either guards a read
 
 	workers    int  // intra-operation parallelism (see Options.Workers)
 	workersSet bool // workers was configured explicitly (Options or SetWorkers)
@@ -78,6 +86,83 @@ type CVD struct {
 	// SetJournalLocked — the checkpoint path, which folds the diverged state
 	// into a fresh snapshot) clears it.
 	journalErr error
+}
+
+// readState is the CVD as its last writer left it. Nothing in it is written
+// once it is published: the catalog is a Table.View, and the slices are
+// append-only ones whose entries below the lengths captured here never change,
+// so a read goes on reading one state while later writers publish others.
+type readState struct {
+	catalog *relstore.Table   // view of the record catalog: record r at row r-1
+	schema  relstore.Schema   // the data schema in force (no rid column)
+	sets    []*recset.Set     // version v's record set at v-1
+	metas   []*VersionMeta    // version v's metadata at v-1
+	latest  vgraph.VersionID  // the version with the latest commit time (0: none)
+	parts   []*relstore.Table // views of the partition tables; nil unpartitioned
+	partOf  []int             // version v's partition at v-1 (-1: none); nil unpartitioned
+	workers int
+	dropped bool // Drop ran: every field above is empty
+}
+
+// has reports whether version v is in the state.
+func (st *readState) has(v vgraph.VersionID) bool { return v >= 1 && int(v) <= len(st.sets) }
+
+// partition returns version v's partition in st: -1 when st is unpartitioned
+// or v has none.
+func (st *readState) partition(v vgraph.VersionID) int {
+	if st.parts == nil || v < 1 || int(v) > len(st.partOf) {
+		return -1
+	}
+	return st.partOf[v-1]
+}
+
+// numRecords is the number of records in the state's catalog.
+func (st *readState) numRecords() int {
+	if st.catalog == nil {
+		return 0
+	}
+	return st.catalog.Len()
+}
+
+// read returns the last published state.
+func (c *CVD) read() *readState { return c.state.Load() }
+
+// publish makes the CVD as it stands the state every read loads; the caller
+// holds c.mu (or owns the CVD not yet handed out). A dropped CVD stays
+// dropped.
+func (c *CVD) publish() {
+	prev := c.read()
+	if prev != nil && prev.dropped {
+		return
+	}
+	st := &readState{catalog: c.catalog.View(), schema: c.schema, sets: c.sets, metas: c.meta.metas, workers: c.workers}
+	from := 0
+	if prev != nil {
+		st.latest, from = prev.latest, len(prev.metas)
+	}
+	for _, m := range st.metas[from:] {
+		if st.latest == 0 || !m.CommitAt.Before(st.metas[st.latest-1].CommitAt) {
+			st.latest = m.ID
+		}
+	}
+	if m, ok := c.model.(*rlistModel); ok && m.parts != nil {
+		st.parts, st.partOf = m.views, m.partOf
+	}
+	c.state.Store(st)
+}
+
+// known returns nil when st holds every one of versions, and otherwise the
+// error of a read that names a version it lacks or of a dropped CVD.
+func (c *CVD) known(st *readState, versions ...vgraph.VersionID) error {
+	if st.dropped {
+		return c.errDropped()
+	}
+	for _, v := range versions {
+		if !st.has(v) {
+			return fmt.Errorf("cvd: %s: unknown version %d", c.name, v)
+		}
+	}
+	return nil
 }
 
 type checkoutInfo struct {
@@ -137,6 +222,7 @@ func Init(db *relstore.Database, name string, schema relstore.Schema, rows []rel
 		c.meta.drop()
 		return nil, err
 	}
+	c.publish()
 	return c, nil
 }
 
@@ -171,7 +257,6 @@ func newCVD(db *relstore.Database, name string, schema relstore.Schema, opts Opt
 		catalog:    catalog,
 		index:      newRecIndex(schema),
 		attrs:      NewAttributeRegistry(),
-		nextVID:    1,
 		nextRID:    1,
 		checkouts:  make(map[string]checkoutInfo),
 		reserved:   make(map[string]struct{}),
@@ -189,13 +274,10 @@ func newCVD(db *relstore.Database, name string, schema relstore.Schema, opts Opt
 		return nil, err
 	}
 	c.meta = meta
-	model, err := newModel(opts.Model, db, name, schema, c.catalog)
+	model, err := newModel(opts.Model, c)
 	if err != nil {
 		meta.drop()
 		return nil, err
-	}
-	if rm, ok := model.(*rlistModel); ok {
-		rm.SetWorkers(opts.Workers)
 	}
 	c.model = model
 	return c, nil
@@ -233,13 +315,10 @@ func (c *CVD) InheritWorkers(n int) {
 	c.setWorkersLocked(n)
 }
 
-// setWorkersLocked propagates a validated worker count to the CVD and its
-// physical model; callers hold c.mu.
+// setWorkersLocked publishes a validated worker count; callers hold c.mu.
 func (c *CVD) setWorkersLocked(n int) {
 	c.workers = n
-	if rm, ok := c.model.(*rlistModel); ok {
-		rm.SetWorkers(n)
-	}
+	c.publish()
 }
 
 // Model returns the physical data model kind in use.
@@ -253,7 +332,7 @@ func (c *CVD) DataModel() DataModel { return c.model }
 // Rlist returns the split-by-rlist model when that model is in use, for
 // partitioning operations; it returns an error otherwise. The returned
 // pointer is live: synchronize mutations through WithExclusive when the CVD
-// is shared.
+// is shared. Each of its partitioning methods publishes what it changed.
 func (c *CVD) Rlist() (*rlistModel, error) {
 	m, ok := c.model.(*rlistModel)
 	if !ok {
@@ -262,37 +341,27 @@ func (c *CVD) Rlist() (*rlistModel, error) {
 	return m, nil
 }
 
-// WithExclusive runs fn while holding the CVD's exclusive lock, excluding all
-// concurrent commits, checkouts, and queries. It is how callers that reach
-// into the live internals (Graph, Rlist, DataModel) — e.g. the partition
-// optimizer applying a new partitioning — make those multi-step operations
-// atomic. fn must not call the CVD's own locking methods (Checkout, Commit,
-// Versions, ...); use the raw accessors inside.
+// WithExclusive runs fn while holding the CVD's mutex, excluding every other
+// writer. It is how callers that reach into the live internals (Graph, Rlist,
+// DataModel) — e.g. the partition optimizer applying a new partitioning — make
+// those multi-step operations atomic; reads go on off the published state. fn
+// must not call the CVD's own writers (Commit, SetWorkers, ...) nor the
+// in-memory models' Checkout; use the raw accessors inside.
 func (c *CVD) WithExclusive(fn func() error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return fn()
 }
 
-// WithShared runs fn while holding the CVD's shared (read) lock. It gives a
-// consistent multi-step view over the live internals while commits are
-// excluded; other readers proceed concurrently. The same re-entrancy rule as
-// WithExclusive applies: fn must not call the CVD's own locking methods.
-func (c *CVD) WithShared(fn func() error) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return fn()
-}
+// WithShared is WithExclusive for a caller that only reads the live internals
+// (the reference benchmark's traced checkout).
+func (c *CVD) WithShared(fn func() error) error { return c.WithExclusive(fn) }
 
 // Schema returns the current (single-pool) data schema.
-func (c *CVD) Schema() relstore.Schema {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.schema.Clone()
-}
+func (c *CVD) Schema() relstore.Schema { return c.read().schema.Clone() }
 
 // Graph returns the version graph. The returned pointer is live: traversals
-// concurrent with commits must be wrapped in WithShared/WithExclusive.
+// concurrent with commits must be wrapped in WithExclusive.
 func (c *CVD) Graph() *vgraph.Graph { return c.graph }
 
 // Bipartite returns the version-record bipartite graph. The returned pointer
@@ -303,57 +372,47 @@ func (c *CVD) Bipartite() *vgraph.Bipartite { return c.bip }
 // 4.3). The returned pointer is live: see Graph.
 func (c *CVD) Attributes() *AttributeRegistry { return c.attrs }
 
-// Versions returns all version ids in commit order.
-func (c *CVD) Versions() []vgraph.VersionID {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.graph.Versions()
+// Versions returns all version ids in commit order, which is id order.
+func (c *CVD) Versions() []vgraph.VersionID { return versionIDs(len(c.read().sets)) }
+
+// versionIDs returns the ids of n versions: 1 to n.
+func versionIDs(n int) []vgraph.VersionID {
+	out := make([]vgraph.VersionID, n)
+	for i := range out {
+		out[i] = vgraph.VersionID(i + 1)
+	}
+	return out
 }
 
 // NumVersions returns the number of versions.
-func (c *CVD) NumVersions() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.graph.NumVersions()
-}
+func (c *CVD) NumVersions() int { return len(c.read().sets) }
 
 // NumRecords returns the number of distinct records across all versions.
-func (c *CVD) NumRecords() int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return int64(c.catalog.Len())
-}
+func (c *CVD) NumRecords() int64 { return int64(c.read().numRecords()) }
 
 // StorageBytes returns the accounted storage of the physical data model.
 func (c *CVD) StorageBytes() int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.model.StorageBytes()
 }
 
 // Meta returns the metadata of a version.
 func (c *CVD) Meta(v vgraph.VersionID) (*VersionMeta, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.meta.get(v)
+	st := c.read()
+	if !st.has(v) {
+		return nil, false
+	}
+	return st.metas[v-1], true
 }
 
 // AllMeta returns metadata for every version ordered by id.
-func (c *CVD) AllMeta() []*VersionMeta {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.meta.all()
-}
+func (c *CVD) AllMeta() []*VersionMeta { return slices.Clone(c.read().metas) }
 
 // LatestVersion returns the version with the most recent commit time.
 func (c *CVD) LatestVersion() (vgraph.VersionID, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	m, ok := c.meta.latest()
-	if !ok {
-		return 0, false
-	}
-	return m.ID, true
+	latest := c.read().latest
+	return latest, latest != 0
 }
 
 // RecordContent returns the data values of a record by id, in the form the
@@ -365,18 +424,11 @@ func (c *CVD) LatestVersion() (vgraph.VersionID, bool) {
 // integer-array elements with the column storage and must not be written
 // through.
 func (c *CVD) RecordContent(r vgraph.RecordID) (relstore.Row, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.record(r)
-}
-
-// record is RecordContent for callers already holding c.mu: the one way a
-// catalog record becomes a boxed row.
-func (c *CVD) record(r vgraph.RecordID) (relstore.Row, bool) {
-	if r < 1 || int(r) > c.catalog.Len() {
+	st := c.read()
+	if r < 1 || int(r) > st.numRecords() {
 		return nil, false
 	}
-	return c.catalog.RowAt(int(r) - 1)[1:], true
+	return st.catalog.RowAt(int(r) - 1)[1:], true
 }
 
 // rec names catalog record r, read off the lanes, as one side of a record
@@ -391,45 +443,36 @@ type VersionSnapshot struct {
 	Records *recset.Set
 }
 
-// Snapshot is the consistent read of the whole history (vquel.FromCVD): under
-// one shared lock, a view of the record catalog (Table.View; record r is row
-// r-1) and every version's metadata and record set, in commit order. It copies
-// no record. Later commits change neither the view, its schema included, nor
-// the sets, so the caller reads them after the lock is released.
+// Snapshot is the consistent read of the whole history (vquel.FromCVD): from
+// one published state, a view of the record catalog (Table.View; record r is
+// row r-1) and every version's metadata and record set, in commit order. It
+// copies no record, and later commits change none of it, its schema included.
+// The view is shared by every read of the state: the caller must not write it.
 func (c *CVD) Snapshot() (*relstore.Table, []VersionSnapshot, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.dropped {
-		return nil, nil, c.errDropped()
+	st := c.read()
+	if err := c.known(st); err != nil {
+		return nil, nil, err
 	}
-	versions := c.graph.Versions()
-	out := make([]VersionSnapshot, len(versions))
-	for i, vid := range versions {
-		m, ok := c.meta.get(vid)
-		if !ok {
-			return nil, nil, fmt.Errorf("cvd: %s: missing metadata for version %d", c.name, vid)
-		}
-		out[i] = VersionSnapshot{Meta: m, Records: c.bip.RecordSet(vid)}
+	out := make([]VersionSnapshot, len(st.sets))
+	for i, s := range st.sets {
+		out[i] = VersionSnapshot{Meta: st.metas[i], Records: s}
 	}
-	return c.catalog.View(), out, nil
+	return st.catalog, out, nil
 }
 
 // RecordsOf returns the record ids of a version.
 func (c *CVD) RecordsOf(v vgraph.VersionID) []vgraph.RecordID {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.recordsOfLocked(v)
+	st := c.read()
+	if !st.has(v) {
+		return nil
+	}
+	return vgraph.RecordIDs(st.sets[v-1])
 }
 
-// recordsOfLocked is RecordsOf for callers already holding c.mu.
-func (c *CVD) recordsOfLocked(v vgraph.VersionID) []vgraph.RecordID {
-	// Bipartite.Records materializes a fresh slice the caller owns.
-	return c.bip.Records(v)
-}
-
-// Drop removes all backing tables of the CVD from the database. Checkouts
-// still in flight when Drop runs fail instead of re-attaching their staging
-// table to the database after the teardown.
+// Drop removes all backing tables of the CVD from the database. Every read
+// that starts after it finds the CVD empty or says it has been dropped, and
+// checkouts still in flight when Drop runs fail instead of re-attaching their
+// staging table to the database after the teardown.
 func (c *CVD) Drop() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -439,13 +482,14 @@ func (c *CVD) Drop() {
 // errDropped is what every read and write of a dropped CVD returns.
 func (c *CVD) errDropped() error { return fmt.Errorf("cvd: %s: CVD has been dropped", c.name) }
 
-// dropLocked is Drop for a caller holding c.mu exclusively.
+// dropLocked is Drop for a caller holding c.mu. The dropped state is published
+// under ckMu, which orders it with a checkout's registration.
 func (c *CVD) dropLocked() {
 	c.model.Drop()
 	c.meta.drop()
 	c.ckMu.Lock()
 	defer c.ckMu.Unlock()
-	c.dropped = true
+	c.state.Store(&readState{dropped: true})
 	for tab := range c.checkouts {
 		c.db.DropTable(tab)
 	}
@@ -578,6 +622,7 @@ func (c *CVD) recordVersion(req CommitRequest, fresh []relstore.Row, msg, author
 		}
 	}
 	c.bip.SetVersionSet(req.Version, req.Set)
+	c.sets = append(c.sets, req.Set)
 	m := &VersionMeta{
 		ID:         req.Version,
 		Parents:    append([]vgraph.VersionID(nil), req.Parents...),
@@ -596,9 +641,11 @@ func (c *CVD) recordVersion(req CommitRequest, fresh []relstore.Row, msg, author
 		}
 	}
 	c.nextRID += vgraph.RecordID(len(fresh))
-	c.nextVID++
 	return nil
 }
+
+// nextVersion is the id the next commit takes: ids are dense from 1.
+func (c *CVD) nextVersion() vgraph.VersionID { return vgraph.VersionID(len(c.sets) + 1) }
 
 // Checkout materializes one or more versions into a staging table registered
 // in the database under tableName. When several versions are listed the
@@ -606,13 +653,17 @@ func (c *CVD) recordVersion(req CommitRequest, fresh []relstore.Row, msg, author
 // already added by an earlier version is omitted (Section 3.3.1). The
 // staging table contains the rid column followed by the data attributes.
 //
-// Checkout holds at most the shared lock while materializing, so any number of
-// checkouts (and queries) run concurrently; the staging name is reserved
-// up front so two concurrent checkouts cannot claim the same table. One
-// version of an unpartitioned split-by-rlist CVD is materialized without the
-// lock, off what the model published at the last commit: it does not wait for
-// a commit in flight, and no commit waits for it.
+// A split-by-rlist checkout reads the published state alone — the catalog's
+// view, or its partition's under partitioned storage — so it neither waits for
+// a writer nor makes one wait, and any number run at once. The in-memory
+// models are read under the CVD's mutex. The staging name is reserved up front
+// so two concurrent checkouts cannot claim the same table.
 func (c *CVD) Checkout(versions []vgraph.VersionID, tableName string) (*relstore.Table, error) {
+	return c.checkout(c.read(), versions, tableName)
+}
+
+// checkout is Checkout off st.
+func (c *CVD) checkout(st *readState, versions []vgraph.VersionID, tableName string) (*relstore.Table, error) {
 	if len(versions) == 0 {
 		return nil, fmt.Errorf("cvd: %s: checkout requires at least one version", c.name)
 	}
@@ -620,10 +671,6 @@ func (c *CVD) Checkout(versions []vgraph.VersionID, tableName string) (*relstore
 		return nil, fmt.Errorf("cvd: %s: checkout requires a table name", c.name)
 	}
 	c.ckMu.Lock()
-	if c.dropped {
-		c.ckMu.Unlock()
-		return nil, c.errDropped()
-	}
 	_, inFlight := c.reserved[tableName]
 	if inFlight || c.db.HasTable(tableName) {
 		c.ckMu.Unlock()
@@ -632,13 +679,13 @@ func (c *CVD) Checkout(versions []vgraph.VersionID, tableName string) (*relstore
 	c.reserved[tableName] = struct{}{}
 	c.ckMu.Unlock()
 
-	out, err := c.materialize(versions, tableName)
+	out, err := c.materialize(st, versions, tableName)
 
 	c.ckMu.Lock()
 	delete(c.reserved, tableName)
-	if err == nil && c.dropped {
-		// Drop ran between materialize releasing the shared lock and here:
-		// registering the staging table now would leak it past the teardown.
+	if err == nil && c.read().dropped {
+		// Drop ran after st was published: registering the staging table now
+		// would leak it past the teardown.
 		err = c.errDropped()
 	}
 	if err == nil {
@@ -652,34 +699,23 @@ func (c *CVD) Checkout(versions []vgraph.VersionID, tableName string) (*relstore
 	return out, nil
 }
 
-// materialize produces the checkout table, under the shared lock unless the
-// model has published the version (Checkout tests for a drop afterwards).
-func (c *CVD) materialize(versions []vgraph.VersionID, tableName string) (*relstore.Table, error) {
-	if m, ok := c.model.(*rlistModel); ok && len(versions) == 1 {
-		if out, ok := m.checkoutPublished(versions[0], tableName); ok {
-			out.MarkClean()
-			return out, nil
-		}
+// materialize produces the checkout table off st, or, for the in-memory
+// models, off their tables under the mutex and the state published there.
+func (c *CVD) materialize(st *readState, versions []vgraph.VersionID, tableName string) (*relstore.Table, error) {
+	if c.kind != SplitByRlist {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		st = c.read()
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	// Drop tears the model's tables down under the exclusive lock and sets
-	// dropped before releasing it, so a checkout that got past Checkout's own
-	// test and then waited for that lock must look again.
-	if c.dropped {
-		return nil, c.errDropped()
-	}
-	for _, v := range versions {
-		if c.graph.Node(v) == nil {
-			return nil, fmt.Errorf("cvd: %s: unknown version %d", c.name, v)
-		}
+	if err := c.known(st, versions...); err != nil {
+		return nil, err
 	}
 	var out *relstore.Table
 	var err error
 	if len(versions) == 1 {
-		out, err = c.model.Checkout(versions[0], tableName)
+		out, err = c.checkoutOne(st, versions[0], tableName)
 	} else {
-		out, err = c.checkoutMerged(versions, tableName)
+		out, err = c.checkoutMerged(st, versions, tableName)
 	}
 	if err != nil {
 		return nil, err
@@ -690,25 +726,43 @@ func (c *CVD) materialize(versions []vgraph.VersionID, tableName string) (*relst
 	return out, nil
 }
 
+// checkoutOne materializes version v, which st holds. Split-by-rlist joins its
+// record set with st's view of the catalog, or of its partition; an in-memory
+// model reads its tables, under the mutex materialize holds.
+func (c *CVD) checkoutOne(st *readState, v vgraph.VersionID, tableName string) (*relstore.Table, error) {
+	if c.kind != SplitByRlist {
+		return c.model.Checkout(v, tableName)
+	}
+	data := st.catalog
+	if st.parts != nil {
+		k := st.partition(v)
+		if k < 0 {
+			return nil, fmt.Errorf("cvd: %s: version %d has no partition assignment", c.name, v)
+		}
+		data = st.parts[k]
+	}
+	return joinCheckout(data, st.sets[v-1], st.workers, tableName)
+}
+
 // checkoutMerged materializes multiple versions with primary-key precedence.
 // The per-version materializations — each touching exactly one partition
 // under partitioned storage — run in parallel on the CVD's worker pool; the
 // precedence merge itself stays sequential in version order so the result is
 // identical to the single-threaded path.
-func (c *CVD) checkoutMerged(versions []vgraph.VersionID, tableName string) (*relstore.Table, error) {
-	tmps, err := parallel.MapErr(c.workers, len(versions), func(i int) (*relstore.Table, error) {
-		return c.model.Checkout(versions[i], fmt.Sprintf("%s_tmp%d", tableName, i))
+func (c *CVD) checkoutMerged(st *readState, versions []vgraph.VersionID, tableName string) (*relstore.Table, error) {
+	tmps, err := parallel.MapErr(st.workers, len(versions), func(i int) (*relstore.Table, error) {
+		return c.checkoutOne(st, versions[i], fmt.Sprintf("%s_tmp%d", tableName, i))
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := relstore.NewTable(tableName, dataSchemaWithRID(c.schema))
+	out := relstore.NewTable(tableName, dataSchemaWithRID(st.schema))
 	// Keys already taken, by typed identity (recindex.go): the hash of a row's
 	// key cells files its index in keys.
-	pk := c.schema.PrimaryKeyIndexes()
+	pk := st.schema.PrimaryKeyIndexes()
 	keyCols := make([]relstore.Column, len(pk))
 	for k, j := range pk {
-		keyCols[k] = c.schema.Columns[j]
+		keyCols[k] = st.schema.Columns[j]
 	}
 	form := newRowForm(relstore.Schema{Columns: keyCols})
 	var seenPK chains
@@ -804,12 +858,11 @@ type DiffResult struct {
 // computed as two compressed-set differences (already sorted by
 // construction).
 func (c *CVD) Diff(a, b vgraph.VersionID) (DiffResult, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.graph.Node(a) == nil || c.graph.Node(b) == nil {
-		return DiffResult{}, fmt.Errorf("cvd: %s: unknown version in diff(%d, %d)", c.name, a, b)
+	st := c.read()
+	if err := c.known(st, a, b); err != nil {
+		return DiffResult{}, err
 	}
-	sa, sb := c.bip.RecordSet(a), c.bip.RecordSet(b)
+	sa, sb := st.sets[a-1], st.sets[b-1]
 	return DiffResult{
 		OnlyInA: vgraph.RecordIDs(recset.AndNot(sa, sb)),
 		OnlyInB: vgraph.RecordIDs(recset.AndNot(sb, sa)),

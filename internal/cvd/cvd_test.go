@@ -462,20 +462,24 @@ func TestDropRemovesTables(t *testing.T) {
 
 // TestReadsRefuseDroppedCVD: Drop keeps the catalog and the record sets, which
 // a snapshot taken before it may still read, but no read that starts after it
-// answers from them. Each says the CVD has been dropped, as a checkout and a
-// commit do.
+// answers from them: each that returns an error says the CVD has been dropped,
+// as a checkout and a commit do, and each other finds the CVD empty.
 func TestReadsRefuseDroppedCVD(t *testing.T) {
 	for _, kind := range allModels {
 		_, c := buildProteinCVD(t, kind)
-		c.Drop()
 		pred, err := c.NamedPredicate("coexpression", ">", relstore.Int(80))
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.Drop()
 		reads := map[string]func() (int, error){
 			"ScanVersions": func() (int, error) {
 				rows, err := c.ScanVersions([]vgraph.VersionID{1, 2}, pred, 0)
 				return len(rows), err
+			},
+			"SelectVersions": func() (int, error) {
+				a, err := c.SelectVersions([]vgraph.VersionID{1, 2}, pred, 0)
+				return len(a.Sel), err
 			},
 			"AggregateByVersion": func() (int, error) {
 				counts, err := c.AggregateByVersion(nil, nil, CountAgg())
@@ -496,48 +500,101 @@ func TestReadsRefuseDroppedCVD(t *testing.T) {
 				}
 				return 0, err
 			},
+			"Diff": func() (int, error) {
+				d, err := c.Diff(1, 4)
+				return len(d.OnlyInA) + len(d.OnlyInB), err
+			},
+			"VDiff": func() (int, error) {
+				d, err := c.VDiff([]vgraph.VersionID{4}, []vgraph.VersionID{1})
+				return len(d), err
+			},
+			"VIntersect": func() (int, error) {
+				d, err := c.VIntersect([]vgraph.VersionID{1, 2})
+				return len(d), err
+			},
+			"NamedPredicate": func() (int, error) {
+				_, err := c.NamedPredicate("coexpression", ">", relstore.Int(80))
+				return 0, err
+			},
+			"SumAgg": func() (int, error) {
+				_, err := c.SumAgg("coexpression")
+				return 0, err
+			},
 		}
 		for name, read := range reads {
 			if n, err := read(); n != 0 || err == nil || !strings.Contains(err.Error(), "has been dropped") {
 				t.Errorf("%v: %s of a dropped CVD = %d results, %v; want none and a has-been-dropped error", kind, name, n, err)
 			}
 		}
+		_, isMeta := c.Meta(1)
+		_, isRecord := c.RecordContent(1)
+		_, hasLatest := c.LatestVersion()
+		versions, delta, _ := c.InitDelta()
+		for name, nonEmpty := range map[string]bool{
+			"Versions":      len(c.Versions()) > 0,
+			"NumVersions":   c.NumVersions() > 0,
+			"AllMeta":       len(c.AllMeta()) > 0,
+			"Meta":          isMeta,
+			"LatestVersion": hasLatest,
+			"RecordsOf":     len(c.RecordsOf(1)) > 0,
+			"RecordContent": isRecord,
+			"NumRecords":    c.NumRecords() > 0,
+			"Parents":       len(c.Parents(4)) > 0,
+			"Ancestors":     len(c.Ancestors(4)) > 0,
+			"Descendants":   len(c.Descendants(1)) > 0,
+			"Schema":        len(c.Schema().Columns) > 0,
+			"InitDelta":     len(versions)+len(delta) > 0,
+		} {
+			if nonEmpty {
+				t.Errorf("%v: %s of a dropped CVD is not empty", kind, name)
+			}
+		}
 	}
 }
 
-// TestCheckoutRacingDrop pins the order that used to panic: a checkout passes
-// Checkout's dropped test, then waits for the CVD lock while Drop tears the
-// model's tables down. Holding the lock here stands in for Drop holding it, so
-// the order is forced, not raced. Only a checkout that takes the lock can be
-// in that order, so split-by-rlist has what it published taken away first.
+// TestCheckoutRacingDrop pins the orders in which a checkout meets Drop. An
+// in-memory model's checkout reserves its staging name, then waits for the
+// CVD's mutex while Drop tears the model's tables down; holding the mutex here
+// stands in for Drop holding it, so the order is forced, not raced. A
+// split-by-rlist checkout takes no lock: it reads a state published before
+// Drop, and Drop runs before it registers its staging table. Either way the
+// checkout says the CVD has been dropped and leaves no table behind.
 func TestCheckoutRacingDrop(t *testing.T) {
 	for _, kind := range allModels {
-		_, c := buildProteinCVD(t, kind)
-		if m, ok := c.model.(*rlistModel); ok {
-			m.read.Store(nil)
-		}
-		c.mu.Lock()
-		done := make(chan error, 1)
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					done <- fmt.Errorf("checkout panicked: %v", r)
-				}
+		db, c := buildProteinCVD(t, kind)
+		var err error
+		if kind == SplitByRlist {
+			st := c.read()
+			c.Drop()
+			_, err = c.checkout(st, []vgraph.VersionID{4}, "late")
+		} else {
+			c.mu.Lock()
+			done := make(chan error, 1)
+			go func() {
+				defer func() {
+					if r := recover(); r != nil {
+						done <- fmt.Errorf("checkout panicked: %v", r)
+					}
+				}()
+				_, err := c.Checkout([]vgraph.VersionID{4}, "late")
+				done <- err
 			}()
-			_, err := c.Checkout([]vgraph.VersionID{4}, "late")
-			done <- err
-		}()
-		// The staging name is reserved after the dropped test and before the
-		// wait for c.mu: once it shows, the checkout is between the two.
-		for reserved := false; !reserved; runtime.Gosched() {
-			c.ckMu.Lock()
-			_, reserved = c.reserved["late"]
-			c.ckMu.Unlock()
+			// The staging name is reserved before the wait for c.mu: once it
+			// shows, the checkout is at the wait or about to be.
+			for reserved := false; !reserved; runtime.Gosched() {
+				c.ckMu.Lock()
+				_, reserved = c.reserved["late"]
+				c.ckMu.Unlock()
+			}
+			c.dropLocked()
+			c.mu.Unlock()
+			err = <-done
 		}
-		c.dropLocked()
-		c.mu.Unlock()
-		if err := <-done; err == nil || !strings.Contains(err.Error(), "has been dropped") {
+		if err == nil || !strings.Contains(err.Error(), "has been dropped") {
 			t.Errorf("%v: checkout that lost the race to Drop returned %v, want a has-been-dropped error", kind, err)
+		}
+		if db.HasTable("late") {
+			t.Errorf("%v: the staging table of a checkout that lost the race to Drop is registered", kind)
 		}
 	}
 }

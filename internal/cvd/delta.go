@@ -39,15 +39,16 @@ func dataSchemaOf(deltaSchema relstore.Schema) (relstore.Schema, error) {
 // the engine to journal the CVD's creation. Ask before any commit: the rows
 // are laid out under the current schema, which a later commit may evolve.
 func (c *CVD) InitDelta() (versions []vgraph.VersionID, delta []relstore.Row, deltaSchema relstore.Schema) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	rids := c.bip.RecordSet(1)
-	added := make([]relstore.Row, 0, rids.Len())
-	rids.ForEach(func(rid int64) bool {
-		added = append(added, c.catalog.RowAt(int(rid)-1))
+	st := c.read()
+	if !st.has(1) {
+		return nil, nil, relstore.Schema{}
+	}
+	added := make([]relstore.Row, 0, st.sets[0].Len())
+	st.sets[0].ForEach(func(rid int64) bool {
+		added = append(added, st.catalog.RowAt(int(rid)-1))
 		return true
 	})
-	return c.deltaLocked(1, nil, added)
+	return []vgraph.VersionID{1}, added, deltaSchemaOf(st.schema)
 }
 
 // deltaLocked returns the delta of v, the version just recorded, against its
@@ -106,8 +107,8 @@ func (c *CVD) ReplayCommit(versions []vgraph.VersionID, delta []relstore.Row, de
 // c.mu (or owns the not yet published CVD).
 func (c *CVD) replay(versions []vgraph.VersionID, delta []relstore.Row, deltaSchema relstore.Schema, msg, author string, at time.Time) error {
 	v, parents := versions[0], versions[1:]
-	if v != c.nextVID {
-		return fmt.Errorf("cvd: %s: journalled version %d does not continue the history (next version is %d)", c.name, v, c.nextVID)
+	if v != c.nextVersion() {
+		return fmt.Errorf("cvd: %s: journalled version %d does not continue the history (next version is %d)", c.name, v, c.nextVersion())
 	}
 	for _, p := range parents {
 		if c.graph.Node(p) == nil {
@@ -151,8 +152,12 @@ func (c *CVD) replay(versions []vgraph.VersionID, delta []relstore.Row, deltaSch
 	req := CommitRequest{
 		Version:    v,
 		Parents:    append([]vgraph.VersionID(nil), parents...),
-		ParentRIDs: c.recordsOfLocked,
+		ParentRIDs: c.bip.Records,
 		RIDs:       vgraph.RecordIDs(rids),
 	}
-	return c.applyCommit(req, added, msg, author, at)
+	if err := c.applyCommit(req, added, msg, author, at); err != nil {
+		return err
+	}
+	c.publish()
+	return nil
 }

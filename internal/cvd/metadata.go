@@ -2,7 +2,6 @@ package cvd
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/relstore"
@@ -91,16 +90,18 @@ func (r *AttributeRegistry) RegisterSchema(s relstore.Schema) []AttrID {
 	return out
 }
 
-// metadataStore keeps the per-version metadata in memory and mirrors it into
-// a relstore table so it can be inspected and queried like any relation.
+// metadataStore keeps the per-version metadata in memory, version v's at
+// metas[v-1], and mirrors it into a relstore table so it can be inspected and
+// queried like any relation. metas is only appended to, so the published
+// states share it.
 type metadataStore struct {
 	db    *relstore.Database
 	name  string
-	metas map[vgraph.VersionID]*VersionMeta
+	metas []*VersionMeta
 }
 
 func newMetadataStore(db *relstore.Database, cvdName string) (*metadataStore, error) {
-	s := &metadataStore{db: db, name: cvdName + "_metadata", metas: make(map[vgraph.VersionID]*VersionMeta)}
+	s := &metadataStore{db: db, name: cvdName + "_metadata"}
 	_, err := db.CreateTable(s.name, relstore.MustSchema([]relstore.Column{
 		{Name: "vid", Type: relstore.TypeInt},
 		{Name: "parents", Type: relstore.TypeIntArray},
@@ -118,10 +119,10 @@ func newMetadataStore(db *relstore.Database, cvdName string) (*metadataStore, er
 }
 
 func (s *metadataStore) add(m *VersionMeta) error {
-	if _, dup := s.metas[m.ID]; dup {
-		return fmt.Errorf("cvd: metadata for version %d already exists", m.ID)
+	if want := vgraph.VersionID(len(s.metas) + 1); m.ID != want {
+		return fmt.Errorf("cvd: metadata for version %d where version %d comes next", m.ID, want)
 	}
-	s.metas[m.ID] = m
+	s.metas = append(s.metas, m)
 	parents := make([]int64, len(m.Parents))
 	for i, p := range m.Parents {
 		parents[i] = int64(p)
@@ -143,30 +144,4 @@ func (s *metadataStore) add(m *VersionMeta) error {
 	})
 }
 
-func (s *metadataStore) get(v vgraph.VersionID) (*VersionMeta, bool) {
-	m, ok := s.metas[v]
-	return m, ok
-}
-
-func (s *metadataStore) all() []*VersionMeta {
-	out := make([]*VersionMeta, 0, len(s.metas))
-	for _, m := range s.metas {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 func (s *metadataStore) drop() { s.db.DropTable(s.name) }
-
-// latest returns the version with the most recent commit timestamp (the
-// "last modification to the CVD" metadata shortcut).
-func (s *metadataStore) latest() (*VersionMeta, bool) {
-	var best *VersionMeta
-	for _, m := range s.metas {
-		if best == nil || m.CommitAt.After(best.CommitAt) || (m.CommitAt.Equal(best.CommitAt) && m.ID > best.ID) {
-			best = m
-		}
-	}
-	return best, best != nil
-}

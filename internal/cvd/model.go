@@ -8,14 +8,15 @@
 // split-by-rlist CVDs persist (PersistentState, package durable); the other
 // four models are in-memory reproductions of Figure 4.1.
 //
-// CVDs are safe for concurrent use: commits serialize behind an exclusive
-// lock while checkouts, diffs, and versioned queries share a read lock and
-// proceed in parallel. Operations additionally parallelize internally
-// (multi-version checkout, partitioned scans, partition builds) when the
-// CVD is created with Options.Workers > 1. The only unsynchronized surface
-// is the raw-structure accessors (Graph, Bipartite, DataModel, Rlist,
-// Attributes), which return live internal pointers; guard multi-step access
-// to those with WithShared / WithExclusive.
+// CVDs are safe for concurrent use: writers serialize behind a per-CVD
+// mutex and each publishes an immutable read state, off which checkouts,
+// diffs, versioned queries and metadata reads run without taking the mutex.
+// Operations additionally parallelize internally (multi-version checkout,
+// partitioned scans, partition builds) when the CVD is created with
+// Options.Workers > 1. The only unsynchronized surface is the raw-structure
+// accessors (Graph, Bipartite, DataModel, Rlist, Attributes), which return
+// live internal pointers; guard multi-step access to those with
+// WithExclusive.
 package cvd
 
 import (
@@ -182,21 +183,22 @@ func alterTable(t *relstore.Table, newSchema relstore.Schema) error {
 	return nil
 }
 
-// newModel constructs a data model of the requested kind backed by db, with
-// table names prefixed by the CVD name. catalog is the CVD's record catalog,
-// which split-by-rlist adopts as its data table.
-func newModel(kind ModelKind, db *relstore.Database, cvdName string, schema relstore.Schema, catalog *relstore.Table) (DataModel, error) {
+// newModel constructs a data model of the requested kind for c, backed by
+// c's database, with table names prefixed by the CVD name. Split-by-rlist
+// adopts c's record catalog as its data table and c's record sets as its
+// versioning table.
+func newModel(kind ModelKind, c *CVD) (DataModel, error) {
 	switch kind {
 	case SplitByRlist:
-		return newRlistModel(db, cvdName, schema, catalog), nil
+		return newRlistModel(c), nil
 	case SplitByVlist:
-		return newVlistModel(db, cvdName, schema), nil
+		return newVlistModel(c.db, c.name, c.schema), nil
 	case CombinedTable:
-		return newCombinedModel(db, cvdName, schema), nil
+		return newCombinedModel(c.db, c.name, c.schema), nil
 	case TablePerVersion:
-		return newTPVModel(db, cvdName, schema), nil
+		return newTPVModel(c.db, c.name, c.schema), nil
 	case DeltaBased:
-		return newDeltaModel(db, cvdName, schema), nil
+		return newDeltaModel(c.db, c.name, c.schema), nil
 	default:
 		return nil, fmt.Errorf("cvd: unknown data model %d", int(kind))
 	}

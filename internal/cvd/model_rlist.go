@@ -2,7 +2,7 @@ package cvd
 
 import (
 	"fmt"
-	"sync/atomic"
+	"slices"
 
 	"repro/internal/parallel"
 	"repro/internal/recset"
@@ -14,83 +14,46 @@ import (
 // table keyed by rid plus a versioning table keyed by vid whose rlist lists the
 // records in the version. The data table is the CVD's record catalog itself —
 // the same table, so a record is stored once and a commit has nothing to add to
-// it — which keeps record r at row r-1. The versioning table is versions: each
-// rlist is the version's compressed record set, the very set the bipartite
-// graph holds, so a version's records are listed once; the database accounts
-// for it under its table name (versioningTable). It is the model OrpheusDB
-// adopts, and the only model that supports partitioned storage (Chapter 5):
-// the data table may be split into several partition tables, each holding all
-// records of the versions assigned to it, so a checkout touches exactly one
-// partition.
+// it — which keeps record r at row r-1. The versioning table is the CVD's
+// record sets: each rlist is the version's compressed record set, the very set
+// the bipartite graph holds, so a version's records are listed once; the
+// database accounts for it under its table name (versioningTable). It is the
+// model OrpheusDB adopts, and the only model that supports partitioned storage
+// (Chapter 5): the data table may be split into several partition tables, each
+// holding all records of the versions assigned to it, so a checkout touches
+// exactly one partition.
 type rlistModel struct {
-	db     *relstore.Database
-	name   string
-	schema relstore.Schema // data schema without rid
-	data   *relstore.Table // the CVD's record catalog, registered in db under its name (rlistDataTabName)
+	c *CVD // whose catalog is the data table and whose sets are the versioning table
 
-	// versions is the versioning table: version v's rlist at index v-1.
-	// Versions are only ever appended and a set is never mutated, so an entry
-	// below the length a reader captured stays what it was (see publish).
-	versions []*recset.Set
-
-	// Partitioned state. When partitions is nil the model is unpartitioned
-	// and all records live in the single data table. When non-nil,
-	// partition k's records live in table partTabName(k) and partitionOf
-	// maps each version to its partition.
-	partitions  []string // partition table names
-	partitionOf map[vgraph.VersionID]int
+	// Partitioned state. When parts is nil the model is unpartitioned and all
+	// records live in the data table. When non-nil, partition k's records live
+	// in parts[k], registered in the database, and partOf holds version v's
+	// partition at v-1 (-1: none).
+	parts  []*relstore.Table
+	partOf []int
+	// views holds a view (relstore.Table.View) of each partition table as of
+	// its last change: what the CVD publishes for checkouts to read. views and
+	// partOf are shared with the published states, so an entry of either is
+	// only ever changed in a copy; partOf is appended to in place.
+	views []*relstore.Table
 
 	// resident caches, per partition, the compressed set of rids physically
 	// present in the partition table. Commits and migrations consult it
 	// instead of re-scanning the partition table to learn what is already
 	// there (the pre-recset addVersionToPartition scanned the whole table on
 	// every commit). Invariant: resident[k] holds exactly the rids of
-	// partitions[k]'s rows.
+	// parts[k]'s rows.
 	resident []*recset.Set
-
-	// workers bounds intra-operation parallelism: checkout scans are chunked
-	// and partition builds fan out across this many goroutines when > 1.
-	workers int
-
-	// read is what checkoutPublished reads, without the CVD's lock. Every
-	// method that changes what a checkout reads ends with publish.
-	read atomic.Pointer[rlistRead]
 }
 
-// rlistRead is an unpartitioned model as of its last change: a view
-// (relstore.Table.View) of the data table and the versioning table's slice
-// header, both of which commits only append to.
-type rlistRead struct {
-	data     *relstore.Table
-	versions []*recset.Set
-	workers  int
-}
-
-func newRlistModel(db *relstore.Database, name string, schema relstore.Schema, catalog *relstore.Table) *rlistModel {
-	return &rlistModel{
-		db:     db,
-		name:   name,
-		schema: schema.Clone(),
-		data:   catalog,
-	}
-}
+func newRlistModel(c *CVD) *rlistModel { return &rlistModel{c: c} }
 
 // rlistDataTabName names the data table of a split-by-rlist CVD.
 func rlistDataTabName(cvdName string) string { return cvdName + "_data" }
 
 func (m *rlistModel) Kind() ModelKind { return SplitByRlist }
 
-// SetWorkers bounds the intra-operation parallelism of checkout scans and
-// partition builds; 0 or 1 keeps them single-threaded.
-func (m *rlistModel) SetWorkers(n int) {
-	if n <= 0 {
-		n = 1
-	}
-	m.workers = n
-	m.publish()
-}
-
-func (m *rlistModel) versioningTabName() string { return m.name + "_versions" }
+func (m *rlistModel) versioningTabName() string { return m.c.name + "_versions" }
 
 // versioningTable is the model's versioning table as the database accounts for
 // it: what the two-column table (vid, rlist) it stands for is charged — 8 bytes
@@ -99,49 +62,47 @@ func (m *rlistModel) versioningTabName() string { return m.name + "_versions" }
 type versioningTable struct{ m *rlistModel }
 
 func (t versioningTable) StorageBytes() int64 {
-	n := int64(32 * len(t.m.versions))
-	for _, s := range t.m.versions {
+	n := int64(32 * len(t.m.c.sets))
+	for _, s := range t.m.c.sets {
 		n += 8 * s.Len()
 	}
 	return n
 }
 
-func (m *rlistModel) partTabName(k int) string { return fmt.Sprintf("%s_part%d", m.name, k) }
+func (m *rlistModel) partTabName(k int) string { return fmt.Sprintf("%s_part%d", m.c.name, k) }
 
 func (m *rlistModel) Init(req CommitRequest) error {
-	if m.db.HasTable(m.data.Name) {
-		return fmt.Errorf("cvd: %s: table %q already exists", m.name, m.data.Name)
+	db, data := m.c.db, m.c.catalog
+	if db.HasTable(data.Name) {
+		return fmt.Errorf("cvd: %s: table %q already exists", m.c.name, data.Name)
 	}
-	if m.db.HasTable(m.versioningTabName()) {
-		return fmt.Errorf("cvd: %s: table %q already exists", m.name, m.versioningTabName())
+	if db.HasTable(m.versioningTabName()) {
+		return fmt.Errorf("cvd: %s: table %q already exists", m.c.name, m.versioningTabName())
 	}
-	m.db.AttachTable(m.data)
-	m.db.AttachRelation(m.versioningTabName(), versioningTable{m})
+	db.AttachTable(data)
+	db.AttachRelation(m.versioningTabName(), versioningTable{m})
 	return m.AppendVersion(req)
 }
 
-// AppendVersion appends the version's record set, req.Set, to the versioning
-// table as its rlist; version ids are dense from 1 in commit order.
+// AppendVersion checks that the version follows the versioning table, to
+// which the CVD appends its record set, req.Set, as its rlist; version ids are
+// dense from 1 in commit order.
 func (m *rlistModel) AppendVersion(req CommitRequest) error {
-	if want := vgraph.VersionID(len(m.versions) + 1); req.Version != want {
-		return fmt.Errorf("cvd: %s: version %d does not follow the versioning table's %d versions", m.name, req.Version, len(m.versions))
+	if want := m.c.nextVersion(); req.Version != want {
+		return fmt.Errorf("cvd: %s: version %d does not follow the versioning table's %d versions", m.c.name, req.Version, want-1)
 	}
 	// Under partitioning, new versions are routed by online maintenance
 	// (OnlineAssign); until then they are placed with their first parent's
 	// partition, or partition 0 if there is none.
-	if m.partitions != nil {
+	if m.parts != nil {
 		k := 0
 		if len(req.Parents) > 0 {
-			if pk, ok := m.partitionOf[req.Parents[0]]; ok {
+			if pk := m.partOf[req.Parents[0]-1]; pk >= 0 {
 				k = pk
 			}
 		}
-		if err := m.addVersionToPartition(req.Version, k, req.RIDs); err != nil {
-			return err
-		}
+		return m.addVersionToPartition(req.Version, k, req.RIDs)
 	}
-	m.versions = append(m.versions, req.Set)
-	m.publish()
 	return nil
 }
 
@@ -149,10 +110,10 @@ func (m *rlistModel) AppendVersion(req CommitRequest) error {
 // set of v (nil when the versioning table has no version v). It is shared:
 // read it, never mutate it.
 func (m *rlistModel) RecordSet(v vgraph.VersionID) *recset.Set {
-	if v < 1 || int(v) > len(m.versions) {
+	if v < 1 || int(v) > len(m.c.sets) {
 		return nil
 	}
-	return m.versions[v-1]
+	return m.c.sets[v-1]
 }
 
 // setOf is RecordSet for a version that must exist.
@@ -160,23 +121,16 @@ func (m *rlistModel) setOf(v vgraph.VersionID) (*recset.Set, error) {
 	if s := m.RecordSet(v); s != nil {
 		return s, nil
 	}
-	return nil, fmt.Errorf("cvd: %s: version %d not found", m.name, v)
+	return nil, fmt.Errorf("cvd: %s: version %d not found", m.c.name, v)
 }
 
+// Checkout is the CVD's checkout of version v off its published state.
 func (m *rlistModel) Checkout(v vgraph.VersionID, tableName string) (*relstore.Table, error) {
-	rlist, err := m.setOf(v)
-	if err != nil {
-		return nil, err
+	st := m.c.read()
+	if !st.has(v) {
+		return nil, fmt.Errorf("cvd: %s: version %d not found", m.c.name, v)
 	}
-	data := m.data
-	if m.partitions != nil {
-		k, ok := m.partitionOf[v]
-		if !ok {
-			return nil, fmt.Errorf("cvd: %s: version %d has no partition assignment", m.name, v)
-		}
-		data = m.db.MustTable(m.partitions[k])
-	}
-	return joinCheckout(data, rlist, m.workers, tableName)
+	return m.c.checkoutOne(st, v, tableName)
 }
 
 // joinCheckout materializes the records of an rlist out of data with a hash
@@ -193,37 +147,13 @@ func joinCheckout(data *relstore.Table, rlist *recset.Set, workers int, tableNam
 	return out, nil
 }
 
-// publish replaces what checkoutPublished reads with the model's current
-// state, or with nothing under partitioning, where a checkout reads its
-// partition's table. The caller holds the CVD's exclusive lock.
-func (m *rlistModel) publish() {
-	if len(m.versions) == 0 || m.partitions != nil {
-		m.read.Store(nil)
-		return
-	}
-	m.read.Store(&rlistRead{data: m.data.View(), versions: m.versions, workers: m.workers})
-}
-
-// checkoutPublished is Checkout for a caller that does not hold the CVD's
-// lock: it reads what was last published, so it neither waits for a commit in
-// flight nor makes one wait. ok is false when that does not hold the version
-// and the caller has to take the lock.
-func (m *rlistModel) checkoutPublished(v vgraph.VersionID, tableName string) (out *relstore.Table, ok bool) {
-	rd := m.read.Load()
-	if rd == nil || v < 1 || int(v) > len(rd.versions) {
-		return nil, false
-	}
-	out, err := joinCheckout(rd.data, rd.versions[v-1], rd.workers, tableName)
-	return out, err == nil // an error is the locked path's to report
-}
-
 func (m *rlistModel) StorageBytes() int64 {
 	var n int64
-	if m.partitions == nil {
-		n += m.data.StorageBytes()
+	if m.parts == nil {
+		n += m.c.catalog.StorageBytes()
 	} else {
-		for _, p := range m.partitions {
-			n += m.db.MustTable(p).StorageBytes()
+		for _, t := range m.parts {
+			n += t.StorageBytes()
 		}
 	}
 	return n + versioningTable{m}.StorageBytes()
@@ -233,12 +163,12 @@ func (m *rlistModel) StorageBytes() int64 {
 // Equation 5.1) under the current partitioning, or the data-table row count
 // when unpartitioned.
 func (m *rlistModel) DataRecordCount() int64 {
-	if m.partitions == nil {
-		return int64(m.data.Len())
+	if m.parts == nil {
+		return int64(m.c.catalog.Len())
 	}
 	var n int64
-	for _, p := range m.partitions {
-		n += int64(m.db.MustTable(p).Len())
+	for _, t := range m.parts {
+		n += int64(t.Len())
 	}
 	return n
 }
@@ -246,65 +176,88 @@ func (m *rlistModel) DataRecordCount() int64 {
 // AlterSchema evolves the partition tables; the data table is the CVD's
 // catalog, which the CVD has evolved already.
 func (m *rlistModel) AlterSchema(newSchema relstore.Schema) error {
-	for _, p := range m.partitions {
-		if err := alterTable(m.db.MustTable(p), newSchema); err != nil {
+	for _, t := range m.parts {
+		if err := alterTable(t, newSchema); err != nil {
 			return err
 		}
 	}
-	m.schema = newSchema.Clone()
-	m.publish()
+	if m.parts != nil {
+		m.viewAll()
+	}
 	return nil
 }
 
 func (m *rlistModel) Drop() {
-	m.db.DropTable(m.data.Name)
-	m.db.DropTable(m.versioningTabName())
-	for _, p := range m.partitions {
-		m.db.DropTable(p)
+	m.c.db.DropTable(m.c.catalog.Name)
+	m.c.db.DropTable(m.versioningTabName())
+	m.dropParts()
+	m.parts, m.partOf, m.views, m.resident = nil, nil, nil, nil
+}
+
+// dropParts removes the partition tables from the database.
+func (m *rlistModel) dropParts() {
+	for _, t := range m.parts {
+		m.c.db.DropTable(t.Name)
 	}
-	m.partitions = nil
-	m.partitionOf = nil
-	m.resident = nil
-	m.versions = nil
-	m.publish()
+}
+
+// view re-views partition k, which just changed, in a copy of views.
+func (m *rlistModel) view(k int) {
+	views := make([]*relstore.Table, len(m.parts))
+	copy(views, m.views)
+	views[k] = m.parts[k].View()
+	m.views = views
+}
+
+// viewAll views every partition table afresh.
+func (m *rlistModel) viewAll() {
+	m.views = make([]*relstore.Table, len(m.parts))
+	for k, t := range m.parts {
+		m.views[k] = t.View()
+	}
+}
+
+// assign places version v in partition k: a version past partOf's end is
+// appended, any other is changed in a copy.
+func (m *rlistModel) assign(v vgraph.VersionID, k int) {
+	i := int(v) - 1
+	if i < len(m.partOf) {
+		m.partOf = slices.Clone(m.partOf)
+	}
+	for len(m.partOf) <= i {
+		m.partOf = append(m.partOf, -1)
+	}
+	m.partOf[i] = k
 }
 
 // Partitioned reports whether partitioned storage is active.
-func (m *rlistModel) Partitioned() bool { return m.partitions != nil }
+func (m *rlistModel) Partitioned() bool { return m.parts != nil }
 
-// PartitionOf returns the partition index of a version (-1 when
-// unpartitioned or unknown).
-func (m *rlistModel) PartitionOf(v vgraph.VersionID) int {
-	if m.partitions == nil {
-		return -1
-	}
-	k, ok := m.partitionOf[v]
-	if !ok {
-		return -1
-	}
-	return k
-}
+// PartitionOf returns the partition index of a version as last published (-1
+// when unpartitioned or unknown).
+func (m *rlistModel) PartitionOf(v vgraph.VersionID) int { return m.c.read().partition(v) }
 
 // PartitionTableName returns the name of the backing table a version's
-// checkout reads: its partition table under partitioned storage, the shared
-// data table otherwise ("" when the version has no assignment). The
-// reference benchmark reads it to measure the records a checkout scans.
+// checkout reads as last published: its partition table under partitioned
+// storage, the shared data table otherwise ("" when the version has no
+// assignment). The reference benchmark reads it to measure the records a
+// checkout scans.
 func (m *rlistModel) PartitionTableName(v vgraph.VersionID) string {
-	if m.partitions == nil {
-		return m.data.Name
+	st := m.c.read()
+	if st.parts == nil {
+		return m.c.catalog.Name
 	}
-	k, ok := m.partitionOf[v]
-	if !ok {
-		return ""
+	if k := st.partition(v); k >= 0 {
+		return st.parts[k].Name
 	}
-	return m.partitions[k]
+	return ""
 }
 
 // PartitionSizes returns the number of records in each partition table.
 func (m *rlistModel) PartitionSizes() []int64 {
-	out := make([]int64, len(m.partitions))
-	for i, p := range m.partitions {
-		out[i] = int64(m.db.MustTable(p).Len())
+	out := make([]int64, len(m.parts))
+	for i, t := range m.parts {
+		out[i] = int64(t.Len())
 	}
 	return out
 }
@@ -313,46 +266,49 @@ func (m *rlistModel) PartitionSizes() []int64 {
 // group of the supplied partitioning, rebuilding everything from scratch
 // (the "naive" migration path). Each partition table receives all records of
 // all versions assigned to it; records shared across partitions are
-// duplicated (Section 5.1).
+// duplicated (Section 5.1). It publishes the partitioning, so a checkout
+// reads its partition's table from then on.
 func (m *rlistModel) ApplyPartitioning(p vgraph.Partitioning) error {
-	defer m.publish()
-	// Drop any previous partitions.
-	for _, name := range m.partitions {
-		m.db.DropTable(name)
+	for v := range p.Assignment {
+		if _, err := m.setOf(v); err != nil {
+			return err
+		}
 	}
-	m.partitions = nil
-	m.partitionOf = make(map[vgraph.VersionID]int)
-
+	defer m.c.publish()
+	m.dropParts()
 	// Create the (empty) partition tables sequentially, then fill them in
 	// parallel: each fill reads the shared data table and writes only its own
 	// partition table (and resident-set slot), so the builds are independent.
 	groups := p.Groups()
-	m.partitions = make([]string, len(groups))
+	m.parts = make([]*relstore.Table, len(groups))
 	m.resident = make([]*recset.Set, len(groups))
-	tables := make([]*relstore.Table, len(groups))
+	m.partOf = slices.Repeat([]int{-1}, len(m.c.sets))
 	for k, versions := range groups {
-		name := m.partTabName(k)
-		m.db.DropTable(name)
-		t, err := m.db.CreateTable(name, dataSchemaWithRID(m.schema))
-		if err != nil {
-			return err
-		}
-		tables[k] = t
-		m.partitions[k] = name
+		m.parts[k] = m.newPart(m.partTabName(k))
 		for _, v := range versions {
-			m.partitionOf[v] = k
+			m.partOf[v-1] = k
 		}
 	}
-	return parallel.ForEachErr(m.workers, len(groups), func(k int) error {
-		return m.fillPartition(tables[k], k, groups[k])
+	err := parallel.ForEachErr(m.c.workers, len(groups), func(k int) error {
+		return m.fillPartition(k, groups[k])
 	})
+	m.viewAll()
+	return err
 }
 
-// fillPartition inserts into t (partition k) all records belonging to any of
+// newPart registers an empty partition table under name, in place of any
+// table of that name.
+func (m *rlistModel) newPart(name string) *relstore.Table {
+	t := relstore.NewTable(name, dataSchemaWithRID(m.c.schema))
+	m.c.db.AttachTable(t)
+	return t
+}
+
+// fillPartition inserts into partition k all records belonging to any of
 // versions, fetched from the unpartitioned data table with a compressed-set
 // probe and appended column-wise (no row materialization). The union set
 // becomes the partition's resident-rid cache.
-func (m *rlistModel) fillPartition(t *relstore.Table, k int, versions []vgraph.VersionID) error {
+func (m *rlistModel) fillPartition(k int, versions []vgraph.VersionID) error {
 	need := recset.New()
 	for _, v := range versions {
 		rs, err := m.setOf(v)
@@ -361,11 +317,12 @@ func (m *rlistModel) fillPartition(t *relstore.Table, k int, versions []vgraph.V
 		}
 		need.UnionWith(rs)
 	}
-	sel, err := m.data.SelectRIDSet(ridColumn, need)
+	data := m.c.catalog
+	sel, err := data.SelectRIDSet(ridColumn, need)
 	if err != nil {
 		return err
 	}
-	if err := t.AppendFrom(m.data, sel); err != nil {
+	if err := m.parts[k].AppendFrom(data, sel); err != nil {
 		return err
 	}
 	m.resident[k] = need
@@ -396,10 +353,11 @@ type MigrationResult struct {
 // Migrate applies a new partitioning using an explicit per-partition plan
 // (typically produced by partition.PlanMigration). Partitions with
 // FromPartition >= 0 are transformed in place by deleting records no longer
-// needed and inserting missing ones; others are rebuilt from scratch.
+// needed and inserting missing ones; others are rebuilt from scratch. It
+// publishes the new partitioning.
 func (m *rlistModel) Migrate(p vgraph.Partitioning, plan []MigrationOp) (MigrationResult, error) {
 	var res MigrationResult
-	if m.partitions == nil {
+	if m.parts == nil {
 		// Nothing to reuse; fall back to a full rebuild.
 		if err := m.ApplyPartitioning(p); err != nil {
 			return res, err
@@ -410,13 +368,10 @@ func (m *rlistModel) Migrate(p vgraph.Partitioning, plan []MigrationOp) (Migrati
 		}
 		return res, nil
 	}
-	oldTables := make([]*relstore.Table, len(m.partitions))
-	for i, name := range m.partitions {
-		oldTables[i] = m.db.MustTable(name)
-	}
-	newNames := make([]string, p.NumPartitions)
+	defer m.c.publish()
+	newParts := make([]*relstore.Table, p.NumPartitions)
 	newResident := make([]*recset.Set, p.NumPartitions)
-	newAssign := make(map[vgraph.VersionID]int)
+	newAssign := slices.Repeat([]int{-1}, len(m.c.sets))
 
 	for _, op := range plan {
 		need := recset.New()
@@ -426,23 +381,20 @@ func (m *rlistModel) Migrate(p vgraph.Partitioning, plan []MigrationOp) (Migrati
 				return res, err
 			}
 			need.UnionWith(rs)
-			newAssign[v] = op.NewPartition
+			newAssign[v-1] = op.NewPartition
 		}
-		tmpName := fmt.Sprintf("%s_newpart%d", m.name, op.NewPartition)
-		m.db.DropTable(tmpName)
-		t, err := m.db.CreateTable(tmpName, dataSchemaWithRID(m.schema))
-		if err != nil {
-			return res, err
-		}
+		// Built under a temporary name beside the old partitions, and renamed
+		// below once they are gone.
+		t := m.newPart(fmt.Sprintf("%s_newpart%d", m.c.name, op.NewPartition))
 		// missing starts as everything the new partition needs; records copied
 		// over from the transformed old partition are subtracted below.
 		missing := need
-		if op.FromPartition >= 0 && op.FromPartition < len(oldTables) {
+		if op.FromPartition >= 0 && op.FromPartition < len(m.parts) {
 			// Transform: copy surviving records from the old partition, count
 			// the dropped ones as deletions, then insert the missing records.
 			// The old partition's resident set tells us what it holds without
 			// re-deriving it from the scan.
-			old := oldTables[op.FromPartition]
+			old := m.parts[op.FromPartition]
 			oldResident := m.residentOf(op.FromPartition)
 			sel, err := old.SelectRIDSet(ridColumn, need)
 			if err != nil {
@@ -457,47 +409,35 @@ func (m *rlistModel) Migrate(p vgraph.Partitioning, plan []MigrationOp) (Migrati
 			res.PartitionsBuilt++
 		}
 		// Insert the records still missing, fetched from the master data table.
-		sel, err := m.data.SelectRIDSet(ridColumn, missing)
+		sel, err := m.c.catalog.SelectRIDSet(ridColumn, missing)
 		if err != nil {
 			return res, err
 		}
-		if err := t.AppendFrom(m.data, sel); err != nil {
+		if err := t.AppendFrom(m.c.catalog, sel); err != nil {
 			return res, err
 		}
 		res.RecordsInserted += int64(len(sel))
-		newNames[op.NewPartition] = tmpName
+		newParts[op.NewPartition] = t
 		newResident[op.NewPartition] = need
 	}
 	// Swap in the new partitions under canonical names.
-	for _, name := range m.partitions {
-		m.db.DropTable(name)
-	}
-	m.partitions = make([]string, p.NumPartitions)
-	for k, tmp := range newNames {
-		final := m.partTabName(k)
-		m.db.DropTable(final)
-		if tmp == "" {
+	m.dropParts()
+	for k, t := range newParts {
+		if t == nil {
 			// The plan omitted this partition (no versions assigned); create
 			// an empty table so indexes stay dense.
-			t, err := m.db.CreateTable(final, dataSchemaWithRID(m.schema))
-			if err != nil {
-				return res, err
-			}
-			_ = t
-			m.partitions[k] = final
+			newParts[k] = m.newPart(m.partTabName(k))
 			newResident[k] = recset.New()
 			continue
 		}
 		// Rename in place: re-registering the same table under its final name
 		// avoids deep-cloning every row just to change the name.
-		t := m.db.MustTable(tmp)
-		m.db.DropTable(tmp)
-		t.Name = final
-		m.db.AttachTable(t)
-		m.partitions[k] = final
+		m.c.db.DropTable(t.Name)
+		t.Name = m.partTabName(k)
+		m.c.db.AttachTable(t)
 	}
-	m.partitionOf = newAssign
-	m.resident = newResident
+	m.parts, m.partOf, m.resident = newParts, newAssign, newResident
+	m.viewAll()
 	return res, nil
 }
 
@@ -505,42 +445,39 @@ func (m *rlistModel) Migrate(p vgraph.Partitioning, plan []MigrationOp) (Migrati
 // table scan if the cache is missing (defensive; the cache is maintained on
 // every fill, migrate, and per-commit insert).
 func (m *rlistModel) residentOf(k int) *recset.Set {
-	if k < len(m.resident) && m.resident[k] != nil {
+	if m.resident[k] != nil {
 		return m.resident[k]
 	}
-	t := m.db.MustTable(m.partitions[k])
+	t := m.parts[k]
 	ridIdx := t.Schema.ColumnIndex(ridColumn)
 	rs := recset.New()
 	for i := 0; i < t.Len(); i++ {
 		rs.Add(t.IntAt(i, ridIdx))
 	}
 	t.Stats().AddSeqReads(int64(t.Len()))
-	if k < len(m.resident) {
-		m.resident[k] = rs
-	}
+	m.resident[k] = rs
 	return rs
 }
 
 // OnlineAssign places a newly committed version into partition k and inserts
 // the version's new records into that partition (the online maintenance rule
 // of Section 5.4). If newPartition is true a fresh partition is created for
-// the version instead.
+// the version instead. It publishes the placement.
 func (m *rlistModel) OnlineAssign(v vgraph.VersionID, k int, newPartition bool, rids []vgraph.RecordID) (int, error) {
-	if m.partitions == nil {
-		return -1, fmt.Errorf("cvd: %s: OnlineAssign requires partitioned storage", m.name)
+	if m.parts == nil {
+		return -1, fmt.Errorf("cvd: %s: OnlineAssign requires partitioned storage", m.c.name)
 	}
+	if _, err := m.setOf(v); err != nil {
+		return -1, err
+	}
+	defer m.c.publish()
 	if newPartition {
-		k = len(m.partitions)
-		name := m.partTabName(k)
-		m.db.DropTable(name)
-		if _, err := m.db.CreateTable(name, dataSchemaWithRID(m.schema)); err != nil {
-			return -1, err
-		}
-		m.partitions = append(m.partitions, name)
+		k = len(m.parts)
+		m.parts = append(m.parts, m.newPart(m.partTabName(k)))
 		m.resident = append(m.resident, recset.New())
 	}
-	if k < 0 || k >= len(m.partitions) {
-		return -1, fmt.Errorf("cvd: %s: partition %d out of range", m.name, k)
+	if k < 0 || k >= len(m.parts) {
+		return -1, fmt.Errorf("cvd: %s: partition %d out of range", m.c.name, k)
 	}
 	if err := m.addVersionToPartition(v, k, rids); err != nil {
 		return -1, err
@@ -549,13 +486,13 @@ func (m *rlistModel) OnlineAssign(v vgraph.VersionID, k int, newPartition bool, 
 }
 
 // addVersionToPartition ensures all records of the version exist in the
-// partition table and records the assignment. Membership of already-present
-// records comes from the partition's resident-rid recset — O(|rlist|) bit
-// probes per commit — and the records it lacks, the commit's new ones among
-// them, are appended column-wise from the data table, where record r is row
-// r-1.
+// partition table, records the assignment and re-views the partition.
+// Membership of already-present records comes from the partition's
+// resident-rid recset — O(|rlist|) bit probes per commit — and the records it
+// lacks, the commit's new ones among them, are appended column-wise from the
+// data table, where record r is row r-1.
 func (m *rlistModel) addVersionToPartition(v vgraph.VersionID, k int, rids []vgraph.RecordID) error {
-	t := m.db.MustTable(m.partitions[k])
+	t := m.parts[k]
 	have := m.residentOf(k)
 	var missing []vgraph.RecordID // ascending, as rids is
 	for _, rid := range rids {
@@ -564,16 +501,14 @@ func (m *rlistModel) addVersionToPartition(v vgraph.VersionID, k int, rids []vgr
 		}
 	}
 	if len(missing) > 0 { // an append of nothing would still unshare t's columns
-		if err := t.AppendFrom(m.data, positions(missing)); err != nil {
+		if err := t.AppendFrom(m.c.catalog, positions(missing)); err != nil {
 			return err
 		}
 	}
 	for _, rid := range missing {
 		have.Add(int64(rid))
 	}
-	if m.partitionOf == nil {
-		m.partitionOf = make(map[vgraph.VersionID]int)
-	}
-	m.partitionOf[v] = k
+	m.assign(v, k)
+	m.view(k)
 	return nil
 }

@@ -190,3 +190,50 @@ func TestRlistAccessorOnOtherModelFails(t *testing.T) {
 		t.Error("Rlist() on a combined-table CVD should fail")
 	}
 }
+
+// TestCheckoutReadsItsPartition: once a partitioning is applied — through
+// Rlist without WithExclusive, as the examples and the Chapter 5 experiments
+// do — migrated, or a version placed online, a checkout scans its partition's
+// table, no more rows than that partition holds, off the published state.
+func TestCheckoutReadsItsPartition(t *testing.T) {
+	_, c := buildProteinCVD(t, SplitByRlist)
+	m, _ := c.Rlist()
+	scans := func(what string) {
+		t.Helper()
+		sizes := m.PartitionSizes()
+		for _, v := range c.Versions() {
+			c.db.ResetStats()
+			if _, err := c.Checkout([]vgraph.VersionID{v}, "scan"); err != nil {
+				t.Fatal(err)
+			}
+			c.DiscardCheckout("scan")
+			k := m.PartitionOf(v)
+			if got := c.db.Stats().SeqReads; k < 0 || got != sizes[k] {
+				t.Errorf("after %s: the checkout of version %d scans %d rows, want its partition %d's %d (sizes %v)", what, v, got, k, sizes[k], sizes)
+			}
+			if name := m.PartitionTableName(v); name != m.partTabName(k) {
+				t.Errorf("after %s: version %d reads %q, want %q", what, v, name, m.partTabName(k))
+			}
+		}
+	}
+	if err := m.ApplyPartitioning(vgraph.NewPartitioning(map[vgraph.VersionID]int{1: 0, 2: 0, 3: 1, 4: 1})); err != nil {
+		t.Fatal(err)
+	}
+	scans("ApplyPartitioning")
+	plan := []MigrationOp{
+		{NewPartition: 0, FromPartition: -1, Versions: []vgraph.VersionID{1}},
+		{NewPartition: 1, FromPartition: 1, Versions: []vgraph.VersionID{2, 3, 4}},
+	}
+	if _, err := m.Migrate(vgraph.NewPartitioning(map[vgraph.VersionID]int{1: 0, 2: 1, 3: 1, 4: 1}), plan); err != nil {
+		t.Fatal(err)
+	}
+	scans("Migrate")
+	v5, err := c.Commit([]vgraph.VersionID{1}, []relstore.Row{prow("NEW1", "NEW2", 1, 2, 3)}, proteinSchema(), "online", "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.OnlineAssign(v5, -1, true, c.RecordsOf(v5)); err != nil {
+		t.Fatal(err)
+	}
+	scans("OnlineAssign")
+}

@@ -34,7 +34,7 @@ import (
 //     ∪parents − tombstones + added.
 //
 // ReplayCommit takes the same arguments and rebuilds the version from them.
-// Implementations are called while the CVD's exclusive lock is held, after
+// Implementations are called while the CVD's mutex is held, after
 // the commit has been applied in memory; they must not call back into the
 // CVD, and must not modify delta's rows.
 type Journal interface {
@@ -55,25 +55,17 @@ func (c *CVD) SetJournal(j Journal) {
 	c.journalErr = nil
 }
 
-// LockShared acquires the CVD's shared (read) lock without running a
-// callback, for callers — the snapshot writer — that must hold several CVDs'
-// locks at once. Pair with UnlockShared; prefer WithShared everywhere else.
-func (c *CVD) LockShared() { c.mu.RLock() }
-
-// UnlockShared releases the lock taken by LockShared.
-func (c *CVD) UnlockShared() { c.mu.RUnlock() }
-
-// LockExclusive acquires the CVD's exclusive lock without running a
-// callback, for the checkpoint path that must fence writers on several CVDs
-// at once (and swap journals while fenced). Pair with UnlockExclusive;
+// LockExclusive acquires the CVD's mutex without running a callback, for the
+// snapshot capture that must fence writers on several CVDs at once (and, for
+// a checkpoint, swap journals while fenced). Pair with UnlockExclusive;
 // prefer WithExclusive everywhere else.
 func (c *CVD) LockExclusive() { c.mu.Lock() }
 
 // UnlockExclusive releases the lock taken by LockExclusive.
 func (c *CVD) UnlockExclusive() { c.mu.Unlock() }
 
-// SetJournalLocked is SetJournal for callers already holding the exclusive
-// lock (LockExclusive); like SetJournal it clears any journal poison.
+// SetJournalLocked is SetJournal for callers already holding the mutex
+// (LockExclusive); like SetJournal it clears any journal poison.
 func (c *CVD) SetJournalLocked(j Journal) {
 	c.journal = j
 	c.journalErr = nil
@@ -83,15 +75,14 @@ func (c *CVD) SetJournalLocked(j Journal) {
 // applied in memory but its journal append failed, until a checkpoint or
 // journal swap clears it.
 func (c *CVD) JournalErr() error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.journalErr
 }
 
 // JournalLocked returns the attached journal and the sticky journal poison
-// for a caller already holding the exclusive lock (LockExclusive) — the
-// checkpoint fence, which cannot call JournalErr without self-deadlocking on
-// the RWMutex.
+// for a caller already holding the mutex (LockExclusive) — the checkpoint
+// fence, which cannot call JournalErr without self-deadlocking.
 func (c *CVD) JournalLocked() (Journal, error) {
 	return c.journal, c.journalErr
 }
@@ -106,10 +97,8 @@ type VersionRecordSet struct {
 // PersistentState is the complete logical state of a split-by-rlist CVD —
 // the only model that persists — minus the backing tables themselves (those
 // are serialized separately, straight from their columnar lanes; Tables names
-// which ones belong to this CVD). Exported pointers (Graph, Metas, record
-// sets, resident sets) are live internal state: ExportState must be called
-// under the shared lock (LockShared) and the state must be consumed —
-// serialized — before the lock is released.
+// which ones belong to this CVD). ExportState captures it frozen: it stays
+// what it was when captured while the CVD goes on committing.
 type PersistentState struct {
 	Name    string
 	Schema  relstore.Schema
@@ -141,10 +130,14 @@ type PersistentState struct {
 // Restore verifies.
 func (st *PersistentState) DataTable() string { return rlistDataTabName(st.Name) }
 
-// ExportState assembles the CVD's persistent state; a CVD of an in-memory
-// model is refused (CheckDurable). The caller must hold the shared lock
-// (LockShared) and keep holding it until serialization finishes; the returned
-// structure shares internal pointers rather than copying the whole dataset.
+// ExportState captures the CVD's persistent state; a CVD of an in-memory model
+// is refused (CheckDurable). The caller holds the mutex (LockExclusive) for
+// the call only: the capture stays valid after it is released. The mutable
+// structures (version graph, version metadata, partition resident sets) are
+// copied; committed record sets, which are never mutated, are shared by
+// pointer, so the capture is O(versions) extra memory, not O(dataset). The
+// backing tables, the catalog among them, are for the caller to freeze
+// (relstore.Table.SnapshotClone).
 func (c *CVD) ExportState() (*PersistentState, error) {
 	if err := CheckDurable(c.name, c.kind); err != nil {
 		return nil, err
@@ -153,57 +146,37 @@ func (c *CVD) ExportState() (*PersistentState, error) {
 	st := &PersistentState{
 		Name:    c.name,
 		Schema:  c.schema.Clone(),
-		NextVID: c.nextVID,
+		NextVID: c.nextVersion(),
 		NextRID: c.nextRID,
-		Graph:   c.graph,
-		Metas:   c.meta.all(),
+		Graph:   c.graph.Clone(),
 		Attrs:   c.attrs.All(),
-		Tables:  append(append([]string{m.data.Name}, m.partitions...), c.meta.name),
+		Tables:  []string{c.catalog.Name},
 	}
-	st.RecordSets = make([]VersionRecordSet, len(m.versions))
-	for i, s := range m.versions {
+	st.Metas = make([]*VersionMeta, len(c.meta.metas))
+	for i, vm := range c.meta.metas {
+		cp := *vm
+		st.Metas[i] = &cp
+	}
+	st.RecordSets = make([]VersionRecordSet, len(c.sets))
+	for i, s := range c.sets {
 		st.RecordSets[i] = VersionRecordSet{Version: vgraph.VersionID(i + 1), Set: s}
 	}
-	if m.partitions != nil {
-		st.Partitions = append([]string(nil), m.partitions...)
-		st.PartitionOf = make(map[vgraph.VersionID]int, len(m.partitionOf))
-		for v, k := range m.partitionOf {
-			st.PartitionOf[v] = k
-		}
-		st.Resident = m.resident
-	}
-	return st, nil
-}
-
-// ExportStateCOW assembles the persistent state as a frozen capture that
-// stays valid after the CVD's lock is released — the non-blocking checkpoint
-// path. The caller must hold the exclusive lock for the call itself. The
-// mutable structures (version graph, partition resident sets, version
-// metadata) are cloned; committed record sets, which commits only ever add,
-// never mutate, are shared by pointer, so the capture is O(versions) extra
-// memory, not O(dataset). The backing tables, the catalog among them, are for
-// the caller to freeze (relstore.Table.SnapshotClone).
-func (c *CVD) ExportStateCOW() (*PersistentState, error) {
-	st, err := c.ExportState()
-	if err != nil {
-		return nil, err
-	}
-	st.Graph = c.graph.Clone()
-	metas := make([]*VersionMeta, len(st.Metas))
-	for i, m := range st.Metas {
-		cp := *m
-		metas[i] = &cp
-	}
-	st.Metas = metas
-	if len(st.Resident) > 0 {
-		res := make([]*recset.Set, len(st.Resident))
-		for i, s := range st.Resident {
-			if s != nil {
-				res[i] = s.Clone()
+	if m.parts != nil {
+		st.PartitionOf = make(map[vgraph.VersionID]int, len(m.partOf))
+		for i, k := range m.partOf {
+			if k >= 0 {
+				st.PartitionOf[vgraph.VersionID(i+1)] = k
 			}
 		}
-		st.Resident = res
+		st.Resident = make([]*recset.Set, len(m.parts))
+		for k, t := range m.parts {
+			st.Partitions = append(st.Partitions, t.Name)
+			if s := m.resident[k]; s != nil {
+				st.Resident[k] = s.Clone()
+			}
+		}
 	}
+	st.Tables = append(append(st.Tables, st.Partitions...), c.meta.name)
 	return st, nil
 }
 
@@ -232,6 +205,10 @@ func Restore(db *relstore.Database, st *PersistentState) (*CVD, error) {
 	if err := verifyVersions(st); err != nil {
 		return nil, refusal{err, ErrBadVersions}
 	}
+	name := st.Name + "_metadata"
+	if !db.HasTable(name) {
+		return nil, fmt.Errorf("cvd: restore %s: metadata table %q missing", st.Name, name)
+	}
 	c := &CVD{
 		name:      st.Name,
 		db:        db,
@@ -240,23 +217,23 @@ func Restore(db *relstore.Database, st *PersistentState) (*CVD, error) {
 		graph:     st.Graph,
 		bip:       vgraph.NewBipartite(),
 		catalog:   catalog,
-		nextVID:   st.NextVID,
+		meta:      &metadataStore{db: db, name: name, metas: slices.Clone(st.Metas)},
+		attrs:     restoreAttributeRegistry(st.Attrs),
+		sets:      make([]*recset.Set, len(st.RecordSets)),
 		nextRID:   st.NextRID,
 		checkouts: make(map[string]checkoutInfo),
 		reserved:  make(map[string]struct{}),
 		workers:   1,
 		clock:     time.Now,
 	}
-	for _, vs := range st.RecordSets {
+	for i, vs := range st.RecordSets {
 		c.bip.SetVersionSet(vs.Version, vs.Set)
+		c.sets[i] = vs.Set
 	}
-	c.attrs = restoreAttributeRegistry(st.Attrs)
-	meta, err := restoreMetadataStore(db, st.Name, st.Metas)
-	if err != nil {
+	if err := restoreModel(c, st); err != nil {
 		return nil, err
 	}
-	c.meta = meta
-	c.model = restoreModel(db, st, catalog)
+	c.publish()
 	return c, nil
 }
 
@@ -348,46 +325,35 @@ func restoreAttributeRegistry(attrs []Attribute) *AttributeRegistry {
 	return r
 }
 
-// restoreMetadataStore re-attaches the metadata store to its already
-// deserialized mirror table and repopulates the in-memory map.
-func restoreMetadataStore(db *relstore.Database, cvdName string, metas []*VersionMeta) (*metadataStore, error) {
-	name := cvdName + "_metadata"
-	if !db.HasTable(name) {
-		return nil, fmt.Errorf("cvd: restore %s: metadata table %q missing", cvdName, name)
+// restoreModel rebuilds split-by-rlist's partition bookkeeping around the
+// already deserialized tables; the versioning table is c's record sets.
+func restoreModel(c *CVD, st *PersistentState) error {
+	m := newRlistModel(c)
+	c.model = m
+	c.db.AttachRelation(m.versioningTabName(), versioningTable{m})
+	if len(st.Partitions) == 0 {
+		return nil
 	}
-	s := &metadataStore{db: db, name: name, metas: make(map[vgraph.VersionID]*VersionMeta, len(metas))}
-	for _, m := range metas {
-		if _, dup := s.metas[m.ID]; dup {
-			return nil, fmt.Errorf("cvd: restore %s: duplicate metadata for version %d", cvdName, m.ID)
+	m.parts = make([]*relstore.Table, len(st.Partitions))
+	for k, name := range st.Partitions {
+		t, ok := c.db.Table(name)
+		if !ok {
+			return fmt.Errorf("cvd: restore %s: partition table %q missing from database", st.Name, name)
 		}
-		s.metas[m.ID] = m
+		m.parts[k] = t
 	}
-	return s, nil
-}
-
-// restoreModel rebuilds split-by-rlist's versioning table and partition
-// bookkeeping around the already deserialized tables, catalog the data table
-// among them.
-func restoreModel(db *relstore.Database, st *PersistentState, catalog *relstore.Table) *rlistModel {
-	m := newRlistModel(db, st.Name, st.Schema, catalog)
-	m.versions = make([]*recset.Set, len(st.RecordSets))
-	for i, vs := range st.RecordSets {
-		m.versions[i] = vs.Set
-	}
-	db.AttachRelation(m.versioningTabName(), versioningTable{m})
-	if len(st.Partitions) > 0 {
-		m.partitions = append([]string(nil), st.Partitions...)
-		m.partitionOf = make(map[vgraph.VersionID]int, len(st.PartitionOf))
-		for v, k := range st.PartitionOf {
-			m.partitionOf[v] = k
-		}
-		if len(st.Resident) == len(st.Partitions) {
-			m.resident = st.Resident
-		} else {
-			// Defensive: residentOf rebuilds lazily from partition scans.
-			m.resident = make([]*recset.Set, len(st.Partitions))
+	m.partOf = slices.Repeat([]int{-1}, len(c.sets))
+	for v, k := range st.PartitionOf {
+		if v >= 1 && int(v) <= len(c.sets) {
+			m.partOf[v-1] = k
 		}
 	}
-	m.publish()
-	return m
+	if len(st.Resident) == len(st.Partitions) {
+		m.resident = st.Resident
+	} else {
+		// Defensive: residentOf rebuilds lazily from partition scans.
+		m.resident = make([]*recset.Set, len(st.Partitions))
+	}
+	m.viewAll()
+	return nil
 }

@@ -2,6 +2,7 @@ package cvd
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/recset"
@@ -19,7 +20,7 @@ import (
 // predicates (arbitrary Go functions, see RowPredicate) are evaluated row at
 // a time; predicates built by NamedPredicate carry their column comparison
 // in structured form, so the versioned query shortcuts push them down to the
-// vectorized relstore scans (see selectLocked) instead of materializing and
+// vectorized relstore scans (see selectFrom) instead of materializing and
 // testing every row.
 type Predicate interface {
 	// Match reports whether the row satisfies the predicate. The row is valid
@@ -87,9 +88,11 @@ func (c *CVD) NamedPredicate(column, op string, value relstore.Value) (Predicate
 
 // columnIndex resolves a named data column against the schema in force.
 func (c *CVD) columnIndex(column string) (int, error) {
-	c.mu.RLock()
-	idx := c.schema.ColumnIndex(column)
-	c.mu.RUnlock()
+	st := c.read()
+	if err := c.known(st); err != nil {
+		return 0, err
+	}
+	idx := st.schema.ColumnIndex(column)
 	if idx < 0 {
 		return 0, fmt.Errorf("cvd: %s: unknown column %q", c.name, column)
 	}
@@ -131,10 +134,9 @@ func (c *CVD) NamedPredicateAll(comparisons []ColumnComparison) (Predicate, erro
 	return &multiColumnPredicate{preds: preds}, nil
 }
 
-// comparisonsLocked returns pred as the column comparisons the catalog's lanes
-// evaluate: none for a nil predicate, ok=false for an opaque one. Callers hold
-// c.mu.
-func (c *CVD) comparisonsLocked(pred Predicate) (preds []relstore.ColPred, ok bool) {
+// comparisons returns pred as the column comparisons catalog's lanes evaluate:
+// none for a nil predicate, ok=false for an opaque one.
+func comparisons(catalog *relstore.Table, pred Predicate) (preds []relstore.ColPred, ok bool) {
 	var cps []*columnPredicate
 	switch p := pred.(type) {
 	case nil:
@@ -150,7 +152,7 @@ func (c *CVD) comparisonsLocked(pred Predicate) (preds []relstore.ColPred, ok bo
 	for _, cp := range cps {
 		// Resolve the column against the catalog (rid first, then the data
 		// attributes): the registered position may predate schema evolution.
-		if !c.catalog.Schema.HasColumn(cp.column) {
+		if !catalog.Schema.HasColumn(cp.column) {
 			return nil, false
 		}
 		preds = append(preds, relstore.ColPred{Col: cp.column, Op: cp.op, Value: cp.value})
@@ -158,44 +160,41 @@ func (c *CVD) comparisonsLocked(pred Predicate) (preds []relstore.ColPred, ok bo
 	return preds, true
 }
 
-// selectLocked is the plan SelectVersions, ScanVersions and AggregateByVersion
-// share. It appends to sel the catalog positions (record r is row r-1) of the
-// listed versions' records that satisfy pred, version after version and
-// ascending within one, until sel holds limit of them when limit > 0; version
-// i's records end at ends[i]. Each version's record set is walked straight
-// into selections. A predicate of column comparisons refines them on the
-// catalog's lanes, so the select costs its versions, not the catalog, and
-// stops at the limit. An opaque predicate is evaluated row at a time, on one
-// row refilled from the catalog for each record. No row of the answer is
-// materialized. Callers hold c.mu.
-func (c *CVD) selectLocked(sel relstore.Selection, versions []vgraph.VersionID, pred Predicate, limit int) (relstore.Selection, []int, error) {
-	if c.dropped {
-		return nil, nil, c.errDropped()
+// selectFrom is the plan SelectVersions, ScanVersions and AggregateByVersion
+// share, run on one published state. It appends to sel the catalog positions
+// (record r is row r-1) of the listed versions' records that satisfy pred,
+// version after version and ascending within one, until sel holds limit of
+// them when limit > 0; version i's records end at ends[i]. Each version's
+// record set is walked straight into selections. A predicate of column
+// comparisons refines them on the catalog's lanes, so the select costs its
+// versions, not the catalog, and stops at the limit. An opaque predicate is
+// evaluated row at a time, on one row refilled from the catalog for each
+// record. No row of the answer is materialized.
+func (c *CVD) selectFrom(st *readState, sel relstore.Selection, versions []vgraph.VersionID, pred Predicate, limit int) (relstore.Selection, []int, error) {
+	if err := c.known(st, versions...); err != nil {
+		return nil, nil, err
 	}
 	var total int64
 	for _, v := range versions {
-		if c.graph.Node(v) == nil {
-			return nil, nil, fmt.Errorf("cvd: %s: unknown version %d", c.name, v)
-		}
-		total += c.bip.RecordSet(v).Len()
+		total += st.sets[v-1].Len()
 	}
 	if limit > 0 && sel == nil {
 		sel = make(relstore.Selection, 0, min(int64(limit), total))
 	}
-	preds, pushed := c.comparisonsLocked(pred)
+	preds, pushed := comparisons(st.catalog, pred)
 	var row relstore.Row
 	if !pushed {
-		row = make(relstore.Row, len(c.schema.Columns))
+		row = make(relstore.Row, len(st.schema.Columns))
 	}
 	ends := make([]int, len(versions))
 	for i, v := range versions {
-		set := c.bip.RecordSet(v)
+		set := st.sets[v-1]
 		switch {
 		case limit > 0 && len(sel) >= limit:
 		case !pushed:
 			set.ForEach(func(rid int64) bool {
 				for j := range row {
-					row[j] = c.catalog.At(int(rid-1), j+1)
+					row[j] = st.catalog.At(int(rid-1), j+1)
 				}
 				if pred.Match(row) {
 					sel = append(sel, int32(rid-1))
@@ -204,7 +203,7 @@ func (c *CVD) selectLocked(sel relstore.Selection, versions []vgraph.VersionID, 
 			})
 		default:
 			var err error
-			if sel, err = c.catalog.FilterVecSet(sel, set, preds, limit); err != nil {
+			if sel, err = st.catalog.FilterVecSet(sel, set, preds, limit); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -263,35 +262,29 @@ func (a *Answer) Rows() []VersionedRow {
 }
 
 // SelectVersions runs the select ScanVersions runs and returns its answer
-// unboxed, over a Table.View of the record catalog taken under the same shared
-// lock. Later commits change neither the view, its schema included, nor the
+// unboxed, over the published view of the record catalog it selected from.
+// Later commits change neither the view, its schema included, nor the
 // selection, so the caller reads the answer's cells off the catalog's lanes
-// after the lock is released (the HTTP server writes its JSON from them), and
-// the columns it names are the ones its cells were selected from.
+// (the HTTP server writes its JSON from them), and the columns it names are
+// the ones its cells were selected from.
 func (c *CVD) SelectVersions(versions []vgraph.VersionID, pred Predicate, limit int) (Answer, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	sel, ends, err := c.selectLocked(nil, versions, pred, limit)
+	st := c.read()
+	sel, ends, err := c.selectFrom(st, nil, versions, pred, limit)
 	if err != nil {
 		return Answer{}, err
 	}
-	return Answer{Catalog: c.catalog.View(), Sel: sel, Versions: versions, Ends: ends}, nil
+	return Answer{Catalog: st.catalog, Sel: sel, Versions: versions, Ends: ends}, nil
 }
 
 // ScanVersions evaluates `SELECT * FROM VERSION v1, v2, ... OF CVD c WHERE
 // pred LIMIT limit`: it returns the (version, record) pairs of the listed
 // versions whose data satisfies pred. limit <= 0 means no limit. It is
-// SelectVersions boxed (Answer.Rows); the rows are boxed under the lock, off
-// the live catalog, so it takes no view: a view costs allocations in the
-// catalog's width, and the answer's rows are one allocation.
+// SelectVersions boxed (Answer.Rows).
 func (c *CVD) ScanVersions(versions []vgraph.VersionID, pred Predicate, limit int) ([]VersionedRow, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	sel, ends, err := c.selectLocked(nil, versions, pred, limit)
+	a, err := c.SelectVersions(versions, pred, limit)
 	if err != nil {
 		return nil, err
 	}
-	a := Answer{Catalog: c.catalog, Sel: sel, Versions: versions, Ends: ends}
 	return a.Rows(), nil
 }
 
@@ -361,19 +354,21 @@ func (c *CVD) AggregateByVersion(versions []vgraph.VersionID, pred Predicate, ag
 	if agg == nil {
 		return nil, fmt.Errorf("cvd: %s: nil aggregator", c.name)
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	st := c.read()
+	if err := c.known(st); err != nil {
+		return nil, err
+	}
 	if versions == nil {
-		versions = c.graph.Versions()
+		versions = versionIDs(len(st.sets))
 	}
 	out := make(map[vgraph.VersionID]relstore.Value, len(versions))
 	var sel relstore.Selection
 	for i, v := range versions {
 		var err error
-		if sel, _, err = c.selectLocked(sel[:0], versions[i:i+1], pred, 0); err != nil {
+		if sel, _, err = c.selectFrom(st, sel[:0], versions[i:i+1], pred, 0); err != nil {
 			return nil, err
 		}
-		out[v] = agg(c.catalog, sel)
+		out[v] = agg(st.catalog, sel)
 	}
 	return out, nil
 }
@@ -395,49 +390,103 @@ func (c *CVD) VersionsWhere(pred Predicate, agg Aggregator, test func(relstore.V
 	return out, nil
 }
 
-// Ancestors returns all ancestors of v (the ancestor(vid) primitive).
+// Ancestors returns all ancestors of v, ascending (the ancestor(vid)
+// primitive). A parent's id is always below its child's, so one pass down
+// the metadata from v marks them.
 func (c *CVD) Ancestors(v vgraph.VersionID) []vgraph.VersionID {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.graph.Ancestors(v, 0)
+	st := c.read()
+	if !st.has(v) {
+		return nil
+	}
+	in := make([]bool, v) // in[u-1]: u is v or one of its ancestors
+	in[v-1] = true
+	var out []vgraph.VersionID
+	for u := v; u >= 1; u-- {
+		if !in[u-1] {
+			continue
+		}
+		if u != v {
+			out = append(out, u)
+		}
+		for _, p := range st.metas[u-1].Parents {
+			in[p-1] = true
+		}
+	}
+	slices.Reverse(out)
+	return out
 }
 
-// Descendants returns all descendants of v (the descendant(vid) primitive).
+// Descendants returns all descendants of v, ascending (the descendant(vid)
+// primitive): one pass up the metadata from v.
 func (c *CVD) Descendants(v vgraph.VersionID) []vgraph.VersionID {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.graph.Descendants(v, 0)
+	st := c.read()
+	if !st.has(v) {
+		return nil
+	}
+	in := make([]bool, len(st.metas)) // in[u-1]: u is v or one of its descendants
+	in[v-1] = true
+	var out []vgraph.VersionID
+	for _, m := range st.metas[v:] {
+		for _, p := range m.Parents {
+			if in[p-1] {
+				in[m.ID-1] = true
+				out = append(out, m.ID)
+				break
+			}
+		}
+	}
+	return out
 }
 
 // Parents returns the direct parents of v (the parent(vid) primitive).
 func (c *CVD) Parents(v vgraph.VersionID) []vgraph.VersionID {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.graph.Parents(v)
+	st := c.read()
+	if !st.has(v) {
+		return nil
+	}
+	return slices.Clone(st.metas[v-1].Parents)
+}
+
+// union returns the union of the listed versions' record sets in st.
+func (c *CVD) union(st *readState, versions []vgraph.VersionID) (*recset.Set, error) {
+	if err := c.known(st, versions...); err != nil {
+		return nil, err
+	}
+	out := recset.New()
+	for _, v := range versions {
+		out.UnionWith(st.sets[v-1])
+	}
+	return out, nil
 }
 
 // VDiff implements v_diff(A, B): the record ids present in any version of A
 // but in no version of B, as a compressed-set difference of the two unions.
-func (c *CVD) VDiff(a, b []vgraph.VersionID) []vgraph.RecordID {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return vgraph.RecordIDs(recset.AndNot(c.bip.UnionSet(a), c.bip.UnionSet(b)))
+func (c *CVD) VDiff(a, b []vgraph.VersionID) ([]vgraph.RecordID, error) {
+	st := c.read()
+	ua, err := c.union(st, a)
+	if err != nil {
+		return nil, err
+	}
+	ub, err := c.union(st, b)
+	if err != nil {
+		return nil, err
+	}
+	return vgraph.RecordIDs(recset.AndNot(ua, ub)), nil
 }
 
 // VIntersect implements v_intersect(A): the record ids present in every
 // listed version, as a running compressed-set intersection.
-func (c *CVD) VIntersect(versions []vgraph.VersionID) []vgraph.RecordID {
-	if len(versions) == 0 {
-		return nil
+func (c *CVD) VIntersect(versions []vgraph.VersionID) ([]vgraph.RecordID, error) {
+	st := c.read()
+	if err := c.known(st, versions...); err != nil || len(versions) == 0 {
+		return nil, err
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	inter := c.bip.RecordSet(versions[0])
+	inter := st.sets[versions[0]-1]
 	for _, v := range versions[1:] {
 		if inter.IsEmpty() {
 			break
 		}
-		inter = recset.And(inter, c.bip.RecordSet(v))
+		inter = recset.And(inter, st.sets[v-1])
 	}
-	return vgraph.RecordIDs(inter)
+	return vgraph.RecordIDs(inter), nil
 }

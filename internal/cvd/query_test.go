@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -291,21 +292,37 @@ func TestGraphPrimitives(t *testing.T) {
 func TestVDiffAndVIntersect(t *testing.T) {
 	_, c := buildProteinCVD(t, SplitByRlist)
 	// v_diff(v3, v2): records in v3 but not v2 = {r5, r6, r7} -> 3 records.
-	d := c.VDiff([]vgraph.VersionID{3}, []vgraph.VersionID{2})
-	if len(d) != 3 {
-		t.Errorf("v_diff(3,2) = %v, want 3 records", d)
+	if d, err := c.VDiff([]vgraph.VersionID{3}, []vgraph.VersionID{2}); err != nil || len(d) != 3 {
+		t.Errorf("v_diff(3,2) = %v, %v, want 3 records", d, err)
 	}
 	// v_diff of a version against itself is empty.
-	if got := c.VDiff([]vgraph.VersionID{2}, []vgraph.VersionID{2}); len(got) != 0 {
-		t.Errorf("v_diff(2,2) = %v, want empty", got)
+	if got, err := c.VDiff([]vgraph.VersionID{2}, []vgraph.VersionID{2}); err != nil || len(got) != 0 {
+		t.Errorf("v_diff(2,2) = %v, %v, want empty", got, err)
 	}
 	// v_intersect(v1, v2, v3, v4) = {r3}.
-	in := c.VIntersect([]vgraph.VersionID{1, 2, 3, 4})
-	if len(in) != 1 {
-		t.Errorf("v_intersect(all) = %v, want exactly one shared record", in)
+	if in, err := c.VIntersect([]vgraph.VersionID{1, 2, 3, 4}); err != nil || len(in) != 1 {
+		t.Errorf("v_intersect(all) = %v, %v, want exactly one shared record", in, err)
 	}
-	if got := c.VIntersect(nil); got != nil {
-		t.Errorf("v_intersect() = %v, want nil", got)
+	if got, err := c.VIntersect(nil); got != nil || err != nil {
+		t.Errorf("v_intersect() = %v, %v, want nil", got, err)
+	}
+}
+
+// TestVDiffAndVIntersectRefuseUnknownVersions: a version the CVD does not hold
+// is an error, as it is to Diff, not an empty answer.
+func TestVDiffAndVIntersectRefuseUnknownVersions(t *testing.T) {
+	_, c := buildProteinCVD(t, SplitByRlist)
+	if _, err := c.Diff(99, 1); err == nil || !strings.Contains(err.Error(), "unknown version 99") {
+		t.Fatalf("Diff(99, 1): %v, want an unknown-version error", err)
+	}
+	for name, read := range map[string]func() ([]vgraph.RecordID, error){
+		"VDiff([99], [1])":    func() ([]vgraph.RecordID, error) { return c.VDiff([]vgraph.VersionID{99}, []vgraph.VersionID{1}) },
+		"VDiff([1], [99])":    func() ([]vgraph.RecordID, error) { return c.VDiff([]vgraph.VersionID{1}, []vgraph.VersionID{99}) },
+		"VIntersect([1, 99])": func() ([]vgraph.RecordID, error) { return c.VIntersect([]vgraph.VersionID{1, 99}) },
+	} {
+		if got, err := read(); got != nil || err == nil || !strings.Contains(err.Error(), "unknown version 99") {
+			t.Errorf("%s = %v, %v, want an unknown-version error", name, got, err)
+		}
 	}
 }
 

@@ -82,14 +82,14 @@ func (c *CVD) refBuildCommit(parents []vgraph.VersionID, rows []relstore.Row, sc
 		}
 	}
 	req := CommitRequest{
-		Version:    c.nextVID,
+		Version:    c.nextVersion(),
 		Parents:    append([]vgraph.VersionID(nil), parents...),
-		ParentRIDs: c.recordsOfLocked,
+		ParentRIDs: c.bip.Records,
 	}
 	parentByKey := make(map[string]vgraph.RecordID)
 	for _, p := range parents {
-		for _, rid := range c.recordsOfLocked(p) {
-			row, _ := c.record(rid)
+		for _, rid := range c.bip.Records(p) {
+			row := c.catalog.RowAt(int(rid) - 1)[1:]
 			key := c.contentKey(row)
 			if _, exists := parentByKey[key]; !exists {
 				parentByKey[key] = rid
@@ -142,6 +142,7 @@ func (c *CVD) refCommit(parents []vgraph.VersionID, rows []relstore.Row, rowSche
 	if err := c.applyCommit(req, fresh, msg, author, c.clock()); err != nil {
 		return 0, err
 	}
+	c.publish()
 	return req.Version, nil
 }
 

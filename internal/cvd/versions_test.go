@@ -22,8 +22,8 @@ func sameRlists(t *testing.T, what string, c *CVD) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.versions) != c.NumVersions() {
-		t.Fatalf("%s: the versioning table holds %d versions, the CVD %d", what, len(m.versions), c.NumVersions())
+	if len(c.sets) != c.NumVersions() {
+		t.Fatalf("%s: the versioning table holds %d versions, the CVD %d", what, len(c.sets), c.NumVersions())
 	}
 	for _, v := range c.Versions() {
 		if s := m.RecordSet(v); s == nil || s != c.Bipartite().RecordSet(v) {
@@ -62,7 +62,7 @@ func TestRlistIsRecordSet(t *testing.T) {
 	sameRlists(t, "replayed", replayed)
 
 	c.LockExclusive()
-	st, err := c.ExportStateCOW()
+	st, err := c.ExportState()
 	c.UnlockExclusive()
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestRestoreRefusesBadVersions(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			db, c := buildProteinCVD(t, SplitByRlist)
 			c.LockExclusive()
-			st, err := c.ExportStateCOW()
+			st, err := c.ExportState()
 			c.UnlockExclusive()
 			if err != nil {
 				t.Fatal(err)

@@ -144,10 +144,10 @@ type column struct {
 
 	// shared is colShared when the backing vectors are shared with another
 	// table and colViewed when they only back read-only views. Accessed
-	// atomically: checkouts mark a source column shared while holding only
-	// the CVD's read lock, so concurrent checkouts of the same table store
-	// the flag in parallel; the vectors themselves are only mutated by
-	// writers that the layer above serializes exclusively.
+	// atomically: checkouts mark a source column shared holding no lock —
+	// they read a view the layer above published — so concurrent checkouts
+	// of the same table store the flag in parallel; the vectors themselves
+	// are only mutated by writers that the layer above serializes.
 	shared uint32
 }
 
@@ -400,7 +400,7 @@ func (c *column) ensureAppendable() {
 // share returns a second column over the same backing vectors, marking both
 // sides shared so either side's next mutation copies first. The receiver's
 // flag is stored atomically because concurrent checkouts share the same
-// source column under a read lock.
+// source column holding no lock.
 func (c *column) share() *column {
 	atomic.StoreUint32(&c.shared, colShared)
 	return c.alias()

@@ -104,7 +104,8 @@ func (t *Table) View() *Table {
 // SnapshotClone returns a view of the table for the snapshot writer: it also
 // carries the index column names, which the writer records, and counts what is
 // read from it apart from the live table's cost statistics. Callers must hold
-// the exclusive lock of the CVD owning the table while cloning.
+// the lock that serializes the writers of the CVD owning the table while
+// cloning.
 func (t *Table) SnapshotClone() *Table {
 	nt := t.View()
 	nt.stats = &CostStats{}

@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/cvd"
+	"repro/internal/relstore"
 )
 
 // post sends a JSON body and decodes the JSON answer into out (when non-nil),
@@ -365,14 +367,25 @@ func TestConcurrentCommits(t *testing.T) {
 
 // TestCheckoutRacingSessionClose: a checkout still running when its session
 // closes must not register its staging table with the closed session, where
-// nothing would ever drop it. The CVD's exclusive lock parks a two-version
-// checkout inside the engine while the session closes.
+// nothing would ever drop it. A split-by-rlist checkout takes no lock, so the
+// CVD is an in-memory model's, whose checkout reads its tables under the CVD's
+// mutex: holding the mutex parks a two-version checkout inside the engine
+// while the session closes.
 func TestCheckoutRacingSessionClose(t *testing.T) {
 	e := core.Open("t")
 	ts := httptest.NewServer(New(e, Config{}))
 	defer ts.Close()
-	if code := post(t, ts, "/v1/init", proteinInit, nil); code != http.StatusOK {
-		t.Fatalf("init: status %d", code)
+	schema := relstore.MustSchema([]relstore.Column{
+		{Name: "protein1", Type: relstore.TypeString},
+		{Name: "protein2", Type: relstore.TypeString},
+		{Name: "coexpression", Type: relstore.TypeInt},
+	}, "protein1", "protein2")
+	rows := []relstore.Row{
+		{relstore.Str("ENSP1"), relstore.Str("ENSP2"), relstore.Int(80)},
+		{relstore.Str("ENSP1"), relstore.Str("ENSP3"), relstore.Int(40)},
+	}
+	if _, err := e.Init("protein", schema, rows, cvd.Options{Model: cvd.SplitByVlist}); err != nil {
+		t.Fatal(err)
 	}
 	sid := openSession(t, ts)
 	if code := post(t, ts, "/v1/checkout", checkoutRequest{Session: sid, CVD: "protein", Versions: []int64{1}, Table: "wd"}, nil); code != http.StatusOK {

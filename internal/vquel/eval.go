@@ -24,6 +24,11 @@ type value struct {
 	tuplePos int // its row in the relation's catalog
 	scalar   relstore.Value
 	isScalar bool
+	// fromRel and fromPos are the tuple a scalar was read off, if any (an
+	// attribute, its id, its parents): an aggregate folds the value once per
+	// tuple.
+	fromRel *Relation
+	fromPos int
 }
 
 func versionValue(v *Version) value   { return value{version: v} }
@@ -33,7 +38,9 @@ func tupleValue(r *Relation, idx, pos int) value {
 }
 func scalarValue(v relstore.Value) value { return value{scalar: v, isScalar: true} }
 
-// key returns a stable identity string for grouping and dedup.
+// key returns a stable identity string for grouping and dedup. A tuple is its
+// relation — each version's is its own — and its row in the catalog, the
+// record it is.
 func (v value) key() string {
 	switch {
 	case v.version != nil:
@@ -41,10 +48,27 @@ func (v value) key() string {
 	case v.relation != nil:
 		return "R:" + v.relation.Name
 	case v.tupleRel != nil:
-		return fmt.Sprintf("T:%s:%d", v.tupleRel.Name, v.tupleIdx)
+		return tupleKey(v.tupleRel, v.tuplePos)
 	default:
 		return "S:" + v.scalar.AsString()
 	}
+}
+
+// foldKey identifies a value an aggregate folds: a scalar read off a tuple is
+// folded once for that tuple, however many tuples hold the same value (QUEL's
+// non-unique aggregates), and any other value once.
+func (v value) foldKey() string {
+	if v.fromRel != nil {
+		return tupleKey(v.fromRel, v.fromPos) + ":" + v.key()
+	}
+	return v.key()
+}
+
+func tupleKey(rel *Relation, pos int) string { return fmt.Sprintf("T:%p:%d", rel, pos) }
+
+// attr is a scalar read off tuple v.
+func (v value) attr(s relstore.Value) value {
+	return value{scalar: s, isScalar: true, fromRel: v.tupleRel, fromPos: v.tuplePos}
 }
 
 // render converts a value to a relstore scalar for output and comparisons.
@@ -414,24 +438,24 @@ func (e *Evaluator) step(v value, seg PathSegment, b binding) ([]value, error) {
 		rel := v.tupleRel
 		switch strings.ToLower(name) {
 		case "all":
-			return []value{scalarValue(v.render())}, nil
+			return []value{v.attr(v.render())}, nil
 		case "parents":
 			var out []value
 			for _, pIdx := range rel.Provenance[v.tupleIdx] {
-				out = append(out, scalarValue(relstore.Int(int64(pIdx))))
+				out = append(out, v.attr(relstore.Int(int64(pIdx))))
 			}
 			return filterAll(out)
 		case "id":
-			return []value{scalarValue(relstore.Int(int64(v.tupleIdx)))}, nil
+			return []value{v.attr(relstore.Int(int64(v.tupleIdx)))}, nil
 		default:
 			// The Record entity is conceptually the union of all fields across
 			// records (Figure 6.1), so a missing column reads as NULL rather
 			// than erroring.
 			idx := rel.column(name)
 			if idx < 0 {
-				return []value{scalarValue(relstore.Null())}, nil
+				return []value{v.attr(relstore.Null())}, nil
 			}
-			return []value{scalarValue(rel.Catalog.At(v.tuplePos, idx))}, nil
+			return []value{v.attr(rel.Catalog.At(v.tuplePos, idx))}, nil
 		}
 	case v.isScalar:
 		// ".name" on a scalar (e.g. V.author.name) is the identity.
@@ -657,7 +681,7 @@ func (e *Evaluator) evalAggregate(agg *Aggregate, group []binding) (relstore.Val
 			return relstore.Null(), err
 		}
 		for _, v := range vals {
-			k := v.key()
+			k := v.foldKey()
 			if seen[k] {
 				continue
 			}

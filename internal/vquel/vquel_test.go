@@ -449,3 +449,27 @@ func TestTupleFilterPushdownEquivalence(t *testing.T) {
 		t.Errorf("id = 0 filter: got %d rows, want 1 (tuple index, not a column)", len(byIdx.Rows))
 	}
 }
+
+// TestAggregatesFoldEachTuple: an aggregate over a tuple attribute folds it
+// once per tuple, not once per distinct value (QUEL's non-unique aggregates).
+// v01's employees are in departments 1, 1 and 2, and two are named Smith.
+func TestAggregatesFoldEachTuple(t *testing.T) {
+	repo := buildFigure61Repo(t)
+	res := runQuery(t, repo, `
+		range of V is Version(id = "v01")
+		range of E is V.Relations(name = "Employee").Tuples
+		retrieve sum(E.dept_id), avg(E.dept_id), count(E.last_name)`)
+	if len(res.Rows) != 1 {
+		t.Fatalf("got %d rows, want 1", len(res.Rows))
+	}
+	row := res.Rows[0]
+	if got := row[0].AsFloat(); got != 4 {
+		t.Errorf("sum(E.dept_id) = %g, want 4", got)
+	}
+	if got := row[1].AsFloat(); got != 4.0/3 {
+		t.Errorf("avg(E.dept_id) = %g, want 4/3", got)
+	}
+	if got := row[2].AsInt(); got != 3 {
+		t.Errorf("count(E.last_name) = %d, want 3", got)
+	}
+}
