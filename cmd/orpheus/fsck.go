@@ -35,6 +35,7 @@ func runFsck(argv []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "%s: %d chunks, %d manifests, %d WAL segments checked\n",
 		dir, rep.ChunksChecked, rep.ManifestsChecked, rep.SegmentsChecked)
+	fmt.Fprintf(stdout, "live chunk payload: %s\n", rep.LiveBytes)
 	for _, is := range rep.Issues {
 		status := "ERROR"
 		if is.Repaired {

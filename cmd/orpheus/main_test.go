@@ -232,8 +232,9 @@ func TestEpochsAndRestore(t *testing.T) {
 }
 
 // TestFsckCommand runs `orpheus fsck` end to end: a healthy directory exits
-// 0, a corrupted pack exits 1 and names the damage, and a torn WAL tail is
-// repaired by -repair after which the directory is clean again.
+// 0, printing its live chunks' bytes by kind before the verdict, a corrupted
+// pack exits 1 and names the damage, and a torn WAL tail is repaired by
+// -repair after which the directory is clean again.
 func TestFsckCommand(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "data")
@@ -250,6 +251,13 @@ func TestFsckCommand(t *testing.T) {
 	}
 	if !strings.Contains(out, "clean") {
 		t.Fatalf("fsck output missing 'clean': %s", out)
+	}
+	// The live chunks' bytes by kind come before the verdict, which stays the
+	// last line.
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) < 3 || lines[len(lines)-1] != "clean" || !strings.HasPrefix(lines[1], "live chunk payload: ") ||
+		!strings.Contains(lines[1], "B column bands, ") || !strings.Contains(lines[1], "B record-set runs") {
+		t.Fatalf("fsck output lacks the live bytes by kind before its verdict: %s", out)
 	}
 
 	// Tear the active WAL tail: fsck must flag it, -repair must fix it.
@@ -361,7 +369,7 @@ func TestFsckRefusesManifestVersion3(t *testing.T) {
 	}
 	for _, argv := range [][]string{{"fsck", data}, {"fsck", "-repair", data}, {"-data", data}} {
 		code, _, errw := runSession(t, argv, "")
-		if code != 2 || !strings.Contains(errw, "is a format version 3 manifest, this build reads version 4 only") {
+		if code != 2 || !strings.Contains(errw, "is a format version 3 manifest, this build reads version 5 only") {
 			t.Fatalf("%v: exit %d, want 2 with the refusal: %s", argv, code, errw)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,7 +16,7 @@ import (
 
 // A split-by-rlist CVD keeps each version's rlist once: the versioning table
 // is the bipartite graph's record sets, in memory and, as the record-set runs,
-// on disk (manifest version 4). The tests here pin that across the durable
+// on disk (manifest version 5). The tests here pin that across the durable
 // paths, the check the open and fsck make of the runs, and the refusal of a
 // manifest of version 3, which stored the rlists a second time.
 
@@ -102,10 +103,11 @@ func TestRlistIsRecordSetAfterReopen(t *testing.T) {
 
 // TestBadVersionsRefused: a checkpoint whose chunks all hash right but whose
 // record-set runs are not the history the CVD head describes — a head that
-// counts one record more for a version than its set holds, or a set holding a
-// record id never handed out — is refused by the open and by point-in-time
-// restore, and fsck reports it, with and without repair, in the same sentence
-// (bad-versions). No file changes.
+// counts one record more for a version than its set holds, a set holding a
+// record id never handed out (version 4 is stored as its delta, so that
+// delta adds the rid), or a head naming a parent no older than its child — is
+// refused by the open and by point-in-time restore, and fsck reports it, with
+// and without repair, in the same sentence (bad-versions). No file changes.
 func TestBadVersionsRefused(t *testing.T) {
 	for name, tc := range map[string]struct {
 		damage func(st *cvd.PersistentState)
@@ -120,6 +122,7 @@ func TestBadVersionsRefused(t *testing.T) {
 			s.Add(int64(st.NextRID))
 			last.Set = s
 		}, "version 4 lists record ids"},
+		"parent-ahead": {func(st *cvd.PersistentState) { st.Metas[1].Parents = []vgraph.VersionID{3} }, "version 2 names parent 3, which is not an older version"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			e := Open("bad")
@@ -171,19 +174,28 @@ func TestBadVersionsRefused(t *testing.T) {
 // another build's, not a damaged one: the open, point-in-time restore and fsck
 // with and without repair refuse it with one sentence and leave every file as
 // it was.
-func TestManifestVersion3Refused(t *testing.T) {
+func TestManifestVersion3Refused(t *testing.T) { manifestVersionRefused(t, 3) }
+
+// TestManifestVersion4Refused: so is a directory whose manifest is of version
+// 4, whose record-set runs (chunk kind 4) stored every version's set in full.
+func TestManifestVersion4Refused(t *testing.T) { manifestVersionRefused(t, 4) }
+
+// manifestVersionRefused rewrites the version field of a directory's first
+// manifest to v and requires every reader to refuse it by name, changing no
+// file.
+func manifestVersionRefused(t *testing.T, v uint32) {
 	dir := versionsDir(t)
 	path := filepath.Join(dir, durable.ManifestFileName(1))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(raw[8:12], 3) // magic, then the version; the CRC covers the payload only
+	binary.LittleEndian.PutUint32(raw[8:12], v) // magic, then the version; the CRC covers the payload only
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	before := dirHashes(t, dir)
-	const want = "is a format version 3 manifest, this build reads version 4 only"
+	want := fmt.Sprintf("is a format version %d manifest, this build reads version 5 only", v)
 	_, _, openErr := durable.OpenFS(dir, vfs.OS())
 	_, engineErr := OpenDurable("sets", dir)
 	_, epochErr := OpenAtEpoch("sets", dir, 1)
@@ -191,8 +203,8 @@ func TestManifestVersion3Refused(t *testing.T) {
 	_, repairErr := durable.Scrub(dir, durable.ScrubOptions{Repair: true})
 	for what, err := range map[string]error{"OpenFS": openErr, "OpenDurable": engineErr, "OpenAtEpoch": epochErr, "Scrub": scrubErr, "Scrub -repair": repairErr} {
 		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s of a version 3 manifest: %v", what, err)
+			t.Errorf("%s of a version %d manifest: %v", what, v, err)
 		}
 	}
-	sameFiles(t, "a refused version 3 manifest", dir, before)
+	sameFiles(t, fmt.Sprintf("a refused version %d manifest", v), dir, before)
 }

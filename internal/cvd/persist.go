@@ -281,7 +281,7 @@ func verifyCatalog(st *PersistentState, catalog *relstore.Table) error {
 // verifyVersions checks that st's versioning table is the version history its
 // head describes: one record set per version 1 … NextVID-1, in order, each as
 // large as its graph node and its metadata say the version is, holding only
-// record ids handed out so far.
+// record ids handed out so far, and each version's parents older than it.
 func verifyVersions(st *PersistentState) error {
 	if want := int(st.NextVID) - 1; len(st.RecordSets) != want {
 		return fmt.Errorf("cvd: %s: the versioning table holds %d versions where version ids 1 to %d were handed out", st.Name, len(st.RecordSets), want)
@@ -301,6 +301,11 @@ func verifyVersions(st *PersistentState) error {
 		}
 		if node.NumRecords != n || meta.NumRecords != n {
 			return fmt.Errorf("cvd: %s: version %d lists %d records in the versioning table, %d in the version graph and %d in its metadata", st.Name, v, n, node.NumRecords, meta.NumRecords)
+		}
+		for _, p := range meta.Parents {
+			if p < 1 || p >= v {
+				return fmt.Errorf("cvd: %s: version %d names parent %d, which is not an older version", st.Name, v, p)
+			}
 		}
 		lo, _ := vs.Set.Min()
 		hi, _ := vs.Set.Max()

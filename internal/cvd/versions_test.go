@@ -89,8 +89,8 @@ func TestRlistIsRecordSet(t *testing.T) {
 
 // TestRestoreRefusesBadVersions: a versioning table that is not the history
 // the head describes — a version missing, a set whose size disagrees with its
-// version's node or metadata, a record id never handed out — is refused with
-// the CVD and the version named.
+// version's node or metadata, a parent no older than its child, a record id
+// never handed out — is refused with the CVD and the version named.
 func TestRestoreRefusesBadVersions(t *testing.T) {
 	for name, tc := range map[string]struct {
 		damage func(st *PersistentState)
@@ -100,8 +100,9 @@ func TestRestoreRefusesBadVersions(t *testing.T) {
 		"order": {func(st *PersistentState) {
 			st.RecordSets[1], st.RecordSets[2] = st.RecordSets[2], st.RecordSets[1]
 		}, "row 1 of the versioning table is version 3, want 2"},
-		"graph": {func(st *PersistentState) { st.Graph.Node(2).NumRecords++ }, "version 2 lists 3 records in the versioning table, 4 in the version graph and 3 in its metadata"},
-		"meta":  {func(st *PersistentState) { st.Metas[3].NumRecords-- }, "version 4 lists 6 records in the versioning table, 6 in the version graph and 5 in its metadata"},
+		"graph":  {func(st *PersistentState) { st.Graph.Node(2).NumRecords++ }, "version 2 lists 3 records in the versioning table, 4 in the version graph and 3 in its metadata"},
+		"meta":   {func(st *PersistentState) { st.Metas[3].NumRecords-- }, "version 4 lists 6 records in the versioning table, 6 in the version graph and 5 in its metadata"},
+		"parent": {func(st *PersistentState) { st.Metas[1].Parents = []vgraph.VersionID{3} }, "version 2 names parent 3, which is not an older version"},
 		"rid": {func(st *PersistentState) {
 			s := recset.FromSorted([]int64{3, 5, 6, int64(st.NextRID)})
 			st.RecordSets[2].Set = s

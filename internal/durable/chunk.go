@@ -48,14 +48,18 @@ const (
 	chunkColBand     uint8 = 1 // one row band of one table column's lanes
 	chunkCVDHead     uint8 = 2 // CVD identity, counters, graph, metas, partitions
 	chunkCatalogBand uint8 = 3 // retired with manifest version 2: a band of boxed catalog rows; nothing writes or reads it
-	chunkRecsetRun   uint8 = 4 // one run of per-version record sets
+	chunkFullSetRun  uint8 = 4 // retired with manifest version 5: a run of versions each stored in full; nothing writes or reads it
+	chunkRecsetRun   uint8 = 5 // one run of per-version record sets, each in full or as its delta
 )
 
 // wrongKind is the error for a chunk whose kind byte is not the one its
-// section calls for; the retired kind is refused by name.
+// section calls for; the retired kinds are refused by name.
 func wrongKind(k uint8, want string) error {
-	if k == chunkCatalogBand {
+	switch k {
+	case chunkCatalogBand:
 		return fmt.Errorf("durable: chunk kind %d is the retired record-catalog band of manifest version 2, want %s", k, want)
+	case chunkFullSetRun:
+		return fmt.Errorf("durable: chunk kind %d is the retired full-set record-set run of manifest version 4, want %s", k, want)
 	}
 	return fmt.Errorf("durable: chunk kind %d, want %s", k, want)
 }
@@ -627,36 +631,153 @@ func decodeCVDHead(payload []byte) (*cvd.PersistentState, error) {
 
 // ---- recset runs --------------------------------------------------------------
 
-// encodeRecsetRun appends one run of per-version record sets.
-func encodeRecsetRun(e *enc, sets []cvd.VersionRecordSet) {
+// Record-set run entry tags: how one version's set is stored.
+const (
+	recsetFull  uint8 = 0 // the set in the recset codec
+	recsetDelta uint8 = 1 // the rids it drops from the union of its parents, then the rids it adds
+)
+
+// badVersions is a record-set run entry restore refuses: a delta that does not
+// continue its parents' union, or a tag no build writes. It is classed with
+// cvd.Restore's versioning-table refusals, so the open fails and fsck reports
+// bad-versions in one sentence.
+type badVersions struct{ error }
+
+func (badVersions) Is(target error) bool { return target == cvd.ErrBadVersions }
+
+// parentSets returns the sets of version v's parents, the base of its delta
+// entry: the parents come from the CVD head's metadata (v's is the one at
+// done's length) and their sets from done, the versions before v. A delta
+// names only older versions, which restore has rebuilt already.
+func parentSets(head *cvd.PersistentState, done []cvd.VersionRecordSet, v vgraph.VersionID) ([]*recset.Set, error) {
+	i := len(done)
+	if i >= len(head.Metas) || head.Metas[i].ID != v {
+		return nil, fmt.Errorf("durable: CVD %s: version %d is stored as a delta, but the CVD head holds no metadata naming its parents", head.Name, v)
+	}
+	parents := head.Metas[i].Parents
+	sets := make([]*recset.Set, len(parents))
+	for k, p := range parents {
+		if p < 1 || p >= v || int(p) > i {
+			return nil, fmt.Errorf("durable: CVD %s: version %d is stored as a delta against parent %d, which is not an older version", head.Name, v, p)
+		}
+		sets[k] = done[p-1].Set
+	}
+	return sets, nil
+}
+
+// unionOf returns the union of sets; a single set is returned as it is.
+func unionOf(sets []*recset.Set) *recset.Set {
+	if len(sets) == 1 {
+		return sets[0]
+	}
+	u := recset.New()
+	for _, s := range sets {
+		u.UnionWith(s)
+	}
+	return u
+}
+
+// encodeRecsetRun appends the run of rows [lo, hi) of st's versioning table.
+// Each version is stored as whichever entry encodes smaller: its full set, or
+// its delta against the union of its parents — the fact the WAL commit record
+// journals, in the WAL's rid-list codec. A root version is always stored in
+// full. The choice depends only on committed, immutable sets, so a full run
+// always encodes to the same bytes.
+func encodeRecsetRun(e *enc, st *cvd.PersistentState, lo, hi int) {
 	e.u8(chunkRecsetRun)
-	e.uvarint(uint64(len(sets)))
-	for _, vs := range sets {
+	e.uvarint(uint64(hi - lo))
+	var delta enc
+	for i := lo; i < hi; i++ {
+		vs := st.RecordSets[i]
 		e.uvarint(uint64(vs.Version))
+		at := len(e.b)
+		e.u8(recsetFull)
 		e.b = vs.Set.AppendBinary(e.b)
+		parents, err := parentSets(st, st.RecordSets[:i], vs.Version)
+		if err != nil || len(parents) == 0 {
+			continue
+		}
+		u := unionOf(parents)
+		delta.b = append(delta.b[:0], recsetDelta)
+		delta.ridGaps(recset.AndNot(u, vs.Set).Slice())
+		delta.ridGaps(recset.AndNot(vs.Set, u).Slice())
+		if len(delta.b) < len(e.b)-at {
+			e.b = append(e.b[:at], delta.b...)
+		}
 	}
 }
 
-// decodeRecsetRun appends the run's record sets to dst.
-func decodeRecsetRun(dst []cvd.VersionRecordSet, payload []byte) ([]cvd.VersionRecordSet, error) {
+// decodeRecsetRun appends the run's record sets to dst, which holds the sets
+// of every version before the run: a delta entry is rebuilt as a clone of the
+// union of its parents (named by head, the CVD's decoded head), minus the
+// rids it drops, plus the rids it adds. An entry that does not continue its
+// parents' union is refused as badVersions.
+func decodeRecsetRun(dst []cvd.VersionRecordSet, payload []byte, head *cvd.PersistentState) ([]cvd.VersionRecordSet, error) {
 	d := &dec{b: payload}
 	if k := d.u8(); k != chunkRecsetRun {
 		return nil, wrongKind(k, "record-set run")
 	}
 	n := d.length(2)
 	for i := 0; i < n; i++ {
-		dst = append(dst, cvd.VersionRecordSet{Version: vgraph.VersionID(d.uvarint()), Set: d.recset()})
+		v := vgraph.VersionID(d.uvarint())
+		var s *recset.Set
+		switch tag := d.u8(); {
+		case d.err != nil:
+		case tag == recsetFull:
+			s = d.recset()
+		case tag == recsetDelta:
+			dropped, added := d.ridGaps(), d.ridGaps()
+			if d.err != nil {
+				break
+			}
+			var err error
+			if s, err = applyDelta(head, dst, v, dropped, added); err != nil {
+				return nil, err
+			}
+		default:
+			return nil, badVersions{fmt.Errorf("durable: CVD %s: version %d is stored under record-set entry tag %d; want %d (its full set) or %d (its delta)", head.Name, v, tag, recsetFull, recsetDelta)}
+		}
 		if d.err != nil {
 			return nil, d.err
 		}
-	}
-	if d.err != nil {
-		return nil, d.err
+		dst = append(dst, cvd.VersionRecordSet{Version: v, Set: s})
 	}
 	if d.off != len(payload) {
 		return nil, fmt.Errorf("durable: record-set run: %d trailing bytes", len(payload)-d.off)
 	}
 	return dst, nil
+}
+
+// applyDelta rebuilds version v's set from its delta entry by set algebra, in
+// time linear in the sets: each list must ascend strictly from rid 1, as the
+// writer's do; every dropped rid must be in the union of its parents, and no
+// added rid may be. That every rid is one handed out is cvd.Restore's check,
+// made on the rebuilt set as on a full one.
+func applyDelta(head *cvd.PersistentState, done []cvd.VersionRecordSet, v vgraph.VersionID, dropped, added []int64) (*recset.Set, error) {
+	for _, rids := range [][]int64{dropped, added} {
+		for k, rid := range rids {
+			if rid < 1 || k > 0 && rid <= rids[k-1] {
+				return nil, badVersions{fmt.Errorf("durable: CVD %s: version %d's delta lists record %d out of order; its rids must ascend from 1", head.Name, v, rid)}
+			}
+		}
+	}
+	parents, err := parentSets(head, done, v)
+	if err != nil {
+		return nil, badVersions{err}
+	}
+	u := unionOf(parents)
+	d, a := recset.FromSorted(dropped), recset.FromSorted(added)
+	if stray := recset.AndNot(d, u); !stray.IsEmpty() {
+		rid, _ := stray.Min()
+		return nil, badVersions{fmt.Errorf("durable: CVD %s: version %d drops record %d, which its parents do not hold", head.Name, v, rid)}
+	}
+	if held := recset.And(a, u); !held.IsEmpty() {
+		rid, _ := held.Min()
+		return nil, badVersions{fmt.Errorf("durable: CVD %s: version %d adds record %d, which its parents already hold", head.Name, v, rid)}
+	}
+	s := recset.AndNot(u, d)
+	s.UnionWith(a)
+	return s, nil
 }
 
 // cvdLayout is the per-CVD section geometry in manifests: how many record sets

@@ -35,15 +35,17 @@ const (
 	formatVersion = 2
 
 	// manifestFormatVersion is the manifests' own version, bumped when the
-	// sections a manifest lists change. Version 2 listed, per CVD, the bands of
-	// a record catalog stored apart from the tables (chunk kind 3); version 3
-	// has no such section — the catalog is one of the tables — but listed each
-	// split-by-rlist CVD's versioning table <cvd>_versions, whose rlist column
-	// held every version's records a second time beside the record-set runs.
-	// Version 4 lists no such table: the record-set runs are the versioning
-	// table. A manifest of an older version is refused (errManifestVersion),
-	// not converted.
-	manifestFormatVersion = 4
+	// sections a manifest lists, or the chunks they name, change. Version 2
+	// listed, per CVD, the bands of a record catalog stored apart from the
+	// tables (chunk kind 3); version 3 has no such section — the catalog is one
+	// of the tables — but listed each split-by-rlist CVD's versioning table
+	// <cvd>_versions, whose rlist column held every version's records a second
+	// time beside the record-set runs. Version 4 lists no such table: the
+	// record-set runs are the versioning table, each version's set in full
+	// (chunk kind 4). Version 5 stores each version in full or as its delta
+	// from its parents, whichever is smaller (chunk kind 5). A manifest of an
+	// older version is refused (errManifestVersion), not converted.
+	manifestFormatVersion = 5
 
 	// walFormatVersion is the WAL segments' own version, bumped when only the
 	// record layout changes: a version 2 directory's checkpoints and exports
@@ -63,7 +65,7 @@ const (
 
 // errManifestVersion refuses a manifest of another version, wherever one is
 // read: open, restore at an epoch, fsck.
-var errManifestVersion = fmt.Errorf("this build reads version %d only (version 2 stored every record a second time, as catalog bands; version 3 stored every version's record list a second time, as the rlist column of a versioning table): export the versions to CSV with the build that wrote the directory and commit them to a fresh one", manifestFormatVersion)
+var errManifestVersion = fmt.Errorf("this build reads version %d only (version 2 stored every record a second time, as catalog bands; version 3 stored every version's record list a second time, as the rlist column of a versioning table; version 4 stored every version's record set in full): export the versions to CSV with the build that wrote the directory and commit them to a fresh one", manifestFormatVersion)
 
 // WALSegmentFileName returns the WAL segment file name for an epoch; the
 // fixed-width hex key makes lexical order equal epoch order.

@@ -181,10 +181,30 @@ func TestRetiredCatalogBandRefused(t *testing.T) {
 	e.u8(uint8(relstore.TypeNull))
 	_, _, _, colErr := decodeColBand(e.b, relstore.ColumnLanes{})
 	_, headErr := decodeCVDHead(e.b)
-	_, runErr := decodeRecsetRun(nil, e.b)
+	_, runErr := decodeRecsetRun(nil, e.b, fuzzCVDState())
 	for what, err := range map[string]error{"column band": colErr, "CVD head": headErr, "record-set run": runErr} {
 		if err == nil || !strings.Contains(err.Error(), "retired record-catalog band") {
 			t.Errorf("%s decoder on a kind 3 chunk: %v", what, err)
+		}
+	}
+}
+
+// TestRetiredFullSetRunRefused: chunk kind 4, the record-set run of manifest
+// version 4 that stored every version's set in full, has no decoder left;
+// every decoder a pack can hand one to refuses it by name.
+func TestRetiredFullSetRunRefused(t *testing.T) {
+	st := fuzzCVDState()
+	var e enc
+	e.u8(chunkFullSetRun)
+	e.uvarint(1)
+	e.uvarint(1) // version 1, then its set as version 4 wrote it
+	e.b = st.RecordSets[0].Set.AppendBinary(e.b)
+	_, _, _, colErr := decodeColBand(e.b, relstore.ColumnLanes{})
+	_, headErr := decodeCVDHead(e.b)
+	_, runErr := decodeRecsetRun(nil, e.b, st)
+	for what, err := range map[string]error{"column band": colErr, "CVD head": headErr, "record-set run": runErr} {
+		if err == nil || !strings.Contains(err.Error(), "retired full-set record-set run of manifest version 4") {
+			t.Errorf("%s decoder on a kind 4 chunk: %v", what, err)
 		}
 	}
 }

@@ -118,8 +118,21 @@ func FuzzChunkDecode(f *testing.F) {
 		f.Fatalf("a split-by-vlist CVD head decodes with %v", err)
 	}
 	e.b = e.b[:0]
-	encodeRecsetRun(&e, st.RecordSets)
+	encodeRecsetRun(&e, st, 0, len(st.RecordSets))
+	if e.b[5+len(st.RecordSets[0].Set.AppendBinary(nil))] != recsetDelta { // kind, count, v1, its tag and set, v2, its tag
+		f.Fatal("version 2 of the fuzz CVD is not stored as its delta")
+	}
 	f.Add(append([]byte(nil), e.b...))
+	// Entries the decoder must refuse: a tombstone the parent does not hold,
+	// an addition the parent holds, additions that descend (one per
+	// container), a delta out of version order (the head names no parents
+	// for it), an unknown tag.
+	root := fullEntry(1, st.RecordSets[0].Set)
+	f.Add(runPayload(root, deltaEntry(2, []int64{3}, nil)))
+	f.Add(runPayload(root, deltaEntry(2, nil, []int64{10})))
+	f.Add(runPayload(root, deltaEntry(2, nil, []int64{3 << 16, 2 << 16, 1 << 16})))
+	f.Add(runPayload(deltaEntry(2, nil, []int64{4})))
+	f.Add(runPayload(root, []byte{2, 7}))
 	f.Add(fuzzColBandPayload(false))
 	f.Add(fuzzColBandPayload(true))
 	f.Add([]byte{})
@@ -142,8 +155,44 @@ func FuzzChunkDecode(f *testing.F) {
 		if st, err := decodeCVDHead(data); err == nil && st.Graph == nil {
 			t.Fatal("CVD head decoded without a graph")
 		}
-		_, _ = decodeRecsetRun(nil, data)
+		if sets, err := decodeRecsetRun(nil, data, st); err == nil {
+			for _, vs := range sets {
+				if vs.Set == nil {
+					t.Fatalf("record-set run decoded version %d without a set", vs.Version)
+				}
+			}
+		}
 	})
+}
+
+// runPayload assembles a record-set run chunk from raw entries, as a hostile
+// writer would.
+func runPayload(entries ...[]byte) []byte {
+	e := enc{b: []byte{chunkRecsetRun}}
+	e.uvarint(uint64(len(entries)))
+	for _, en := range entries {
+		e.raw(en)
+	}
+	return e.b
+}
+
+// fullEntry is version v's run entry holding s in full.
+func fullEntry(v vgraph.VersionID, s *recset.Set) []byte {
+	var e enc
+	e.uvarint(uint64(v))
+	e.u8(recsetFull)
+	e.b = s.AppendBinary(e.b)
+	return e.b
+}
+
+// deltaEntry is version v's run entry dropping and adding the given rids.
+func deltaEntry(v vgraph.VersionID, dropped, added []int64) []byte {
+	var e enc
+	e.uvarint(uint64(v))
+	e.u8(recsetDelta)
+	e.ridGaps(dropped)
+	e.ridGaps(added)
+	return e.b
 }
 
 // FuzzManifestDecode pins two properties of the manifest payload codec: no
@@ -325,9 +374,14 @@ func FuzzScrub(f *testing.F) {
 	}
 	f.Add([]byte{}, []byte{}, segment)
 	// A checkpointed directory, so mutations reach the recovery behind the
-	// framing: a CVD restored from the manifest and a commit replayed onto it.
-	pack, man, wal := fuzzScrubImage(f)
+	// framing: a CVD restored from the manifest — one version in full, one as
+	// its delta — and a commit replayed onto it.
+	pack, man, wal := fuzzScrubImage(f, false)
 	f.Add(pack, man, wal)
+	// The same with a hostile delta entry behind intact frames: the restore,
+	// not the walk, must refuse it.
+	hostilePack, hostileMan, hostileWAL := fuzzScrubImage(f, true)
+	f.Add(hostilePack, hostileMan, hostileWAL)
 	// The same with its first chunk's first byte flipped: a corrupt frame
 	// mid-file, which the open must leave where it is.
 	flipped := append([]byte(nil), pack...)
@@ -372,35 +426,62 @@ func FuzzScrub(f *testing.F) {
 	})
 }
 
-// fuzzScrubImage writes a directory holding one CVD — checkpointed at epoch
-// 1, then committed to once more — and returns its pack, manifest and WAL
-// segment.
-func fuzzScrubImage(f *testing.F) (pack, man, wal []byte) {
-	dir := f.TempDir()
+// fuzzScrubImage writes a directory holding one CVD — two versions, the
+// second a small edit of the first, which its run stores as a delta —
+// checkpointed at epoch 1, then committed to once more, and returns its pack,
+// manifest and WAL segment. With hostile, the checkpoint's run is swapped for
+// one whose delta drops a record version 1 does not hold, under a manifest
+// rewritten to name it: every frame, hash and CRC is right, and restoring the
+// checkpoint must refuse it as bad-versions.
+func fuzzScrubImage(tb testing.TB, hostile bool) (pack, man, wal []byte) {
+	dir := tb.TempDir()
 	s, _, err := Open(dir)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	db := relstore.NewDatabase("fuzz")
 	rng := rand.New(rand.NewSource(9))
-	c, err := cvd.Init(db, "d", gateSchema(), gateRows(rng, 0, 30), cvd.Options{})
+	rows := gateRows(rng, 0, 30)
+	c, err := cvd.Init(db, "d", gateSchema(), rows, cvd.Options{})
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	if _, err := s.Checkpoint(snapshotOf(f, db, c)); err != nil {
-		f.Fatal(err)
+	if _, err := c.Commit([]vgraph.VersionID{1}, append(rows[:25:25], gateRows(rng, 30, 3)...), gateSchema(), "edit", "f"); err != nil {
+		tb.Fatal(err)
+	}
+	snap := snapshotOf(tb, db, c)
+	if tags, _ := entrySizes(tb, snap.CVDs[0]); tags[1] != recsetDelta {
+		tb.Fatal("version 2 of the scrub image is not stored as its delta")
+	}
+	if _, err := s.Checkpoint(snap); err != nil {
+		tb.Fatal(err)
+	}
+	if hostile {
+		payload := runPayload(fullEntry(1, snap.CVDs[0].RecordSets[0].Set), deltaEntry(2, []int64{1000}, nil))
+		h := hashChunk(payload)
+		if _, err := s.pack.put(h, payload); err != nil {
+			tb.Fatal(err)
+		}
+		if err := s.pack.sync(); err != nil {
+			tb.Fatal(err)
+		}
+		m := s.manifests[1]
+		m.cvds[0].runs[0] = h
+		if _, err := writeManifestFile(s.fsys, dir, m); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	c.SetJournal(s)
-	if _, err := c.Commit([]vgraph.VersionID{1}, gateRows(rng, 20, 15), gateSchema(), "more", "f"); err != nil {
-		f.Fatal(err)
+	if _, err := c.Commit([]vgraph.VersionID{2}, gateRows(rng, 20, 15), gateSchema(), "more", "f"); err != nil {
+		tb.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	read := func(name string) []byte {
 		b, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
 		return b
 	}

@@ -29,8 +29,10 @@ import (
 //
 // A CVD's record catalog is one of the tables and its record-set runs are its
 // versioning table (see cvd.PersistentState): manifest version 3 dropped the
-// per-CVD catalog-band section version 2 kept beside the tables, and version 4
-// the versioning table version 3 listed among them.
+// per-CVD catalog-band section version 2 kept beside the tables, version 4
+// the versioning table version 3 listed among them, and version 5 the full
+// set of every version that version 4's runs (chunk kind 4) stored: a run
+// (kind 5) stores each version in full or as its delta from its parents.
 
 // manifest is one decoded checkpoint manifest.
 type manifest struct {
@@ -227,7 +229,7 @@ func readManifestFile(fsys vfs.FS, path string) (*manifest, error) {
 	}
 	switch v := binary.LittleEndian.Uint32(data[8:12]); v {
 	case manifestFormatVersion:
-	case 2, 3:
+	case 2, 3, 4:
 		return nil, fmt.Errorf("durable: %s is a format version %d manifest, %w", path, v, errManifestVersion)
 	default:
 		return nil, fmt.Errorf("durable: unsupported manifest version %d (want %d)", v, manifestFormatVersion)
@@ -248,22 +250,22 @@ func readManifestFile(fsys vfs.FS, path string) (*manifest, error) {
 	return m, nil
 }
 
-// chunkRefs calls fn for every chunk reference in the manifest (duplicates
-// included — identical bands of different epochs, or within one epoch,
-// reference the same chunk).
-func (m *manifest) chunkRefs(fn func(ChunkHash)) {
+// chunkRefs calls fn for every chunk reference in the manifest, with the kind
+// of chunk its section holds (duplicates included — identical bands of
+// different epochs, or within one epoch, reference the same chunk).
+func (m *manifest) chunkRefs(fn func(ChunkHash, uint8)) {
 	for i := range m.tables {
 		for _, bands := range m.tables[i].cols {
 			for _, h := range bands {
-				fn(h)
+				fn(h, chunkColBand)
 			}
 		}
 	}
 	for i := range m.cvds {
 		c := &m.cvds[i]
-		fn(c.head)
+		fn(c.head, chunkCVDHead)
 		for _, h := range c.runs {
-			fn(h)
+			fn(h, chunkRecsetRun)
 		}
 	}
 }
@@ -302,7 +304,9 @@ func (mc *manifestCVD) decodeHead(get func(ChunkHash) ([]byte, error)) (*cvd.Per
 }
 
 // addRecordSets decodes the CVD's record-set runs, fetched through get and
-// delivered in order, into st.RecordSets: the versioning table.
+// delivered in order, into st.RecordSets: the versioning table. st is the
+// decoded head, whose metadata names the parents a delta entry is rebuilt
+// from.
 func (mc *manifestCVD) addRecordSets(st *cvd.PersistentState, get func(ChunkHash) ([]byte, error)) error {
 	l := mc.layout
 	if l.sets > 0 {
@@ -317,7 +321,7 @@ func (mc *manifestCVD) addRecordSets(st *cvd.PersistentState, get func(ChunkHash
 		if before >= l.sets {
 			return fmt.Errorf("durable: CVD %s: more record-set runs than %d sets need", l.name, l.sets)
 		}
-		sets, err := decodeRecsetRun(st.RecordSets, payload)
+		sets, err := decodeRecsetRun(st.RecordSets, payload, st)
 		if err != nil {
 			return fmt.Errorf("durable: CVD %s record-set run at %d: %w", l.name, before, err)
 		}

@@ -79,8 +79,10 @@ const (
 	// IssueBadVersions: a usable retained manifest holds a CVD whose
 	// versioning table — its record-set runs — is not the history its head
 	// describes: a version missing or out of order, a set whose size disagrees
-	// with its version's node or metadata, or a record id never handed out.
-	// Every chunk is intact, yet restoring the epoch fails
+	// with its version's node or metadata, a record id never handed out, a
+	// parent no older than its child, or a delta entry that does not continue
+	// its parents' union (or an entry of an unknown tag). Every chunk is
+	// intact, yet restoring the epoch fails
 	// (cvd.ErrBadVersions), with the sentence the detail repeats. Never
 	// repaired.
 	IssueBadVersions IssueKind = "bad-versions"
@@ -117,6 +119,9 @@ type ScrubReport struct {
 	SegmentsChecked  int `json:"segments_checked"`
 	// Repairs counts repair actions taken (0 unless ScrubOptions.Repair).
 	Repairs int `json:"repairs"`
+	// LiveBytes is the payload bytes of the pack's live chunks — each chunk a
+	// readable retained manifest references, once — by chunk kind.
+	LiveBytes KindBytes `json:"live_bytes"`
 }
 
 // Healthy reports a defect-free directory.
@@ -252,7 +257,7 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 		} else {
 			ms.m = m
 			seen := make(map[ChunkHash]struct{})
-			m.chunkRefs(func(h ChunkHash) {
+			m.chunkRefs(func(h ChunkHash, _ uint8) {
 				if _, dup := seen[h]; dup {
 					return
 				}
@@ -402,7 +407,15 @@ func scrubLocked(fsys vfs.FS, dir string, opts ScrubOptions, rep *ScrubReport) e
 	live := make(map[ChunkHash]struct{})
 	for _, ms := range manifests {
 		if ms.m != nil {
-			ms.m.chunkRefs(func(h ChunkHash) { live[h] = struct{}{} })
+			ms.m.chunkRefs(func(h ChunkHash, k uint8) {
+				if _, dup := live[h]; dup {
+					return
+				}
+				live[h] = struct{}{}
+				if n, ok := pack.sizeOf(h); ok {
+					rep.LiveBytes.add(k, int64(n))
+				}
+			})
 		}
 	}
 	dead, anyLive := 0, false

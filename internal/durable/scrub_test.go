@@ -210,7 +210,7 @@ func TestScrubPlainBitFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := make(map[ChunkHash]bool)
-	m.chunkRefs(func(h ChunkHash) { live[h] = true })
+	m.chunkRefs(func(h ChunkHash, _ uint8) { live[h] = true })
 	frames := readPackFrames(t, filepath.Join(fixture, PackFile))
 	last := len(frames) - 1
 	dead := func(fr packFrame) bool { return !live[fr.h] }

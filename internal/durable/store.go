@@ -673,6 +673,35 @@ type CheckpointStats struct {
 	BytesWritten  int64 // bytes appended to disk: new pack frames + manifest
 	ManifestBytes int64
 	Duration      time.Duration
+	// Referenced splits ChunkBytes by chunk kind; Written does the same for
+	// the payloads of the chunks appended to the pack.
+	Referenced, Written KindBytes
+}
+
+// KindBytes splits chunk payload bytes by the kind of chunk that holds them.
+type KindBytes struct {
+	ColumnBands int64 `json:"column_bands"`
+	CVDHeads    int64 `json:"cvd_heads"`
+	RecsetRuns  int64 `json:"recset_runs"`
+}
+
+// add counts n payload bytes of a chunk of kind k.
+func (b *KindBytes) add(k uint8, n int64) {
+	switch k {
+	case chunkColBand:
+		b.ColumnBands += n
+	case chunkCVDHead:
+		b.CVDHeads += n
+	case chunkRecsetRun:
+		b.RecsetRuns += n
+	}
+}
+
+// Total is the payload bytes of every kind.
+func (b KindBytes) Total() int64 { return b.ColumnBands + b.CVDHeads + b.RecsetRuns }
+
+func (b KindBytes) String() string {
+	return fmt.Sprintf("%d B column bands, %d B CVD heads, %d B record-set runs", b.ColumnBands, b.CVDHeads, b.RecsetRuns)
 }
 
 // BeginCheckpoint seals the active WAL segment and opens the next one, so
@@ -794,28 +823,30 @@ func (s *Store) encodeSnapshotChunks(job *CheckpointJob, snap *Snapshot) (*manif
 	m := &manifest{dbName: snap.DBName, epoch: snap.Epoch}
 	newCache := make(map[string]fpEntry)
 	var cacheMu sync.Mutex
-	var chunks, written, chunkBytes, bytesWritten atomic.Int64
+	var chunks, written atomic.Int64
+	// Payload bytes referenced and written, by chunk kind.
+	var referenced, wrote [chunkRecsetRun + 1]atomic.Int64
 
 	// emit writes one encoded payload to the pack (deduplicated by content).
 	emit := func(payload []byte) (ChunkHash, error) {
 		h := hashChunk(payload)
-		wrote, err := s.pack.put(h, payload)
+		fresh, err := s.pack.put(h, payload)
 		if err != nil {
 			return h, err
 		}
 		chunks.Add(1)
-		chunkBytes.Add(int64(len(payload)))
-		if wrote {
+		referenced[payload[0]].Add(int64(len(payload)))
+		if fresh {
 			written.Add(1)
-			bytesWritten.Add(packFrameOverhead + int64(len(payload)))
+			wrote[payload[0]].Add(int64(len(payload)))
 		}
 		return h, nil
 	}
-	// reuse accounts for a band served from the fingerprint cache.
-	reuse := func(h ChunkHash) {
+	// reuse accounts for a chunk of kind k served from the fingerprint cache.
+	reuse := func(h ChunkHash, k uint8) {
 		chunks.Add(1)
 		if n, ok := s.pack.sizeOf(h); ok {
-			chunkBytes.Add(int64(n))
+			referenced[k].Add(int64(n))
 		}
 	}
 
@@ -852,7 +883,7 @@ func (s *Store) encodeSnapshotChunks(job *CheckpointJob, snap *Snapshot) (*manif
 				cacheMu.Unlock()
 				if ok && old.fp == fp && s.pack.has(old.hash) {
 					mt.cols[u.ci][b] = old.hash
-					reuse(old.hash)
+					reuse(old.hash, chunkColBand)
 					cacheMu.Lock()
 					newCache[key] = old
 					cacheMu.Unlock()
@@ -920,13 +951,13 @@ func (s *Store) encodeSnapshotChunks(job *CheckpointJob, snap *Snapshot) (*manif
 				}
 				if old, ok := s.fpCache[key]; ok && old.fp == fp && s.pack.has(old.hash) {
 					mc.runs[r] = old.hash
-					reuse(old.hash)
+					reuse(old.hash, chunkRecsetRun)
 					newCache[key] = old
 					continue
 				}
 			}
 			e.b = e.b[:0]
-			encodeRecsetRun(&e, st.RecordSets[lo:hi])
+			encodeRecsetRun(&e, st, lo, hi)
 			if mc.runs[r], err = emit(e.b); err != nil {
 				return nil, nil, stats, err
 			}
@@ -937,10 +968,14 @@ func (s *Store) encodeSnapshotChunks(job *CheckpointJob, snap *Snapshot) (*manif
 		m.cvds = append(m.cvds, mc)
 	}
 
+	for k := range referenced {
+		stats.Referenced.add(uint8(k), referenced[k].Load())
+		stats.Written.add(uint8(k), wrote[k].Load())
+	}
 	stats.Chunks = int(chunks.Load())
 	stats.ChunksWritten = int(written.Load())
-	stats.ChunkBytes = chunkBytes.Load()
-	stats.BytesWritten = bytesWritten.Load()
+	stats.ChunkBytes = stats.Referenced.Total()
+	stats.BytesWritten = stats.Written.Total() + packFrameOverhead*int64(stats.ChunksWritten)
 	return m, newCache, stats, nil
 }
 
@@ -965,7 +1000,7 @@ func (s *Store) collectGarbage(retain int) {
 	}
 	live := make(map[ChunkHash]struct{})
 	for _, m := range s.manifests {
-		m.chunkRefs(func(h ChunkHash) { live[h] = struct{}{} })
+		m.chunkRefs(func(h ChunkHash, _ uint8) { live[h] = struct{}{} })
 	}
 	s.mu.Unlock()
 	if removed {

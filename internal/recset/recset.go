@@ -349,9 +349,21 @@ func andNotContainers(a, b *container) *container {
 		return out
 	case a.bitmap == nil:
 		var lows []uint16
-		for _, v := range a.array {
-			if !b.contains(v) {
-				lows = append(lows, v)
+		if b.bitmap != nil { // a bitmap answers each lookup in O(1)
+			for _, v := range a.array {
+				if !b.contains(v) {
+					lows = append(lows, v)
+				}
+			}
+		} else {
+			j := 0 // walk b alongside a: both are sorted
+			for _, v := range a.array {
+				for j < len(b.array) && b.array[j] < v {
+					j++
+				}
+				if j == len(b.array) || b.array[j] != v {
+					lows = append(lows, v)
+				}
 			}
 		}
 		if len(lows) == 0 {
