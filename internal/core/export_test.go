@@ -37,8 +37,9 @@ func exportSource(t *testing.T, fsys vfs.FS) *Engine {
 // TestSaveFaultSweep arms one fault at every I/O operation of one Save and
 // reopens the target on the real filesystem: it must hold exactly the saved
 // state or none of it — the manifest rename is the export's commit point —
-// never a subset. Before the reopen, fsck must agree with the open on the
-// target and repair it (fsckAgreesWithOpen). It also pins that an export's
+// never a subset. Before the reopen, the target's checkpoint must load alike
+// on one worker and on four (loadsAgreeAcrossWorkers), and fsck must agree
+// with the open on the target and repair it (fsckAgreesWithOpen). It also pins that an export's
 // I/O goes through the engine's filesystem at all: the golden run counts
 // operations on the injector.
 func TestSaveFaultSweep(t *testing.T) {
@@ -64,6 +65,9 @@ func TestSaveFaultSweep(t *testing.T) {
 				t.Fatalf("%s: fault never fired (golden run had %d ops)", ctx, ops)
 			}
 			points++
+			if err := loadsAgreeAcrossWorkers(dir); err != nil {
+				t.Errorf("%s: %v", ctx, err)
+			}
 			if err := fsckAgreesWithOpen(dir); err != nil {
 				t.Errorf("%s: %v", ctx, err)
 				continue

@@ -19,9 +19,11 @@ import (
 // ENOSPC, a short (torn) write, an fsync error, or a crash that drops every
 // unsynced buffer. After each injected run the data directory is reopened on
 // the real filesystem and every acknowledged commit must check out
-// bit-identical to a reference engine. Before the reopen, fsck must agree
-// with the open on the image and repair it (fsckAgreesWithOpen). Silent loss
-// and panics are the two forbidden outcomes.
+// bit-identical to a reference engine. Before the reopen, every retained
+// checkpoint of the image must load alike on one worker and on four
+// (loadsAgreeAcrossWorkers), and fsck must agree with the open on the image
+// and repair it (fsckAgreesWithOpen). Silent loss and panics are the two
+// forbidden outcomes.
 // The sweep covers three durability modes: fsync-per-commit, group commit,
 // and background checkpoint.
 
@@ -128,6 +130,9 @@ func runSweepWorkload(mode, dir string, fs vfs.FS, seed int64) (acked int) {
 // unacknowledged trailing commit that made it to disk) checks out
 // bit-identical to a reference engine.
 func verifySweepDir(dir string, seed int64, acked int) error {
+	if err := loadsAgreeAcrossWorkers(dir); err != nil {
+		return err
+	}
 	if err := fsckAgreesWithOpen(dir); err != nil {
 		return err
 	}
@@ -173,6 +178,35 @@ func verifySweepDir(dir string, seed int64, acked int) error {
 		}
 		if err := RowsBitIdentical(fmt.Sprintf("sweep v%d", v), got, want); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// loadsAgreeAcrossWorkers restores every retained checkpoint of the image dir
+// on one worker and on four: the parallel load must refuse with the error the
+// one-goroutine load refuses with, or restore the same engine. A directory
+// the crash never created is no image.
+func loadsAgreeAcrossWorkers(dir string) error {
+	epochs, err := durable.ListEpochs(dir)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	for _, epoch := range epochs {
+		one, oneErr := OpenAtEpoch("one", dir, epoch, WithWorkers(1))
+		four, fourErr := OpenAtEpoch("four", dir, epoch, WithWorkers(4))
+		switch {
+		case oneErr != nil || fourErr != nil:
+			if fmt.Sprint(oneErr) != fmt.Sprint(fourErr) {
+				return fmt.Errorf("epoch %d loads on one worker with %v, on four with %v", epoch, oneErr, fourErr)
+			}
+		default:
+			if err := EnginesEquivalent(fmt.Sprintf("epoch %d on one worker and on four", epoch), one, four); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -9,7 +9,8 @@
 // queries read the state its last writer published, without waiting. The
 // WithWorkers option additionally bounds the intra-operation parallelism of
 // the hot paths (multi-version checkout, partitioned scans, partition
-// builds, and LyreSplit candidate evaluation).
+// builds, LyreSplit candidate evaluation, and a durable engine's checkpoint
+// encode and load).
 package core
 
 import (
@@ -75,7 +76,8 @@ type Engine struct {
 	ckptDone    bool
 }
 
-// RecoveryInfo reports what opening a data directory had to repair.
+// RecoveryInfo reports what opening a data directory had to repair, and where
+// the open's time went.
 type RecoveryInfo struct {
 	// TornTail: a partially-written WAL record (crashed append) was found
 	// and truncated away. Every fully-committed record before it survived.
@@ -84,6 +86,17 @@ type RecoveryInfo struct {
 	// of a crash between a checkpoint's snapshot rename and WAL reset.
 	// Everything in the discarded WAL is already in the snapshot.
 	StaleWAL bool
+	// Load is the time spent reading, verifying and decoding the newest
+	// checkpoint's chunks, on Workers goroutines (0: no checkpoint).
+	Load    time.Duration
+	Workers int
+	// Rebuild is the time spent rebuilding each CVD over its tables
+	// (cvd.Restore).
+	Rebuild time.Duration
+	// Replay is the time spent replaying the Replayed WAL records that
+	// continue the checkpoint.
+	Replay   time.Duration
+	Replayed int
 }
 
 // Recovery returns what OpenDurable had to repair when the engine's data
@@ -95,9 +108,10 @@ func (e *Engine) Recovery() RecoveryInfo { return e.recovery }
 type Option func(*Engine)
 
 // WithWorkers sets the worker-pool size used by the engine's parallel code
-// paths. n <= 1 keeps every operation single-threaded on its calling
+// paths. n <= 1 keeps every CVD operation single-threaded on its calling
 // goroutine (concurrent clients still run in parallel — this knob only
-// bounds intra-operation fan-out).
+// bounds intra-operation fan-out). A durable engine's checkpoint encode and
+// checkpoint load run on n goroutines, or GOMAXPROCS when n <= 0.
 func WithWorkers(n int) Option {
 	return func(e *Engine) { e.workers = n }
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/cvd"
 	"repro/internal/durable"
@@ -21,31 +22,35 @@ import (
 // appended to the WAL and fsynced before it returns.
 func OpenDurable(name, dir string, opts ...Option) (*Engine, error) {
 	e := Open(name, opts...)
-	store, res, err := durable.OpenFS(dir, e.fsys)
+	store, res, err := durable.OpenFS(dir, e.fsys, e.workers)
 	if err != nil {
 		return nil, err
 	}
 	if e.gcSet {
 		store.SetGroupCommit(e.gc)
 	}
-	store.SetWorkers(e.workers)
 	if e.retain > 0 {
 		store.SetRetention(e.retain)
 	}
-	e.recovery = RecoveryInfo{TornTail: res.TornTail, StaleWAL: res.StaleWAL}
+	e.recovery = RecoveryInfo{TornTail: res.TornTail, StaleWAL: res.StaleWAL, Load: res.Load, Workers: res.LoadWorkers}
 	rec := durable.NewRecovery(e.db, e.workers)
 	if res.Snapshot != nil {
+		start := time.Now()
 		if err := rec.Restore(res.Snapshot); err != nil {
 			store.Close()
 			return nil, err
 		}
+		e.recovery.Rebuild = time.Since(start)
 	}
 	// Stream the WAL through the recovery one record at a time (a large log
 	// is never materialized whole).
-	if _, err := store.ReplayWAL(rec.Apply); err != nil {
+	start := time.Now()
+	e.recovery.Replayed, err = store.ReplayWAL(rec.Apply)
+	if err != nil {
 		store.Close()
 		return nil, err
 	}
+	e.recovery.Replay = time.Since(start)
 	// Attach the journal only after replay so replayed operations are not
 	// logged a second time.
 	e.db, e.cvds, e.store = rec.DB, rec.CVDs, store
@@ -62,11 +67,11 @@ func OpenDurable(name, dir string, opts ...Option) (*Engine, error) {
 // unaffected. Use Engine.RetainedEpochs (or durable.ListEpochs) to discover
 // which epochs are restorable.
 func OpenAtEpoch(name, dir string, epoch uint64, opts ...Option) (*Engine, error) {
-	snap, err := durable.OpenAtEpoch(dir, epoch)
+	e := Open(name, opts...)
+	snap, err := durable.OpenAtEpoch(dir, epoch, e.workers)
 	if err != nil {
 		return nil, err
 	}
-	e := Open(name, opts...)
 	rec := durable.NewRecovery(e.db, e.workers)
 	if err := rec.Restore(snap); err != nil {
 		return nil, err

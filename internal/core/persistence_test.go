@@ -192,9 +192,9 @@ func buildRandomCVD(t *testing.T, rng *rand.Rand, e *Engine, name string, mid fu
 // acceptance criteria: across randomized schemas, nulls, evolved columns and
 // partitioned storage, a durable engine's directory — its newest checkpoint,
 // taken in the background between two commits while commits continue, and the
-// WAL after it — and a Save of the engine both reopen to an engine whose every
-// version checks out bit-identically, in the same partition, and that stays in
-// lockstep on the next commit.
+// WAL after it — and a Save of the engine both reopen, loaded on one worker
+// and on four, to an engine whose every version checks out bit-identically, in
+// the same partition, and that stays in lockstep on the next commit.
 func TestSnapshotRoundTripProperty(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		trial := trial
@@ -243,15 +243,23 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 
+			// Each directory reopens once loaded on one worker and once on
+			// four; the directory lock admits one engine at a time, so each
+			// is closed after the comparison and stays in lockstep as an
+			// ephemeral engine.
 			engines := []*Engine{e}
 			for _, d := range []string{dir, saved} {
-				restored, err := OpenDurable("prop", d)
-				if err != nil {
-					t.Fatalf("open durable %s: %v", d, err)
+				for _, workers := range []int{1, 4} {
+					restored, err := OpenDurable("prop", d, WithWorkers(workers))
+					if err != nil {
+						t.Fatalf("open durable %s on %d workers: %v", d, workers, err)
+					}
+					enginesEquivalent(t, fmt.Sprintf("trial%d, %d workers", trial, workers), e, restored)
+					if err := restored.Close(); err != nil {
+						t.Fatal(err)
+					}
+					engines = append(engines, restored)
 				}
-				defer restored.Close()
-				enginesEquivalent(t, fmt.Sprintf("trial%d", trial), e, restored)
-				engines = append(engines, restored)
 			}
 			lockstep(t, "parted", engines...)
 		})

@@ -196,7 +196,7 @@ func manifestVersionRefused(t *testing.T, v uint32) {
 	}
 	before := dirHashes(t, dir)
 	want := fmt.Sprintf("is a format version %d manifest, this build reads version 5 only", v)
-	_, _, openErr := durable.OpenFS(dir, vfs.OS())
+	_, _, openErr := durable.OpenFS(dir, vfs.OS(), 0)
 	_, engineErr := OpenDurable("sets", dir)
 	_, epochErr := OpenAtEpoch("sets", dir, 1)
 	_, scrubErr := durable.Scrub(dir, durable.ScrubOptions{})

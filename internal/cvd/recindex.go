@@ -194,9 +194,11 @@ func (c *chains) rehash(size int) {
 	}
 }
 
-// reserve sizes an empty multimap for ids up to n.
+// reserve sizes an empty multimap for ids up to n, with room for a quarter
+// more — the slack append gives a large slice when it first grows — so the
+// commit that builds the index adds its own records without copying it.
 func (c *chains) reserve(n int) {
-	c.hash, c.next = make([]uint64, n+1), make([]uint32, n+1)
+	c.hash, c.next = make([]uint64, n+1, n+1+n/4), make([]uint32, n+1, n+1+n/4)
 	size := 16
 	for size < n {
 		size *= 2

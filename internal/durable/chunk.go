@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/cvd"
@@ -180,8 +179,10 @@ func encodeColBand(e *enc, l relstore.ColumnLanes, lo, hi int, rawLanes bool) {
 
 // decodeColBand decodes a column-band payload, appending each present lane
 // into dst's lanes, and returns the grown lanes plus the presence mask and
-// decoded row count.
-func decodeColBand(payload []byte, dst relstore.ColumnLanes) (relstore.ColumnLanes, uint8, int, error) {
+// decoded row count. A present lane dst lacks is allocated once, with room for
+// size cells or the band's, whichever is more: a column's first band sizes
+// the lanes every later band appends to.
+func decodeColBand(payload []byte, dst relstore.ColumnLanes, size int) (relstore.ColumnLanes, uint8, int, error) {
 	fail := func(err error) (relstore.ColumnLanes, uint8, int, error) {
 		return relstore.ColumnLanes{}, 0, 0, err
 	}
@@ -194,6 +195,7 @@ func decodeColBand(payload []byte, dst relstore.ColumnLanes) (relstore.ColumnLan
 		return fail(fmt.Errorf("durable: column band of %d rows exceeds the %d-row bound", n64, maxBandRows))
 	}
 	n := int(n64)
+	size = max(size, n)
 	present := d.u8()
 	tagEnc := d.u8()
 	if d.err != nil {
@@ -201,7 +203,7 @@ func decodeColBand(payload []byte, dst relstore.ColumnLanes) (relstore.ColumnLan
 	}
 	var err error
 	var used int
-	dst.Tags, used, err = relstore.DecodeTagLane(dst.Tags, d.b[d.off:], tagEnc, n)
+	dst.Tags, used, err = relstore.DecodeTagLane(sized(dst.Tags, size), d.b[d.off:], tagEnc, n)
 	if err != nil {
 		return fail(err)
 	}
@@ -211,14 +213,14 @@ func decodeColBand(payload []byte, dst relstore.ColumnLanes) (relstore.ColumnLan
 		if d.err != nil {
 			return fail(d.err)
 		}
-		dst.Ints, used, err = relstore.DecodeIntLane(dst.Ints, d.b[d.off:], intEnc, n)
+		dst.Ints, used, err = relstore.DecodeIntLane(sized(dst.Ints, size), d.b[d.off:], intEnc, n)
 		if err != nil {
 			return fail(err)
 		}
 		d.off += used
 	}
 	if present&laneFloats != 0 {
-		dst.Floats, used, err = relstore.DecodeFloatLane(dst.Floats, d.b[d.off:], n)
+		dst.Floats, used, err = relstore.DecodeFloatLane(sized(dst.Floats, size), d.b[d.off:], n)
 		if err != nil {
 			return fail(err)
 		}
@@ -229,7 +231,7 @@ func decodeColBand(payload []byte, dst relstore.ColumnLanes) (relstore.ColumnLan
 		if d.err != nil {
 			return fail(d.err)
 		}
-		dst.Strs, used, err = relstore.DecodeStrLane(dst.Strs, d.b[d.off:], strEnc, n)
+		dst.Strs, used, err = relstore.DecodeStrLane(sized(dst.Strs, size), d.b[d.off:], strEnc, n)
 		if err != nil {
 			return fail(err)
 		}
@@ -240,7 +242,7 @@ func decodeColBand(payload []byte, dst relstore.ColumnLanes) (relstore.ColumnLan
 		if d.err != nil {
 			return fail(d.err)
 		}
-		dst.Arrs, used, err = relstore.DecodeArrLane(dst.Arrs, d.b[d.off:], arrEnc, n)
+		dst.Arrs, used, err = relstore.DecodeArrLane(sized(dst.Arrs, size), d.b[d.off:], arrEnc, n)
 		if err != nil {
 			return fail(err)
 		}
@@ -250,6 +252,15 @@ func decodeColBand(payload []byte, dst relstore.ColumnLanes) (relstore.ColumnLan
 		return fail(fmt.Errorf("durable: column band: %d trailing bytes", len(payload)-d.off))
 	}
 	return dst, present, n, nil
+}
+
+// sized returns lane, or a lane with room for size cells when there is none
+// yet.
+func sized[T any](lane []T, size int) []T {
+	if lane == nil {
+		return make([]T, 0, size)
+	}
+	return lane
 }
 
 // ---- table metadata and assembly --------------------------------------------
@@ -335,14 +346,14 @@ func bandRowsFor(t *relstore.Table) int {
 	return band
 }
 
-// tableAssembler rebuilds a table from its meta plus column-band chunks
-// delivered in band order per column (columns may arrive in any interleaving).
+// tableAssembler rebuilds a table from its meta plus column-band chunks,
+// delivered in band order per column. Columns are independent: each may be
+// fed from its own goroutine.
 type tableAssembler struct {
 	meta  tableMeta
 	lanes []relstore.ColumnLanes
 	rows  []int // rows assembled so far, per column
 	mask  []uint8
-	begun []bool
 }
 
 func newTableAssembler(meta tableMeta) *tableAssembler {
@@ -352,11 +363,13 @@ func newTableAssembler(meta tableMeta) *tableAssembler {
 		lanes: make([]relstore.ColumnLanes, ncols),
 		rows:  make([]int, ncols),
 		mask:  make([]uint8, ncols),
-		begun: make([]bool, ncols),
 	}
 }
 
-// addBand decodes the next band of column ci into the assembler.
+// addBand decodes the next band of column ci into the assembler. The first
+// band allocates each lane its mask names once, for the whole column plus a
+// quarter — the slack append gives a large slice when it first grows — so a
+// reopened table takes its next commit in place, as a live one would.
 func (a *tableAssembler) addBand(ci int, payload []byte) error {
 	if ci < 0 || ci >= len(a.lanes) {
 		return fmt.Errorf("durable: table %s: band for column %d of %d", a.meta.name, ci, len(a.lanes))
@@ -369,7 +382,7 @@ func (a *tableAssembler) addBand(ci int, payload []byte) error {
 	if lo+want > a.meta.nrows {
 		want = a.meta.nrows - lo
 	}
-	lanes, present, n, err := decodeColBand(payload, a.lanes[ci])
+	lanes, present, n, err := decodeColBand(payload, a.lanes[ci], a.meta.nrows+a.meta.nrows/4)
 	if err != nil {
 		return fmt.Errorf("durable: table %s column %d band at row %d: %w", a.meta.name, ci, lo, err)
 	}
@@ -378,37 +391,13 @@ func (a *tableAssembler) addBand(ci int, payload []byte) error {
 	}
 	// Lane presence is a whole-column property (lanes materialize for the
 	// full column or not at all), so every band must agree with the first.
-	if a.begun[ci] && present != a.mask[ci] {
+	if lo > 0 && present != a.mask[ci] {
 		return fmt.Errorf("durable: table %s column %d: lane mask changed between bands (%x != %x)", a.meta.name, ci, present, a.mask[ci])
-	}
-	if !a.begun[ci] && n < a.meta.nrows {
-		// The first band says which lanes the column has; size them for the
-		// whole column once instead of regrowing them band after band.
-		lanes = reserveLanes(lanes, a.meta.nrows-n)
 	}
 	a.lanes[ci] = lanes
 	a.mask[ci] = present
-	a.begun[ci] = true
 	a.rows[ci] = lo + n
 	return nil
-}
-
-// reserveLanes grows every materialized lane of l by room for extra cells.
-func reserveLanes(l relstore.ColumnLanes, extra int) relstore.ColumnLanes {
-	l.Tags = slices.Grow(l.Tags, extra)
-	if len(l.Ints) > 0 {
-		l.Ints = slices.Grow(l.Ints, extra)
-	}
-	if len(l.Floats) > 0 {
-		l.Floats = slices.Grow(l.Floats, extra)
-	}
-	if len(l.Strs) > 0 {
-		l.Strs = slices.Grow(l.Strs, extra)
-	}
-	if len(l.Arrs) > 0 {
-		l.Arrs = slices.Grow(l.Arrs, extra)
-	}
-	return l
 }
 
 // finish validates completeness and builds the table.

@@ -179,7 +179,7 @@ func TestRetiredCatalogBandRefused(t *testing.T) {
 	e.uvarint(7) // rid
 	e.uvarint(1) // one cell
 	e.u8(uint8(relstore.TypeNull))
-	_, _, _, colErr := decodeColBand(e.b, relstore.ColumnLanes{})
+	_, _, _, colErr := decodeColBand(e.b, relstore.ColumnLanes{}, 0)
 	_, headErr := decodeCVDHead(e.b)
 	_, runErr := decodeRecsetRun(nil, e.b, fuzzCVDState())
 	for what, err := range map[string]error{"column band": colErr, "CVD head": headErr, "record-set run": runErr} {
@@ -199,7 +199,7 @@ func TestRetiredFullSetRunRefused(t *testing.T) {
 	e.uvarint(1)
 	e.uvarint(1) // version 1, then its set as version 4 wrote it
 	e.b = st.RecordSets[0].Set.AppendBinary(e.b)
-	_, _, _, colErr := decodeColBand(e.b, relstore.ColumnLanes{})
+	_, _, _, colErr := decodeColBand(e.b, relstore.ColumnLanes{}, 0)
 	_, headErr := decodeCVDHead(e.b)
 	_, runErr := decodeRecsetRun(nil, e.b, st)
 	for what, err := range map[string]error{"column band": colErr, "CVD head": headErr, "record-set run": runErr} {

@@ -103,45 +103,58 @@ func withModel(payload []byte, name string, kind cvd.ModelKind) []byte {
 	return out
 }
 
+// hostileChunks is the chunk corpus: a real CVD head and record-set run,
+// real column bands, and payloads every decoder must refuse — record-set run
+// entries that do not continue their parents (a tombstone the parent does not
+// hold, an addition the parent holds, additions that descend one per
+// container, a delta out of version order, for which the head names no
+// parents, an unknown tag), truncated and retired kinds, and the head of a
+// model that does not persist, as a build that checkpointed the in-memory
+// models wrote it.
+func hostileChunks(tb testing.TB) [][]byte {
+	var e enc
+	st := fuzzCVDState()
+	encodeCVDHead(&e, st)
+	head := append([]byte(nil), e.b...)
+	e.b = e.b[:0]
+	encodeRecsetRun(&e, st, 0, len(st.RecordSets))
+	if e.b[5+len(st.RecordSets[0].Set.AppendBinary(nil))] != recsetDelta { // kind, count, v1, its tag and set, v2, its tag
+		tb.Fatal("version 2 of the fuzz CVD is not stored as its delta")
+	}
+	root := fullEntry(1, st.RecordSets[0].Set)
+	return [][]byte{
+		head,
+		append([]byte(nil), e.b...),
+		runPayload(root, deltaEntry(2, []int64{3}, nil)),
+		runPayload(root, deltaEntry(2, nil, []int64{10})),
+		runPayload(root, deltaEntry(2, nil, []int64{3 << 16, 2 << 16, 1 << 16})),
+		runPayload(deltaEntry(2, nil, []int64{4})),
+		runPayload(root, []byte{2, 7}),
+		fuzzColBandPayload(false),
+		fuzzColBandPayload(true),
+		{},
+		{chunkColBand},
+		{chunkCVDHead, 0xff, 0xff},
+		{chunkCatalogBand, 1, 7, 1, uint8(relstore.TypeNull)}, // the retired kind, as version 2 wrote it
+		withModel(head, st.Name, cvd.SplitByVlist),
+	}
+}
+
 // FuzzChunkDecode runs arbitrary payloads through all three chunk decoders.
 // The payload kind byte routes real chunks to the right decoder, but every
 // decoder sees every input here — a pack lookup can hand back the wrong kind.
 func FuzzChunkDecode(f *testing.F) {
-	var e enc
 	st := fuzzCVDState()
-	encodeCVDHead(&e, st)
-	f.Add(append([]byte(nil), e.b...))
-	// The head of a model that does not persist, as a build that checkpointed
-	// the in-memory models wrote it, is refused by name.
-	refused := withModel(e.b, st.Name, cvd.SplitByVlist)
-	if _, err := decodeCVDHead(refused); !errors.Is(err, cvd.ErrInMemoryModel) || !strings.Contains(err.Error(), `"fuzz" uses split-by-vlist`) {
+	corpus := hostileChunks(f)
+	// The head of a model that does not persist is refused by name.
+	if _, err := decodeCVDHead(corpus[len(corpus)-1]); !errors.Is(err, cvd.ErrInMemoryModel) || !strings.Contains(err.Error(), `"fuzz" uses split-by-vlist`) {
 		f.Fatalf("a split-by-vlist CVD head decodes with %v", err)
 	}
-	e.b = e.b[:0]
-	encodeRecsetRun(&e, st, 0, len(st.RecordSets))
-	if e.b[5+len(st.RecordSets[0].Set.AppendBinary(nil))] != recsetDelta { // kind, count, v1, its tag and set, v2, its tag
-		f.Fatal("version 2 of the fuzz CVD is not stored as its delta")
+	for _, payload := range corpus {
+		f.Add(payload)
 	}
-	f.Add(append([]byte(nil), e.b...))
-	// Entries the decoder must refuse: a tombstone the parent does not hold,
-	// an addition the parent holds, additions that descend (one per
-	// container), a delta out of version order (the head names no parents
-	// for it), an unknown tag.
-	root := fullEntry(1, st.RecordSets[0].Set)
-	f.Add(runPayload(root, deltaEntry(2, []int64{3}, nil)))
-	f.Add(runPayload(root, deltaEntry(2, nil, []int64{10})))
-	f.Add(runPayload(root, deltaEntry(2, nil, []int64{3 << 16, 2 << 16, 1 << 16})))
-	f.Add(runPayload(deltaEntry(2, nil, []int64{4})))
-	f.Add(runPayload(root, []byte{2, 7}))
-	f.Add(fuzzColBandPayload(false))
-	f.Add(fuzzColBandPayload(true))
-	f.Add([]byte{})
-	f.Add([]byte{chunkColBand})
-	f.Add([]byte{chunkCVDHead, 0xff, 0xff})
-	f.Add([]byte{chunkCatalogBand, 1, 7, 1, uint8(relstore.TypeNull)}) // the retired kind, as version 2 wrote it
-	f.Add(refused)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if lanes, present, n, err := decodeColBand(data, relstore.ColumnLanes{}); err == nil {
+		if lanes, present, n, err := decodeColBand(data, relstore.ColumnLanes{}, 0); err == nil {
 			if len(lanes.Tags) != n {
 				t.Fatalf("column band: %d tags for %d rows", len(lanes.Tags), n)
 			}

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"path/filepath"
+	"sync/atomic"
 
 	"repro/internal/cvd"
+	"repro/internal/parallel"
 	"repro/internal/relstore"
 	"repro/internal/vfs"
 )
@@ -270,26 +272,31 @@ func (m *manifest) chunkRefs(fn func(ChunkHash, uint8)) {
 	}
 }
 
-// assemble rebuilds the table from its column-band chunks, fetched through get.
-func (mt *manifestTable) assemble(get func(ChunkHash) ([]byte, error)) (*relstore.Table, error) {
-	asm := newTableAssembler(mt.meta)
-	for ci, bands := range mt.cols {
-		for _, h := range bands {
-			payload, err := get(h)
-			if err != nil {
-				return nil, fmt.Errorf("durable: table %s: %w", mt.meta.name, err)
-			}
-			if err := asm.addBand(ci, payload); err != nil {
-				return nil, err
-			}
+// chunkGetter reads one chunk's payload into buf (grown when it is too
+// small): chunkPack.get. A loader reuses one buffer per unit, since nothing
+// it decodes keeps the payload's bytes.
+type chunkGetter func(h ChunkHash, buf []byte) ([]byte, error)
+
+// addColumn decodes column ci's bands, fetched through get, into asm in band
+// order.
+func (mt *manifestTable) addColumn(asm *tableAssembler, ci int, get chunkGetter) error {
+	var payload []byte
+	for _, h := range mt.cols[ci] {
+		var err error
+		payload, err = get(h, payload)
+		if err != nil {
+			return fmt.Errorf("durable: table %s: %w", mt.meta.name, err)
+		}
+		if err := asm.addBand(ci, payload); err != nil {
+			return err
 		}
 	}
-	return asm.finish()
+	return nil
 }
 
 // decodeHead decodes the CVD's head chunk, fetched through get.
-func (mc *manifestCVD) decodeHead(get func(ChunkHash) ([]byte, error)) (*cvd.PersistentState, error) {
-	head, err := get(mc.head)
+func (mc *manifestCVD) decodeHead(get chunkGetter) (*cvd.PersistentState, error) {
+	head, err := get(mc.head, nil)
 	if err != nil {
 		return nil, fmt.Errorf("durable: CVD %s head: %w", mc.layout.name, err)
 	}
@@ -307,13 +314,15 @@ func (mc *manifestCVD) decodeHead(get func(ChunkHash) ([]byte, error)) (*cvd.Per
 // delivered in order, into st.RecordSets: the versioning table. st is the
 // decoded head, whose metadata names the parents a delta entry is rebuilt
 // from.
-func (mc *manifestCVD) addRecordSets(st *cvd.PersistentState, get func(ChunkHash) ([]byte, error)) error {
+func (mc *manifestCVD) addRecordSets(st *cvd.PersistentState, get chunkGetter) error {
 	l := mc.layout
 	if l.sets > 0 {
 		st.RecordSets = make([]cvd.VersionRecordSet, 0, l.sets)
 	}
+	var payload []byte
 	for _, h := range mc.runs {
-		payload, err := get(h)
+		var err error
+		payload, err = get(h, payload)
 		if err != nil {
 			return fmt.Errorf("durable: CVD %s record sets: %w", l.name, err)
 		}
@@ -336,27 +345,105 @@ func (mc *manifestCVD) addRecordSets(st *cvd.PersistentState, get func(ChunkHash
 	return nil
 }
 
-// loadSnapshotFromManifest assembles the full snapshot a manifest describes,
-// fetching chunk payloads through get.
-func loadSnapshotFromManifest(m *manifest, get func(ChunkHash) ([]byte, error)) (*Snapshot, error) {
-	snap := &Snapshot{DBName: m.dbName, Epoch: m.epoch}
-	for i := range m.tables {
-		t, err := m.tables[i].assemble(get)
-		if err != nil {
-			return nil, err
+// Kinds of checkpoint-load unit.
+const (
+	decodeCVD  = iota // decode a CVD's head, then its runs
+	loadColumn        // decode a table column's bands; the last of a table's columns builds it
+	reportCVD         // wait for a CVD's decode and report its error
+)
+
+// loadUnit is one unit of a checkpoint load: of kind decodeCVD or reportCVD
+// for CVD i, of kind loadColumn for column col of table i — col -1 for a table
+// without columns, which the unit only finishes.
+type loadUnit struct{ kind, i, col int }
+
+// loadUnits lists the load's units in the order they are handed out: every
+// CVD's decode first — typically the longest units, which would otherwise run
+// last on one worker while the others idle — then every column of every
+// table, then every CVD's report. Refusals come in the order of the units that
+// report them: the tables', then the CVDs', as a sequential load meets them.
+func (m *manifest) loadUnits() []loadUnit {
+	var units []loadUnit
+	for i := range m.cvds {
+		units = append(units, loadUnit{decodeCVD, i, 0})
+	}
+	for ti := range m.tables {
+		if len(m.tables[ti].cols) == 0 {
+			units = append(units, loadUnit{loadColumn, ti, -1})
 		}
-		snap.Tables = append(snap.Tables, t)
+		for ci := range m.tables[ti].cols {
+			units = append(units, loadUnit{loadColumn, ti, ci})
+		}
 	}
 	for i := range m.cvds {
-		mc := &m.cvds[i]
-		st, err := mc.decodeHead(get)
-		if err != nil {
-			return nil, err
+		units = append(units, loadUnit{reportCVD, i, 0})
+	}
+	return units
+}
+
+// loadSnapshotFromManifest assembles the full snapshot a manifest describes,
+// fetching chunk payloads through get (which must be safe for concurrent
+// use), on up to workers goroutines (<= 0 selects GOMAXPROCS). Each unit
+// (loadUnits) runs on its own: a column decodes its bands in order, straight
+// into lanes sized once for the whole table, and the last of a table's
+// columns to finish builds the table, unless one of them failed; a CVD
+// decodes its head, then its runs, and leaves its error to its report unit,
+// which is handed out after every column. parallel.ForEachErr returns the
+// lowest-indexed unit's error, so the load refuses with the error a
+// sequential load meets first: a table's own refusal sits among its columns'
+// units, after every earlier table's and before every later one's and every
+// CVD's.
+func loadSnapshotFromManifest(m *manifest, get chunkGetter, workers int) (*Snapshot, error) {
+	snap := &Snapshot{
+		DBName: m.dbName,
+		Epoch:  m.epoch,
+		Tables: make([]*relstore.Table, len(m.tables)),
+		CVDs:   make([]*cvd.PersistentState, len(m.cvds)),
+	}
+	asms := make([]*tableAssembler, len(m.tables))
+	pending := make([]atomic.Int32, len(m.tables))
+	failed := make([]atomic.Bool, len(m.tables))
+	for ti := range m.tables {
+		asms[ti] = newTableAssembler(m.tables[ti].meta)
+		pending[ti].Store(int32(max(1, len(m.tables[ti].cols))))
+	}
+	cvdErrs := make([]error, len(m.cvds))
+	decoded := make([]chan struct{}, len(m.cvds))
+	for i := range decoded {
+		decoded[i] = make(chan struct{})
+	}
+	units := m.loadUnits()
+	err := parallel.ForEachErr(workers, len(units), func(k int) error {
+		u := units[k]
+		switch u.kind {
+		case decodeCVD:
+			defer close(decoded[u.i])
+			mc := &m.cvds[u.i]
+			st, err := mc.decodeHead(get)
+			if err == nil {
+				err = mc.addRecordSets(st, get)
+			}
+			snap.CVDs[u.i], cvdErrs[u.i] = st, err
+			return nil
+		case reportCVD:
+			// The decode was handed out first, so it is running or done.
+			<-decoded[u.i]
+			return cvdErrs[u.i]
 		}
-		if err := mc.addRecordSets(st, get); err != nil {
-			return nil, err
+		var err error
+		if u.col >= 0 {
+			if err = m.tables[u.i].addColumn(asms[u.i], u.col, get); err != nil {
+				failed[u.i].Store(true)
+			}
 		}
-		snap.CVDs = append(snap.CVDs, st)
+		if pending[u.i].Add(-1) > 0 || failed[u.i].Load() {
+			return err
+		}
+		snap.Tables[u.i], err = asms[u.i].finish()
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return snap, nil
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -51,9 +52,11 @@ type chunkLoc struct {
 }
 
 // chunkPack is the open pack: file handle plus the hash → location index.
-// All methods are safe for concurrent use.
+// All methods are safe for concurrent use. Reads (get) share mu, so a load's
+// workers read and verify chunks at once; put, compact, repair and close
+// hold it alone — compact swaps f and idx.
 type chunkPack struct {
-	mu       sync.Mutex
+	mu       sync.RWMutex
 	fsys     vfs.FS
 	path     string
 	f        vfs.File // nil: closed, or no pack file yet
@@ -135,7 +138,8 @@ func (p *chunkPack) walk(verify func(ChunkHash, []byte) bool) (*packScan, error)
 		sc.bad = fmt.Errorf("durable: unsupported chunk pack version %d (want %d)", v, formatVersion)
 		return sc, nil
 	}
-	br := bufio.NewReaderSize(io.NewSectionReader(p.f, packHeaderSize, sc.size-packHeaderSize), 1<<20)
+	frames := sc.size - packHeaderSize
+	br := bufio.NewReaderSize(io.NewSectionReader(p.f, packHeaderSize, frames), int(min(frames, 1<<20)))
 	var frame [packFrameOverhead]byte
 	var payload []byte
 	for off := int64(packHeaderSize); off < sc.size; {
@@ -233,8 +237,8 @@ func appendFrame(dst []byte, h ChunkHash, payload []byte) []byte {
 
 // has reports whether the chunk is present.
 func (p *chunkPack) has(h ChunkHash) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	_, ok := p.idx[h]
 	return ok
 }
@@ -275,15 +279,18 @@ func (p *chunkPack) unwritable() error {
 	return p.poisoned
 }
 
-// get reads one chunk's payload, re-verifying its content hash (detects
-// on-disk corruption after open).
-func (p *chunkPack) get(h ChunkHash) ([]byte, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.getLocked(h)
+// get reads one chunk's payload into buf — grown when it is too small —
+// re-verifying its content hash (detects on-disk corruption after open). The
+// payload is the caller's until it reuses buf. Concurrent gets read and hash
+// in parallel.
+func (p *chunkPack) get(h ChunkHash, buf []byte) ([]byte, error) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.getLocked(h, buf)
 }
 
-func (p *chunkPack) getLocked(h ChunkHash) ([]byte, error) {
+// getLocked is get for a caller holding mu, shared or alone.
+func (p *chunkPack) getLocked(h ChunkHash, buf []byte) ([]byte, error) {
 	loc, ok := p.idx[h]
 	if !ok {
 		return nil, fmt.Errorf("durable: chunk %s missing from pack %s", h, p.path)
@@ -291,7 +298,7 @@ func (p *chunkPack) getLocked(h ChunkHash) ([]byte, error) {
 	if p.f == nil {
 		return nil, fmt.Errorf("durable: chunk pack %s is closed", p.path)
 	}
-	payload := make([]byte, loc.n)
+	payload := slices.Grow(buf[:0], int(loc.n))[:loc.n]
 	if _, err := p.f.ReadAt(payload, loc.off); err != nil {
 		return nil, fmt.Errorf("durable: reading chunk %s: %w", h, err)
 	}
@@ -303,8 +310,8 @@ func (p *chunkPack) getLocked(h ChunkHash) ([]byte, error) {
 
 // sizeOf returns the payload size of an indexed chunk.
 func (p *chunkPack) sizeOf(h ChunkHash) (uint32, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	loc, ok := p.idx[h]
 	return loc.n, ok
 }
@@ -334,8 +341,8 @@ func (p *chunkPack) close() error {
 // bytes returns the pack's frame bytes total and the portion referenced by
 // live (the payload bytes of indexed chunks in the live set, with framing).
 func (p *chunkPack) bytes(live map[ChunkHash]struct{}) (total, liveBytes int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	for h, loc := range p.idx {
 		total += packFrameOverhead + int64(loc.n)
 		if _, ok := live[h]; ok {
@@ -383,9 +390,9 @@ func (p *chunkPack) compact(keep map[ChunkHash]struct{}) error {
 	}
 	newIdx := make(map[ChunkHash]chunkLoc, len(hs))
 	off := int64(packHeaderSize)
-	var frame []byte
+	var frame, payload []byte
 	for _, h := range hs {
-		payload, err := p.getLocked(h)
+		payload, err = p.getLocked(h, payload)
 		if err != nil {
 			return fail(fmt.Errorf("durable: compacting %s: %w", p.path, err))
 		}

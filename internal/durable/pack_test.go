@@ -19,7 +19,7 @@ import (
 func TestPackPutTakesBackAFailedFrame(t *testing.T) {
 	dir := t.TempDir()
 	fsys := vfs.NewFaultFS(vfs.OS(), 1)
-	s, _, err := OpenFS(dir, fsys)
+	s, _, err := OpenFS(dir, fsys, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

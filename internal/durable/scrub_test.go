@@ -258,7 +258,7 @@ func TestScrubPlainBitFlip(t *testing.T) {
 		if (openErr == nil) == live[fr.h] {
 			t.Fatalf("frame %d (live %v): the open says %v", i, live[fr.h], openErr)
 		}
-		OpenAtEpoch(dir, newest) // succeeds or fails as the open does; only its writes matter here
+		OpenAtEpoch(dir, newest, 0) // succeeds or fails as the open does; only its writes matter here
 		unchanged("OpenAtEpoch")
 		after, err := Scrub(dir, ScrubOptions{})
 		if err != nil {
@@ -633,7 +633,7 @@ func TestScrubRestoresEveryRetainedEpoch(t *testing.T) {
 		t.Fatalf("issues %+v, want one %s of epoch 1", rep.Issues, IssueBadCatalog)
 	}
 	for epoch, want := range map[uint64]string{1: rep.Issues[0].Detail, 2: ""} {
-		snap, err := OpenAtEpoch(dir, epoch)
+		snap, err := OpenAtEpoch(dir, epoch, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -62,7 +62,7 @@ type Store struct {
 	gc      GroupCommitConfig
 
 	pack    *chunkPack
-	workers int // checkpoint encode parallelism; <= 0 selects GOMAXPROCS
+	workers int // checkpoint load and encode parallelism; <= 0 selects GOMAXPROCS
 
 	// Process-local fingerprint cache: full-band content fingerprints from the
 	// previous checkpoint mapped to the chunk hash they produced, so an
@@ -142,14 +142,6 @@ func (s *Store) SetRetention(n int) {
 	s.retain = n
 }
 
-// SetWorkers sets the checkpoint encode parallelism; n <= 0 selects
-// GOMAXPROCS.
-func (s *Store) SetWorkers(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.workers = n
-}
-
 // walBatch is one group-commit unit: the frames of every record admitted to
 // it, written and fsynced together by the batch leader.
 type walBatch struct {
@@ -201,6 +193,10 @@ type OpenResult struct {
 	// StaleWAL reports whether WAL segments older than the newest manifest
 	// were discarded (their content is already folded into the checkpoint).
 	StaleWAL bool
+	// Load is how long reading, verifying and decoding the snapshot's chunks
+	// took, and LoadWorkers how many goroutines did it (0: no snapshot).
+	Load        time.Duration
+	LoadWorkers int
 }
 
 // removeLeftoverTemps clears crash debris: temp files whose rename never
@@ -263,15 +259,17 @@ func (l dirListing) refuseFlatExport(dir string) error {
 // segments are deleted, and the surviving segments' framing is validated — a
 // torn tail from a crashed append is truncated so the active segment ends on
 // a record boundary. Call ReplayWAL next to stream the surviving records; the
-// returned store is ready for appends.
+// returned store is ready for appends. The snapshot loads, and checkpoints
+// encode, on GOMAXPROCS goroutines.
 func Open(dir string) (*Store, *OpenResult, error) {
-	return OpenFS(dir, vfs.OS())
+	return OpenFS(dir, vfs.OS(), 0)
 }
 
 // OpenFS is Open on an explicit filesystem — the production entry point uses
 // vfs.OS(); fault-injection tests substitute a vfs.FaultFS so every byte of
-// durable I/O is interceptable.
-func OpenFS(dir string, fsys vfs.FS) (*Store, *OpenResult, error) {
+// durable I/O is interceptable — with the snapshot loaded, and checkpoints
+// encoded, on up to workers goroutines (<= 0 selects GOMAXPROCS).
+func OpenFS(dir string, fsys vfs.FS, workers int) (*Store, *OpenResult, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
@@ -290,6 +288,7 @@ func OpenFS(dir string, fsys vfs.FS) (*Store, *OpenResult, error) {
 		manifests: make(map[uint64]*manifest),
 		retain:    DefaultCheckpointRetention,
 		gens:      make(map[string]uint64),
+		workers:   workers,
 		fpSeed1:   maphash.MakeSeed(),
 		fpSeed2:   maphash.MakeSeed(),
 		fpCache:   make(map[string]fpEntry),
@@ -336,11 +335,14 @@ func OpenFS(dir string, fsys vfs.FS) (*Store, *OpenResult, error) {
 	}
 	if len(epochs) > 0 {
 		s.base = epochs[len(epochs)-1]
-		snap, err := loadSnapshotFromManifest(s.manifests[s.base], pack.get)
+		m := s.manifests[s.base]
+		start := time.Now()
+		snap, err := loadSnapshotFromManifest(m, pack.get, workers)
 		if err != nil {
 			return fail(err)
 		}
-		res.Snapshot = snap
+		res.Snapshot, res.Load = snap, time.Since(start)
+		res.LoadWorkers = parallel.Normalize(workers, len(m.loadUnits()))
 	}
 	// A torn pack tail is routine crash debris, cut only now that the newest
 	// checkpoint has loaded from the frames before it (see pack.go).
@@ -863,10 +865,7 @@ func (s *Store) encodeSnapshotChunks(job *CheckpointJob, snap *Snapshot) (*manif
 		}
 		m.tables[ti] = mt
 	}
-	s.mu.Lock()
-	workers := s.workers
-	s.mu.Unlock()
-	err := parallel.ForEachErr(workers, len(units), func(i int) error {
+	err := parallel.ForEachErr(s.workers, len(units), func(i int) error {
 		u := units[i]
 		mt := &m.tables[u.ti]
 		meta := &mt.meta
@@ -1024,7 +1023,7 @@ func (s *Store) LoadEpoch(epoch uint64) (*Snapshot, error) {
 	if m == nil {
 		return nil, fmt.Errorf("durable: epoch %d is not retained in %s (see RetainedEpochs)", epoch, s.dir)
 	}
-	return loadSnapshotFromManifest(m, s.pack.get)
+	return loadSnapshotFromManifest(m, s.pack.get, s.workers)
 }
 
 // ---- package-level directory helpers ----------------------------------------
@@ -1037,9 +1036,10 @@ func ListEpochs(dir string) ([]uint64, error) {
 }
 
 // OpenAtEpoch loads the snapshot of one retained epoch from a closed data
-// directory (the directory lock is held only for the read). It is read-only:
-// the pack is read as the open reads it, and nothing is written.
-func OpenAtEpoch(dir string, epoch uint64) (*Snapshot, error) {
+// directory (the directory lock is held only for the read) on up to workers
+// goroutines (<= 0 selects GOMAXPROCS). It is read-only: the pack is read as
+// the open reads it, and nothing is written.
+func OpenAtEpoch(dir string, epoch uint64, workers int) (*Snapshot, error) {
 	fsys := vfs.OS()
 	lock, err := lockDir(fsys, dir)
 	if err != nil {
@@ -1068,7 +1068,7 @@ func OpenAtEpoch(dir string, epoch uint64) (*Snapshot, error) {
 	if scan.bad != nil {
 		return nil, scan.bad
 	}
-	return loadSnapshotFromManifest(m, pack.get)
+	return loadSnapshotFromManifest(m, pack.get, workers)
 }
 
 // Export writes snap into dir (created if needed) as a data directory of its
@@ -1091,7 +1091,7 @@ func Export(dir string, fsys vfs.FS, snap *Snapshot) error {
 			return fmt.Errorf("durable: %s is a live data directory (has %s); export into a fresh directory", dir, what)
 		}
 	}
-	s, _, err := OpenFS(dir, fsys)
+	s, _, err := OpenFS(dir, fsys, 0)
 	if err != nil {
 		return err
 	}

@@ -201,7 +201,7 @@ func (d *dec) delta(r *Record) error {
 			}
 			var n int
 			var err error
-			if lanes[ci], _, n, err = decodeColBand(band, lanes[ci]); err != nil {
+			if lanes[ci], _, n, err = decodeColBand(band, lanes[ci], len(addedRIDs)); err != nil {
 				return fmt.Errorf("durable: WAL record for %s: column %d band at row %d: %w", r.CVD, ci, lo, err)
 			}
 			if n != want {

@@ -1,7 +1,9 @@
 // Package parallel is the shared worker-pool utility behind every concurrent
 // code path in the engine: parallel multi-version checkout and partition
-// builds (package cvd), the LyreSplit candidate-evaluation loop (package
-// partition), and the multi-client experiment harness (package benchmark).
+// builds (package cvd), the rid-set join probe (package relstore), the
+// LyreSplit candidate-evaluation loop (package partition), and the checkpoint
+// encoder and the checkpoint load that the open, point-in-time restore and
+// fsck share (package durable).
 //
 // All helpers take an explicit worker count so callers can thread the
 // engine-level WithWorkers(n) knob through; n <= 0 selects GOMAXPROCS.

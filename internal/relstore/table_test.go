@@ -328,3 +328,28 @@ func TestRowCloneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNewTableFromLanesRefusesTags: a cell whose type tag names a payload
+// lane its column lacks, or no type at all, is refused naming the column, the
+// row and the lane or the tag.
+func TestNewTableFromLanesRefusesTags(t *testing.T) {
+	schema := MustSchema([]Column{{Name: "x", Type: TypeInt}})
+	ints := []int64{1, 2, 3}
+	for _, tc := range []struct {
+		tags []uint8
+		ints []int64
+		want string
+	}{
+		{[]uint8{uint8(TypeInt), uint8(TypeNull), uint8(TypeBool)}, ints, ""},
+		{[]uint8{uint8(TypeNull), uint8(TypeInt), uint8(TypeInt)}, nil, "column 0 row 1 needs the integer lane"},
+		{[]uint8{uint8(TypeInt), uint8(TypeInt), uint8(TypeFloat)}, ints, "column 0 row 2 needs the float lane"},
+		{[]uint8{uint8(TypeString), uint8(TypeInt), uint8(TypeInt)}, ints, "column 0 row 0 needs the string lane"},
+		{[]uint8{uint8(TypeInt), uint8(TypeIntArray), uint8(TypeInt)}, ints, "column 0 row 1 needs the overflow lane"},
+		{[]uint8{uint8(TypeInt), uint8(TypeInt), 200}, ints, "column 0 row 2 has unknown type tag 200"},
+	} {
+		_, err := NewTableFromLanes("t", schema, ClusterNone, 3, []ColumnLanes{{Tags: tc.tags, Ints: tc.ints}}, nil)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("tags %v: %v, want %q", tc.tags, err, tc.want)
+		}
+	}
+}

@@ -15,7 +15,7 @@
 //	POST /v1/commit           staging table → version   → {"version": v}
 //	POST /v1/select           versioned scan with predicates
 //	GET  /v1/log?cvd=name     commit log of one CVD
-//	GET  /v1/status           engine + server status
+//	GET  /v1/status           engine + server status, and what the open recovered
 //
 // Admission control bounds concurrent request handling: past MaxInflight the
 // server answers 503 immediately instead of queueing unboundedly — a loaded
@@ -29,6 +29,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/cvd"
@@ -232,10 +233,23 @@ type logResponse struct {
 }
 
 type statusResponse struct {
-	CVDs     []string `json:"cvds"`
-	Durable  bool     `json:"durable"`
-	DataDir  string   `json:"data_dir,omitempty"`
-	Sessions int      `json:"sessions"`
+	CVDs     []string        `json:"cvds"`
+	Durable  bool            `json:"durable"`
+	DataDir  string          `json:"data_dir,omitempty"`
+	Sessions int             `json:"sessions"`
+	Recovery *recoveryStatus `json:"recovery,omitempty"`
+}
+
+// recoveryStatus is what opening the data directory repaired and where the
+// open's time went (core.RecoveryInfo); a durable engine reports it.
+type recoveryStatus struct {
+	TornTail  bool    `json:"torn_tail"`
+	StaleWAL  bool    `json:"stale_wal"`
+	LoadMS    float64 `json:"load_ms"`
+	Workers   int     `json:"workers"`
+	RebuildMS float64 `json:"rebuild_ms"`
+	ReplayMS  float64 `json:"replay_ms"`
+	Replayed  int     `json:"replayed"`
 }
 
 // ---- handlers ----
@@ -509,15 +523,31 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	n := len(s.sessions)
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, statusResponse{
+	resp := statusResponse{
 		CVDs:     s.engine.List(),
 		Durable:  s.engine.Durable(),
 		DataDir:  s.engine.DataDir(),
 		Sessions: n,
-	})
+	}
+	if resp.Durable {
+		rec := s.engine.Recovery()
+		resp.Recovery = &recoveryStatus{
+			TornTail:  rec.TornTail,
+			StaleWAL:  rec.StaleWAL,
+			LoadMS:    ms(rec.Load),
+			Workers:   rec.Workers,
+			RebuildMS: ms(rec.Rebuild),
+			ReplayMS:  ms(rec.Replay),
+			Replayed:  rec.Replayed,
+		}
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // ---- helpers ----
+
+// ms renders a duration in milliseconds.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 func (s *Server) session(id string) (*session, error) {
 	s.mu.Lock()

@@ -155,8 +155,53 @@ func TestVersioningOverHTTP(t *testing.T) {
 	if code := get(t, ts, "/v1/status", &st); code != http.StatusOK {
 		t.Fatalf("status: status %d", code)
 	}
-	if len(st.CVDs) != 1 || st.CVDs[0] != "protein" || st.Durable || st.Sessions != 1 {
+	if len(st.CVDs) != 1 || st.CVDs[0] != "protein" || st.Durable || st.Sessions != 1 || st.Recovery != nil {
 		t.Fatalf("status = %+v", st)
+	}
+}
+
+// TestStatusReportsRecovery: a durable engine's /v1/status reports what its
+// open recovered — the WAL records replayed after the checkpoint and the
+// goroutines that loaded it — beside the open's times, which are not checked.
+func TestStatusReportsRecovery(t *testing.T) {
+	dir := t.TempDir()
+	e, err := core.OpenDurable("srv", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(e, Config{}))
+	if code := post(t, ts, "/v1/init", proteinInit, nil); code != http.StatusOK {
+		t.Fatalf("init: status %d", code)
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	sid := openSession(t, ts)
+	for i := 0; i < 2; i++ {
+		if code := post(t, ts, "/v1/checkout", checkoutRequest{Session: sid, CVD: "protein", Versions: []int64{1}, Table: fmt.Sprintf("wd%d", i)}, nil); code != http.StatusOK {
+			t.Fatalf("checkout: status %d", code)
+		}
+		if code := post(t, ts, "/v1/commit", commitRequest{Session: sid, CVD: "protein", Table: fmt.Sprintf("wd%d", i), Message: "m", Author: "a"}, nil); code != http.StatusOK {
+			t.Fatalf("commit: status %d", code)
+		}
+	}
+	ts.Close()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := core.OpenDurable("srv", dir, core.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	ts = httptest.NewServer(New(re, Config{}))
+	defer ts.Close()
+	var st statusResponse
+	if code := get(t, ts, "/v1/status", &st); code != http.StatusOK {
+		t.Fatalf("status: status %d", code)
+	}
+	if !st.Durable || st.Recovery == nil || st.Recovery.Replayed != 2 || st.Recovery.Workers != 2 || st.Recovery.TornTail || st.Recovery.StaleWAL {
+		t.Fatalf("status = %+v, recovery %+v: want 2 records replayed after a checkpoint loaded on 2 workers", st, st.Recovery)
 	}
 }
 
