@@ -243,23 +243,26 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Each directory reopens once loaded on one worker and once on
-			// four; the directory lock admits one engine at a time, so each
-			// is closed after the comparison and stays in lockstep as an
-			// ephemeral engine.
+			// Each directory reopens loaded on one worker, is compared and
+			// closed (the directory lock admits one engine at a time), then
+			// reopens on four; that engine stays open, so the lockstep commit
+			// goes through its journal.
 			engines := []*Engine{e}
 			for _, d := range []string{dir, saved} {
-				for _, workers := range []int{1, 4} {
+				open := func(workers int) *Engine {
 					restored, err := OpenDurable("prop", d, WithWorkers(workers))
 					if err != nil {
 						t.Fatalf("open durable %s on %d workers: %v", d, workers, err)
 					}
 					enginesEquivalent(t, fmt.Sprintf("trial%d, %d workers", trial, workers), e, restored)
-					if err := restored.Close(); err != nil {
-						t.Fatal(err)
-					}
-					engines = append(engines, restored)
+					return restored
 				}
+				if err := open(1).Close(); err != nil {
+					t.Fatal(err)
+				}
+				restored := open(4)
+				defer restored.Close()
+				engines = append(engines, restored)
 			}
 			lockstep(t, "parted", engines...)
 		})

@@ -37,9 +37,9 @@ func snapshotBytes(snap *Snapshot) []byte {
 // returns its snapshot. It returns the error.
 func loadsAgree(t *testing.T, what string, m *manifest, get chunkGetter) error {
 	t.Helper()
-	want, wantErr := loadSnapshotFromManifest(m, get, 1)
+	want, _, wantErr := loadSnapshotFromManifest(m, get, 1)
 	for round := 0; round < 3; round++ {
-		got, err := loadSnapshotFromManifest(m, get, 4)
+		got, _, err := loadSnapshotFromManifest(m, get, 4)
 		switch {
 		case wantErr != nil || err != nil:
 			if fmt.Sprint(err) != fmt.Sprint(wantErr) {

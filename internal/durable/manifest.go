@@ -345,55 +345,44 @@ func (mc *manifestCVD) addRecordSets(st *cvd.PersistentState, get chunkGetter) e
 	return nil
 }
 
-// Kinds of checkpoint-load unit.
-const (
-	decodeCVD  = iota // decode a CVD's head, then its runs
-	loadColumn        // decode a table column's bands; the last of a table's columns builds it
-	reportCVD         // wait for a CVD's decode and report its error
-)
+// loadUnit is one unit of a checkpoint load: column col of table i, or, with
+// col -1, table i when it has no columns (the unit only builds it); or, past
+// the tables, CVD i's head and runs.
+type loadUnit struct {
+	cvd    bool
+	i, col int
+}
 
-// loadUnit is one unit of a checkpoint load: of kind decodeCVD or reportCVD
-// for CVD i, of kind loadColumn for column col of table i — col -1 for a table
-// without columns, which the unit only finishes.
-type loadUnit struct{ kind, i, col int }
-
-// loadUnits lists the load's units in the order they are handed out: every
-// CVD's decode first — typically the longest units, which would otherwise run
-// last on one worker while the others idle — then every column of every
-// table, then every CVD's report. Refusals come in the order of the units that
-// report them: the tables', then the CVDs', as a sequential load meets them.
+// loadUnits lists the load's units in the order a sequential load reads the
+// checkpoint: every column of every table, then every CVD.
 func (m *manifest) loadUnits() []loadUnit {
 	var units []loadUnit
-	for i := range m.cvds {
-		units = append(units, loadUnit{decodeCVD, i, 0})
-	}
 	for ti := range m.tables {
 		if len(m.tables[ti].cols) == 0 {
-			units = append(units, loadUnit{loadColumn, ti, -1})
+			units = append(units, loadUnit{false, ti, -1})
 		}
 		for ci := range m.tables[ti].cols {
-			units = append(units, loadUnit{loadColumn, ti, ci})
+			units = append(units, loadUnit{false, ti, ci})
 		}
 	}
 	for i := range m.cvds {
-		units = append(units, loadUnit{reportCVD, i, 0})
+		units = append(units, loadUnit{true, i, 0})
 	}
 	return units
 }
 
 // loadSnapshotFromManifest assembles the full snapshot a manifest describes,
 // fetching chunk payloads through get (which must be safe for concurrent
-// use), on up to workers goroutines (<= 0 selects GOMAXPROCS). Each unit
-// (loadUnits) runs on its own: a column decodes its bands in order, straight
-// into lanes sized once for the whole table, and the last of a table's
-// columns to finish builds the table, unless one of them failed; a CVD
-// decodes its head, then its runs, and leaves its error to its report unit,
-// which is handed out after every column. parallel.ForEachErr returns the
-// lowest-indexed unit's error, so the load refuses with the error a
-// sequential load meets first: a table's own refusal sits among its columns'
-// units, after every earlier table's and before every later one's and every
-// CVD's.
-func loadSnapshotFromManifest(m *manifest, get chunkGetter, workers int) (*Snapshot, error) {
+// use), on up to workers goroutines (<= 0 selects GOMAXPROCS), and returns
+// the number of goroutines it used. Each unit (loadUnits) runs on its own: a
+// column decodes its bands in order, straight into lanes sized once for the
+// whole table, and the last of a table's columns to finish builds the table,
+// unless one of them failed; a CVD decodes its head, then its runs.
+// parallel.ForEachErr returns the lowest-indexed unit's error, so the load
+// refuses with the error a sequential load meets first: a table's own refusal
+// sits among its columns' units, after every earlier table's and before every
+// later one's and every CVD's.
+func loadSnapshotFromManifest(m *manifest, get chunkGetter, workers int) (*Snapshot, int, error) {
 	snap := &Snapshot{
 		DBName: m.dbName,
 		Epoch:  m.epoch,
@@ -407,28 +396,17 @@ func loadSnapshotFromManifest(m *manifest, get chunkGetter, workers int) (*Snaps
 		asms[ti] = newTableAssembler(m.tables[ti].meta)
 		pending[ti].Store(int32(max(1, len(m.tables[ti].cols))))
 	}
-	cvdErrs := make([]error, len(m.cvds))
-	decoded := make([]chan struct{}, len(m.cvds))
-	for i := range decoded {
-		decoded[i] = make(chan struct{})
-	}
 	units := m.loadUnits()
 	err := parallel.ForEachErr(workers, len(units), func(k int) error {
 		u := units[k]
-		switch u.kind {
-		case decodeCVD:
-			defer close(decoded[u.i])
+		if u.cvd {
 			mc := &m.cvds[u.i]
 			st, err := mc.decodeHead(get)
-			if err == nil {
-				err = mc.addRecordSets(st, get)
+			if err != nil {
+				return err
 			}
-			snap.CVDs[u.i], cvdErrs[u.i] = st, err
-			return nil
-		case reportCVD:
-			// The decode was handed out first, so it is running or done.
-			<-decoded[u.i]
-			return cvdErrs[u.i]
+			snap.CVDs[u.i] = st
+			return mc.addRecordSets(st, get)
 		}
 		var err error
 		if u.col >= 0 {
@@ -443,7 +421,7 @@ func loadSnapshotFromManifest(m *manifest, get chunkGetter, workers int) (*Snaps
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return snap, nil
+	return snap, parallel.Normalize(workers, len(units)), nil
 }

@@ -464,7 +464,7 @@ func recoverAsOpen(fsys vfs.FS, pack *chunkPack, manifests []*manifestState, roo
 			continue
 		}
 		r := NewRecovery(relstore.NewDatabase(""), 0)
-		snap, err := loadSnapshotFromManifest(ms.m, pack.get, 0)
+		snap, _, err := loadSnapshotFromManifest(ms.m, pack.get, 0)
 		if err == nil {
 			err = r.Restore(snap)
 		}

@@ -337,12 +337,11 @@ func OpenFS(dir string, fsys vfs.FS, workers int) (*Store, *OpenResult, error) {
 		s.base = epochs[len(epochs)-1]
 		m := s.manifests[s.base]
 		start := time.Now()
-		snap, err := loadSnapshotFromManifest(m, pack.get, workers)
+		snap, used, err := loadSnapshotFromManifest(m, pack.get, workers)
 		if err != nil {
 			return fail(err)
 		}
-		res.Snapshot, res.Load = snap, time.Since(start)
-		res.LoadWorkers = parallel.Normalize(workers, len(m.loadUnits()))
+		res.Snapshot, res.Load, res.LoadWorkers = snap, time.Since(start), used
 	}
 	// A torn pack tail is routine crash debris, cut only now that the newest
 	// checkpoint has loaded from the frames before it (see pack.go).
@@ -1023,7 +1022,8 @@ func (s *Store) LoadEpoch(epoch uint64) (*Snapshot, error) {
 	if m == nil {
 		return nil, fmt.Errorf("durable: epoch %d is not retained in %s (see RetainedEpochs)", epoch, s.dir)
 	}
-	return loadSnapshotFromManifest(m, s.pack.get, s.workers)
+	snap, _, err := loadSnapshotFromManifest(m, s.pack.get, s.workers)
+	return snap, err
 }
 
 // ---- package-level directory helpers ----------------------------------------
@@ -1068,7 +1068,8 @@ func OpenAtEpoch(dir string, epoch uint64, workers int) (*Snapshot, error) {
 	if scan.bad != nil {
 		return nil, scan.bad
 	}
-	return loadSnapshotFromManifest(m, pack.get, workers)
+	snap, _, err := loadSnapshotFromManifest(m, pack.get, workers)
+	return snap, err
 }
 
 // Export writes snap into dir (created if needed) as a data directory of its

@@ -28,25 +28,6 @@ func (t *Table) ColumnLanes(i int) ColumnLanes {
 	return ColumnLanes{Tags: c.tags, Ints: c.ints, Floats: c.floats, Strs: c.strs, Arrs: c.arrs}
 }
 
-// laneTagError is the refusal of a cell whose type tag names a lane its column
-// lacks, or no type at all.
-func laneTagError(name string, col, pos int, tag uint8) error {
-	lane := ""
-	switch ValueType(tag) {
-	case TypeInt, TypeBool:
-		lane = "integer"
-	case TypeFloat:
-		lane = "float"
-	case TypeString:
-		lane = "string"
-	case TypeIntArray:
-		lane = "overflow"
-	default:
-		return fmt.Errorf("relstore: table %s: column %d row %d has unknown type tag %d", name, col, pos, tag)
-	}
-	return fmt.Errorf("relstore: table %s: column %d row %d needs the %s lane", name, col, pos, lane)
-}
-
 // NewTableFromLanes rebuilds a table from per-column physical lanes, the
 // inverse of reading every column with ColumnLanes. Every column's tag vector
 // must have exactly nrows entries, and each present payload lane must match
@@ -71,16 +52,27 @@ func NewTableFromLanes(name string, schema Schema, cluster ClusterMode, nrows in
 			(l.Arrs != nil && len(l.Arrs) != nrows) {
 			return nil, fmt.Errorf("relstore: table %s: column %d payload lane length mismatch", name, i)
 		}
-		// Which tags the column's lanes can hold: one table lookup per cell.
-		var holds [256]bool
-		holds[TypeNull] = true
-		holds[TypeInt], holds[TypeBool] = l.Ints != nil, l.Ints != nil
-		holds[TypeFloat] = l.Floats != nil
-		holds[TypeString] = l.Strs != nil
-		holds[TypeIntArray] = l.Arrs != nil
 		for pos, tag := range l.Tags {
-			if !holds[tag] {
-				return nil, laneTagError(name, i, pos, tag)
+			switch ValueType(tag) {
+			case TypeNull:
+			case TypeInt, TypeBool:
+				if l.Ints == nil {
+					return nil, fmt.Errorf("relstore: table %s: column %d row %d needs the integer lane", name, i, pos)
+				}
+			case TypeFloat:
+				if l.Floats == nil {
+					return nil, fmt.Errorf("relstore: table %s: column %d row %d needs the float lane", name, i, pos)
+				}
+			case TypeString:
+				if l.Strs == nil {
+					return nil, fmt.Errorf("relstore: table %s: column %d row %d needs the string lane", name, i, pos)
+				}
+			case TypeIntArray:
+				if l.Arrs == nil {
+					return nil, fmt.Errorf("relstore: table %s: column %d row %d needs the overflow lane", name, i, pos)
+				}
+			default:
+				return nil, fmt.Errorf("relstore: table %s: column %d row %d has unknown type tag %d", name, i, pos, tag)
 			}
 		}
 		t.cols[i] = &column{tags: l.Tags, ints: l.Ints, floats: l.Floats, strs: l.Strs, arrs: l.Arrs}
