@@ -15,13 +15,13 @@ import (
 )
 
 // A split-by-rlist CVD keeps each version's rlist once: the versioning table
-// is the bipartite graph's record sets, in memory and, as the record-set runs,
+// is the CVD's record sets, in memory and, as the record-set runs,
 // on disk (manifest version 5). The tests here pin that across the durable
 // paths, the check the open and fsck make of the runs, and the refusal of a
 // manifest of version 3, which stored the rlists a second time.
 
 // sameRlists fails unless every version of every CVD of e has an rlist that is
-// the bipartite graph's record set of the version.
+// the record set the CVD's snapshot reads for the version.
 func sameRlists(t *testing.T, what string, e *Engine) {
 	t.Helper()
 	for _, name := range e.List() {
@@ -33,9 +33,13 @@ func sameRlists(t *testing.T, what string, e *Engine) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		_, versions, err := c.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, v := range c.Versions() {
-			if s := rl.RecordSet(v); s == nil || s != c.Bipartite().RecordSet(v) {
-				t.Fatalf("%s: version %d of %s: the rlist is not the bipartite graph's record set", what, v, name)
+			if s := rl.RecordSet(v); s == nil || s != versions[v-1].Records {
+				t.Fatalf("%s: version %d of %s: the rlist is not the CVD's record set", what, v, name)
 			}
 		}
 	}
@@ -77,7 +81,7 @@ func versionsDir(t *testing.T) string {
 
 // TestRlistIsRecordSetAfterReopen: after an open from a manifest plus a WAL
 // tail, and after a point-in-time restore, each version's rlist and its record
-// set in the bipartite graph are one set.
+// set in the CVD are one set.
 func TestRlistIsRecordSetAfterReopen(t *testing.T) {
 	dir := versionsDir(t)
 	e, err := OpenDurable("sets", dir)

@@ -509,7 +509,7 @@ func TestVersionBytesPerEdge(t *testing.T) {
 	after := heap()
 	var edges int64
 	for _, v := range c.Versions()[seeded:] {
-		edges += c.Bipartite().NumRecordsOf(v)
+		edges += int64(len(c.RecordsOf(v)))
 	}
 	per := (float64(after) - float64(before)) / float64(edges)
 	t.Logf("%d records; %d versions add %d edges and retain %.2f B each (%d B in all)", c.NumRecords(), commits, edges, per, int64(after)-int64(before))

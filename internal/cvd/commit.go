@@ -66,9 +66,9 @@ func (c *CVD) stageTable(t *relstore.Table, ridTrusted bool, parents []vgraph.Ve
 			resolve[p] = int32(p)
 		}
 	} else {
-		inherited := c.bip.RecordSet(parents[0])
+		inherited := c.recordSet(parents[0])
 		if len(parents) > 1 {
-			inherited = c.bip.UnionSet(parents)
+			inherited = c.unionSet(parents)
 		}
 		st.kept = make([]vgraph.RecordID, 0, t.Len())
 		next := 0 // of resolve
@@ -126,7 +126,7 @@ func (c *CVD) buildCommit(parents []vgraph.VersionID, st staged) (CommitRequest,
 	}
 	parentSets := make([]*recset.Set, len(parents))
 	for i, p := range parents {
-		parentSets[i] = c.bip.RecordSet(p)
+		parentSets[i] = c.recordSet(p)
 	}
 
 	kept := st.kept
@@ -184,7 +184,7 @@ func (c *CVD) buildCommit(parents []vgraph.VersionID, st staged) (CommitRequest,
 	req := CommitRequest{
 		Version:    c.nextVersion(),
 		Parents:    append([]vgraph.VersionID(nil), parents...),
-		ParentRIDs: c.bip.Records,
+		ParentRIDs: c.records,
 		RIDs:       kept,
 	}
 	return req, fresh, nil

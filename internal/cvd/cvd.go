@@ -15,9 +15,9 @@ import (
 )
 
 // CVD is a collaborative versioned dataset: a relation whose versions are
-// tracked by OrpheusDB. It owns the version graph, the version-record
-// bipartite graph, version metadata, the attribute registry, and a physical
-// data model inside a relstore database.
+// tracked by OrpheusDB. It owns the version graph, each version's record set,
+// version metadata, the attribute registry, and a physical data model inside a
+// relstore database.
 //
 // A CVD is safe for concurrent use. A committed version never changes, and the
 // record catalog, the record sets and the metadata only grow, so every writer —
@@ -27,8 +27,8 @@ import (
 // else: no read takes the mutex or waits for a writer, and no writer waits for
 // a read. The mutex serializes writers; besides them only StorageBytes,
 // JournalErr and the checkouts of the four in-memory models, whose tables are
-// mutable maps, take it. The raw-structure accessors (Graph, Bipartite,
-// DataModel, Rlist, Attributes) return live internal pointers and are NOT
+// mutable maps, take it. The raw-structure accessors (Graph, DataModel, Rlist,
+// Attributes) return live internal pointers and are NOT
 // synchronized; callers that traverse or mutate them concurrently with
 // commits must wrap the access in WithExclusive.
 type CVD struct {
@@ -39,7 +39,6 @@ type CVD struct {
 	schema relstore.Schema // current single-pool data schema (no rid column); replaced, never written
 
 	graph *vgraph.Graph
-	bip   *vgraph.Bipartite
 	// catalog is the record catalog: every record ever committed, once, as one
 	// row of column lanes — the rid, then the data attributes in the form the
 	// schema in force stores them. Rids are handed out densely from 1, so
@@ -51,9 +50,9 @@ type CVD struct {
 	index   *recIndex // over catalog, for the current schema; nil until a commit needs it
 	meta    *metadataStore
 	attrs   *AttributeRegistry
-	// sets holds version v's record set at v-1: the pointers the bipartite
-	// graph holds, and split-by-rlist's versioning table. It is only appended
-	// to, so the published states share it.
+	// sets holds version v's record set at v-1 — the version-record bipartite
+	// graph of Chapter 5, and split-by-rlist's versioning table — once. It is
+	// only appended to, so the published states share it.
 	sets []*recset.Set
 
 	nextRID vgraph.RecordID
@@ -253,7 +252,6 @@ func newCVD(db *relstore.Database, name string, schema relstore.Schema, opts Opt
 		kind:       opts.Model,
 		schema:     schema.Clone(),
 		graph:      vgraph.New(),
-		bip:        vgraph.NewBipartite(),
 		catalog:    catalog,
 		index:      newRecIndex(schema),
 		attrs:      NewAttributeRegistry(),
@@ -364,9 +362,18 @@ func (c *CVD) Schema() relstore.Schema { return c.read().schema.Clone() }
 // concurrent with commits must be wrapped in WithExclusive.
 func (c *CVD) Graph() *vgraph.Graph { return c.graph }
 
-// Bipartite returns the version-record bipartite graph. The returned pointer
-// is live: see Graph.
-func (c *CVD) Bipartite() *vgraph.Bipartite { return c.bip }
+// Bipartite returns the version-record bipartite graph of the last published
+// state, built afresh from the CVD's record sets (O(versions) pointers and the
+// union of the sets) for a caller that hands it to a partitioner
+// (partition.PlanMigration) or reads record sets by version. The CVD keeps no
+// graph of its own: its record sets are the one copy.
+func (c *CVD) Bipartite() *vgraph.Bipartite {
+	b := vgraph.NewBipartite()
+	for i, s := range c.read().sets {
+		b.SetVersionSet(vgraph.VersionID(i+1), s)
+	}
+	return b
+}
 
 // Attributes returns the attribute registry (the attribute table of Section
 // 4.3). The returned pointer is live: see Graph.
@@ -436,8 +443,8 @@ func (c *CVD) RecordContent(r vgraph.RecordID) (relstore.Row, bool) {
 func (c *CVD) rec(r vgraph.RecordID) cells { return cells{tab: c.catalog, pos: int(r) - 1} }
 
 // VersionSnapshot is one version as Snapshot reads it: its metadata and its
-// record set, the pointer the bipartite graph holds, which is never written
-// once the version is committed.
+// record set, the pointer the CVD holds, which is never written once the
+// version is committed.
 type VersionSnapshot struct {
 	Meta    *VersionMeta
 	Records *recset.Set
@@ -605,23 +612,22 @@ func (c *CVD) appendRecords(fresh []relstore.Row) error {
 	return nil
 }
 
-// recordVersion updates the version graph, bipartite graph, metadata and
+// recordVersion updates the version graph, the record sets, metadata and
 // record index after the physical model has accepted the commit.
 func (c *CVD) recordVersion(req CommitRequest, fresh []relstore.Row, msg, author string, at time.Time) error {
 	if _, err := c.graph.AddVersion(req.Version, int64(len(req.RIDs))); err != nil {
 		return err
 	}
-	// The parent edge weights are intersection cardinalities against sets the
-	// bipartite graph already holds; the version's own set is then handed to
-	// the graph, the same pointer the model keeps.
+	// The parent edge weights are intersection cardinalities against the
+	// parents' sets; the version's own set is then appended to them, the same
+	// pointer the model keeps.
 	attrIDs := c.attrs.RegisterSchema(c.schema)
 	for _, p := range req.Parents {
-		common := recset.AndLen(c.bip.RecordSet(p), req.Set)
+		common := recset.AndLen(c.recordSet(p), req.Set)
 		if err := c.graph.AddEdgeAttrs(p, req.Version, common, len(c.schema.Columns)); err != nil {
 			return err
 		}
 	}
-	c.bip.SetVersionSet(req.Version, req.Set)
 	c.sets = append(c.sets, req.Set)
 	m := &VersionMeta{
 		ID:         req.Version,
@@ -643,6 +649,29 @@ func (c *CVD) recordVersion(req CommitRequest, fresh []relstore.Row, msg, author
 	c.nextRID += vgraph.RecordID(len(fresh))
 	return nil
 }
+
+// recordSet returns version v's record set (nil when there is no version v)
+// for a writer, which holds c.mu. It is shared: read it, never mutate it.
+func (c *CVD) recordSet(v vgraph.VersionID) *recset.Set {
+	if v < 1 || int(v) > len(c.sets) {
+		return nil
+	}
+	return c.sets[v-1]
+}
+
+// unionSet returns the union of the versions' record sets, as a fresh set the
+// caller owns.
+func (c *CVD) unionSet(vs []vgraph.VersionID) *recset.Set {
+	out := recset.New()
+	for _, v := range vs {
+		out.UnionWith(c.recordSet(v))
+	}
+	return out
+}
+
+// records returns version v's record ids ascending, as a fresh slice: a
+// CommitRequest's ParentRIDs.
+func (c *CVD) records(v vgraph.VersionID) []vgraph.RecordID { return vgraph.RecordIDs(c.recordSet(v)) }
 
 // nextVersion is the id the next commit takes: ids are dense from 1.
 func (c *CVD) nextVersion() vgraph.VersionID { return vgraph.VersionID(len(c.sets) + 1) }

@@ -58,7 +58,7 @@ func (c *CVD) InitDelta() (versions []vgraph.VersionID, delta []relstore.Row, de
 func (c *CVD) deltaLocked(v vgraph.VersionID, parents []vgraph.VersionID, added []relstore.Row) ([]vgraph.VersionID, []relstore.Row, relstore.Schema) {
 	versions := make([]vgraph.VersionID, 0, len(parents)+1)
 	versions = append(append(versions, v), parents...)
-	dropped := recset.AndNot(c.bip.UnionSet(parents), c.bip.RecordSet(v))
+	dropped := recset.AndNot(c.unionSet(parents), c.recordSet(v))
 	delta := slices.Grow(added, int(dropped.Len()))
 	dropped.ForEach(func(rid int64) bool {
 		delta = append(delta, relstore.Row{relstore.Int(rid)})
@@ -124,7 +124,7 @@ func (c *CVD) replay(versions []vgraph.VersionID, delta []relstore.Row, deltaSch
 		return fmt.Errorf("cvd: %s: journalled version %d has schema (%s), which is not the current schema (%s) evolved", c.name, v, data, c.schema)
 	}
 
-	rids := c.bip.UnionSet(parents)
+	rids := c.unionSet(parents)
 	var added []relstore.Row
 	for _, row := range delta {
 		switch len(row) {
@@ -152,7 +152,7 @@ func (c *CVD) replay(versions []vgraph.VersionID, delta []relstore.Row, deltaSch
 	req := CommitRequest{
 		Version:    v,
 		Parents:    append([]vgraph.VersionID(nil), parents...),
-		ParentRIDs: c.bip.Records,
+		ParentRIDs: c.records,
 		RIDs:       vgraph.RecordIDs(rids),
 	}
 	if err := c.applyCommit(req, added, msg, author, at); err != nil {

@@ -14,7 +14,7 @@
 // Operations additionally parallelize internally (multi-version checkout,
 // partitioned scans, partition builds) when the CVD is created with
 // Options.Workers > 1. The only unsynchronized surface is the raw-structure
-// accessors (Graph, Bipartite, DataModel, Rlist, Attributes), which return
+// accessors (Graph, DataModel, Rlist, Attributes), which return
 // live internal pointers; guard multi-step access to those with
 // WithExclusive.
 package cvd
@@ -95,9 +95,9 @@ type CommitRequest struct {
 	ParentRIDs func(vgraph.VersionID) []vgraph.RecordID
 	// RIDs is the complete record id list of the new version, ascending.
 	RIDs []vgraph.RecordID
-	// Set is RIDs as a compressed set, built once per commit. The bipartite
-	// graph keeps it as the version's record set and split-by-rlist as the
-	// version's rlist; the other models ignore it. Nobody mutates it.
+	// Set is RIDs as a compressed set, built once per commit. The CVD keeps it
+	// as the version's record set, which split-by-rlist reads as the version's
+	// rlist; the other models ignore it. Nobody mutates it.
 	Set *recset.Set
 	// Records is the CVD's record catalog: the rid column, then the data
 	// attributes under the schema in force, record r at row r-1. It already

@@ -16,7 +16,7 @@ import (
 // the same table, so a record is stored once and a commit has nothing to add to
 // it — which keeps record r at row r-1. The versioning table is the CVD's
 // record sets: each rlist is the version's compressed record set, the very set
-// the bipartite graph holds, so a version's records are listed once; the
+// the CVD holds, so a version's records are listed once; the
 // database accounts for it under its table name (versioningTable). It is the
 // model OrpheusDB adopts, and the only model that supports partitioned storage
 // (Chapter 5): the data table may be split into several partition tables, each
@@ -106,15 +106,10 @@ func (m *rlistModel) AppendVersion(req CommitRequest) error {
 	return nil
 }
 
-// RecordSet returns version v's rlist, which is the bipartite graph's record
-// set of v (nil when the versioning table has no version v). It is shared:
-// read it, never mutate it.
-func (m *rlistModel) RecordSet(v vgraph.VersionID) *recset.Set {
-	if v < 1 || int(v) > len(m.c.sets) {
-		return nil
-	}
-	return m.c.sets[v-1]
-}
+// RecordSet returns version v's rlist, which is the CVD's record set of v (nil
+// when the versioning table has no version v). It is shared: read it, never
+// mutate it.
+func (m *rlistModel) RecordSet(v vgraph.VersionID) *recset.Set { return m.c.recordSet(v) }
 
 // setOf is RecordSet for a version that must exist.
 func (m *rlistModel) setOf(v vgraph.VersionID) (*recset.Set, error) {
@@ -135,15 +130,18 @@ func (m *rlistModel) Checkout(v vgraph.VersionID, tableName string) (*relstore.T
 
 // joinCheckout materializes the records of an rlist out of data with a hash
 // join (Section 5.5.5). The join resolves to a selection vector over the data
-// table and the staging table is gathered column-wise — sharing the column
-// backing outright (copy-on-write) when the version covers the whole backing
-// table.
+// table, and the staging table views the data table's lanes through it: no
+// cell is copied until the staging table's user writes a column. A data or
+// partition table that holds a rid twice gives rows the unique rid index
+// refuses, and so does the checkout.
 func joinCheckout(data *relstore.Table, rlist *recset.Set, workers int, tableName string) (*relstore.Table, error) {
 	out, err := relstore.JoinTableOnRIDs(data, ridColumn, rlist, workers, tableName)
 	if err != nil {
 		return nil, err
 	}
-	_ = out.BuildIndexOn(ridColumn)
+	if err := out.BuildIndexOn(ridColumn); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 

@@ -107,8 +107,8 @@ type PersistentState struct {
 
 	Graph *vgraph.Graph // version graph
 	// RecordSets is the versioning table: one set per version 1 … NextVID-1,
-	// in order (Restore checks), each the version's rlist and its record set
-	// in the bipartite graph at once.
+	// in order (Restore checks), each the version's record set, which is its
+	// rlist.
 	RecordSets []VersionRecordSet
 	Metas      []*VersionMeta // version metadata ordered by id
 	Attrs      []Attribute    // attribute registry in registration order
@@ -184,8 +184,8 @@ func (c *CVD) ExportState() (*PersistentState, error) {
 // table named in st.Tables must already have been deserialized into db;
 // Restore only wires the in-memory structures (graph, record sets, metadata,
 // attribute registry, partition bookkeeping) back around them, the data table
-// serving as the record catalog. Each record set becomes both the version's
-// rlist and its set in the bipartite graph. A state whose record catalog or
+// serving as the record catalog. Each record set becomes the version's record
+// set, which is its rlist. A state whose record catalog or
 // versioning table is not the one it describes is refused, with an error that
 // is ErrBadCatalog or ErrBadVersions (errors.Is). The restored CVD takes
 // ownership of the state's pointers.
@@ -215,7 +215,6 @@ func Restore(db *relstore.Database, st *PersistentState) (*CVD, error) {
 		kind:      SplitByRlist,
 		schema:    st.Schema.Clone(),
 		graph:     st.Graph,
-		bip:       vgraph.NewBipartite(),
 		catalog:   catalog,
 		meta:      &metadataStore{db: db, name: name, metas: slices.Clone(st.Metas)},
 		attrs:     restoreAttributeRegistry(st.Attrs),
@@ -227,7 +226,6 @@ func Restore(db *relstore.Database, st *PersistentState) (*CVD, error) {
 		clock:     time.Now,
 	}
 	for i, vs := range st.RecordSets {
-		c.bip.SetVersionSet(vs.Version, vs.Set)
 		c.sets[i] = vs.Set
 	}
 	if err := restoreModel(c, st); err != nil {

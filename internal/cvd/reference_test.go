@@ -84,11 +84,11 @@ func (c *CVD) refBuildCommit(parents []vgraph.VersionID, rows []relstore.Row, sc
 	req := CommitRequest{
 		Version:    c.nextVersion(),
 		Parents:    append([]vgraph.VersionID(nil), parents...),
-		ParentRIDs: c.bip.Records,
+		ParentRIDs: c.records,
 	}
 	parentByKey := make(map[string]vgraph.RecordID)
 	for _, p := range parents {
-		for _, rid := range c.bip.Records(p) {
+		for _, rid := range c.records(p) {
 			row := c.catalog.RowAt(int(rid) - 1)[1:]
 			key := c.contentKey(row)
 			if _, exists := parentByKey[key]; !exists {

@@ -10,12 +10,12 @@ import (
 )
 
 // Split-by-rlist's versioning table holds one compressed record set per
-// version, and that set is the bipartite graph's record set of the version:
+// version, and that set is the CVD's record set of the version:
 // the tests here pin the sharing and the check a restore makes of a versioning
 // table read back from disk.
 
 // sameRlists fails unless every version of c has an rlist and it is the very
-// set the bipartite graph holds for the version.
+// set the CVD publishes for the version.
 func sameRlists(t *testing.T, what string, c *CVD) {
 	t.Helper()
 	m, err := c.Rlist()
@@ -26,14 +26,14 @@ func sameRlists(t *testing.T, what string, c *CVD) {
 		t.Fatalf("%s: the versioning table holds %d versions, the CVD %d", what, len(c.sets), c.NumVersions())
 	}
 	for _, v := range c.Versions() {
-		if s := m.RecordSet(v); s == nil || s != c.Bipartite().RecordSet(v) {
-			t.Fatalf("%s: version %d's rlist is not the bipartite graph's record set", what, v)
+		if s := m.RecordSet(v); s == nil || s != c.read().sets[v-1] {
+			t.Fatalf("%s: version %d's rlist is not the CVD's record set", what, v)
 		}
 	}
 }
 
 // TestRlistIsRecordSet: a commit builds its version's set once and both the
-// bipartite graph and the versioning table keep that pointer — live, after
+// CVD's published state and the versioning table keep that pointer — live, after
 // the commits are replayed from their journalled deltas, in a checkpoint
 // capture, and after a restore from it.
 func TestRlistIsRecordSet(t *testing.T) {

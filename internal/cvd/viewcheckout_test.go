@@ -1,0 +1,541 @@
+package cvd
+
+import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"slices"
+	"sort"
+	"sync"
+	"testing"
+
+	"repro/internal/relstore"
+	"repro/internal/vgraph"
+)
+
+// A split-by-rlist checkout copies no cell: the staging table views the
+// catalog's (or its partition's) lanes through the version's positions, and a
+// column is copied when it is first written. The tests here hold such a
+// checkout to a materialized copy of it, before and after catalog writes, and
+// pin the bytes a checkout allocates.
+
+// viewCVD is a split-by-rlist CVD of n records and width data columns (a key,
+// a string, a float and integers) with four versions: v1 every record, v2 v1
+// less every third record plus 50, v3 v2 with 40 records changed, and v4 the
+// merge of v2 and v3.
+func viewCVD(t testing.TB, width, n int) (*CVD, relstore.Schema) {
+	t.Helper()
+	cols := []relstore.Column{{Name: "k", Type: relstore.TypeInt}, {Name: "s", Type: relstore.TypeString}, {Name: "f", Type: relstore.TypeFloat}}
+	for len(cols) < width {
+		cols = append(cols, relstore.Column{Name: fmt.Sprintf("a%02d", len(cols)), Type: relstore.TypeInt})
+	}
+	schema := relstore.MustSchema(cols, "k")
+	row := func(k int) relstore.Row {
+		r := relstore.Row{relstore.Int(int64(k)), relstore.Str(fmt.Sprintf("s%d", k%97)), relstore.Float(float64(k) / 4)}
+		for len(r) < width {
+			r = append(r, relstore.Int(int64(k*len(r)%1000)))
+		}
+		if k%11 == 0 {
+			r[width-1] = relstore.Null()
+		}
+		return r
+	}
+	rows := make([]relstore.Row, n)
+	for k := range rows {
+		rows[k] = row(k)
+	}
+	c, err := Init(relstore.NewDatabase("views"), "views", schema, rows, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v2 []relstore.Row
+	for k, r := range rows {
+		if k%3 != 0 {
+			v2 = append(v2, r)
+		}
+	}
+	for k := n; k < n+50; k++ {
+		v2 = append(v2, row(k))
+	}
+	v3 := slices.Clone(v2)
+	for i := 0; i < 40; i++ {
+		v3[i*len(v3)/40] = append(slices.Clone(v3[i*len(v3)/40][:1]), row(n + 100 + i)[1:]...)
+	}
+	for _, commit := range []struct {
+		parents []vgraph.VersionID
+		rows    []relstore.Row
+	}{{[]vgraph.VersionID{1}, v2}, {[]vgraph.VersionID{2}, v3}, {[]vgraph.VersionID{2, 3}, v2}} {
+		if _, err := c.Commit(commit.parents, commit.rows, schema, "m", "t"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c, schema
+}
+
+// sameCheckout fails unless every read of got answers what the same read of
+// want does, and reading copies none of got's columns.
+func sameCheckout(t *testing.T, what string, got, want *relstore.Table) {
+	t.Helper()
+	shared := got.SharedColumns()
+	if err := sameTable(got, want); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	all := make(relstore.Selection, 0, want.Len())
+	for i := 0; i < want.Len(); i++ {
+		all = append(all, int32(i))
+		for j := range want.Schema.Columns {
+			w := want.At(i, j)
+			if !got.CellIdentical(i, j, &w) || got.IntAt(i, j) != want.IntAt(i, j) || got.StringAt(i, j) != want.StringAt(i, j) {
+				t.Fatalf("%s: cell (%d,%d) reads differently from %v", what, i, j, w)
+			}
+		}
+	}
+	gb, _ := got.RowBlock(all, 1)
+	wb, _ := want.RowBlock(all, 1)
+	if !reflect.DeepEqual(gb, wb) || !reflect.DeepEqual(got.Rows(), want.Rows()) || !slices.Equal(got.DirtyRows(), want.DirtyRows()) {
+		t.Fatalf("%s: rows, row blocks or dirty rows differ", what)
+	}
+	if got.StorageBytes() != want.StorageBytes() {
+		t.Fatalf("%s: %d accounted bytes, want %d", what, got.StorageBytes(), want.StorageBytes())
+	}
+	for j, col := range want.Schema.Columns {
+		if !reflect.DeepEqual(got.ColumnLanes(j), want.ColumnLanes(j)) {
+			t.Fatalf("%s: the lanes of %s differ", what, col.Name)
+		}
+		gi, _ := got.GatherInts(col.Name, all)
+		wi, _ := want.GatherInts(col.Name, all)
+		if !slices.Equal(gi, wi) {
+			t.Fatalf("%s: GatherInts of %s differ", what, col.Name)
+		}
+		for _, v := range []relstore.Value{relstore.Int(500), relstore.Float(30.25), relstore.Str("s50"), relstore.Null()} {
+			gs, _ := got.FilterVec(col.Name, relstore.CmpGE, v)
+			ws, _ := want.FilterVec(col.Name, relstore.CmpGE, v)
+			if !slices.Equal(gs, ws) {
+				t.Fatalf("%s: %s >= %v selects %d rows, want %d", what, col.Name, v, len(gs), len(ws))
+			}
+		}
+	}
+	if got.HasIndex() {
+		for i := 0; i < want.Len(); i += 7 {
+			g, gok := got.LookupIndex(want.At(i, 0))
+			w, wok := want.LookupIndex(want.At(i, 0))
+			if gok != wok || !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: rid %v looks up %v, want %v", what, want.At(i, 0), g, w)
+			}
+		}
+	}
+	if got.SharedColumns() != shared {
+		t.Fatalf("%s: reading changed the shared columns from %d to %d", what, shared, got.SharedColumns())
+	}
+}
+
+// TestCheckoutReadsAsACopy: partial, partitioned and multi-version checkouts
+// answer every read as a materialized copy does, and go on doing so after
+// the catalog is written: a commit's appends, a commit that retypes a column,
+// and an append a refusing model rolls back.
+func TestCheckoutReadsAsACopy(t *testing.T) {
+	for _, partitioned := range []bool{false, true} {
+		t.Run(fmt.Sprintf("partitioned=%v", partitioned), func(t *testing.T) {
+			c, schema := viewCVD(t, 7, 600)
+			if partitioned {
+				m, err := c.Rlist()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := m.ApplyPartitioning(vgraph.NewPartitioning(map[vgraph.VersionID]int{1: 0, 2: 1, 3: 1, 4: 1})); err != nil {
+					t.Fatal(err)
+				}
+			}
+			type held struct{ tab, copy *relstore.Table }
+			var checkouts []held
+			for k, versions := range [][]vgraph.VersionID{{1}, {2}, {3}, {4}, {3, 1}, {2, 3}} {
+				tab, err := c.Checkout(versions, fmt.Sprintf("co%d", k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(versions) == 1 && tab.SharedColumns() != len(tab.Schema.Columns) {
+					t.Fatalf("checkout of %v copied %d columns", versions, len(tab.Schema.Columns)-tab.SharedColumns())
+				}
+				checkouts = append(checkouts, held{tab, tab.Clone("copy")})
+			}
+			check := func(when string) {
+				t.Helper()
+				for k, h := range checkouts {
+					sameCheckout(t, fmt.Sprintf("checkout %d %s", k, when), h.tab, h.copy)
+				}
+			}
+			check("as checked out")
+
+			latest := vgraph.VersionID(c.NumVersions())
+			rows := make([]relstore.Row, 0, 20)
+			for k := 0; k < 20; k++ {
+				r := relstore.Row{relstore.Int(int64(10_000 + k)), relstore.Str("appended"), relstore.Float(1)}
+				for len(r) < len(schema.Columns) {
+					r = append(r, relstore.Int(7))
+				}
+				rows = append(rows, r)
+			}
+			if _, err := c.Commit([]vgraph.VersionID{latest}, rows, schema, "append", "t"); err != nil {
+				t.Fatal(err)
+			}
+			check("after a commit's appends")
+
+			retyped := schema.Clone()
+			retyped.Columns[3].Type = relstore.TypeFloat
+			for _, r := range rows {
+				r[3] = relstore.Float(2.5)
+			}
+			if _, err := c.Commit([]vgraph.VersionID{latest}, rows, retyped, "retype", "t"); err != nil {
+				t.Fatal(err)
+			}
+			check("after a commit retyped a column")
+
+			c.model = &failingModel{DataModel: c.model, failNext: true}
+			rows[0] = append(slices.Clone(rows[0][:1]), rows[0][1:]...)
+			rows[0][1] = relstore.Str("refused")
+			if _, err := c.Commit([]vgraph.VersionID{latest}, rows, retyped, "refused", "t"); err == nil {
+				t.Fatal("the failing model accepted the commit")
+			}
+			rows[0][1] = relstore.Str("accepted")
+			if _, err := c.Commit([]vgraph.VersionID{latest}, rows, retyped, "after the refusal", "t"); err != nil {
+				t.Fatal(err)
+			}
+			check("after an append was rolled back and the rows reused")
+		})
+	}
+}
+
+// TestCheckoutCopiesWhatIsWritten: every mutation of a checkout leaves it as
+// the same mutation leaves a materialized copy, copies the columns it writes
+// and only those, and reaches neither the catalog nor a later checkout; the
+// edited checkout then commits.
+func TestCheckoutCopiesWhatIsWritten(t *testing.T) {
+	c, _ := viewCVD(t, 7, 300)
+	insert := func(tab *relstore.Table) {
+		r := relstore.Row{relstore.Int(-1), relstore.Int(int64(99_999 + tab.Len())), relstore.Str("new"), relstore.Float(0)}
+		for len(r) < len(tab.Schema.Columns) {
+			r = append(r, relstore.Null())
+		}
+		tab.MustInsert(r)
+	}
+	mutations := []struct {
+		name   string
+		do     func(*relstore.Table)
+		copied int // columns the mutation copies; -1: every one
+	}{
+		{"Set", func(tab *relstore.Table) { tab.Set(4, 2, relstore.Str("edited")) }, 1},
+		{"UpdateWhere", func(tab *relstore.Table) {
+			if _, err := tab.UpdateWhere(func(r relstore.Row) bool { return r[1].AsInt()%5 == 0 }, func(r relstore.Row) relstore.Row {
+				r[3] = relstore.Float(-1)
+				return r
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}, 1},
+		{"AddColumn", func(tab *relstore.Table) {
+			if err := tab.AddColumn(relstore.Column{Name: fmt.Sprintf("note%d", len(tab.Schema.Columns)), Type: relstore.TypeString}); err != nil {
+				t.Fatal(err)
+			}
+		}, 0},
+		{"AlterColumnType", func(tab *relstore.Table) {
+			if err := tab.AlterColumnType("a04", relstore.TypeFloat); err != nil {
+				t.Fatal(err)
+			}
+		}, 1},
+		{"DeleteWhere", func(tab *relstore.Table) { tab.DeleteWhere(func(r relstore.Row) bool { return r[1].AsInt()%4 == 1 }) }, 0},
+		{"SortBy", func(tab *relstore.Table) {
+			if err := tab.SortBy(relstore.ClusterNone, "s"); err != nil {
+				t.Fatal(err)
+			}
+		}, 0},
+		{"Shrink", func(tab *relstore.Table) { tab.Shrink(tab.Len() / 2) }, 0},
+		{"Insert", insert, -1},
+		{"Set then Insert", func(tab *relstore.Table) { tab.Set(0, 5, relstore.Int(-5)); insert(tab) }, -1},
+	}
+	records := func() []relstore.Row {
+		out := make([]relstore.Row, c.NumRecords())
+		for r := range out {
+			out[r], _ = c.RecordContent(vgraph.RecordID(r + 1))
+		}
+		return out
+	}
+	for _, v := range []vgraph.VersionID{1, 2, 3} {
+		for _, m := range mutations {
+			what := fmt.Sprintf("version %d %s", v, m.name)
+			tab, err := c.Checkout([]vgraph.VersionID{v}, "work")
+			if err != nil {
+				t.Fatal(err)
+			}
+			width, before := len(tab.Schema.Columns), records()
+			pristine, copied := tab.Clone("pristine"), tab.Clone("copied")
+			m.do(tab)
+			m.do(copied)
+			sameCheckout(t, what, tab, copied)
+			views := width - m.copied
+			if m.copied < 0 {
+				views = 0
+			}
+			if got := tab.SharedColumns(); got != views {
+				t.Fatalf("%s: %d columns still views, want %d", what, got, views)
+			}
+			if !reflect.DeepEqual(records(), before) {
+				t.Fatalf("%s: the edit reached the catalog", what)
+			}
+			again, err := c.Checkout([]vgraph.VersionID{v}, "again")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameCheckout(t, what+": a later checkout", again, pristine)
+			c.DiscardCheckout("again")
+			if _, err := c.CommitTable("work", m.name, "t"); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		}
+	}
+}
+
+// TestCheckoutViewsRaceCommits: checkouts read their staging tables — every
+// cell, a filter, a write to one column — while commits append to the
+// catalog, retype a column of it and roll an append back, on an unpartitioned
+// and a partitioned CVD. Run with -race.
+func TestCheckoutViewsRaceCommits(t *testing.T) {
+	for _, partitioned := range []bool{false, true} {
+		t.Run(fmt.Sprintf("partitioned=%v", partitioned), func(t *testing.T) {
+			c, schema := viewCVD(t, 5, 400)
+			if partitioned {
+				m, _ := c.Rlist()
+				if err := m.ApplyPartitioning(vgraph.NewPartitioning(map[vgraph.VersionID]int{1: 0, 2: 1, 3: 1, 4: 1})); err != nil {
+					t.Fatal(err)
+				}
+			}
+			versions := c.NumVersions()
+			const readers, commits = 3, 30
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < readers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						v := vgraph.VersionID(1 + (g+i)%versions)
+						name := fmt.Sprintf("r%d_%d", g, i)
+						tab, err := c.Checkout([]vgraph.VersionID{v}, name)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						copied := tab.Clone("copied")
+						if tab.Len() != len(c.RecordsOf(v)) {
+							t.Errorf("checkout of version %d: %d rows, want %d", v, tab.Len(), len(c.RecordsOf(v)))
+						}
+						gs, _ := tab.FilterVec("f", relstore.CmpGE, relstore.Float(20))
+						ws, _ := copied.FilterVec("f", relstore.CmpGE, relstore.Float(20))
+						tab.Set(0, 2, relstore.Str("mine"))
+						copied.Set(0, 2, relstore.Str("mine"))
+						if err := sameTable(tab, copied); err != nil || !slices.Equal(gs, ws) {
+							t.Errorf("checkout of version %d changed under the commits: %v", v, err)
+							return
+						}
+						c.DiscardCheckout(name)
+					}
+				}(g)
+			}
+			latest := vgraph.VersionID(4)
+			widened := schema.Clone()
+			for i := 0; i < commits; i++ {
+				row := relstore.Row{relstore.Int(int64(50_000 + i)), relstore.Str("w"), relstore.Float(1), relstore.Int(1), relstore.Int(2)}
+				if i == commits/3 {
+					widened.Columns[4].Type = relstore.TypeFloat
+				}
+				if i >= commits/3 {
+					row[4] = relstore.Float(0.5)
+				}
+				if i%7 == 3 {
+					model := c.model
+					_ = c.WithExclusive(func() error { c.model = &failingModel{DataModel: model, failNext: true}; return nil })
+					if _, err := c.Commit([]vgraph.VersionID{latest}, []relstore.Row{row}, widened, "refused", "w"); err == nil {
+						t.Fatal("the failing model accepted the commit")
+					}
+					_ = c.WithExclusive(func() error { c.model = model; return nil })
+				}
+				if _, err := c.Commit([]vgraph.VersionID{latest}, []relstore.Row{row}, widened, "append", "w"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(stop)
+			wg.Wait()
+		})
+	}
+}
+
+// TestCheckoutAllocations is the checkout's allocation gate (counts only, no
+// wall-clock): a checkout of a version spread over a catalog twice its size
+// allocates at most 8 bytes per record of the version — its position vector
+// and a constant — whatever the number of columns. When a checkout still
+// gathered every column into lanes of its own, it allocated 86 B per record
+// here on 7 columns and 215 B on 21.
+func TestCheckoutAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory is not the program's")
+	}
+	const records = 40_000
+	for _, width := range []int{7, 21} {
+		c, schema := viewCVD(t, width, records)
+		// v5 keeps every other record of v1: the positional probe, not a full
+		// cover.
+		var rows []relstore.Row
+		for r := 1; r <= records; r += 2 {
+			row, _ := c.RecordContent(vgraph.RecordID(r))
+			rows = append(rows, row)
+		}
+		v, err := c.Commit([]vgraph.VersionID{1}, rows, schema, "half", "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(c.RecordsOf(v))
+		checkout := func() {
+			if _, err := c.Checkout([]vgraph.VersionID{v}, "gate"); err != nil {
+				t.Fatal(err)
+			}
+			c.DiscardCheckout("gate")
+		}
+		checkout()
+		var bytes []uint64
+		var ms runtime.MemStats
+		for i := 0; i < 9; i++ {
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			checkout()
+			runtime.ReadMemStats(&ms)
+			bytes = append(bytes, ms.TotalAlloc-before)
+		}
+		sort.Slice(bytes, func(i, j int) bool { return bytes[i] < bytes[j] })
+		per := float64(bytes[len(bytes)/2]) / float64(n)
+		t.Logf("%d columns: a checkout of %d records allocates %d B, %.2f B per record", width, n, bytes[len(bytes)/2], per)
+		if per > 8 {
+			t.Errorf("%d columns: a checkout allocates %.2f B per record of the version, want <= 8", width, per)
+		}
+	}
+}
+
+// TestCheckoutRefusesDuplicateRID: a partition table holding a rid twice gives
+// a checkout the unique rid index refuses, and the checkout says so instead of
+// handing out duplicate rows.
+func TestCheckoutRefusesDuplicateRID(t *testing.T) {
+	_, c := buildProteinCVD(t, SplitByRlist)
+	m, err := c.Rlist()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.ApplyPartitioning(vgraph.NewPartitioning(map[vgraph.VersionID]int{1: 0, 2: 0, 3: 1, 4: 1})); err != nil {
+		t.Fatal(err)
+	}
+	err = c.WithExclusive(func() error {
+		part := m.parts[1]
+		part.AppendRow(part.RowAt(0)) // the rid of its first row, again
+		m.view(1)
+		c.publish()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Checkout([]vgraph.VersionID{4}, "dup"); err == nil || c.db.HasTable("dup") {
+		t.Fatalf("a checkout over a partition holding a rid twice gave %v", err)
+	}
+	if _, err := c.Checkout([]vgraph.VersionID{1}, "fine"); err != nil {
+		t.Fatalf("a checkout of the other partition: %v", err)
+	}
+}
+
+// TestPartitionProbeMergesAsScan: the merge-pass probe of a partition's rid
+// column selects each version's rows as a membership test of every row does,
+// after a partitioning, after online maintenance appended older rids, and
+// after a migration.
+func TestPartitionProbeMergesAsScan(t *testing.T) {
+	c, schema := viewCVD(t, 5, 500)
+	m, err := c.Rlist()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		st := c.read()
+		for v := vgraph.VersionID(1); int(v) <= len(st.sets); v++ {
+			k := st.partition(v)
+			if k < 0 {
+				continue
+			}
+			part, set := st.parts[k], st.sets[v-1]
+			var want relstore.Selection
+			for i := 0; i < part.Len(); i++ {
+				if set.Contains(part.IntAt(i, 0)) {
+					want = append(want, int32(i))
+				}
+			}
+			for _, workers := range []int{1, 3} {
+				got, err := relstore.JoinTableOnRIDs(part, ridColumn, set, workers, "probe")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Len() != len(want) {
+					t.Fatalf("%s: version %d on %d workers selects %d rows, want %d", when, v, workers, got.Len(), len(want))
+				}
+				for k, i := range want {
+					if got.IntAt(k, 0) != part.IntAt(int(i), 0) {
+						t.Fatalf("%s: version %d on %d workers: row %d is rid %d, want %d", when, v, workers, k, got.IntAt(k, 0), part.IntAt(int(i), 0))
+					}
+				}
+			}
+		}
+	}
+	if err := m.ApplyPartitioning(vgraph.NewPartitioning(map[vgraph.VersionID]int{1: 0, 2: 1, 3: 1, 4: 1})); err != nil {
+		t.Fatal(err)
+	}
+	check("after a partitioning")
+	// A version of v1's records lands in partition 1, which holds v1 less
+	// every third record: the ones it lacks are older than its last rid.
+	var rows []relstore.Row
+	for r := 1; r <= 500; r += 5 {
+		row, _ := c.RecordContent(vgraph.RecordID(r))
+		rows = append(rows, row)
+	}
+	v5, err := c.Commit([]vgraph.VersionID{1}, rows, schema, "old records", "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.OnlineAssign(v5, 1, false, c.RecordsOf(v5)); err != nil {
+		t.Fatal(err)
+	}
+	// v6, v5 plus new records, follows v5 into partition 1: its set holds
+	// rids from before the older ones and from past them.
+	for k := 0; k < 10; k++ {
+		r := relstore.Row{relstore.Int(int64(90_000 + k)), relstore.Str("new"), relstore.Float(0)}
+		for len(r) < len(schema.Columns) {
+			r = append(r, relstore.Int(0))
+		}
+		rows = append(rows, r)
+	}
+	if _, err := c.Commit([]vgraph.VersionID{v5}, rows, schema, "new records", "t"); err != nil {
+		t.Fatal(err)
+	}
+	part, descends := c.read().parts[1], false
+	for i := 1; i < part.Len(); i++ {
+		descends = descends || part.IntAt(i, 0) < part.IntAt(i-1, 0)
+	}
+	if !descends || c.read().partition(6) != 1 {
+		t.Fatal("online maintenance appended no older rid, or v6 left partition 1")
+	}
+	check("after online maintenance")
+	p := vgraph.NewPartitioning(map[vgraph.VersionID]int{1: 1, 2: 0, 3: 0, 4: 0, 5: 1, 6: 1})
+	plan := []MigrationOp{{NewPartition: 0, FromPartition: 1, Versions: []vgraph.VersionID{2, 3, 4}}, {NewPartition: 1, FromPartition: 0, Versions: []vgraph.VersionID{1, 5, 6}}}
+	if _, err := m.Migrate(p, plan); err != nil {
+		t.Fatal(err)
+	}
+	check("after a migration")
+}

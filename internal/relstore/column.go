@@ -22,17 +22,28 @@ import (
 // columns: a stray string cell in an integer column simply lazily
 // materializes the string vector, so arbitrary Values round-trip exactly.
 //
-// Copy-on-write. Checkout staging tables share column backing with the data
-// table they were materialized from (see Table.GatherInto): both sides mark
-// the column shared, and every mutating path — set, append, delete, sort,
-// truncate — copies the backing vectors of the affected column first
-// (ensureOwned). The boundary is per column: adding a column or rewriting one
-// column's cells never copies its siblings.
+// Copy-on-write. A checkout's staging table copies no cell (see
+// Table.GatherInto): each of its columns is a view column, whose position
+// vector at maps cell i to lane cell at[i] of the lanes of the table it was
+// selected from. Those lanes are only read: the source column is marked
+// viewed, so its own in-place writes copy first, and its appends land past
+// every view's cells. Every mutating path — set, append, delete, sort,
+// truncate — first gives the column it touches lanes of its own
+// (ensureOwned, ensureAppendable); a view column gathers its cells then, into
+// lanes sized n + n/4, so that the appends which usually follow an edit do not
+// regrow them. The boundary is per column: adding a column or rewriting one
+// column's cells never copies its siblings, which stay views. Selecting from
+// a view again (GatherInto, AppendFrom, DeleteWhere, SortBy, Shrink) composes
+// positions instead of copying cells.
+//
+// The trade-off: a staging table keeps the lanes it was selected from alive —
+// the catalog's lanes as of its checkout, however the catalog has grown or
+// been copied since — until it is dropped or every column has been written.
 //
 // Views. A column that only has read-only views over its current cells
-// (Table.View) is marked viewed, not shared: appending to it lands past every
-// view's cells and copies nothing (ensureAppendable), any other write copies
-// first as above.
+// (Table.View, or view columns) is marked viewed, not shared: appending to it
+// lands past every view's cells and copies nothing (ensureAppendable), any
+// other write copies first as above.
 
 // Selection is a selection vector: row positions in ascending order, as
 // produced by FilterVec and consumed by GatherInto/AppendFrom.
@@ -142,6 +153,12 @@ type column struct {
 	strs   []string  // TypeString cells
 	arrs   [][]int64 // TypeIntArray cells (the overflow vector)
 
+	// at, when non-nil, makes the column a view column: cell i is lane cell
+	// at[i] of the lanes above, which belong to the column it was selected
+	// from and are only read. Sibling view columns of one table may share one
+	// position vector; it is never written, only replaced.
+	at []int32
+
 	// shared is colShared when the backing vectors are shared with another
 	// table and colViewed when they only back read-only views. Accessed
 	// atomically: checkouts mark a source column shared holding no lock —
@@ -170,7 +187,20 @@ func newNullColumn(n int) *column {
 	return &column{tags: make([]uint8, n)} // TypeNull == 0
 }
 
-func (c *column) len() int { return len(c.tags) }
+func (c *column) len() int {
+	if c.at != nil {
+		return len(c.at)
+	}
+	return len(c.tags)
+}
+
+// cell returns the lane position of cell i.
+func (c *column) cell(i int) int {
+	if c.at != nil {
+		return int(c.at[i])
+	}
+	return i
+}
 
 // ensureLane makes payload lane p cover every existing cell; lanes are
 // allocated lazily the first time a cell of their type appears.
@@ -250,26 +280,30 @@ func (c *column) append(v Value) {
 // value materializes cell i. Integer-array cells share their element slice
 // with the column storage (the same immutable-once-inserted discipline rows
 // have always followed); Clone the row before mutating through it.
-func (c *column) value(i int) Value {
-	switch ValueType(c.tags[i]) {
-	case TypeInt:
-		return Value{Type: TypeInt, I: c.ints[i]}
-	case TypeFloat:
-		return Value{Type: TypeFloat, F: c.floats[i]}
-	case TypeString:
-		return Value{Type: TypeString, S: c.strs[i]}
-	case TypeBool:
-		return Value{Type: TypeBool, B: c.ints[i] != 0}
-	case TypeIntArray:
-		return Value{Type: TypeIntArray, A: c.arrs[i]}
-	default:
-		return Value{}
+func (c *column) value(i int) (v Value) {
+	// Written to stay cheap enough to inline, and Table.At with it.
+	if c.at != nil {
+		i = int(c.at[i])
 	}
+	switch v.Type = ValueType(c.tags[i]); v.Type {
+	case TypeInt:
+		v.I = c.ints[i]
+	case TypeFloat:
+		v.F = c.floats[i]
+	case TypeString:
+		v.S = c.strs[i]
+	case TypeBool:
+		v.B = c.ints[i] != 0
+	case TypeIntArray:
+		v.A = c.arrs[i]
+	}
+	return v
 }
 
 // identical is Value.Identical between cell i and v without materializing the
 // cell.
 func (c *column) identical(i int, v *Value) bool {
+	i = c.cell(i)
 	if ValueType(c.tags[i]) != v.Type {
 		return false
 	}
@@ -291,6 +325,7 @@ func (c *column) identical(i int, v *Value) bool {
 
 // asInt is Value.AsInt without materializing the Value.
 func (c *column) asInt(i int) int64 {
+	i = c.cell(i)
 	switch ValueType(c.tags[i]) {
 	case TypeInt, TypeBool:
 		return c.ints[i]
@@ -306,6 +341,7 @@ func (c *column) asInt(i int) int64 {
 
 // asString is Value.AsString without materializing the Value.
 func (c *column) asString(i int) string {
+	i = c.cell(i)
 	switch ValueType(c.tags[i]) {
 	case TypeInt:
 		return strconv.FormatInt(c.ints[i], 10)
@@ -365,53 +401,71 @@ func (c *column) set(i int, v Value) {
 	}
 }
 
-// ensureOwned copies the backing vectors when they are shared with another
-// table, establishing this table's private copy — the per-column
-// copy-on-write boundary. Integer-array cells keep sharing their element
-// slices (cells are replaced wholesale, never edited in place).
+// ensureOwned gives the column backing vectors of its own when it shares them
+// with another table — the per-column copy-on-write boundary. A view column
+// gathers its cells through its positions. Either way the new vectors have
+// room for a quarter more cells, so that the appends which usually follow an
+// edit of a checkout do not copy the column a second time. Integer-array
+// cells keep sharing their element slices (cells are replaced wholesale,
+// never edited in place).
 func (c *column) ensureOwned() {
 	if atomic.LoadUint32(&c.shared) == 0 {
 		return
 	}
-	c.tags = append([]uint8(nil), c.tags...)
-	if c.ints != nil {
-		c.ints = append([]int64(nil), c.ints...)
-	}
-	if c.floats != nil {
-		c.floats = append([]float64(nil), c.floats...)
-	}
-	if c.strs != nil {
-		c.strs = append([]string(nil), c.strs...)
-	}
-	if c.arrs != nil {
-		c.arrs = append([][]int64(nil), c.arrs...)
-	}
+	n := c.len()
+	c.tags = ownLane(c.tags, c.at, n, n+n/4)
+	c.ints = ownLane(c.ints, c.at, n, n+n/4)
+	c.floats = ownLane(c.floats, c.at, n, n+n/4)
+	c.strs = ownLane(c.strs, c.at, n, n+n/4)
+	c.arrs = ownLane(c.arrs, c.at, n, n+n/4)
+	c.at = nil
 	atomic.StoreUint32(&c.shared, 0)
 }
 
+// ownLane returns a fresh lane of n cells with room for capacity: the first n
+// cells of lane, or a view column's cells through its positions at. A lane
+// the column does not have stays nil.
+func ownLane[T any](lane []T, at []int32, n, capacity int) []T {
+	if lane == nil {
+		return nil
+	}
+	out := make([]T, n, capacity)
+	if at == nil {
+		copy(out, lane[:n])
+		return out
+	}
+	for k, p := range at {
+		out[k] = lane[p]
+	}
+	return out
+}
+
 // ensureAppendable is ensureOwned for a caller about to append: cells past
-// the current length are no view's, so only a column shared outright copies.
+// the current length are no view's, so only a column shared outright — a view
+// column among them — copies.
 func (c *column) ensureAppendable() {
 	if c.isShared() {
 		c.ensureOwned()
 	}
 }
 
-// share returns a second column over the same backing vectors, marking both
-// sides shared so either side's next mutation copies first. The receiver's
-// flag is stored atomically because concurrent checkouts share the same
-// source column holding no lock.
-func (c *column) share() *column {
-	atomic.StoreUint32(&c.shared, colShared)
-	return c.alias()
-}
-
 // view returns a column over the receiver's current cells for reading only
 // and marks the receiver viewed, unless it is shared already. The view itself
-// counts as shared: whatever is gathered from it copies before it writes.
+// counts as shared: whatever is gathered from it copies before it writes. The
+// flag is swapped atomically because concurrent checkouts view the same
+// source column holding no lock.
 func (c *column) view() *column {
 	atomic.CompareAndSwapUint32(&c.shared, 0, colViewed)
 	return c.alias()
+}
+
+// viewThrough is view with the lane positions at: cell k of the returned view
+// column is lane cell at[k] of the receiver's lanes. at is adopted, not
+// copied.
+func (c *column) viewThrough(at []int32) *column {
+	v := c.view()
+	v.at = at
+	return v
 }
 
 func (c *column) alias() *column {
@@ -421,6 +475,7 @@ func (c *column) alias() *column {
 		floats: c.floats,
 		strs:   c.strs,
 		arrs:   c.arrs,
+		at:     c.at,
 		shared: colShared,
 	}
 }
@@ -428,20 +483,14 @@ func (c *column) alias() *column {
 // copyOwned returns a private copy of the column (fresh backing vectors;
 // integer-array elements still shared — use deepCopy for a full clone).
 func (c *column) copyOwned() *column {
-	out := &column{tags: append([]uint8(nil), c.tags...)}
-	if c.ints != nil {
-		out.ints = append([]int64(nil), c.ints...)
+	n := c.len()
+	return &column{
+		tags:   ownLane(c.tags, c.at, n, n),
+		ints:   ownLane(c.ints, c.at, n, n),
+		floats: ownLane(c.floats, c.at, n, n),
+		strs:   ownLane(c.strs, c.at, n, n),
+		arrs:   ownLane(c.arrs, c.at, n, n),
 	}
-	if c.floats != nil {
-		out.floats = append([]float64(nil), c.floats...)
-	}
-	if c.strs != nil {
-		out.strs = append([]string(nil), c.strs...)
-	}
-	if c.arrs != nil {
-		out.arrs = append([][]int64(nil), c.arrs...)
-	}
-	return out
 }
 
 // deepCopy is copyOwned plus a copy of every integer-array element slice.
@@ -455,7 +504,8 @@ func (c *column) deepCopy() *column {
 	return out
 }
 
-// gather returns a new column holding the cells at the selected positions.
+// gather returns a new column holding the lane cells at the positions sel,
+// which are the column's cells unless it is a view column.
 func (c *column) gather(sel Selection) *column {
 	out := &column{tags: make([]uint8, len(sel))}
 	if c.ints != nil {
@@ -491,19 +541,20 @@ func (c *column) gather(sel Selection) *column {
 	return out
 }
 
-// appendFrom appends the selected cells of src lane by lane (no per-cell
-// Value boxing). The caller must have called ensureAppendable. Lane values of
-// cells whose tag names a different type are zero values on both sides, so
-// copying them verbatim is exact.
-func (c *column) appendFrom(src *column, sel Selection) {
+// appendFrom appends src's lane cells at the positions lanes — src's cells
+// mapped through its positions when it is a view column — lane by lane (no
+// per-cell Value boxing). The caller must have called ensureAppendable. Lane
+// values of cells whose tag names a different type are zero values on both
+// sides, so copying them verbatim is exact.
+func (c *column) appendFrom(src *column, lanes Selection) {
 	base := len(c.tags)
-	for _, i := range sel {
+	for _, i := range lanes {
 		c.tags = append(c.tags, src.tags[i])
 	}
-	c.ints = appendLane(c.ints, src.ints, sel, base)
-	c.floats = appendLane(c.floats, src.floats, sel, base)
-	c.strs = appendLane(c.strs, src.strs, sel, base)
-	c.arrs = appendLane(c.arrs, src.arrs, sel, base)
+	c.ints = appendLane(c.ints, src.ints, lanes, base)
+	c.floats = appendLane(c.floats, src.floats, lanes, base)
+	c.strs = appendLane(c.strs, src.strs, lanes, base)
+	c.arrs = appendLane(c.arrs, src.arrs, lanes, base)
 }
 
 // appendLane extends one payload lane with the selected cells of the source
@@ -526,8 +577,13 @@ func appendLane[T any](dst, src []T, sel Selection, base int) []T {
 	return dst
 }
 
-// truncate keeps the first n cells. The caller must have called ensureOwned.
+// truncate keeps the first n cells: a view column drops the positions past
+// them, any other column must have called ensureOwned.
 func (c *column) truncate(n int) {
+	if c.at != nil {
+		c.at = c.at[:n]
+		return
+	}
 	c.tags = c.tags[:n]
 	if c.ints != nil {
 		c.ints = c.ints[:n]
@@ -574,8 +630,9 @@ func growCap[T any](s []T, n int) []T {
 // per-Value accounting of Value.StorageBytes).
 func (c *column) storageBytes() int64 {
 	var n int64
-	for i, tag := range c.tags {
-		switch ValueType(tag) {
+	for k := range c.len() {
+		i := c.cell(k)
+		switch ValueType(c.tags[i]) {
 		case TypeNull, TypeBool:
 			n++
 		case TypeInt, TypeFloat:
@@ -589,13 +646,14 @@ func (c *column) storageBytes() int64 {
 	return n
 }
 
-// compare three-way compares cell i against v with exactly Value.Compare's
+// compare three-way compares cell k against v with exactly Value.Compare's
 // rules (NULL sorts first, integers and booleans compare exactly, a float
 // against another numeric type as floats, integer arrays lexicographically,
 // everything else on the string rendering). vf and vs are the precomputed float
 // and string renderings of v, so the generic scan never rematerializes them per
 // cell.
-func (c *column) compare(i int, v Value, vf float64, vs string) int {
+func (c *column) compare(k int, v Value, vf float64, vs string) int {
+	i := c.cell(k)
 	tag := ValueType(c.tags[i])
 	if tag == TypeNull || v.Type == TypeNull {
 		switch {
@@ -633,7 +691,7 @@ func (c *column) compare(i int, v Value, vf float64, vs string) int {
 	if tag == TypeString {
 		return strings.Compare(c.strs[i], vs)
 	}
-	return strings.Compare(c.asString(i), vs)
+	return strings.Compare(c.asString(k), vs)
 }
 
 // filter evaluates `cell op v` over the whole column (sel == nil) or over an
@@ -641,6 +699,9 @@ func (c *column) compare(i int, v Value, vf float64, vs string) int {
 // positions. A numeric literal runs the typed kernel over the lane it compares
 // against directly; anything else compares cell by cell.
 func (c *column) filter(op CmpOp, v Value, sel Selection) Selection {
+	if c.at != nil {
+		return c.filterView(op, v, sel)
+	}
 	switch {
 	case (v.Type == TypeInt || v.Type == TypeBool) && c.ints != nil:
 		return filterLane(c, c.ints, TypeInt, v.AsInt(), op, v, sel)
@@ -663,6 +724,40 @@ func (c *column) filter(op CmpOp, v Value, sel Selection) Selection {
 	for _, i := range sel {
 		if op.Eval(c.compare(int(i), v, vf, vs)) {
 			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// filterView is filter over a view column: it refines the lane positions of
+// the cells asked about over the lanes, then maps the survivors back. The
+// verdict on a cell depends on its lane cell alone, so walking the cells in
+// order, each one whose lane position is the next surviving one survived.
+func (c *column) filterView(op CmpOp, v Value, sel Selection) Selection {
+	n := len(c.at)
+	if sel != nil {
+		n = len(sel)
+	}
+	cell := func(k int) int32 {
+		if sel != nil {
+			return sel[k]
+		}
+		return int32(k)
+	}
+	lanes := make(Selection, n)
+	for k := range lanes {
+		lanes[k] = c.at[cell(k)]
+	}
+	base := column{tags: c.tags, ints: c.ints, floats: c.floats, strs: c.strs, arrs: c.arrs}
+	kept := base.filter(op, v, lanes)
+	out := sel[:0] // refined in place: a survivor is written at or before its own slot
+	if sel == nil {
+		out = make(Selection, 0, len(kept))
+	}
+	for k, j := 0, 0; k < n && j < len(kept); k++ {
+		if i := cell(k); c.at[i] == kept[j] {
+			out = append(out, i)
+			j++
 		}
 	}
 	return out

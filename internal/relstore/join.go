@@ -58,12 +58,11 @@ func JoinOnRIDs(data *Table, ridColumn string, rids []int64, method JoinMethod) 
 }
 
 // JoinTableOnRIDs performs the hash join of a version's record set with the
-// data table and gathers the matching rows column-wise into a new table named
-// tableName: the zero-materialization checkout path. A data table that keeps
-// record r at row r-1 is not probed at all; otherwise the set is the probe
-// side. When the join selects the entire data table the result shares the
-// column backing copy-on-write (see Table.GatherInto). workers > 1 chunks the
-// probe across goroutines.
+// data table and returns the matching rows as a new table named tableName
+// that copies no cell: its columns view the data table's lanes through the
+// selection the join built, which it owns (see Table.GatherInto). A data
+// table that keeps record r at row r-1 is not probed at all; otherwise the
+// set is the probe side. workers > 1 chunks the probe across goroutines.
 func JoinTableOnRIDs(data *Table, ridColumn string, set *recset.Set, workers int, tableName string) (*Table, error) {
 	var sel Selection
 	var err error
@@ -141,9 +140,15 @@ func joinSelection(data *Table, ridColumn string, probe ridProbe, method JoinMet
 		if sel, ok := data.positionalSelection(col, probe.set); ok {
 			return sel, nil
 		}
+		var sel Selection
+		from := 0
+		if probe.set != nil {
+			sel, from = mergeSetSelection(col, data.nrows, probe.set)
+		} else {
+			sel = make(Selection, 0, probe.len())
+		}
 		contains := probe.contains()
-		sel := make(Selection, 0, probe.len())
-		for i := 0; i < data.nrows; i++ {
+		for i := from; i < data.nrows; i++ {
 			if contains(col.asInt(i)) {
 				sel = append(sel, int32(i))
 			}
@@ -195,7 +200,7 @@ func joinSelection(data *Table, ridColumn string, probe ridProbe, method JoinMet
 // about. It relies on col, t's rid column, holding no rid twice, as the unique
 // index on a data table's rid column guarantees.
 func (t *Table) positionalSelection(col *column, set *recset.Set) (sel Selection, ok bool) {
-	if set == nil {
+	if set == nil || col.at != nil { // a view column's rids are read through its positions by the scan
 		return nil, false
 	}
 	// A table in another order fails on its first rid: look before allocating.
@@ -237,6 +242,50 @@ func (t *Table) positionalSelection(col *column, set *recset.Set) (sel Selection
 	t.stats.AddSeqReads(int64(t.nrows))
 	t.stats.AddHashProbes(int64(t.nrows))
 	return sel, true
+}
+
+// mergeSetSelection is the hash join's probe of a rid column by a set, done as
+// one merge pass for as long as the column's rids ascend, as they do in a
+// partition table filled from the catalog: the set's rids and the column's
+// are walked together, one compare a row. It returns the rows it selected and
+// from, the first row whose rid does not ascend (n when every one of the first
+// n does); the caller probes the rows from there on one at a time. Online
+// maintenance and migrations append older rids past newer ones, so a
+// partition's column may descend once or more.
+func mergeSetSelection(col *column, n int, set *recset.Set) (sel Selection, from int) {
+	sel = make(Selection, 0, set.Len())
+	i, prev, descends := 0, int64(0), false
+	set.ForEach(func(r int64) bool {
+		for i < n {
+			rid := col.asInt(i)
+			if i > 0 && rid <= prev {
+				descends = true
+				return false
+			}
+			if rid > r { // r is in no row: on to the set's next rid
+				return true
+			}
+			prev = rid
+			if i++; rid == r {
+				sel = append(sel, int32(i-1))
+				return true
+			}
+		}
+		return false
+	})
+	if descends {
+		return sel, i
+	}
+	// The set ran out below row i's rid: the rows past it hold none of the
+	// set's rids as long as they go on ascending.
+	for ; i < n; i++ {
+		rid := col.asInt(i)
+		if i > 0 && rid <= prev {
+			return sel, i
+		}
+		prev = rid
+	}
+	return sel, n
 }
 
 // mergeJoinSelection merges an already-sorted rid list against the data
@@ -281,10 +330,11 @@ func mergeJoinSelection(data *Table, ridCol int, sorted []int64) Selection {
 // goroutines costs more than the scan itself.
 const parallelJoinMinRows = 2048
 
-// parallelSetSelection is the chunked hash-join probe: contiguous row ranges
-// of the rid column are probed concurrently and the per-chunk selections are
-// concatenated in chunk order, so the result (and the accounted cost) is
-// identical to the sequential probe.
+// parallelSetSelection is the chunked hash-join probe: the rows a merge pass
+// (mergeSetSelection) leaves, if any, are probed in contiguous ranges
+// concurrently and the per-chunk selections are concatenated in chunk order,
+// so the result (and the accounted cost) is identical to the sequential
+// probe.
 func parallelSetSelection(data *Table, ridColumn string, set *recset.Set, workers int) (Selection, error) {
 	ci := data.Schema.ColumnIndex(ridColumn)
 	if ci < 0 {
@@ -294,9 +344,15 @@ func parallelSetSelection(data *Table, ridColumn string, set *recset.Set, worker
 	if sel, ok := data.positionalSelection(col, set); ok {
 		return sel, nil
 	}
-	chunks := parallel.Chunks(workers, data.nrows)
+	head, from := mergeSetSelection(col, data.nrows, set)
+	data.stats.AddSeqReads(int64(from))
+	data.stats.AddHashProbes(int64(from))
+	if from == data.nrows {
+		return head, nil
+	}
+	chunks := parallel.Chunks(workers, data.nrows-from)
 	parts := parallel.Map(workers, len(chunks), func(k int) Selection {
-		lo, hi := chunks[k][0], chunks[k][1]
+		lo, hi := from+chunks[k][0], from+chunks[k][1]
 		var out Selection
 		for i := lo; i < hi; i++ {
 			if set.Contains(col.asInt(i)) {
@@ -307,11 +363,7 @@ func parallelSetSelection(data *Table, ridColumn string, set *recset.Set, worker
 		data.stats.AddHashProbes(int64(hi - lo))
 		return out
 	})
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	sel := make(Selection, 0, total)
+	sel := head // room for the whole set already
 	for _, p := range parts {
 		sel = append(sel, p...)
 	}

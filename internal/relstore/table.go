@@ -60,11 +60,12 @@ const (
 // attribute plus a per-cell type/null tag vector (column.go), with an
 // optional unique index over row positions.
 //
-// Columns may share their backing vectors with other tables: checkout
-// staging tables that cover a whole source table reference its column
-// vectors directly (zero-copy checkout), and every mutating path copies the
-// affected column's backing first — copy-on-write per column, replacing the
-// per-row sharing the engine used before the columnar layout. Code outside
+// Columns may share their backing vectors with other tables: a checkout's
+// staging table reads the lanes of the table it was selected from through
+// the version's positions (view columns, see GatherInto), and every mutating
+// path gives the column it touches lanes of its own first — copy-on-write per
+// column, replacing the per-row sharing the engine used before the columnar
+// layout. Code outside
 // this package must follow the matching read discipline: never write through
 // a Row obtained from a table; use Set / UpdateWhere / Insert instead.
 type Table struct {
@@ -367,8 +368,8 @@ func (t *Table) encodeKeyAt(pos int, cols []int) string {
 	size := len(cols)
 	for _, c := range cols {
 		if c < len(t.cols) {
-			if ValueType(t.cols[c].tags[pos]) == TypeString {
-				size += len(t.cols[c].strs[pos])
+			if col, p := t.cols[c], t.cols[c].cell(pos); ValueType(col.tags[p]) == TypeString {
+				size += len(col.strs[p])
 			} else {
 				size += 20
 			}
@@ -384,14 +385,6 @@ func (t *Table) encodeKeyAt(pos int, cols []int) string {
 		}
 	}
 	return b.String()
-}
-
-// ownAll establishes private copies of every shared column before an
-// operation that writes in place across the table (insert, delete, sort).
-func (t *Table) ownAll() {
-	for _, c := range t.cols {
-		c.ensureOwned()
-	}
 }
 
 // Insert appends a row, maintaining the unique index if present. The row
@@ -673,7 +666,8 @@ func (t *Table) holdsRID(r int64) bool {
 		return false
 	}
 	c := t.cols[0]
-	return ValueType(c.tags[r-1]) == TypeInt && r <= int64(len(c.ints)) && c.ints[r-1] == r
+	p := c.cell(int(r - 1))
+	return ValueType(c.tags[p]) == TypeInt && c.ints[p] == r
 }
 
 // RowBlock materializes columns from.. of the selected rows, column by column,
@@ -715,40 +709,51 @@ func (t *Table) GatherInts(col string, sel Selection) ([]int64, error) {
 	return out, nil
 }
 
-// GatherInto builds a new table holding the selected rows, column-wise. When
-// the selection covers the entire table in order, the new table shares the
-// column backing vectors outright (zero-copy, copy-on-write per column);
-// otherwise each column is gathered into fresh vectors (scalar cells copied,
-// integer-array elements and string bytes shared). The new table carries the
-// source's schema and stats collector but no index; callers build one as
-// needed.
+// GatherInto builds a new table holding the selected rows without copying a
+// cell: each of its columns is a view column that reads the receiver's lanes
+// through the positions sel, composed with the receiver's own where its
+// column is a view already, and the receiver's columns are marked viewed, as
+// View marks them. The new table adopts sel as the position vector its
+// columns share: the caller hands it over, or passes a clone. A column of it
+// gathers its cells into lanes of its own the first time it is written (see
+// column.go), and reads never write it. The new table carries the receiver's
+// schema and stats collector but no index; callers build one as needed.
 func (t *Table) GatherInto(name string, sel Selection) *Table {
 	out := &Table{Name: name, Schema: t.Schema.Clone(), Cluster: t.Cluster, stats: t.stats}
 	out.nrows = len(sel)
 	out.cols = make([]*column, len(t.cols))
-	if t.isFullSelection(sel) {
-		for j, c := range t.cols {
-			out.cols[j] = c.share()
-		}
-		return out
-	}
+	pos := composer{sel: sel}
 	for j, c := range t.cols {
-		out.cols[j] = c.gather(sel)
+		if len(sel) == 0 { // no positions to view through: an empty column
+			out.cols[j] = c.gather(sel)
+			continue
+		}
+		out.cols[j] = c.viewThrough(pos.lanes(c))
 	}
 	return out
 }
 
-// isFullSelection reports whether sel is exactly [0, 1, ..., nrows-1].
-func (t *Table) isFullSelection(sel Selection) bool {
-	if len(sel) != t.nrows {
-		return false
+// composer maps a selection of cells to lane positions, column by column: a
+// view column's positions are composed with it, once per position vector, so
+// that sibling columns sharing one vector share the composition as well; any
+// other column's lane positions are the selection itself.
+type composer struct {
+	sel      Selection
+	from, to []int32 // the last vector composed, and the composition
+}
+
+func (m *composer) lanes(c *column) Selection {
+	if c.at == nil {
+		return m.sel
 	}
-	for i, p := range sel {
-		if int(p) != i {
-			return false
-		}
+	if m.to != nil && len(m.from) == len(c.at) && (len(c.at) == 0 || &m.from[0] == &c.at[0]) {
+		return m.to
 	}
-	return true
+	m.from, m.to = c.at, make([]int32, len(m.sel))
+	for k, i := range m.sel {
+		m.to[k] = c.at[i]
+	}
+	return m.to
 }
 
 // AppendFrom appends the selected rows of src column-wise, maintaining the
@@ -801,10 +806,11 @@ func (t *Table) AppendFrom(src *Table, sel Selection) error {
 			t.uniqueIndex[key] = t.nrows + k
 		}
 	}
+	pos := composer{sel: sel}
 	for j, c := range t.cols {
 		c.ensureAppendable()
 		if j < len(src.cols) {
-			c.appendFrom(src.cols[j], sel)
+			c.appendFrom(src.cols[j], pos.lanes(src.cols[j]))
 		} else {
 			for range sel {
 				c.append(Null())
@@ -869,16 +875,28 @@ func (t *Table) DeleteWhere(pred func(Row) bool) int {
 	if removed == 0 {
 		return 0
 	}
-	for j, c := range t.cols {
-		t.cols[j] = c.gather(keep)
-	}
-	t.remapDirty(keep)
-	t.nrows = len(keep)
+	t.regather(keep)
 	if t.HasIndex() {
 		names := t.IndexColumns()
 		_ = t.BuildIndexOn(names...)
 	}
 	return removed
+}
+
+// regather makes row k of the table its row sel[k]: a view column composes its
+// positions with sel, any other column gathers its cells. The dirty marks move
+// with the rows.
+func (t *Table) regather(sel Selection) {
+	pos := composer{sel: sel}
+	for j, c := range t.cols {
+		if c.at != nil {
+			t.cols[j] = c.viewThrough(pos.lanes(c))
+		} else {
+			t.cols[j] = c.gather(sel)
+		}
+	}
+	t.remapDirty(sel)
+	t.nrows = len(sel)
 }
 
 // Shrink keeps only the first n rows (the staging/test path that used to
@@ -887,8 +905,10 @@ func (t *Table) Shrink(n int) {
 	if n >= t.nrows {
 		return
 	}
-	t.ownAll()
 	for _, c := range t.cols {
+		if c.at == nil {
+			c.ensureOwned()
+		}
 		c.truncate(n)
 	}
 	if words := (n + 63) >> 6; words <= len(t.dirty) {
@@ -915,11 +935,7 @@ func (t *Table) SortBy(mode ClusterMode, cols ...string) error {
 		}
 		idx = append(idx, i)
 	}
-	order := sortSelection(t.cols, idx, t.nrows)
-	for j, c := range t.cols {
-		t.cols[j] = c.gather(order)
-	}
-	t.remapDirty(order)
+	t.regather(sortSelection(t.cols, idx, t.nrows))
 	t.Cluster = mode
 	if t.HasIndex() {
 		names := t.IndexColumns()

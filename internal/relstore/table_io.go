@@ -13,7 +13,8 @@ import "fmt"
 // typed payload lanes the column has materialized (nil lanes were never
 // needed by any cell). The slices alias the table's backing vectors — callers
 // must treat them as read-only and must not retain them across mutations of
-// the source table.
+// the source table. A view column's (see Table.GatherInto) are its cells
+// gathered into fresh vectors, which leaves the view as it is.
 type ColumnLanes struct {
 	Tags   []uint8   // per-cell ValueType; doubles as the null bitmap
 	Ints   []int64   // TypeInt cells, TypeBool cells as 0/1
@@ -25,6 +26,9 @@ type ColumnLanes struct {
 // ColumnLanes returns the physical lanes of column i (0-based, schema order).
 func (t *Table) ColumnLanes(i int) ColumnLanes {
 	c := t.cols[i]
+	if c.at != nil {
+		c = c.copyOwned()
+	}
 	return ColumnLanes{Tags: c.tags, Ints: c.ints, Floats: c.floats, Strs: c.strs, Arrs: c.arrs}
 }
 

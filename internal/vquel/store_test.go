@@ -390,7 +390,10 @@ func TestQueryCostsWhatItTouches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := c.Bipartite().NumEdges()
+	var edges int64
+	for _, v := range c.Versions() {
+		edges += int64(len(c.RecordsOf(v)))
+	}
 	// allocated returns the bytes fn allocates and how long it takes.
 	allocated := func(fn func() error) (uint64, time.Duration) {
 		t.Helper()
