@@ -722,12 +722,11 @@ func (t *Table) GatherInto(name string, sel Selection) *Table {
 	out := &Table{Name: name, Schema: t.Schema.Clone(), Cluster: t.Cluster, stats: t.stats}
 	out.nrows = len(sel)
 	out.cols = make([]*column, len(t.cols))
+	if sel == nil {
+		sel = Selection{} // a column without positions is no view
+	}
 	pos := composer{sel: sel}
 	for j, c := range t.cols {
-		if len(sel) == 0 { // no positions to view through: an empty column
-			out.cols[j] = c.gather(sel)
-			continue
-		}
 		out.cols[j] = c.viewThrough(pos.lanes(c))
 	}
 	return out

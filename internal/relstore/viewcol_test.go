@@ -122,7 +122,7 @@ func TestViewColumnsReadAsMaterialized(t *testing.T) {
 		for k, sel := range selections(rng, src.Len()) {
 			what := fmt.Sprintf("trial %d selection %d", trial, k)
 			view, want := src.GatherInto("view", slices.Clone(sel)), materialized(src, sel)
-			if len(sel) > 0 && view.SharedColumns() != len(src.cols) {
+			if view.SharedColumns() != len(src.cols) {
 				t.Fatalf("%s: %d of %d columns are views", what, view.SharedColumns(), len(src.cols))
 			}
 			sameReads(t, what, view, want)
