@@ -369,7 +369,7 @@ func TestFsckRefusesManifestVersion3(t *testing.T) {
 	}
 	for _, argv := range [][]string{{"fsck", data}, {"fsck", "-repair", data}, {"-data", data}} {
 		code, _, errw := runSession(t, argv, "")
-		if code != 2 || !strings.Contains(errw, "is a format version 3 manifest, this build reads version 5 only") {
+		if code != 2 || !strings.Contains(errw, "is a format version 3 manifest, this build reads version 6 only") {
 			t.Fatalf("%v: exit %d, want 2 with the refusal: %s", argv, code, errw)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/cvd"
+	"repro/internal/recset"
 	"repro/internal/relstore"
 	"repro/internal/vgraph"
 )
@@ -60,8 +61,9 @@ func RowsBitIdentical(ctx string, a, b []relstore.Row) error {
 }
 
 // EnginesEquivalent verifies that two engines hold the same CVDs, that every
-// version of every CVD checks out bit-identically on both and sits in the
-// same partition, and that commit metadata survived. tag names the comparison
+// version of every CVD checks out bit-identically on both, that commit
+// metadata survived, and that each CVD holds the same partitioning: the same
+// partitions, each version in the same one, each with the same resident set. tag names the comparison
 // in errors and keeps the two engines' staging tables apart.
 func EnginesEquivalent(tag string, a, b *Engine) error {
 	namesA, namesB := a.List(), b.List()
@@ -116,24 +118,43 @@ func EnginesEquivalent(tag string, a, b *Engine) error {
 				return fmt.Errorf("%s/%s v%d: metadata %+v != %+v", tag, name, va[i], ma, mb)
 			}
 		}
-		pa, pb := partitionsOf(ca, va), partitionsOf(cb, vb)
-		if !slices.Equal(pa, pb) {
-			return fmt.Errorf("%s/%s: versions %v sit in partitions %v and %v", tag, name, va, pa, pb)
+		if err := samePlans(ca, cb); err != nil {
+			return fmt.Errorf("%s/%s: %w", tag, name, err)
 		}
 	}
 	return nil
 }
 
-// partitionsOf returns the partition of each of versions (-1 each when the CVD
-// is unpartitioned, nil when it is not split-by-rlist).
-func partitionsOf(c *cvd.CVD, versions []vgraph.VersionID) []int {
+// samePlans fails unless two CVDs hold the same partitioning: as many
+// partitions, each version in the same one, and each partition's resident set
+// the same records.
+func samePlans(a, b *cvd.CVD) error {
+	pa, ra := planOf(a)
+	pb, rb := planOf(b)
+	if len(ra) != len(rb) || !slices.Equal(pa, pb) {
+		return fmt.Errorf("versions sit in partitions %v of %d and %v of %d", pa, len(ra), pb, len(rb))
+	}
+	for k := range ra {
+		if !recset.Equal(ra[k], rb[k]) {
+			return fmt.Errorf("partition %d holds %d records and %d, %d of them the same", k, ra[k].Len(), rb[k].Len(), recset.AndLen(ra[k], rb[k]))
+		}
+	}
+	return nil
+}
+
+// planOf returns a CVD's partitioning: each version's partition (-1 for none,
+// as every version has when the CVD is unpartitioned) and each partition's
+// resident set. Both are empty when the CVD is not split-by-rlist.
+func planOf(c *cvd.CVD) ([]int, []*recset.Set) {
 	m, err := c.Rlist()
 	if err != nil {
-		return nil
+		return nil, nil
 	}
-	out := make([]int, len(versions))
-	for i, v := range versions {
-		out[i] = m.PartitionOf(v)
+	c.LockExclusive()
+	defer c.UnlockExclusive()
+	var partOf []int
+	for _, v := range c.Versions() {
+		partOf = append(partOf, m.PartitionOf(v))
 	}
-	return out
+	return partOf, m.ResidentSets()
 }

@@ -8,9 +8,8 @@
 // the partition optimizer) behind its own mutex while checkouts, diffs, and
 // queries read the state its last writer published, without waiting. The
 // WithWorkers option additionally bounds the intra-operation parallelism of
-// the hot paths (multi-version checkout, partitioned scans, partition
-// builds, LyreSplit candidate evaluation, and a durable engine's checkpoint
-// encode and load).
+// the hot paths (multi-version checkout, LyreSplit candidate evaluation, and
+// a durable engine's checkpoint encode and load).
 package core
 
 import (
@@ -367,12 +366,16 @@ type OptimizeReport struct {
 
 // Optimize runs the partition optimizer on a split-by-rlist CVD with the
 // given storage threshold factor (γ = factor·|R|) and applies the resulting
-// partitioning (the `optimize` command). The whole optimize-and-apply runs
-// under the CVD's mutex, and checkouts read the partitioning it publishes
-// once built, never a half-built one. The WAL journals commits, not
-// partitionings, so on a durable engine Optimize returns only once a
-// checkpoint holds the partitioning, taken after the lock is released (as
-// Adopt's is).
+// partitioning (the `optimize` command). A partitioning is a plan, not a copy:
+// it assigns each version a partition and keeps each partition's resident
+// set, so the CVD's modelled storage (StorageBytes, DataRecordCount) and each
+// checkout's accounted scan follow Chapter 5, while the records stay once, in
+// the data table, and the database stores what it stored before. The whole
+// optimize-and-apply runs under the CVD's mutex, and checkouts read the
+// partitioning it publishes once built, never a half-built one. The WAL
+// journals commits, not partitionings, so on a durable engine Optimize returns
+// only once a checkpoint holds the partitioning, taken after the lock is
+// released (as Adopt's is); that checkpoint writes the CVD head and no table.
 func (e *Engine) Optimize(cvdName string, storageFactor float64) (OptimizeReport, error) {
 	c, err := e.CVD(cvdName)
 	if err != nil {

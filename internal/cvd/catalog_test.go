@@ -677,8 +677,8 @@ func stateAgrees(st *readState) error {
 		if hi, _ := s.Max(); m.ID != vgraph.VersionID(i+1) || m.NumRecords != s.Len() || int(hi) > st.catalog.Len() {
 			return fmt.Errorf("version %d: metadata of version %d counting %d records, a set of %d up to record %d, a catalog of %d", i+1, m.ID, m.NumRecords, s.Len(), hi, st.catalog.Len())
 		}
-		if st.parts != nil && (i >= len(st.partOf) || st.partOf[i] >= len(st.parts)) {
-			return fmt.Errorf("version %d is in no partition of %d", i+1, len(st.parts))
+		if st.partSizes != nil && (i >= len(st.partOf) || st.partOf[i] >= len(st.partSizes)) {
+			return fmt.Errorf("version %d is in no partition of %d", i+1, len(st.partSizes))
 		}
 	}
 	if len(st.catalog.Schema.Columns) != len(st.schema.Columns)+1 {

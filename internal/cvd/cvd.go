@@ -92,15 +92,17 @@ type CVD struct {
 // append-only ones whose entries below the lengths captured here never change,
 // so a read goes on reading one state while later writers publish others.
 type readState struct {
-	catalog *relstore.Table   // view of the record catalog: record r at row r-1
-	schema  relstore.Schema   // the data schema in force (no rid column)
-	sets    []*recset.Set     // version v's record set at v-1
-	metas   []*VersionMeta    // version v's metadata at v-1
-	latest  vgraph.VersionID  // the version with the latest commit time (0: none)
-	parts   []*relstore.Table // views of the partition tables; nil unpartitioned
-	partOf  []int             // version v's partition at v-1 (-1: none); nil unpartitioned
-	workers int
-	dropped bool // Drop ran: every field above is empty
+	catalog *relstore.Table  // view of the record catalog: record r at row r-1
+	schema  relstore.Schema  // the data schema in force (no rid column)
+	sets    []*recset.Set    // version v's record set at v-1
+	metas   []*VersionMeta   // version v's metadata at v-1
+	latest  vgraph.VersionID // the version with the latest commit time (0: none)
+	// The partitioning: version v's partition at v-1 (-1: none), and partition
+	// k's size, |resident_k|, at k. Both nil unpartitioned.
+	partOf    []int
+	partSizes []int64
+	workers   int
+	dropped   bool // Drop ran: every field above is empty
 }
 
 // has reports whether version v is in the state.
@@ -109,7 +111,7 @@ func (st *readState) has(v vgraph.VersionID) bool { return v >= 1 && int(v) <= l
 // partition returns version v's partition in st: -1 when st is unpartitioned
 // or v has none.
 func (st *readState) partition(v vgraph.VersionID) int {
-	if st.parts == nil || v < 1 || int(v) > len(st.partOf) {
+	if st.partSizes == nil || v < 1 || int(v) > len(st.partOf) {
 		return -1
 	}
 	return st.partOf[v-1]
@@ -144,8 +146,8 @@ func (c *CVD) publish() {
 			st.latest = m.ID
 		}
 	}
-	if m, ok := c.model.(*rlistModel); ok && m.parts != nil {
-		st.parts, st.partOf = m.views, m.partOf
+	if m, ok := c.model.(*rlistModel); ok && m.resident != nil {
+		st.partOf, st.partSizes = m.partOf, m.sizes()
 	}
 	c.state.Store(st)
 }
@@ -190,9 +192,9 @@ type Options struct {
 	// zero the clock supplies the time.
 	At time.Time
 	// Workers bounds the intra-operation parallelism of the hot paths
-	// (multi-version checkout, partitioned scans, partition builds). 0 or 1
-	// keeps every operation single-threaded on the calling goroutine; n > 1
-	// fans work out over the shared worker-pool utility (package parallel).
+	// (multi-version checkout). 0 or 1 keeps every operation single-threaded
+	// on the calling goroutine; n > 1 fans work out over the shared
+	// worker-pool utility (package parallel).
 	Workers int
 }
 
@@ -683,10 +685,10 @@ func (c *CVD) nextVersion() vgraph.VersionID { return vgraph.VersionID(len(c.set
 // staging table contains the rid column followed by the data attributes.
 //
 // A split-by-rlist checkout reads the published state alone — the catalog's
-// view, or its partition's under partitioned storage — so it neither waits for
-// a writer nor makes one wait, and any number run at once. The in-memory
-// models are read under the CVD's mutex. The staging name is reserved up front
-// so two concurrent checkouts cannot claim the same table.
+// view, partitioned or not — so it neither waits for a writer nor makes one
+// wait, and any number run at once. The in-memory models are read under the
+// CVD's mutex. The staging name is reserved up front so two concurrent
+// checkouts cannot claim the same table.
 func (c *CVD) Checkout(versions []vgraph.VersionID, tableName string) (*relstore.Table, error) {
 	return c.checkout(c.read(), versions, tableName)
 }
@@ -756,28 +758,28 @@ func (c *CVD) materialize(st *readState, versions []vgraph.VersionID, tableName 
 }
 
 // checkoutOne materializes version v, which st holds. Split-by-rlist joins its
-// record set with st's view of the catalog, or of its partition; an in-memory
-// model reads its tables, under the mutex materialize holds.
+// record set with st's view of the catalog, charged the scan of the catalog or,
+// under a partitioning, of the version's partition; an in-memory model reads
+// its tables, under the mutex materialize holds.
 func (c *CVD) checkoutOne(st *readState, v vgraph.VersionID, tableName string) (*relstore.Table, error) {
 	if c.kind != SplitByRlist {
 		return c.model.Checkout(v, tableName)
 	}
-	data := st.catalog
-	if st.parts != nil {
+	scanned := st.numRecords()
+	if st.partSizes != nil {
 		k := st.partition(v)
 		if k < 0 {
 			return nil, fmt.Errorf("cvd: %s: version %d has no partition assignment", c.name, v)
 		}
-		data = st.parts[k]
+		scanned = int(st.partSizes[k])
 	}
-	return joinCheckout(data, st.sets[v-1], st.workers, tableName)
+	return joinCheckout(st.catalog, st.sets[v-1], scanned, tableName)
 }
 
 // checkoutMerged materializes multiple versions with primary-key precedence.
-// The per-version materializations — each touching exactly one partition
-// under partitioned storage — run in parallel on the CVD's worker pool; the
-// precedence merge itself stays sequential in version order so the result is
-// identical to the single-threaded path.
+// The per-version materializations run in parallel on the CVD's worker pool;
+// the precedence merge itself stays sequential in version order so the result
+// is identical to the single-threaded path.
 func (c *CVD) checkoutMerged(st *readState, versions []vgraph.VersionID, tableName string) (*relstore.Table, error) {
 	tmps, err := parallel.MapErr(st.workers, len(versions), func(i int) (*relstore.Table, error) {
 		return c.checkoutOne(st, versions[i], fmt.Sprintf("%s_tmp%d", tableName, i))

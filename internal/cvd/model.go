@@ -11,9 +11,8 @@
 // CVDs are safe for concurrent use: writers serialize behind a per-CVD
 // mutex and each publishes an immutable read state, off which checkouts,
 // diffs, versioned queries and metadata reads run without taking the mutex.
-// Operations additionally parallelize internally (multi-version checkout,
-// partitioned scans, partition builds) when the CVD is created with
-// Options.Workers > 1. The only unsynchronized surface is the raw-structure
+// A multi-version checkout additionally parallelizes internally when the CVD
+// is created with Options.Workers > 1. The only unsynchronized surface is the raw-structure
 // accessors (Graph, DataModel, Rlist, Attributes), which return
 // live internal pointers; guard multi-step access to those with
 // WithExclusive.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/parallel"
 	"repro/internal/recset"
 	"repro/internal/relstore"
 	"repro/internal/vgraph"
@@ -19,30 +18,23 @@ import (
 // the CVD holds, so a version's records are listed once; the
 // database accounts for it under its table name (versioningTable). It is the
 // model OrpheusDB adopts, and the only model that supports partitioned storage
-// (Chapter 5): the data table may be split into several partition tables, each
-// holding all records of the versions assigned to it, so a checkout touches
-// exactly one partition.
+// (Chapter 5). A partitioning is a plan, not a copy: it places each version in
+// a partition k and keeps partition k's resident set, the records the paper's
+// partition table k would hold. The storage cost S of Equation 5.1 and the
+// |P_k| records a checkout of a version in k scans are charged from it, while
+// the records stay once, in the data table, and every checkout reads its
+// version's positions there.
 type rlistModel struct {
 	c *CVD // whose catalog is the data table and whose sets are the versioning table
 
-	// Partitioned state. When parts is nil the model is unpartitioned and all
-	// records live in the data table. When non-nil, partition k's records live
-	// in parts[k], registered in the database, and partOf holds version v's
-	// partition at v-1 (-1: none).
-	parts  []*relstore.Table
-	partOf []int
-	// views holds a view (relstore.Table.View) of each partition table as of
-	// its last change: what the CVD publishes for checkouts to read. views and
-	// partOf are shared with the published states, so an entry of either is
-	// only ever changed in a copy; partOf is appended to in place.
-	views []*relstore.Table
-
-	// resident caches, per partition, the compressed set of rids physically
-	// present in the partition table. Commits and migrations consult it
-	// instead of re-scanning the partition table to learn what is already
-	// there (the pre-recset addVersionToPartition scanned the whole table on
-	// every commit). Invariant: resident[k] holds exactly the rids of
-	// parts[k]'s rows.
+	// The partitioning, nil when unpartitioned. partOf holds version v's
+	// partition at v-1 (-1: none); it is shared with the published states, so
+	// an entry is only ever changed in a copy, and it is appended to in place.
+	// resident holds partition k's resident set at k: the records of every
+	// version placed in k since the partitioning was applied, those of a
+	// version online maintenance moved away included, so it is kept, not
+	// derived. Only writers read it; the published states carry its sizes.
+	partOf   []int
 	resident []*recset.Set
 }
 
@@ -69,8 +61,6 @@ func (t versioningTable) StorageBytes() int64 {
 	return n
 }
 
-func (m *rlistModel) partTabName(k int) string { return fmt.Sprintf("%s_part%d", m.c.name, k) }
-
 func (m *rlistModel) Init(req CommitRequest) error {
 	db, data := m.c.db, m.c.catalog
 	if db.HasTable(data.Name) {
@@ -94,14 +84,14 @@ func (m *rlistModel) AppendVersion(req CommitRequest) error {
 	// Under partitioning, new versions are routed by online maintenance
 	// (OnlineAssign); until then they are placed with their first parent's
 	// partition, or partition 0 if there is none.
-	if m.parts != nil {
+	if m.resident != nil {
 		k := 0
 		if len(req.Parents) > 0 {
 			if pk := m.partOf[req.Parents[0]-1]; pk >= 0 {
 				k = pk
 			}
 		}
-		return m.addVersionToPartition(req.Version, k, req.RIDs)
+		m.place(req.Version, k, req.Set)
 	}
 	return nil
 }
@@ -129,13 +119,14 @@ func (m *rlistModel) Checkout(v vgraph.VersionID, tableName string) (*relstore.T
 }
 
 // joinCheckout materializes the records of an rlist out of data with a hash
-// join (Section 5.5.5). The join resolves to a selection vector over the data
-// table, and the staging table views the data table's lanes through it: no
-// cell is copied until the staging table's user writes a column. A data or
-// partition table that holds a rid twice gives rows the unique rid index
-// refuses, and so does the checkout.
-func joinCheckout(data *relstore.Table, rlist *recset.Set, workers int, tableName string) (*relstore.Table, error) {
-	out, err := relstore.JoinTableOnRIDs(data, ridColumn, rlist, workers, tableName)
+// join (Section 5.5.5), accounted as a scan of scanned rows (see
+// relstore.JoinTableOnRIDs). The join resolves to a selection vector over the
+// data table, and the staging table views the data table's lanes through it:
+// no cell is copied until the staging table's user writes a column. A data
+// table that holds a rid twice gives rows the unique rid index refuses, and so
+// does the checkout.
+func joinCheckout(data *relstore.Table, rlist *recset.Set, scanned int, tableName string) (*relstore.Table, error) {
+	out, err := relstore.JoinTableOnRIDs(data, ridColumn, rlist, scanned, tableName)
 	if err != nil {
 		return nil, err
 	}
@@ -145,74 +136,58 @@ func joinCheckout(data *relstore.Table, rlist *recset.Set, workers int, tableNam
 	return out, nil
 }
 
+// StorageBytes is the data table and the versioning table, or, under a
+// partitioning, what the paper's partition tables would take in the data
+// table's place: each partition's resident records as the data table stores
+// them, each with its rid index entry.
 func (m *rlistModel) StorageBytes() int64 {
-	var n int64
-	if m.parts == nil {
-		n += m.c.catalog.StorageBytes()
-	} else {
-		for _, t := range m.parts {
-			n += t.StorageBytes()
-		}
+	n := versioningTable{m}.StorageBytes()
+	if m.resident == nil {
+		return n + m.c.catalog.StorageBytes()
 	}
-	return n + versioningTable{m}.StorageBytes()
-}
-
-// DataRecordCount returns Σ_k |R_k| in records (the storage cost S of
-// Equation 5.1) under the current partitioning, or the data-table row count
-// when unpartitioned.
-func (m *rlistModel) DataRecordCount() int64 {
-	if m.parts == nil {
-		return int64(m.c.catalog.Len())
-	}
-	var n int64
-	for _, t := range m.parts {
-		n += int64(t.Len())
+	for _, rs := range m.resident {
+		part := m.c.catalog.GatherInto("", positions(vgraph.RecordIDs(rs)))
+		_ = part.BuildIndexOn(ridColumn) // of ascending rids, which it never refuses
+		n += part.StorageBytes()
 	}
 	return n
 }
 
-// AlterSchema evolves the partition tables; the data table is the CVD's
-// catalog, which the CVD has evolved already.
-func (m *rlistModel) AlterSchema(newSchema relstore.Schema) error {
-	for _, t := range m.parts {
-		if err := alterTable(t, newSchema); err != nil {
-			return err
-		}
+// DataRecordCount returns Σ_k |R_k| in records (the storage cost S of
+// Equation 5.1) under the partitioning last published, or the data-table row
+// count when unpartitioned.
+func (m *rlistModel) DataRecordCount() int64 {
+	st := m.c.read()
+	if st.partSizes == nil {
+		return int64(st.numRecords())
 	}
-	if m.parts != nil {
-		m.viewAll()
+	var n int64
+	for _, size := range st.partSizes {
+		n += size
 	}
-	return nil
+	return n
 }
+
+// AlterSchema has nothing to evolve: the data table is the CVD's catalog,
+// which the CVD has evolved already.
+func (m *rlistModel) AlterSchema(relstore.Schema) error { return nil }
 
 func (m *rlistModel) Drop() {
 	m.c.db.DropTable(m.c.catalog.Name)
 	m.c.db.DropTable(m.versioningTabName())
-	m.dropParts()
-	m.parts, m.partOf, m.views, m.resident = nil, nil, nil, nil
+	m.partOf, m.resident = nil, nil
 }
 
-// dropParts removes the partition tables from the database.
-func (m *rlistModel) dropParts() {
-	for _, t := range m.parts {
-		m.c.db.DropTable(t.Name)
+// sizes returns each partition's size, |resident_k| at k; nil unpartitioned.
+func (m *rlistModel) sizes() []int64 {
+	if m.resident == nil {
+		return nil
 	}
-}
-
-// view re-views partition k, which just changed, in a copy of views.
-func (m *rlistModel) view(k int) {
-	views := make([]*relstore.Table, len(m.parts))
-	copy(views, m.views)
-	views[k] = m.parts[k].View()
-	m.views = views
-}
-
-// viewAll views every partition table afresh.
-func (m *rlistModel) viewAll() {
-	m.views = make([]*relstore.Table, len(m.parts))
-	for k, t := range m.parts {
-		m.views[k] = t.View()
+	out := make([]int64, len(m.resident))
+	for k, rs := range m.resident {
+		out[k] = rs.Len()
 	}
+	return out
 }
 
 // assign places version v in partition k: a version past partOf's end is
@@ -228,103 +203,77 @@ func (m *rlistModel) assign(v vgraph.VersionID, k int) {
 	m.partOf[i] = k
 }
 
-// Partitioned reports whether partitioned storage is active.
-func (m *rlistModel) Partitioned() bool { return m.parts != nil }
+// place assigns version v to partition k, whose resident set takes in the
+// version's records, set.
+func (m *rlistModel) place(v vgraph.VersionID, k int, set *recset.Set) {
+	m.resident[k].UnionWith(set)
+	m.assign(v, k)
+}
+
+// Partitioned reports whether partitioned storage is active as last published.
+func (m *rlistModel) Partitioned() bool { return m.c.read().partSizes != nil }
 
 // PartitionOf returns the partition index of a version as last published (-1
 // when unpartitioned or unknown).
 func (m *rlistModel) PartitionOf(v vgraph.VersionID) int { return m.c.read().partition(v) }
 
-// PartitionTableName returns the name of the backing table a version's
-// checkout reads as last published: its partition table under partitioned
-// storage, the shared data table otherwise ("" when the version has no
-// assignment). The reference benchmark reads it to measure the records a
+// PartitionTableName returns the name of the table a version's checkout
+// reads: the shared data table, partitioned or not, since a partitioning
+// copies no record. The reference benchmark reads it to measure the records a
 // checkout scans.
-func (m *rlistModel) PartitionTableName(v vgraph.VersionID) string {
-	st := m.c.read()
-	if st.parts == nil {
-		return m.c.catalog.Name
-	}
-	if k := st.partition(v); k >= 0 {
-		return st.parts[k].Name
-	}
-	return ""
-}
+func (m *rlistModel) PartitionTableName(vgraph.VersionID) string { return rlistDataTabName(m.c.name) }
 
-// PartitionSizes returns the number of records in each partition table.
-func (m *rlistModel) PartitionSizes() []int64 {
-	out := make([]int64, len(m.parts))
-	for i, t := range m.parts {
-		out[i] = int64(t.Len())
-	}
-	return out
-}
+// PartitionSizes returns the number of records in each partition as last
+// published (nil when unpartitioned).
+func (m *rlistModel) PartitionSizes() []int64 { return slices.Clone(m.c.read().partSizes) }
 
-// ApplyPartitioning reorganizes the data table into one partition table per
-// group of the supplied partitioning, rebuilding everything from scratch
-// (the "naive" migration path). Each partition table receives all records of
-// all versions assigned to it; records shared across partitions are
-// duplicated (Section 5.1). It publishes the partitioning, so a checkout
-// reads its partition's table from then on.
+// ApplyPartitioning replaces the partitioning with the supplied one, planned
+// from scratch (the "naive" migration path): each partition's resident set is
+// the union of the record sets of the versions assigned to it, so records
+// shared across partitions count once in each (Section 5.1). It publishes the
+// partitioning, so a checkout is charged its partition's scan from then on.
 func (m *rlistModel) ApplyPartitioning(p vgraph.Partitioning) error {
 	for v := range p.Assignment {
 		if _, err := m.setOf(v); err != nil {
 			return err
 		}
 	}
-	defer m.c.publish()
-	m.dropParts()
-	// Create the (empty) partition tables sequentially, then fill them in
-	// parallel: each fill reads the shared data table and writes only its own
-	// partition table (and resident-set slot), so the builds are independent.
-	groups := p.Groups()
-	m.parts = make([]*relstore.Table, len(groups))
-	m.resident = make([]*recset.Set, len(groups))
 	m.partOf = slices.Repeat([]int{-1}, len(m.c.sets))
-	for k, versions := range groups {
-		m.parts[k] = m.newPart(m.partTabName(k))
-		for _, v := range versions {
-			m.partOf[v-1] = k
-		}
+	for v, k := range p.Assignment {
+		m.partOf[v-1] = k
 	}
-	err := parallel.ForEachErr(m.c.workers, len(groups), func(k int) error {
-		return m.fillPartition(k, groups[k])
-	})
-	m.viewAll()
-	return err
-}
-
-// newPart registers an empty partition table under name, in place of any
-// table of that name.
-func (m *rlistModel) newPart(name string) *relstore.Table {
-	t := relstore.NewTable(name, dataSchemaWithRID(m.c.schema))
-	m.c.db.AttachTable(t)
-	return t
-}
-
-// fillPartition inserts into partition k all records belonging to any of
-// versions, fetched from the unpartitioned data table with a compressed-set
-// probe and appended column-wise (no row materialization). The union set
-// becomes the partition's resident-rid cache.
-func (m *rlistModel) fillPartition(k int, versions []vgraph.VersionID) error {
-	need := recset.New()
-	for _, v := range versions {
-		rs, err := m.setOf(v)
-		if err != nil {
-			return err
-		}
-		need.UnionWith(rs)
-	}
-	data := m.c.catalog
-	sel, err := data.SelectRIDSet(ridColumn, need)
-	if err != nil {
-		return err
-	}
-	if err := m.parts[k].AppendFrom(data, sel); err != nil {
-		return err
-	}
-	m.resident[k] = need
+	m.resident = m.unions(m.partOf, p.NumPartitions)
+	m.c.publish()
 	return nil
+}
+
+// unions returns, for each of n partitions, the union of the record sets of
+// the versions partOf places in it.
+func (m *rlistModel) unions(partOf []int, n int) []*recset.Set {
+	out := make([]*recset.Set, n)
+	for k := range out {
+		out[k] = recset.New()
+	}
+	for i, k := range partOf {
+		if k >= 0 {
+			out[k].UnionWith(m.c.sets[i])
+		}
+	}
+	return out
+}
+
+// ResidentSets returns a copy of each partition's resident set at k (nil when
+// unpartitioned). The sets are a writer's: the caller holds the CVD's mutex
+// (WithExclusive).
+func (m *rlistModel) ResidentSets() []*recset.Set {
+	if m.resident == nil {
+		return nil
+	}
+	out := make([]*recset.Set, len(m.resident))
+	for k, rs := range m.resident {
+		out[k] = rs.Clone()
+	}
+	return out
 }
 
 // MigrationOp describes one partition's migration action when moving to a
@@ -349,164 +298,71 @@ type MigrationResult struct {
 }
 
 // Migrate applies a new partitioning using an explicit per-partition plan
-// (typically produced by partition.PlanMigration). Partitions with
-// FromPartition >= 0 are transformed in place by deleting records no longer
-// needed and inserting missing ones; others are rebuilt from scratch. It
-// publishes the new partitioning.
+// (typically produced by partition.PlanMigration). A partition with
+// FromPartition >= 0 is transformed from that old partition: the records it
+// no longer needs count as deleted, those it lacks as inserted. Any other is
+// built from scratch, all its records inserted. It publishes the new
+// partitioning; on an error it changes nothing.
 func (m *rlistModel) Migrate(p vgraph.Partitioning, plan []MigrationOp) (MigrationResult, error) {
 	var res MigrationResult
-	if m.parts == nil {
+	if m.resident == nil {
 		// Nothing to reuse; fall back to a full rebuild.
 		if err := m.ApplyPartitioning(p); err != nil {
 			return res, err
 		}
 		res.PartitionsBuilt = p.NumPartitions
-		for _, n := range m.PartitionSizes() {
-			res.RecordsInserted += n
+		for _, rs := range m.resident {
+			res.RecordsInserted += rs.Len()
 		}
 		return res, nil
 	}
-	defer m.c.publish()
-	newParts := make([]*relstore.Table, p.NumPartitions)
-	newResident := make([]*recset.Set, p.NumPartitions)
-	newAssign := slices.Repeat([]int{-1}, len(m.c.sets))
-
+	partOf := slices.Repeat([]int{-1}, len(m.c.sets))
 	for _, op := range plan {
-		need := recset.New()
 		for _, v := range op.Versions {
-			rs, err := m.setOf(v)
-			if err != nil {
+			if _, err := m.setOf(v); err != nil {
 				return res, err
 			}
-			need.UnionWith(rs)
-			newAssign[v-1] = op.NewPartition
+			partOf[v-1] = op.NewPartition
 		}
-		// Built under a temporary name beside the old partitions, and renamed
-		// below once they are gone.
-		t := m.newPart(fmt.Sprintf("%s_newpart%d", m.c.name, op.NewPartition))
-		// missing starts as everything the new partition needs; records copied
-		// over from the transformed old partition are subtracted below.
-		missing := need
-		if op.FromPartition >= 0 && op.FromPartition < len(m.parts) {
-			// Transform: copy surviving records from the old partition, count
-			// the dropped ones as deletions, then insert the missing records.
-			// The old partition's resident set tells us what it holds without
-			// re-deriving it from the scan.
-			old := m.parts[op.FromPartition]
-			oldResident := m.residentOf(op.FromPartition)
-			sel, err := old.SelectRIDSet(ridColumn, need)
-			if err != nil {
-				return res, err
-			}
-			res.RecordsDeleted += int64(old.Len() - len(sel))
-			if err := t.AppendFrom(old, sel); err != nil {
-				return res, err
-			}
-			missing = recset.AndNot(need, oldResident)
+	}
+	resident := m.unions(partOf, p.NumPartitions)
+	for _, op := range plan {
+		need := resident[op.NewPartition]
+		if op.FromPartition >= 0 && op.FromPartition < len(m.resident) {
+			old := m.resident[op.FromPartition]
+			kept := recset.AndLen(need, old)
+			res.RecordsDeleted += old.Len() - kept
+			res.RecordsInserted += need.Len() - kept
 		} else {
 			res.PartitionsBuilt++
+			res.RecordsInserted += need.Len()
 		}
-		// Insert the records still missing, fetched from the master data table.
-		sel, err := m.c.catalog.SelectRIDSet(ridColumn, missing)
-		if err != nil {
-			return res, err
-		}
-		if err := t.AppendFrom(m.c.catalog, sel); err != nil {
-			return res, err
-		}
-		res.RecordsInserted += int64(len(sel))
-		newParts[op.NewPartition] = t
-		newResident[op.NewPartition] = need
 	}
-	// Swap in the new partitions under canonical names.
-	m.dropParts()
-	for k, t := range newParts {
-		if t == nil {
-			// The plan omitted this partition (no versions assigned); create
-			// an empty table so indexes stay dense.
-			newParts[k] = m.newPart(m.partTabName(k))
-			newResident[k] = recset.New()
-			continue
-		}
-		// Rename in place: re-registering the same table under its final name
-		// avoids deep-cloning every row just to change the name.
-		m.c.db.DropTable(t.Name)
-		t.Name = m.partTabName(k)
-		m.c.db.AttachTable(t)
-	}
-	m.parts, m.partOf, m.resident = newParts, newAssign, newResident
-	m.viewAll()
+	m.partOf, m.resident = partOf, resident
+	m.c.publish()
 	return res, nil
 }
 
-// residentOf returns partition k's resident-rid set, rebuilding it from a
-// table scan if the cache is missing (defensive; the cache is maintained on
-// every fill, migrate, and per-commit insert).
-func (m *rlistModel) residentOf(k int) *recset.Set {
-	if m.resident[k] != nil {
-		return m.resident[k]
-	}
-	t := m.parts[k]
-	ridIdx := t.Schema.ColumnIndex(ridColumn)
-	rs := recset.New()
-	for i := 0; i < t.Len(); i++ {
-		rs.Add(t.IntAt(i, ridIdx))
-	}
-	t.Stats().AddSeqReads(int64(t.Len()))
-	m.resident[k] = rs
-	return rs
-}
-
-// OnlineAssign places a newly committed version into partition k and inserts
-// the version's new records into that partition (the online maintenance rule
-// of Section 5.4). If newPartition is true a fresh partition is created for
-// the version instead. It publishes the placement.
-func (m *rlistModel) OnlineAssign(v vgraph.VersionID, k int, newPartition bool, rids []vgraph.RecordID) (int, error) {
-	if m.parts == nil {
+// OnlineAssign places a newly committed version into partition k, whose
+// resident set takes in the version's records (the online maintenance rule of
+// Section 5.4). If newPartition is true a fresh partition is created for the
+// version instead. It publishes the placement.
+func (m *rlistModel) OnlineAssign(v vgraph.VersionID, k int, newPartition bool) (int, error) {
+	if m.resident == nil {
 		return -1, fmt.Errorf("cvd: %s: OnlineAssign requires partitioned storage", m.c.name)
 	}
-	if _, err := m.setOf(v); err != nil {
+	set, err := m.setOf(v)
+	if err != nil {
 		return -1, err
 	}
-	defer m.c.publish()
 	if newPartition {
-		k = len(m.parts)
-		m.parts = append(m.parts, m.newPart(m.partTabName(k)))
+		k = len(m.resident)
 		m.resident = append(m.resident, recset.New())
 	}
-	if k < 0 || k >= len(m.parts) {
+	if k < 0 || k >= len(m.resident) {
 		return -1, fmt.Errorf("cvd: %s: partition %d out of range", m.c.name, k)
 	}
-	if err := m.addVersionToPartition(v, k, rids); err != nil {
-		return -1, err
-	}
+	m.place(v, k, set)
+	m.c.publish()
 	return k, nil
-}
-
-// addVersionToPartition ensures all records of the version exist in the
-// partition table, records the assignment and re-views the partition.
-// Membership of already-present records comes from the partition's
-// resident-rid recset — O(|rlist|) bit probes per commit — and the records it
-// lacks, the commit's new ones among them, are appended column-wise from the
-// data table, where record r is row r-1.
-func (m *rlistModel) addVersionToPartition(v vgraph.VersionID, k int, rids []vgraph.RecordID) error {
-	t := m.parts[k]
-	have := m.residentOf(k)
-	var missing []vgraph.RecordID // ascending, as rids is
-	for _, rid := range rids {
-		if !have.Contains(int64(rid)) {
-			missing = append(missing, rid)
-		}
-	}
-	if len(missing) > 0 { // an append of nothing would still unshare t's columns
-		if err := t.AppendFrom(m.c.catalog, positions(missing)); err != nil {
-			return err
-		}
-	}
-	for _, rid := range missing {
-		have.Add(int64(rid))
-	}
-	m.assign(v, k)
-	m.view(k)
-	return nil
 }

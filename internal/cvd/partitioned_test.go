@@ -3,6 +3,7 @@ package cvd
 import (
 	"testing"
 
+	"repro/internal/recset"
 	"repro/internal/relstore"
 	"repro/internal/vgraph"
 )
@@ -94,7 +95,7 @@ func TestCommitAfterPartitioningRoutesToParentPartition(t *testing.T) {
 func TestOnlineAssignNewPartition(t *testing.T) {
 	_, c := buildProteinCVD(t, SplitByRlist)
 	m, _ := c.Rlist()
-	if _, err := m.OnlineAssign(1, 0, false, nil); err == nil {
+	if _, err := m.OnlineAssign(1, 0, false); err == nil {
 		t.Error("OnlineAssign on unpartitioned model should fail")
 	}
 	p := vgraph.NewPartitioning(map[vgraph.VersionID]int{1: 0, 2: 0, 3: 0, 4: 0})
@@ -102,8 +103,7 @@ func TestOnlineAssignNewPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Move v4 into a brand new partition.
-	rids := c.RecordsOf(4)
-	k, err := m.OnlineAssign(4, -1, true, rids)
+	k, err := m.OnlineAssign(4, -1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestOnlineAssignNewPartition(t *testing.T) {
 	if len(sizes) != 2 || sizes[1] != 6 {
 		t.Errorf("partition sizes = %v, want second partition with 6 records", sizes)
 	}
-	if _, err := m.OnlineAssign(4, 99, false, rids); err == nil {
+	if _, err := m.OnlineAssign(4, 99, false); err == nil {
 		t.Error("out-of-range partition index should fail")
 	}
 }
@@ -193,8 +193,9 @@ func TestRlistAccessorOnOtherModelFails(t *testing.T) {
 
 // TestCheckoutReadsItsPartition: once a partitioning is applied — through
 // Rlist without WithExclusive, as the examples and the Chapter 5 experiments
-// do — migrated, or a version placed online, a checkout scans its partition's
-// table, no more rows than that partition holds, off the published state.
+// do — migrated, or a version placed online, a checkout is charged the scan of
+// its partition, exactly the rows that partition holds, off the published
+// state, while it reads the data table, the one table holding the records.
 func TestCheckoutReadsItsPartition(t *testing.T) {
 	_, c := buildProteinCVD(t, SplitByRlist)
 	m, _ := c.Rlist()
@@ -211,8 +212,8 @@ func TestCheckoutReadsItsPartition(t *testing.T) {
 			if got := c.db.Stats().SeqReads; k < 0 || got != sizes[k] {
 				t.Errorf("after %s: the checkout of version %d scans %d rows, want its partition %d's %d (sizes %v)", what, v, got, k, sizes[k], sizes)
 			}
-			if name := m.PartitionTableName(v); name != m.partTabName(k) {
-				t.Errorf("after %s: version %d reads %q, want %q", what, v, name, m.partTabName(k))
+			if name := m.PartitionTableName(v); name != c.catalog.Name {
+				t.Errorf("after %s: version %d reads %q, want %q", what, v, name, c.catalog.Name)
 			}
 		}
 	}
@@ -232,8 +233,49 @@ func TestCheckoutReadsItsPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.OnlineAssign(v5, -1, true, c.RecordsOf(v5)); err != nil {
+	if _, err := m.OnlineAssign(v5, -1, true); err != nil {
 		t.Fatal(err)
 	}
 	scans("OnlineAssign")
+}
+
+// TestOnlineAssignTakesTheVersionsRecords: a version placed online in a new
+// partition, or in one holding none of its records, brings all of its records
+// into that partition's resident set, which DataRecordCount counts, and checks
+// out whole.
+func TestOnlineAssignTakesTheVersionsRecords(t *testing.T) {
+	_, c := buildProteinCVD(t, SplitByRlist)
+	m, _ := c.Rlist()
+	if err := m.ApplyPartitioning(vgraph.NewPartitioning(map[vgraph.VersionID]int{1: 0, 2: 0, 3: 1, 4: 1})); err != nil {
+		t.Fatal(err)
+	}
+	v5, err := c.Commit([]vgraph.VersionID{1}, []relstore.Row{prow("NEW1", "NEW2", 1, 2, 3)}, proteinSchema(), "online", "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		k     int
+		fresh bool
+	}{{-1, true}, {1, false}} {
+		before := m.DataRecordCount()
+		k, err := m.OnlineAssign(v5, step.k, step.fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := c.recordSet(v5)
+		if got := recset.AndLen(m.resident[k], set); got != set.Len() {
+			t.Fatalf("partition %d holds %d of version %d's %d records", k, got, v5, set.Len())
+		}
+		if grew := m.DataRecordCount() - before; step.fresh && grew != set.Len() {
+			t.Fatalf("a new partition for version %d grew DataRecordCount by %d, want %d", v5, grew, set.Len())
+		}
+		tab, err := c.Checkout([]vgraph.VersionID{v5}, "online")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(tab.Len()) != set.Len() {
+			t.Fatalf("the checkout of version %d in partition %d returns %d rows, want %d", v5, k, tab.Len(), set.Len())
+		}
+		c.DiscardCheckout("online")
+	}
 }

@@ -114,30 +114,57 @@ type PersistentState struct {
 	Attrs      []Attribute    // attribute registry in registration order
 
 	// Tables lists the backing tables of this CVD, all tables of the
-	// database: the data table, which is the record catalog (DataTable), the
-	// partitions and the metadata table. The versioning table is RecordSets.
-	// Checked-out staging tables are deliberately absent: they are transient
-	// working state.
+	// database: the data table, which is the record catalog (DataTable), and
+	// the metadata table. The versioning table is RecordSets. Checked-out
+	// staging tables are deliberately absent: they are transient working
+	// state.
 	Tables []string
 
-	// Partitioned storage (all empty when unpartitioned).
-	Partitions  []string
+	// The partitioning (both empty when unpartitioned): each assigned
+	// version's partition, and partition k's strays at k, one per partition.
+	// A partition's strays are the records its resident set holds beyond the
+	// union of its versions' record sets: those online maintenance leaves
+	// behind when it moves a version to another partition. Restore rebuilds
+	// each resident set as that union plus the strays.
 	PartitionOf map[vgraph.VersionID]int
-	Resident    []*recset.Set
+	Strays      []*recset.Set
 }
 
 // DataTable names the CVD's data table, one of Tables: the record catalog
 // Restore verifies.
 func (st *PersistentState) DataTable() string { return rlistDataTabName(st.Name) }
 
+// CheckPartitioning refuses a partitioning st cannot hold: an assignment of a
+// version st does not have, or to a partition past its count, or strays
+// holding a record id never handed out. The checkpoint decoder and Restore
+// call it: the partitioning is input from disk.
+func (st *PersistentState) CheckPartitioning() error {
+	for v, k := range st.PartitionOf {
+		if v < 1 || v >= st.NextVID || k < 0 || k >= len(st.Strays) {
+			return fmt.Errorf("cvd: %s: version %d is placed in partition %d, where versions 1 to %d are in %d partitions", st.Name, v, k, st.NextVID-1, len(st.Strays))
+		}
+	}
+	for k, rs := range st.Strays {
+		if rs == nil {
+			return fmt.Errorf("cvd: %s: partition %d has no set of strays", st.Name, k)
+		}
+		lo, _ := rs.Min()
+		hi, _ := rs.Max()
+		if rs.Len() > 0 && (lo < 1 || hi >= int64(st.NextRID)) {
+			return fmt.Errorf("cvd: %s: partition %d holds record ids %d to %d where ids 1 to %d were handed out", st.Name, k, lo, hi, st.NextRID-1)
+		}
+	}
+	return nil
+}
+
 // ExportState captures the CVD's persistent state; a CVD of an in-memory model
 // is refused (CheckDurable). The caller holds the mutex (LockExclusive) for
 // the call only: the capture stays valid after it is released. The mutable
-// structures (version graph, version metadata, partition resident sets) are
-// copied; committed record sets, which are never mutated, are shared by
-// pointer, so the capture is O(versions) extra memory, not O(dataset). The
-// backing tables, the catalog among them, are for the caller to freeze
-// (relstore.Table.SnapshotClone).
+// structures (version graph, version metadata) are copied, and each
+// partition's strays computed afresh; committed record sets, which are never
+// mutated, are shared by pointer, so the capture is O(versions) extra memory,
+// not O(dataset). The backing tables, the catalog among them, are for the
+// caller to freeze (relstore.Table.SnapshotClone).
 func (c *CVD) ExportState() (*PersistentState, error) {
 	if err := CheckDurable(c.name, c.kind); err != nil {
 		return nil, err
@@ -161,29 +188,27 @@ func (c *CVD) ExportState() (*PersistentState, error) {
 	for i, s := range c.sets {
 		st.RecordSets[i] = VersionRecordSet{Version: vgraph.VersionID(i + 1), Set: s}
 	}
-	if m.parts != nil {
+	if m.resident != nil {
 		st.PartitionOf = make(map[vgraph.VersionID]int, len(m.partOf))
 		for i, k := range m.partOf {
 			if k >= 0 {
 				st.PartitionOf[vgraph.VersionID(i+1)] = k
 			}
 		}
-		st.Resident = make([]*recset.Set, len(m.parts))
-		for k, t := range m.parts {
-			st.Partitions = append(st.Partitions, t.Name)
-			if s := m.resident[k]; s != nil {
-				st.Resident[k] = s.Clone()
-			}
+		versions := m.unions(m.partOf, len(m.resident))
+		st.Strays = make([]*recset.Set, len(m.resident))
+		for k, rs := range m.resident {
+			st.Strays[k] = recset.AndNot(rs, versions[k])
 		}
 	}
-	st.Tables = append(append(st.Tables, st.Partitions...), c.meta.name)
+	st.Tables = append(st.Tables, c.meta.name)
 	return st, nil
 }
 
 // Restore rebuilds a live split-by-rlist CVD from a persistent state. Every
 // table named in st.Tables must already have been deserialized into db;
 // Restore only wires the in-memory structures (graph, record sets, metadata,
-// attribute registry, partition bookkeeping) back around them, the data table
+// attribute registry, partitioning) back around them, the data table
 // serving as the record catalog. Each record set becomes the version's record
 // set, which is its rlist. A state whose record catalog or
 // versioning table is not the one it describes is refused, with an error that
@@ -204,6 +229,9 @@ func Restore(db *relstore.Database, st *PersistentState) (*CVD, error) {
 	}
 	if err := verifyVersions(st); err != nil {
 		return nil, refusal{err, ErrBadVersions}
+	}
+	if err := st.CheckPartitioning(); err != nil {
+		return nil, err
 	}
 	name := st.Name + "_metadata"
 	if !db.HasTable(name) {
@@ -228,9 +256,7 @@ func Restore(db *relstore.Database, st *PersistentState) (*CVD, error) {
 	for i, vs := range st.RecordSets {
 		c.sets[i] = vs.Set
 	}
-	if err := restoreModel(c, st); err != nil {
-		return nil, err
-	}
+	restoreModel(c, st)
 	c.publish()
 	return c, nil
 }
@@ -328,35 +354,22 @@ func restoreAttributeRegistry(attrs []Attribute) *AttributeRegistry {
 	return r
 }
 
-// restoreModel rebuilds split-by-rlist's partition bookkeeping around the
-// already deserialized tables; the versioning table is c's record sets.
-func restoreModel(c *CVD, st *PersistentState) error {
+// restoreModel rebuilds split-by-rlist around the already deserialized
+// tables: the versioning table is c's record sets, and the partitioning is
+// st's, which CheckPartitioning has passed.
+func restoreModel(c *CVD, st *PersistentState) {
 	m := newRlistModel(c)
 	c.model = m
 	c.db.AttachRelation(m.versioningTabName(), versioningTable{m})
-	if len(st.Partitions) == 0 {
-		return nil
-	}
-	m.parts = make([]*relstore.Table, len(st.Partitions))
-	for k, name := range st.Partitions {
-		t, ok := c.db.Table(name)
-		if !ok {
-			return fmt.Errorf("cvd: restore %s: partition table %q missing from database", st.Name, name)
-		}
-		m.parts[k] = t
+	if len(st.Strays) == 0 {
+		return
 	}
 	m.partOf = slices.Repeat([]int{-1}, len(c.sets))
 	for v, k := range st.PartitionOf {
-		if v >= 1 && int(v) <= len(c.sets) {
-			m.partOf[v-1] = k
-		}
+		m.partOf[v-1] = k
 	}
-	if len(st.Resident) == len(st.Partitions) {
-		m.resident = st.Resident
-	} else {
-		// Defensive: residentOf rebuilds lazily from partition scans.
-		m.resident = make([]*recset.Set, len(st.Partitions))
+	m.resident = m.unions(m.partOf, len(st.Strays))
+	for k, rs := range st.Strays {
+		m.resident[k].UnionWith(rs)
 	}
-	m.viewAll()
-	return nil
 }

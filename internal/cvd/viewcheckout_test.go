@@ -423,119 +423,23 @@ func TestCheckoutAllocations(t *testing.T) {
 	}
 }
 
-// TestCheckoutRefusesDuplicateRID: a partition table holding a rid twice gives
-// a checkout the unique rid index refuses, and the checkout says so instead of
-// handing out duplicate rows.
+// TestCheckoutRefusesDuplicateRID: a data table holding a rid twice gives a
+// join the unique rid index refuses, and the checkout says so instead of
+// handing out duplicate rows. The table holds the catalog's rows in reverse,
+// so the join probes every row rather than reading the set's positions.
 func TestCheckoutRefusesDuplicateRID(t *testing.T) {
 	_, c := buildProteinCVD(t, SplitByRlist)
-	m, err := c.Rlist()
-	if err != nil {
-		t.Fatal(err)
+	data := relstore.NewTable("dup", c.catalog.Schema)
+	for i := c.catalog.Len() - 1; i >= 0; i-- {
+		data.AppendRow(c.catalog.RowAt(i))
 	}
-	if err := m.ApplyPartitioning(vgraph.NewPartitioning(map[vgraph.VersionID]int{1: 0, 2: 0, 3: 1, 4: 1})); err != nil {
-		t.Fatal(err)
-	}
-	err = c.WithExclusive(func() error {
-		part := m.parts[1]
-		part.AppendRow(part.RowAt(0)) // the rid of its first row, again
-		m.view(1)
-		c.publish()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Checkout([]vgraph.VersionID{4}, "dup"); err == nil || c.db.HasTable("dup") {
-		t.Fatalf("a checkout over a partition holding a rid twice gave %v", err)
-	}
-	if _, err := c.Checkout([]vgraph.VersionID{1}, "fine"); err != nil {
-		t.Fatalf("a checkout of the other partition: %v", err)
-	}
-}
-
-// TestPartitionProbeMergesAsScan: the merge-pass probe of a partition's rid
-// column selects each version's rows as a membership test of every row does,
-// after a partitioning, after online maintenance appended older rids, and
-// after a migration.
-func TestPartitionProbeMergesAsScan(t *testing.T) {
-	c, schema := viewCVD(t, 5, 500)
-	m, err := c.Rlist()
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(when string) {
-		t.Helper()
-		st := c.read()
-		for v := vgraph.VersionID(1); int(v) <= len(st.sets); v++ {
-			k := st.partition(v)
-			if k < 0 {
-				continue
-			}
-			part, set := st.parts[k], st.sets[v-1]
-			var want relstore.Selection
-			for i := 0; i < part.Len(); i++ {
-				if set.Contains(part.IntAt(i, 0)) {
-					want = append(want, int32(i))
-				}
-			}
-			for _, workers := range []int{1, 3} {
-				got, err := relstore.JoinTableOnRIDs(part, ridColumn, set, workers, "probe")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Len() != len(want) {
-					t.Fatalf("%s: version %d on %d workers selects %d rows, want %d", when, v, workers, got.Len(), len(want))
-				}
-				for k, i := range want {
-					if got.IntAt(k, 0) != part.IntAt(int(i), 0) {
-						t.Fatalf("%s: version %d on %d workers: row %d is rid %d, want %d", when, v, workers, k, got.IntAt(k, 0), part.IntAt(int(i), 0))
-					}
-				}
-			}
+	rid := data.IntAt(0, 0)
+	data.AppendRow(data.RowAt(0)) // the rid of its first row, again
+	for v := vgraph.VersionID(1); int(v) <= c.NumVersions(); v++ {
+		set := c.recordSet(v)
+		_, err := joinCheckout(data, set, data.Len(), "dup")
+		if holds := set.Contains(rid); holds != (err != nil) {
+			t.Fatalf("version %d (holding rid %d: %v): the join gave %v", v, rid, holds, err)
 		}
 	}
-	if err := m.ApplyPartitioning(vgraph.NewPartitioning(map[vgraph.VersionID]int{1: 0, 2: 1, 3: 1, 4: 1})); err != nil {
-		t.Fatal(err)
-	}
-	check("after a partitioning")
-	// A version of v1's records lands in partition 1, which holds v1 less
-	// every third record: the ones it lacks are older than its last rid.
-	var rows []relstore.Row
-	for r := 1; r <= 500; r += 5 {
-		row, _ := c.RecordContent(vgraph.RecordID(r))
-		rows = append(rows, row)
-	}
-	v5, err := c.Commit([]vgraph.VersionID{1}, rows, schema, "old records", "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.OnlineAssign(v5, 1, false, c.RecordsOf(v5)); err != nil {
-		t.Fatal(err)
-	}
-	// v6, v5 plus new records, follows v5 into partition 1: its set holds
-	// rids from before the older ones and from past them.
-	for k := 0; k < 10; k++ {
-		r := relstore.Row{relstore.Int(int64(90_000 + k)), relstore.Str("new"), relstore.Float(0)}
-		for len(r) < len(schema.Columns) {
-			r = append(r, relstore.Int(0))
-		}
-		rows = append(rows, r)
-	}
-	if _, err := c.Commit([]vgraph.VersionID{v5}, rows, schema, "new records", "t"); err != nil {
-		t.Fatal(err)
-	}
-	part, descends := c.read().parts[1], false
-	for i := 1; i < part.Len(); i++ {
-		descends = descends || part.IntAt(i, 0) < part.IntAt(i-1, 0)
-	}
-	if !descends || c.read().partition(6) != 1 {
-		t.Fatal("online maintenance appended no older rid, or v6 left partition 1")
-	}
-	check("after online maintenance")
-	p := vgraph.NewPartitioning(map[vgraph.VersionID]int{1: 1, 2: 0, 3: 0, 4: 0, 5: 1, 6: 1})
-	plan := []MigrationOp{{NewPartition: 0, FromPartition: 1, Versions: []vgraph.VersionID{2, 3, 4}}, {NewPartition: 1, FromPartition: 0, Versions: []vgraph.VersionID{1, 5, 6}}}
-	if _, err := m.Migrate(p, plan); err != nil {
-		t.Fatal(err)
-	}
-	check("after a migration")
 }

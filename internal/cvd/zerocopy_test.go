@@ -126,7 +126,7 @@ func TestZeroCopyConcurrentCheckoutsAndEdits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two partitions so checkouts hit partition tables, not just dataTab.
+	// Two partitions, so checkouts are charged their partitions' scans.
 	if err := m.ApplyPartitioning(vgraph.NewPartitioning(map[vgraph.VersionID]int{1: 0, 2: 0, 3: 1, 4: 1})); err != nil {
 		t.Fatalf("ApplyPartitioning: %v", err)
 	}

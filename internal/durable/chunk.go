@@ -45,7 +45,7 @@ func hashChunk(payload []byte) ChunkHash {
 // Chunk payload kinds (first payload byte).
 const (
 	chunkColBand     uint8 = 1 // one row band of one table column's lanes
-	chunkCVDHead     uint8 = 2 // CVD identity, counters, graph, metas, partitions
+	chunkCVDHead     uint8 = 2 // CVD identity, counters, graph, metas, partitioning
 	chunkCatalogBand uint8 = 3 // retired with manifest version 2: a band of boxed catalog rows; nothing writes or reads it
 	chunkFullSetRun  uint8 = 4 // retired with manifest version 5: a run of versions each stored in full; nothing writes or reads it
 	chunkRecsetRun   uint8 = 5 // one run of per-version record sets, each in full or as its delta
@@ -492,17 +492,14 @@ func encodeCVDHead(e *enc, st *cvd.PersistentState) {
 		e.str(t)
 	}
 
-	e.uvarint(uint64(len(st.Partitions)))
-	for _, p := range st.Partitions {
-		e.str(p)
-	}
-	if len(st.Partitions) > 0 {
+	e.uvarint(uint64(len(st.Strays)))
+	if len(st.Strays) > 0 {
 		e.uvarint(uint64(len(st.PartitionOf)))
 		for _, v := range sortedVersionKeys(st.PartitionOf) {
 			e.uvarint(uint64(v))
 			e.uvarint(uint64(st.PartitionOf[v]))
 		}
-		for _, rs := range st.Resident {
+		for _, rs := range st.Strays {
 			e.b = rs.AppendBinary(e.b)
 		}
 	}
@@ -591,21 +588,16 @@ func decodeCVDHead(payload []byte) (*cvd.PersistentState, error) {
 		st.Tables[i] = d.str()
 	}
 
-	nparts := d.length(1)
-	if nparts > 0 {
-		st.Partitions = make([]string, nparts)
-		for i := range st.Partitions {
-			st.Partitions[i] = d.str()
-		}
+	if nparts := d.length(1); nparts > 0 {
 		nassign := d.length(2)
 		st.PartitionOf = make(map[vgraph.VersionID]int, nassign)
 		for i := 0; i < nassign; i++ {
 			v := vgraph.VersionID(d.uvarint())
 			st.PartitionOf[v] = int(d.uvarint())
 		}
-		st.Resident = make([]*recset.Set, nparts)
-		for i := range st.Resident {
-			st.Resident[i] = d.recset()
+		st.Strays = make([]*recset.Set, nparts)
+		for i := range st.Strays {
+			st.Strays[i] = d.recset()
 		}
 	}
 
@@ -614,6 +606,9 @@ func decodeCVDHead(payload []byte) (*cvd.PersistentState, error) {
 	}
 	if d.off != len(payload) {
 		return nil, fmt.Errorf("durable: CVD head %s: %d trailing bytes", st.Name, len(d.b)-d.off)
+	}
+	if err := st.CheckPartitioning(); err != nil {
+		return nil, err
 	}
 	return st, nil
 }

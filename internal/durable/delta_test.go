@@ -11,6 +11,7 @@ import (
 	"repro/internal/benchmark"
 	"repro/internal/cvd"
 	"repro/internal/deltastore"
+	"repro/internal/partition"
 	"repro/internal/recset"
 	"repro/internal/relstore"
 	"repro/internal/vgraph"
@@ -172,7 +173,9 @@ func TestDeltaRunsAreMinimumStorage(t *testing.T) {
 // (version, record) edge, and its whole pack at most 0.55 of what manifest
 // version 4, which stored every set in full, wrote for the same history. The
 // kinds are summed from the pack's own frames and must agree with the
-// checkpoint's stats and with fsck's live bytes.
+// checkpoint's stats and with fsck's live bytes. Partitioned as Optimize
+// partitions it (LyreSplit at γ = 2|R|), the same store checkpoints in at most
+// 1.05 times the bytes: a partitioning is a plan, not a copy of records.
 func TestStorageGates(t *testing.T) {
 	// Pack bytes one checkpoint of the preset wrote under manifest version 4,
 	// measured by this test's measuring half at that build: 734 214 and
@@ -223,6 +226,41 @@ func TestStorageGates(t *testing.T) {
 			}
 			if limit := v4Pack * 55 / 100; pack > limit {
 				t.Errorf("pack of %d B, want <= %d (0.55 of manifest version 4's %d B)", pack, limit, v4Pack)
+			}
+
+			m, err := c.Rlist()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree, err := vgraph.ToTree(c.Graph())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := partition.SolveStorageConstraint(tree, 2*tree.DistinctRecords(), partition.LyreSplitOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.ApplyPartitioning(res.Partitioning); err != nil {
+				t.Fatal(err)
+			}
+			parted := t.TempDir()
+			ps, _, err := Open(parted)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ps.Checkpoint(snapshotOf(t, db, c)); err != nil {
+				t.Fatal(err)
+			}
+			if err := ps.Close(); err != nil {
+				t.Fatal(err)
+			}
+			info, err = os.Stat(filepath.Join(parted, PackFile))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%s in %d partitions of %d records: pack %d B, %.3f of the unpartitioned %d B", preset, len(m.PartitionSizes()), m.DataRecordCount(), info.Size(), float64(info.Size())/float64(pack), pack)
+			if limit := pack * 105 / 100; info.Size() > limit {
+				t.Errorf("the partitioned store's pack is %d B, want <= %d (1.05 of the unpartitioned %d B)", info.Size(), limit, pack)
 			}
 		})
 	}

@@ -43,9 +43,13 @@ const (
 	// time beside the record-set runs. Version 4 lists no such table: the
 	// record-set runs are the versioning table, each version's set in full
 	// (chunk kind 4). Version 5 stores each version in full or as its delta
-	// from its parents, whichever is smaller (chunk kind 5). A manifest of an
-	// older version is refused (errManifestVersion), not converted.
-	manifestFormatVersion = 5
+	// from its parents, whichever is smaller (chunk kind 5). Version 6 lists no
+	// partition tables: a CVD head keeps its partitioning as the partition
+	// count, each version's partition and each partition's strays (the records
+	// it holds beyond its versions' sets), and the records stay once, in the
+	// data table. A manifest of an older version
+	// is refused (errManifestVersion), not converted.
+	manifestFormatVersion = 6
 
 	// walFormatVersion is the WAL segments' own version, bumped when only the
 	// record layout changes: a version 2 directory's checkpoints and exports
@@ -65,7 +69,7 @@ const (
 
 // errManifestVersion refuses a manifest of another version, wherever one is
 // read: open, restore at an epoch, fsck.
-var errManifestVersion = fmt.Errorf("this build reads version %d only (version 2 stored every record a second time, as catalog bands; version 3 stored every version's record list a second time, as the rlist column of a versioning table; version 4 stored every version's record set in full): export the versions to CSV with the build that wrote the directory and commit them to a fresh one", manifestFormatVersion)
+var errManifestVersion = fmt.Errorf("this build reads version %d only (version 2 stored every record a second time, as catalog bands; version 3 stored every version's record list a second time, as the rlist column of a versioning table; version 4 stored every version's record set in full; version 5 stored each partition as a second copy of its records): export the versions to CSV with the build that wrote the directory and commit them to a fresh one", manifestFormatVersion)
 
 // WALSegmentFileName returns the WAL segment file name for an epoch; the
 // fixed-width hex key makes lexical order equal epoch order.

@@ -103,14 +103,28 @@ func withModel(payload []byte, name string, kind cvd.ModelKind) []byte {
 	return out
 }
 
-// hostileChunks is the chunk corpus: a real CVD head and record-set run,
-// real column bands, and payloads every decoder must refuse — record-set run
-// entries that do not continue their parents (a tombstone the parent does not
-// hold, an addition the parent holds, additions that descend one per
-// container, a delta out of version order, for which the head names no
-// parents, an unknown tag), truncated and retired kinds, and the head of a
-// model that does not persist, as a build that checkpointed the in-memory
-// models wrote it.
+// partitionedHead encodes the fuzz CVD's head under a partitioning of two
+// partitions that places version 3 in partition k and gives partition 1 the
+// strays 1, 2 and rid; k = 1 and rid = 30 make it a real one.
+func partitionedHead(k int, rid int64) []byte {
+	st := fuzzCVDState()
+	st.PartitionOf = map[vgraph.VersionID]int{1: 0, 2: 0, 3: k}
+	st.Strays = []*recset.Set{recset.New(), recset.FromSlice([]int64{1, 2, rid})}
+	var e enc
+	encodeCVDHead(&e, st)
+	return e.b
+}
+
+// hostileChunks is the chunk corpus: a real CVD head, unpartitioned and
+// partitioned, and record-set run, real column bands, and payloads every
+// decoder must refuse — record-set run entries that do not continue their
+// parents (a tombstone the parent does not hold, an addition the parent
+// holds, additions that descend one per container, a delta out of version
+// order, for which the head names no parents, an unknown tag), heads whose
+// partitioning places a version in a partition past the count or gives a
+// partition a record id never handed out, truncated and retired kinds, and
+// the head of a model that does not persist, as a build that checkpointed the
+// in-memory models wrote it.
 func hostileChunks(tb testing.TB) [][]byte {
 	var e enc
 	st := fuzzCVDState()
@@ -132,6 +146,9 @@ func hostileChunks(tb testing.TB) [][]byte {
 		runPayload(root, []byte{2, 7}),
 		fuzzColBandPayload(false),
 		fuzzColBandPayload(true),
+		partitionedHead(1, 30),
+		partitionedHead(2, 30),
+		partitionedHead(1, 31),
 		{},
 		{chunkColBand},
 		{chunkCVDHead, 0xff, 0xff},
@@ -149,6 +166,18 @@ func FuzzChunkDecode(f *testing.F) {
 	// The head of a model that does not persist is refused by name.
 	if _, err := decodeCVDHead(corpus[len(corpus)-1]); !errors.Is(err, cvd.ErrInMemoryModel) || !strings.Contains(err.Error(), `"fuzz" uses split-by-vlist`) {
 		f.Fatalf("a split-by-vlist CVD head decodes with %v", err)
+	}
+	// A partitioning the head cannot hold is refused by name.
+	if st, err := decodeCVDHead(partitionedHead(1, 30)); err != nil || len(st.Strays) != 2 || st.PartitionOf[3] != 1 {
+		f.Fatalf("a partitioned CVD head decodes with %v", err)
+	}
+	for head, want := range map[string]string{
+		string(partitionedHead(2, 30)): "version 3 is placed in partition 2, where versions 1 to 3 are in 2 partitions",
+		string(partitionedHead(1, 31)): "partition 1 holds record ids 1 to 31 where ids 1 to 30 were handed out",
+	} {
+		if _, err := decodeCVDHead([]byte(head)); err == nil || !strings.Contains(err.Error(), "cvd: fuzz: "+want) {
+			f.Fatalf("a CVD head whose partitioning is not its own decodes with %v, want %q", err, want)
+		}
 	}
 	for _, payload := range corpus {
 		f.Add(payload)

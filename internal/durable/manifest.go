@@ -231,7 +231,7 @@ func readManifestFile(fsys vfs.FS, path string) (*manifest, error) {
 	}
 	switch v := binary.LittleEndian.Uint32(data[8:12]); v {
 	case manifestFormatVersion:
-	case 2, 3, 4:
+	case 2, 3, 4, 5:
 		return nil, fmt.Errorf("durable: %s is a format version %d manifest, %w", path, v, errManifestVersion)
 	default:
 		return nil, fmt.Errorf("durable: unsupported manifest version %d (want %d)", v, manifestFormatVersion)

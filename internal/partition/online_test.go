@@ -181,7 +181,7 @@ func TestEndToEndOnlinePartitioningWithMigration(t *testing.T) {
 		}
 		shared := c.Graph().Edge(latest, v).Weight
 		dec := o.OnCommit(v, latest, shared, c.NumRecords(), m.DataRecordCount())
-		if _, err := m.OnlineAssign(v, dec.Partition, dec.NewPartition, c.RecordsOf(v)); err != nil {
+		if _, err := m.OnlineAssign(v, dec.Partition, dec.NewPartition); err != nil {
 			t.Fatal(err)
 		}
 		latest = v

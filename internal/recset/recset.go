@@ -305,27 +305,38 @@ func (c *container) orInPlace(o *container) {
 		}
 		c.bitmap, c.array, c.n = bm, nil, n
 	default:
-		merged := make([]uint16, 0, len(c.array)+len(o.array))
-		i, j := 0, 0
-		for i < len(c.array) && j < len(o.array) {
-			switch {
-			case c.array[i] < o.array[j]:
-				merged = append(merged, c.array[i])
-				i++
-			case c.array[i] > o.array[j]:
-				merged = append(merged, o.array[j])
-				j++
-			default:
-				merged = append(merged, c.array[i])
-				i++
-				j++
-			}
-		}
-		merged = append(merged, c.array[i:]...)
-		merged = append(merged, o.array[j:]...)
-		c.array, c.n = merged, len(merged)
-		if len(merged) > arrayMaxLen {
+		n := c.n + o.n - andLenContainers(c, o)
+		switch {
+		case n == c.n: // o adds nothing
+		case n > arrayMaxLen:
 			c.toBitmap()
+			c.orInPlace(o)
+		default:
+			// Merged from the back, in place when c's array has room: it
+			// grows by half when it has none, so a set taking in one array
+			// after another reallocates O(log n) times, not once per union.
+			a := c.array
+			if cap(a) < n {
+				a = make([]uint16, len(c.array), min(n+n/2, arrayMaxLen))
+				copy(a, c.array)
+			}
+			a = a[:n]
+			i, j := len(c.array)-1, len(o.array)-1
+			for k := n - 1; j >= 0; k-- {
+				switch {
+				case i >= 0 && a[i] > o.array[j]:
+					a[k] = a[i]
+					i--
+				case i >= 0 && a[i] == o.array[j]:
+					a[k] = a[i]
+					i--
+					j--
+				default:
+					a[k] = o.array[j]
+					j--
+				}
+			}
+			c.array, c.n = a, n
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"sort"
 
-	"repro/internal/parallel"
 	"repro/internal/recset"
 )
 
@@ -62,18 +61,17 @@ func JoinOnRIDs(data *Table, ridColumn string, rids []int64, method JoinMethod) 
 // that copies no cell: its columns view the data table's lanes through the
 // selection the join built, which it owns (see Table.GatherInto). A data
 // table that keeps record r at row r-1 is not probed at all; otherwise the
-// set is the probe side. workers > 1 chunks the probe across goroutines.
-func JoinTableOnRIDs(data *Table, ridColumn string, set *recset.Set, workers int, tableName string) (*Table, error) {
-	var sel Selection
-	var err error
-	if workers > 1 && data.nrows >= parallelJoinMinRows {
-		sel, err = parallelSetSelection(data, ridColumn, set, workers)
-	} else {
-		sel, err = joinSelection(data, ridColumn, ridProbe{set: set}, HashJoin)
+// set is the probe side. It accounts the cost model's hash join over scanned
+// rows: data.Len() for a join with data itself, or the size of the partition
+// a partitioning places the version in, which the cost model scans instead.
+func JoinTableOnRIDs(data *Table, ridColumn string, set *recset.Set, scanned int, tableName string) (*Table, error) {
+	ci := data.Schema.ColumnIndex(ridColumn)
+	if ci < 0 {
+		return nil, fmt.Errorf("relstore: table %s has no column %q", data.Name, ridColumn)
 	}
-	if err != nil {
-		return nil, err
-	}
+	sel := hashSelection(data, data.cols[ci], ridProbe{set: set})
+	data.stats.AddSeqReads(int64(scanned))
+	data.stats.AddHashProbes(int64(scanned))
 	return data.GatherInto(tableName, sel), nil
 }
 
@@ -137,22 +135,7 @@ func joinSelection(data *Table, ridColumn string, probe ridProbe, method JoinMet
 	col := data.cols[ci]
 	switch method {
 	case HashJoin:
-		if sel, ok := data.positionalSelection(col, probe.set); ok {
-			return sel, nil
-		}
-		var sel Selection
-		from := 0
-		if probe.set != nil {
-			sel, from = mergeSetSelection(col, data.nrows, probe.set)
-		} else {
-			sel = make(Selection, 0, probe.len())
-		}
-		contains := probe.contains()
-		for i := from; i < data.nrows; i++ {
-			if contains(col.asInt(i)) {
-				sel = append(sel, int32(i))
-			}
-		}
+		sel := hashSelection(data, col, probe)
 		data.stats.AddSeqReads(int64(data.nrows))
 		data.stats.AddHashProbes(int64(data.nrows))
 		return sel, nil
@@ -191,13 +174,30 @@ func joinSelection(data *Table, ridColumn string, probe ridProbe, method JoinMet
 	}
 }
 
+// hashSelection selects the rows of data whose rid, in col, probe holds: read
+// off the positions when data keeps every rid of a set at row rid-1, by a
+// membership test of every row otherwise. It accounts nothing: the caller
+// charges the hash join the cost model prices.
+func hashSelection(data *Table, col *column, probe ridProbe) Selection {
+	if sel, ok := data.positionalSelection(col, probe.set); ok {
+		return sel
+	}
+	sel := make(Selection, 0, probe.len())
+	contains := probe.contains()
+	for i := 0; i < data.nrows; i++ {
+		if contains(col.asInt(i)) {
+			sel = append(sel, int32(i))
+		}
+	}
+	return sel
+}
+
 // positionalSelection answers the join without the scan when every rid of the
-// set sits at row rid-1 of col — which is where an unpartitioned data table
-// keeps it, records being appended in rid order from 1 — so that a checkout
-// costs the version, not every record ever committed. ok is false as soon as
-// one rid is somewhere else (a partition table, a deleted row), and the caller
-// scans. The cost it accounts is the hash join's, which the cost model is
-// about. It relies on col, t's rid column, holding no rid twice, as the unique
+// set sits at row rid-1 of col — which is where a CVD's data table keeps it,
+// records being appended in rid order from 1 — so that a checkout costs the
+// version, not every record ever committed. ok is false as soon as one rid is
+// somewhere else (a table in another order, a deleted row), and the caller
+// scans. It relies on col, t's rid column, holding no rid twice, as the unique
 // index on a data table's rid column guarantees.
 func (t *Table) positionalSelection(col *column, set *recset.Set) (sel Selection, ok bool) {
 	if set == nil || col.at != nil { // a view column's rids are read through its positions by the scan
@@ -239,53 +239,7 @@ func (t *Table) positionalSelection(col *column, set *recset.Set) (sel Selection
 	if !ok {
 		return nil, false
 	}
-	t.stats.AddSeqReads(int64(t.nrows))
-	t.stats.AddHashProbes(int64(t.nrows))
 	return sel, true
-}
-
-// mergeSetSelection is the hash join's probe of a rid column by a set, done as
-// one merge pass for as long as the column's rids ascend, as they do in a
-// partition table filled from the catalog: the set's rids and the column's
-// are walked together, one compare a row. It returns the rows it selected and
-// from, the first row whose rid does not ascend (n when every one of the first
-// n does); the caller probes the rows from there on one at a time. Online
-// maintenance and migrations append older rids past newer ones, so a
-// partition's column may descend once or more.
-func mergeSetSelection(col *column, n int, set *recset.Set) (sel Selection, from int) {
-	sel = make(Selection, 0, set.Len())
-	i, prev, descends := 0, int64(0), false
-	set.ForEach(func(r int64) bool {
-		for i < n {
-			rid := col.asInt(i)
-			if i > 0 && rid <= prev {
-				descends = true
-				return false
-			}
-			if rid > r { // r is in no row: on to the set's next rid
-				return true
-			}
-			prev = rid
-			if i++; rid == r {
-				sel = append(sel, int32(i-1))
-				return true
-			}
-		}
-		return false
-	})
-	if descends {
-		return sel, i
-	}
-	// The set ran out below row i's rid: the rows past it hold none of the
-	// set's rids as long as they go on ascending.
-	for ; i < n; i++ {
-		rid := col.asInt(i)
-		if i > 0 && rid <= prev {
-			return sel, i
-		}
-		prev = rid
-	}
-	return sel, n
 }
 
 // mergeJoinSelection merges an already-sorted rid list against the data
@@ -323,51 +277,6 @@ func mergeJoinSelection(data *Table, ridCol int, sorted []int64) Selection {
 		}
 	}
 	return sel
-}
-
-// parallelJoinMinRows is the data-table size below which the parallel join
-// variants always run sequentially: splitting a scan this small across
-// goroutines costs more than the scan itself.
-const parallelJoinMinRows = 2048
-
-// parallelSetSelection is the chunked hash-join probe: the rows a merge pass
-// (mergeSetSelection) leaves, if any, are probed in contiguous ranges
-// concurrently and the per-chunk selections are concatenated in chunk order,
-// so the result (and the accounted cost) is identical to the sequential
-// probe.
-func parallelSetSelection(data *Table, ridColumn string, set *recset.Set, workers int) (Selection, error) {
-	ci := data.Schema.ColumnIndex(ridColumn)
-	if ci < 0 {
-		return nil, fmt.Errorf("relstore: table %s has no column %q", data.Name, ridColumn)
-	}
-	col := data.cols[ci]
-	if sel, ok := data.positionalSelection(col, set); ok {
-		return sel, nil
-	}
-	head, from := mergeSetSelection(col, data.nrows, set)
-	data.stats.AddSeqReads(int64(from))
-	data.stats.AddHashProbes(int64(from))
-	if from == data.nrows {
-		return head, nil
-	}
-	chunks := parallel.Chunks(workers, data.nrows-from)
-	parts := parallel.Map(workers, len(chunks), func(k int) Selection {
-		lo, hi := from+chunks[k][0], from+chunks[k][1]
-		var out Selection
-		for i := lo; i < hi; i++ {
-			if set.Contains(col.asInt(i)) {
-				out = append(out, int32(i))
-			}
-		}
-		data.stats.AddSeqReads(int64(hi - lo))
-		data.stats.AddHashProbes(int64(hi - lo))
-		return out
-	})
-	sel := head // room for the whole set already
-	for _, p := range parts {
-		sel = append(sel, p...)
-	}
-	return sel, nil
 }
 
 // HashJoinTables performs a general equi-join of two tables on the named

@@ -601,7 +601,7 @@ const selectBlock = 1024
 // positions (limit <= 0: no limit). It reads the rows it walks, and for each
 // comparison after the first the rows still alive, never the rest of the
 // table. It is an error when the set's lowest or highest rid is not at its row
-// (a partition table, a table in another order, a rid past the table).
+// (a table in another order, a rid past the table).
 func (t *Table) FilterVecSet(dst Selection, set *recset.Set, preds []ColPred, limit int) (Selection, error) {
 	cols := make([]*column, len(preds))
 	for k, p := range preds {

@@ -14,9 +14,7 @@
 // the CostStats I/O counters are updated atomically, so any number of
 // goroutines may read (scan, join, look up) the same tables concurrently.
 // Table mutation (inserts, schema changes, sorts) is not internally
-// synchronized — the versioning layer above serializes writers per CVD. The
-// hash join of a checkout (JoinTableOnRIDs) additionally probes in chunks on
-// several goroutines when asked for workers.
+// synchronized — the versioning layer above serializes writers per CVD.
 package relstore
 
 import (

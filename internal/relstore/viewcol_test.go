@@ -324,61 +324,3 @@ func TestSourceWritesMissTheView(t *testing.T) {
 	}
 	sameReads(t, "after the source's writes", stage, want)
 }
-
-// TestMergeProbeEqualsScan: the merge-pass probe of a rid column selects what
-// a membership test of every row does, also when the column descends once or
-// holds a rid twice, sequentially and in parallel, and costs what the scan
-// costs in the cost model.
-func TestMergeProbeEqualsScan(t *testing.T) {
-	build := func(rids []int64) *Table {
-		tbl := NewTable("part", MustSchema([]Column{{Name: "rid", Type: TypeInt}, {Name: "v", Type: TypeInt}}))
-		for _, r := range rids {
-			tbl.AppendRow(Row{Int(r), Int(r * 10)})
-		}
-		return tbl
-	}
-	var ascending, descendsOnce, twice []int64
-	for r := int64(3); r < 6000; r += 2 {
-		ascending = append(ascending, r)
-	}
-	descendsOnce = append(slices.Clone(ascending), 4, 8, 6001, 6003)
-	twice = append(slices.Clone(ascending), 5)
-	rng := rand.New(rand.NewSource(7))
-	sets := []*recset.Set{recset.New(), recset.FromSlice([]int64{1, 2, 3, 4, 8, 5999, 6001, 7000}), recset.FromSlice([]int64{3, 4, 8})}
-	for k := 0; k < 4; k++ {
-		s := recset.New()
-		for r := int64(0); r < 6100; r++ {
-			if rng.Intn(1+k*3) == 0 {
-				s.Add(r)
-			}
-		}
-		sets = append(sets, s)
-	}
-	for name, rids := range map[string][]int64{"ascending": ascending, "descends once": descendsOnce, "a rid twice": twice} {
-		tbl := build(rids)
-		for k, set := range sets {
-			var want Selection
-			for i, r := range rids {
-				if set.Contains(r) {
-					want = append(want, int32(i))
-				}
-			}
-			before := tbl.Stats().Snapshot()
-			got, err := tbl.SelectRIDSet("rid", set)
-			if err != nil || !slices.Equal(got, want) {
-				t.Fatalf("%s, set %d: selects %v (%v), want %v", name, k, got, err, want)
-			}
-			if d := before.Diff(tbl.Stats().Snapshot()); d.SeqReads != int64(len(rids)) || d.HashProbes != int64(len(rids)) {
-				t.Fatalf("%s, set %d: accounted %d reads and %d probes, want %d each", name, k, d.SeqReads, d.HashProbes, len(rids))
-			}
-			before = tbl.Stats().Snapshot()
-			par, err := parallelSetSelection(tbl, "rid", set, 3)
-			if err != nil || !slices.Equal(par, want) {
-				t.Fatalf("%s, set %d: the parallel probe selects %v (%v), want %v", name, k, par, err, want)
-			}
-			if d := before.Diff(tbl.Stats().Snapshot()); d.SeqReads != int64(len(rids)) || d.HashProbes != int64(len(rids)) {
-				t.Fatalf("%s, set %d: the parallel probe accounted %d reads and %d probes, want %d each", name, k, d.SeqReads, d.HashProbes, len(rids))
-			}
-		}
-	}
-}
