@@ -124,6 +124,7 @@ func (c *CVD) buildCommit(parents []vgraph.VersionID, st staged) (CommitRequest,
 			c.index = idx
 		}
 	}
+	cat := idx.on(c.catalog)
 	parentSets := make([]*recset.Set, len(parents))
 	for i, p := range parents {
 		parentSets[i] = c.recordSet(p)
@@ -150,7 +151,7 @@ func (c *CVD) buildCommit(parents []vgraph.VersionID, st staged) (CommitRequest,
 			}
 			aligned = scratch
 		}
-		if rid := c.matchRecord(idx, parentSets, aligned); rid != 0 {
+		if rid := c.matchRecord(cat, parentSets, aligned); rid != 0 {
 			kept = append(kept, rid)
 			continue
 		}
@@ -166,10 +167,10 @@ func (c *CVD) buildCommit(parents []vgraph.VersionID, st staged) (CommitRequest,
 	if len(idx.pk) > 0 {
 		for i := 1; i < len(kept); i++ {
 			if kept[i] == kept[i-1] { // two staged rows are the same record, so share its key
-				return CommitRequest{}, nil, c.duplicateKey(idx, c.rec(kept[i]))
+				return CommitRequest{}, nil, c.duplicateKey(idx, cat.record(int(kept[i])-1, idx.pk, make(relstore.Row, len(idx.types))))
 			}
 		}
-		if err := c.checkPrimaryKey(idx, kept, fresh, len(parents) > 1); err != nil {
+		if err := c.checkPrimaryKey(cat, kept, fresh, len(parents) > 1); err != nil {
 			return CommitRequest{}, nil, err
 		}
 	}
@@ -193,17 +194,16 @@ func (c *CVD) buildCommit(parents []vgraph.VersionID, st staged) (CommitRequest,
 // matchRecord returns the record a staged row (aligned with idx's schema) is,
 // by buildCommit's rule, or 0 when no parent holds a record of that content. A
 // hash hit is confirmed cell by cell against the catalog's lanes.
-func (c *CVD) matchRecord(idx *recIndex, parentSets []*recset.Set, aligned relstore.Row) vgraph.RecordID {
-	staged := cells{row: aligned}
-	h := idx.hash(staged, nil)
+func (c *CVD) matchRecord(idx catalogSide, parentSets []*recset.Set, aligned relstore.Row) vgraph.RecordID {
+	h := idx.hash(aligned, nil)
 	best, bestParent := vgraph.RecordID(0), len(parentSets)-1
-	for id := idx.content.first(h); id != 0; id = idx.content.after(id, h) {
+	for id, at := idx.content.first(h); id != 0; id, at = idx.content.next(h, at) {
 		rid := vgraph.RecordID(id)
 		for p := 0; p <= bestParent; p++ {
 			if !parentSets[p].Contains(int64(rid)) {
 				continue
 			}
-			if (p < bestParent || best == 0 || rid < best) && idx.same(staged, c.rec(rid), nil) {
+			if (p < bestParent || best == 0 || rid < best) && idx.matches(aligned, int(rid)-1, nil) {
 				best, bestParent = rid, p
 			}
 			break
@@ -219,35 +219,35 @@ func (c *CVD) matchRecord(idx *recIndex, parentSets []*recset.Set, aligned relst
 // records are compared with each other only when they come from several
 // parents — those of one parent are a subset of a version that was checked
 // when it was committed. kept is sorted; fresh rows carry their rid first.
-func (c *CVD) checkPrimaryKey(idx *recIndex, kept []vgraph.RecordID, fresh []relstore.Row, severalParents bool) error {
-	var seen chains
+func (c *CVD) checkPrimaryKey(idx catalogSide, kept []vgraph.RecordID, fresh []relstore.Row, severalParents bool) error {
+	var seen slots
 	seen.reserve(len(fresh))
 	for i, row := range fresh {
-		rec := cells{row: row[1:]}
+		rec := row[1:]
 		h := idx.hash(rec, idx.pk)
-		for id := seen.first(h); id != 0; id = seen.after(id, h) {
-			if idx.same(rec, cells{row: fresh[id-1][1:]}, idx.pk) {
-				return c.duplicateKey(idx, rec)
+		for id, at := seen.first(h); id != 0; id, at = seen.next(h, at) {
+			if idx.same(rec, fresh[id-1][1:], idx.pk) {
+				return c.duplicateKey(idx.recIndex, rec)
 			}
 		}
 		seen.add(uint32(i+1), h)
-		for id := idx.key.first(h); id != 0; id = idx.key.after(id, h) {
-			rid := vgraph.RecordID(id)
-			if _, held := slices.BinarySearch(kept, rid); held && idx.same(rec, c.rec(rid), idx.pk) {
-				return c.duplicateKey(idx, rec)
+		for id, at := idx.key.first(h); id != 0; id, at = idx.key.next(h, at) {
+			if _, held := slices.BinarySearch(kept, vgraph.RecordID(id)); held && idx.matches(rec, int(id)-1, idx.pk) {
+				return c.duplicateKey(idx.recIndex, rec)
 			}
 		}
 	}
 	if !severalParents {
 		return nil
 	}
-	seen = chains{}
 	seen.reserve(len(kept))
+	rec := make(relstore.Row, len(idx.types))
 	for i, rid := range kept {
-		h := idx.key.hash[rid]
-		for id := seen.first(h); id != 0; id = seen.after(id, h) {
-			if idx.same(c.rec(rid), c.rec(kept[id-1]), idx.pk) {
-				return c.duplicateKey(idx, c.rec(rid))
+		idx.record(int(rid)-1, idx.pk, rec)
+		h := idx.hash(rec, idx.pk)
+		for id, at := seen.first(h); id != 0; id, at = seen.next(h, at) {
+			if idx.matches(rec, int(kept[id-1])-1, idx.pk) {
+				return c.duplicateKey(idx.recIndex, rec)
 			}
 		}
 		seen.add(uint32(i+1), h)
@@ -255,11 +255,11 @@ func (c *CVD) checkPrimaryKey(idx *recIndex, kept []vgraph.RecordID, fresh []rel
 	return nil
 }
 
-func (c *CVD) duplicateKey(idx *recIndex, rec cells) error {
+func (c *CVD) duplicateKey(idx *recIndex, rec relstore.Row) error {
 	key := make([]string, len(idx.pk))
 	var buf relstore.Value
 	for k, i := range idx.pk {
-		key[k] = idx.cell(rec, i, &buf).AsString()
+		key[k] = idx.at(rec, i, &buf).AsString()
 	}
 	return fmt.Errorf("cvd: %s: duplicate primary key (%s) within a version", c.name, strings.Join(key, ", "))
 }

@@ -440,10 +440,6 @@ func (c *CVD) RecordContent(r vgraph.RecordID) (relstore.Row, bool) {
 	return st.catalog.RowAt(int(r) - 1)[1:], true
 }
 
-// rec names catalog record r, read off the lanes, as one side of a record
-// index comparison (recindex.go).
-func (c *CVD) rec(r vgraph.RecordID) cells { return cells{tab: c.catalog, pos: int(r) - 1} }
-
 // VersionSnapshot is one version as Snapshot reads it: its metadata and its
 // record set, the pointer the CVD holds, which is never written once the
 // version is committed.
@@ -645,7 +641,7 @@ func (c *CVD) recordVersion(req CommitRequest, fresh []relstore.Row, msg, author
 	}
 	if c.index != nil {
 		for i, rec := range fresh {
-			c.index.add(c.nextRID+vgraph.RecordID(i), cells{row: rec[1:]})
+			c.index.add(c.nextRID+vgraph.RecordID(i), rec[1:])
 		}
 	}
 	c.nextRID += vgraph.RecordID(len(fresh))
@@ -795,8 +791,8 @@ func (c *CVD) checkoutMerged(st *readState, versions []vgraph.VersionID, tableNa
 	for k, j := range pk {
 		keyCols[k] = st.schema.Columns[j]
 	}
-	form := newRowForm(relstore.Schema{Columns: keyCols})
-	var seenPK chains
+	form := newRecForm(relstore.Schema{Columns: keyCols})
+	var seenPK slots
 	var keys []relstore.Row
 	key := make(relstore.Row, len(pk))
 	seenRID := make(map[int64]struct{})
@@ -814,9 +810,9 @@ func (c *CVD) checkoutMerged(st *readState, versions []vgraph.VersionID, tableNa
 				for k, j := range pk {
 					key[k] = t.At(i, j+1) // +1 because checkout rows carry rid first
 				}
-				h := form.hash(cells{row: key}, nil)
-				for id := seenPK.first(h); id != 0; id = seenPK.after(id, h) {
-					if form.same(cells{row: key}, cells{row: keys[id-1]}, nil) {
+				h := form.hash(key, nil)
+				for id, at := seenPK.first(h); id != 0; id, at = seenPK.next(h, at) {
+					if form.same(key, keys[id-1], nil) {
 						continue rows
 					}
 				}

@@ -231,19 +231,47 @@ func (m *rlistModel) PartitionSizes() []int64 { return slices.Clone(m.c.read().p
 // from scratch (the "naive" migration path): each partition's resident set is
 // the union of the record sets of the versions assigned to it, so records
 // shared across partitions count once in each (Section 5.1). It publishes the
-// partitioning, so a checkout is charged its partition's scan from then on.
+// partitioning, so a checkout is charged its partition's scan from then on. A
+// partitioning that does not place every version in one of its partitions is
+// refused, and changes nothing.
 func (m *rlistModel) ApplyPartitioning(p vgraph.Partitioning) error {
-	for v := range p.Assignment {
-		if _, err := m.setOf(v); err != nil {
+	partOf := slices.Repeat([]int{-1}, len(m.c.sets))
+	for v, k := range p.Assignment {
+		if err := m.placeIn(partOf, v, k, p.NumPartitions); err != nil {
 			return err
 		}
 	}
-	m.partOf = slices.Repeat([]int{-1}, len(m.c.sets))
-	for v, k := range p.Assignment {
-		m.partOf[v-1] = k
+	if err := m.placesAll(partOf); err != nil {
+		return err
 	}
+	m.partOf = partOf
 	m.resident = m.unions(m.partOf, p.NumPartitions)
 	m.c.publish()
+	return nil
+}
+
+// placeIn records in partOf that a plan of n partitions places version v in
+// partition k, refusing an unknown version, a partition out of range and a
+// version placed in two partitions.
+func (m *rlistModel) placeIn(partOf []int, v vgraph.VersionID, k, n int) error {
+	if _, err := m.setOf(v); err != nil {
+		return err
+	}
+	if k < 0 || k >= n {
+		return fmt.Errorf("cvd: %s: version %d is placed in partition %d of a partitioning of %d", m.c.name, v, k, n)
+	}
+	if was := partOf[v-1]; was >= 0 && was != k {
+		return fmt.Errorf("cvd: %s: version %d is placed in partitions %d and %d", m.c.name, v, was, k)
+	}
+	partOf[v-1] = k
+	return nil
+}
+
+// placesAll refuses a plan that leaves a version in no partition.
+func (m *rlistModel) placesAll(partOf []int) error {
+	if i := slices.Index(partOf, -1); i >= 0 {
+		return fmt.Errorf("cvd: %s: the partitioning leaves version %d in no partition", m.c.name, i+1)
+	}
 	return nil
 }
 
@@ -318,12 +346,18 @@ func (m *rlistModel) Migrate(p vgraph.Partitioning, plan []MigrationOp) (Migrati
 	}
 	partOf := slices.Repeat([]int{-1}, len(m.c.sets))
 	for _, op := range plan {
+		// An op that places no version is still read below.
+		if op.NewPartition < 0 || op.NewPartition >= p.NumPartitions {
+			return res, fmt.Errorf("cvd: %s: a migration op builds partition %d of a partitioning of %d", m.c.name, op.NewPartition, p.NumPartitions)
+		}
 		for _, v := range op.Versions {
-			if _, err := m.setOf(v); err != nil {
+			if err := m.placeIn(partOf, v, op.NewPartition, p.NumPartitions); err != nil {
 				return res, err
 			}
-			partOf[v-1] = op.NewPartition
 		}
+	}
+	if err := m.placesAll(partOf); err != nil {
+		return res, err
 	}
 	resident := m.unions(partOf, p.NumPartitions)
 	for _, op := range plan {

@@ -1,6 +1,8 @@
 package cvd
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/recset"
@@ -277,5 +279,134 @@ func TestOnlineAssignTakesTheVersionsRecords(t *testing.T) {
 			t.Fatalf("the checkout of version %d in partition %d returns %d rows, want %d", v5, k, tab.Len(), set.Len())
 		}
 		c.DiscardCheckout("online")
+	}
+}
+
+// TestPartitioningRefusesAPlanThatDoesNotPlaceEveryVersion: ApplyPartitioning
+// and Migrate refuse a plan that leaves a version in no partition, or places
+// one in a partition the plan does not have, and change nothing when they do.
+// An empty plan once published zero partitions, and the next commit panicked
+// placing its version; a partition index past NumPartitions panicked building
+// the resident sets; a partial plan left versions no checkout could read.
+func TestPartitioningRefusesAPlanThatDoesNotPlaceEveryVersion(t *testing.T) {
+	type plan = map[vgraph.VersionID]int
+	bad := []struct {
+		name string
+		p    vgraph.Partitioning
+	}{
+		{"empty", vgraph.NewPartitioning(plan{})},
+		{"partial", vgraph.NewPartitioning(plan{1: 0, 2: 0, 3: 1})},
+		{"out of range", vgraph.Partitioning{Assignment: plan{1: 0, 2: 0, 3: 1, 4: 2}, NumPartitions: 2}},
+		{"negative", vgraph.Partitioning{Assignment: plan{1: 0, 2: 0, 3: -1, 4: 1}, NumPartitions: 2}},
+		{"no partitions", vgraph.Partitioning{Assignment: plan{1: 0, 2: 0, 3: 0, 4: 0}}},
+		{"unknown version", vgraph.NewPartitioning(plan{1: 0, 2: 0, 3: 1, 4: 1, 9: 1})},
+	}
+	good := vgraph.NewPartitioning(plan{1: 0, 2: 0, 3: 1, 4: 1})
+	badOps := []struct {
+		name string
+		ops  []MigrationOp
+	}{
+		{"op out of range", []MigrationOp{
+			{NewPartition: 0, FromPartition: 0, Versions: []vgraph.VersionID{1, 2}},
+			{NewPartition: 2, FromPartition: 1, Versions: []vgraph.VersionID{3, 4}},
+		}},
+		{"op negative", []MigrationOp{
+			{NewPartition: 0, FromPartition: 0, Versions: []vgraph.VersionID{1, 2}},
+			{NewPartition: -1, FromPartition: 1, Versions: []vgraph.VersionID{3, 4}},
+		}},
+		{"op out of range placing no version", []MigrationOp{
+			{NewPartition: 0, FromPartition: 0, Versions: []vgraph.VersionID{1, 2}},
+			{NewPartition: 1, FromPartition: 1, Versions: []vgraph.VersionID{3, 4}},
+			{NewPartition: 7, FromPartition: -1},
+		}},
+		{"op partial", []MigrationOp{{NewPartition: 0, FromPartition: 0, Versions: []vgraph.VersionID{1, 2, 3}}}},
+		{"op places a version twice", []MigrationOp{
+			{NewPartition: 0, FromPartition: 0, Versions: []vgraph.VersionID{1, 2, 3}},
+			{NewPartition: 1, FromPartition: 1, Versions: []vgraph.VersionID{3, 4}},
+		}},
+	}
+	// stillWorks requires the published plan to be want, then a commit on
+	// every version and a checkout of every version to succeed.
+	stillWorks := func(t *testing.T, c *CVD, m *rlistModel, want []int, wantSizes []int64) {
+		t.Helper()
+		for v := vgraph.VersionID(1); v <= 4; v++ {
+			if got := m.PartitionOf(v); got != want[v-1] {
+				t.Fatalf("version %d is in partition %d after the refusal, want %d", v, got, want[v-1])
+			}
+		}
+		if got := m.PartitionSizes(); !slices.Equal(got, wantSizes) {
+			t.Fatalf("partition sizes %v after the refusal, want %v", got, wantSizes)
+		}
+		for _, v := range c.Versions() {
+			nv, err := c.Commit([]vgraph.VersionID{v}, []relstore.Row{prow("A", "B", 1, 2, 3)}, proteinSchema(), "after", "")
+			if err != nil {
+				t.Fatalf("commit on version %d after the refusal: %v", v, err)
+			}
+			for _, w := range []vgraph.VersionID{v, nv} {
+				if _, err := c.Checkout([]vgraph.VersionID{w}, "after"); err != nil {
+					t.Fatalf("checkout of version %d after the refusal: %v", w, err)
+				}
+				c.DiscardCheckout("after")
+			}
+		}
+	}
+	for _, partitioned := range []bool{false, true} {
+		setup := func(t *testing.T) (*CVD, *rlistModel, []int, []int64) {
+			_, c := buildProteinCVD(t, SplitByRlist)
+			m, err := c.Rlist()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if partitioned {
+				if err := m.ApplyPartitioning(good); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var plan []int
+			for v := vgraph.VersionID(1); v <= 4; v++ {
+				plan = append(plan, m.PartitionOf(v))
+			}
+			return c, m, plan, m.PartitionSizes()
+		}
+		for _, tc := range bad {
+			t.Run(fmt.Sprintf("partitioned=%v/ApplyPartitioning/%s", partitioned, tc.name), func(t *testing.T) {
+				c, m, plan, sizes := setup(t)
+				if err := m.ApplyPartitioning(tc.p); err == nil {
+					t.Fatalf("ApplyPartitioning accepted %+v", tc.p)
+				}
+				stillWorks(t, c, m, plan, sizes)
+			})
+			t.Run(fmt.Sprintf("partitioned=%v/Migrate/%s", partitioned, tc.name), func(t *testing.T) {
+				c, m, plan, sizes := setup(t)
+				byPart := make(map[int][]vgraph.VersionID)
+				for v, k := range tc.p.Assignment {
+					byPart[k] = append(byPart[k], v)
+				}
+				var ops []MigrationOp
+				for k, vs := range byPart {
+					ops = append(ops, MigrationOp{NewPartition: k, FromPartition: -1, Versions: vs})
+				}
+				if _, err := m.Migrate(tc.p, ops); err == nil {
+					t.Fatalf("Migrate accepted %+v", tc.p)
+				}
+				stillWorks(t, c, m, plan, sizes)
+			})
+		}
+		for _, tc := range badOps {
+			t.Run(fmt.Sprintf("partitioned=%v/Migrate/%s", partitioned, tc.name), func(t *testing.T) {
+				c, m, plan, sizes := setup(t)
+				if _, err := m.Migrate(good, tc.ops); partitioned && err == nil {
+					t.Fatalf("Migrate accepted the plan %+v", tc.ops)
+				} else if !partitioned {
+					// Unpartitioned, Migrate builds good from scratch and
+					// ignores the ops.
+					if err != nil {
+						t.Fatalf("Migrate from unpartitioned refused %+v: %v", good, err)
+					}
+					plan, sizes = []int{0, 0, 1, 1}, m.PartitionSizes()
+				}
+				stillWorks(t, c, m, plan, sizes)
+			})
+		}
 	}
 }

@@ -85,7 +85,7 @@ func sameCheckout(t *testing.T, what string, got, want *relstore.Table) {
 		all = append(all, int32(i))
 		for j := range want.Schema.Columns {
 			w := want.At(i, j)
-			if !got.CellIdentical(i, j, &w) || got.IntAt(i, j) != want.IntAt(i, j) || got.StringAt(i, j) != want.StringAt(i, j) {
+			if !got.At(i, j).Identical(w) || got.IntAt(i, j) != want.IntAt(i, j) || got.StringAt(i, j) != want.StringAt(i, j) {
 				t.Fatalf("%s: cell (%d,%d) reads differently from %v", what, i, j, w)
 			}
 		}

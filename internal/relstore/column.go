@@ -2,8 +2,6 @@ package relstore
 
 import (
 	"cmp"
-	"math"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -298,29 +296,6 @@ func (c *column) value(i int) (v Value) {
 		v.A = c.arrs[i]
 	}
 	return v
-}
-
-// identical is Value.Identical between cell i and v without materializing the
-// cell.
-func (c *column) identical(i int, v *Value) bool {
-	i = c.cell(i)
-	if ValueType(c.tags[i]) != v.Type {
-		return false
-	}
-	switch v.Type {
-	case TypeInt:
-		return c.ints[i] == v.I
-	case TypeBool:
-		return (c.ints[i] != 0) == v.B
-	case TypeFloat:
-		return math.Float64bits(c.floats[i]) == math.Float64bits(v.F)
-	case TypeString:
-		return c.strs[i] == v.S
-	case TypeIntArray:
-		return slices.Equal(c.arrs[i], v.A)
-	default:
-		return true
-	}
 }
 
 // asInt is Value.AsInt without materializing the Value.

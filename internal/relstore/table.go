@@ -170,11 +170,6 @@ func (t *Table) At(row, col int) Value { return t.cols[col].value(row) }
 // materializing the Value — the rid-probe hot path.
 func (t *Table) IntAt(row, col int) int64 { return t.cols[col].asInt(row) }
 
-// CellIdentical reports whether one cell is identical to v (Value.Identical)
-// without materializing it — how a commit confirms a record-index hit against
-// the catalog's lanes.
-func (t *Table) CellIdentical(row, col int, v *Value) bool { return t.cols[col].identical(row, v) }
-
 // StringAt returns one cell's string rendering (Value.AsString semantics)
 // without materializing the Value.
 func (t *Table) StringAt(row, col int) string { return t.cols[col].asString(row) }

@@ -39,7 +39,7 @@ func sameReads(t *testing.T, what string, got, want *Table) {
 	for i := 0; i < want.Len(); i++ {
 		for j := range want.Schema.Columns {
 			w := want.At(i, j)
-			if g := got.At(i, j); !g.Identical(w) || !got.CellIdentical(i, j, &w) {
+			if g := got.At(i, j); !g.Identical(w) {
 				t.Fatalf("%s: cell (%d,%d) is %v, want %v", what, i, j, g, w)
 			}
 			if got.IntAt(i, j) != want.IntAt(i, j) || got.StringAt(i, j) != want.StringAt(i, j) {
