@@ -19,7 +19,8 @@ import (
 
 // replayHistory drives one CVD of an engine through a seeded history that
 // covers every shape a journalled delta can take: row churn staged in shuffled
-// order, schema evolution (a new column, a generalized type), a two-parent
+// order, schema evolution (a new column, a generalized type, integer arrays in
+// an integer column that becomes a decimal one), a two-parent
 // merge, a commit identical to its parent (empty delta), a full replacement,
 // and — without a primary key — duplicate-content rows.
 type replayHistory struct {
@@ -133,6 +134,22 @@ func (h *replayHistory) step(kind string) {
 			}
 		}
 		h.commit(kind, []vgraph.VersionID{parent, other}, append(rows, h.newRows(s, 2)...), s)
+	case "evolve-array":
+		// Integer arrays in a new integer column, then the column declared
+		// decimal: the evolution casts no array, so both versions keep them.
+		cols := append(append([]relstore.Column(nil), s.Columns...), relstore.Column{Name: fmt.Sprintf("n%d", len(versions)), Type: relstore.TypeInt})
+		withInts := h.schemaOf(cols)
+		fresh := h.newRows(withInts, 3)
+		fresh[0][len(cols)-1] = relstore.IntArray([]int64{})
+		fresh[1][len(cols)-1] = relstore.IntArray([]int64{3, 1})
+		h.commit(kind, []vgraph.VersionID{parent}, append(h.rowsOf(parent, len(cols)), fresh...), withInts)
+		cols[len(cols)-1].Type = relstore.TypeFloat
+		latest := vgraph.VersionID(h.c.NumVersions())
+		before := h.rowsOf(latest, len(cols))
+		h.commit(kind, []vgraph.VersionID{latest}, slices.Clone(before), h.schemaOf(cols))
+		if after := h.rowsOf(latest, len(cols)); !sameCells(before, after, len(cols)-1) {
+			h.t.Fatalf("declaring %s decimal rewrote version %d's arrays: %v, then %v", cols[len(cols)-1].Name, latest, before, after)
+		}
 	case "identical":
 		h.commit(kind, []vgraph.VersionID{parent}, h.rowsOf(parent, width), s)
 	case "replace":
@@ -143,6 +160,30 @@ func (h *replayHistory) step(kind string) {
 		rows = append(rows, rows[0].Clone(), fresh[0], fresh[0].Clone(), fresh[1])
 		h.commit(kind, []vgraph.VersionID{parent}, rows, s)
 	}
+}
+
+// sameCells reports whether two versions' rows, in any order, hold Identical
+// integer arrays in column j for the same keys.
+func sameCells(a, b []relstore.Row, j int) bool {
+	arrays := func(rows []relstore.Row) map[int64]relstore.Value {
+		out := make(map[int64]relstore.Value)
+		for _, r := range rows {
+			if r[j].Type == relstore.TypeIntArray {
+				out[r[0].AsInt()] = r[j]
+			}
+		}
+		return out
+	}
+	x, y := arrays(a), arrays(b)
+	if len(x) != len(y) {
+		return false
+	}
+	for k, v := range x {
+		if w, ok := y[k]; !ok || !v.Identical(w) {
+			return false
+		}
+	}
+	return true
 }
 
 // run creates the CVD and commits its history. Each extra step ("optimize",
@@ -162,7 +203,7 @@ func (h *replayHistory) run(extra ...string) {
 	if h.journal != nil {
 		h.journal.begin(c)
 	}
-	kinds := []string{"churn", "add-column", "generalize", "merge", "identical", "replace", "churn", "merge"}
+	kinds := []string{"churn", "add-column", "generalize", "evolve-array", "merge", "identical", "replace", "churn", "merge"}
 	if !h.withPK {
 		kinds = append(kinds, "duplicates")
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -155,7 +156,7 @@ func TestRlistDataTableIsCatalog(t *testing.T) {
 		t.Fatalf("%d columns of the data table shared after the commit's append", n)
 	}
 	for _, held := range []*relstore.Table{capture, full} {
-		if held.Len() != 3 || held.At(2, 2).S != "c" {
+		if held.Len() != 3 || held.At(2, 2).S() != "c" {
 			t.Fatalf("the append reached %s: %d rows, last %v", held.Name, held.Len(), held.RowAt(held.Len()-1))
 		}
 	}
@@ -207,7 +208,7 @@ func TestReadsOffTheLock(t *testing.T) {
 					t.Fatalf("%s waits for the lock", name)
 				}
 				c.mu.Unlock()
-				if want := read("on"); !reflect.DeepEqual(got, want) {
+				if want := read("on"); !sameRead(got, want) {
 					t.Fatalf("%s with the lock held: %v\nafter it is released: %v", name, got, want)
 				}
 			}
@@ -217,6 +218,25 @@ func TestReadsOffTheLock(t *testing.T) {
 
 // everyRead returns each read API of c, its answer made comparable; tag names
 // what a checkout's staging table is called, so that a read can run twice.
+// sameRead compares two answers of one of everyRead's reads: rows by
+// Row.Identical (a Value holds a pointer), anything else by reflect.DeepEqual.
+func sameRead(a, b any) bool {
+	switch a := a.(type) {
+	case []any:
+		b, ok := b.([]any)
+		return ok && slices.EqualFunc(a, b, sameRead)
+	case []relstore.Row:
+		b, ok := b.([]relstore.Row)
+		return ok && slices.EqualFunc(a, b, relstore.Row.Identical)
+	case []VersionedRow:
+		b, ok := b.([]VersionedRow)
+		return ok && slices.EqualFunc(a, b, func(x, y VersionedRow) bool {
+			return x.Version == y.Version && x.RID == y.RID && x.Row.Identical(y.Row)
+		})
+	}
+	return reflect.DeepEqual(a, b)
+}
+
 func everyRead(t *testing.T, c *CVD) map[string]func(tag string) any {
 	t.Helper()
 	pred, err := c.NamedPredicate("cooccurrence", ">=", relstore.Int(0))

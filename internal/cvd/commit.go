@@ -3,6 +3,7 @@ package cvd
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -163,18 +164,15 @@ func (c *CVD) buildCommit(parents []vgraph.VersionID, st staged) (CommitRequest,
 	// staged in — the one order a replayed journal delta can reproduce (see
 	// replay). Fresh rids are numbered in ascending order above every existing
 	// one, so only the kept records need sorting.
-	slices.Sort(kept)
+	kept, twice := sortRIDs(kept)
 	if len(idx.pk) > 0 {
-		for i := 1; i < len(kept); i++ {
-			if kept[i] == kept[i-1] { // two staged rows are the same record, so share its key
-				return CommitRequest{}, nil, c.duplicateKey(idx, cat.record(int(kept[i])-1, idx.pk, make(relstore.Row, len(idx.types))))
-			}
+		if twice != 0 { // two staged rows are the same record, so share its key
+			return CommitRequest{}, nil, c.duplicateKey(idx, cat.record(int(twice)-1, idx.pk, make(relstore.Row, len(idx.types))))
 		}
 		if err := c.checkPrimaryKey(cat, kept, fresh, len(parents) > 1); err != nil {
 			return CommitRequest{}, nil, err
 		}
 	}
-	kept = slices.Compact(kept)
 
 	if changed {
 		if err := c.adoptSchema(merged); err != nil {
@@ -189,6 +187,48 @@ func (c *CVD) buildCommit(parents []vgraph.VersionID, st staged) (CommitRequest,
 		RIDs:       kept,
 	}
 	return req, fresh, nil
+}
+
+// sortRIDs sorts rids ascending and drops repeats, in place, and returns the
+// lowest rid that repeats (0: none). The rids a commit keeps are existing
+// records, dense in a full-version commit, so one pass sets them in a bitmap
+// spanning them and one walk of the bitmap reads them back in order:
+// O(len(rids) + span/64). Rids too sparse for that — the bitmap would be
+// larger than the rids — sort by comparison.
+func sortRIDs(rids []vgraph.RecordID) ([]vgraph.RecordID, vgraph.RecordID) {
+	if len(rids) == 0 {
+		return rids, 0
+	}
+	lo, hi := rids[0], rids[0]
+	for _, r := range rids {
+		lo, hi = min(lo, r), max(hi, r)
+	}
+	var twice vgraph.RecordID
+	if words := int(hi-lo)>>6 + 1; words <= len(rids) {
+		set := make([]uint64, words)
+		for _, r := range rids {
+			o := r - lo
+			if bit := uint64(1) << (o & 63); set[o>>6]&bit == 0 {
+				set[o>>6] |= bit
+			} else if twice == 0 || r < twice {
+				twice = r
+			}
+		}
+		out := rids[:0] // every rid has been read: the walk may overwrite them
+		for w, word := range set {
+			for ; word != 0; word &= word - 1 {
+				out = append(out, lo+vgraph.RecordID(w<<6+bits.TrailingZeros64(word)))
+			}
+		}
+		return out, twice
+	}
+	slices.Sort(rids)
+	for i := 1; i < len(rids) && twice == 0; i++ {
+		if rids[i] == rids[i-1] {
+			twice = rids[i]
+		}
+	}
+	return slices.Compact(rids), twice
 }
 
 // matchRecord returns the record a staged row (aligned with idx's schema) is,

@@ -3,6 +3,7 @@ package cvd
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"sort"
@@ -396,6 +397,64 @@ func TestRecordIdentitySurvivesGeneralization(t *testing.T) {
 	}
 }
 
+// TestEvolutionRewritesNoEarlierVersion: a commit that generalizes a column
+// casts exactly the stored cells narrower than the new type, so every version
+// committed before it checks out as it did. An empty integer array in an
+// integer column, and a string, are not narrower than a decimal: ALTER COLUMN
+// TYPE's cast turned both into decimal 0, and version 1 with them.
+func TestEvolutionRewritesNoEarlierVersion(t *testing.T) {
+	for _, model := range allModels {
+		t.Run(model.String(), func(t *testing.T) {
+			schema := func(typ relstore.ValueType) relstore.Schema {
+				return relstore.MustSchema([]relstore.Column{{Name: "k", Type: relstore.TypeInt}, {Name: "a", Type: typ}}, "k")
+			}
+			rows := []relstore.Row{
+				{relstore.Int(1), relstore.IntArray([]int64{})},
+				{relstore.Int(2), relstore.Str("x")},
+				{relstore.Int(3), relstore.Int(5)},
+				{relstore.Int(4), relstore.Null()},
+			}
+			c, err := Init(relstore.NewDatabase("db"), "evolve", schema(relstore.TypeInt), rows, Options{Model: model, Clock: fixedClock()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkout := func(v vgraph.VersionID) []relstore.Row {
+				t.Helper()
+				tab, err := c.Checkout([]vgraph.VersionID{v}, "look")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.DiscardCheckout("look")
+				out := tab.Rows()
+				slices.SortFunc(out, func(a, b relstore.Row) int { return a[0].Compare(b[0]) })
+				return out
+			}
+			before := checkout(1)
+			v2, err := c.Commit([]vgraph.VersionID{1}, rows, schema(relstore.TypeFloat), "a is a decimal now", "t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Checkouts lead with the rid; a is their third cell. The one cell
+			// narrower than a decimal is now stored as one, as canonical has it.
+			want := slices.Clone(before)
+			want[2] = slices.Clone(want[2])
+			want[2][2] = relstore.Float(5)
+			for _, v := range []vgraph.VersionID{1, v2} {
+				want := want
+				if v == 1 && model == TablePerVersion {
+					want = before // its versions are tables of their own, never altered
+				}
+				if got := checkout(v); !slices.EqualFunc(got, want, relstore.Row.Identical) {
+					t.Errorf("version %d checks out %v after the evolution, want %v", v, got, want)
+				}
+			}
+			if got := c.RecordsOf(v2); len(got) != len(rows) || got[len(got)-1] != vgraph.RecordID(len(rows)) {
+				t.Errorf("the evolving commit resolved to records %v, want the version's own", got)
+			}
+		})
+	}
+}
+
 // TestMatchPrefersFirstParentThenLowestRID pins the tie-break between records
 // of equal content: the first parent in commit order that holds one decides,
 // and within it the lowest rid.
@@ -549,4 +608,30 @@ func TestCommitAllocationsFollowTheDelta(t *testing.T) {
 			}
 		}
 	}))
+}
+
+// TestSortRIDs holds the commit's rid sort to a comparison sort and compaction,
+// and its repeat to the lowest repeated rid, on dense and sparse draws.
+func TestSortRIDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 500; trial++ {
+		n, span := rng.Intn(200), 1+rng.Intn(1<<uint(1+rng.Intn(20)))
+		rids := make([]vgraph.RecordID, n)
+		for i := range rids {
+			rids[i] = vgraph.RecordID(1 + rng.Intn(span))
+		}
+		want := slices.Clone(rids)
+		slices.Sort(want)
+		var wantTwice vgraph.RecordID
+		for i := 1; i < len(want) && wantTwice == 0; i++ {
+			if want[i] == want[i-1] {
+				wantTwice = want[i]
+			}
+		}
+		want = slices.Compact(want)
+		got, twice := sortRIDs(rids)
+		if !slices.Equal(got, want) || twice != wantTwice {
+			t.Fatalf("sortRIDs over %d rids in 1..%d: %v repeating %d, want %v repeating %d", n, span, got, twice, want, wantTwice)
+		}
+	}
 }

@@ -165,7 +165,10 @@ func dataSchemaWithRID(data relstore.Schema) relstore.Schema {
 
 // alterTable evolves a table holding the data attributes to newSchema the way
 // single-pool evolution does (Section 4.3): missing columns are added, NULL in
-// every existing row, and columns whose type was generalized are cast.
+// every existing row, and in a column whose type was generalized exactly the
+// cells canonical casts are cast (relstore.Table.GeneralizeColumn), so that
+// no record changes but by being brought to the form the new schema stores
+// it in.
 func alterTable(t *relstore.Table, newSchema relstore.Schema) error {
 	for _, c := range newSchema.Columns {
 		idx := t.Schema.ColumnIndex(c.Name)
@@ -174,7 +177,7 @@ func alterTable(t *relstore.Table, newSchema relstore.Schema) error {
 				return err
 			}
 		} else if t.Schema.Columns[idx].Type != c.Type {
-			if err := t.AlterColumnType(c.Name, c.Type); err != nil {
+			if err := t.GeneralizeColumn(c.Name, c.Type); err != nil {
 				return err
 			}
 		}

@@ -70,7 +70,7 @@ func (m *combinedModel) AppendVersion(req CommitRequest) error {
 			return ok
 		},
 		func(r relstore.Row) relstore.Row {
-			r[vlIdx] = relstore.IntArray(relstore.ArrayAppend(r[vlIdx].A, int64(req.Version)))
+			r[vlIdx] = relstore.IntArray(relstore.ArrayAppend(r[vlIdx].A(), int64(req.Version)))
 			return r
 		},
 	)
@@ -85,7 +85,7 @@ func (m *combinedModel) Checkout(v vgraph.VersionID, tableName string) (*relstor
 	out.SetStats(t.Stats())
 	found := false
 	t.Scan(func(_ int, r relstore.Row) bool {
-		if relstore.ArrayHas(r[vlIdx].A, int64(v)) {
+		if relstore.ArrayHas(r[vlIdx].A(), int64(v)) {
 			found = true
 			out.AppendRow(r[:len(outSchema.Columns)].Clone())
 		}
@@ -116,7 +116,7 @@ func (m *combinedModel) AlterSchema(newSchema relstore.Schema) error {
 		}
 		idx := t.Schema.ColumnIndex(c.Name)
 		if t.Schema.Columns[idx].Type != c.Type {
-			if err := t.AlterColumnType(c.Name, c.Type); err != nil {
+			if err := t.GeneralizeColumn(c.Name, c.Type); err != nil {
 				return err
 			}
 		}

@@ -71,7 +71,7 @@ func (m *vlistModel) AppendVersion(req CommitRequest) error {
 			return ok
 		},
 		func(r relstore.Row) relstore.Row {
-			r[vlIdx] = relstore.IntArray(relstore.ArrayAppend(r[vlIdx].A, int64(req.Version)))
+			r[vlIdx] = relstore.IntArray(relstore.ArrayAppend(r[vlIdx].A(), int64(req.Version)))
 			return r
 		},
 	)
@@ -86,7 +86,7 @@ func (m *vlistModel) Checkout(v vgraph.VersionID, tableName string) (*relstore.T
 	// Full scan of the versioning table checking vlist containment
 	// (`ARRAY[vi] <@ vlist` in Table 4.1).
 	vt.Scan(func(_ int, r relstore.Row) bool {
-		if relstore.ArrayHas(r[vlIdx].A, int64(v)) {
+		if relstore.ArrayHas(r[vlIdx].A(), int64(v)) {
 			rids = append(rids, r[ridIdx].AsInt())
 		}
 		return true

@@ -771,7 +771,8 @@ func TestScanVersionsExactAbove2To53(t *testing.T) {
 // catalog holds four times the records of the version selected from, a select
 // with a LIMIT reads no more rows than the version holds, makes the same few
 // allocations whatever it returns, and allocates for a 1 000-row answer within
-// 10 % of the answer's own cells.
+// 10 % of the answer's own cells. Boxing an answer costs as many allocations
+// whatever its cells' types, and 32 B a cell and a VersionedRow a row.
 func TestSelectCostsTheVersion(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory is not the program's")
@@ -840,6 +841,102 @@ func TestSelectCostsTheVersion(t *testing.T) {
 	if per > 1.1*cells {
 		t.Errorf("a %d-row select allocates %.0f B, want <= %.0f", limit, per, 1.1*cells)
 	}
+
+	// Boxing the answer (Answer.Rows) costs the same allocations whatever its
+	// cells' types, and no more than 32 B a cell (relstore's TestValueLayout)
+	// plus a VersionedRow a row:
+	// here and on a CVD whose columns hold strings, arrays, floats and bools,
+	// with a stray type and a NULL in each.
+	mixed := make([]relstore.Column, width)
+	for i := range mixed {
+		mixed[i] = relstore.Column{Name: cols[i].Name, Type: []relstore.ValueType{relstore.TypeString, relstore.TypeIntArray, relstore.TypeFloat, relstore.TypeBool}[i%4]}
+	}
+	mixed[0].Type, mixed[1].Type = relstore.TypeInt, relstore.TypeInt
+	mixedRows := make([]relstore.Row, versionRecords)
+	for k := range mixedRows {
+		row := relstore.Row{relstore.Int(int64(k)), relstore.Int(rng.Int63n(1_000))}
+		for i := 2; i < width; i++ {
+			switch n := rng.Int63n(1_000); {
+			case k == i: // a stray type
+				row = append(row, relstore.Int(n))
+			case k == width+i:
+				row = append(row, relstore.Null())
+			case mixed[i].Type == relstore.TypeString:
+				row = append(row, relstore.Str(fmt.Sprintf("s%d", n)))
+			case mixed[i].Type == relstore.TypeIntArray:
+				row = append(row, relstore.IntArray([]int64{n, n + 1}))
+			case mixed[i].Type == relstore.TypeFloat:
+				row = append(row, relstore.Float(float64(n)/4))
+			default:
+				row = append(row, relstore.Bool(n%2 == 0))
+			}
+		}
+		mixedRows[k] = row
+	}
+	m, err := Init(relstore.NewDatabase("mixed"), "m", relstore.MustSchema(mixed, "key"), mixedRows, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixedPred, err := m.NamedPredicate("a01", ">=", relstore.Int(500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	box := func(c *CVD, pred Predicate) (allocs, bytes float64) {
+		a, err := c.SelectVersions(v, pred, limit)
+		if err != nil || len(a.Sel) != limit {
+			t.Fatalf("select: %d rows, %v", len(a.Sel), err)
+		}
+		allocs = testing.AllocsPerRun(runs, func() { a.Rows() })
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			a.Rows()
+		}
+		runtime.ReadMemStats(&m1)
+		return allocs, float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	}
+	// Past 32 KB an allocation is rounded up to whole 8 KB pages.
+	bound := float64(limit*width*32+limit*int(unsafe.Sizeof(VersionedRow{}))) + 2*8192
+	ia, ib := box(c, pred)
+	ma, mb := box(m, mixedPred)
+	t.Logf("boxing %d rows allocates %.0f times and %.0f B of integers, %.0f times and %.0f B of mixed cells (bound %.0f B)", limit, ia, ib, ma, mb, bound)
+	if ia != ma || ib > bound || mb > bound {
+		t.Errorf("boxing %d rows allocates %.0f times and %.0f B of integers, %.0f times and %.0f B of mixed cells: want the same count, each <= %.0f B", limit, ia, ib, ma, mb, bound)
+	}
+}
+
+// BenchmarkScanVersions is a pushed-down select with LIMIT 1 000 from a 32 K-row
+// version whose records alternate with another version's in a 64 K-record
+// catalog of 20 integer columns: the shape of a read.inproc select, half of
+// whose rows pass its predicate. It reports the time per row returned and the
+// bytes per select.
+func BenchmarkScanVersions(b *testing.B) {
+	const n, limit = 32 << 10, 1_000
+	rng := rand.New(rand.NewSource(13))
+	schema, rows := benchRows(rng, n, 0)
+	c, err := Init(relstore.NewDatabase("bench"), "d", schema, rows, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, fresh := benchRows(rng, n, 0)
+	for k := 0; k < n; k += 2 {
+		rows[k] = fresh[k]
+	}
+	if _, err := c.Commit([]vgraph.VersionID{1}, rows, schema, "half", "b"); err != nil {
+		b.Fatal(err)
+	}
+	pred, err := c.NamedPredicate("a01", ">=", relstore.Int(500_000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := []vgraph.VersionID{2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got, err := c.ScanVersions(v, pred, limit); err != nil || len(got) != limit {
+			b.Fatalf("select: %d rows, %v", len(got), err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*limit), "ns/row")
 }
 
 // BenchmarkSelectOpaque measures the row-at-a-time fallback of ScanVersions

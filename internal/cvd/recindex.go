@@ -58,19 +58,15 @@ import (
 // bucket each) did, and one dependent miss a probe instead of three.
 
 // canonical returns *v in the form a column of type col stores it: v itself
-// unless it has to be cast, in which case the cast lands in *buf.
+// unless it is narrower than the column, in which case the cast lands in *buf.
+// The catalog's evolution (relstore.Table.GeneralizeColumn) casts exactly
+// these cells.
 func canonical(v *relstore.Value, col relstore.ValueType, buf *relstore.Value) *relstore.Value {
-	if !needsCast(v.Type, col) {
+	if !relstore.Narrower(v.Type, col) {
 		return v
 	}
 	*buf, _ = v.Cast(col)
 	return buf
-}
-
-// needsCast reports whether a cell of type t is stored cast in a column of
-// type col: it is narrower than the column.
-func needsCast(t, col relstore.ValueType) bool {
-	return t != col && t != relstore.TypeNull && relstore.GeneralizeType(t, col) == col
 }
 
 var null = relstore.Null()
@@ -119,10 +115,11 @@ func (f *recForm) payload(v *relstore.Value) uint64 {
 			return 1
 		}
 	case relstore.TypeString:
-		return maphash.String(f.seed, v.S)
+		return maphash.String(f.seed, v.S())
 	case relstore.TypeIntArray:
-		p := uint64(len(v.A))
-		for _, e := range v.A {
+		a := v.A()
+		p := uint64(len(a))
+		for _, e := range a {
 			p = fold(p, relstore.TypeIntArray, uint64(e))
 		}
 		return p
@@ -278,19 +275,7 @@ func (x catalogSide) cellAt(pos, i int) relstore.Value {
 	if pos >= len(l.Tags) {
 		return null
 	}
-	v := relstore.Value{Type: relstore.ValueType(l.Tags[pos])}
-	switch v.Type {
-	case relstore.TypeInt:
-		v.I = l.Ints[pos]
-	case relstore.TypeFloat:
-		v.F = l.Floats[pos]
-	case relstore.TypeString:
-		v.S = l.Strs[pos]
-	case relstore.TypeBool:
-		v.B = l.Ints[pos] != 0
-	case relstore.TypeIntArray:
-		v.A = l.Arrs[pos]
-	}
+	v := l.Value(pos)
 	return *canonical(&v, x.types[i], &v)
 }
 
@@ -342,7 +327,7 @@ func (x catalogSide) matches(row relstore.Row, pos int, cols []int) bool {
 			continue
 		}
 		if t := relstore.ValueType(l.Tags[pos]); t != v.Type {
-			if !needsCast(t, x.types[i]) || !v.Identical(x.cellAt(pos, i)) {
+			if !relstore.Narrower(t, x.types[i]) || !v.Identical(x.cellAt(pos, i)) {
 				return false
 			}
 			continue
@@ -356,9 +341,9 @@ func (x catalogSide) matches(row relstore.Row, pos int, cols []int) bool {
 		case relstore.TypeBool:
 			same = (l.Ints[pos] != 0) == v.B
 		case relstore.TypeString:
-			same = l.Strs[pos] == v.S
+			same = l.Strs[pos] == v.S()
 		case relstore.TypeIntArray:
-			same = slices.Equal(l.Arrs[pos], v.A)
+			same = slices.Equal(l.Arrs[pos], v.A())
 		default:
 			same = true
 		}

@@ -92,7 +92,7 @@ func sameCheckout(t *testing.T, what string, got, want *relstore.Table) {
 	}
 	gb, _ := got.RowBlock(all, 1)
 	wb, _ := want.RowBlock(all, 1)
-	if !reflect.DeepEqual(gb, wb) || !reflect.DeepEqual(got.Rows(), want.Rows()) || !slices.Equal(got.DirtyRows(), want.DirtyRows()) {
+	if !relstore.Row(gb).Identical(wb) || !slices.EqualFunc(got.Rows(), want.Rows(), relstore.Row.Identical) || !slices.Equal(got.DirtyRows(), want.DirtyRows()) {
 		t.Fatalf("%s: rows, row blocks or dirty rows differ", what)
 	}
 	if got.StorageBytes() != want.StorageBytes() {
@@ -119,7 +119,7 @@ func sameCheckout(t *testing.T, what string, got, want *relstore.Table) {
 		for i := 0; i < want.Len(); i += 7 {
 			g, gok := got.LookupIndex(want.At(i, 0))
 			w, wok := want.LookupIndex(want.At(i, 0))
-			if gok != wok || !reflect.DeepEqual(g, w) {
+			if gok != wok || !g.Identical(w) {
 				t.Fatalf("%s: rid %v looks up %v, want %v", what, want.At(i, 0), g, w)
 			}
 		}
@@ -278,7 +278,7 @@ func TestCheckoutCopiesWhatIsWritten(t *testing.T) {
 			if got := tab.SharedColumns(); got != views {
 				t.Fatalf("%s: %d columns still views, want %d", what, got, views)
 			}
-			if !reflect.DeepEqual(records(), before) {
+			if !slices.EqualFunc(records(), before, relstore.Row.Identical) {
 				t.Fatalf("%s: the edit reached the catalog", what)
 			}
 			again, err := c.Checkout([]vgraph.VersionID{v}, "again")

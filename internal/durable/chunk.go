@@ -578,7 +578,7 @@ func decodeCVDHead(payload []byte) (*cvd.PersistentState, error) {
 		st.Attrs[i] = cvd.Attribute{
 			ID:   cvd.AttrID(d.uvarint()),
 			Name: d.str(),
-			Type: relstore.ValueType(d.uvarint()),
+			Type: d.valueType(),
 		}
 	}
 

@@ -180,6 +180,18 @@ func (d *dec) varint() int64 {
 	return v
 }
 
+// valueType reads a column type, refusing a number that names none (a
+// ValueType is one byte: converting a larger number would truncate it into
+// one).
+func (d *dec) valueType() relstore.ValueType {
+	n := d.uvarint()
+	if n > uint64(relstore.TypeIntArray) {
+		d.fail("unknown column type %d", n)
+		return relstore.TypeNull
+	}
+	return relstore.ValueType(n)
+}
+
 // length reads a uvarint count and bounds it by the remaining bytes divided
 // by minBytesPer, so corrupt counts fail instead of allocating gigabytes.
 func (d *dec) length(minBytesPer int) int {
@@ -251,7 +263,7 @@ func (d *dec) schema() relstore.Schema {
 	ncols := d.length(2)
 	cols := make([]relstore.Column, ncols)
 	for i := range cols {
-		cols[i] = relstore.Column{Name: d.str(), Type: relstore.ValueType(d.uvarint())}
+		cols[i] = relstore.Column{Name: d.str(), Type: d.valueType()}
 	}
 	npk := d.length(1)
 	pk := make([]string, npk)

@@ -27,6 +27,22 @@ func TestSchemaRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSchemaRefusesUnknownType: a column type that names no type — 7, or 263,
+// which a one-byte ValueType would truncate to an integer — is refused.
+func TestSchemaRefusesUnknownType(t *testing.T) {
+	for _, typ := range []uint64{7, 263} {
+		var e enc
+		e.uvarint(1)
+		e.str("x")
+		e.uvarint(typ)
+		e.uvarint(0)
+		d := &dec{b: e.b}
+		if s := d.schema(); d.err == nil || !strings.Contains(d.err.Error(), "unknown column type") {
+			t.Errorf("a column of type %d decodes to %v, %v", typ, s, d.err)
+		}
+	}
+}
+
 // randomTable builds a table with heterogeneous columns: every lane type,
 // nulls sprinkled in, and cells whose type disagrees with the declared column
 // type (the columnar layer's escape hatch).

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -87,14 +88,14 @@ func TestWALAppendReplay(t *testing.T) {
 		t.Fatalf("replayed %d records, want 3", len(recs2))
 	}
 	r0 := recs2[0]
-	if r0.Op != OpInit || r0.CVD != "cvd" || r0.Author != "alice" || !reflect.DeepEqual(r0.Delta, walDelta(1, 3)) || !r0.Schema.Equal(walSchema()) {
+	if r0.Op != OpInit || r0.CVD != "cvd" || r0.Author != "alice" || !slices.EqualFunc(r0.Delta, walDelta(1, 3), relstore.Row.Identical) || !r0.Schema.Equal(walSchema()) {
 		t.Fatalf("init record mismatch: %+v", r0)
 	}
 	if r0.At.UnixNano() != 1234567890 {
 		t.Fatalf("init timestamp %d", r0.At.UnixNano())
 	}
 	r1 := recs2[1]
-	if r1.Op != OpCommit || !reflect.DeepEqual(r1.Versions, []vgraph.VersionID{2, 1}) || !reflect.DeepEqual(r1.Delta, walDelta(4, 4, 2)) || r1.Message != "more" {
+	if r1.Op != OpCommit || !reflect.DeepEqual(r1.Versions, []vgraph.VersionID{2, 1}) || !slices.EqualFunc(r1.Delta, walDelta(4, 4, 2), relstore.Row.Identical) || r1.Message != "more" {
 		t.Fatalf("commit record mismatch: %+v", r1)
 	}
 	if recs2[2].Op != OpDrop || recs2[2].CVD != "gone" {

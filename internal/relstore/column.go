@@ -157,6 +157,14 @@ type column struct {
 	// position vector; it is never written, only replaced.
 	at []int32
 
+	// one is 1 + the tag every cell of the column has, and 0 when the column
+	// knows no such tag: a conservative fact, kept at every tag write, which
+	// lets the box kernel (Table.RowBlock) and the typed filter (filterLane)
+	// skip the scattered reads of the tag lane. A view column's is its
+	// source's as of the view: it covers the source's cells then, a superset
+	// of the view's, and those cells are never written in place.
+	one uint8
+
 	// shared is colShared when the backing vectors are shared with another
 	// table and colViewed when they only back read-only views. Accessed
 	// atomically: checkouts mark a source column shared holding no lock —
@@ -173,6 +181,42 @@ const (
 
 func (c *column) isShared() bool { return atomic.LoadUint32(&c.shared) == colShared }
 
+// uniform returns the tag every cell of the column has, if it knows one.
+func (c *column) uniform() (ValueType, bool) { return ValueType(c.one - 1), c.one != 0 }
+
+// noteTag keeps the uniform-tag fact for a cell tagged typ just written into a
+// column of n cells.
+func (c *column) noteTag(typ ValueType, n int) {
+	if n == 1 {
+		c.one = uint8(typ) + 1
+	} else if c.one != uint8(typ)+1 {
+		c.one = 0
+	}
+}
+
+// learnTag recomputes the uniform-tag fact from the column's cells.
+func (c *column) learnTag() {
+	c.one = 0
+	if c.len() == 0 {
+		return
+	}
+	first := c.tags[c.cell(0)]
+	if c.at == nil {
+		for _, t := range c.tags {
+			if t != first {
+				return
+			}
+		}
+	} else {
+		for _, p := range c.at {
+			if c.tags[p] != first {
+				return
+			}
+		}
+	}
+	c.one = first + 1
+}
+
 func newColumn(capHint int) *column {
 	if capHint < 0 {
 		capHint = 0
@@ -182,7 +226,7 @@ func newColumn(capHint int) *column {
 
 // newNullColumn returns a column of n NULL cells (the ADD COLUMN fill).
 func newNullColumn(n int) *column {
-	return &column{tags: make([]uint8, n)} // TypeNull == 0
+	return &column{tags: make([]uint8, n), one: uint8(TypeNull) + 1} // TypeNull == 0
 }
 
 func (c *column) len() int {
@@ -232,6 +276,7 @@ func ensureLaneArr(c *column) {
 func (c *column) append(v Value) {
 	c.tags = append(c.tags, uint8(v.Type))
 	n := len(c.tags)
+	c.noteTag(v.Type, n)
 	if c.ints != nil {
 		c.ints = append(c.ints, 0)
 	}
@@ -266,12 +311,12 @@ func (c *column) append(v Value) {
 		if c.strs == nil {
 			c.strs = make([]string, n)
 		}
-		c.strs[n-1] = v.S
+		c.strs[n-1] = v.S()
 	case TypeIntArray:
 		if c.arrs == nil {
 			c.arrs = make([][]int64, n)
 		}
-		c.arrs[n-1] = v.A
+		c.arrs[n-1] = v.A()
 	}
 }
 
@@ -280,22 +325,35 @@ func (c *column) append(v Value) {
 // have always followed); Clone the row before mutating through it.
 func (c *column) value(i int) (v Value) {
 	// Written to stay cheap enough to inline, and Table.At with it.
+	c.box(&v, i)
+	return v
+}
+
+// box writes cell i into the zero Value *v, field by field: the one switch
+// every boxed cell goes through (value, RowBlock, ColumnLanes.Value). A
+// scalar cell writes no pointer, so boxing into freshly zeroed memory stores
+// none and needs no write barrier, and a column that knows every cell's tag
+// (uniform) does not read its tag lane.
+func (c *column) box(v *Value, i int) {
 	if c.at != nil {
 		i = int(c.at[i])
 	}
-	switch v.Type = ValueType(c.tags[i]); v.Type {
+	typ, ok := c.uniform()
+	if !ok {
+		typ = ValueType(c.tags[i])
+	}
+	switch v.Type = typ; typ {
 	case TypeInt:
 		v.I = c.ints[i]
 	case TypeFloat:
 		v.F = c.floats[i]
-	case TypeString:
-		v.S = c.strs[i]
 	case TypeBool:
 		v.B = c.ints[i] != 0
+	case TypeString:
+		v.setStr(c.strs[i])
 	case TypeIntArray:
-		v.A = c.arrs[i]
+		v.setArr(c.arrs[i])
 	}
-	return v
 }
 
 // asInt is Value.AsInt without materializing the Value.
@@ -341,6 +399,7 @@ func (c *column) asString(i int) string {
 // column is shared.
 func (c *column) set(i int, v Value) {
 	c.tags[i] = uint8(v.Type)
+	c.noteTag(v.Type, len(c.tags))
 	// Clear every lane first so stale payloads from the previous type cannot
 	// resurface if the cell's type changes again later.
 	if c.ints != nil {
@@ -369,10 +428,10 @@ func (c *column) set(i int, v Value) {
 		c.floats[i] = v.F
 	case TypeString:
 		ensureLaneStr(c)
-		c.strs[i] = v.S
+		c.strs[i] = v.S()
 	case TypeIntArray:
 		ensureLaneArr(c)
-		c.arrs[i] = v.A
+		c.arrs[i] = v.A()
 	}
 }
 
@@ -451,6 +510,7 @@ func (c *column) alias() *column {
 		strs:   c.strs,
 		arrs:   c.arrs,
 		at:     c.at,
+		one:    c.one,
 		shared: colShared,
 	}
 }
@@ -465,6 +525,7 @@ func (c *column) copyOwned() *column {
 		floats: ownLane(c.floats, c.at, n, n),
 		strs:   ownLane(c.strs, c.at, n, n),
 		arrs:   ownLane(c.arrs, c.at, n, n),
+		one:    c.one,
 	}
 }
 
@@ -482,7 +543,7 @@ func (c *column) deepCopy() *column {
 // gather returns a new column holding the lane cells at the positions sel,
 // which are the column's cells unless it is a view column.
 func (c *column) gather(sel Selection) *column {
-	out := &column{tags: make([]uint8, len(sel))}
+	out := &column{tags: make([]uint8, len(sel)), one: c.one}
 	if c.ints != nil {
 		// The common column — tags and integers — in one pass over sel.
 		out.ints = make([]int64, len(sel))
@@ -525,6 +586,11 @@ func (c *column) appendFrom(src *column, lanes Selection) {
 	base := len(c.tags)
 	for _, i := range lanes {
 		c.tags = append(c.tags, src.tags[i])
+	}
+	if base == 0 {
+		c.one = src.one
+	} else if len(lanes) > 0 && c.one != src.one {
+		c.one = 0
 	}
 	c.ints = appendLane(c.ints, src.ints, lanes, base)
 	c.floats = appendLane(c.floats, src.floats, lanes, base)
@@ -661,7 +727,7 @@ func (c *column) compare(k int, v Value, vf float64, vs string) int {
 		}
 	}
 	if tag == TypeIntArray && v.Type == TypeIntArray {
-		return compareIntSlices(c.arrs[i], v.A)
+		return compareIntSlices(c.arrs[i], v.A())
 	}
 	if tag == TypeString {
 		return strings.Compare(c.strs[i], vs)
@@ -723,7 +789,7 @@ func (c *column) filterView(op CmpOp, v Value, sel Selection) Selection {
 	for k := range lanes {
 		lanes[k] = c.at[cell(k)]
 	}
-	base := column{tags: c.tags, ints: c.ints, floats: c.floats, strs: c.strs, arrs: c.arrs}
+	base := column{tags: c.tags, ints: c.ints, floats: c.floats, strs: c.strs, arrs: c.arrs, one: c.one}
 	kept := base.filter(op, v, lanes)
 	out := sel[:0] // refined in place: a survivor is written at or before its own slot
 	if sel == nil {
@@ -747,6 +813,9 @@ func filterLane[T int64 | float64](c *column, lane []T, typ ValueType, b T, op C
 	keep := op.keep()
 	tags, want := c.tags, uint8(typ)
 	lane = lane[:len(tags)]
+	if t, ok := c.uniform(); ok && t == typ {
+		return filterUniform(lane, b, keep, sel)
+	}
 	vf, vs, rendered := v.AsFloat(), "", false
 	other := func(i int) bool {
 		if !rendered {
@@ -777,6 +846,28 @@ func filterLane[T int64 | float64](c *column, lane []T, typ ValueType, b T, op C
 				n++
 			}
 		} else if keep&rank(lane[i], b) != 0 {
+			n++
+		}
+	}
+	return sel[:n]
+}
+
+// filterUniform is filterLane over a column whose every cell is tagged the
+// lane's type: it reads no tag.
+func filterUniform[T int64 | float64](lane []T, b T, keep uint8, sel Selection) Selection {
+	if sel == nil {
+		out := make(Selection, 0, len(lane)/4+1)
+		for i, x := range lane {
+			if keep&rank(x, b) != 0 {
+				out = append(out, int32(i))
+			}
+		}
+		return out
+	}
+	n := 0
+	for _, i := range sel {
+		sel[n] = i
+		if keep&rank(lane[i], b) != 0 {
 			n++
 		}
 	}

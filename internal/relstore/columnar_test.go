@@ -18,12 +18,15 @@ import (
 
 var propOps = []CmpOp{CmpEQ, CmpNE, CmpLT, CmpLE, CmpGT, CmpGE}
 
-// randomValue draws a value of any type; typ < 0 draws a random type.
+// anyType asks randomValue for a value of a random type.
+const anyType = ValueType(0xFF)
+
+// randomValue draws a value of any type; typ == anyType draws a random type.
 // Nulls appear regardless of the column's declared type, and a small
 // fraction of cells deliberately carry a type other than the declared one
 // (the heterogeneous columns schema evolution can produce).
 func randomValue(rng *rand.Rand, typ ValueType) Value {
-	if typ < 0 || rng.Intn(10) == 0 {
+	if typ == anyType || rng.Intn(10) == 0 {
 		typ = ValueType(rng.Intn(5) + 1) // TypeInt..TypeIntArray
 	}
 	if rng.Intn(6) == 0 {
@@ -77,7 +80,7 @@ func TestFilterVecMatchesFilterProperty(t *testing.T) {
 		ci := rng.Intn(len(tbl.Schema.Columns))
 		col := tbl.Schema.Columns[ci]
 		op := propOps[rng.Intn(len(propOps))]
-		val := randomValue(rng, ValueType(-1))
+		val := randomValue(rng, anyType)
 
 		sel, err := tbl.FilterVec(col.Name, op, val)
 		if err != nil {
@@ -121,7 +124,7 @@ func TestFilterVecAllMatchesChainedFilter(t *testing.T) {
 			preds[k] = ColPred{
 				Col:   tbl.Schema.Columns[ci].Name,
 				Op:    propOps[rng.Intn(len(propOps))],
-				Value: randomValue(rng, ValueType(-1)),
+				Value: randomValue(rng, anyType),
 			}
 		}
 		sel, err := tbl.FilterVecAll(preds)
@@ -436,7 +439,7 @@ func TestFilterVecSetMatchesFilterVecAll(t *testing.T) {
 		}
 		preds := make([]ColPred, rng.Intn(3))
 		for k := range preds {
-			preds[k] = ColPred{Col: tbl.Schema.Columns[rng.Intn(len(tbl.Schema.Columns))].Name, Op: propOps[rng.Intn(len(propOps))], Value: randomValue(rng, ValueType(-1))}
+			preds[k] = ColPred{Col: tbl.Schema.Columns[rng.Intn(len(tbl.Schema.Columns))].Name, Op: propOps[rng.Intn(len(propOps))], Value: randomValue(rng, anyType)}
 		}
 		limit := rng.Intn(40) - 10
 		all, err := tbl.FilterVecAll(preds)

@@ -186,3 +186,12 @@ func GeneralizeType(a, b ValueType) ValueType {
 	}
 	return TypeString
 }
+
+// Narrower reports whether a cell of type t is stored cast in a column of type
+// col: it is not NULL, not col already, and GeneralizeType widens it to col
+// (integer in a decimal column, anything in a string column). A cell that is
+// not narrower than its column — a string in an integer column — is stored as
+// it is. It is the cast GeneralizeColumn applies to a stored cell.
+func Narrower(t, col ValueType) bool {
+	return t != col && t != TypeNull && GeneralizeType(t, col) == col
+}

@@ -26,13 +26,16 @@ func (r Row) Clone() Row {
 	copy(out, r)
 	for i, v := range out {
 		if v.Type == TypeIntArray {
-			a := make([]int64, len(v.A))
-			copy(a, v.A)
-			out[i].A = a
+			out[i] = IntArray(slices.Clone(v.A()))
 		}
 	}
 	return out
 }
+
+// Identical reports whether two rows are as wide and their cells pairwise
+// Value.Identical: the row equality to test with, since reflect.DeepEqual
+// would compare where a string or an array cell points, not what it holds.
+func (r Row) Identical(o Row) bool { return slices.EqualFunc(r, o, Value.Identical) }
 
 // StorageBytes returns the accounted storage footprint of the row.
 func (r Row) StorageBytes() int64 {
@@ -339,7 +342,7 @@ func encodeKey(r Row, cols []int) string {
 	for _, c := range cols {
 		if c < len(r) {
 			if r[c].Type == TypeString {
-				size += len(r[c].S)
+				size += len(r[c].S())
 			} else {
 				size += 20
 			}
@@ -665,16 +668,23 @@ func (t *Table) holdsRID(r int64) bool {
 	return ValueType(c.tags[p]) == TypeInt && c.ints[p] == r
 }
 
-// RowBlock materializes columns from.. of the selected rows, column by column,
-// into one block of width cells a row: row k is block[k*width:(k+1)*width].
-// It is GatherRows for a caller that wants an answer's rows in one allocation
-// rather than one each, and without its leading columns (a catalog's rid).
+// RowBlock materializes columns from.. of the selected rows into one block of
+// width cells a row: row k is block[k*width:(k+1)*width]. It is GatherRows for
+// a caller that wants an answer's rows in one allocation rather than one each,
+// and without its leading columns (a catalog's rid).
+//
+// It is the box kernel: it walks the answer row by row and writes each cell
+// field by field into the freshly zeroed block (column.box), so a scalar cell
+// stores no pointer and needs no write barrier, and a column that knows every
+// cell's tag (column.uniform) boxes without reading its tag lane.
 func (t *Table) RowBlock(sel Selection, from int) (block []Value, width int) {
-	width = len(t.cols) - from
+	cols := t.cols[from:]
+	width = len(cols)
 	block = make([]Value, len(sel)*width)
-	for j, c := range t.cols[from:] {
-		for k, i := range sel {
-			block[k*width+j] = c.value(int(i))
+	for k, i := range sel {
+		row := block[k*width : (k+1)*width]
+		for j, c := range cols {
+			c.box(&row[j], int(i))
 		}
 	}
 	return block, width
@@ -904,6 +914,7 @@ func (t *Table) Shrink(n int) {
 			c.ensureOwned()
 		}
 		c.truncate(n)
+		c.learnTag()
 	}
 	if words := (n + 63) >> 6; words <= len(t.dirty) {
 		t.dirty = t.dirty[:words]
@@ -1001,12 +1012,33 @@ func (t *Table) AddColumn(c Column) error {
 	return nil
 }
 
-// AlterColumnType changes a column's declared type and casts existing values
-// (integer→decimal etc.), mirroring the single-pool evolution of Section 4.3.
+// AlterColumnType changes a column's declared type and casts every non-NULL
+// cell that has a cast to it (Value.Cast: integer→decimal, decimal→integer,
+// anything→string, ...), as ALTER COLUMN TYPE on a user's staging table does.
 // Only the altered column is rewritten (copy-on-write when its backing is
 // shared with another table), and the unique index is rebuilt when it covers
 // the altered column.
+//
+// It is one of two entry points: GeneralizeColumn, the single-pool schema
+// evolution of a table that stores records (Section 4.3), casts only the cells
+// narrower than the new type and leaves every other cell as it is stored.
 func (t *Table) AlterColumnType(name string, typ ValueType) error {
+	return t.alterColumn(name, typ, func(ValueType) bool { return true })
+}
+
+// GeneralizeColumn changes a column's declared type to typ and casts exactly
+// the cells Narrower than it (integer→decimal, anything→string, ...): the
+// schema evolution of a table that stores records, which must leave every
+// record's other cells — a string or an integer array in a decimal column, a
+// NULL — as they were committed, so that a later version's evolution never
+// rewrites an earlier version's records.
+func (t *Table) GeneralizeColumn(name string, typ ValueType) error {
+	return t.alterColumn(name, typ, func(cell ValueType) bool { return Narrower(cell, typ) })
+}
+
+// alterColumn changes a column's declared type to typ and casts the non-NULL
+// cells whose type cast accepts.
+func (t *Table) alterColumn(name string, typ ValueType, cast func(ValueType) bool) error {
 	ci := t.Schema.ColumnIndex(name)
 	if ci < 0 {
 		return fmt.Errorf("relstore: table %s: no column %q", t.Name, name)
@@ -1019,18 +1051,19 @@ func (t *Table) AlterColumnType(name string, typ ValueType) error {
 	col := t.cols[ci]
 	for i := 0; i < t.nrows; i++ {
 		v := col.value(i)
-		if v.IsNull() {
+		if v.IsNull() || !cast(v.Type) {
 			continue
 		}
-		cast, ok := v.Cast(typ)
+		to, ok := v.Cast(typ)
 		if !ok {
 			continue
 		}
 		col.ensureOwned()
-		col.set(i, cast)
+		col.set(i, to)
 		t.markDirty(i, i+1)
 		t.stats.AddRowsWritten(1)
 	}
+	col.learnTag()
 	if t.HasIndex() {
 		indexed := false
 		for _, c := range t.indexCols {

@@ -32,6 +32,13 @@ func (t *Table) ColumnLanes(i int) ColumnLanes {
 	return ColumnLanes{Tags: c.tags, Ints: c.ints, Floats: c.floats, Strs: c.strs, Arrs: c.arrs}
 }
 
+// Value boxes cell pos of the lanes, as Table.At boxes a cell of a column.
+func (l *ColumnLanes) Value(pos int) (v Value) {
+	c := column{tags: l.Tags, ints: l.Ints, floats: l.Floats, strs: l.Strs, arrs: l.Arrs}
+	c.box(&v, pos)
+	return v
+}
+
 // NewTableFromLanes rebuilds a table from per-column physical lanes, the
 // inverse of reading every column with ColumnLanes. Every column's tag vector
 // must have exactly nrows entries, and each present payload lane must match
@@ -80,6 +87,7 @@ func NewTableFromLanes(name string, schema Schema, cluster ClusterMode, nrows in
 			}
 		}
 		t.cols[i] = &column{tags: l.Tags, ints: l.Ints, floats: l.Floats, strs: l.Strs, arrs: l.Arrs}
+		t.cols[i].learnTag()
 	}
 	if len(indexCols) > 0 {
 		if err := t.BuildIndexOn(indexCols...); err != nil {

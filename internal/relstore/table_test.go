@@ -177,8 +177,8 @@ func TestTableCloneIsDeep(t *testing.T) {
 	tbl := NewTable("t", MustSchema([]Column{{Name: "rid", Type: TypeInt}, {Name: "vlist", Type: TypeIntArray}}, "rid"))
 	tbl.MustInsert(Row{Int(1), IntArray([]int64{1, 2})})
 	cl := tbl.Clone("t2")
-	cl.RowAt(0)[1].A[0] = 99
-	if tbl.At(0, 1).A[0] == 99 {
+	cl.RowAt(0)[1].A()[0] = 99
+	if tbl.At(0, 1).A()[0] == 99 {
 		t.Error("Clone shares array storage with original")
 	}
 	if _, ok := cl.LookupIndex(Int(1)); !ok {
@@ -321,8 +321,8 @@ func TestRowCloneProperty(t *testing.T) {
 		r := Row{Int(a), IntArray([]int64{b})}
 		c := r.Clone()
 		r[0] = Int(a + 1)
-		r[1].A[0] = b + 1
-		return c[0].AsInt() == a && c[1].A[0] == b
+		r[1].A()[0] = b + 1
+		return c[0].AsInt() == a && c[1].A()[0] == b
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

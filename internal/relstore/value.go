@@ -25,10 +25,11 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // ValueType enumerates the column types supported by the engine.
-type ValueType int
+type ValueType uint8
 
 // Supported column types.
 const (
@@ -83,13 +84,34 @@ func ParseType(s string) (ValueType, error) {
 }
 
 // Value is a dynamically typed cell value. The zero value is SQL NULL.
+//
+// Layout. A Value is 32 bytes on a 64-bit platform: the type tag and a bool
+// payload in the first word beside the length of a string or integer-array
+// payload (n), then the integer payload (I), the float payload (F), and one
+// pointer (p) to a string's bytes or an array's first element. Only a string
+// or an array cell stores a pointer, so a block of scalar cells is written
+// without a GC write barrier (Table.RowBlock fills each cell field by field
+// into freshly zeroed memory), and a boxed row costs 32 bytes a cell.
+//
+// The unsafe code that turns a string or a slice into (p, n) and back is
+// confined to this file: Str and IntArray build such a cell, as the box kernel
+// (column.box) does from a column's lanes through setStr and setArr, and S and
+// A read it back. Every other reader goes through S and A, so a pointer is only
+// ever stored with the length it was taken with, and the race detector's
+// checkptr instrumentation sees every conversion. A string payload is at most
+// 4 GiB (n is 32 bits); Str panics past it.
+//
+// The blank func field makes Values incomparable with ==, which would compare
+// the pointer rather than the payload: compare cells with Identical (exact)
+// or Compare/Equal (ordering semantics).
 type Value struct {
+	_    [0]func()
 	Type ValueType
-	I    int64
+	B    bool   // TypeBool payload
+	n    uint32 // TypeString / TypeIntArray payload length
+	I    int64  // TypeInt payload
 	F    float64
-	S    string
-	B    bool
-	A    []int64
+	p    unsafe.Pointer // TypeString bytes / TypeIntArray elements
 }
 
 // Null returns the NULL value.
@@ -101,15 +123,74 @@ func Int(v int64) Value { return Value{Type: TypeInt, I: v} }
 // Float returns a floating point value.
 func Float(v float64) Value { return Value{Type: TypeFloat, F: v} }
 
-// String returns a string value.
-func Str(v string) Value { return Value{Type: TypeString, S: v} }
+// Str returns a string value.
+func Str(v string) Value {
+	var out Value
+	out.setStr(v)
+	return out
+}
 
 // Bool returns a boolean value.
 func Bool(v bool) Value { return Value{Type: TypeBool, B: v} }
 
 // IntArray returns an integer-array value. The slice is used as-is (not
-// copied); callers that keep mutating the slice should copy it first.
-func IntArray(v []int64) Value { return Value{Type: TypeIntArray, A: v} }
+// copied); callers that keep mutating the slice should copy it first. A nil
+// slice reads back nil and an empty one empty (A); both are the same cell to
+// Identical and Compare.
+func IntArray(v []int64) Value {
+	var out Value
+	out.setArr(v)
+	return out
+}
+
+// setStr makes v the string s, writing only the fields a string cell uses.
+func (v *Value) setStr(s string) {
+	if uint64(len(s)) > math.MaxUint32 {
+		panic("relstore: a string cell holds at most 4 GiB")
+	}
+	v.Type, v.n, v.p = TypeString, uint32(len(s)), unsafe.Pointer(unsafe.StringData(s))
+}
+
+// setArr makes v the integer array a, writing only the fields an array cell
+// uses; A will read back a with its capacity cut to its length.
+func (v *Value) setArr(a []int64) {
+	if uint64(len(a)) > math.MaxUint32 {
+		panic("relstore: an integer-array cell holds at most 2^32-1 elements")
+	}
+	v.Type, v.n, v.p = TypeIntArray, uint32(len(a)), unsafe.Pointer(unsafe.SliceData(a))
+}
+
+// S returns a string cell's payload, and "" for any other type.
+func (v Value) S() string {
+	if v.Type != TypeString {
+		return ""
+	}
+	return unsafe.String((*byte)(v.p), v.n)
+}
+
+// A returns an integer-array cell's elements, and nil for any other type. The
+// slice shares the cell's storage and its capacity is its length, so
+// appending to it copies; never write through it.
+func (v Value) A() []int64 {
+	if v.Type != TypeIntArray {
+		return nil
+	}
+	return unsafe.Slice((*int64)(v.p), v.n)
+}
+
+// String renders the cell with its type for %v and error messages: NULL,
+// "integer 5", "decimal 2.5", "string \"s\"", "boolean true",
+// "integer[] {1,2}".
+func (v Value) String() string {
+	switch v.Type {
+	case TypeNull:
+		return "NULL"
+	case TypeString:
+		return v.Type.String() + " " + strconv.Quote(v.S())
+	default:
+		return v.Type.String() + " " + v.AsString()
+	}
+}
 
 // IsNull reports whether the value is NULL.
 func (v Value) IsNull() bool { return v.Type == TypeNull }
@@ -127,7 +208,7 @@ func (v Value) AsInt() int64 {
 		}
 		return 0
 	case TypeString:
-		n, _ := strconv.ParseInt(v.S, 10, 64)
+		n, _ := strconv.ParseInt(v.S(), 10, 64)
 		return n
 	default:
 		return 0
@@ -147,7 +228,7 @@ func (v Value) AsFloat() float64 {
 		}
 		return 0
 	case TypeString:
-		f, _ := strconv.ParseFloat(v.S, 64)
+		f, _ := strconv.ParseFloat(v.S(), 64)
 		return f
 	default:
 		return 0
@@ -164,12 +245,12 @@ func (v Value) AsString() string {
 	case TypeFloat:
 		return strconv.FormatFloat(v.F, 'g', -1, 64)
 	case TypeString:
-		return v.S
+		return v.S()
 	case TypeBool:
 		return strconv.FormatBool(v.B)
 	case TypeIntArray:
-		parts := make([]string, len(v.A))
-		for i, x := range v.A {
+		parts := make([]string, v.n)
+		for i, x := range v.A() {
 			parts[i] = strconv.FormatInt(x, 10)
 		}
 		return "{" + strings.Join(parts, ",") + "}"
@@ -188,7 +269,7 @@ func (v Value) AsBool() bool {
 	case TypeFloat:
 		return v.F != 0
 	case TypeString:
-		return v.S != ""
+		return v.n != 0
 	default:
 		return false
 	}
@@ -207,9 +288,9 @@ func (v Value) StorageBytes() int64 {
 	case TypeBool:
 		return 1
 	case TypeString:
-		return int64(len(v.S)) + 4
+		return int64(v.n) + 4
 	case TypeIntArray:
-		return int64(len(v.A))*8 + 8
+		return int64(v.n)*8 + 8
 	default:
 		return 0
 	}
@@ -246,7 +327,7 @@ func (v Value) Compare(o Value) int {
 		}
 	}
 	if v.Type == TypeIntArray && o.Type == TypeIntArray {
-		return compareIntSlices(v.A, o.A)
+		return compareIntSlices(v.A(), o.A())
 	}
 	return strings.Compare(v.AsString(), o.AsString())
 }
@@ -269,11 +350,11 @@ func (v Value) Identical(o Value) bool {
 	case TypeFloat:
 		return math.Float64bits(v.F) == math.Float64bits(o.F)
 	case TypeString:
-		return v.S == o.S
+		return v.S() == o.S()
 	case TypeBool:
 		return v.B == o.B
 	case TypeIntArray:
-		return slices.Equal(v.A, o.A)
+		return slices.Equal(v.A(), o.A())
 	default:
 		return true
 	}

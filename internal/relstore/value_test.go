@@ -1,12 +1,58 @@
 package relstore
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestValueLayout pins the boxed cell: 32 bytes, whatever it holds; a string
+// or an array read back as built (a nil array nil, an empty one empty, the
+// array's capacity its length, so an append copies); S and A of any other type
+// empty; and %v printing the cell, not its pointer.
+func TestValueLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Value{}); size != 32 {
+		t.Errorf("a Value is %d bytes, want 32", size)
+	}
+	backing := []int64{1, 2, 3, 4}
+	arr := IntArray(backing[:2])
+	if a := arr.A(); len(a) != 2 || cap(a) != 2 || &a[0] != &backing[0] {
+		t.Errorf("IntArray(backing[:2]).A() is %v (cap %d), want the backing's first two elements, cap 2", a, cap(a))
+	}
+	_ = append(arr.A(), 9)
+	if backing[2] != 3 {
+		t.Error("appending to A() wrote into the array's backing")
+	}
+	if IntArray(nil).A() != nil || IntArray([]int64{}).A() == nil || !IntArray(nil).Identical(IntArray([]int64{})) {
+		t.Error("a nil array must read back nil, an empty one empty, and the two be identical")
+	}
+	if s := Str("héllo").S(); s != "héllo" {
+		t.Errorf("Str round trip: %q", s)
+	}
+	if Int(5).S() != "" || Str("x").A() != nil || arr.S() != "" {
+		t.Error("S and A of a cell of another type must be empty")
+	}
+	for v, want := range map[*Value]string{
+		{}:                               "NULL",
+		ptr(Int(-5)):                     "integer -5",
+		ptr(Float(2.5)):                  "decimal 2.5",
+		ptr(Str(`a"b`)):                  `string "a\"b"`,
+		ptr(Bool(true)):                  "boolean true",
+		ptr(IntArray([]int64{1, 2})):     "integer[] {1,2}",
+		ptr(IntArray(nil)):               "integer[] {}",
+		ptr(Float(math.Copysign(0, -1))): "decimal -0",
+	} {
+		if got := fmt.Sprint(*v); got != want {
+			t.Errorf("%%v of a cell prints %s, want %s", got, want)
+		}
+	}
+}
+
+func ptr(v Value) *Value { return &v }
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
 	cases := []struct {

@@ -47,7 +47,7 @@ func sameReads(t *testing.T, what string, got, want *Table) {
 			}
 		}
 	}
-	if !reflect.DeepEqual(got.Rows(), want.Rows()) || !slices.Equal(got.DirtyRows(), want.DirtyRows()) {
+	if !slices.EqualFunc(got.Rows(), want.Rows(), Row.Identical) || !slices.Equal(got.DirtyRows(), want.DirtyRows()) {
 		t.Fatalf("%s: rows or dirty rows differ: %v %v, want %v %v", what, got.Rows(), got.DirtyRows(), want.Rows(), want.DirtyRows())
 	}
 	if got.StorageBytes() != want.StorageBytes() {
@@ -59,7 +59,7 @@ func sameReads(t *testing.T, what string, got, want *Table) {
 	}
 	gb, gw := got.RowBlock(every, 0)
 	wb, ww := want.RowBlock(every, 0)
-	if gw != ww || !reflect.DeepEqual(gb, wb) || !reflect.DeepEqual(got.GatherRows(every), want.GatherRows(every)) {
+	if gw != ww || !Row(gb).Identical(wb) || !slices.EqualFunc(got.GatherRows(every), want.GatherRows(every), Row.Identical) {
 		t.Fatalf("%s: RowBlock or GatherRows differ", what)
 	}
 	for j, col := range want.Schema.Columns {
@@ -151,7 +151,7 @@ func TestViewColumnsReadAsMaterialized(t *testing.T) {
 			set.ForEach(func(rid int64) bool {
 				g, gok := view.LookupIndex(Int(rid))
 				w, wok := want.LookupIndex(Int(rid))
-				if gok != wok || !reflect.DeepEqual(g, w) {
+				if gok != wok || !g.Identical(w) {
 					t.Fatalf("%s: rid %d looks up %v %v, want %v %v", what, rid, g, gok, w, wok)
 				}
 				return true
@@ -167,7 +167,7 @@ func TestViewColumnsReadAsMaterialized(t *testing.T) {
 			}
 			gj, _, err := HashJoinTables(view, "rid", src, "rid")
 			wj, _, _ := HashJoinTables(want, "rid", src, "rid")
-			if err != nil || !reflect.DeepEqual(gj, wj) {
+			if err != nil || !slices.EqualFunc(gj, wj, Row.Identical) {
 				t.Fatalf("%s: HashJoinTables differs: %v", what, err)
 			}
 
@@ -279,7 +279,7 @@ func TestViewColumnsWriteLikeMaterialized(t *testing.T) {
 				if m.copied < 0 && view.SharedColumns() != 0 {
 					t.Fatalf("%s: %d columns still views, want none", what, view.SharedColumns())
 				}
-				if !reflect.DeepEqual(src.Rows(), before) || src.SharedColumns() != 0 {
+				if !slices.EqualFunc(src.Rows(), before, Row.Identical) || src.SharedColumns() != 0 {
 					t.Fatalf("%s: the source changed, or shares %d columns", what, src.SharedColumns())
 				}
 			}
