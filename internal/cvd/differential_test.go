@@ -17,7 +17,10 @@ import (
 // committing through the live path (dirty rows, record index), the twin through
 // the retained reference (reference_test.go). After every step both must have
 // accepted or refused alike and hold the same version: same record ids, same
-// new records, same checkout, same schema.
+// new records, same checkout, same schema. And after every commit, accepted or
+// refused, every earlier version checks out on the live side as it did before
+// it, but for the casts the reference makes when a commit generalizes a column
+// (canonical).
 
 // chooser makes the generator's choices: from the fuzzer's bytes while they
 // last, then from a seeded source.
@@ -44,6 +47,16 @@ type twins struct {
 	withPK bool
 	key    int64 // last primary-key value handed out
 	added  int   // columns added so far
+
+	// seen holds version v's live checkout at v-1, as it read after the
+	// latest commit.
+	seen []checkedOut
+}
+
+// checkedOut is a checkout's rows and its columns' types.
+type checkedOut struct {
+	rows  []relstore.Row
+	types []relstore.ValueType
 }
 
 var diffTypes = []relstore.ValueType{relstore.TypeInt, relstore.TypeFloat, relstore.TypeString}
@@ -102,7 +115,53 @@ func newTwins(t *testing.T, ch *chooser, model ModelKind, withPK bool, workers i
 	if w.ref, err = Init(relstore.NewDatabase("ref"), "d", schema, rows, opts()); err != nil {
 		t.Fatal(err)
 	}
+	w.seen = []checkedOut{w.liveRows(1)}
 	return w
+}
+
+// liveRows returns the live side's checkout of version v.
+func (w *twins) liveRows(v vgraph.VersionID) checkedOut {
+	w.t.Helper()
+	tab, err := w.live.Checkout([]vgraph.VersionID{v}, "again")
+	if err != nil {
+		w.t.Fatalf("checkout of version %d: %v", v, err)
+	}
+	defer w.live.DiscardCheckout("again")
+	out := checkedOut{rows: tab.Rows()}
+	for _, col := range tab.Schema.Columns {
+		out.types = append(out.types, col.Type)
+	}
+	return out
+}
+
+// unchanged checks that every version the live side held before a commit
+// checks out as it did then: each cell as it was, or as canonical casts it to
+// its column's type now, and a column added since NULL.
+func (w *twins) unchanged(step string) {
+	w.t.Helper()
+	for i, was := range w.seen {
+		v := vgraph.VersionID(i + 1)
+		now := w.liveRows(v)
+		if len(now.rows) != len(was.rows) {
+			w.t.Fatalf("%s: version %d checks out %d rows, %d before", step, v, len(now.rows), len(was.rows))
+		}
+		for r, row := range now.rows {
+			old := was.rows[r]
+			if len(row) < len(old) {
+				w.t.Fatalf("%s: version %d row %d has %d cells, %d before", step, v, r, len(row), len(old))
+			}
+			for j, cell := range row {
+				want := null
+				if j < len(old) {
+					want = *canonical(&old[j], now.types[j], &want)
+				}
+				if !cell.Identical(want) {
+					w.t.Fatalf("%s: version %d row %d cell %d reads %v, want %v as before the commit", step, v, r, j, cell, want)
+				}
+			}
+		}
+		w.seen[i] = now
+	}
 }
 
 // pickVersions draws one version, or two distinct ones for a merge.
@@ -363,6 +422,7 @@ func (w *twins) compare(step string, before vgraph.RecordID, vl vgraph.VersionID
 	if w.live.nextRID != w.ref.nextRID {
 		w.t.Fatalf("%s: next record id %d, reference has %d", step, w.live.nextRID, w.ref.nextRID)
 	}
+	w.unchanged(step)
 	if errL != nil {
 		if w.live.nextRID != before {
 			w.t.Fatalf("%s: refused (%v) but took record ids", step, errL)
@@ -395,6 +455,7 @@ func (w *twins) compare(step string, before vgraph.RecordID, vl vgraph.VersionID
 	}
 	w.live.DiscardCheckout("cmp")
 	w.ref.DiscardCheckout("cmp")
+	w.seen = append(w.seen, w.liveRows(vl))
 }
 
 func (w *twins) run(steps int) {

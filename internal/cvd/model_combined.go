@@ -94,7 +94,9 @@ func (m *combinedModel) Checkout(v vgraph.VersionID, tableName string) (*relstor
 	if !found {
 		return nil, fmt.Errorf("cvd: %s: version %d not found", m.name, v)
 	}
-	_ = out.BuildIndexOn(ridColumn)
+	if err := out.BuildIndexOn(ridColumn); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 

@@ -152,7 +152,9 @@ func (m *deltaModel) Checkout(v vgraph.VersionID, tableName string) (*relstore.T
 		}
 		cur = base
 	}
-	_ = out.BuildIndexOn(ridColumn)
+	if err := out.BuildIndexOn(ridColumn); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 

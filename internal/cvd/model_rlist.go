@@ -122,18 +122,11 @@ func (m *rlistModel) Checkout(v vgraph.VersionID, tableName string) (*relstore.T
 // join (Section 5.5.5), accounted as a scan of scanned rows (see
 // relstore.JoinTableOnRIDs). The join resolves to a selection vector over the
 // data table, and the staging table views the data table's lanes through it:
-// no cell is copied until the staging table's user writes a column. A data
-// table that holds a rid twice gives rows the unique rid index refuses, and so
-// does the checkout.
+// no cell is copied until the staging table's user writes a column. The join
+// hands the staging table back indexed on its rids; a data table that holds a
+// rid twice gives rows the unique rid index refuses, and so does the checkout.
 func joinCheckout(data *relstore.Table, rlist *recset.Set, scanned int, tableName string) (*relstore.Table, error) {
-	out, err := relstore.JoinTableOnRIDs(data, ridColumn, rlist, scanned, tableName)
-	if err != nil {
-		return nil, err
-	}
-	if err := out.BuildIndexOn(ridColumn); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return relstore.JoinTableOnRIDs(data, ridColumn, rlist, scanned, tableName)
 }
 
 // StorageBytes is the data table and the versioning table, or, under a

@@ -56,7 +56,9 @@ func (m *tpvModel) Checkout(v vgraph.VersionID, tableName string) (*relstore.Tab
 		out.AppendRow(r.Clone())
 		return true
 	})
-	_ = out.BuildIndexOn(ridColumn)
+	if err := out.BuildIndexOn(ridColumn); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 

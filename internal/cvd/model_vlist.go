@@ -104,7 +104,9 @@ func (m *vlistModel) Checkout(v vgraph.VersionID, tableName string) (*relstore.T
 	for _, r := range rows {
 		out.AppendRow(r.Clone())
 	}
-	_ = out.BuildIndexOn(ridColumn)
+	if err := out.BuildIndexOn(ridColumn); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 

@@ -42,6 +42,15 @@ import (
 // (Table.View, or view columns) is marked viewed, not shared: appending to it
 // lands past every view's cells and copies nothing (ensureAppendable), any
 // other write copies first as above.
+//
+// Facts. A column keeps two conservative facts about its cells, each kept at
+// every lane write so that no reader has to re-derive it: the tag every cell
+// has (one), and how many leading cells hold the integers 1, 2, 3, ... (run).
+// A record catalog appends records in rid order from 1, so its rid column's
+// run covers every row: a checkout's join reads a version's rows straight off
+// its record set (JoinTableOnRIDs) and a select walks the set into positions
+// (FilterVecSet), neither reading a rid. A fact may understate the cells —
+// a view column's run is 0 — but never overstates them.
 
 // Selection is a selection vector: row positions in ascending order, as
 // produced by FilterVec and consumed by GatherInto/AppendFrom.
@@ -157,6 +166,13 @@ type column struct {
 	// position vector; it is never written, only replaced.
 	at []int32
 
+	// run is how many leading cells are known to hold their rids: cells
+	// [0, run) are tagged TypeInt and cell i holds i+1. A conservative fact
+	// kept at every lane write — an append of the next integer extends it, an
+	// in-place write at or below it lowers it, a truncation clips it. A view
+	// column's is 0: its cells are the source's through positions.
+	run int
+
 	// one is 1 + the tag every cell of the column has, and 0 when the column
 	// knows no such tag: a conservative fact, kept at every tag write, which
 	// lets the box kernel (Table.RowBlock) and the typed filter (filterLane)
@@ -194,11 +210,15 @@ func (c *column) noteTag(typ ValueType, n int) {
 	}
 }
 
-// learnTag recomputes the uniform-tag fact from the column's cells.
-func (c *column) learnTag() {
-	c.one = 0
+// learn recomputes both facts, the uniform tag and the rid run, from the
+// column's cells.
+func (c *column) learn() {
+	c.one, c.run = 0, 0
 	if c.len() == 0 {
 		return
+	}
+	if c.at == nil {
+		c.run = ridRun(c.tags, c.ints, 0)
 	}
 	first := c.tags[c.cell(0)]
 	if c.at == nil {
@@ -215,6 +235,20 @@ func (c *column) learnTag() {
 		}
 	}
 	c.one = first + 1
+}
+
+// ridRun returns how far the cells from, from+1, ... go on holding their rids
+// (cell i tagged TypeInt, holding i+1): the first cell at or past from that
+// does not.
+func ridRun(tags []uint8, ints []int64, from int) int {
+	if ints == nil {
+		return from
+	}
+	i := from
+	for i < len(tags) && ValueType(tags[i]) == TypeInt && ints[i] == int64(i+1) {
+		i++
+	}
+	return i
 }
 
 func newColumn(capHint int) *column {
@@ -295,6 +329,9 @@ func (c *column) append(v Value) {
 			c.ints = make([]int64, n)
 		}
 		c.ints[n-1] = v.I
+		if c.run == n-1 && v.I == int64(n) {
+			c.run = n
+		}
 	case TypeBool:
 		if c.ints == nil {
 			c.ints = make([]int64, n)
@@ -400,6 +437,7 @@ func (c *column) asString(i int) string {
 func (c *column) set(i int, v Value) {
 	c.tags[i] = uint8(v.Type)
 	c.noteTag(v.Type, len(c.tags))
+	c.run = min(c.run, i)
 	// Clear every lane first so stale payloads from the previous type cannot
 	// resurface if the cell's type changes again later.
 	if c.ints != nil {
@@ -498,7 +536,7 @@ func (c *column) view() *column {
 // copied.
 func (c *column) viewThrough(at []int32) *column {
 	v := c.view()
-	v.at = at
+	v.at, v.run = at, 0
 	return v
 }
 
@@ -511,6 +549,7 @@ func (c *column) alias() *column {
 		arrs:   c.arrs,
 		at:     c.at,
 		one:    c.one,
+		run:    c.run,
 		shared: colShared,
 	}
 }
@@ -526,6 +565,7 @@ func (c *column) copyOwned() *column {
 		strs:   ownLane(c.strs, c.at, n, n),
 		arrs:   ownLane(c.arrs, c.at, n, n),
 		one:    c.one,
+		run:    c.run,
 	}
 }
 
@@ -541,7 +581,7 @@ func (c *column) deepCopy() *column {
 }
 
 // gather returns a new column holding the lane cells at the positions sel,
-// which are the column's cells unless it is a view column.
+// which are the column's cells unless it is a view column. Its rid run is 0.
 func (c *column) gather(sel Selection) *column {
 	out := &column{tags: make([]uint8, len(sel)), one: c.one}
 	if c.ints != nil {
@@ -596,6 +636,9 @@ func (c *column) appendFrom(src *column, lanes Selection) {
 	c.floats = appendLane(c.floats, src.floats, lanes, base)
 	c.strs = appendLane(c.strs, src.strs, lanes, base)
 	c.arrs = appendLane(c.arrs, src.arrs, lanes, base)
+	if c.run == base {
+		c.run = ridRun(c.tags, c.ints, base)
+	}
 }
 
 // appendLane extends one payload lane with the selected cells of the source
@@ -621,6 +664,7 @@ func appendLane[T any](dst, src []T, sel Selection, base int) []T {
 // truncate keeps the first n cells: a view column drops the positions past
 // them, any other column must have called ensureOwned.
 func (c *column) truncate(n int) {
+	c.run = min(c.run, n)
 	if c.at != nil {
 		c.at = c.at[:n]
 		return

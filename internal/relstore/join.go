@@ -57,26 +57,40 @@ func JoinOnRIDs(data *Table, ridColumn string, rids []int64, method JoinMethod) 
 }
 
 // JoinTableOnRIDs performs the hash join of a version's record set with the
-// data table and returns the matching rows as a new table named tableName
-// that copies no cell: its columns view the data table's lanes through the
-// selection the join built, which it owns (see Table.GatherInto). A data
-// table that keeps record r at row r-1 is not probed at all; otherwise the
-// set is the probe side. It accounts the cost model's hash join over scanned
-// rows: data.Len() for a join with data itself, or the size of the partition
-// a partitioning places the version in, which the cost model scans instead.
+// data table and returns the matching rows as a new table named tableName,
+// indexed on ridColumn, that copies no cell: its columns view the data table's
+// lanes through the selection the join built, which it owns (see
+// Table.GatherInto). When the data table's rid column knows that it holds rid r
+// at row r-1 for every rid of the set (its run, see column.go) — a record
+// catalog's does — the selection is the set decoded and the index the one
+// BuildIndexOn builds over ascending keys, and neither reads a rid. Otherwise
+// the join scans the rid column, and the answer's index refuses a rid the data
+// table holds twice. It accounts the cost model's hash join over scanned rows:
+// data.Len() for a join with data itself, or the size of the partition a
+// partitioning places the version in, which the cost model scans instead.
 func JoinTableOnRIDs(data *Table, ridColumn string, set *recset.Set, scanned int, tableName string) (*Table, error) {
 	ci := data.Schema.ColumnIndex(ridColumn)
 	if ci < 0 {
 		return nil, fmt.Errorf("relstore: table %s has no column %q", data.Name, ridColumn)
 	}
-	sel := hashSelection(data, data.cols[ci], ridProbe{set: set})
+	col := data.cols[ci]
+	out := data.GatherInto(tableName, hashSelection(data, col, ridProbe{set: set}))
 	data.stats.AddSeqReads(int64(scanned))
 	data.stats.AddHashProbes(int64(scanned))
-	return data.GatherInto(tableName, sel), nil
+	if col.holdsRIDs(set) && data.Schema.Columns[ci].Type == TypeInt {
+		out.indexAscending(ci)
+		return out, nil
+	}
+	if err := out.BuildIndexOn(ridColumn); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // SelectRIDSet returns the positions of the rows whose ridColumn value is in
-// set (a full sequential scan probing the compressed set per row).
+// set: the set decoded when the column's rid run covers it, a sequential scan
+// probing the compressed set per row otherwise. Either is accounted as the
+// scan.
 func (t *Table) SelectRIDSet(ridColumn string, set *recset.Set) (Selection, error) {
 	return joinSelection(t, ridColumn, ridProbe{set: set}, HashJoin)
 }
@@ -174,13 +188,13 @@ func joinSelection(data *Table, ridColumn string, probe ridProbe, method JoinMet
 	}
 }
 
-// hashSelection selects the rows of data whose rid, in col, probe holds: read
-// off the positions when data keeps every rid of a set at row rid-1, by a
-// membership test of every row otherwise. It accounts nothing: the caller
-// charges the hash join the cost model prices.
+// hashSelection selects the rows of data whose rid, in col, probe holds: the
+// set decoded when col's run covers it, by a membership test of every row
+// otherwise. It accounts nothing: the caller charges the hash join the cost
+// model prices.
 func hashSelection(data *Table, col *column, probe ridProbe) Selection {
-	if sel, ok := data.positionalSelection(col, probe.set); ok {
-		return sel
+	if probe.set != nil && col.holdsRIDs(probe.set) {
+		return setPositions(probe.set)
 	}
 	sel := make(Selection, 0, probe.len())
 	contains := probe.contains()
@@ -192,54 +206,40 @@ func hashSelection(data *Table, col *column, probe ridProbe) Selection {
 	return sel
 }
 
-// positionalSelection answers the join without the scan when every rid of the
-// set sits at row rid-1 of col — which is where a CVD's data table keeps it,
-// records being appended in rid order from 1 — so that a checkout costs the
-// version, not every record ever committed. ok is false as soon as one rid is
-// somewhere else (a table in another order, a deleted row), and the caller
-// scans. It relies on col, t's rid column, holding no rid twice, as the unique
-// index on a data table's rid column guarantees.
-func (t *Table) positionalSelection(col *column, set *recset.Set) (sel Selection, ok bool) {
-	if set == nil || col.at != nil { // a view column's rids are read through its positions by the scan
-		return nil, false
+// holdsRIDs reports whether the column's run covers set: every rid r of it is
+// at cell r-1. It reads no cell.
+func (c *column) holdsRIDs(set *recset.Set) bool {
+	high, ok := set.Max()
+	if !ok {
+		return true
 	}
-	// A table in another order fails on its first rid: look before allocating.
-	if first, ok := set.Min(); ok && (first < 1 || first > int64(len(col.ints)) || col.ints[first-1] != first) {
-		return nil, false
-	}
-	// The containers are walked in place, each rid checked as it is decoded.
-	sel = make(Selection, set.Len())
-	ints, tags := col.ints, col.tags
-	n, ok := 0, true
+	low, _ := set.Min()
+	return low >= 1 && high <= int64(c.run)
+}
+
+// setPositions decodes a set of rids 1.. into the positions rid-1, ascending,
+// walking its containers in place.
+func setPositions(set *recset.Set) Selection {
+	sel := make(Selection, set.Len())
+	n := 0
 	set.Containers(func(base int64, lows []uint16, bitmap []uint64) bool {
-		out, k := sel[n:], 0
+		first := int32(base - 1)
+		out := sel[n:]
+		k := 0
 		for _, lo := range lows {
-			rid := base | int64(lo)
-			if rid < 1 || rid > int64(len(ints)) || ints[rid-1] != rid || ValueType(tags[rid-1]) != TypeInt {
-				ok = false
-				return false
-			}
-			out[k] = int32(rid - 1)
+			out[k] = first + int32(lo)
 			k++
 		}
 		for w, word := range bitmap {
 			for ; word != 0; word &= word - 1 {
-				rid := base | int64(w<<6|bits.TrailingZeros64(word))
-				if rid < 1 || rid > int64(len(ints)) || ints[rid-1] != rid || ValueType(tags[rid-1]) != TypeInt {
-					ok = false
-					return false
-				}
-				out[k] = int32(rid - 1)
+				out[k] = first + int32(w<<6|bits.TrailingZeros64(word))
 				k++
 			}
 		}
 		n += k
 		return true
 	})
-	if !ok {
-		return nil, false
-	}
-	return sel, true
+	return sel[:n]
 }
 
 // mergeJoinSelection merges an already-sorted rid list against the data

@@ -85,11 +85,12 @@ type Table struct {
 	// encoding per probe), uniqueIndex (encoded string keys) otherwise.
 	//
 	// Rows [0, intSorted) of an integer index are not entered in intIndex:
-	// BuildIndexOn found their keys strictly ascending, and intPos finds them
-	// by binary search over the column itself. A checkout's staging table is
-	// rid-ordered by construction, as is a data table read back from a
-	// checkpoint, so either gets its index for one pass over a lane instead
-	// of a map entry per row.
+	// their keys ascend strictly, and intPos finds them by binary search over
+	// the column itself. A data table read back from a checkpoint is
+	// rid-ordered, so BuildIndexOn indexes it for one pass over a lane instead
+	// of a map entry per row; a checkout's staging table is rid-ordered by
+	// construction, and the join that selects it indexes it with no pass at
+	// all (indexAscending).
 	indexCols   []int
 	uniqueIndex map[string]int
 	intIndex    map[int64]int
@@ -304,6 +305,16 @@ func (t *Table) BuildIndexOn(cols ...string) error {
 	return nil
 }
 
+// indexAscending makes column ci, an integer column whose keys the caller knows
+// to ascend strictly, the table's unique index: what BuildIndexOn builds for
+// such keys, every row in the sorted run and none in the map, without reading
+// a key.
+func (t *Table) indexAscending(ci int) {
+	t.indexCols = []int{ci}
+	t.intIndex, t.intSorted = make(map[int64]int), t.nrows
+	t.uniqueIndex = nil
+}
+
 // searchInts finds key among the first n cells of col, whose integer values
 // ascend.
 func searchInts(col *column, n int, key int64) (pos int, found bool) {
@@ -319,6 +330,18 @@ func (t *Table) intPos(key int64) (pos int, found bool) {
 	}
 	pos, found = t.intIndex[key]
 	return pos, found
+}
+
+// RIDRun returns how many leading rows the named column is known to hold
+// their rids in — rows [0, n) hold the integers 1..n — and 0 for a column the
+// table does not have. It is the column's run (see column.go): a conservative
+// count, which a record catalog keeps at every row, and which a join or a
+// select of a record set it covers trusts instead of reading a rid.
+func (t *Table) RIDRun(col string) int {
+	if ci := t.Schema.ColumnIndex(col); ci >= 0 {
+		return t.cols[ci].run
+	}
+	return 0
 }
 
 // HasIndex reports whether the table currently has a unique index.
@@ -598,8 +621,10 @@ const selectBlock = 1024
 // in order and appends the survivors, ascending, to dst until dst holds limit
 // positions (limit <= 0: no limit). It reads the rows it walks, and for each
 // comparison after the first the rows still alive, never the rest of the
-// table. It is an error when the set's lowest or highest rid is not at its row
-// (a table in another order, a rid past the table).
+// table. When the rid column's run covers the set (see column.go), as a
+// catalog's does, it walks the set unchecked; otherwise it checks each rid it
+// walks against its row and refuses the first one that is not there (a table
+// in another order, a rid past the table), handing dst back as it came.
 func (t *Table) FilterVecSet(dst Selection, set *recset.Set, preds []ColPred, limit int) (Selection, error) {
 	cols := make([]*column, len(preds))
 	for k, p := range preds {
@@ -609,16 +634,29 @@ func (t *Table) FilterVecSet(dst Selection, set *recset.Set, preds []ColPred, li
 		}
 		cols[k] = t.cols[ci]
 	}
-	low, _ := set.Min()
-	if high, ok := set.Max(); ok && (!t.holdsRID(low) || !t.holdsRID(high)) {
-		return dst, fmt.Errorf("relstore: table %s: record set spans rids %d..%d, not each at its row of the table's %d", t.Name, low, high, t.nrows)
-	}
 	if limit > 0 && len(dst) >= limit {
 		return dst, nil
 	}
+	given := len(dst)
+	checked := len(t.cols) == 0 || !t.cols[0].holdsRIDs(set)
+	if low, ok := set.Min(); checked && ok {
+		// Past the table, a rid would not even fit a position.
+		if high, _ := set.Max(); low < 1 || high > int64(t.nrows) {
+			return dst, fmt.Errorf("relstore: table %s: record set spans rids %d..%d, past the table's %d rows", t.Name, low, high, t.nrows)
+		}
+	}
+	var refused error
 	block := make(Selection, 0, selectBlock)
 	// flush refines the block into dst and reports whether dst has room left.
 	flush := func() bool {
+		if checked {
+			for _, p := range block {
+				if !t.holdsRID(int64(p) + 1) {
+					refused = fmt.Errorf("relstore: table %s: rid %d is not at row %d", t.Name, p+1, p)
+					return false
+				}
+			}
+		}
 		t.stats.AddSeqReads(int64(len(block)))
 		sel := block
 		for k, p := range preds {
@@ -651,14 +689,18 @@ func (t *Table) FilterVecSet(dst Selection, set *recset.Set, preds []ColPred, li
 		}
 		return true
 	})
-	if len(block) > 0 {
+	if len(block) > 0 && refused == nil {
 		flush()
+	}
+	if refused != nil {
+		return dst[:given], refused
 	}
 	return dst, nil
 }
 
 // holdsRID reports whether row r-1 holds rid r in the table's first column, as
-// in a record catalog.
+// in a record catalog: the check FilterVecSet makes of each rid it walks when
+// the column's run does not vouch for them.
 func (t *Table) holdsRID(r int64) bool {
 	if r < 1 || r > int64(t.nrows) || len(t.cols) == 0 {
 		return false
@@ -914,7 +956,7 @@ func (t *Table) Shrink(n int) {
 			c.ensureOwned()
 		}
 		c.truncate(n)
-		c.learnTag()
+		c.learn()
 	}
 	if words := (n + 63) >> 6; words <= len(t.dirty) {
 		t.dirty = t.dirty[:words]
@@ -1063,7 +1105,7 @@ func (t *Table) alterColumn(name string, typ ValueType, cast func(ValueType) boo
 		t.markDirty(i, i+1)
 		t.stats.AddRowsWritten(1)
 	}
-	col.learnTag()
+	col.learn()
 	if t.HasIndex() {
 		indexed := false
 		for _, c := range t.indexCols {

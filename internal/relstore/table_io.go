@@ -87,7 +87,7 @@ func NewTableFromLanes(name string, schema Schema, cluster ClusterMode, nrows in
 			}
 		}
 		t.cols[i] = &column{tags: l.Tags, ints: l.Ints, floats: l.Floats, strs: l.Strs, arrs: l.Arrs}
-		t.cols[i].learnTag()
+		t.cols[i].learn()
 	}
 	if len(indexCols) > 0 {
 		if err := t.BuildIndexOn(indexCols...); err != nil {

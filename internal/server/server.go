@@ -23,6 +23,8 @@
 package server
 
 import (
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -55,7 +57,6 @@ type Server struct {
 
 	mu       sync.Mutex
 	sessions map[string]*session
-	nextID   int64
 }
 
 // session tracks one client's staging state: logical table name → the
@@ -259,9 +260,11 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 		return
 	}
+	sess := &session{tables: make(map[string]staged)}
 	s.mu.Lock()
-	s.nextID++
-	sess := &session{id: "s" + strconv.FormatInt(s.nextID, 10), tables: make(map[string]staged)}
+	for taken := true; taken; _, taken = s.sessions[sess.id] {
+		sess.id = newSessionID()
+	}
 	s.sessions[sess.id] = sess
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, sessionResponse{Session: sess.id})
@@ -545,6 +548,14 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // ---- helpers ----
+
+// newSessionID draws a session id: 128 random bits, hex-encoded, so that no
+// client can name a session it was not handed.
+func newSessionID() string {
+	var b [16]byte
+	rand.Read(b[:]) // never returns an error
+	return hex.EncodeToString(b[:])
+}
 
 // ms renders a duration in milliseconds.
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -242,6 +243,31 @@ func TestSessionIsolation(t *testing.T) {
 	// Commits against a session that no longer exists 404.
 	if code := post(t, ts, "/v1/commit", commitRequest{Session: a, CVD: "protein", Table: "wd"}, nil); code != http.StatusNotFound {
 		t.Fatalf("commit in closed session: status %d, want 404", code)
+	}
+}
+
+// TestSessionIDsAreUnguessable: a session id is 128 random bits, hex-encoded:
+// two servers hand out different ones, and a client that guesses the id a
+// counter would have handed out closes nobody's session.
+func TestSessionIDsAreUnguessable(t *testing.T) {
+	var ids []string
+	for range 2 {
+		ts := httptest.NewServer(New(core.Open("t"), Config{}))
+		id := openSession(t, ts)
+		if len(id) != 32 || strings.Trim(id, "0123456789abcdef") != "" {
+			t.Fatalf("session id %q is not 32 hex digits", id)
+		}
+		if code := post(t, ts, "/v1/session/close", sessionResponse{Session: "s1"}, nil); code != http.StatusNotFound {
+			t.Fatalf("closing session \"s1\": status %d, want 404", code)
+		}
+		if code := post(t, ts, "/v1/session/close", sessionResponse{Session: id}, nil); code != http.StatusOK {
+			t.Fatalf("closing the session handed out: status %d", code)
+		}
+		ts.Close()
+		ids = append(ids, id)
+	}
+	if ids[0] == ids[1] {
+		t.Fatalf("two servers handed out the same session id %q", ids[0])
 	}
 }
 
