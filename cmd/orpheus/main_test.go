@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -351,7 +352,16 @@ func TestFsckRefusesInMemoryModel(t *testing.T) {
 // manifests were of version 3 — they listed a versioning table beside the
 // record-set runs — is another build's: fsck, with and without -repair, and
 // the open exit 2 naming the version, and no file changes.
-func TestFsckRefusesManifestVersion3(t *testing.T) {
+func TestFsckRefusesManifestVersion3(t *testing.T) { fsckRefusesManifestVersion(t, 3) }
+
+// TestFsckRefusesManifestVersion6: so is one whose manifests were of version
+// 6, which listed each CVD's metadata table beside its data table.
+func TestFsckRefusesManifestVersion6(t *testing.T) { fsckRefusesManifestVersion(t, 6) }
+
+// fsckRefusesManifestVersion rewrites the version field of a checkpointed
+// directory's manifest to v and requires fsck, fsck -repair and the open to
+// refuse it by name, changing nothing.
+func fsckRefusesManifestVersion(t *testing.T, v uint32) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "data")
 	csv := writeCSV(t, dir, "p.csv", proteinCSV)
@@ -363,13 +373,13 @@ func TestFsckRefusesManifestVersion3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(raw[8:12], 3) // the version field after the magic
+	binary.LittleEndian.PutUint32(raw[8:12], v) // the version field after the magic
 	if err := os.WriteFile(manifest, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, argv := range [][]string{{"fsck", data}, {"fsck", "-repair", data}, {"-data", data}} {
 		code, _, errw := runSession(t, argv, "")
-		if code != 2 || !strings.Contains(errw, "is a format version 3 manifest, this build reads version 6 only") {
+		if code != 2 || !strings.Contains(errw, fmt.Sprintf("is a format version %d manifest, this build reads version 7 only", v)) {
 			t.Fatalf("%v: exit %d, want 2 with the refusal: %s", argv, code, errw)
 		}
 	}

@@ -153,7 +153,7 @@ func TestFlatExportRefused(t *testing.T) {
 	// section beside the tables wrote those — is another build's directory, not
 	// a corrupt one: refused with one sentence by all three, before the pack is
 	// read, and never quarantined by a repairing scrub.
-	const wantVersion = "is a format version 2 manifest, this build reads version 6 only"
+	const wantVersion = "is a format version 2 manifest, this build reads version 7 only"
 	v2 := t.TempDir()
 	v2Manifest := filepath.Join(v2, durable.ManifestFileName(1))
 	if err := os.WriteFile(v2Manifest, append([]byte("ORPHMAN1\x02\x00\x00\x00"), make([]byte, 8)...), 0o644); err != nil {

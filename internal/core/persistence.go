@@ -150,17 +150,15 @@ func (e *Engine) buildSnapshot() (*durable.Snapshot, []*cvd.CVD, func(), error) 
 			return nil, nil, nil, err
 		}
 		snap.CVDs = append(snap.CVDs, st)
-		for _, name := range st.Tables {
-			t, ok := e.db.Table(name)
-			if !ok {
-				// Writing a snapshot that names a table it does not contain
-				// would fail only at restore time — after a checkpoint has
-				// already truncated the WAL. Fail loudly now instead.
-				release()
-				return nil, nil, nil, fmt.Errorf("core: snapshot of CVD %q: backing table %q missing from database", c.Name(), name)
-			}
-			snap.Tables = append(snap.Tables, t.SnapshotClone())
+		t, ok := e.db.Table(st.DataTable())
+		if !ok {
+			// Writing a snapshot that lacks a CVD's data table would fail only
+			// at restore time — after a checkpoint has already truncated the
+			// WAL. Fail loudly now instead.
+			release()
+			return nil, nil, nil, fmt.Errorf("core: snapshot of CVD %q: data table %q missing from database", c.Name(), st.DataTable())
 		}
+		snap.Tables = append(snap.Tables, t.SnapshotClone())
 	}
 	return snap, locked, release, nil
 }

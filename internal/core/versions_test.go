@@ -16,7 +16,7 @@ import (
 
 // A split-by-rlist CVD keeps each version's rlist once: the versioning table
 // is the CVD's record sets, in memory and, as the record-set runs,
-// on disk (manifest version 6). The tests here pin that across the durable
+// on disk (manifest version 7). The tests here pin that across the durable
 // paths, the check the open and fsck make of the runs, and the refusal of a
 // manifest of version 3, which stored the rlists a second time.
 
@@ -189,6 +189,11 @@ func TestManifestVersion4Refused(t *testing.T) { manifestVersionRefused(t, 4) }
 // a second time.
 func TestManifestVersion5Refused(t *testing.T) { manifestVersionRefused(t, 5) }
 
+// TestManifestVersion6Refused: so is a directory whose manifest is of version
+// 6, which listed each CVD's metadata table, holding every version's metadata
+// a second time beside the CVD head.
+func TestManifestVersion6Refused(t *testing.T) { manifestVersionRefused(t, 6) }
+
 // manifestVersionRefused rewrites the version field of a directory's first
 // manifest to v and requires every reader to refuse it by name, changing no
 // file.
@@ -204,7 +209,7 @@ func manifestVersionRefused(t *testing.T, v uint32) {
 		t.Fatal(err)
 	}
 	before := dirHashes(t, dir)
-	want := fmt.Sprintf("is a format version %d manifest, this build reads version 6 only", v)
+	want := fmt.Sprintf("is a format version %d manifest, this build reads version 7 only", v)
 	_, _, openErr := durable.OpenFS(dir, vfs.OS(), 0)
 	_, engineErr := OpenDurable("sets", dir)
 	_, epochErr := OpenAtEpoch("sets", dir, 1)

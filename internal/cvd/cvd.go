@@ -269,7 +269,7 @@ func newCVD(db *relstore.Database, name string, schema relstore.Schema, opts Opt
 		// operations, not "use every CPU".
 		c.workers = 1
 	}
-	meta, err := newMetadataStore(db, name)
+	meta, err := newMetadataStore(db, name, nil)
 	if err != nil {
 		return nil, err
 	}

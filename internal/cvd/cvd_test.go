@@ -356,11 +356,11 @@ func TestVersionMetadata(t *testing.T) {
 	if !ok || latest != 4 {
 		t.Errorf("LatestVersion = %d, want 4", latest)
 	}
-	// Metadata is mirrored into a queryable relation.
-	db, _ := buildProteinCVD(t, SplitByRlist)
-	metaTab, ok := db.Table("interaction_metadata")
-	if !ok || metaTab.Len() != 4 {
-		t.Error("metadata table missing or wrong size")
+	// The metadata is a relation of the database, charged what the
+	// eight-column table indexed on vid that it stands for took (554 B).
+	db, c := buildProteinCVD(t, SplitByRlist)
+	if _, isTable := db.Table("interaction_metadata"); isTable || !db.HasTable("interaction_metadata") || c.meta.StorageBytes() != 554 {
+		t.Errorf("metadata relation: a table %v, charged %d B, want a relation of 554 B", isTable, c.meta.StorageBytes())
 	}
 }
 

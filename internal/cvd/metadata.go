@@ -90,9 +90,11 @@ func (r *AttributeRegistry) RegisterSchema(s relstore.Schema) []AttrID {
 	return out
 }
 
-// metadataStore keeps the per-version metadata in memory, version v's at
-// metas[v-1], and mirrors it into a relstore table so it can be inspected and
-// queried like any relation. metas is only appended to, so the published
+// metadataStore is the metadata table: the per-version metadata, version v's
+// at metas[v-1], held once. The database accounts for it under the table's
+// name, <cvd>_metadata, as what the eight-column table (vid, parents,
+// checkout_ts, commit_ts, msg, author, attributes, num_records) indexed on vid
+// would be charged (StorageBytes). metas is only appended to, so the published
 // states share it.
 type metadataStore struct {
 	db    *relstore.Database
@@ -100,21 +102,14 @@ type metadataStore struct {
 	metas []*VersionMeta
 }
 
-func newMetadataStore(db *relstore.Database, cvdName string) (*metadataStore, error) {
-	s := &metadataStore{db: db, name: cvdName + "_metadata"}
-	_, err := db.CreateTable(s.name, relstore.MustSchema([]relstore.Column{
-		{Name: "vid", Type: relstore.TypeInt},
-		{Name: "parents", Type: relstore.TypeIntArray},
-		{Name: "checkout_ts", Type: relstore.TypeInt},
-		{Name: "commit_ts", Type: relstore.TypeInt},
-		{Name: "msg", Type: relstore.TypeString},
-		{Name: "author", Type: relstore.TypeString},
-		{Name: "attributes", Type: relstore.TypeIntArray},
-		{Name: "num_records", Type: relstore.TypeInt},
-	}, "vid"))
-	if err != nil {
-		return nil, err
+// newMetadataStore registers the metadata table of CVD cvdName holding metas,
+// refusing a name db already holds.
+func newMetadataStore(db *relstore.Database, cvdName string, metas []*VersionMeta) (*metadataStore, error) {
+	s := &metadataStore{db: db, name: cvdName + "_metadata", metas: metas}
+	if db.HasTable(s.name) {
+		return nil, fmt.Errorf("cvd: %s: table %q already exists", cvdName, s.name)
 	}
+	db.AttachRelation(s.name, s)
 	return s, nil
 }
 
@@ -123,25 +118,18 @@ func (s *metadataStore) add(m *VersionMeta) error {
 		return fmt.Errorf("cvd: metadata for version %d where version %d comes next", m.ID, want)
 	}
 	s.metas = append(s.metas, m)
-	parents := make([]int64, len(m.Parents))
-	for i, p := range m.Parents {
-		parents[i] = int64(p)
+	return nil
+}
+
+// StorageBytes charges each version the table's cells — 8 bytes per integer,
+// 8 plus 8 per element per array, 4 plus its length per string — and 16 bytes
+// for its vid's index entry.
+func (s *metadataStore) StorageBytes() int64 {
+	var n int64
+	for _, m := range s.metas {
+		n += 72 + 8*int64(len(m.Parents)+len(m.Attributes)) + int64(len(m.Message)+len(m.Author))
 	}
-	attrs := make([]int64, len(m.Attributes))
-	for i, a := range m.Attributes {
-		attrs[i] = int64(a)
-	}
-	t := s.db.MustTable(s.name)
-	return t.Insert(relstore.Row{
-		relstore.Int(int64(m.ID)),
-		relstore.IntArray(parents),
-		relstore.Int(m.CheckoutAt.UnixNano()),
-		relstore.Int(m.CommitAt.UnixNano()),
-		relstore.Str(m.Message),
-		relstore.Str(m.Author),
-		relstore.IntArray(attrs),
-		relstore.Int(m.NumRecords),
-	})
+	return n
 }
 
 func (s *metadataStore) drop() { s.db.DropTable(s.name) }

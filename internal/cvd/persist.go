@@ -95,10 +95,12 @@ type VersionRecordSet struct {
 }
 
 // PersistentState is the complete logical state of a split-by-rlist CVD —
-// the only model that persists — minus the backing tables themselves (those
-// are serialized separately, straight from their columnar lanes; Tables names
-// which ones belong to this CVD). ExportState captures it frozen: it stays
-// what it was when captured while the CVD goes on committing.
+// the only model that persists — minus its one backing table, the data table
+// (DataTable), which is serialized separately, straight from its columnar
+// lanes. The versioning table is RecordSets and the metadata table is Metas;
+// checked-out staging tables are deliberately absent: they are transient
+// working state. ExportState captures it frozen: it stays what it was when
+// captured while the CVD goes on committing.
 type PersistentState struct {
 	Name    string
 	Schema  relstore.Schema
@@ -110,15 +112,8 @@ type PersistentState struct {
 	// in order (Restore checks), each the version's record set, which is its
 	// rlist.
 	RecordSets []VersionRecordSet
-	Metas      []*VersionMeta // version metadata ordered by id
+	Metas      []*VersionMeta // the metadata table: version metadata ordered by id
 	Attrs      []Attribute    // attribute registry in registration order
-
-	// Tables lists the backing tables of this CVD, all tables of the
-	// database: the data table, which is the record catalog (DataTable), and
-	// the metadata table. The versioning table is RecordSets. Checked-out
-	// staging tables are deliberately absent: they are transient working
-	// state.
-	Tables []string
 
 	// The partitioning (both empty when unpartitioned): each assigned
 	// version's partition, and partition k's strays at k, one per partition.
@@ -130,8 +125,8 @@ type PersistentState struct {
 	Strays      []*recset.Set
 }
 
-// DataTable names the CVD's data table, one of Tables: the record catalog
-// Restore verifies.
+// DataTable names the CVD's data table, a table of the database: the record
+// catalog Restore verifies.
 func (st *PersistentState) DataTable() string { return rlistDataTabName(st.Name) }
 
 // CheckPartitioning refuses a partitioning st cannot hold: an assignment of a
@@ -163,8 +158,8 @@ func (st *PersistentState) CheckPartitioning() error {
 // structures (version graph, version metadata) are copied, and each
 // partition's strays computed afresh; committed record sets, which are never
 // mutated, are shared by pointer, so the capture is O(versions) extra memory,
-// not O(dataset). The backing tables, the catalog among them, are for the
-// caller to freeze (relstore.Table.SnapshotClone).
+// not O(dataset). The data table, which is the catalog, is for the caller to
+// freeze (relstore.Table.SnapshotClone).
 func (c *CVD) ExportState() (*PersistentState, error) {
 	if err := CheckDurable(c.name, c.kind); err != nil {
 		return nil, err
@@ -177,7 +172,6 @@ func (c *CVD) ExportState() (*PersistentState, error) {
 		NextRID: c.nextRID,
 		Graph:   c.graph.Clone(),
 		Attrs:   c.attrs.All(),
-		Tables:  []string{c.catalog.Name},
 	}
 	st.Metas = make([]*VersionMeta, len(c.meta.metas))
 	for i, vm := range c.meta.metas {
@@ -201,16 +195,15 @@ func (c *CVD) ExportState() (*PersistentState, error) {
 			st.Strays[k] = recset.AndNot(rs, versions[k])
 		}
 	}
-	st.Tables = append(st.Tables, c.meta.name)
 	return st, nil
 }
 
-// Restore rebuilds a live split-by-rlist CVD from a persistent state. Every
-// table named in st.Tables must already have been deserialized into db;
-// Restore only wires the in-memory structures (graph, record sets, metadata,
-// attribute registry, partitioning) back around them, the data table
-// serving as the record catalog. Each record set becomes the version's record
-// set, which is its rlist. A state whose record catalog or
+// Restore rebuilds a live split-by-rlist CVD from a persistent state. Its data
+// table must already have been deserialized into db; Restore only wires the
+// in-memory structures (graph, record sets, metadata, attribute registry,
+// partitioning) back around it, the data table serving as the record catalog,
+// and registers the metadata table. Each record set becomes the version's
+// record set, which is its rlist. A state whose record catalog or
 // versioning table is not the one it describes is refused, with an error that
 // is ErrBadCatalog or ErrBadVersions (errors.Is). The restored CVD takes
 // ownership of the state's pointers.
@@ -218,11 +211,6 @@ func Restore(db *relstore.Database, st *PersistentState) (*CVD, error) {
 	catalog, ok := db.Table(st.DataTable())
 	if !ok {
 		return nil, refusal{fmt.Errorf("cvd: restore %s: data table %q missing from database", st.Name, st.DataTable()), ErrBadCatalog}
-	}
-	for _, name := range st.Tables {
-		if !db.HasTable(name) {
-			return nil, fmt.Errorf("cvd: restore %s: backing table %q missing from database", st.Name, name)
-		}
 	}
 	if err := verifyCatalog(st, catalog); err != nil {
 		return nil, refusal{err, ErrBadCatalog}
@@ -233,9 +221,9 @@ func Restore(db *relstore.Database, st *PersistentState) (*CVD, error) {
 	if err := st.CheckPartitioning(); err != nil {
 		return nil, err
 	}
-	name := st.Name + "_metadata"
-	if !db.HasTable(name) {
-		return nil, fmt.Errorf("cvd: restore %s: metadata table %q missing", st.Name, name)
+	meta, err := newMetadataStore(db, st.Name, slices.Clone(st.Metas))
+	if err != nil {
+		return nil, err
 	}
 	c := &CVD{
 		name:      st.Name,
@@ -244,7 +232,7 @@ func Restore(db *relstore.Database, st *PersistentState) (*CVD, error) {
 		schema:    st.Schema.Clone(),
 		graph:     st.Graph,
 		catalog:   catalog,
-		meta:      &metadataStore{db: db, name: name, metas: slices.Clone(st.Metas)},
+		meta:      meta,
 		attrs:     restoreAttributeRegistry(st.Attrs),
 		sets:      make([]*recset.Set, len(st.RecordSets)),
 		nextRID:   st.NextRID,

@@ -74,9 +74,7 @@ func TestRlistIsRecordSet(t *testing.T) {
 		}
 	}
 	other := relstore.NewDatabase("restored")
-	for _, name := range st.Tables {
-		other.AttachTable(db.MustTable(name))
-	}
+	other.AttachTable(db.MustTable(st.DataTable()))
 	restored, err := Restore(other, st)
 	if err != nil {
 		t.Fatal(err)

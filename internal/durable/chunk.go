@@ -434,9 +434,9 @@ func (d *dec) recset() *recset.Set {
 	return s
 }
 
-// encodeCVDHead appends the CVD head chunk: the persisted CVD state minus its
-// tables (the record catalog among them) and the per-version record sets,
-// which chunk separately.
+// encodeCVDHead appends the CVD head chunk: the persisted CVD state, version
+// metadata included, minus its data table (the record catalog) and the
+// per-version record sets, which chunk separately.
 func encodeCVDHead(e *enc, st *cvd.PersistentState) {
 	e.u8(chunkCVDHead)
 	e.str(st.Name)
@@ -485,11 +485,6 @@ func encodeCVDHead(e *enc, st *cvd.PersistentState) {
 		e.uvarint(uint64(a.ID))
 		e.str(a.Name)
 		e.uvarint(uint64(a.Type))
-	}
-
-	e.uvarint(uint64(len(st.Tables)))
-	for _, t := range st.Tables {
-		e.str(t)
 	}
 
 	e.uvarint(uint64(len(st.Strays)))
@@ -580,12 +575,6 @@ func decodeCVDHead(payload []byte) (*cvd.PersistentState, error) {
 			Name: d.str(),
 			Type: d.valueType(),
 		}
-	}
-
-	ntab := d.length(1)
-	st.Tables = make([]string, ntab)
-	for i := range st.Tables {
-		st.Tables[i] = d.str()
 	}
 
 	if nparts := d.length(1); nparts > 0 {

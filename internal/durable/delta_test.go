@@ -179,9 +179,9 @@ func TestDeltaRunsAreMinimumStorage(t *testing.T) {
 func TestStorageGates(t *testing.T) {
 	// Pack bytes one checkpoint of the preset wrote under manifest version 4,
 	// measured by this test's measuring half at that build: 734 214 and
-	// 919 834 B of them record-set runs, 2.00 and 1.80 B per edge. (The
-	// metadata table's timestamps move the column bands by a few bytes from
-	// run to run.)
+	// 919 834 B of them record-set runs, 2.00 and 1.80 B per edge. (That
+	// build's metadata table, whose timestamps moved its column bands by a few
+	// bytes from run to run, is gone since manifest version 7.)
 	for preset, v4Pack := range map[string]int64{"SCI_10K": 1_363_619, "CUR_10K": 1_641_031} {
 		t.Run(preset, func(t *testing.T) {
 			db, c := loadPreset(t, preset)

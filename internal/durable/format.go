@@ -47,9 +47,11 @@ const (
 	// partition tables: a CVD head keeps its partitioning as the partition
 	// count, each version's partition and each partition's strays (the records
 	// it holds beyond its versions' sets), and the records stay once, in the
-	// data table. A manifest of an older version
-	// is refused (errManifestVersion), not converted.
-	manifestFormatVersion = 6
+	// data table. Version 7 lists no metadata table: a CVD head names no
+	// tables, its one table is its data table, and the version metadata is
+	// stored once, in the head. A manifest of an older version is refused
+	// (errManifestVersion), not converted.
+	manifestFormatVersion = 7
 
 	// walFormatVersion is the WAL segments' own version, bumped when only the
 	// record layout changes: a version 2 directory's checkpoints and exports
@@ -69,7 +71,7 @@ const (
 
 // errManifestVersion refuses a manifest of another version, wherever one is
 // read: open, restore at an epoch, fsck.
-var errManifestVersion = fmt.Errorf("this build reads version %d only (version 2 stored every record a second time, as catalog bands; version 3 stored every version's record list a second time, as the rlist column of a versioning table; version 4 stored every version's record set in full; version 5 stored each partition as a second copy of its records): export the versions to CSV with the build that wrote the directory and commit them to a fresh one", manifestFormatVersion)
+var errManifestVersion = fmt.Errorf("this build reads version %d only (version 2 stored every record a second time, as catalog bands; version 3 stored every version's record list a second time, as the rlist column of a versioning table; version 4 stored every version's record set in full; version 5 stored each partition as a second copy of its records; version 6 stored every version's metadata a second time, as the metadata table): export the versions to CSV with the build that wrote the directory and commit them to a fresh one", manifestFormatVersion)
 
 // WALSegmentFileName returns the WAL segment file name for an epoch; the
 // fixed-width hex key makes lexical order equal epoch order.

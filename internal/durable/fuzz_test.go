@@ -83,7 +83,6 @@ func fuzzCVDState() *cvd.PersistentState {
 			{ID: 1, Name: "key", Type: relstore.TypeInt},
 			{ID: 2, Name: "val", Type: relstore.TypeString},
 		},
-		Tables: []string{"fuzz_data", "fuzz_metadata"},
 	}
 	for v := vgraph.VersionID(1); v <= 3; v++ {
 		st.RecordSets = append(st.RecordSets, cvd.VersionRecordSet{
@@ -285,18 +284,45 @@ func FuzzManifestDecode(f *testing.F) {
 		versions.cols = append(versions.cols, []ChunkHash{hashChunk([]byte{'v', byte(ci)})})
 	}
 	v3.tables = append([]manifestTable{mt}, versions)
-	e.b = e.b[:0]
-	encodeManifestPayload(&e, v3)
-	f.Add(append([]byte(nil), e.b...))
-	file := append([]byte(manifestMagic), 3, 0, 0, 0)
-	file = binary.LittleEndian.AppendUint32(file, uint32(len(e.b)))
-	file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(e.b))
-	path := filepath.Join(f.TempDir(), ManifestFileName(9))
-	if err := os.WriteFile(path, append(file, e.b...), 0o644); err != nil {
-		f.Fatal(err)
+
+	// Version 6's shape: the CVD's metadata table listed beside its data
+	// table, eight columns of every version's metadata. Refused the same way.
+	v6 := &manifest{dbName: "db", epoch: 9, cvds: m.cvds}
+	metadata := manifestTable{meta: tableMeta{
+		name: "fuzz_metadata", nrows: 3, bandRows: 4, index: []string{"vid"},
+		schema: relstore.MustSchema([]relstore.Column{
+			{Name: "vid", Type: relstore.TypeInt},
+			{Name: "parents", Type: relstore.TypeIntArray},
+			{Name: "checkout_ts", Type: relstore.TypeInt},
+			{Name: "commit_ts", Type: relstore.TypeInt},
+			{Name: "msg", Type: relstore.TypeString},
+			{Name: "author", Type: relstore.TypeString},
+			{Name: "attributes", Type: relstore.TypeIntArray},
+			{Name: "num_records", Type: relstore.TypeInt},
+		}, "vid"),
+	}}
+	for ci := 0; ci < 8; ci++ {
+		metadata.cols = append(metadata.cols, []ChunkHash{hashChunk([]byte{'m', byte(ci)})})
 	}
-	if _, err := readManifestFile(vfs.OS(), path); !errors.Is(err, errManifestVersion) || !strings.Contains(err.Error(), "format version 3 manifest") {
-		f.Fatalf("a version 3 manifest reads with %v", err)
+	v6.tables = append([]manifestTable{mt}, metadata)
+
+	for _, old := range []struct {
+		version uint32
+		m       *manifest
+	}{{3, v3}, {6, v6}} {
+		e.b = e.b[:0]
+		encodeManifestPayload(&e, old.m)
+		f.Add(append([]byte(nil), e.b...))
+		file := binary.LittleEndian.AppendUint32([]byte(manifestMagic), old.version)
+		file = binary.LittleEndian.AppendUint32(file, uint32(len(e.b)))
+		file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(e.b))
+		path := filepath.Join(f.TempDir(), ManifestFileName(9))
+		if err := os.WriteFile(path, append(file, e.b...), 0o644); err != nil {
+			f.Fatal(err)
+		}
+		if _, err := readManifestFile(vfs.OS(), path); !errors.Is(err, errManifestVersion) || !strings.Contains(err.Error(), fmt.Sprintf("format version %d manifest", old.version)) {
+			f.Fatalf("a version %d manifest reads with %v", old.version, err)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeManifestPayload(data)

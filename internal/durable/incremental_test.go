@@ -67,11 +67,7 @@ func snapshotOf(t testing.TB, db *relstore.Database, c *cvd.CVD) *Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := &Snapshot{DBName: db.Name(), CVDs: []*cvd.PersistentState{st}}
-	for _, name := range st.Tables {
-		snap.Tables = append(snap.Tables, db.MustTable(name))
-	}
-	return snap
+	return &Snapshot{DBName: db.Name(), Tables: []*relstore.Table{db.MustTable(st.DataTable())}, CVDs: []*cvd.PersistentState{st}}
 }
 
 // TestCheckpointGates holds the two deterministic gates of the checkpoint

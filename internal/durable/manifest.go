@@ -35,6 +35,8 @@ import (
 // the versioning table version 3 listed among them, and version 5 the full
 // set of every version that version 4's runs (chunk kind 4) stored: a run
 // (kind 5) stores each version in full or as its delta from its parents.
+// Since version 7 the data table is a CVD's only table: its metadata is in
+// its head, where version 6 also listed a metadata table among the tables.
 
 // manifest is one decoded checkpoint manifest.
 type manifest struct {
@@ -231,7 +233,7 @@ func readManifestFile(fsys vfs.FS, path string) (*manifest, error) {
 	}
 	switch v := binary.LittleEndian.Uint32(data[8:12]); v {
 	case manifestFormatVersion:
-	case 2, 3, 4, 5:
+	case 2, 3, 4, 5, 6:
 		return nil, fmt.Errorf("durable: %s is a format version %d manifest, %w", path, v, errManifestVersion)
 	default:
 		return nil, fmt.Errorf("durable: unsupported manifest version %d (want %d)", v, manifestFormatVersion)

@@ -156,7 +156,7 @@ func TestSortedIntegerIndex(t *testing.T) {
 	if tbl.intSorted != 100 || len(tbl.intIndex) != 0 {
 		t.Fatalf("an ascending column put %d keys in the map, %d in the sorted run", len(tbl.intIndex), tbl.intSorted)
 	}
-	mapped := newProteinTable(t, 100) // built by Insert: every key in the map
+	mapped := mappedProteinTable(t, 100) // every key in the map
 	if got, want := tbl.StorageBytes(), mapped.StorageBytes(); got != want {
 		t.Fatalf("accounted size %d, with a map %d", got, want)
 	}
@@ -202,6 +202,92 @@ func TestSortedIntegerIndex(t *testing.T) {
 	rows, err := JoinOnRIDs(cleanIndexed(t, 50), "rid", []int64{3, 44, 70}, IndexNestedLoopJoin)
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("index join over a sorted run: %d rows, %v", len(rows), err)
+	}
+}
+
+// mappedProteinTable is newProteinTable with every key of its rid index in
+// the map and none in the sorted run: the form Insert kept a table in before
+// it extended the run.
+func mappedProteinTable(t *testing.T, n int) *Table {
+	tbl := newProteinTable(t, n)
+	tbl.intIndex, tbl.intSorted = make(map[int64]int, n), 0
+	for pos := range tbl.Len() {
+		tbl.intIndex[tbl.At(pos, 0).I] = pos
+	}
+	return tbl
+}
+
+// TestInsertExtendsSortedRun: Insert keeps keys that ascend in the integer
+// index's sorted run — a table filled in key order, as a record catalog is,
+// holds no map entry — and sends the first key out of order, and every key
+// after it, to the map. Lookups, duplicate refusals and the accounted size
+// are those of the table with every key mapped, and the index rebuilds of
+// Shrink, DeleteWhere, SortBy and UpdateWhere leave the two alike.
+func TestInsertExtendsSortedRun(t *testing.T) {
+	same := func(what string, got, want *Table) {
+		t.Helper()
+		for key := int64(-3); key < 1200; key++ {
+			g, gok := got.LookupIndex(Int(key))
+			w, wok := want.LookupIndex(Int(key))
+			if gok != wok || gok && !g.Identical(w) {
+				t.Fatalf("%s: key %d looks up %v (%v), with every key mapped %v (%v)", what, key, g, gok, w, wok)
+			}
+		}
+		if g, w := got.StorageBytes(), want.StorageBytes(); g != w {
+			t.Fatalf("%s: accounted %d B, with every key mapped %d", what, g, w)
+		}
+		for _, key := range []int64{0, 31, 63, -2, 100, 1001} { // a refused insert changes nothing
+			if _, present := want.LookupIndex(Int(key)); present {
+				if err := got.Insert(Row{Int(key), Str("a"), Str("b"), Int(0)}); err == nil {
+					t.Fatalf("%s: duplicate key %d accepted", what, key)
+				}
+			}
+		}
+	}
+	build := func(mapped bool) *Table {
+		tbl := newProteinTable(t, 64)
+		if mapped {
+			tbl = mappedProteinTable(t, 64)
+		}
+		tbl.MustInsert(Row{Int(-2), Str("a"), Str("b"), Int(0)}) // out of order
+		tbl.MustInsert(Row{Int(100), Str("a"), Str("b"), Int(0)})
+		return tbl
+	}
+
+	run := newProteinTable(t, 64)
+	if run.intSorted != 64 || len(run.intIndex) != 0 {
+		t.Fatalf("64 ascending inserts: %d keys sorted, %d mapped", run.intSorted, len(run.intIndex))
+	}
+	same("ascending inserts", run, mappedProteinTable(t, 64))
+	run = build(false)
+	if run.intSorted != 64 || len(run.intIndex) != 2 {
+		t.Fatalf("a key out of order, then one above the run: %d keys sorted, %d mapped", run.intSorted, len(run.intIndex))
+	}
+	same("a key out of order", run, build(true))
+
+	for name, rebuild := range map[string]func(*Table) error{
+		"Shrink": func(tbl *Table) error { tbl.Shrink(40); return nil },
+		"DeleteWhere": func(tbl *Table) error {
+			tbl.DeleteWhere(func(r Row) bool { return r[0].AsInt()%3 == 0 })
+			return nil
+		},
+		"SortBy": func(tbl *Table) error { return tbl.SortBy(ClusterOnRID, "rid") },
+		"UpdateWhere": func(tbl *Table) error {
+			_, err := tbl.UpdateWhere(func(r Row) bool { return r[0].AsInt()%5 == 0 }, func(r Row) Row { r[0] = Int(r[0].AsInt() + 1000); return r })
+			return err
+		},
+	} {
+		got, want := build(false), build(true)
+		if err := rebuild(got); err != nil {
+			t.Fatal(err)
+		}
+		if err := rebuild(want); err != nil {
+			t.Fatal(err)
+		}
+		if got.intSorted != want.intSorted || len(got.intIndex) != len(want.intIndex) {
+			t.Fatalf("%s: rebuilt %d sorted, %d mapped; with every key mapped first %d and %d", name, got.intSorted, len(got.intIndex), want.intSorted, len(want.intIndex))
+		}
+		same(name, got, want)
 	}
 }
 

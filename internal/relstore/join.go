@@ -278,53 +278,3 @@ func mergeJoinSelection(data *Table, ridCol int, sorted []int64) Selection {
 	}
 	return sel
 }
-
-// HashJoinTables performs a general equi-join of two tables on the named
-// columns, returning concatenated rows (left columns followed by right
-// columns). It is used by the versioned SQL shortcuts (joins across
-// versions) and by example applications.
-func HashJoinTables(left *Table, leftCol string, right *Table, rightCol string) ([]Row, Schema, error) {
-	li := left.Schema.ColumnIndex(leftCol)
-	ri := right.Schema.ColumnIndex(rightCol)
-	if li < 0 {
-		return nil, Schema{}, fmt.Errorf("relstore: table %s has no column %q", left.Name, leftCol)
-	}
-	if ri < 0 {
-		return nil, Schema{}, fmt.Errorf("relstore: table %s has no column %q", right.Name, rightCol)
-	}
-	build := make(map[string][]int, right.nrows)
-	for i := 0; i < right.nrows; i++ {
-		k := right.cols[ri].asString(i)
-		build[k] = append(build[k], i)
-	}
-	right.stats.AddSeqReads(int64(right.nrows))
-	var out []Row
-	for i := 0; i < left.nrows; i++ {
-		left.stats.AddHashProbes(1)
-		matches := build[left.cols[li].asString(i)]
-		if len(matches) == 0 {
-			continue
-		}
-		l := left.RowAt(i)
-		for _, rpos := range matches {
-			r := right.RowAt(rpos)
-			joined := make(Row, 0, len(l)+len(r))
-			joined = append(joined, l...)
-			joined = append(joined, r...)
-			out = append(out, joined)
-		}
-	}
-	left.stats.AddSeqReads(int64(left.nrows))
-	cols := make([]Column, 0, len(left.Schema.Columns)+len(right.Schema.Columns))
-	for _, c := range left.Schema.Columns {
-		cols = append(cols, Column{Name: left.Name + "." + c.Name, Type: c.Type})
-	}
-	for _, c := range right.Schema.Columns {
-		cols = append(cols, Column{Name: right.Name + "." + c.Name, Type: c.Type})
-	}
-	schema, err := NewSchema(cols)
-	if err != nil {
-		return nil, Schema{}, err
-	}
-	return out, schema, nil
-}

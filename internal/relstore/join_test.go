@@ -184,29 +184,6 @@ func TestJoinEquivalenceProperty(t *testing.T) {
 	}
 }
 
-func TestHashJoinTables(t *testing.T) {
-	emp := NewTable("emp", MustSchema([]Column{{Name: "id", Type: TypeInt}, {Name: "dept", Type: TypeInt}}, "id"))
-	dept := NewTable("dept", MustSchema([]Column{{Name: "id", Type: TypeInt}, {Name: "name", Type: TypeString}}, "id"))
-	emp.MustInsert(Row{Int(1), Int(10)})
-	emp.MustInsert(Row{Int(2), Int(20)})
-	emp.MustInsert(Row{Int(3), Int(10)})
-	dept.MustInsert(Row{Int(10), Str("eng")})
-	dept.MustInsert(Row{Int(20), Str("bio")})
-	rows, schema, err := HashJoinTables(emp, "dept", dept, "id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("join returned %d rows, want 3", len(rows))
-	}
-	if len(schema.Columns) != 4 {
-		t.Errorf("join schema has %d columns, want 4", len(schema.Columns))
-	}
-	if _, _, err := HashJoinTables(emp, "missing", dept, "id"); err == nil {
-		t.Error("join on missing column should error")
-	}
-}
-
 func TestCostStatsDiffAndString(t *testing.T) {
 	a := CostStats{SeqReads: 10, RandomReads: 2, RowsWritten: 1, HashProbes: 5}
 	b := CostStats{SeqReads: 25, RandomReads: 4, RowsWritten: 3, HashProbes: 9}

@@ -90,7 +90,9 @@ type Table struct {
 	// rid-ordered, so BuildIndexOn indexes it for one pass over a lane instead
 	// of a map entry per row; a checkout's staging table is rid-ordered by
 	// construction, and the join that selects it indexes it with no pass at
-	// all (indexAscending).
+	// all (indexAscending); and Insert extends the run while the keys it
+	// appends keep ascending, so a live record catalog holds no map entry
+	// either.
 	indexCols   []int
 	uniqueIndex map[string]int
 	intIndex    map[int64]int
@@ -416,10 +418,13 @@ func (t *Table) Insert(r Row) error {
 	}
 	if t.intIndex != nil {
 		k := r[t.indexCols[0]].AsInt()
-		if _, dup := t.intPos(k); dup {
+		if t.extendsSortedRun(k) {
+			t.intSorted++
+		} else if _, dup := t.intPos(k); dup {
 			return fmt.Errorf("relstore: table %s: duplicate key %d", t.Name, k)
+		} else {
+			t.intIndex[k] = t.nrows
 		}
-		t.intIndex[k] = t.nrows
 	} else if t.uniqueIndex != nil {
 		k := encodeKey(r, t.indexCols)
 		if _, dup := t.uniqueIndex[k]; dup {
@@ -430,6 +435,17 @@ func (t *Table) Insert(r Row) error {
 	t.appendRow(r)
 	t.stats.AddRowsWritten(1)
 	return nil
+}
+
+// extendsSortedRun reports whether a row appended with integer index key k
+// stays in the index's sorted run: the run reaches the last row, no key is
+// in the map, and k is above the last key. Such a row needs no map entry, so
+// a table filled in ascending key order — a record catalog — holds none.
+func (t *Table) extendsSortedRun(k int64) bool {
+	if t.intSorted != t.nrows || len(t.intIndex) != 0 {
+		return false
+	}
+	return t.nrows == 0 || k > t.cols[t.indexCols[0]].asInt(t.nrows-1)
 }
 
 // appendRow scatters a row into the column vectors without touching the

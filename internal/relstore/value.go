@@ -405,25 +405,6 @@ func compareIntSlices(a, b []int64) int {
 	}
 }
 
-// ArrayContains reports whether every element of sub is contained in arr,
-// mirroring PostgreSQL's `sub <@ arr` containment operator used by the
-// combined-table and split-by-vlist checkout translations (Table 4.1).
-func ArrayContains(arr, sub []int64) bool {
-	if len(sub) == 0 {
-		return true
-	}
-	set := make(map[int64]struct{}, len(arr))
-	for _, x := range arr {
-		set[x] = struct{}{}
-	}
-	for _, x := range sub {
-		if _, ok := set[x]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // ArrayAppend appends x to arr if not already present, keeping the array
 // sorted. It mirrors the `vlist = vlist + vj` commit translation.
 func ArrayAppend(arr []int64, x int64) []int64 {

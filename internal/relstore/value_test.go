@@ -180,25 +180,6 @@ func TestTypeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestArrayContains(t *testing.T) {
-	arr := []int64{1, 2, 3, 4}
-	cases := []struct {
-		sub  []int64
-		want bool
-	}{
-		{[]int64{}, true},
-		{[]int64{1}, true},
-		{[]int64{2, 4}, true},
-		{[]int64{5}, false},
-		{[]int64{1, 5}, false},
-	}
-	for _, c := range cases {
-		if got := ArrayContains(arr, c.sub); got != c.want {
-			t.Errorf("ArrayContains(%v, %v) = %v, want %v", arr, c.sub, got, c.want)
-		}
-	}
-}
-
 func TestArrayAppendKeepsSortedAndDedupes(t *testing.T) {
 	arr := []int64{}
 	for _, x := range []int64{5, 1, 3, 3, 2, 5} {

@@ -165,12 +165,6 @@ func TestViewColumnsReadAsMaterialized(t *testing.T) {
 			if len(sel) == 0 {
 				continue
 			}
-			gj, _, err := HashJoinTables(view, "rid", src, "rid")
-			wj, _, _ := HashJoinTables(want, "rid", src, "rid")
-			if err != nil || !slices.EqualFunc(gj, wj, Row.Identical) {
-				t.Fatalf("%s: HashJoinTables differs: %v", what, err)
-			}
-
 			// Regathering composes positions: the columns stay views.
 			drop := func(r Row) bool { return r[0].AsInt()%3 == 0 }
 			view.DeleteWhere(drop)
