@@ -121,13 +121,17 @@ func (s *metadataStore) add(m *VersionMeta) error {
 	return nil
 }
 
-// StorageBytes charges each version the table's cells — 8 bytes per integer,
-// 8 plus 8 per element per array, 4 plus its length per string — and 16 bytes
-// for its vid's index entry.
+// StorageBytes charges each version its row's eight cells and its vid's index
+// entry, as relstore accounts them.
 func (s *metadataStore) StorageBytes() int64 {
 	var n int64
 	for _, m := range s.metas {
-		n += 72 + 8*int64(len(m.Parents)+len(m.Attributes)) + int64(len(m.Message)+len(m.Author))
+		n += 4*relstore.CellBytes(relstore.TypeInt, 0) + // vid, checkout_ts, commit_ts, num_records
+			relstore.CellBytes(relstore.TypeIntArray, len(m.Parents)) +
+			relstore.CellBytes(relstore.TypeIntArray, len(m.Attributes)) +
+			relstore.CellBytes(relstore.TypeString, len(m.Message)) +
+			relstore.CellBytes(relstore.TypeString, len(m.Author)) +
+			relstore.IndexEntryBytes
 	}
 	return n
 }

@@ -496,18 +496,22 @@ func (t *Table) InsertBatch(rows []Row) error {
 	return nil
 }
 
+// IndexEntryBytes is what the storage accounting model charges an indexed
+// row, approximating a hash/btree entry.
+const IndexEntryBytes = 16
+
 // StorageBytes returns the accounted size of the table including its index
-// (16 bytes per indexed row, approximating a hash/btree entry).
+// (IndexEntryBytes per indexed row).
 func (t *Table) StorageBytes() int64 {
 	var n int64
 	for _, c := range t.cols {
 		n += c.storageBytes()
 	}
 	if t.uniqueIndex != nil {
-		n += int64(len(t.uniqueIndex)) * 16
+		n += int64(len(t.uniqueIndex)) * IndexEntryBytes
 	}
 	if t.intIndex != nil {
-		n += int64(len(t.intIndex)+t.intSorted) * 16
+		n += int64(len(t.intIndex)+t.intSorted) * IndexEntryBytes
 	}
 	return n
 }

@@ -277,8 +277,14 @@ func (v Value) AsBool() bool {
 
 // StorageBytes returns the number of bytes the value occupies in the storage
 // accounting model (used for Figure 4.1(a) and the Chapter 7 storage costs).
-func (v Value) StorageBytes() int64 {
-	switch v.Type {
+func (v Value) StorageBytes() int64 { return CellBytes(v.Type, int(v.n)) }
+
+// CellBytes returns what the storage accounting model charges a cell of type
+// t: n is a string's length in bytes or an array's in elements, and is ignored
+// for the other types. A relation charged as the table it stands for counts
+// its cells with it.
+func CellBytes(t ValueType, n int) int64 {
+	switch t {
 	case TypeNull:
 		return 1
 	case TypeInt:
@@ -288,9 +294,9 @@ func (v Value) StorageBytes() int64 {
 	case TypeBool:
 		return 1
 	case TypeString:
-		return int64(v.n) + 4
+		return int64(n) + 4
 	case TypeIntArray:
-		return int64(v.n)*8 + 8
+		return int64(n)*8 + 8
 	default:
 		return 0
 	}
