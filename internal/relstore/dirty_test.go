@@ -291,6 +291,53 @@ func TestInsertExtendsSortedRun(t *testing.T) {
 	}
 }
 
+// TestIntPosTrustsRIDRun: a key within the index column's rid run is found at
+// row key-1 without a search, and every lookup answers as a scan of the rid
+// column does — on a dense catalog, after an update lowers the run, after a
+// shrink clips it and after an out-of-order insert.
+func TestIntPosTrustsRIDRun(t *testing.T) {
+	build := func() *Table {
+		tbl := NewTable("catalog", proteinSchema())
+		for rid := int64(1); rid <= 80; rid++ {
+			tbl.MustInsert(Row{Int(rid), Str("a"), Str("b"), Int(rid)})
+		}
+		return tbl
+	}
+	scan := func(tbl *Table, key int64) (Row, bool) {
+		for pos := range tbl.Len() {
+			if v := tbl.At(pos, 0); v.Type == TypeInt && v.I == key {
+				return tbl.RowAt(pos), true
+			}
+		}
+		return nil, false
+	}
+	check := func(what string, tbl *Table, run int) {
+		t.Helper()
+		if tbl.cols[0].run != run {
+			t.Fatalf("%s: rid run %d, want %d", what, tbl.cols[0].run, run)
+		}
+		for key := int64(-3); key < 1200; key++ {
+			g, gok := tbl.LookupIndex(Int(key))
+			w, wok := scan(tbl, key)
+			if gok != wok || gok && !g.Identical(w) {
+				t.Fatalf("%s: key %d looks up %v (%v), a scan finds %v (%v)", what, key, g, gok, w, wok)
+			}
+		}
+	}
+	check("dense catalog", build(), 80)
+	tbl := build()
+	if _, err := tbl.UpdateWhere(func(r Row) bool { return r[0].AsInt() == 30 }, func(r Row) Row { r[0] = Int(1000); return r }); err != nil {
+		t.Fatal(err)
+	}
+	check("UpdateWhere", tbl, 29)
+	tbl = build()
+	tbl.Shrink(50)
+	check("Shrink", tbl, 50)
+	tbl = build()
+	tbl.MustInsert(Row{Int(-2), Str("a"), Str("b"), Int(0)})
+	check("Insert", tbl, 80)
+}
+
 func cleanIndexed(t *testing.T, n int) *Table {
 	tbl := cleanProteinTable(t, n)
 	if err := tbl.BuildIndexOn("rid"); err != nil {

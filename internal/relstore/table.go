@@ -323,11 +323,17 @@ func searchInts(col *column, n int, key int64) (pos int, found bool) {
 	return sort.Find(n, func(i int) int { return cmp.Compare(key, col.asInt(i)) })
 }
 
-// intPos looks key up in the integer index (t.intIndex != nil). An index that
-// a failed rebuild left stale may answer wrongly, as a stale map does, but
-// never reads past the rows.
+// intPos looks key up in the integer index (t.intIndex != nil). A key within
+// the column's rid run is at row key-1 with no search: a record catalog's run
+// covers every row, so its rid lookup is one comparison. An index that a
+// failed rebuild left stale may answer wrongly, as a stale map does, but never
+// reads past the rows.
 func (t *Table) intPos(key int64) (pos int, found bool) {
-	if pos, found = searchInts(t.cols[t.indexCols[0]], min(t.intSorted, t.nrows), key); found {
+	col := t.cols[t.indexCols[0]]
+	if key >= 1 && key <= int64(min(col.run, t.nrows)) {
+		return int(key - 1), true
+	}
+	if pos, found = searchInts(col, min(t.intSorted, t.nrows), key); found {
 		return pos, true
 	}
 	pos, found = t.intIndex[key]
