@@ -236,3 +236,24 @@ func BenchmarkIndexNestedLoopJoin(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCatalogLookup looks random rids up in a live record catalog: 64 K
+// rows inserted in rid order from 1, so every key is within the rid run.
+func BenchmarkCatalogLookup(b *testing.B) {
+	const n = 64000
+	tbl := NewTable("catalog", MustSchema([]Column{{Name: "rid", Type: TypeInt}, {Name: "val", Type: TypeInt}}, "rid"))
+	for rid := int64(1); rid <= n; rid++ {
+		tbl.MustInsert(Row{Int(rid), Int(rid * 3)})
+	}
+	keys := make([]Value, 1<<14)
+	r := rand.New(rand.NewSource(7))
+	for i := range keys {
+		keys[i] = Int(int64(r.Intn(n) + 1))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := tbl.LookupIndex(keys[i&(len(keys)-1)]); !ok {
+			b.Fatal("a catalog rid was not found")
+		}
+	}
+}
